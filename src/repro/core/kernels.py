@@ -24,8 +24,7 @@ Record objects are only gathered (from the blocks' lazily materialized
 record lists) for positions that survive merging — the lazy materialization
 boundary the columnar layout exists for.
 
-Everything here requires numpy; :func:`enabled` gates the operators' use of
-this module, and ``MASM_DISABLE_KERNELS=1`` forces the legacy
+``MASM_DISABLE_KERNELS=1`` (see :func:`enabled`) forces the legacy
 record-at-a-time paths (CI runs the equivalence suite both ways).
 """
 
@@ -35,18 +34,15 @@ import os
 from itertools import chain
 from typing import Optional, Sequence
 
-from repro.core.update import UpdateRecord, UpdateType, combine_chain
+import numpy as _np
+
+from repro.core.update import UpdateRecord, UpdateType, combine_chain, record_array
 from repro.engine.record import Schema
 from repro.storage.iosched import (
     KERNEL_COMBINE_CPU_PER_UPDATE,
     KERNEL_MERGE_CPU_PER_UPDATE,
     CpuMeter,
 )
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
 
 
 #: Identity-compared in the join's hot loops (enum ``in`` tests cost more).
@@ -55,12 +51,12 @@ _REPLACE = UpdateType.REPLACE
 
 
 def enabled() -> bool:
-    """True when the kernel fast path may run (numpy present, not disabled).
+    """True when the kernel fast path may run (not disabled).
 
     The environment variable is consulted on every call so a test or an
     operator can flip ``MASM_DISABLE_KERNELS`` without re-importing.
     """
-    return _np is not None and not os.environ.get("MASM_DISABLE_KERNELS")
+    return not os.environ.get("MASM_DISABLE_KERNELS")
 
 
 class SourceSlice:
@@ -87,9 +83,7 @@ class SourceSlice:
         n = len(records)
         keys = _np.fromiter((u.key for u in records), _np.int64, n)
         ts = _np.fromiter((u.timestamp for u in records), _np.int64, n)
-        arr = _np.empty(n, dtype=object)
-        arr[:] = records
-        return cls(keys, ts, arr)
+        return cls(keys, ts, record_array(records))
 
 
 class UpdateBatch:

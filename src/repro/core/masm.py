@@ -504,8 +504,13 @@ class MaSM:
         if self.governor is not None:
             self.governor.admit(update)
         with self._lock:
+            # An ill-formed update (over-wide string, ill-typed value) must
+            # be rejected before it is logged or buffered: logging encodes
+            # it, which checks it; without a log, check it explicitly.
             if self.redo_log is not None:
                 self.redo_log.log_update(self.table.name, update)
+            else:
+                self.codec.check(update)
             if self.buffer.would_overflow(update):
                 self._handle_full_buffer()
             self.buffer.append(update)

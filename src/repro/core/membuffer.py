@@ -170,8 +170,9 @@ class InMemoryUpdateBuffer:
                 self._sorted = True
                 self.sort_epoch += 1
             floor = (begin_key, -1) if after is None else after
-            keys = [e.sort_key() for e in self._entries]
-            pos = bisect.bisect_right(keys, floor)
+            pos = bisect.bisect_right(
+                self._entries, floor, key=UpdateRecord.sort_key
+            )
             batch: list[UpdateRecord] = []
             while pos < len(self._entries) and len(batch) < limit:
                 entry = self._entries[pos]

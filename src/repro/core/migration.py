@@ -23,6 +23,7 @@ from repro.core.operators import MergeUpdates
 from repro.core.update import UpdateRecord, UpdateType, apply_update
 from repro.engine.heapfile import DEFAULT_FILL_FACTOR
 from repro.engine.page import SlottedPage
+from repro.engine.table import page_records
 from repro.errors import StorageError
 from repro.obs import get_registry, trace
 from repro.storage.faults import crash_point
@@ -206,10 +207,7 @@ def rewrite_heap_streaming(
         read_frontier = page_no + 1
         stats.pages_read += 1
         page_ts = page.timestamp
-        records = sorted(
-            (schema.unpack(data) for _, data in page.records()), key=schema.key
-        )
-        for record in records:
+        for record in page_records(page, schema):
             key = schema.key(record)
             while update is not None and update.key < key:
                 produced = apply_update(None, update, schema)
@@ -451,8 +449,7 @@ def _split_tail_page(
     schema = table.schema
     base_ts = page.timestamp
     merged: dict[int, tuple[tuple, int]] = {}
-    for _, data in page.records():
-        record = schema.unpack(data)
+    for record in page_records(page, schema):
         merged[schema.key(record)] = (record, base_ts)
     delta = 0
     for update in updates:

@@ -518,7 +518,7 @@ class MergeDataUpdates:
     ) -> Iterator[list]:
         """Join each update partition against its data key span, as lists."""
         schema = self.schema
-        kp = schema.key_pos
+        key_of = schema.key_of
         chunks = self._data_chunks()
         exhausted = False
         buf_records: list = []
@@ -533,7 +533,7 @@ class MergeDataUpdates:
                     break
                 records, ts = nxt
                 buf_records.extend(records)
-                buf_keys.extend(r[kp] for r in records)
+                buf_keys.extend(map(key_of, records))
                 if isinstance(ts, int):
                     buf_ts.extend([ts] * len(records))
                 else:

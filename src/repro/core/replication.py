@@ -556,12 +556,10 @@ class ReplicaSet:
         ssd_volume = replica.masm.ssd
         for file_name in list(ssd_volume):
             ssd_volume.delete(file_name)
-        # Total loss includes the base data: zero the heap's logical extent
-        # so nothing of the old contents can leak into a later bootstrap.
-        heap = replica.table.heap
-        if heap.num_pages:
-            heap.file.zero_range(0, heap.num_pages * heap.page_size)
-        heap.truncate(0)
+        # Total loss includes the base data: truncating to nothing zeroes
+        # the heap's logical extent, so nothing of the old contents can leak
+        # into a later bootstrap.
+        replica.table.heap.truncate(0)
         replica.wiped = True
         get_registry().counter("replication.wipes").add(1)
 

@@ -17,6 +17,8 @@ from bisect import bisect_left, bisect_right
 from itertools import islice
 from typing import Iterable, Iterator, Optional
 
+import numpy as _np
+
 from repro.core.blockcache import DecodedBlockCache
 from repro.core.runindex import COARSE_GRANULARITY, RunIndex
 from repro.core.update import (
@@ -30,11 +32,6 @@ from repro.obs.registry import get_registry
 from repro.storage import checksum as _checksum
 from repro.storage.file import SimFile, StorageVolume
 from repro.util.units import MB, ceil_div
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
 
 _BLOCK_HEADER = BLOCK_HEADER  # record count (framing owned by the codec)
 
@@ -309,7 +306,6 @@ class MaterializedSortedRun:
 
         This is what the merge kernels consume (one call per partition per
         run).  Returns None when the partition is empty for this run.
-        Requires numpy; callers gate on :func:`repro.core.kernels.enabled`.
         Raises the same :class:`ChecksumError`/:class:`TransientIOError` a
         scan would — but always *before* any data escapes (the whole slice
         is built atomically), so the caller can swap in the fallback stream

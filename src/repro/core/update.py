@@ -17,18 +17,15 @@ table scan.
 from __future__ import annotations
 
 import struct
-from array import array
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import starmap
 from typing import Optional, Sequence
 
-from repro.engine.record import Schema
-from repro.errors import ReproError
+import numpy as _np
 
-try:  # numpy backs the SoA fast path; everything degrades without it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via MASM_DISABLE_KERNELS
-    _np = None
+from repro.engine.record import Schema
+from repro.errors import ReproError, SchemaError
 
 
 class UpdateConflictError(ReproError):
@@ -42,12 +39,18 @@ class UpdateType(IntEnum):
     REPLACE = 3
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class UpdateRecord:
     """One cached update: ``(timestamp, key, type, content)``.
 
     ``content`` is the full record tuple for INSERT/REPLACE, a field->value
     dict for MODIFY, and None for DELETE.
+
+    Treat instances as immutable — decoded records are shared by every scan
+    through the decoded-block cache.  The class is slotted rather than
+    frozen because block decode builds hundreds per block and the merge and
+    join loops read their fields per record: a frozen dataclass pays four
+    ``object.__setattr__`` calls per construction.
     """
 
     timestamp: int
@@ -151,13 +154,9 @@ def apply_update(
 #: Framing for a block of update records: leading record count.
 BLOCK_HEADER = struct.Struct("<I")
 
-#: Decode-time lookup avoiding an ``UpdateType(...)`` enum call per record.
-_TYPE_BY_CODE = (
-    UpdateType.INSERT,
-    UpdateType.DELETE,
-    UpdateType.MODIFY,
-    UpdateType.REPLACE,
-)
+#: Decode-time lookup avoiding an ``UpdateType(...)`` enum call per record:
+#: indexing it with a block's op-code column maps the whole block at once.
+_TYPE_ARRAY = _np.array(list(UpdateType), dtype=object)
 
 
 class UpdateCodec:
@@ -172,26 +171,42 @@ class UpdateCodec:
 
     Besides the record-at-a-time :meth:`encode`/:meth:`decode` pair, the
     codec offers a batch API (:meth:`encode_block`, :meth:`decode_block`,
-    :meth:`encode_many`) that processes a whole block in one pass with
-    pre-bound struct unpackers — the read/write hot path.
+    :meth:`encode_many`) that processes a whole block in one pass — the
+    read/write hot path.  Everything is driven by the layout the
+    :class:`~repro.engine.record.Schema` compiled at construction.
     """
 
     _HEAD = struct.Struct("<QQBI")
+    _FIELD_INDEX = struct.Struct("<H")
 
     def __init__(self, schema: Schema) -> None:
         self.schema = schema
-        self._field_structs = [
-            None if f.is_string else struct.Struct("<" + f.struct_code())
+        self._record_size = schema.record_size
+        #: Encoded size by update type; MODIFY (None) depends on its fields:
+        #: each changed field costs a u16 index plus the field's width.
+        whole_record = self._HEAD.size + schema.record_size
+        self._sizes = (whole_record, self._HEAD.size, None, whole_record)
+        self._change_sizes = {f.name: 2 + f.width for f in schema.fields}
+        #: Per field ``(name, width, is_string, value Struct)`` — what a
+        #: MODIFY payload's (index, value) pairs are packed/unpacked with.
+        self._fields = tuple(
+            (
+                f.name,
+                f.width,
+                f.is_string,
+                None if f.is_string else struct.Struct("<" + f.struct_code()),
+            )
             for f in schema.fields
-        ]
-        # Pre-bound whole-record unpacker for INSERT/REPLACE payloads: one
-        # struct call per record instead of a Schema.unpack round trip, with
-        # string columns fixed up afterwards by index.
-        self._record_struct = struct.Struct(
-            "<" + "".join(f.struct_code() for f in schema.fields)
         )
-        self._string_idxs = tuple(
-            i for i, f in enumerate(schema.fields) if f.is_string
+        #: One record of an INSERT/REPLACE-only block — header plus packed
+        #: record at a fixed stride — as a numpy structured type.
+        self._uniform = _np.dtype(
+            {
+                "names": ["timestamp", "key", "op", "payload_len", "record"],
+                "formats": ["<u8", "<u8", "u1", "<u4", schema.dtype],
+                "offsets": [0, 8, 16, 17, self._HEAD.size],
+                "itemsize": self._HEAD.size + schema.record_size,
+            }
         )
 
     @property
@@ -199,27 +214,39 @@ class UpdateCodec:
         return self._HEAD.size
 
     def encoded_size(self, update: UpdateRecord) -> int:
-        return self._HEAD.size + len(self._payload(update))
+        """``len(self.encode(update))`` by arithmetic over the field widths.
+
+        Sizes only: a value that does not fit its field is rejected by
+        :meth:`encode` / :meth:`check`, not here.
+        """
+        size = self._sizes[update.type]
+        if size is not None:
+            return size
+        try:
+            return self._HEAD.size + sum(
+                map(self._change_sizes.__getitem__, update.content)
+            )
+        except KeyError as exc:
+            raise SchemaError(f"no field named {exc.args[0]!r}") from None
+
+    def check(self, update: UpdateRecord) -> None:
+        """Raise what :meth:`encode` would raise for an ill-formed update
+        (over-wide string, ill-typed or out-of-range value, unknown field,
+        wrong arity) — for callers that buffer an update without encoding
+        it and must not find out at flush time."""
+        self._payload(update)
 
     def _pack_field(self, idx: int, value) -> bytes:
-        field = self.schema.fields[idx]
-        if field.is_string:
-            raw = value.encode("utf-8") if isinstance(value, str) else bytes(value)
-            raw = raw.ljust(field.width, b"\x00")
-            if len(raw) != field.width:
-                raise ReproError(
-                    f"value for field {field.name!r} exceeds width {field.width}"
-                )
-            return raw
-        return self._field_structs[idx].pack(value)
-
-    def _unpack_field(self, idx: int, data: bytes, offset: int):
-        field = self.schema.fields[idx]
-        if field.is_string:
-            raw = data[offset : offset + field.width]
-            return raw.rstrip(b"\x00").decode("utf-8"), offset + field.width
-        s = self._field_structs[idx]
-        return s.unpack_from(data, offset)[0], offset + s.size
+        name, width, is_string, packer = self._fields[idx]
+        if not is_string:
+            try:
+                return packer.pack(value)
+            except struct.error as exc:
+                raise ReproError(f"cannot pack {value!r} into field {name!r}: {exc}") from exc
+        raw = value.encode("utf-8") if isinstance(value, str) else bytes(value)
+        if len(raw) > width:
+            raise ReproError(f"value for field {name!r} exceeds width {width}")
+        return raw.ljust(width, b"\x00")
 
     def _payload(self, update: UpdateRecord) -> bytes:
         t = update.type
@@ -228,11 +255,28 @@ class UpdateCodec:
         if t == UpdateType.DELETE:
             return b""
         parts = []
+        index_of = self.schema.index_of
         for name, value in sorted(update.content.items()):
-            idx = self.schema.index_of(name)
-            parts.append(struct.pack("<H", idx))
+            idx = index_of(name)
+            parts.append(self._FIELD_INDEX.pack(idx))
             parts.append(self._pack_field(idx, value))
         return b"".join(parts)
+
+    def _changes(self, data: bytes, body: int, end: int) -> dict:
+        """Decode the MODIFY payload ``data[body:end]``: field -> new value."""
+        changes = {}
+        fields = self._fields
+        index_unpack = self._FIELD_INDEX.unpack_from
+        pos = body
+        while pos < end:
+            name, width, is_string, packer = fields[index_unpack(data, pos)[0]]
+            pos += 2
+            if is_string:
+                changes[name] = data[pos : pos + width].rstrip(b"\x00").decode("utf-8")
+            else:
+                (changes[name],) = packer.unpack_from(data, pos)
+            pos += width
+        return changes
 
     def encode(self, update: UpdateRecord) -> bytes:
         payload = self._payload(update)
@@ -246,24 +290,29 @@ class UpdateCodec:
     def decode(self, data: bytes, offset: int = 0) -> tuple[UpdateRecord, int]:
         """Decode one update at ``offset``; returns (update, next_offset)."""
         timestamp, key, type_raw, payload_len = self._HEAD.unpack_from(data, offset)
-        body_start = offset + self._HEAD.size
-        payload = data[body_start : body_start + payload_len]
-        if len(payload) != payload_len:
+        body = offset + self._HEAD.size
+        end = body + payload_len
+        if end > len(data):
             raise ReproError("truncated update record")
         utype = UpdateType(type_raw)
-        if utype in (UpdateType.INSERT, UpdateType.REPLACE):
-            content: object = self.schema.unpack(payload)
-        elif utype == UpdateType.DELETE:
-            content = None
+        if utype == UpdateType.DELETE:
+            content: object = None
+        elif utype == UpdateType.MODIFY:
+            content = self._changes(data, body, end)
         else:
-            changes = {}
-            pos = 0
-            while pos < len(payload):
-                (idx,) = struct.unpack_from("<H", payload, pos)
-                value, pos = self._unpack_field(idx, payload, pos + 2)
-                changes[self.schema.fields[idx].name] = value
-            content = changes
-        return UpdateRecord(timestamp, key, utype, content), body_start + payload_len
+            if payload_len != self._record_size:
+                raise ReproError(
+                    f"record payload of {payload_len} bytes does not "
+                    f"match schema size {self._record_size}"
+                )
+            content = self.schema.unpack_from(data, body)
+        return UpdateRecord(timestamp, key, utype, content), end
+
+    @classmethod
+    def peek_timestamp(cls, data: bytes, offset: int = 0) -> int:
+        """The timestamp of the encoded update at ``offset`` — no payload
+        decode (what WAL truncation needs of an UPDATE frame)."""
+        return cls._HEAD.unpack_from(data, offset)[0]
 
     # ------------------------------------------------------------- batch API
     def encode_many(self, updates: Sequence[UpdateRecord]) -> list[bytes]:
@@ -285,63 +334,67 @@ class UpdateCodec:
         """Encode a whole block of updates: count header + packed records."""
         return self.frame_block(self.encode_many(updates))
 
-    def decode_block(self, data: bytes, offset: int = 0) -> list[UpdateRecord]:
-        """Decode one block (as written by :meth:`encode_block`) in one pass.
+    def decode_block(
+        self, data: bytes, offset: int = 0, columns=None
+    ) -> list[UpdateRecord]:
+        """Decode one block (as written by :meth:`encode_block`).
 
-        Unlike :meth:`decode`, payloads are unpacked straight out of the
-        block buffer — no per-record byte slicing — with every struct method
-        bound once for the whole block.
+        ``columns`` is the block's :meth:`block_columns` result when the
+        caller already has it (:class:`ColumnarBlock` does); the headers are
+        never walked twice — timestamps, keys and op codes come from the
+        columns, and only payloads are decoded here.  An INSERT/REPLACE-only
+        block decodes all its records with one structured ``frombuffer``.
         """
         (count,) = BLOCK_HEADER.unpack_from(data, offset)
-        pos = offset + BLOCK_HEADER.size
-        head_unpack = self._HEAD.unpack_from
-        head_size = self._HEAD.size
-        rec_unpack = self._record_struct.unpack_from
-        rec_size = self._record_struct.size
-        string_idxs = self._string_idxs
-        types = _TYPE_BY_CODE
-        record = UpdateRecord
-        limit = len(data)
-        records: list[UpdateRecord] = []
-        append = records.append
-        for _ in range(count):
-            timestamp, key, type_raw, payload_len = head_unpack(data, pos)
-            body = pos + head_size
-            pos = body + payload_len
-            if pos > limit:
-                raise ReproError("truncated update record")
-            if type_raw == 0 or type_raw == 3:  # INSERT / REPLACE
-                if payload_len != rec_size:
-                    raise ReproError(
-                        f"record payload of {payload_len} bytes does not "
-                        f"match schema size {rec_size}"
-                    )
-                values = list(rec_unpack(data, body))
-                for i in string_idxs:
-                    values[i] = values[i].rstrip(b"\x00").decode("utf-8")
-                content: object = tuple(values)
-            elif type_raw == 1:  # DELETE
-                content = None
-            else:  # MODIFY: rare on the hot path, reuse the field decoder.
-                changes = {}
-                field_pos = body
-                while field_pos < body + payload_len:
-                    (idx,) = struct.unpack_from("<H", data, field_pos)
-                    value, field_pos = self._unpack_field(idx, data, field_pos + 2)
-                    changes[self.schema.fields[idx].name] = value
-                content = changes
-            append(record(timestamp, key, types[type_raw], content))
-        return records
+        if columns is None:
+            columns = self.block_columns(data, offset, count)
+        if not count:
+            return []
+        keys, timestamps, ops, offsets = columns
+        if _is_uniform(ops):
+            block = _np.frombuffer(
+                data,
+                dtype=self._uniform,
+                count=count,
+                offset=offset + BLOCK_HEADER.size,
+            )
+            contents = self.schema.rows(block["record"])
+        else:
+            # block_columns checked every INSERT/REPLACE payload's length.
+            op_codes = ops.tolist()
+            record = self.schema.unpack_from
+            changes = self._changes
+            head_size = self._HEAD.size
+            positions = offsets.tolist()
+            contents = [
+                None
+                if op == 1
+                else changes(data, pos + head_size, end)
+                if op == 2
+                else record(data, pos + head_size)
+                for op, pos, end in zip(op_codes, positions, positions[1:])
+            ]
+        # The columns are the unsigned wire values viewed as int64.
+        return list(
+            starmap(
+                UpdateRecord,
+                zip(
+                    timestamps.view(_np.uint64).tolist(),
+                    keys.view(_np.uint64).tolist(),
+                    _TYPE_ARRAY[ops].tolist(),
+                    contents,
+                ),
+            )
+        )
 
     # --------------------------------------------------------------- SoA API
     def block_columns(self, data: bytes, offset: int, count: int):
         """Column arrays for one encoded block: (keys, timestamps, ops,
         header offsets).
 
-        Keys and timestamps come back as signed-64 arrays (numpy when
-        available, ``array('q')`` otherwise), op codes as an unsigned-byte
-        array, and ``offsets`` holds each record's header position in
-        ``data`` plus one end sentinel (``count + 1`` entries), so record
+        Keys and timestamps come back as int64 arrays, op codes as a uint8
+        array, and ``offsets`` (int64) holds each record's header position
+        in ``data`` plus one end sentinel (``count + 1`` entries), so record
         ``i``'s payload spans ``[offsets[i] + header, offsets[i + 1])``.
 
         Blocks written by :meth:`encode_block` from INSERT/REPLACE-only
@@ -351,50 +404,56 @@ class UpdateCodec:
         schema's record size fixes the next record's position — so if every
         op code is INSERT/REPLACE and every payload length equals the record
         size under the assumed stride, the layout *is* uniform by induction.
-        Mixed blocks fall back to a sequential header walk (no payload
-        decode either way).
+        Mixed blocks take one sequential header walk (no payload decode
+        either way), which also checks that the block is not truncated and
+        that every INSERT/REPLACE payload is exactly one packed record.
         """
         base = offset + BLOCK_HEADER.size
         head_size = self._HEAD.size
-        rec_size = self._record_struct.size
+        rec_size = self._record_size
         stride = head_size + rec_size
-        if _np is not None and count:
-            end = base + count * stride
-            if end <= len(data):
-                raw = _np.frombuffer(
-                    data, dtype=_np.uint8, count=count * stride, offset=base
-                ).reshape(count, stride)
-                ops = raw[:, 16].copy()
-                plens = raw[:, 17:21].copy().view("<u4").ravel()
-                if ((ops == 0) | (ops == 3)).all() and (plens == rec_size).all():
-                    timestamps = raw[:, 0:8].copy().view("<i8").ravel()
-                    keys = raw[:, 8:16].copy().view("<i8").ravel()
-                    offsets = base + stride * _np.arange(
-                        count + 1, dtype=_np.int64
-                    )
-                    return keys, timestamps, ops, offsets
-        keys = array("q")
-        timestamps = array("q")
-        ops = bytearray()
-        offsets = array("q")
+        if count and base + count * stride <= len(data):
+            block = _np.frombuffer(
+                data, dtype=self._uniform, count=count, offset=base
+            )
+            ops = _np.ascontiguousarray(block["op"])
+            if _is_uniform(ops) and (block["payload_len"] == rec_size).all():
+                return (
+                    _np.ascontiguousarray(block["key"]).view(_np.int64),
+                    _np.ascontiguousarray(block["timestamp"]).view(_np.int64),
+                    ops,
+                    base + stride * _np.arange(count + 1, dtype=_np.int64),
+                )
+        heads = []
+        append = heads.append
         head_unpack = self._HEAD.unpack_from
         pos = base
-        for _ in range(count):
-            ts, key, op, payload_len = head_unpack(data, pos)
-            timestamps.append(ts)
-            keys.append(key)
-            ops.append(op)
-            offsets.append(pos)
-            pos += head_size + payload_len
-        offsets.append(pos)
-        if _np is not None:
-            return (
-                _np.frombuffer(keys, dtype=_np.int64),
-                _np.frombuffer(timestamps, dtype=_np.int64),
-                _np.frombuffer(bytes(ops), dtype=_np.uint8),
-                _np.frombuffer(offsets, dtype=_np.int64),
+        try:
+            for _ in range(count):
+                head = head_unpack(data, pos)
+                append(head)
+                pos += head_size + head[3]
+        except struct.error:  # a header past the end of ``data``
+            pos = len(data) + 1
+        if pos > len(data):
+            raise ReproError("truncated update record")
+        timestamps, keys, op_codes, payload_lens = zip(*heads) if heads else ((),) * 4
+        ops = _np.array(op_codes, dtype=_np.uint8)
+        sizes = _np.array(payload_lens, dtype=_np.int64)
+        if (sizes[(ops == 0) | (ops == 3)] != rec_size).any():
+            raise ReproError(
+                f"record payload in block does not match schema size {rec_size}"
             )
-        return keys, timestamps, bytes(ops), offsets
+        offsets = _np.empty(count + 1, dtype=_np.int64)
+        offsets[0] = base
+        _np.cumsum(sizes + head_size, out=offsets[1:])
+        offsets[1:] += base
+        return (
+            _np.array(keys, dtype=_np.uint64).view(_np.int64),
+            _np.array(timestamps, dtype=_np.uint64).view(_np.int64),
+            ops,
+            offsets,
+        )
 
     def decode_block_soa(self, data: bytes, offset: int = 0) -> "ColumnarBlock":
         """Decode one block into its structure-of-arrays form.
@@ -410,6 +469,15 @@ class UpdateCodec:
         return block
 
 
+def _is_uniform(ops) -> bool:
+    """True when every op code is INSERT or REPLACE.
+
+    With :meth:`UpdateCodec.block_columns` having checked that each such
+    payload is one packed record, this is exactly "fixed record stride".
+    """
+    return bool(((ops == 0) | (ops == 3)).all())
+
+
 #: Estimated Python-heap bytes per materialized UpdateRecord beyond its
 #: encoded payload (object header, per-instance dict, content tuple).  Used
 #: by the decoded-block cache's byte accounting; an estimate, but a far
@@ -419,6 +487,11 @@ RECORD_OBJECT_OVERHEAD = 176
 #: Estimated bytes per entry of a materialized Python key list (list slot
 #: plus a small-int-or-boxed-int object).
 KEY_LIST_ENTRY_BYTES = 40
+
+
+def record_array(records: Sequence[UpdateRecord]):
+    """``records`` as an object ndarray (one pointer per record)."""
+    return _np.fromiter(records, dtype=object, count=len(records))
 
 
 class ColumnarBlock:
@@ -485,7 +558,11 @@ class ColumnarBlock:
     def records(self) -> list[UpdateRecord]:
         """The block's UpdateRecord list (lazy, memoized)."""
         if self._records is None:
-            self._records = self.codec.decode_block(self.data, self.offset)
+            # Reuses the columns when they exist; never materializes them
+            # (the cache accounts each form only once it is actually held).
+            self._records = self.codec.decode_block(
+                self.data, self.offset, self._cols
+            )
         return self._records
 
     def records_arr(self):
@@ -493,14 +570,10 @@ class ColumnarBlock:
 
         The merge kernels gather surviving records with one fancy-index
         operation over these arrays (pointer copies) instead of a Python
-        list comprehension per merge; slicing them is zero-copy.  Requires
-        numpy (kernel-path callers are already gated on it).
+        list comprehension per merge; slicing them is zero-copy.
         """
         if self._recarr is None:
-            records = self.records()
-            arr = _np.empty(len(records), dtype=object)
-            arr[:] = records
-            self._recarr = arr
+            self._recarr = record_array(self.records())
         return self._recarr
 
     def key_list(self) -> list[int]:
@@ -508,11 +581,8 @@ class ColumnarBlock:
         if self._keys is None:
             if self._records is not None:
                 self._keys = [u.key for u in self._records]
-            elif self._cols is not None or _np is not None:
-                col = self.columns()[0]
-                self._keys = col.tolist() if hasattr(col, "tolist") else list(col)
             else:
-                self._keys = [u.key for u in self.records()]
+                self._keys = self.columns()[0].tolist()
         return self._keys
 
     @property
@@ -524,13 +594,8 @@ class ColumnarBlock:
     def nbytes(self) -> int:
         """Current decoded footprint: raw bytes + every materialized form."""
         total = len(self.data) - self.offset
-        cols = self._cols
-        if cols is not None:
-            for col in cols:
-                nb = getattr(col, "nbytes", None)
-                if nb is None:
-                    nb = len(col) * getattr(col, "itemsize", 1)
-                total += nb
+        if self._cols is not None:
+            total += sum(col.nbytes for col in self._cols)
         if self._records is not None:
             total += self.count * RECORD_OBJECT_OVERHEAD + self.encoded_size
         if self._recarr is not None:

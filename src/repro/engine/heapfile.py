@@ -174,9 +174,20 @@ class HeapFile:
             self.num_pages = end
 
     def truncate(self, num_pages: int) -> None:
-        """Shrink the logical page count (migration produced fewer pages)."""
+        """Shrink the logical page count (migration produced fewer pages).
+
+        The released tail is zeroed: ``num_pages`` is volatile, and crash
+        recovery finds the heap's end by scanning to the first unformatted
+        page — stale formatted pages past the end would come back as rows.
+        Nothing is written when the heap does not shrink.
+        """
         if num_pages < 0 or num_pages > self.capacity_pages:
             raise StorageError(f"cannot truncate to {num_pages} pages")
+        released = self.num_pages - num_pages
+        if released > 0:
+            self.file.zero_range(
+                num_pages * self.page_size, released * self.page_size
+            )
         self.num_pages = num_pages
 
     def _check_page(self, page_no: int, allow_append: bool = False) -> None:

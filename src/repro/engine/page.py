@@ -22,7 +22,9 @@ directory.
 from __future__ import annotations
 
 import struct
-from typing import Iterator
+from functools import lru_cache
+from itertools import chain
+from typing import Iterator, Sequence
 
 from repro.errors import PageError
 
@@ -31,6 +33,36 @@ SLOT = struct.Struct("<II")  # record offset, record length
 TOMBSTONE = 0xFFFFFFFF
 
 DEFAULT_PAGE_SIZE = 4096
+
+
+@lru_cache(maxsize=1024)
+def _directory_struct(slot_count: int) -> struct.Struct:
+    """The whole slot directory of a ``slot_count``-slot page as one Struct."""
+    return struct.Struct(f"<{2 * slot_count}I")
+
+
+def _pack_directory(slots: Sequence[tuple[int, int]]) -> bytes:
+    """Serialized slot directory: it grows downward, so slot 0 comes last."""
+    return _directory_struct(len(slots)).pack(*chain.from_iterable(reversed(slots)))
+
+
+@lru_cache(maxsize=1024)
+def _uniform_directory(
+    slot_count: int, record_len: int
+) -> tuple[bytes, tuple[tuple[int, int], ...]]:
+    """The one directory a page of ``slot_count`` live, back-to-back,
+    ``record_len``-byte records can have: (serialized bytes, slot entries).
+
+    What bulk load, the migration rewrite and same-length in-place
+    replacement all produce.  A parsed directory that equals these bytes has
+    exactly these entries, so checking the *last* entry against the heap end
+    checks every entry (offsets only grow) — one bytes compare stands in for
+    the per-slot validation loop.
+    """
+    slots = tuple(
+        (HEADER.size + i * record_len, record_len) for i in range(slot_count)
+    )
+    return _pack_directory(slots), slots
 
 
 class SlottedPage:
@@ -90,12 +122,12 @@ class SlottedPage:
         scan batch-decode the whole page (``Schema.unpack_many``) instead of
         slot-at-a-time.
         """
-        expected = self._heap_base
-        for offset, length in self._slots:
-            if offset != expected or length != record_size:
-                return None
-            expected += record_size
-        return bytes(self._heap[: len(self._slots) * record_size])
+        count = len(self._slots)
+        if count * record_size > len(self._heap):
+            return None  # cannot all be live and this long
+        if tuple(self._slots) != _uniform_directory(count, record_size)[1]:
+            return None
+        return bytes(memoryview(self._heap)[: count * record_size])
 
     def get(self, slot: int) -> bytes:
         offset, length = self._slot_entry(slot)
@@ -167,36 +199,47 @@ class SlottedPage:
         free_end = self.page_size - SLOT.size * len(self._slots)
         if free_end < free_start:
             raise PageError("page overflow during serialization")
-        buf = bytearray(self.page_size)
-        HEADER.pack_into(buf, 0, self.timestamp, len(self._slots), free_start, free_end)
-        buf[self._heap_base : free_start] = self._heap
-        pos = self.page_size - SLOT.size
-        for offset, length in self._slots:
-            SLOT.pack_into(buf, pos, offset, length)
-            pos -= SLOT.size
-        return bytes(buf)
+        return b"".join(
+            (
+                HEADER.pack(self.timestamp, len(self._slots), free_start, free_end),
+                self._heap,
+                bytes(free_end - free_start),
+                _pack_directory(self._slots),
+            )
+        )
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SlottedPage":
-        if len(data) < HEADER.size:
-            raise PageError(f"page of {len(data)} bytes is too small to parse")
+        size = len(data)
+        if size < HEADER.size:
+            raise PageError(f"page of {size} bytes is too small to parse")
         timestamp, slot_count, free_start, free_end = HEADER.unpack_from(data, 0)
-        page = cls(page_size=len(data), timestamp=timestamp)
-        if free_start < HEADER.size or free_start > len(data):
+        page = cls(page_size=size, timestamp=timestamp)
+        if free_start < HEADER.size or free_start > size:
             raise PageError("corrupt page header (free_start)")
-        expected_end = len(data) - SLOT.size * slot_count
-        if free_end != expected_end or free_end < free_start:
+        if free_end != size - SLOT.size * slot_count or free_end < free_start:
             raise PageError("corrupt page header (free_end)")
         page._heap = bytearray(data[HEADER.size : free_start])
-        pos = len(data) - SLOT.size
-        for _ in range(slot_count):
-            offset, length = SLOT.unpack_from(data, pos)
+        if not slot_count:
+            return page
+        directory = data[free_end:]
+        record_len = int.from_bytes(directory[-4:], "little")  # slot 0's length
+        if HEADER.size + slot_count * record_len <= free_start:
+            # The records would fit the heap if laid out back to back: when
+            # the directory is byte-for-byte the uniform one, that bound is
+            # every slot's bound (see _uniform_directory).
+            uniform, slots = _uniform_directory(slot_count, record_len)
+            if directory == uniform:
+                page._slots = list(slots)
+                return page
+        flat = _directory_struct(slot_count).unpack(directory)
+        slots = list(zip(flat[-2::-2], flat[::-2]))  # back into slot order
+        for offset, length in slots:
             if offset != TOMBSTONE and (
                 offset < HEADER.size or offset + length > free_start
             ):
                 raise PageError("corrupt slot entry")
-            page._slots.append((offset, length))
-            pos -= SLOT.size
+        page._slots = slots
         return page
 
     # -------------------------------------------------------------- internal

@@ -15,35 +15,60 @@ Field type codes:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from repro.errors import SchemaError
 
 _STRUCT_CODES = {"u32": "I", "u64": "Q", "i64": "q", "f64": "d"}
+_NUMPY_CODES = {"u32": "<u4", "u64": "<u8", "i64": "<i8", "f64": "<f8"}
 
 
 @dataclass(frozen=True)
 class Field:
-    """One column: a name and a type code (see module docstring)."""
+    """One column: a name and a type code (see module docstring).
+
+    The layout facts every codec needs — ``is_string``, ``width`` and the
+    ``struct``/numpy format codes — are derived from the type code once, at
+    construction; ``offset`` is the column's byte position inside a packed
+    record, assigned by the owning :class:`Schema`.
+    """
 
     name: str
     type_code: str
+    offset: int = field(default=0, compare=False)
+    is_string: bool = field(init=False, compare=False)
+    width: int = field(init=False, compare=False)
+    _struct_code: str = field(init=False, compare=False, repr=False)
+    _numpy_code: str = field(init=False, compare=False, repr=False)
 
-    @property
-    def is_string(self) -> bool:
-        return self.type_code.startswith("s")
-
-    @property
-    def width(self) -> int:
-        if self.is_string:
-            return int(self.type_code[1:])
-        return struct.calcsize("<" + _STRUCT_CODES[self.type_code])
+    def __post_init__(self) -> None:
+        code = self.type_code
+        if code in _STRUCT_CODES:
+            is_string = False
+            struct_code = _STRUCT_CODES[code]
+            numpy_code = _NUMPY_CODES[code]
+            width = struct.calcsize("<" + struct_code)
+        elif code[:1] == "s" and code[1:].isdigit():
+            is_string = True
+            width = int(code[1:])
+            struct_code = f"{width}s"
+            numpy_code = f"S{width}"
+        else:
+            raise SchemaError(f"unknown field type {code!r}")
+        for attr, value in (
+            ("is_string", is_string),
+            ("width", width),
+            ("_struct_code", struct_code),
+            ("_numpy_code", numpy_code),
+        ):
+            object.__setattr__(self, attr, value)
 
     def struct_code(self) -> str:
-        if self.is_string:
-            return f"{int(self.type_code[1:])}s"
-        return _STRUCT_CODES[self.type_code]
+        return self._struct_code
 
 
 class Schema:
@@ -51,28 +76,46 @@ class Schema:
     unless ``key`` names another field.
 
     Records are plain tuples in field order — cheap, hashable, and easy for
-    tests to construct.  The schema provides all interpretation.
+    tests to construct.  The schema provides all interpretation, and compiles
+    its layout once, here: the whole-record ``struct.Struct``, each field's
+    ``(offset, width, is_string)`` (stored on the :class:`Field`), and the
+    numpy structured ``dtype`` that decodes a page of back-to-back records in
+    one ``frombuffer`` call.  Every pack/unpack/decode path reads these.
     """
 
     def __init__(self, fields: Sequence[tuple[str, str]], key: str | None = None):
         if not fields:
             raise SchemaError("a schema needs at least one field")
-        self.fields = [Field(name, code) for name, code in fields]
-        names = [f.name for f in self.fields]
+        names = [name for name, _ in fields]
         if len(set(names)) != len(names):
             raise SchemaError(f"duplicate field names in {names}")
-        for f in self.fields:
-            if not f.is_string and f.type_code not in _STRUCT_CODES:
-                raise SchemaError(f"unknown field type {f.type_code!r}")
+        compiled = []
+        offset = 0
+        for name, code in fields:
+            compiled.append(Field(name, code, offset))
+            offset += compiled[-1].width
+        self.fields = compiled
         self._index = {f.name: i for i, f in enumerate(self.fields)}
         self.key_field = key if key is not None else self.fields[0].name
         if self.key_field not in self._index:
             raise SchemaError(f"key field {self.key_field!r} not in schema")
         self.key_pos = self._index[self.key_field]
+        #: ``record -> key`` as a C-level callable (sort keys, key columns).
+        self.key_of = itemgetter(self.key_pos)
         self._struct = struct.Struct("<" + "".join(f.struct_code() for f in self.fields))
         self.record_size = self._struct.size
-        self._string_positions = tuple(
-            i for i, f in enumerate(self.fields) if f.is_string
+        #: (position, width) of every string column.
+        self._strings = tuple(
+            (i, f.width) for i, f in enumerate(self.fields) if f.is_string
+        )
+        #: One packed record as a numpy structured scalar type.
+        self.dtype = np.dtype(
+            {
+                "names": [f"f{i}" for i in range(len(self.fields))],
+                "formats": [f._numpy_code for f in self.fields],
+                "offsets": [f.offset for f in self.fields],
+                "itemsize": self.record_size,
+            }
         )
 
     # ----------------------------------------------------------- field access
@@ -96,20 +139,19 @@ class Schema:
             raise SchemaError(
                 f"record has {len(record)} values, schema has {len(self.fields)}"
             )
-        prepared = []
-        for field, value in zip(self.fields, record):
-            if field.is_string:
+        if self._strings:
+            record = list(record)
+            for i, width in self._strings:
+                value = record[i]
                 raw = value.encode("utf-8") if isinstance(value, str) else bytes(value)
-                if len(raw) > field.width:
+                if len(raw) > width:
                     raise SchemaError(
-                        f"value for {field.name!r} is {len(raw)} bytes, "
-                        f"field holds {field.width}"
+                        f"value for {self.fields[i].name!r} is {len(raw)} bytes, "
+                        f"field holds {width}"
                     )
-                prepared.append(raw)
-            else:
-                prepared.append(value)
+                record[i] = raw
         try:
-            return self._struct.pack(*prepared)
+            return self._struct.pack(*record)
         except struct.error as exc:
             raise SchemaError(f"cannot pack record {record!r}: {exc}") from exc
 
@@ -119,13 +161,16 @@ class Schema:
             raise SchemaError(
                 f"expected {self.record_size} bytes, got {len(data)}"
             )
-        values = self._struct.unpack(data)
-        out = []
-        for field, value in zip(self.fields, values):
-            if field.is_string:
-                out.append(value.rstrip(b"\x00").decode("utf-8"))
-            else:
-                out.append(value)
+        return self.unpack_from(data, 0)
+
+    def unpack_from(self, data: bytes, offset: int) -> tuple:
+        """Deserialize the record starting at ``offset`` of a larger buffer."""
+        values = self._struct.unpack_from(data, offset)
+        if not self._strings:
+            return values
+        out = list(values)
+        for i, _ in self._strings:
+            out[i] = out[i].rstrip(b"\x00").decode("utf-8")
         return tuple(out)
 
     def pack_many(self, records: Iterable[Sequence]) -> bytes:
@@ -135,29 +180,29 @@ class Schema:
     def unpack_many(self, data: bytes) -> list[tuple]:
         """Deserialize back-to-back fixed-width records in one pass.
 
-        The batch counterpart of :meth:`unpack` (``Struct.iter_unpack``
-        instead of one ``unpack`` call per record) — what the chunked table
-        scan uses to decode a whole page of contiguous records at once.
+        The batch counterpart of :meth:`unpack`: one ``frombuffer`` over the
+        compiled :attr:`dtype` — what the chunked table scan uses to decode
+        a whole page of contiguous records at once.
         """
         if len(data) % self.record_size:
             raise SchemaError(
                 f"{len(data)} bytes is not a multiple of the "
                 f"{self.record_size}-byte record size"
             )
-        it = self._struct.iter_unpack(data)
-        spos = self._string_positions
-        if not spos:
-            return list(it)
-        if len(self.fields) == 2 and spos == (1,):
-            # The paper's synthetic layout (int key + padded string payload).
-            return [(a, b.rstrip(b"\x00").decode("utf-8")) for a, b in it]
-        out = []
-        for values in it:
-            lst = list(values)
-            for i in spos:
-                lst[i] = lst[i].rstrip(b"\x00").decode("utf-8")
-            out.append(tuple(lst))
-        return out
+        return self.rows(np.frombuffer(data, dtype=self.dtype))
+
+    def rows(self, array) -> list[tuple]:
+        """Record tuples of a structured array of :attr:`dtype`.
+
+        Column at a time: each field's ``tolist()`` yields native Python
+        values (numpy's ``S`` type already drops the NUL padding), string
+        columns take one UTF-8 decode pass, and ``zip`` assembles the tuples
+        — no per-record interpreter work.
+        """
+        columns = [array[name].tolist() for name in self.dtype.names]
+        for i, _ in self._strings:
+            columns[i] = map(bytes.decode, columns[i])
+        return list(zip(*columns))
 
     def apply_modification(self, record: tuple, changes: dict) -> tuple:
         """Return a copy of ``record`` with named fields set to new values."""

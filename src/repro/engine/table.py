@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import bisect
 import heapq
-from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.engine.btree import BPlusTree
@@ -22,6 +21,20 @@ from repro.engine.record import Schema
 from repro.errors import DuplicateKeyError, KeyNotFoundError
 from repro.storage.file import StorageVolume
 from repro.storage.iosched import SCAN_CPU_PER_RECORD, CpuMeter
+
+
+def page_records(page: SlottedPage, schema: Schema) -> list[tuple]:
+    """A page's live records, key-sorted — the page-at-a-time decode every
+    scan, migration and recovery pass shares: one batch decode when the page
+    is in its contiguous (bulk-loaded / rewritten) layout, slot at a time
+    otherwise."""
+    data = page.contiguous_record_bytes(schema.record_size)
+    if data is None:
+        records = [schema.unpack(d) for _, d in page.records()]
+    else:
+        records = schema.unpack_many(data)
+    records.sort(key=schema.key_of)
+    return records
 
 
 class Table:
@@ -105,11 +118,6 @@ class Table:
         return 0, 2**63 - 1
 
     # ------------------------------------------------------------------ scans
-    def _page_records(self, page: SlottedPage) -> list[tuple]:
-        records = [self.schema.unpack(data) for _, data in page.records()]
-        records.sort(key=self.schema.key)
-        return records
-
     def range_scan(self, begin_key: int, end_key: int) -> Iterator[tuple]:
         """Stream records with begin_key <= key <= end_key, in key order."""
         if self.heap.num_pages == 0 or self.index.is_empty:
@@ -119,7 +127,7 @@ class Table:
 
         def from_pages() -> Iterator[tuple]:
             for _, page in self.heap.scan_pages(first, last):
-                for record in self._page_records(page):
+                for record in page_records(page, self.schema):
                     key = self.schema.key(record)
                     if key < begin_key:
                         continue
@@ -160,7 +168,7 @@ class Table:
 
         def from_pages() -> Iterator[tuple[tuple, int]]:
             for _, page in self.heap.scan_pages(first, last):
-                for record in self._page_records(page):
+                for record in page_records(page, self.schema):
                     key = self.schema.key(record)
                     if key < begin_key:
                         continue
@@ -212,7 +220,7 @@ class Table:
         count = 0
         done = False
         for _, page in self.heap.scan_pages(first, last):
-            records = self._page_records_batch(page)
+            records = page_records(page, self.schema)
             if not records:
                 continue
             if records[0][kp] < begin_key:
@@ -231,16 +239,6 @@ class Table:
                 break
         if self.cpu is not None and count:
             self.cpu.charge_batch(count, SCAN_CPU_PER_RECORD, kind="scan")
-
-    def _page_records_batch(self, page: SlottedPage) -> list[tuple]:
-        """A page's records, key-sorted, batch-decoded when contiguous."""
-        data = page.contiguous_record_bytes(self.schema.record_size)
-        if data is None:
-            records = [self.schema.unpack(d) for _, d in page.records()]
-        else:
-            records = self.schema.unpack_many(data)
-        records.sort(key=itemgetter(self.schema.key_pos))
-        return records
 
     def scan_page_range(
         self, begin_key: Optional[int] = None, end_key: Optional[int] = None

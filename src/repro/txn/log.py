@@ -58,6 +58,16 @@ from repro.storage.file import SimFile
 
 _FRAME = struct.Struct("<IBI")  # payload length, record type, crc
 
+# Fixed-width heads of the record payloads (names follow in _pack_str form).
+_U16 = struct.Struct("<H")
+_TS = struct.Struct("<Q")
+_MIGRATION_START = struct.Struct("<QqqH")  # ts, key lo, key hi, run count
+_RUN_MERGE = struct.Struct("<QQQH")  # ts, covered lo, covered hi, victim count
+_MERGE_SLICE = struct.Struct("<QQQqqH")  # ts, covered lo/hi, key lo/hi, victims
+_CHECKPOINT = struct.Struct("<QQ")  # checkpoint ts, migrated ts
+_MANIFEST_ENTRY = struct.Struct("<QQH")  # covered lo, covered hi, range count
+_KEY_SPAN = struct.Struct("<qq")
+
 
 class LogRecordType(IntEnum):
     UPDATE = 1
@@ -135,11 +145,11 @@ class LogRecord:
 
 def _pack_str(text: str) -> bytes:
     raw = text.encode("utf-8")
-    return struct.pack("<H", len(raw)) + raw
+    return _U16.pack(len(raw)) + raw
 
 
 def _unpack_str(data: bytes, offset: int) -> tuple[str, int]:
-    (length,) = struct.unpack_from("<H", data, offset)
+    (length,) = _U16.unpack_from(data, offset)
     start = offset + 2
     return data[start : start + length].decode("utf-8"), start + length
 
@@ -214,7 +224,7 @@ class RedoLog:
         )
 
     def log_run_flush(self, table: str, run_name: str, max_ts: int) -> None:
-        payload = struct.pack("<Q", max_ts) + _pack_str(table) + _pack_str(run_name)
+        payload = _TS.pack(max_ts) + _pack_str(table) + _pack_str(run_name)
         self._append(LogRecordType.RUN_FLUSH, payload)
 
     def log_migration_start(
@@ -224,13 +234,13 @@ class RedoLog:
         key_range: Optional[tuple[int, int]] = None,
     ) -> None:
         lo, hi = key_range if key_range is not None else (0, 2**63 - 1)
-        payload = struct.pack("<QqqH", timestamp, lo, hi, len(run_names))
+        payload = _MIGRATION_START.pack(timestamp, lo, hi, len(run_names))
         for name in run_names:
             payload += _pack_str(name)
         self._append(LogRecordType.MIGRATION_START, payload)
 
     def log_migration_end(self, timestamp: int) -> None:
-        self._append(LogRecordType.MIGRATION_END, struct.pack("<Q", timestamp))
+        self._append(LogRecordType.MIGRATION_END, _TS.pack(timestamp))
 
     def log_run_merge(
         self,
@@ -239,8 +249,8 @@ class RedoLog:
         victims: list[str],
         covered_ts: tuple[int, int],
     ) -> None:
-        payload = struct.pack(
-            "<QQQH", timestamp, covered_ts[0], covered_ts[1], len(victims)
+        payload = _RUN_MERGE.pack(
+            timestamp, covered_ts[0], covered_ts[1], len(victims)
         ) + _pack_str(product)
         for name in victims:
             payload += _pack_str(name)
@@ -254,8 +264,7 @@ class RedoLog:
         key_range: tuple[int, int],
         covered_ts: tuple[int, int],
     ) -> None:
-        payload = struct.pack(
-            "<QQQqqH",
+        payload = _MERGE_SLICE.pack(
             timestamp,
             covered_ts[0],
             covered_ts[1],
@@ -275,20 +284,19 @@ class RedoLog:
 
     @staticmethod
     def _encode_checkpoint(checkpoint: Checkpoint) -> bytes:
-        payload = struct.pack(
-            "<QQ", checkpoint.checkpoint_ts, checkpoint.migrated_ts
+        payload = _CHECKPOINT.pack(
+            checkpoint.checkpoint_ts, checkpoint.migrated_ts
         ) + _pack_str(checkpoint.table)
-        payload += struct.pack("<H", len(checkpoint.runs))
+        payload += _U16.pack(len(checkpoint.runs))
         for entry in checkpoint.runs:
             payload += _pack_str(entry.name)
-            payload += struct.pack(
-                "<QQH",
+            payload += _MANIFEST_ENTRY.pack(
                 entry.covered_min_ts,
                 entry.covered_max_ts,
                 len(entry.migrated_ranges),
             )
             for lo, hi in entry.migrated_ranges:
-                payload += struct.pack("<qq", lo, hi)
+                payload += _KEY_SPAN.pack(lo, hi)
         return payload
 
     # ----------------------------------------------------------- truncation
@@ -323,8 +331,16 @@ class RedoLog:
                     "refusing to truncate"
                 )
             offset += _FRAME.size + length
-            record = self._decode(LogRecordType(rtype_raw), payload)
-            if self._survives(record, checkpoint):
+            rtype = LogRecordType(rtype_raw)
+            if rtype is LogRecordType.UPDATE:
+                # Only (table, timestamp) decide survival: read them off the
+                # payload's head instead of decoding the whole update.
+                table, pos = _unpack_str(payload, 0)
+                timestamp = UpdateCodec.peek_timestamp(payload, pos)
+            else:
+                record = self._decode(rtype, payload)
+                table, timestamp = record.table, record.timestamp
+            if self._survives(rtype, table, timestamp, checkpoint):
                 survivors.append(header + payload)
             else:
                 dropped += 1
@@ -364,15 +380,21 @@ class RedoLog:
         )
 
     @staticmethod
-    def _survives(record: LogRecord, checkpoint: Checkpoint) -> bool:
-        """Does ``record`` still carry information past the fence?"""
-        if record.type is LogRecordType.CHECKPOINT:
+    def _survives(
+        rtype: LogRecordType,
+        table: Optional[str],
+        timestamp: int,
+        checkpoint: Checkpoint,
+    ) -> bool:
+        """Does a record of this type/table/timestamp still carry
+        information past the fence?"""
+        if rtype is LogRecordType.CHECKPOINT:
             # Superseded by the fresh checkpoint (same table only).
-            return record.table != checkpoint.table
-        if record.type in (LogRecordType.UPDATE, LogRecordType.RUN_FLUSH):
-            if record.table != checkpoint.table:
+            return table != checkpoint.table
+        if rtype in (LogRecordType.UPDATE, LogRecordType.RUN_FLUSH):
+            if table != checkpoint.table:
                 return True
-        return record.timestamp > checkpoint.checkpoint_ts
+        return timestamp > checkpoint.checkpoint_ts
 
     def scrub_dirty(self, max_bytes: Optional[int] = None) -> int:
         """Zero up to ``max_bytes`` of the stale post-truncation region.
@@ -475,13 +497,13 @@ class RedoLog:
             update, _ = codec.decode(payload, pos)
             return LogRecord(rtype, update.timestamp, table=table, update=update)
         if rtype == LogRecordType.RUN_FLUSH:
-            (max_ts,) = struct.unpack_from("<Q", payload, 0)
-            table, pos = _unpack_str(payload, 8)
+            (max_ts,) = _TS.unpack_from(payload, 0)
+            table, pos = _unpack_str(payload, _TS.size)
             run_name, _ = _unpack_str(payload, pos)
             return LogRecord(rtype, max_ts, table=table, run_name=run_name)
         if rtype == LogRecordType.MIGRATION_START:
-            timestamp, lo, hi, count = struct.unpack_from("<QqqH", payload, 0)
-            pos = struct.calcsize("<QqqH")
+            timestamp, lo, hi, count = _MIGRATION_START.unpack_from(payload, 0)
+            pos = _MIGRATION_START.size
             names = []
             for _ in range(count):
                 name, pos = _unpack_str(payload, pos)
@@ -490,8 +512,8 @@ class RedoLog:
                 rtype, timestamp, run_names=tuple(names), key_range=(lo, hi)
             )
         if rtype == LogRecordType.RUN_MERGE:
-            timestamp, lo, hi, count = struct.unpack_from("<QQQH", payload, 0)
-            product, pos = _unpack_str(payload, struct.calcsize("<QQQH"))
+            timestamp, lo, hi, count = _RUN_MERGE.unpack_from(payload, 0)
+            product, pos = _unpack_str(payload, _RUN_MERGE.size)
             victims = []
             for _ in range(count):
                 name, pos = _unpack_str(payload, pos)
@@ -504,10 +526,10 @@ class RedoLog:
                 covered_ts=(lo, hi),
             )
         if rtype == LogRecordType.MERGE_SLICE:
-            timestamp, cov_lo, cov_hi, key_lo, key_hi, count = struct.unpack_from(
-                "<QQQqqH", payload, 0
+            timestamp, cov_lo, cov_hi, key_lo, key_hi, count = (
+                _MERGE_SLICE.unpack_from(payload, 0)
             )
-            product, pos = _unpack_str(payload, struct.calcsize("<QQQqqH"))
+            product, pos = _unpack_str(payload, _MERGE_SLICE.size)
             victims = []
             for _ in range(count):
                 name, pos = _unpack_str(payload, pos)
@@ -521,19 +543,19 @@ class RedoLog:
                 covered_ts=(cov_lo, cov_hi),
             )
         if rtype == LogRecordType.CHECKPOINT:
-            checkpoint_ts, migrated_ts = struct.unpack_from("<QQ", payload, 0)
-            table, pos = _unpack_str(payload, 16)
-            (count,) = struct.unpack_from("<H", payload, pos)
-            pos += 2
+            checkpoint_ts, migrated_ts = _CHECKPOINT.unpack_from(payload, 0)
+            table, pos = _unpack_str(payload, _CHECKPOINT.size)
+            (count,) = _U16.unpack_from(payload, pos)
+            pos += _U16.size
             entries = []
             for _ in range(count):
                 name, pos = _unpack_str(payload, pos)
-                cov_min, cov_max, ranges = struct.unpack_from("<QQH", payload, pos)
-                pos += struct.calcsize("<QQH")
+                cov_min, cov_max, ranges = _MANIFEST_ENTRY.unpack_from(payload, pos)
+                pos += _MANIFEST_ENTRY.size
                 spans = []
                 for _ in range(ranges):
-                    lo, hi = struct.unpack_from("<qq", payload, pos)
-                    pos += struct.calcsize("<qq")
+                    lo, hi = _KEY_SPAN.unpack_from(payload, pos)
+                    pos += _KEY_SPAN.size
                     spans.append((lo, hi))
                 entries.append(
                     RunManifestEntry(
@@ -550,5 +572,5 @@ class RedoLog:
                 runs=tuple(entries),
             )
             return LogRecord(rtype, checkpoint_ts, table=table, checkpoint=cp)
-        (timestamp,) = struct.unpack_from("<Q", payload, 0)
+        (timestamp,) = _TS.unpack_from(payload, 0)
         return LogRecord(rtype, timestamp)

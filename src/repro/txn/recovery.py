@@ -27,7 +27,7 @@ from typing import Optional
 from repro.core.masm import MaSM, MaSMConfig
 from repro.core.sortedrun import load_run
 from repro.core.update import UpdateRecord
-from repro.engine.table import Table
+from repro.engine.table import Table, page_records
 from repro.errors import RecoveryError, StorageError
 from repro.obs import get_registry, trace
 from repro.storage.file import StorageVolume
@@ -86,12 +86,9 @@ def rebuild_table_index(table: Table) -> None:
             break
         except PageError:
             break  # unformatted space: end of the heap's data
-        first_key: Optional[int] = None
-        for _, data in page.records():
-            key = table.schema.key(table.schema.unpack(data))
-            first_key = key if first_key is None else min(first_key, key)
-            rows += 1
-        entries.append((first_key if first_key is not None else 0, page_no))
+        records = page_records(page, table.schema)
+        rows += len(records)
+        entries.append((table.schema.key(records[0]) if records else 0, page_no))
         last_good = page_no
     table.heap.num_pages = last_good + 1
     # Empty trailing pages inherit the previous first key to stay ordered.

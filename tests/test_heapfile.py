@@ -5,7 +5,7 @@ import pytest
 from repro.engine.heapfile import HeapFile
 from repro.engine.page import SlottedPage
 from repro.engine.record import synthetic_schema
-from repro.errors import StorageError
+from repro.errors import PageError, StorageError
 from repro.storage.disk import SimulatedDisk
 from repro.storage.file import StorageVolume
 from repro.util.units import KB, MB
@@ -136,3 +136,24 @@ def test_required_size_is_sufficient():
     heap = HeapFile(file, schema)
     heap.bulk_load(records(5000))  # must not overflow
     assert heap.num_pages <= heap.capacity_pages
+
+
+def test_truncate_unformats_the_released_tail():
+    """num_pages is volatile: after a shrink, the released pages must read as
+    unformatted space, including once the heap grows back over the first."""
+    heap = make_heap()
+    heap.bulk_load(records(300))
+    old_pages = heap.num_pages
+    assert old_pages > 4
+    writes = heap.file.device.stats.writes
+    heap.truncate(old_pages)  # not a shrink: nothing is written
+    assert heap.file.device.stats.writes == writes
+    heap.truncate(2)
+    assert heap.file.device.stats.writes > writes
+    heap.write_page(2, SlottedPage(heap.page_size))  # grow back by one page
+    heap.num_pages = heap.capacity_pages  # what a crash leaves: length unknown
+    parsed = 0
+    with pytest.raises(PageError):
+        for _ in heap.scan_pages():
+            parsed += 1
+    assert parsed == 3

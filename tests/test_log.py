@@ -7,7 +7,7 @@ from repro.engine.record import synthetic_schema
 from repro.errors import RecoveryError
 from repro.storage.file import StorageVolume
 from repro.storage.ssd import SimulatedSSD
-from repro.txn.log import LogRecordType, RedoLog
+from repro.txn.log import Checkpoint, LogRecordType, RedoLog
 from repro.util.units import MB
 
 SCHEMA = synthetic_schema()
@@ -144,3 +144,34 @@ def test_log_writes_are_sequential():
         log.log_update("t", UpdateRecord(i + 1, i, UpdateType.DELETE, None))
     assert device.stats.rand_writes <= 1
     assert log.records_written == 100
+
+
+def test_truncate_decides_survival_from_the_payload_head():
+    """Truncation needs only (table, timestamp) of an UPDATE frame: it reads
+    them off the payload head, so it works without the table's codec — and
+    the survivors come through byte for byte."""
+    log = make_log()
+    frames = {}
+    for ts in range(1, 9):
+        start = log.file.append_pos
+        table = "other" if ts == 3 else "t"
+        log.register_table(table, UpdateCodec(SCHEMA))
+        log.log_update(table, UpdateRecord(ts, ts * 2, UpdateType.INSERT, (ts * 2, f"p{ts}")))
+        frames[ts] = log.file.peek(start, log.file.append_pos - start)
+    log.log_run_flush("t", "run-0", 5)
+    log.codecs.clear()  # a full decode of any UPDATE frame would now raise
+    report = log.truncate_through(Checkpoint("t", checkpoint_ts=5, migrated_ts=0))
+    # ts 1..5 of "t" and the RUN_FLUSH at 5 go; ts 3 of "other" and 6..8 stay.
+    assert (report.records_dropped, report.records_kept) == (5, 4)
+    content = log.file.peek(0, log.file.append_pos)
+    assert content.endswith(frames[3] + frames[6] + frames[7] + frames[8])
+    log.register_table("t", UpdateCodec(SCHEMA))
+    log.register_table("other", UpdateCodec(SCHEMA))
+    replayed = [(r.type, r.table, r.timestamp) for r in log.records()]
+    assert replayed == [
+        (LogRecordType.CHECKPOINT, "t", 5),
+        (LogRecordType.UPDATE, "other", 3),
+        (LogRecordType.UPDATE, "t", 6),
+        (LogRecordType.UPDATE, "t", 7),
+        (LogRecordType.UPDATE, "t", 8),
+    ]

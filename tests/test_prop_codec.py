@@ -1,0 +1,324 @@
+"""The compiled schema layout against a per-field reference codec.
+
+``Schema``, ``SlottedPage`` and ``UpdateCodec`` read one layout compiled at
+schema construction; ``reference_codec`` writes the same formats one field,
+slot and header at a time.  The properties below hold the two together over
+random schemas, the golden bytes pin the formats to what the pre-compilation
+code wrote, and the page fuzz test shows the one-compare directory check
+never accepts a page the slot-at-a-time parser rejected.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_codec as ref
+from repro.core.masm import MaSM, MaSMConfig
+from repro.core.sortedrun import write_run
+from repro.core.update import ColumnarBlock, UpdateCodec, UpdateRecord, UpdateType
+from repro.engine.page import SlottedPage
+from repro.engine.record import Schema
+from repro.engine.table import Table
+from repro.errors import PageError, ReproError
+from repro.storage import checksum
+from repro.storage.disk import SimulatedDisk
+from repro.storage.file import StorageVolume
+from repro.storage.ssd import SimulatedSSD
+from repro.txn.log import LogRecordType, RedoLog
+from repro.util.units import KB, MB
+
+NUMERIC = {
+    "u32": st.integers(0, 2**32 - 1),
+    "u64": st.integers(0, 2**64 - 1),  # includes values above 2**63
+    "i64": st.integers(-(2**63), 2**63 - 1),
+    "f64": st.floats(allow_nan=False),  # NaN != NaN would fail the roundtrip
+}
+
+
+def value_strategy(code: str):
+    if code in NUMERIC:
+        return NUMERIC[code]
+    width = int(code[1:])
+    # No NUL: trailing NULs are padding and do not survive a roundtrip.
+    text = st.text(
+        st.characters(blacklist_characters="\x00", blacklist_categories=("Cs",)),
+        max_size=width,
+    )
+    return text.filter(lambda s: len(s.encode("utf-8")) <= width)
+
+
+@st.composite
+def schemas(draw):
+    """(field list, key name): every type code can appear, several string
+    columns are common, and the key is an unsigned column in any position."""
+    codes = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from(list(NUMERIC)),
+                st.integers(1, 12).map(lambda n: f"s{n}"),
+            ),
+            min_size=0,
+            max_size=5,
+        )
+    )
+    key_at = draw(st.integers(0, len(codes)))
+    codes.insert(key_at, draw(st.sampled_from(["u32", "u64"])))
+    fields = [(f"c{i}", code) for i, code in enumerate(codes)]
+    return fields, fields[key_at][0]
+
+
+def record_strategy(fields):
+    return st.tuples(*(value_strategy(code) for _, code in fields))
+
+
+@st.composite
+def schema_and_records(draw, max_records=12):
+    fields, key = draw(schemas())
+    records = draw(st.lists(record_strategy(fields), max_size=max_records))
+    return fields, key, records
+
+
+@st.composite
+def schema_and_updates(draw):
+    fields, key = draw(schemas())
+    key_at = [name for name, _ in fields].index(key)
+    updates = []
+    for _ in range(draw(st.integers(0, 10))):
+        utype = draw(st.sampled_from(list(UpdateType)))
+        timestamp = draw(st.integers(0, 2**63 - 1))
+        if utype in (UpdateType.INSERT, UpdateType.REPLACE):
+            content = draw(record_strategy(fields))
+            update_key = content[key_at]
+        else:
+            update_key = draw(value_strategy(fields[key_at][1]))
+            content = None
+            if utype is UpdateType.MODIFY:
+                changed = draw(
+                    st.lists(st.sampled_from(fields), unique=True, max_size=len(fields))
+                )
+                content = {name: draw(value_strategy(code)) for name, code in changed}
+        updates.append(UpdateRecord(timestamp, update_key, utype, content))
+    return fields, key, updates
+
+
+# -------------------------------------------------------------------- records
+@settings(max_examples=150, deadline=None)
+@given(schema_and_records())
+def test_pack_unpack_match_reference(case):
+    fields, key, records = case
+    schema = Schema(fields, key=key)
+    assert schema.record_size == sum(ref.field_width(code) for _, code in fields)
+    for field in schema.fields:
+        assert field.width == ref.field_width(field.type_code)
+        assert field.is_string == field.type_code.startswith("s")
+    packed = [schema.pack(record) for record in records]
+    assert packed == [ref.pack_record(fields, record) for record in records]
+    for record, data in zip(records, packed):
+        assert schema.unpack(data) == record == ref.unpack_record(fields, data)
+        assert schema.key(record) == schema.key_of(record)
+    assert schema.unpack_many(b"".join(packed)) == records
+    assert schema.pack_many(records) == b"".join(packed)
+
+
+# -------------------------------------------------------------------- updates
+@settings(max_examples=150, deadline=None)
+@given(schema_and_updates())
+def test_update_codec_matches_reference(case):
+    fields, key, updates = case
+    codec = UpdateCodec(Schema(fields, key=key))
+    plain = [(u.timestamp, u.key, int(u.type), u.content) for u in updates]
+    encoded = [codec.encode(u) for u in updates]
+    assert encoded == [ref.encode_update(fields, u) for u in plain]
+    assert encoded == codec.encode_many(updates)
+    for update, data in zip(updates, encoded):
+        assert codec.encoded_size(update) == len(data)
+        assert codec.decode(data) == (update, len(data))
+    block = codec.encode_block(updates)
+    assert block == ref.encode_block(fields, plain)
+    assert codec.decode_block(block) == updates
+    assert ref.decode_block(fields, block) == plain
+
+    keys, timestamps, ops, offsets = codec.block_columns(block, 0, len(updates))
+    wrap = lambda v: v - 2**64 if v >= 2**63 else v  # u64 wire value as int64
+    assert keys.tolist() == [wrap(u.key) for u in updates]
+    assert timestamps.tolist() == [u.timestamp for u in updates]
+    assert ops.tolist() == [int(u.type) for u in updates]
+    position = ref.BLOCK_HEAD.size
+    expected_offsets = [position]
+    for data in encoded:
+        position += len(data)
+        expected_offsets.append(position)
+    assert offsets.tolist() == expected_offsets
+
+    # The cached form: records decoded from already-built columns.
+    entry = ColumnarBlock(block, codec)
+    entry.columns()
+    assert entry.records() == updates
+
+
+# ---------------------------------------------------------------------- pages
+@st.composite
+def serialized_pages(draw):
+    """A valid page's bytes: uniform (back-to-back equal-length records) or
+    not (mixed lengths, a tombstone, a relocated or compacted slot)."""
+    page_size = draw(st.sampled_from([256, 512]))
+    page = SlottedPage(page_size, timestamp=draw(st.integers(0, 2**64 - 1)))
+    uniform = draw(st.booleans())
+    length = draw(st.integers(1, 24))
+    for _ in range(draw(st.integers(0, 8))):
+        size = length if uniform else draw(st.integers(1, 24))
+        if page.fits(size):
+            page.insert(draw(st.binary(min_size=size, max_size=size)))
+    if not uniform and page.slot_count:
+        slot = draw(st.integers(0, page.slot_count - 1))
+        action = draw(st.sampled_from(["none", "delete", "relocate", "compact"]))
+        if action in ("delete", "compact"):
+            page.delete(slot)
+        if action == "relocate" and page.free_space >= 25:
+            page.replace(slot, b"x" * 25)
+        if action == "compact":
+            page.compact()
+    return page.to_bytes()
+
+
+@st.composite
+def corrupted_pages(draw):
+    """A serialized page with up to three bytes of its header and slot
+    directory (the parts ``from_bytes`` validates) overwritten."""
+    data = bytearray(draw(serialized_pages()))
+    slot_count = ref.PAGE_HEAD.unpack_from(data, 0)[1]
+    targets = list(range(ref.PAGE_HEAD.size)) + list(
+        range(len(data) - ref.SLOT.size * slot_count, len(data))
+    )
+    for _ in range(draw(st.integers(0, 3))):
+        data[draw(st.sampled_from(targets))] = draw(st.integers(0, 255))
+    return bytes(data)
+
+
+@settings(max_examples=400, deadline=None)
+@given(corrupted_pages())
+def test_from_bytes_accepts_exactly_what_the_per_slot_parser_accepts(data):
+    try:
+        timestamp, slots, heap = ref.parse_page(data)
+    except PageError:
+        with pytest.raises(PageError):
+            SlottedPage.from_bytes(data)
+        return
+    page = SlottedPage.from_bytes(data)
+    assert (page.timestamp, page._slots, bytes(page._heap)) == (timestamp, slots, heap)
+    assert page.to_bytes()[: ref.PAGE_HEAD.size] == data[: ref.PAGE_HEAD.size]
+    live = [(s, heap[o - 20 : o - 20 + n]) for s, (o, n) in enumerate(slots) if o != ref.TOMBSTONE]
+    assert list(page.records()) == live
+    # contiguous_record_bytes succeeds exactly on back-to-back live slots.
+    for length in {n for _, n in slots}:
+        back_to_back = slots == [(20 + i * length, length) for i in range(len(slots))]
+        contiguous = page.contiguous_record_bytes(length)
+        assert (contiguous is not None) == back_to_back
+        if back_to_back:
+            assert contiguous == heap[: len(slots) * length]
+
+
+# --------------------------------------------------------------- golden bytes
+# Written by the commit before the layout was compiled (3dc85dc): these four
+# strings are the on-disk, on-SSD and in-WAL formats.  If one changes, every
+# existing heap file, run and log stops being readable.
+GOLDEN_SCHEMA = Schema(
+    [("name", "s6"), ("id", "u64"), ("score", "f64"), ("delta", "i64"), ("n", "u32")],
+    key="id",
+)
+GOLDEN_RECORDS = [("ada", 7, 1.5, -2, 3), ("zoë", 2**63 + 5, -0.25, 2**62, 2**32 - 1)]
+GOLDEN_UPDATES = [
+    UpdateRecord(11, 4, UpdateType.INSERT, ("new", 4, 2.0, 0, 1)),
+    UpdateRecord(12, 7, UpdateType.DELETE, None),
+    UpdateRecord(13, 9, UpdateType.MODIFY, {"score": 9.75, "name": "mod"}),
+    UpdateRecord(14, 9, UpdateType.REPLACE, ("rep", 9, 0.0, -1, 0)),
+]
+GOLDEN_PAGE = (
+    "2a000000000000000200000058000000700000006164610000000700000000000000000000000000"
+    "f83ffeffffffffffffff030000007a6fc3ab00000500000000000080000000000000d0bf00000000"
+    "00000040ffffffff0000000000000000000000000000000000000000000000003600000022000000"
+    "1400000022000000"
+)
+GOLDEN_UPDATE_BLOCK = (
+    "040000000b00000000000000040000000000000000220000006e6577000000040000000000000000"
+    "000000000000400000000000000000010000000c0000000000000007000000000000000100000000"
+    "0d000000000000000900000000000000021200000000006d6f64000000020000000000008023400e"
+    "000000000000000900000000000000032200000072657000000009000000000000000000000000000000"
+    "ffffffffffffffff00000000"
+)
+GOLDEN_RUN_BLOCK = GOLDEN_UPDATE_BLOCK + "00" * 74 + "4d53523176179eaa"
+GOLDEN_WAL_FRAME = (
+    "2a00000001aaa593560100740d000000000000000900000000000000021200000000006d6f640000"
+    "0002000000000000802340"
+)
+
+
+def test_golden_page_bytes():
+    page = SlottedPage(128, timestamp=42)
+    for record in GOLDEN_RECORDS:
+        page.insert(GOLDEN_SCHEMA.pack(record))
+    assert page.to_bytes().hex() == GOLDEN_PAGE
+    parsed = SlottedPage.from_bytes(bytes.fromhex(GOLDEN_PAGE))
+    assert parsed.timestamp == 42
+    contiguous = parsed.contiguous_record_bytes(GOLDEN_SCHEMA.record_size)
+    assert GOLDEN_SCHEMA.unpack_many(contiguous) == GOLDEN_RECORDS
+
+
+def test_golden_update_and_run_block_bytes():
+    codec = UpdateCodec(GOLDEN_SCHEMA)
+    assert codec.encode_block(GOLDEN_UPDATES).hex() == GOLDEN_UPDATE_BLOCK
+    assert codec.decode_block(bytes.fromhex(GOLDEN_UPDATE_BLOCK)) == GOLDEN_UPDATES
+    volume = StorageVolume(SimulatedSSD(capacity=1 * MB))
+    run = write_run(volume, "golden-run", GOLDEN_UPDATES, codec, block_size=256)
+    assert run.file.peek(0, 256).hex() == GOLDEN_RUN_BLOCK
+    block = bytes.fromhex(GOLDEN_RUN_BLOCK)
+    checksum.verify(block, context="golden run block")
+    assert codec.decode_block(block) == GOLDEN_UPDATES
+    assert list(run.scan(0, 2**62)) == GOLDEN_UPDATES
+
+
+def test_golden_wal_frame_bytes():
+    codec = UpdateCodec(GOLDEN_SCHEMA)
+    volume = StorageVolume(SimulatedSSD(capacity=1 * MB))
+    log = RedoLog(volume.create("wal", 4096), {"t": codec})
+    log.log_update("t", GOLDEN_UPDATES[2])
+    assert log.file.peek(0, log.file.append_pos).hex() == GOLDEN_WAL_FRAME
+    replay = RedoLog(volume.create("old-wal", 4096), {"t": codec})
+    replay.file.append(bytes.fromhex(GOLDEN_WAL_FRAME))
+    (record,) = replay.records()
+    assert (record.type, record.table) == (LogRecordType.UPDATE, "t")
+    assert record.update == GOLDEN_UPDATES[2]
+
+
+# ---------------------------------------------------- validation before apply
+WIDE = Schema([("key", "u32"), ("tag", "s4"), ("n", "u32")])
+
+ILL_FORMED = [
+    UpdateRecord(1, 5, UpdateType.INSERT, (5, "too wide", 1)),
+    UpdateRecord(1, 5, UpdateType.MODIFY, {"tag": "too wide"}),
+    UpdateRecord(1, 5, UpdateType.MODIFY, {"n": "not a number"}),
+    UpdateRecord(1, 5, UpdateType.INSERT, (5, "ok", -1)),
+    UpdateRecord(1, 5, UpdateType.MODIFY, {"nope": 1}),
+]
+
+
+@pytest.mark.parametrize("logged", [True, False], ids=["with-log", "without-log"])
+@pytest.mark.parametrize("update", ILL_FORMED, ids=lambda u: f"{u.type.name}-{u.content}")
+def test_apply_rejects_ill_formed_update_before_logging_or_buffering(update, logged):
+    ssd = StorageVolume(SimulatedSSD(capacity=4 * MB))
+    table = Table.create(StorageVolume(SimulatedDisk(capacity=16 * MB)), "t", WIDE, 100)
+    table.bulk_load((i, "row", i) for i in range(100))
+    masm = MaSM(table, ssd, config=MaSMConfig(alpha=1.0, ssd_page_size=8 * KB))
+    log = None
+    if logged:
+        log = RedoLog(ssd.create("wal", 64 * KB))
+        masm.attach_log(log)
+    with pytest.raises(ReproError):
+        masm.apply(update)
+    assert masm.buffer.count == 0 and masm.buffer.used_bytes == 0
+    if log is not None:
+        assert log.records_written == 0 and log.file.append_pos == 0
+    # The engine is still usable and the rejected update left no trace.
+    masm.modify(5, {"tag": "fine"})
+    assert masm.buffer.count == 1
+    assert [r for r in masm.range_scan(5, 5)] == [(5, "fine", 5)]

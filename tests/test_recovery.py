@@ -5,9 +5,10 @@ import pytest
 from repro.core.masm import MaSM, MaSMConfig
 from repro.core.migration import migrate_all
 from repro.core.sortedrun import load_run
-from repro.core.update import UpdateCodec
+from repro.core.update import UpdateCodec, UpdateRecord, UpdateType
 from repro.engine.record import synthetic_schema
 from repro.engine.table import Table
+from repro.sim.model import ModelTable
 from repro.storage.disk import SimulatedDisk
 from repro.storage.file import StorageVolume
 from repro.storage.ssd import SimulatedSSD
@@ -291,3 +292,34 @@ def test_uncommitted_merge_keeps_victims_on_recovery():
     recovered.modify(46, {"payload": "post-recovery"})
     recovered.flush_buffer()
     assert product not in ssd_vol, "logged product name must not be reused"
+
+
+def test_recovery_after_heap_shrinking_migration():
+    """A migration that leaves the heap shorter must not leave its old tail
+    pages behind as formatted pages: recovery finds the heap's end by
+    scanning to the first unformatted page and would bring their rows back
+    (deleted rows resurrected, modified rows reverted)."""
+    n = 1000
+    masm, table, ssd_vol, log, config = build_system(n)
+    model = ModelTable(SCHEMA, ((i * 2, f"rec-{i}") for i in range(n)))
+
+    def apply(utype, key, content):
+        update = UpdateRecord(masm.oracle.next(), key, utype, content)
+        masm.apply(update)
+        model.record(update)
+
+    for i in range(n):  # net delete: two of every three rows go
+        if i % 3:
+            apply(UpdateType.DELETE, i * 2, None)
+    for i in range(900, n, 3):  # survivors that lived on the released tail
+        apply(UpdateType.MODIFY, i * 2, {"payload": f"moved-{i}"})
+    pages_before = table.heap.num_pages
+    masm.flush_buffer()
+    masm.migrate()
+    assert table.heap.num_pages < pages_before
+    expected = model.snapshot(model.last_timestamp)
+    assert scan_dict(masm) == expected
+
+    recovered, _ = crash_and_recover(masm, table, ssd_vol, log, config)
+    assert recovered.table.heap.num_pages == table.heap.num_pages
+    assert scan_dict(recovered) == expected
