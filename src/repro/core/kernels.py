@@ -48,6 +48,7 @@ from repro.storage.iosched import (
 #: Identity-compared in the join's hot loops (enum ``in`` tests cost more).
 _INSERT = UpdateType.INSERT
 _REPLACE = UpdateType.REPLACE
+_MODIFY = UpdateType.MODIFY
 
 
 def enabled() -> bool:
@@ -275,26 +276,25 @@ def join_partition(
     batch: UpdateBatch,
     data_records: list[tuple],
     data_keys,
-    data_ts: list[int],
+    data_ts,
     schema: Schema,
     out: list,
 ) -> None:
     """Outer-join one update batch against one key-span of table records.
 
-    ``data_keys`` is an int64 array aligned with ``data_records``/``data_ts``
-    covering exactly the keys <= the batch's max key that the data stream has
-    produced.  Appends result records to ``out`` in key order, applying the
-    page-timestamp rule per matched record (an update at or before the page
-    timestamp was already migrated in place and the base record wins).
+    ``data_keys`` (int64) and ``data_ts`` are arrays aligned with
+    ``data_records``, covering exactly the keys <= the batch's max key that
+    the data stream has produced.  Appends result records to ``out`` in key
+    order, applying the page-timestamp rule per matched record (an update at
+    or before the page timestamp was already migrated in place and the base
+    record wins).
 
     Untouched data spans are extended wholesale, and batches past the end of
     the data (or otherwise match-free) turn into one list comprehension over
-    the surviving insertions — the per-record ``schema.key`` and
-    ``apply_update`` calls of the record-at-a-time join are what this kernel
-    deletes.
+    the surviving insertions; matched updates dispatch on their type right
+    here — the per-record ``schema.key`` and ``apply_update`` calls of the
+    record-at-a-time join are what this kernel deletes.
     """
-    from repro.core.update import apply_update
-
     if not len(data_records):
         # No base records at these keys: only (re)insertions produce output.
         out.extend(
@@ -306,11 +306,11 @@ def join_partition(
     positions = _np.searchsorted(data_keys, batch.keys, side="left")
     ndata = len(data_records)
     clipped = positions if positions[-1] < ndata else _np.minimum(positions, ndata - 1)
-    if not (data_keys[clipped] == batch.keys).any():
+    matched = data_keys[clipped] == batch.keys
+    if not matched.any():
         # Match-free batch: data and insertions interleave by position.
-        pos_list = positions.tolist()
         prev = 0
-        for update, pos in zip(batch.records, pos_list):
+        for update, pos in zip(batch.records, positions.tolist()):
             if pos > prev:
                 out.extend(data_records[prev:pos])
                 prev = pos
@@ -320,26 +320,23 @@ def join_partition(
             out.extend(data_records[prev:])
         return
     prev = 0
-    for update, pos in zip(batch.records, positions.tolist()):
+    for update, pos, hit, page_ts in zip(
+        batch.records, positions.tolist(), matched.tolist(), data_ts[clipped].tolist()
+    ):
         if pos > prev:
             out.extend(data_records[prev:pos])
             prev = pos
-        if pos < ndata and data_records[pos][schema.key_pos] == update.key:
-            if update.timestamp > data_ts[pos]:
-                produced = apply_update(data_records[pos], update, schema)
-                if produced is not None:
-                    out.append(produced)
-            else:
-                out.append(data_records[pos])  # already applied in place
-            prev = pos + 1
-        else:
-            t = update.type
+        t = update.type
+        if not hit:
             if t is _INSERT or t is _REPLACE:
                 out.append(tuple(update.content))
+            continue
+        prev = pos + 1
+        if update.timestamp <= page_ts:
+            out.append(data_records[pos])  # already applied in place
+        elif t is _INSERT or t is _REPLACE:
+            out.append(tuple(update.content))
+        elif t is _MODIFY:
+            out.append(schema.apply_modification(data_records[pos], update.content))
     if prev < ndata:
         out.extend(data_records[prev:])
-
-
-def as_int64_array(values: Sequence[int]):
-    """An int64 array over ``values`` (list fast path for the batch join)."""
-    return _np.asarray(values, dtype=_np.int64)

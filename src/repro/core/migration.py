@@ -21,9 +21,8 @@ from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.core.operators import MergeUpdates
 from repro.core.update import UpdateRecord, UpdateType, apply_update
-from repro.engine.heapfile import DEFAULT_FILL_FACTOR
+from repro.engine.heapfile import DEFAULT_FILL_FACTOR, page_records
 from repro.engine.page import SlottedPage
-from repro.engine.table import page_records
 from repro.errors import StorageError
 from repro.obs import get_registry, trace
 from repro.storage.faults import crash_point

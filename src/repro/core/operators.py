@@ -19,9 +19,10 @@ meter per batch of merged records rather than per record.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
 from itertools import chain as _chain
 from typing import Callable, Iterable, Iterator, Optional
+
+import numpy as _np
 
 from repro.core import kernels
 from repro.core.blockcache import DecodedBlockCache
@@ -29,6 +30,7 @@ from repro.core.membuffer import BufferFlushed, InMemoryUpdateBuffer
 from repro.core.sortedrun import MaterializedSortedRun
 from repro.core.update import UpdateRecord, apply_update, combine, combine_chain
 from repro.engine.record import Schema
+from repro.engine.table import pair_chunks
 from repro.errors import ChecksumError, TransientIOError
 from repro.sim.hooks import interleave as sim_interleave
 from repro.storage.iosched import (
@@ -41,9 +43,6 @@ from repro.storage.iosched import (
 #: Largest representable timestamp — "everything at this key" when used as
 #: the timestamp half of an ``after`` resume position.
 _MAX_TS = 2**63 - 1
-
-#: Fallback chunk size when the data side offers no chunked scan.
-_DATA_CHUNK_RECORDS = 1024
 
 
 def merge_update_streams(
@@ -467,10 +466,11 @@ class MergeDataUpdates:
     to the partition's max key and joined in one
     :func:`repro.core.kernels.join_partition` call (binary search of update
     keys into the data keys, wholesale extends of untouched data spans).
-    ``data_chunks`` — an iterable of ``(records, page_ts)`` page chunks with
-    a scalar per-chunk timestamp, e.g. ``Table.range_scan_pair_chunks`` —
-    feeds that path without a per-record generator round-trip; without it
-    the kernel path chunks ``data_pairs`` itself.
+    ``data_chunks`` — an iterable of ``(records, keys, timestamps)`` chunks
+    (record tuples plus their aligned int64 key and page-timestamp arrays),
+    e.g. ``Table.range_scan_pair_chunks`` — feeds that path without a
+    per-record generator round-trip and without re-extracting keys; without
+    it the kernel path chunks ``data_pairs`` itself.
     """
 
     def __init__(
@@ -479,7 +479,7 @@ class MergeDataUpdates:
         updates: Iterable[UpdateRecord],
         schema: Schema,
         cpu: Optional[CpuMeter] = None,
-        data_chunks: Optional[Iterable[tuple[list, int]]] = None,
+        data_chunks: Optional[Iterable[tuple[list, object, object]]] = None,
     ) -> None:
         self.data_pairs = data_pairs
         self.updates = updates
@@ -495,68 +495,59 @@ class MergeDataUpdates:
                 return _chain.from_iterable(self._iter_kernel_lists(batches))
         return self._iter_reference()
 
-    def _data_chunks(self) -> Iterator[tuple[list, object]]:
-        """The data stream as (records, ts) chunks; ts scalar or per-record."""
-        if self.data_chunks is not None:
-            yield from self.data_chunks
-            return
-        pairs = iter(self.data_pairs)
-        while True:
-            records: list = []
-            ts: list[int] = []
-            for record, page_ts in pairs:
-                records.append(record)
-                ts.append(page_ts)
-                if len(records) >= _DATA_CHUNK_RECORDS:
-                    break
-            if not records:
-                return
-            yield records, ts
-
     def _iter_kernel_lists(
         self, batches: Iterator["kernels.UpdateBatch"]
     ) -> Iterator[list]:
-        """Join each update partition against its data key span, as lists."""
+        """Join each update partition against its data key span, as lists.
+
+        The data side stays in chunk-level arrays: a chunk is pulled only
+        when a partition needs keys beyond the buffered ones, and what one
+        partition leaves of it carries over to the next.
+        """
         schema = self.schema
-        key_of = schema.key_of
-        chunks = self._data_chunks()
+        chunks = iter(
+            self.data_chunks
+            if self.data_chunks is not None
+            else pair_chunks(self.data_pairs, schema.key_of)
+        )
         exhausted = False
-        buf_records: list = []
-        buf_keys: list[int] = []
-        buf_ts: list[int] = []
+        records: list = []
+        keys = timestamps = _np.empty(0, dtype=_np.int64)
+        start = 0  # records before it are already joined
         for batch in batches:
             max_key = int(batch.keys[-1])
-            while not exhausted and (not buf_keys or buf_keys[-1] <= max_key):
+            while not exhausted and (start == len(records) or keys[-1] <= max_key):
                 nxt = next(chunks, None)
                 if nxt is None:
                     exhausted = True
-                    break
-                records, ts = nxt
-                buf_records.extend(records)
-                buf_keys.extend(map(key_of, records))
-                if isinstance(ts, int):
-                    buf_ts.extend([ts] * len(records))
+                elif start == len(records):
+                    records, keys, timestamps = nxt
+                    start = 0
                 else:
-                    buf_ts.extend(ts)
-            split = bisect_right(buf_keys, max_key)
+                    records = records[start:] + nxt[0]
+                    keys = _np.concatenate((keys[start:], nxt[1]))
+                    timestamps = _np.concatenate((timestamps[start:], nxt[2]))
+                    start = 0
+            split = start + int(
+                _np.searchsorted(keys[start:], max_key, side="right")
+            )
             out: list = []
             kernels.join_partition(
                 batch,
-                buf_records[:split],
-                kernels.as_int64_array(buf_keys[:split]),
-                buf_ts[:split],
+                records[start:split],
+                keys[start:split],
+                timestamps[start:split],
                 schema,
                 out,
             )
-            if split:
-                del buf_records[:split], buf_keys[:split], buf_ts[:split]
+            start = split
             yield out
         # Data past the last update key passes through unmodified.
-        if buf_records:
-            yield buf_records
+        if start < len(records):
+            yield records[start:]
         if not exhausted:
-            for records, _ in chunks:
-                yield records
+            for chunk in chunks:
+                yield chunk[0]
 
     def _iter_reference(self) -> Iterator[tuple]:
         schema = self.schema

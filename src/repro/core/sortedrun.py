@@ -187,10 +187,10 @@ class MaterializedSortedRun:
         timestamp visibility).  ``after`` resumes past a (key, ts) position —
         used when a Mem_scan hands over to a Run_scan mid-query.
 
-        The block-granular fast path: each 64 KB block is decoded whole (or
-        fetched from the shared ``cache``, skipping the SSD read entirely),
-        the query's slice of the block found by binary search, and untouched
-        records never materialized.  ``stats`` (a ``MaSMStats``-like object)
+        The block-granular fast path: each block comes decoded from its read
+        group's one decode pass (or from the shared ``cache``, skipping the
+        SSD read entirely) and the query's slice of the block is found by
+        binary search.  ``stats`` (a ``MaSMStats``-like object)
         receives ``blocks_decoded`` increments.
         """
         span = self.index.block_span(begin_key, end_key)
@@ -255,10 +255,10 @@ class MaterializedSortedRun:
         """Yield (block_no, ColumnarBlock) over a block range, in order.
 
         The shared loading core of :meth:`scan` and :meth:`slice_columns`:
-        cache lookups first, then batched SSD reads for the misses, each
-        block checksum-verified before anything is yielded from it.  Yielded
-        entries are lazy — neither columns nor records are materialized
-        here, so each consumer pays only for the forms it touches.
+        cache lookups first, then one batched SSD read for the group's
+        misses, every block of it checksum-verified and the whole group
+        decoded in one pass (:meth:`UpdateCodec.decode_blocks`) before
+        anything is yielded from it.
         """
         block_size = self.block_size
         name = self.name
@@ -279,9 +279,10 @@ class MaterializedSortedRun:
                 missing = list(group)
             if missing:
                 requests = [(b * block_size, block_size) for b in missing]
-                for b, data in zip(missing, self.file.read_batch(requests)):
+                blocks = self.file.read_batch(requests)
+                for b, data in zip(missing, blocks):
                     _checksum.verify(data, context=f"run {name!r} block {b}")
-                    entry = ColumnarBlock(data, self.codec)
+                for b, entry in zip(missing, self.codec.decode_blocks(blocks)):
                     if stats is not None:
                         stats.blocks_decoded += 1
                     if cache is not None:

@@ -20,7 +20,7 @@ import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import starmap
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as _np
 
@@ -154,9 +154,44 @@ def apply_update(
 #: Framing for a block of update records: leading record count.
 BLOCK_HEADER = struct.Struct("<I")
 
+#: The payload-length field of an update header (the last member of
+#: ``UpdateCodec._HEAD``, 17 bytes in): all the header walk has to read.
+_PAYLOAD_LEN = struct.Struct("<I")
+
 #: Decode-time lookup avoiding an ``UpdateType(...)`` enum call per record:
 #: indexing it with a block's op-code column maps the whole block at once.
 _TYPE_ARRAY = _np.array(list(UpdateType), dtype=object)
+
+#: The op codes as plain ints (array compares and byte tests in the block
+#: decoder), and the two whose payload is one whole packed record.
+_INSERT, _DELETE, _MODIFY, _REPLACE = map(int, UpdateType)
+_WHOLE_RECORD = (_INSERT, _REPLACE)
+
+
+def _windows(data: bytes, width: int):
+    """Every ``width``-byte window of ``data`` as rows of a 2-D uint8 view
+    (row ``i`` starts at byte ``i``): indexing it with an array of positions
+    gathers one fixed-width field from each, wherever they sit."""
+    return _np.ndarray((len(data) - width + 1, width), _np.uint8, data, 0, (1, 1))
+
+
+class BlockColumns(NamedTuple):
+    """Header columns of one or more encoded blocks, from one header walk.
+
+    One entry per update, blocks back to back: ``keys`` and ``timestamps``
+    (the unsigned wire values viewed as int64), ``ops`` (uint8), each
+    header's position in the buffer (``offsets``) and its payload length
+    (``lengths``), so update ``i``'s payload spans ``[offsets[i] + header,
+    offsets[i] + header + lengths[i])``.  ``bounds`` has one more entry than
+    there are blocks: block ``b`` owns rows ``bounds[b]:bounds[b + 1]``.
+    """
+
+    keys: object
+    timestamps: object
+    ops: object
+    offsets: object
+    lengths: object
+    bounds: list
 
 
 class UpdateCodec:
@@ -198,14 +233,14 @@ class UpdateCodec:
             )
             for f in schema.fields
         )
-        #: One record of an INSERT/REPLACE-only block — header plus packed
-        #: record at a fixed stride — as a numpy structured type.
-        self._uniform = _np.dtype(
+        #: ``_HEAD`` as a packed numpy type: headers gathered from a buffer
+        #: view as one row per update.
+        self._head_dtype = _np.dtype(
             {
-                "names": ["timestamp", "key", "op", "payload_len", "record"],
-                "formats": ["<u8", "<u8", "u1", "<u4", schema.dtype],
-                "offsets": [0, 8, 16, 17, self._HEAD.size],
-                "itemsize": self._HEAD.size + schema.record_size,
+                "names": ["timestamp", "key", "op", "payload_len"],
+                "formats": ["<u8", "<u8", "u1", "<u4"],
+                "offsets": [0, 8, 16, 17],
+                "itemsize": self._HEAD.size,
             }
         )
 
@@ -335,45 +370,42 @@ class UpdateCodec:
         return self.frame_block(self.encode_many(updates))
 
     def decode_block(
-        self, data: bytes, offset: int = 0, columns=None
+        self, data: bytes, offset: int = 0, columns: Optional[BlockColumns] = None
     ) -> list[UpdateRecord]:
-        """Decode one block (as written by :meth:`encode_block`).
+        """Decode the block at ``offset`` (as written by :meth:`encode_block`),
+        or every block ``columns`` covers, back to back.
 
-        ``columns`` is the block's :meth:`block_columns` result when the
-        caller already has it (:class:`ColumnarBlock` does); the headers are
-        never walked twice — timestamps, keys and op codes come from the
-        columns, and only payloads are decoded here.  An INSERT/REPLACE-only
-        block decodes all its records with one structured ``frombuffer``.
+        ``columns`` is a :meth:`block_columns` result over ``data`` when the
+        caller already has it (one block's, or a whole read group's); the
+        headers are never walked twice — timestamps, keys and op codes come
+        from the columns, and only payloads are decoded here, a column at a
+        time: one :meth:`Schema.rows` call for all INSERT/REPLACE records,
+        one value column per field for single-field MODIFYs, and
+        :meth:`_changes` for whatever MODIFY payloads are left.
         """
-        (count,) = BLOCK_HEADER.unpack_from(data, offset)
         if columns is None:
-            columns = self.block_columns(data, offset, count)
-        if not count:
+            columns = self.block_columns(data, offset)
+        keys, timestamps, ops, offsets, lengths, _ = columns
+        if not len(ops):
             return []
-        keys, timestamps, ops, offsets = columns
-        if _is_uniform(ops):
-            block = _np.frombuffer(
-                data,
-                dtype=self._uniform,
-                count=count,
-                offset=offset + BLOCK_HEADER.size,
-            )
-            contents = self.schema.rows(block["record"])
-        else:
+        bodies = offsets + self._HEAD.size
+        whole = _np.flatnonzero((ops == _INSERT) | (ops == _REPLACE))
+        rows: list = []
+        if len(whole):
             # block_columns checked every INSERT/REPLACE payload's length.
-            op_codes = ops.tolist()
-            record = self.schema.unpack_from
-            changes = self._changes
-            head_size = self._HEAD.size
-            positions = offsets.tolist()
-            contents = [
-                None
-                if op == 1
-                else changes(data, pos + head_size, end)
-                if op == 2
-                else record(data, pos + head_size)
-                for op, pos, end in zip(op_codes, positions, positions[1:])
-            ]
+            packed = _windows(data, self._record_size)[bodies[whole]]
+            rows = self.schema.rows(packed.view(self.schema.dtype)[:, 0])
+        if len(rows) == len(ops):
+            contents = rows
+        else:
+            column = _np.empty(len(ops), dtype=object)  # None: DELETE
+            column[whole] = record_array(rows)
+            modify = _np.flatnonzero(ops == _MODIFY)
+            if len(modify):
+                column[modify] = self._change_dicts(
+                    data, bodies[modify], lengths[modify]
+                )
+            contents = column.tolist()
         # The columns are the unsigned wire values viewed as int64.
         return list(
             starmap(
@@ -387,101 +419,154 @@ class UpdateCodec:
             )
         )
 
+    def _change_dicts(self, data: bytes, bodies, lengths):
+        """The ``field -> new value`` dict of each MODIFY payload, as an
+        object array.  A payload that is exactly one (index, value) pair is
+        decoded with its field's whole value column; the rest one at a time."""
+        out = _np.empty(len(bodies), dtype=object)
+        # An empty payload has no index to read: whatever is read in its
+        # place cannot pass the length test below.
+        indexes = _windows(data, 2)[_np.minimum(bodies, len(data) - 2)].view("<u2")[:, 0]
+        rest = _np.ones(len(bodies), dtype=bool)
+        for idx in set(indexes.tolist()):
+            if idx >= len(self._fields):
+                continue
+            name, width, is_string, _ = self._fields[idx]
+            chosen = _np.flatnonzero((indexes == idx) & (lengths == 2 + width))
+            if not len(chosen) or not width:
+                continue
+            values = _windows(data, width)[bodies[chosen] + 2]
+            values = values.view(self.schema.dtype[idx])[:, 0].tolist()
+            if is_string:
+                values = map(bytes.decode, values)
+            out[chosen] = record_array([{name: value} for value in values])
+            rest[chosen] = False
+        for i in _np.flatnonzero(rest).tolist():
+            body = int(bodies[i])
+            out[i] = self._changes(data, body, body + int(lengths[i]))
+        return out
+
     # --------------------------------------------------------------- SoA API
-    def block_columns(self, data: bytes, offset: int, count: int):
-        """Column arrays for one encoded block: (keys, timestamps, ops,
-        header offsets).
+    def block_columns(
+        self, data: bytes, offset: int = 0, blocks: int = 1, stride: int = 0
+    ) -> BlockColumns:
+        """Header columns of ``blocks`` encoded blocks laid out ``stride``
+        bytes apart from ``offset`` — one header walk for all of them, no
+        payload decode.  A block ends where the next begins (the last at the
+        end of ``data``); a record running past that, or an INSERT/REPLACE
+        payload that is not exactly one packed record, raises.
 
-        Keys and timestamps come back as int64 arrays, op codes as a uint8
-        array, and ``offsets`` (int64) holds each record's header position
-        in ``data`` plus one end sentinel (``count + 1`` entries), so record
-        ``i``'s payload spans ``[offsets[i] + header, offsets[i + 1])``.
-
-        Blocks written by :meth:`encode_block` from INSERT/REPLACE-only
-        streams have a uniform record stride (header + packed record), which
-        a vectorized validation detects exactly: record 0's header position
-        is true by framing, and each record whose payload length matches the
-        schema's record size fixes the next record's position — so if every
-        op code is INSERT/REPLACE and every payload length equals the record
-        size under the assumed stride, the layout *is* uniform by induction.
-        Mixed blocks take one sequential header walk (no payload decode
-        either way), which also checks that the block is not truncated and
-        that every INSERT/REPLACE payload is exactly one packed record.
+        A block written from an INSERT/REPLACE-only stream has a uniform
+        record stride (header + packed record), so when its first and last
+        headers look the part its positions are laid down by arithmetic and
+        validated afterwards, vectorised: record 0's position is true by
+        framing, and each record whose op code is INSERT/REPLACE and whose
+        payload length is the record size fixes the next record's position —
+        if all of them check out the layout *is* uniform by induction.  If
+        not, the walk is redone header by header.
         """
-        base = offset + BLOCK_HEADER.size
+        columns = self._walk(data, offset, blocks, stride, guess=True)
+        if columns is None:
+            columns = self._walk(data, offset, blocks, stride, guess=False)
+        return columns
+
+    def _walk(
+        self, data: bytes, offset: int, blocks: int, stride: int, guess: bool
+    ) -> Optional[BlockColumns]:
         head_size = self._HEAD.size
         rec_size = self._record_size
-        stride = head_size + rec_size
-        if count and base + count * stride <= len(data):
-            block = _np.frombuffer(
-                data, dtype=self._uniform, count=count, offset=base
-            )
-            ops = _np.ascontiguousarray(block["op"])
-            if _is_uniform(ops) and (block["payload_len"] == rec_size).all():
-                return (
-                    _np.ascontiguousarray(block["key"]).view(_np.int64),
-                    _np.ascontiguousarray(block["timestamp"]).view(_np.int64),
-                    ops,
-                    base + stride * _np.arange(count + 1, dtype=_np.int64),
-                )
-        heads = []
-        append = heads.append
-        head_unpack = self._HEAD.unpack_from
-        pos = base
+        step = head_size + rec_size
+        length_at = _PAYLOAD_LEN.unpack_from
+        pieces: list = []  # header positions, block by block
+        bounds = [0]
+        guessed: list[tuple[int, int]] = []  # row spans laid down by stride
         try:
-            for _ in range(count):
-                head = head_unpack(data, pos)
-                append(head)
-                pos += head_size + head[3]
+            for block in range(blocks):
+                base = offset + block * stride
+                limit = base + stride if block < blocks - 1 else len(data)
+                (count,) = BLOCK_HEADER.unpack_from(data, base)
+                pos = base + BLOCK_HEADER.size
+                if pos + count * head_size > limit:
+                    raise ReproError("truncated update record")
+                bounds.append(bounds[-1] + count)
+                if not count:
+                    continue
+                end = pos + count * step
+                if (
+                    guess
+                    and end <= limit
+                    and data[pos + 16] in _WHOLE_RECORD
+                    and data[end - step + 16] in _WHOLE_RECORD
+                ):
+                    guessed.append((bounds[-2], bounds[-1]))
+                    pieces.append(_np.arange(pos, end, step))
+                    continue
+                positions = []
+                append = positions.append
+                for _ in range(count):
+                    append(pos)
+                    pos += head_size + length_at(data, pos + 17)[0]
+                if pos > limit:
+                    raise ReproError("truncated update record")
+                pieces.append(positions)
         except struct.error:  # a header past the end of ``data``
-            pos = len(data) + 1
-        if pos > len(data):
-            raise ReproError("truncated update record")
-        timestamps, keys, op_codes, payload_lens = zip(*heads) if heads else ((),) * 4
-        ops = _np.array(op_codes, dtype=_np.uint8)
-        sizes = _np.array(payload_lens, dtype=_np.int64)
-        if (sizes[(ops == 0) | (ops == 3)] != rec_size).any():
+            raise ReproError("truncated update record") from None
+        if not pieces:
+            empty = _np.empty(0, dtype=_np.int64)
+            return BlockColumns(
+                empty, empty, _np.empty(0, dtype=_np.uint8), empty, empty, bounds
+            )
+        offsets = _np.concatenate(pieces)
+        heads = _windows(data, head_size)[offsets].view(self._head_dtype)[:, 0]
+        ops = _np.ascontiguousarray(heads["op"])
+        lengths = heads["payload_len"].astype(_np.int64)
+        sized = lengths == rec_size
+        whole = (ops == _INSERT) | (ops == _REPLACE)
+        for first, last in guessed:
+            if not (whole[first:last] & sized[first:last]).all():
+                return None
+        if not sized[whole].all():
             raise ReproError(
                 f"record payload in block does not match schema size {rec_size}"
             )
-        offsets = _np.empty(count + 1, dtype=_np.int64)
-        offsets[0] = base
-        _np.cumsum(sizes + head_size, out=offsets[1:])
-        offsets[1:] += base
-        return (
-            _np.array(keys, dtype=_np.uint64).view(_np.int64),
-            _np.array(timestamps, dtype=_np.uint64).view(_np.int64),
+        return BlockColumns(
+            _np.ascontiguousarray(heads["key"]).view(_np.int64),
+            _np.ascontiguousarray(heads["timestamp"]).view(_np.int64),
             ops,
             offsets,
+            lengths,
+            bounds,
         )
 
-    def decode_block_soa(self, data: bytes, offset: int = 0) -> "ColumnarBlock":
-        """Decode one block into its structure-of-arrays form.
+    def decode_blocks(self, blocks: Sequence[bytes]) -> list["ColumnarBlock"]:
+        """Decode equal-sized encoded blocks (one read group) in one pass.
 
-        The sibling of :meth:`decode_block`: instead of a list of
-        :class:`UpdateRecord` objects it returns a :class:`ColumnarBlock`
-        whose key/timestamp/op/offset columns are materialized immediately
-        while the record objects stay lazy (built on the first
-        :meth:`ColumnarBlock.records` call, at the scan/join boundary).
+        One :meth:`block_columns` walk and one :meth:`decode_block` payload
+        pass serve the whole group; each returned :class:`ColumnarBlock`
+        holds its own raw bytes and record list, and its key / timestamp /
+        op columns as views of the group's arrays.
         """
-        block = ColumnarBlock(data, self, offset)
-        block.columns()
-        return block
-
-
-def _is_uniform(ops) -> bool:
-    """True when every op code is INSERT or REPLACE.
-
-    With :meth:`UpdateCodec.block_columns` having checked that each such
-    payload is one packed record, this is exactly "fixed record stride".
-    """
-    return bool(((ops == 0) | (ops == 3)).all())
+        if not blocks:
+            return []
+        data = blocks[0] if len(blocks) == 1 else b"".join(blocks)
+        columns = self.block_columns(data, 0, len(blocks), len(blocks[0]))
+        records = self.decode_block(data, 0, columns)
+        keys, timestamps, ops, _, _, bounds = columns
+        return [
+            ColumnarBlock(
+                block,
+                self,
+                columns=(keys[lo:hi], timestamps[lo:hi], ops[lo:hi]),
+                records=records[lo:hi],
+            )
+            for block, lo, hi in zip(blocks, bounds, bounds[1:])
+        ]
 
 
 #: Estimated Python-heap bytes per materialized UpdateRecord beyond its
-#: encoded payload (object header, per-instance dict, content tuple).  Used
-#: by the decoded-block cache's byte accounting; an estimate, but a far
-#: better one than the encoded block size used before.
+#: encoded payload (slotted instance, boxed timestamp and key, content tuple
+#: or dict).  Used by the decoded-block cache's byte accounting; an estimate,
+#: but a far better one than the encoded block size used before.
 RECORD_OBJECT_OVERHEAD = 176
 
 #: Estimated bytes per entry of a materialized Python key list (list slot
@@ -495,17 +580,20 @@ def record_array(records: Sequence[UpdateRecord]):
 
 
 class ColumnarBlock:
-    """Structure-of-arrays view of one encoded update block.
+    """Structure-of-arrays form of one decoded update block.
 
-    Holds the verified raw block bytes plus lazily materialized derived
-    forms, each built at most once:
+    Holds the verified raw block bytes plus the decoded forms:
 
-    * :meth:`columns` — parallel key / timestamp / op-code / header-offset
-      arrays (``int64``/``uint8``), the form the merge kernels consume;
-    * :meth:`records` — the block's :class:`UpdateRecord` list (the legacy
-      scan form), materialized only at the scan/join boundary;
-    * :meth:`key_list` — a plain Python key list for ``bisect``-based
-      block-local searches.
+    * :meth:`columns` — parallel key / timestamp / op-code arrays
+      (``int64``/``uint8``), the form the merge kernels consume;
+    * :meth:`records` — the block's :class:`UpdateRecord` list;
+    * :meth:`records_arr` / :meth:`key_list` — an object ndarray over the
+      records and a plain Python key list, built on first use.
+
+    A run scan builds these for a whole read group at once
+    (:meth:`UpdateCodec.decode_blocks`) and hands each block its share, the
+    columns as views of the group's arrays; a block constructed on its own
+    decodes itself on first use, through the same codec calls.
 
     Instances are what :class:`repro.core.blockcache.DecodedBlockCache`
     stores; :attr:`nbytes` reports the entry's current decoded footprint so
@@ -523,20 +611,32 @@ class ColumnarBlock:
         "_keys",
     )
 
-    def __init__(self, data: bytes, codec: UpdateCodec, offset: int = 0) -> None:
+    def __init__(
+        self,
+        data: bytes,
+        codec: UpdateCodec,
+        offset: int = 0,
+        columns=None,
+        records: Optional[list[UpdateRecord]] = None,
+    ) -> None:
         (self.count,) = BLOCK_HEADER.unpack_from(data, offset)
         self.data = data
         self.offset = offset
         self.codec = codec
-        self._cols = None
-        self._records: Optional[list[UpdateRecord]] = None
+        self._cols = columns
+        self._records = records
         self._recarr = None
         self._keys: Optional[list[int]] = None
 
+    def _decode(self) -> None:
+        columns = self.codec.block_columns(self.data, self.offset)
+        self._cols = columns[:3]
+        self._records = self.codec.decode_block(self.data, self.offset, columns)
+
     def columns(self):
-        """(keys, timestamps, ops, offsets) column arrays; built once."""
+        """(keys, timestamps, ops) column arrays."""
         if self._cols is None:
-            self._cols = self.codec.block_columns(self.data, self.offset, self.count)
+            self._decode()
         return self._cols
 
     @property
@@ -551,18 +651,10 @@ class ColumnarBlock:
     def ops(self):
         return self.columns()[2]
 
-    @property
-    def payload_offsets(self):
-        return self.columns()[3]
-
     def records(self) -> list[UpdateRecord]:
-        """The block's UpdateRecord list (lazy, memoized)."""
+        """The block's UpdateRecord list."""
         if self._records is None:
-            # Reuses the columns when they exist; never materializes them
-            # (the cache accounts each form only once it is actually held).
-            self._records = self.codec.decode_block(
-                self.data, self.offset, self._cols
-            )
+            self._decode()
         return self._records
 
     def records_arr(self):
@@ -579,10 +671,7 @@ class ColumnarBlock:
     def key_list(self) -> list[int]:
         """Plain Python key list for bisect searches (lazy, memoized)."""
         if self._keys is None:
-            if self._records is not None:
-                self._keys = [u.key for u in self._records]
-            else:
-                self._keys = self.columns()[0].tolist()
+            self._keys = [u.key for u in self.records()]
         return self._keys
 
     @property

@@ -26,6 +26,8 @@ from functools import lru_cache
 from itertools import chain
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from repro.errors import PageError
 
 HEADER = struct.Struct("<QIII")  # timestamp, slot_count, free_start, free_end
@@ -63,6 +65,45 @@ def _uniform_directory(
         (HEADER.size + i * record_len, record_len) for i in range(slot_count)
     )
     return _pack_directory(slots), slots
+
+
+def uniform_pages(data: bytes, page_size: int, record_len: int):
+    """:meth:`SlottedPage.from_bytes`' uniform-page test over a whole buffer
+    of back-to-back pages: ``(timestamps, slot_counts, uniform)``, one entry
+    per page.
+
+    ``uniform[i]`` is true exactly when page ``i`` parses without error into
+    at least one live slot and every slot is ``record_len`` bytes, laid out
+    back to back from the heap base.  Pages are grouped by the bytes of
+    their header after the timestamp (a bulk-loaded chunk has one or two
+    distinct ones): each group's header gets ``from_bytes``' bounds checks
+    once, then one bytes compare of every directory in the group against
+    :func:`_uniform_directory`.  Every other page (empty, tombstoned, mixed
+    lengths, relocated slots, corrupt) is left to ``from_bytes``, which
+    decides what it is.
+    """
+    raw = np.frombuffer(data, dtype=np.uint8).reshape(-1, page_size)
+    heads = raw[:, 8 : HEADER.size]  # slot_count, free_start, free_end
+    counts = np.zeros(len(raw), dtype=np.int64)
+    uniform = np.zeros(len(raw), dtype=bool)
+    pending = np.ones(len(raw), dtype=bool)
+    while pending.any():
+        first = int(pending.argmax())
+        group = (heads == heads[first]).all(axis=1)
+        pending[group] = False
+        _, count, free_start, free_end = HEADER.unpack_from(data, first * page_size)
+        counts[group] = count
+        if (
+            count
+            and free_end == page_size - SLOT.size * count
+            and HEADER.size + count * record_len <= free_start <= free_end
+        ):
+            expected = np.frombuffer(
+                _uniform_directory(count, record_len)[0], dtype=np.uint8
+            )
+            uniform[group] = (raw[group, free_end:] == expected).all(axis=1)
+    timestamps = np.ndarray(len(raw), "<u8", data, 0, (page_size,))
+    return timestamps, counts, uniform
 
 
 class SlottedPage:

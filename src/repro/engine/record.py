@@ -177,12 +177,13 @@ class Schema:
         """Serialize records back-to-back (bulk-load fast path)."""
         return b"".join(self.pack(r) for r in records)
 
-    def unpack_many(self, data: bytes) -> list[tuple]:
-        """Deserialize back-to-back fixed-width records in one pass.
+    def unpack_many(self, data) -> list[tuple]:
+        """Deserialize back-to-back fixed-width records (``bytes`` or any
+        contiguous byte buffer) in one pass.
 
         The batch counterpart of :meth:`unpack`: one ``frombuffer`` over the
         compiled :attr:`dtype` — what the chunked table scan uses to decode
-        a whole page of contiguous records at once.
+        every uniform page of an I/O chunk at once.
         """
         if len(data) % self.record_size:
             raise SchemaError(
@@ -207,8 +208,12 @@ class Schema:
     def apply_modification(self, record: tuple, changes: dict) -> tuple:
         """Return a copy of ``record`` with named fields set to new values."""
         values = list(record)
-        for name, value in changes.items():
-            values[self.index_of(name)] = value
+        index = self._index
+        try:
+            for name, value in changes.items():
+                values[index[name]] = value
+        except KeyError:
+            raise SchemaError(f"no field named {name!r}") from None
         return tuple(values)
 
     def __eq__(self, other) -> bool:

@@ -9,12 +9,14 @@ Section 2.2 measures.
 
 from __future__ import annotations
 
-import bisect
 import heapq
-from typing import Iterable, Iterator, Optional, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from repro.engine.btree import BPlusTree
-from repro.engine.heapfile import DEFAULT_IO_CHUNK, HeapFile
+from repro.engine.heapfile import DEFAULT_IO_CHUNK, HeapFile, page_records
 from repro.engine.index import SparsePrimaryIndex
 from repro.engine.page import DEFAULT_PAGE_SIZE, SlottedPage
 from repro.engine.record import Schema
@@ -22,19 +24,27 @@ from repro.errors import DuplicateKeyError, KeyNotFoundError
 from repro.storage.file import StorageVolume
 from repro.storage.iosched import SCAN_CPU_PER_RECORD, CpuMeter
 
+#: Records per chunk when a (record, page_ts) pair stream is chunked.
+PAIR_CHUNK_RECORDS = 1024
 
-def page_records(page: SlottedPage, schema: Schema) -> list[tuple]:
-    """A page's live records, key-sorted — the page-at-a-time decode every
-    scan, migration and recovery pass shares: one batch decode when the page
-    is in its contiguous (bulk-loaded / rewritten) layout, slot at a time
-    otherwise."""
-    data = page.contiguous_record_bytes(schema.record_size)
-    if data is None:
-        records = [schema.unpack(d) for _, d in page.records()]
-    else:
-        records = schema.unpack_many(data)
-    records.sort(key=schema.key_of)
-    return records
+
+def pair_chunks(
+    pairs: Iterable[tuple[tuple, int]], key_of: Callable[[tuple], int]
+) -> Iterator[tuple[list, np.ndarray, np.ndarray]]:
+    """Chunk a key-ordered (record, page_ts) stream into the
+    ``(records, keys, timestamps)`` form of
+    :meth:`Table.range_scan_pair_chunks`."""
+    pairs = iter(pairs)
+    while True:
+        chunk = list(islice(pairs, PAIR_CHUNK_RECORDS))
+        if not chunk:
+            return
+        records = [record for record, _ in chunk]
+        yield (
+            records,
+            np.fromiter(map(key_of, records), np.int64, len(records)),
+            np.fromiter((ts for _, ts in chunk), np.uint64, len(records)),
+        )
 
 
 class Table:
@@ -189,52 +199,47 @@ class Table:
 
     def range_scan_pair_chunks(
         self, begin_key: int, end_key: int
-    ) -> Iterator[tuple[list, int]]:
-        """Page-at-a-time form of :meth:`range_scan_pairs`.
+    ) -> Iterator[tuple[list, np.ndarray, np.ndarray]]:
+        """Chunk-at-a-time form of :meth:`range_scan_pairs`.
 
-        Yields ``(records, page_timestamp)`` chunks — one per data page,
-        records key-sorted within the chunk and chunks in key order — for
-        the batch outer join (:class:`~repro.core.operators.MergeDataUpdates`
-        with ``data_chunks``).  Pages still in their bulk-loaded contiguous
-        layout are decoded with one ``Schema.unpack_many`` call instead of a
-        record-at-a-time loop.  When overflow records exist the page/overflow
-        interleave falls back to chunking :meth:`range_scan_pairs` (whose
-        per-record timestamps then ride in a list).
+        Yields ``(records, keys, timestamps)`` — the record tuples, their
+        int64 key column and each record's page timestamp, aligned and in
+        key order — one per heap I/O chunk, for the batch outer join
+        (:class:`~repro.core.operators.MergeDataUpdates` with
+        ``data_chunks``).  Each chunk is decoded in one pass
+        (:func:`~repro.engine.heapfile.decode_chunk`) and read only when the
+        consumer asks for it, so the device sees the reads of
+        :meth:`range_scan_pairs` in the same order.  When overflow records
+        exist the page/overflow interleave falls back to chunking
+        :meth:`range_scan_pairs`.
         """
         if self.overflow_count or self.heap.num_pages == 0 or self.index.is_empty:
-            pairs = self.range_scan_pairs(begin_key, end_key)
-            while True:
-                records: list = []
-                ts: list[int] = []
-                for record, page_ts in pairs:
-                    records.append(record)
-                    ts.append(page_ts)
-                    if len(records) >= 1024:
-                        break
-                if not records:
-                    return
-                yield records, ts
+            yield from pair_chunks(
+                self.range_scan_pairs(begin_key, end_key), self.schema.key_of
+            )
             return
         first, last = self.index.page_span(begin_key, end_key)
-        kp = self.schema.key_pos
         count = 0
-        done = False
-        for _, page in self.heap.scan_pages(first, last):
-            records = page_records(page, self.schema)
-            if not records:
+        for chunk in self.heap.scan_chunks(first, last):
+            if chunk.error is not None:
+                raise chunk.error
+            keys = chunk.keys.astype(np.int64, copy=False)
+            if not len(keys):
                 continue
-            if records[0][kp] < begin_key:
-                keys = [r[kp] for r in records]
-                records = records[bisect.bisect_left(keys, begin_key) :]
-                if not records:
-                    continue
-            if records[-1][kp] > end_key:
-                keys = [r[kp] for r in records]
-                records = records[: bisect.bisect_right(keys, end_key)]
-                done = True
-            if records:
-                count += len(records)
-                yield records, page.timestamp
+            lo = 0
+            hi = len(keys)
+            if keys[0] < begin_key:
+                lo = int(np.searchsorted(keys, begin_key, side="left"))
+            done = keys[-1] > end_key
+            if done:
+                hi = int(np.searchsorted(keys, end_key, side="right"))
+            if lo < hi:
+                count += hi - lo
+                yield (
+                    chunk.records(lo, hi),
+                    keys[lo:hi],
+                    chunk.record_timestamps()[lo:hi],
+                )
             if done:
                 break
         if self.cpu is not None and count:

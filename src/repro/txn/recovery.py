@@ -24,10 +24,12 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from repro.core.masm import MaSM, MaSMConfig
 from repro.core.sortedrun import load_run
 from repro.core.update import UpdateRecord
-from repro.engine.table import Table, page_records
+from repro.engine.table import Table
 from repro.errors import RecoveryError, StorageError
 from repro.obs import get_registry, trace
 from repro.storage.file import StorageVolume
@@ -69,39 +71,34 @@ class RecoveryReport:
 def rebuild_table_index(table: Table) -> None:
     """Reconstruct the sparse primary index and row count by scanning.
 
+    Each page contributes its first key and its record count, both read off
+    the chunk decoder's key column — no record tuple is built for a page in
+    the bulk-loaded layout.
+
     When the surviving heap's logical length is unknown (``num_pages`` was
     volatile), scanning stops at the first unparseable page: heap pages are
     allocated contiguously from zero, so unformatted space marks the end.
     """
-    from repro.errors import PageError
-
     entries: list[tuple[int, int]] = []
     rows = 0
-    pages = table.heap.scan_pages()
-    last_good = -1
-    while True:
-        try:
-            page_no, page = next(pages)
-        except StopIteration:
-            break
-        except PageError:
-            break  # unformatted space: end of the heap's data
-        records = page_records(page, table.schema)
-        rows += len(records)
-        entries.append((table.schema.key(records[0]) if records else 0, page_no))
-        last_good = page_no
-    table.heap.num_pages = last_good + 1
-    # Empty trailing pages inherit the previous first key to stay ordered.
-    fixed: list[tuple[int, int]] = []
     last_key = 0
-    for key, page_no in entries:
-        if not fixed:
+    for chunk in table.heap.scan_chunks():
+        counts = chunk.counts
+        occupied = counts > 0
+        first_keys = np.zeros(len(counts), dtype=chunk.keys.dtype)
+        first_keys[occupied] = chunk.keys[(np.cumsum(counts) - counts)[occupied]]
+        for page_no, key in enumerate(first_keys.tolist(), chunk.first_page):
+            # Empty trailing pages (key 0) inherit the previous first key to
+            # stay ordered.
+            if entries and key < last_key:
+                key = last_key
+            entries.append((key, page_no))
             last_key = key
-        elif key < last_key:
-            key = last_key
-        fixed.append((key, page_no))
-        last_key = key
-    table.replace_contents(fixed, rows)
+        rows += len(chunk.keys)
+        if chunk.error is not None:
+            break  # unformatted space: end of the heap's data
+    table.heap.num_pages = len(entries)
+    table.replace_contents(entries, rows)
 
 
 def recover_masm(

@@ -208,10 +208,14 @@ def test_kernel_join_matches_reference(data, updates):
     fast = list(MergeDataUpdates(pairs, updates_stream(True), SCHEMA))
     assert fast == reference
 
-    # And through explicit data chunks with scalar per-chunk timestamps.
+    # And through explicit (records, keys, timestamps) data chunks.
     chunk_n = data.draw(st.integers(1, 7))
     chunks = [
-        ([r for r, _ in pairs[i : i + chunk_n]], [t for _, t in pairs[i : i + chunk_n]])
+        (
+            [r for r, _ in pairs[i : i + chunk_n]],
+            np.array([r[0] for r, _ in pairs[i : i + chunk_n]], dtype=np.int64),
+            np.array([t for _, t in pairs[i : i + chunk_n]], dtype=np.uint64),
+        )
         for i in range(0, len(pairs), chunk_n)
     ]
     chunked = list(
@@ -291,7 +295,7 @@ def test_partition_points_invariants(first_keys, begin, width, per_part):
 def test_decode_block_soa_matches_decode_block(updates):
     block = CODEC.encode_block(updates)
     records = CODEC.decode_block(block)
-    soa = CODEC.decode_block_soa(block)
+    (soa,) = CODEC.decode_blocks([block])
     assert soa.records() == records
     assert soa.key_list() == [u.key for u in records]
     assert list(soa.keys) == [u.key for u in records]

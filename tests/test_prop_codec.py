@@ -138,7 +138,7 @@ def test_update_codec_matches_reference(case):
     assert codec.decode_block(block) == updates
     assert ref.decode_block(fields, block) == plain
 
-    keys, timestamps, ops, offsets = codec.block_columns(block, 0, len(updates))
+    keys, timestamps, ops, offsets, lengths, bounds = codec.block_columns(block)
     wrap = lambda v: v - 2**64 if v >= 2**63 else v  # u64 wire value as int64
     assert keys.tolist() == [wrap(u.key) for u in updates]
     assert timestamps.tolist() == [u.timestamp for u in updates]
@@ -148,7 +148,9 @@ def test_update_codec_matches_reference(case):
     for data in encoded:
         position += len(data)
         expected_offsets.append(position)
-    assert offsets.tolist() == expected_offsets
+    assert offsets.tolist() == expected_offsets[:-1]
+    assert (offsets + codec.header_size + lengths).tolist() == expected_offsets[1:]
+    assert bounds == [0, len(updates)]
 
     # The cached form: records decoded from already-built columns.
     entry = ColumnarBlock(block, codec)

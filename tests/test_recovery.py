@@ -7,6 +7,7 @@ from repro.core.migration import migrate_all
 from repro.core.sortedrun import load_run
 from repro.core.update import UpdateCodec, UpdateRecord, UpdateType
 from repro.engine.record import synthetic_schema
+from repro.engine.heapfile import page_records
 from repro.engine.table import Table
 from repro.sim.model import ModelTable
 from repro.storage.disk import SimulatedDisk
@@ -164,6 +165,39 @@ def test_rebuild_table_index():
     assert table.row_count == rows_before
     assert table.index.entries() == entries_before
     assert table.get(40) == (40, "rec-20")
+
+
+def test_rebuild_table_index_over_tombstones_and_zeroed_tail():
+    """Uniform pages, one page updated in place (tombstone, appended slot,
+    so it fails the chunk decoder's vectorised check) and unformatted space
+    behind the data: the rebuilt index and row count are what a page-by-page
+    read of the heap gives, and the scan stops at the first zeroed page."""
+    disk_vol = StorageVolume(SimulatedDisk(capacity=64 * MB))
+    table = Table.create(disk_vol, "t", SCHEMA, 2000)
+    table.bulk_load((i * 2, f"rec-{i}") for i in range(2000))
+    data_pages = table.heap.num_pages
+    assert data_pages < table.heap.capacity_pages
+    first_key_of_page_3 = table.index.entries()[3][0]
+    table.delete_in_place(first_key_of_page_3)
+    table.insert_in_place((first_key_of_page_3 + 1, "in-place"))
+    assert table.overflow_count == 0
+    expected_entries = []
+    expected_rows = 0
+    for page_no, page in table.heap.scan_pages():
+        records = page_records(page, SCHEMA)
+        expected_entries.append((records[0][0], page_no))
+        expected_rows += len(records)
+    assert table.heap.read_page(3).live_count < table.heap.read_page(3).slot_count
+
+    crashed = Table(table.name, SCHEMA, table.heap)
+    crashed.heap.num_pages = table.heap.capacity_pages  # length unknown
+    rebuild_table_index(crashed)
+    assert crashed.heap.num_pages == data_pages
+    assert crashed.row_count == expected_rows == 2000
+    assert crashed.index.entries() == expected_entries
+    assert crashed.index.entries()[3][0] == first_key_of_page_3 + 1
+    assert crashed.get(first_key_of_page_3 + 1) == (first_key_of_page_3 + 1, "in-place")
+    assert list(crashed.range_scan(0, 2**62)) == list(table.range_scan(0, 2**62))
 
 
 def test_partial_migration_slice_keeps_run_on_recovery():
