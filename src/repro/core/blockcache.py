@@ -112,13 +112,16 @@ class DecodedBlockCache:
         self._obs_resident_bytes.set(self.resident_bytes)
         self._obs_delta_bytes.set(self.resident_bytes - self.approx_bytes)
 
-    def _recharge(self, key: tuple[str, int], entry) -> None:
-        """Refresh one entry's byte charge (lazy forms may have grown it)."""
+    def _recharge(self, key: tuple[str, int], entry) -> bool:
+        """Refresh one entry's byte charge (lazy forms may have grown it);
+        True when it changed."""
         size = _entry_bytes(entry)
         old = self._charged.get(key, 0)
-        if size != old:
-            self._charged[key] = size
-            self.resident_bytes += size - old
+        if size == old:
+            return False
+        self._charged[key] = size
+        self.resident_bytes += size - old
+        return True
 
     def _drop(self, key: tuple[str, int]) -> None:
         entry = self._entries.pop(key)
@@ -127,51 +130,75 @@ class DecodedBlockCache:
 
     def get(self, run_name: str, block_no: int) -> Optional[DecodedBlock]:
         """The decoded block, refreshed to most-recently-used; None on miss."""
-        key = (run_name, block_no)
+        return self.get_many(run_name, (block_no,))[0]
+
+    def get_many(self, run_name: str, block_nos) -> list[Optional[DecodedBlock]]:
+        """:meth:`get` for each of ``block_nos``, in order, under one lock
+        hold and one gauge publish — what a run scan does per read group.
+        Counts and LRU order are those of the per-block calls."""
         stats = self._stats
+        entries = self._entries
+        found: list[Optional[DecodedBlock]] = []
+        hits = 0
+        recharged = False
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                self._obs_misses.add(1)
-                if stats is not None:
-                    stats.block_cache_misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self._recharge(key, entry)
-            self._publish_bytes()
-            self.hits += 1
-            self._obs_hits.add(1)
-            if stats is not None:
-                stats.block_cache_hits += 1
-            return entry
+            for block_no in block_nos:
+                key = (run_name, block_no)
+                entry = entries.get(key)
+                found.append(entry)
+                if entry is not None:
+                    hits += 1
+                    entries.move_to_end(key)
+                    recharged |= self._recharge(key, entry)
+            misses = len(found) - hits
+            self.hits += hits
+            self.misses += misses
+            if recharged:  # a hit moves no gauge unless an entry grew
+                self._publish_bytes()
+        if hits:
+            self._obs_hits.add(hits)
+        if misses:
+            self._obs_misses.add(misses)
+        if stats is not None:
+            stats.block_cache_hits += hits
+            stats.block_cache_misses += misses
+        return found
 
     def put(self, run_name: str, block_no: int, block: DecodedBlock) -> None:
         """Insert a decoded block, evicting the least-recently-used ones."""
+        self.put_many(run_name, ((block_no, block),))
+
+    def put_many(self, run_name: str, blocks) -> None:
+        """:meth:`put` for each ``(block_no, block)`` of ``blocks``, in
+        order, under one lock hold and one gauge publish; evictions happen
+        insert by insert, exactly as the per-block calls would make them."""
         if self.capacity == 0:
             return
-        key = (run_name, block_no)
         stats = self._stats
+        entries = self._entries
+        evicted = 0
         with self._lock:
-            if key in self._entries:
-                self._drop(key)
-            self._entries[key] = block
-            self._entries.move_to_end(key)
-            self._charged[key] = _entry_bytes(block)
-            self.resident_bytes += self._charged[key]
-            self.approx_bytes += _entry_encoded_bytes(block)
-            while len(self._entries) > self.capacity or (
-                self.capacity_bytes is not None
-                and len(self._entries) > 1
-                and self.resident_bytes > self.capacity_bytes
-            ):
-                victim = next(iter(self._entries))
-                self._drop(victim)
-                self.evictions += 1
-                self._obs_evictions.add(1)
-                if stats is not None:
-                    stats.block_cache_evictions += 1
+            for block_no, block in blocks:
+                key = (run_name, block_no)
+                if key in entries:
+                    self._drop(key)
+                entries[key] = block
+                self._charged[key] = _entry_bytes(block)
+                self.resident_bytes += self._charged[key]
+                self.approx_bytes += _entry_encoded_bytes(block)
+                while len(entries) > self.capacity or (
+                    self.capacity_bytes is not None
+                    and len(entries) > 1
+                    and self.resident_bytes > self.capacity_bytes
+                ):
+                    self._drop(next(iter(entries)))
+                    evicted += 1
+            self.evictions += evicted
             self._publish_bytes()
+        if evicted:
+            self._obs_evictions.add(evicted)
+            if stats is not None:
+                stats.block_cache_evictions += evicted
 
     def invalidate_run(self, run_name: str) -> int:
         """Drop every cached block of one run (called when a run is deleted).

@@ -1,9 +1,11 @@
-"""Array-at-a-time merge kernels over structure-of-arrays update blocks.
+"""Array-at-a-time merge kernels over columnar update blocks.
 
-The scan-side operators (:mod:`repro.core.operators`) spend most of their
-time in per-record Python work: tuple keys, heap pushes, one iterator
-round-trip per update.  These kernels replace that with column operations
-over the :class:`~repro.core.update.ColumnarBlock` layout:
+The scan-side operators (:mod:`repro.core.operators`) would otherwise spend
+their time in per-record Python work: tuple keys, heap pushes, one iterator
+round-trip and one :class:`~repro.core.update.UpdateRecord` per update.
+These kernels replace that with column operations over
+:class:`~repro.core.update.UpdateColumns` — header columns plus payload
+offsets into the bytes that were read:
 
 * a **galloping two-source merge**: each side's key column is binary-searched
   into the other (``np.searchsorted``), producing the merged permutation with
@@ -12,17 +14,19 @@ over the :class:`~repro.core.update.ColumnarBlock` layout:
 * a **k-way lexicographic merge**: concatenate key/timestamp columns in
   source order and ``np.lexsort`` — the stable sort reproduces exactly the
   source-order tie-breaking of the ``heapq``-based reference merge;
-* a **vectorized same-key combine**: duplicate-key chains are located with
-  one shifted comparison over the merged key column and only those chains go
-  through :func:`~repro.core.update.combine_chain`; unique keys (the common
-  case) never touch per-record combine logic;
+* a **same-key combine**: duplicate-key chains are located with one shifted
+  comparison over the merged key column and folded on their encoded form
+  (:meth:`~repro.core.update.UpdateCodec.fold_chain`, which hands a chain
+  that conflicts to :func:`~repro.core.update.combine_chain` for its
+  error); unique keys (the common case) pass through as columns;
 * **key-range partition planning**: boundary keys picked from the runs' own
   sparse indexes split a scan into independently mergeable partitions —
-  the unit of intra-shard parallelism and of bounded-memory batching.
-
-Record objects are only gathered (from the blocks' lazily materialized
-record lists) for positions that survive merging — the lazy materialization
-boundary the columnar layout exists for.
+  the unit of intra-shard parallelism and of bounded-memory batching;
+* an **array-in/array-out outer join** of a merged batch with a key span of
+  table rows (:func:`join_partition`): the page-timestamp rule as one vector
+  compare, DELETE as a mask, MODIFY as per-field column patches copied from
+  the payload bytes, INSERT/REPLACE as a row gather.  Row tuples are built by
+  the caller, once, from the joined array.
 
 ``MASM_DISABLE_KERNELS=1`` (see :func:`enabled`) forces the legacy
 record-at-a-time paths (CI runs the equivalence suite both ways).
@@ -31,24 +35,18 @@ record-at-a-time paths (CI runs the equivalence suite both ways).
 from __future__ import annotations
 
 import os
-from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as _np
 
-from repro.core.update import UpdateRecord, UpdateType, combine_chain, record_array
-from repro.engine.record import Schema
+from repro.core.update import UpdateColumns, UpdateType
 from repro.storage.iosched import (
     KERNEL_COMBINE_CPU_PER_UPDATE,
     KERNEL_MERGE_CPU_PER_UPDATE,
     CpuMeter,
 )
 
-
-#: Identity-compared in the join's hot loops (enum ``in`` tests cost more).
-_INSERT = UpdateType.INSERT
-_REPLACE = UpdateType.REPLACE
-_MODIFY = UpdateType.MODIFY
+_INSERT, _DELETE, _MODIFY, _REPLACE = map(int, UpdateType)
 
 
 def enabled() -> bool:
@@ -60,54 +58,8 @@ def enabled() -> bool:
     return not os.environ.get("MASM_DISABLE_KERNELS")
 
 
-class SourceSlice:
-    """One source's contribution to a key partition, in columnar form.
-
-    ``keys``/``timestamps`` are int64 arrays sorted by (key, ts);
-    ``records`` is the aligned :class:`UpdateRecord` object ndarray (pointer
-    array — merging gathers records with one fancy-index operation).
-    """
-
-    __slots__ = ("keys", "timestamps", "records")
-
-    def __init__(self, keys, timestamps, records) -> None:
-        self.keys = keys
-        self.timestamps = timestamps
-        self.records = records
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    @classmethod
-    def from_records(cls, records: Sequence[UpdateRecord]) -> "SourceSlice":
-        """Columnarize an already-sorted record list (buffer/fallback rows)."""
-        n = len(records)
-        keys = _np.fromiter((u.key for u in records), _np.int64, n)
-        ts = _np.fromiter((u.timestamp for u in records), _np.int64, n)
-        return cls(keys, ts, record_array(records))
-
-
-class UpdateBatch:
-    """One partition's merged output: combined updates in strict key order.
-
-    ``keys`` (int64, strictly increasing) mirrors ``records`` (an object
-    ndarray, or a plain list when same-key chains were combined) so the
-    batch join can binary-search updates against data keys without touching
-    the record objects.
-    """
-
-    __slots__ = ("keys", "records")
-
-    def __init__(self, keys, records) -> None:
-        self.keys = keys
-        self.records = records
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-
 # --------------------------------------------------------------------- merge
-def _gallop_two_source_order(a: SourceSlice, b: SourceSlice):
+def _gallop_two_source_order(a: UpdateColumns, b: UpdateColumns):
     """Merged permutation of two slices via galloping binary search.
 
     Returns the ``order`` array (indices into the a++b concatenation), or
@@ -135,11 +87,10 @@ def _gallop_two_source_order(a: SourceSlice, b: SourceSlice):
 
 
 def merge_slices(
-    slices: Sequence[SourceSlice],
-    schema: Schema,
-    cpu: Optional[CpuMeter] = None,
-) -> UpdateBatch:
-    """Merge (key, ts)-sorted slices and combine same-key chains.
+    slices: Sequence[UpdateColumns], cpu: Optional[CpuMeter] = None
+) -> Optional[UpdateColumns]:
+    """Merge (key, ts)-sorted slices and combine same-key chains into one
+    batch, strictly increasing in key; None when every slice is empty.
 
     ``slices`` must be in source order: the stable lexicographic sort (and
     the galloping two-source path) then break (key, ts) ties exactly like
@@ -147,66 +98,86 @@ def merge_slices(
     """
     live = [s for s in slices if len(s)]
     if not live:
-        return UpdateBatch(_np.empty(0, dtype=_np.int64), [])
-    if len(live) == 1:
-        src = live[0]
-        keys, recs = src.keys, src.records
-    else:
-        order = None
-        if len(live) == 2:
-            order = _gallop_two_source_order(live[0], live[1])
-        keys = _np.concatenate([s.keys for s in live])
-        if order is None:
-            ts = _np.concatenate([s.timestamps for s in live])
-            order = _np.lexsort((ts, keys))
-        keys = keys[order]
-        recs = _np.concatenate([s.records for s in live])[order]
+        return None
+    merged = UpdateColumns.concat(live)
+    order = None
+    if len(live) == 2:
+        order = _gallop_two_source_order(live[0], live[1])
+    if order is None and len(live) > 1:
+        order = _np.lexsort((merged.timestamps, merged.keys))
     if cpu is not None:
-        cpu.charge_batch(len(recs), KERNEL_MERGE_CPU_PER_UPDATE, kind="merge")
-    return _combine_same_key_runs(keys, recs, schema, cpu)
+        cpu.charge_batch(len(merged), KERNEL_MERGE_CPU_PER_UPDATE, kind="merge")
+    return _combine_same_key_runs(merged, order, cpu)
 
 
 def _combine_same_key_runs(
-    keys, recs, schema: Schema, cpu: Optional[CpuMeter]
-) -> UpdateBatch:
-    """Collapse runs of equal keys via combine_chain; unique keys pass through.
+    merged: UpdateColumns, order, cpu: Optional[CpuMeter]
+) -> UpdateColumns:
+    """``merged`` in ``order`` (None: as it stands) with every run of equal
+    keys collapsed into the chain's combined update.
 
-    Duplicates are located with one shifted comparison; only the (typically
-    rare) duplicated positions pay per-record combine cost.  The combined
-    record takes the chain's position; absorbed records are dropped, keeping
-    the slice-assembly cost proportional to the number of chains.
+    Chains are located with one shifted comparison and folded on their
+    encoded form (:meth:`UpdateCodec.fold_chain`): most keep one member's
+    payload as it is, the rest get a freshly spliced payload appended to the
+    batch's buffer.  The combined update takes the chain's first position,
+    its last member's timestamp and the folded op code.  Rows of unique keys
+    pass through untouched, and nothing becomes an object.
     """
-    n = len(recs)
-    if n < 2:
-        return UpdateBatch(keys, recs)
+    keys = merged.keys if order is None else merged.keys[order]
     dup = keys[1:] == keys[:-1]
     if not dup.any():
-        return UpdateBatch(keys, recs)
-    recs = recs.tolist() if isinstance(recs, _np.ndarray) else recs
-    dup_pos = _np.flatnonzero(dup)
-    # Group consecutive duplicate positions into chains: positions p where
-    # keys[p] == keys[p+1]; a gap > 1 between positions starts a new chain.
-    splits = _np.flatnonzero(_np.diff(dup_pos) > 1) + 1
-    pieces: list[list[UpdateRecord]] = []
-    prev = 0
-    combined_records = 0
-    for group in _np.split(dup_pos, splits):
-        start = int(group[0])
-        end = int(group[-1]) + 1  # inclusive index of the chain's last record
-        pieces.append(recs[prev:start])
-        pieces.append([combine_chain(recs[start : end + 1], schema)])
-        combined_records += end + 1 - start
-        prev = end + 1
-    pieces.append(recs[prev:])
-    out = list(chain.from_iterable(pieces))
-    keep = _np.empty(n, dtype=bool)
-    keep[0] = True
-    keep[1:] = ~dup  # one survivor per chain, at the chain's first position
+        return merged if order is None else merged.rows(order)
+    follows = _np.zeros(len(keys), dtype=bool)  # same key as the row before
+    follows[1:] = dup
+    member = follows.copy()
+    member[:-1] |= dup
+    member_rows = member.nonzero()[0]
+    if order is not None:
+        member_rows = order[member_rows]
+    codec = merged.codec
+    head = codec.header_size
+    data = merged.data
+    ops = merged.ops[member_rows].tolist()
+    bodies = (merged.offsets[member_rows] + head).tolist()
+    lengths = merged.lengths[member_rows].tolist()
+    # Chain c owns members[starts[c] : starts[c + 1]].
+    starts = (~follows[member]).nonzero()[0].tolist()
+    starts.append(len(ops))
+    folded_ops = []
+    kept = []  # per chain: the member whose payload (or header slot) it keeps
+    fresh = []  # (chain, new payload bytes)
+    for chain, (lo, hi) in enumerate(zip(starts, starts[1:])):
+        op, payload = codec.fold_chain(data, ops[lo:hi], bodies[lo:hi], lengths[lo:hi])
+        folded_ops.append(op)
+        if isinstance(payload, int):
+            kept.append(lo + payload)
+        else:
+            kept.append(hi - 1)
+            fresh.append((chain, payload))
     if cpu is not None:
-        cpu.charge_batch(
-            combined_records, KERNEL_COMBINE_CPU_PER_UPDATE, kind="combine"
-        )
-    return UpdateBatch(keys[keep], out)
+        cpu.charge_batch(len(ops), KERNEL_COMBINE_CPU_PER_UPDATE, kind="combine")
+    # One output row per key: a unique key's own row, a chain's combined one.
+    heads = (~follows).nonzero()[0]
+    chains = member[heads].nonzero()[0]  # output rows that are chains
+    source = heads if order is None else order[heads]
+    source[chains] = member_rows[kept]
+    out = merged.rows(source)
+    out.ops[chains] = folded_ops
+    out.timestamps[chains] = merged.timestamps[member_rows[_np.array(starts[1:]) - 1]]
+    if fresh:
+        # The batch's bytes, then the new payloads, each behind a header.
+        first, end = merged.byte_span()
+        pieces = [memoryview(data)[first:end]]
+        out.offsets -= first
+        at = end - first
+        blank = bytes(head)
+        for chain, payload in fresh:
+            pieces += (blank, payload)
+            out.offsets[chains[chain]] = at
+            out.lengths[chains[chain]] = len(payload)
+            at += head + len(payload)
+        out.data = b"".join(pieces)
+    return out
 
 
 # ----------------------------------------------------------------- partitions
@@ -272,71 +243,68 @@ def partition_ranges(
 
 
 # ----------------------------------------------------------------- batch join
-def join_partition(
-    batch: UpdateBatch,
-    data_records: list[tuple],
-    data_keys,
-    data_ts,
-    schema: Schema,
-    out: list,
-) -> None:
-    """Outer-join one update batch against one key-span of table records.
+#: What a batch row does in the join, indexed [op, newer, unmatched]: its
+#: packed record is emitted, the base row it matches is dropped, its MODIFY
+#: payload patches the base row it matches.  ``newer`` compares it with the
+#: page timestamp of the base row at its position (meaningless when
+#: ``unmatched``); an unmatched DELETE or MODIFY does nothing, and neither
+#: does anything at or before its page's timestamp — a migration already
+#: applied it in place.
+_EMIT, _DROP, _PATCH = 1, 2, 4
+_ACTIONS = _np.zeros((4, 2, 2), dtype=_np.uint8)
+_ACTIONS[[_INSERT, _REPLACE], :, 1] = _EMIT
+_ACTIONS[[_INSERT, _REPLACE], 1, 0] = _EMIT | _DROP
+_ACTIONS[_DELETE, 1, 0] = _DROP
+_ACTIONS[_MODIFY, 1, 0] = _PATCH
 
-    ``data_keys`` (int64) and ``data_ts`` are arrays aligned with
-    ``data_records``, covering exactly the keys <= the batch's max key that
-    the data stream has produced.  Appends result records to ``out`` in key
-    order, applying the page-timestamp rule per matched record (an update at
-    or before the page timestamp was already migrated in place and the base
-    record wins).
 
-    Untouched data spans are extended wholesale, and batches past the end of
-    the data (or otherwise match-free) turn into one list comprehension over
-    the surviving insertions; matched updates dispatch on their type right
-    here — the per-record ``schema.key`` and ``apply_update`` calls of the
-    record-at-a-time join are what this kernel deletes.
+def join_partition(batch: UpdateColumns, data, data_keys, data_ts):
+    """Outer-join one update batch against one key span of table rows,
+    array in, array out.
+
+    ``data`` is a structured array of the schema's dtype holding the rows
+    with keys <= the batch's max key that the data stream has produced;
+    ``data_keys`` (uint64) and ``data_ts`` (each row's page timestamp,
+    uint64) are aligned with it.  Returns the joined rows in key order, as
+    an array of the same dtype (``data`` itself when no update touches it).
+
+    The page-timestamp rule is one vector compare per batch (an update at or
+    before the page timestamp of the row it matches was already migrated in
+    place and the base row wins); deletions and whole-row replacements drop
+    base rows through a mask, INSERT/REPLACE payloads are gathered straight
+    from the batch's bytes, and MODIFYs copy their packed field values into
+    the matching rows' columns.  No row becomes a tuple here.
     """
-    if not len(data_records):
-        # No base records at these keys: only (re)insertions produce output.
-        out.extend(
-            tuple(u.content)
-            for u in batch.records
-            if u.type is _INSERT or u.type is _REPLACE
-        )
-        return
-    positions = _np.searchsorted(data_keys, batch.keys, side="left")
-    ndata = len(data_records)
-    clipped = positions if positions[-1] < ndata else _np.minimum(positions, ndata - 1)
-    matched = data_keys[clipped] == batch.keys
-    if not matched.any():
-        # Match-free batch: data and insertions interleave by position.
-        prev = 0
-        for update, pos in zip(batch.records, positions.tolist()):
-            if pos > prev:
-                out.extend(data_records[prev:pos])
-                prev = pos
-            if update.type is _INSERT or update.type is _REPLACE:
-                out.append(tuple(update.content))
-        if prev < ndata:
-            out.extend(data_records[prev:])
-        return
-    prev = 0
-    for update, pos, hit, page_ts in zip(
-        batch.records, positions.tolist(), matched.tolist(), data_ts[clipped].tolist()
-    ):
-        if pos > prev:
-            out.extend(data_records[prev:pos])
-            prev = pos
-        t = update.type
-        if not hit:
-            if t is _INSERT or t is _REPLACE:
-                out.append(tuple(update.content))
-            continue
-        prev = pos + 1
-        if update.timestamp <= page_ts:
-            out.append(data_records[pos])  # already applied in place
-        elif t is _INSERT or t is _REPLACE:
-            out.append(tuple(update.content))
-        elif t is _MODIFY:
-            out.append(schema.apply_modification(data_records[pos], update.content))
-    if prev < ndata:
-        out.extend(data_records[prev:])
+    n = len(data)
+    if not n:
+        # No base rows at these keys: only (re)insertions produce output.
+        ops = batch.ops
+        return batch.packed_records((ops == _INSERT) | (ops == _REPLACE))
+    positions = data_keys.searchsorted(batch.keys)
+    unmatched = data_keys.take(positions, mode="clip") != batch.keys
+    newer = batch.timestamps > data_ts.take(positions, mode="clip")
+    actions = _ACTIONS[batch.ops, newer.view(_np.uint8), unmatched.view(_np.uint8)]
+    out = data
+    patched = (actions == _PATCH).nonzero()[0]
+    if len(patched):
+        out = data.copy()
+        batch.apply_modifies(patched, out, positions[patched])
+    emitted = (actions & _EMIT).nonzero()[0]
+    dropped = positions[(actions & _DROP).nonzero()[0]]
+    if not len(emitted) and not len(dropped):
+        return out
+    before = positions[emitted]  # each emitted row goes before this base row
+    if len(dropped):
+        keep = _np.ones(n, dtype=bool)
+        keep[dropped] = False
+        out = out[keep]
+        before -= dropped.searchsorted(before)  # ... counted in kept rows
+    if not len(emitted):
+        return out
+    before += _np.arange(len(emitted))  # ... and in output rows
+    joined = _np.empty(len(out) + len(emitted), dtype=out.dtype)
+    base = _np.ones(len(joined), dtype=bool)
+    base[before] = False
+    joined[before] = batch.packed_records(emitted)
+    joined[base] = out
+    return joined

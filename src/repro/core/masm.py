@@ -20,7 +20,8 @@ import math
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from itertools import chain
+from typing import Iterable, Iterator, Optional
 
 from repro.core.blockcache import DEFAULT_CACHE_BLOCKS, DecodedBlockCache
 from repro.core.compaction import CompactionConfig, CompactionScheduler
@@ -325,6 +326,23 @@ class EngineSnapshot:
         return len(self.heap_payload) + sum(len(r.payload) for r in self.runs)
 
 
+class ScanRows(chain):
+    """A range scan's rows: a chain over what the scan's generator yields
+    (the join, itself a chain over per-partition row lists), so a consumer
+    that drains it (``list``, ``for``, ``islice``) runs no Python frame per
+    row.  :meth:`close` abandons the scan the way closing a generator would
+    (the engine drops the scan's registration)."""
+
+    @classmethod
+    def over(cls, scan) -> "ScanRows":
+        rows = cls.from_iterable(scan)
+        rows._scan = scan
+        return rows
+
+    def close(self) -> None:
+        self._scan.close()
+
+
 class MaSM:
     """SSD-based differential update cache for one table."""
 
@@ -381,6 +399,7 @@ class MaSM:
         self._migrate_hook = None  # installed by attach_migrator()
         self._graveyard: list[tuple[MaterializedSortedRun, int]] = []
         self.redo_log = None  # installed by attach_log()
+        self.snapshots = None  # installed by attach_snapshots()
         #: Commit timestamp of the newest ingested update (freshness marker
         #: for lazily maintained views, Section 5).
         self.last_update_ts = 0
@@ -408,6 +427,13 @@ class MaSM:
             if self.config.compaction == "cost"
             else None
         )
+
+    def attach_snapshots(self, manager) -> None:
+        """Make ``manager`` (a :class:`repro.txn.snapshot.SnapshotManager`)
+        see every update this engine ingests, transactional or not:
+        first-committer-wins must also lose against a plain :meth:`apply`
+        that landed after the transaction's snapshot."""
+        self.snapshots = manager
 
     def attach_log(self, redo_log) -> None:
         """Enable write-ahead logging of incoming updates (Section 3.6).
@@ -516,6 +542,8 @@ class MaSM:
             self.buffer.append(update)
             self.stats.updates_ingested += 1
             self.last_update_ts = max(self.last_update_ts, update.timestamp)
+            if self.snapshots is not None:
+                self.snapshots.note_write(update.timestamp, update.key)
 
     def _handle_full_buffer(self) -> None:
         page = self.ssd_page_size
@@ -801,7 +829,7 @@ class MaSM:
             mem_epoch = self.buffer.flush_epoch
             sim_interleave("masm.scan.begin")
 
-        def stream() -> Iterator[tuple]:
+        def joined() -> Iterator[Iterable[tuple]]:
             try:
                 span = trace("masm.scan", runs=len(runs), query_ts=query_ts)
                 update_sources: list = self.run_update_sources(
@@ -833,7 +861,10 @@ class MaSM:
                     if chunked is not None:
                         data_chunks = chunked(begin_key, end_key)
                 with span:
-                    yield from MergeDataUpdates(
+                    # One iterable, itself a chain over the join's
+                    # per-partition row lists: draining the scan never
+                    # resumes this frame per row.
+                    yield MergeDataUpdates(
                         data,
                         updates,
                         self.table.schema,
@@ -852,7 +883,7 @@ class MaSM:
                     # only pacing site (the governor co-schedules otherwise).
                     self.compactor.maybe_step()
 
-        return stream()
+        return ScanRows.over(joined())
 
     def _run_for_flush(self, flush_epoch: int) -> Optional[MaterializedSortedRun]:
         with self._lock:

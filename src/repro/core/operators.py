@@ -28,7 +28,13 @@ from repro.core import kernels
 from repro.core.blockcache import DecodedBlockCache
 from repro.core.membuffer import BufferFlushed, InMemoryUpdateBuffer
 from repro.core.sortedrun import MaterializedSortedRun
-from repro.core.update import UpdateRecord, apply_update, combine, combine_chain
+from repro.core.update import (
+    UpdateColumns,
+    UpdateRecord,
+    apply_update,
+    combine,
+    combine_chain,
+)
 from repro.engine.record import Schema
 from repro.engine.table import pair_chunks
 from repro.errors import ChecksumError, TransientIOError
@@ -286,9 +292,12 @@ class MergeUpdates:
     the merge runs array-at-a-time: the key range is split into partitions at
     boundary keys drawn from the runs' own indexes, each run contributes a
     partition slice in columnar form (:meth:`MaterializedSortedRun.
-    slice_columns`), non-columnar sources are drained up to the partition
-    boundary, and one kernel invocation merges + combines the partition
-    (:func:`repro.core.kernels.merge_slices`).  A run that fails mid-scan
+    slice_columns`), object-backed sources are drained up to the partition
+    boundary and encoded into the same form, and one kernel invocation
+    merges + combines the partition (:func:`repro.core.kernels.merge_slices`).
+    Iterating the merge materialises each batch's records; the join
+    (:class:`MergeDataUpdates`) takes the batches as they are.  A run that
+    fails mid-scan
     (checksum/transient I/O) degrades to its ``fallback`` stream from the
     current partition boundary on, exactly as the record-at-a-time
     :class:`RunScan` would — slices are built atomically, so nothing from
@@ -320,12 +329,13 @@ class MergeUpdates:
             return self._iter_reference()
         batches = self.kernel_batches()
         if batches is not None:
-            return _chain.from_iterable(b.records for b in batches)
+            return _chain.from_iterable(batch.records for batch in batches)
         return self._iter_fast()
 
-    def kernel_batches(self) -> Optional[Iterator["kernels.UpdateBatch"]]:
-        """Per-partition :class:`~repro.core.kernels.UpdateBatch` generator,
-        or None when the kernel path cannot serve this merge (kernels
+    def kernel_batches(self) -> Optional[Iterator[UpdateColumns]]:
+        """Generator of per-partition merged batches
+        (:class:`~repro.core.update.UpdateColumns`, strictly increasing in
+        key), or None when the kernel path cannot serve this merge (kernels
         disabled, reference path requested, or no columnar run to partition
         by).  :class:`MergeDataUpdates` consumes batches directly so the
         join can stay array-at-a-time too.
@@ -339,8 +349,7 @@ class MergeUpdates:
             return None
         return self._iter_batches_kernel()
 
-    def _iter_batches_kernel(self) -> Iterator["kernels.UpdateBatch"]:
-        schema = self.schema
+    def _iter_batches_kernel(self) -> Iterator[UpdateColumns]:
         cpu = self.cpu
         sources = self.sources
         runs: dict[int, RunScan] = {}
@@ -350,6 +359,13 @@ class MergeUpdates:
                 runs[slot] = src
             else:
                 extras[slot] = _Lookahead(src)
+        # Object-backed sources are encoded the way the runs are.
+        codec = next(iter(runs.values())).run.codec
+
+        def drain(extra: _Lookahead, hi: Optional[int]) -> Optional[UpdateColumns]:
+            records = extra.take_upto(hi)
+            return UpdateColumns.from_records(records, codec) if records else None
+
         begin = min(rs.begin_key for rs in runs.values())
         end = max(rs.end_key for rs in runs.values())
         bounds = kernels.partition_points(
@@ -363,11 +379,12 @@ class MergeUpdates:
         ranges = kernels.partition_ranges(bounds, begin, None)
         for lo, hi in ranges:
             sim_interleave("kernels.partition")
-            slices: list[kernels.SourceSlice] = []
-            decoded = 0
+            slices: list[UpdateColumns] = []
             for slot in range(len(sources)):
                 rs = runs.get(slot)
-                if rs is not None:
+                if rs is None:
+                    cols = drain(extras[slot], hi)
+                else:
                     r_lo = max(lo, rs.begin_key)
                     r_hi = rs.end_key if hi is None else min(hi, rs.end_key)
                     if r_lo > r_hi:
@@ -384,33 +401,19 @@ class MergeUpdates:
                         if rs.fallback is None:
                             raise
                         after = None if lo <= begin else (lo - 1, _MAX_TS)
-                        extra = _Lookahead(rs.fallback(after))
                         del runs[slot]
-                        extras[slot] = extra
-                        records = extra.take_upto(hi)
-                        if records:
-                            slices.append(
-                                kernels.SourceSlice.from_records(records)
-                            )
-                            decoded += len(records)
-                        continue
-                    if cols is not None:
-                        keys, ts, records = cols
-                        slices.append(kernels.SourceSlice(keys, ts, records))
-                        decoded += len(records)
-                else:
-                    records = extras[slot].take_upto(hi)
-                    if records:
-                        slices.append(kernels.SourceSlice.from_records(records))
-                        decoded += len(records)
+                        extras[slot] = _Lookahead(rs.fallback(after))
+                        cols = drain(extras[slot], hi)
+                if cols is not None:
+                    slices.append(cols)
             if not slices:
                 continue
             if cpu is not None:
                 cpu.charge_batch(
-                    decoded, KERNEL_DECODE_CPU_PER_UPDATE, kind="decode"
+                    sum(map(len, slices)), KERNEL_DECODE_CPU_PER_UPDATE, kind="decode"
                 )
-            batch = kernels.merge_slices(slices, schema, cpu)
-            if len(batch):
+            batch = kernels.merge_slices(slices, cpu)
+            if batch is not None:
                 yield batch
 
     def _iter_fast(self) -> Iterator[UpdateRecord]:
@@ -462,15 +465,14 @@ class MergeDataUpdates:
     timestamp rule that lets queries run during in-place migration.
 
     When ``updates`` is a :class:`MergeUpdates` running its kernel path, the
-    join is batch-oriented: per update partition, the data side is pulled up
+    join is array-at-a-time: per update partition, the data side is pulled up
     to the partition's max key and joined in one
-    :func:`repro.core.kernels.join_partition` call (binary search of update
-    keys into the data keys, wholesale extends of untouched data spans).
-    ``data_chunks`` — an iterable of ``(records, keys, timestamps)`` chunks
-    (record tuples plus their aligned int64 key and page-timestamp arrays),
-    e.g. ``Table.range_scan_pair_chunks`` — feeds that path without a
-    per-record generator round-trip and without re-extracting keys; without
-    it the kernel path chunks ``data_pairs`` itself.
+    :func:`repro.core.kernels.join_partition` call, and the joined array
+    becomes row tuples in one :meth:`Schema.unpack_many` call.
+    ``data_chunks`` — an iterable of ``(rows, keys, timestamps)`` chunks (a
+    structured array of the schema's dtype plus the aligned uint64 key and
+    page-timestamp arrays), e.g. ``Table.range_scan_pair_chunks`` — feeds
+    that path; without it the kernel path chunks ``data_pairs`` itself.
     """
 
     def __init__(
@@ -479,7 +481,7 @@ class MergeDataUpdates:
         updates: Iterable[UpdateRecord],
         schema: Schema,
         cpu: Optional[CpuMeter] = None,
-        data_chunks: Optional[Iterable[tuple[list, object, object]]] = None,
+        data_chunks: Optional[Iterable[tuple[object, object, object]]] = None,
     ) -> None:
         self.data_pairs = data_pairs
         self.updates = updates
@@ -495,59 +497,60 @@ class MergeDataUpdates:
                 return _chain.from_iterable(self._iter_kernel_lists(batches))
         return self._iter_reference()
 
-    def _iter_kernel_lists(
-        self, batches: Iterator["kernels.UpdateBatch"]
-    ) -> Iterator[list]:
-        """Join each update partition against its data key span, as lists.
+    def _iter_kernel_lists(self, batches: Iterator[UpdateColumns]) -> Iterator[list]:
+        """Join update batches against data chunks, both in key order.
 
-        The data side stays in chunk-level arrays: a chunk is pulled only
-        when a partition needs keys beyond the buffered ones, and what one
-        partition leaves of it carries over to the next.
+        Each step joins the pending part of one batch with the pending part
+        of one chunk, up to whichever ends first, in one
+        :func:`repro.core.kernels.join_partition` call; a chunk is pulled
+        only when the batch needs keys beyond the buffered ones, so the data
+        side never holds more than one chunk.  Row tuples are built once per
+        step, from the joined array.
         """
         schema = self.schema
+        unpack = schema.unpack_many
         chunks = iter(
             self.data_chunks
             if self.data_chunks is not None
-            else pair_chunks(self.data_pairs, schema.key_of)
+            else pair_chunks(self.data_pairs, schema)
         )
-        exhausted = False
-        records: list = []
-        keys = timestamps = _np.empty(0, dtype=_np.int64)
-        start = 0  # records before it are already joined
+        rows = _np.empty(0, dtype=schema.dtype)
+        keys = timestamps = _np.empty(0, dtype=_np.uint64)
+        start = 0  # rows before it are already joined
         for batch in batches:
-            max_key = int(batch.keys[-1])
-            while not exhausted and (start == len(records) or keys[-1] <= max_key):
-                nxt = next(chunks, None)
-                if nxt is None:
-                    exhausted = True
-                elif start == len(records):
-                    records, keys, timestamps = nxt
+            done = 0  # batch rows before it are already joined
+            while done < len(batch):
+                if start == len(rows):
+                    rows, keys, timestamps = next(chunks, (rows[:0], keys[:0], keys[:0]))
                     start = 0
+                if not len(rows) or batch.keys[-1] < keys[-1]:
+                    # The batch ends inside the chunk (or the data is over).
+                    upto = len(batch)
+                    split = start + int(
+                        _np.searchsorted(keys[start:], batch.keys[-1], side="right")
+                    )
                 else:
-                    records = records[start:] + nxt[0]
-                    keys = _np.concatenate((keys[start:], nxt[1]))
-                    timestamps = _np.concatenate((timestamps[start:], nxt[2]))
-                    start = 0
-            split = start + int(
-                _np.searchsorted(keys[start:], max_key, side="right")
-            )
-            out: list = []
-            kernels.join_partition(
-                batch,
-                records[start:split],
-                keys[start:split],
-                timestamps[start:split],
-                schema,
-                out,
-            )
-            start = split
-            yield out
+                    # The chunk ends inside the batch.
+                    upto = done + int(
+                        _np.searchsorted(batch.keys[done:], keys[-1], side="right")
+                    )
+                    split = len(rows)
+                joined = rows[start:split]
+                if upto > done:
+                    joined = kernels.join_partition(
+                        batch.rows(slice(done, upto)),
+                        joined,
+                        keys[start:split],
+                        timestamps[start:split],
+                    )
+                start = split
+                done = upto
+                yield unpack(joined)
         # Data past the last update key passes through unmodified.
-        if start < len(records):
-            yield records[start:]
-        if not exhausted:
-            for chunk in chunks:
-                yield chunk[0]
+        if start < len(rows):
+            yield unpack(rows[start:])
+        for chunk in chunks:
+            yield unpack(chunk[0])
 
     def _iter_reference(self) -> Iterator[tuple]:
         schema = self.schema

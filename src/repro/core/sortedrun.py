@@ -25,12 +25,14 @@ from repro.core.update import (
     BLOCK_HEADER,
     ColumnarBlock,
     UpdateCodec,
+    UpdateColumns,
     UpdateRecord,
 )
 from repro.errors import ChecksumError, StorageError
 from repro.obs.registry import get_registry
 from repro.storage import checksum as _checksum
 from repro.storage.file import SimFile, StorageVolume
+from repro.util.search import key_position
 from repro.util.units import MB, ceil_div
 
 _BLOCK_HEADER = BLOCK_HEADER  # record count (framing owned by the codec)
@@ -205,43 +207,43 @@ class MaterializedSortedRun:
         for _, entry in self._iter_decoded_blocks(
             first_block, last_block, cache, stats
         ):
-            records = entry.records()
-            keys = entry.key_list()
-            if not keys:
+            if not entry.count:
                 continue
+            keys = entry.keys
             if keys[0] > end_key:
                 return  # blocks are key-ordered: nothing further matches
             lo = 0
             if keys[0] < begin_key:
-                lo = bisect_left(keys, begin_key)
-            if after is not None:
+                lo = key_position(keys, begin_key, "left")
+            hi = len(keys)
+            if keys[-1] > end_key:
+                hi = key_position(keys, end_key, "right")
+            if after is not None and lo < hi and keys[lo] <= after[0]:
                 after_key, after_ts = after
-                pos = bisect_left(keys, after_key, lo)
+                timestamps = entry.timestamps
+                pos = max(lo, key_position(keys, after_key, "left"))
                 while (
-                    pos < len(keys)
+                    pos < hi
                     and keys[pos] == after_key
-                    and records[pos].timestamp <= after_ts
+                    and timestamps[pos] <= after_ts
                 ):
                     pos += 1
                 lo = pos
-            hi = len(keys)
-            if keys[-1] > end_key:
-                hi = bisect_right(keys, end_key, lo)
             if lo >= hi:
                 continue
+            records = entry.records()
             if query_ts is None and migrated_starts is None:
                 if lo == 0 and hi == len(records):
                     yield from records
                 else:
                     yield from records[lo:hi]
             else:
-                for i in range(lo, hi):
-                    update = records[i]
+                for update in records[lo:hi]:
                     if query_ts is not None and update.timestamp > query_ts:
                         continue
                     if migrated_starts is not None:
-                        j = bisect_right(migrated_starts, keys[i]) - 1
-                        if j >= 0 and keys[i] <= migrated[j][1]:
+                        j = bisect_right(migrated_starts, update.key) - 1
+                        if j >= 0 and update.key <= migrated[j][1]:
                             continue
                     yield update
 
@@ -266,30 +268,25 @@ class MaterializedSortedRun:
         while block <= last_block:
             group_end = min(block + READ_BATCH_BLOCKS - 1, last_block)
             group = range(block, group_end + 1)
-            decoded: dict[int, ColumnarBlock] = {}
             if cache is not None:
-                missing = []
-                for b in group:
-                    entry = cache.get(name, b)
-                    if entry is None:
-                        missing.append(b)
-                    else:
-                        decoded[b] = entry
+                entries = cache.get_many(name, group)
+                missing = [b for b, entry in zip(group, entries) if entry is None]
             else:
+                entries = [None] * len(group)
                 missing = list(group)
             if missing:
                 requests = [(b * block_size, block_size) for b in missing]
                 blocks = self.file.read_batch(requests)
                 for b, data in zip(missing, blocks):
                     _checksum.verify(data, context=f"run {name!r} block {b}")
-                for b, entry in zip(missing, self.codec.decode_blocks(blocks)):
-                    if stats is not None:
-                        stats.blocks_decoded += 1
-                    if cache is not None:
-                        cache.put(name, b, entry)
-                    decoded[b] = entry
-            for b in group:
-                yield b, decoded[b]
+                fresh = list(zip(missing, self.codec.decode_blocks(blocks)))
+                if stats is not None:
+                    stats.blocks_decoded += len(fresh)
+                if cache is not None:
+                    cache.put_many(name, fresh)
+                for b, entry in fresh:
+                    entries[b - block] = entry
+            yield from zip(group, entries)
             block = group_end + 1
 
     def slice_columns(
@@ -300,10 +297,11 @@ class MaterializedSortedRun:
         after: Optional[tuple[int, int]] = None,
         cache: Optional[DecodedBlockCache] = None,
         stats=None,
-    ):
+    ) -> Optional[UpdateColumns]:
         """Columnar form of :meth:`scan`: the run's contribution to one key
-        partition as (keys, timestamps, records) — int64 arrays plus the
-        aligned record *object ndarray*, all filters already applied.
+        partition as :class:`UpdateColumns` — header columns plus payload
+        offsets into the read groups' bytes, all filters already applied and
+        no :class:`UpdateRecord` built.
 
         This is what the merge kernels consume (one call per partition per
         run).  Returns None when the partition is empty for this run.
@@ -316,68 +314,62 @@ class MaterializedSortedRun:
         if span is None:
             return None
         first_block, last_block = span
-        migrated = self.masked_spans()
-        key_parts = []
-        ts_parts = []
-        rec_parts = []
+        masked = self.masked_spans()
+        # Stretches of blocks that sit side by side in one read group's
+        # columns: [group, first row, end row].
+        stretches: list[list] = []
         for _, entry in self._iter_decoded_blocks(
             first_block, last_block, cache, stats
         ):
-            if not entry.count:
+            lo, hi = entry.span
+            if lo == hi:
                 continue
-            keys = entry.keys
-            if keys[0] > end_key:
+            group = entry.group
+            if group.columns.keys[lo] > end_key:
                 break  # blocks are key-ordered: nothing further matches
-            lo = 0
-            if keys[0] < begin_key:
-                lo = int(_np.searchsorted(keys, begin_key, side="left"))
-            hi = len(keys)
-            if keys[hi - 1] > end_key:
-                hi = int(_np.searchsorted(keys, end_key, side="right"))
-            if after is not None and lo < hi:
-                after_key, after_ts = after
-                if keys[lo] <= after_key:
-                    ts = entry.timestamps
-                    pos = int(_np.searchsorted(keys, after_key, side="left"))
-                    pos = max(pos, lo)
-                    while (
-                        pos < hi
-                        and keys[pos] == after_key
-                        and ts[pos] <= after_ts
-                    ):
-                        pos += 1
-                    lo = pos
-            if lo >= hi:
-                continue
-            key_parts.append(keys[lo:hi])
-            ts_parts.append(entry.timestamps[lo:hi])
-            rec_parts.append(entry.records_arr()[lo:hi])
-        if not key_parts:
+            if stretches and stretches[-1][0] is group and stretches[-1][2] == lo:
+                stretches[-1][2] = hi
+            else:
+                stretches.append([group, lo, hi])
+        if not stretches:
             return None
-        if len(key_parts) == 1:
-            keys, ts, records = key_parts[0], ts_parts[0], rec_parts[0]
-        else:
-            keys = _np.concatenate(key_parts)
-            ts = _np.concatenate(ts_parts)
-            records = _np.concatenate(rec_parts)
+        # Only the first block can hold keys below the range and only the
+        # last keys above it (what the run index guarantees).
+        group, lo, hi = stretches[0]
+        keys = group.columns.keys
+        if keys[lo] < begin_key:
+            stretches[0][1] = lo + key_position(keys[lo:hi], begin_key, "left")
+        group, lo, hi = stretches[-1]
+        keys = group.columns.keys
+        if keys[hi - 1] > end_key:
+            stretches[-1][2] = lo + key_position(keys[lo:hi], end_key, "right")
+        parts = [
+            group.update_columns(lo, hi) for group, lo, hi in stretches if lo < hi
+        ]
+        if not parts:
+            return None
+        columns = UpdateColumns.concat(parts)
+        keys = columns.keys
         mask = None
-        if query_ts is not None:
-            visible = ts <= query_ts
+        if after is not None and keys[0] <= after[0]:
+            after_key, after_ts = after
+            mask = (keys > after_key) | (
+                (keys == after_key) & (columns.timestamps > after_ts)
+            )
+        if query_ts is not None and query_ts < self.max_ts:
+            visible = columns.timestamps <= query_ts
             if not visible.all():
-                mask = visible
-        if migrated:
-            for m_lo, m_hi in migrated:
-                inside = (keys >= m_lo) & (keys <= m_hi)
-                if inside.any():
-                    outside = ~inside
-                    mask = outside if mask is None else (mask & outside)
+                mask = visible if mask is None else (mask & visible)
+        for m_lo, m_hi in masked:
+            inside = (keys >= m_lo) & (keys <= m_hi)
+            if inside.any():
+                outside = ~inside
+                mask = outside if mask is None else (mask & outside)
         if mask is not None:
-            keys = keys[mask]
-            ts = ts[mask]
-            records = records[mask]
-        if not len(keys):
-            return None
-        return keys, ts, records
+            columns = columns.rows(mask)
+            if not len(columns):
+                return None
+        return columns
 
     def scan_records(
         self,
@@ -551,8 +543,7 @@ def load_run(
     num_blocks = file.size // block_size
     first_keys: list[int] = []
     count = 0
-    min_key = max_key = None
-    min_ts = max_ts = None
+    extremes = []  # per read: (min key, max key, min ts, max ts)
     offset = 0
     while offset < num_blocks * block_size:
         chunk = min(DEFAULT_WRITE_CHUNK, num_blocks * block_size - offset)
@@ -562,20 +553,25 @@ def load_run(
                 data[base : base + block_size],
                 context=f"run {name!r} block {(offset + base) // block_size}",
             )
-            records = codec.decode_block(data, base)
-            for update in records:
-                if min_key is None:
-                    min_key = max_key = update.key
-                    min_ts = max_ts = update.timestamp
-                max_key = max(max_key, update.key)
-                min_key = min(min_key, update.key)
-                min_ts = min(min_ts, update.timestamp)
-                max_ts = max(max_ts, update.timestamp)
-            count += len(records)
-            first_keys.append(records[0].key if records else 0)
+        # One header walk per read: first keys, counts and the key and
+        # timestamp extremes all come off the columns.
+        keys, timestamps, _, _, _, bounds = codec.block_columns(
+            data, 0, chunk // block_size, block_size
+        )
+        starts = _np.asarray(bounds[:-1])
+        filled = starts < _np.asarray(bounds[1:])
+        firsts = _np.zeros(len(starts), dtype=_np.uint64)  # 0: an empty block
+        firsts[filled] = keys[starts[filled]]
+        first_keys.extend(firsts.tolist())
+        if len(keys):
+            count += len(keys)
+            extremes.append(
+                (keys.min(), keys.max(), timestamps.min(), timestamps.max())
+            )
         offset += chunk
     if count == 0:
         raise StorageError(f"run file {name!r} contains no update records")
+    min_keys, max_keys, min_tss, max_tss = zip(*extremes)
     return MaterializedSortedRun(
         name=name,
         file=file,
@@ -583,10 +579,10 @@ def load_run(
         index=RunIndex(first_keys, block_size),
         num_blocks=num_blocks,
         count=count,
-        min_key=min_key,
-        max_key=max_key,
-        min_ts=min_ts,
-        max_ts=max_ts,
+        min_key=int(min(min_keys)),
+        max_key=int(max(max_keys)),
+        min_ts=int(min(min_tss)),
+        max_ts=int(max(max_tss)),
         passes=passes,
     )
 

@@ -179,11 +179,11 @@ class BlockColumns(NamedTuple):
     """Header columns of one or more encoded blocks, from one header walk.
 
     One entry per update, blocks back to back: ``keys`` and ``timestamps``
-    (the unsigned wire values viewed as int64), ``ops`` (uint8), each
-    header's position in the buffer (``offsets``) and its payload length
-    (``lengths``), so update ``i``'s payload spans ``[offsets[i] + header,
-    offsets[i] + header + lengths[i])``.  ``bounds`` has one more entry than
-    there are blocks: block ``b`` owns rows ``bounds[b]:bounds[b + 1]``.
+    (uint64, the wire type), ``ops`` (uint8), each header's position in the
+    buffer (``offsets``, int64) and its payload length (``lengths``, int64),
+    so update ``i``'s payload spans ``[offsets[i] + header, offsets[i] +
+    header + lengths[i])``.  ``bounds`` has one more entry than there are
+    blocks: block ``b`` owns rows ``bounds[b]:bounds[b + 1]``.
     """
 
     keys: object
@@ -233,6 +233,8 @@ class UpdateCodec:
             )
             for f in schema.fields
         )
+        #: Per field ``(offset, width)`` inside a packed record.
+        self._spans = tuple((f.offset, f.width) for f in schema.fields)
         #: ``_HEAD`` as a packed numpy type: headers gathered from a buffer
         #: view as one row per update.
         self._head_dtype = _np.dtype(
@@ -370,31 +372,32 @@ class UpdateCodec:
         return self.frame_block(self.encode_many(updates))
 
     def decode_block(
-        self, data: bytes, offset: int = 0, columns: Optional[BlockColumns] = None
+        self, data: bytes, offset: int = 0, columns=None
     ) -> list[UpdateRecord]:
-        """Decode the block at ``offset`` (as written by :meth:`encode_block`),
-        or every block ``columns`` covers, back to back.
+        """Materialise the :class:`UpdateRecord` of every update in the block
+        at ``offset`` (as written by :meth:`encode_block`), or of every row of
+        ``columns``.
 
-        ``columns`` is a :meth:`block_columns` result over ``data`` when the
-        caller already has it (one block's, or a whole read group's); the
-        headers are never walked twice — timestamps, keys and op codes come
-        from the columns, and only payloads are decoded here, a column at a
-        time: one :meth:`Schema.rows` call for all INSERT/REPLACE records,
-        one value column per field for single-field MODIFYs, and
-        :meth:`_changes` for whatever MODIFY payloads are left.
+        ``columns`` is a :meth:`block_columns` result over ``data`` (one
+        block's, or a whole read group's) or any :class:`UpdateColumns`
+        row selection of it; the headers are never walked twice —
+        timestamps, keys and op codes come from the columns, and only
+        payloads are decoded here, a column at a time: one
+        :meth:`Schema.rows` call for all INSERT/REPLACE records, one value
+        column per field for single-field MODIFYs, and :meth:`_changes` for
+        whatever MODIFY payloads are left.
         """
         if columns is None:
             columns = self.block_columns(data, offset)
-        keys, timestamps, ops, offsets, lengths, _ = columns
+        ops = columns.ops
         if not len(ops):
             return []
-        bodies = offsets + self._HEAD.size
+        bodies = columns.offsets + self._HEAD.size
         whole = _np.flatnonzero((ops == _INSERT) | (ops == _REPLACE))
         rows: list = []
         if len(whole):
             # block_columns checked every INSERT/REPLACE payload's length.
-            packed = _windows(data, self._record_size)[bodies[whole]]
-            rows = self.schema.rows(packed.view(self.schema.dtype)[:, 0])
+            rows = self.schema.rows(self.packed_records(data, bodies[whole]))
         if len(rows) == len(ops):
             contents = rows
         else:
@@ -403,21 +406,29 @@ class UpdateCodec:
             modify = _np.flatnonzero(ops == _MODIFY)
             if len(modify):
                 column[modify] = self._change_dicts(
-                    data, bodies[modify], lengths[modify]
+                    data, bodies[modify], columns.lengths[modify]
                 )
             contents = column.tolist()
-        # The columns are the unsigned wire values viewed as int64.
         return list(
             starmap(
                 UpdateRecord,
                 zip(
-                    timestamps.view(_np.uint64).tolist(),
-                    keys.view(_np.uint64).tolist(),
+                    columns.timestamps.tolist(),
+                    columns.keys.tolist(),
                     _TYPE_ARRAY[ops].tolist(),
                     contents,
                 ),
             )
         )
+
+    def packed_records(self, data, bodies):
+        """The packed records starting at each of ``bodies`` in ``data``, as
+        one structured array of the schema's dtype (a gather: the rows need
+        not be adjacent, aligned or in order)."""
+        if not len(bodies):
+            return _np.empty(0, dtype=self.schema.dtype)
+        packed = _windows(data, self._record_size)[bodies]
+        return packed.view(self.schema.dtype)[:, 0]
 
     def _change_dicts(self, data: bytes, bodies, lengths):
         """The ``field -> new value`` dict of each MODIFY payload, as an
@@ -512,9 +523,10 @@ class UpdateCodec:
         except struct.error:  # a header past the end of ``data``
             raise ReproError("truncated update record") from None
         if not pieces:
+            none = _np.empty(0, dtype=_np.uint64)
             empty = _np.empty(0, dtype=_np.int64)
             return BlockColumns(
-                empty, empty, _np.empty(0, dtype=_np.uint8), empty, empty, bounds
+                none, none, _np.empty(0, dtype=_np.uint8), empty, empty, bounds
             )
         offsets = _np.concatenate(pieces)
         heads = _windows(data, head_size)[offsets].view(self._head_dtype)[:, 0]
@@ -530,8 +542,8 @@ class UpdateCodec:
                 f"record payload in block does not match schema size {rec_size}"
             )
         return BlockColumns(
-            _np.ascontiguousarray(heads["key"]).view(_np.int64),
-            _np.ascontiguousarray(heads["timestamp"]).view(_np.int64),
+            _np.ascontiguousarray(heads["key"]),
+            _np.ascontiguousarray(heads["timestamp"]),
             ops,
             offsets,
             lengths,
@@ -541,26 +553,123 @@ class UpdateCodec:
     def decode_blocks(self, blocks: Sequence[bytes]) -> list["ColumnarBlock"]:
         """Decode equal-sized encoded blocks (one read group) in one pass.
 
-        One :meth:`block_columns` walk and one :meth:`decode_block` payload
-        pass serve the whole group; each returned :class:`ColumnarBlock`
-        holds its own raw bytes and record list, and its key / timestamp /
-        op columns as views of the group's arrays.
+        One :meth:`block_columns` walk serves the whole group; the returned
+        :class:`ColumnarBlock` s share the group's bytes and header columns
+        (each owns a row range of them), and no :class:`UpdateRecord` is
+        built until one of them is asked for its records.
         """
         if not blocks:
             return []
         data = blocks[0] if len(blocks) == 1 else b"".join(blocks)
-        columns = self.block_columns(data, 0, len(blocks), len(blocks[0]))
-        records = self.decode_block(data, 0, columns)
-        keys, timestamps, ops, _, _, bounds = columns
+        stride = len(blocks[0])
+        columns = self.block_columns(data, 0, len(blocks), stride)
+        group = BlockGroup(data, self, columns, stride)
         return [
-            ColumnarBlock(
-                block,
-                self,
-                columns=(keys[lo:hi], timestamps[lo:hi], ops[lo:hi]),
-                records=records[lo:hi],
-            )
-            for block, lo, hi in zip(blocks, bounds, bounds[1:])
+            ColumnarBlock(data, self, i * stride, group=group, index=i)
+            for i in range(len(blocks))
         ]
+
+    def apply_modifies(self, data, bodies, lengths, rows, targets) -> None:
+        """Write the field values of MODIFY payloads straight into a
+        structured array: payload ``i`` (``data[bodies[i] : bodies[i] +
+        lengths[i]]``) patches ``rows[targets[i]]``.  ``targets`` must not
+        repeat.
+
+        One round per (index, value) pair position: every payload's next
+        pair is read at once, and each field that occurs in the round moves
+        its values with one gather from the buffer and one scatter into the
+        field's column — the packed value bytes are never decoded.
+        """
+        spans = self._spans
+        names = self.schema.dtype.names
+        at = bodies  # each payload's next unread pair
+        ends = bodies + lengths
+        left = lengths  # bytes from there to the payload's end
+        try:
+            while left.any():
+                if not left.all():
+                    if left.min() < 0:
+                        break
+                    unread = left > 0
+                    at, ends, targets = at[unread], ends[unread], targets[unread]
+                indexes = _windows(data, 2)[at].view("<u2")[:, 0]
+                present = set(indexes.tolist())
+                at = at + 2
+                for idx in present:
+                    width = spans[idx][1]
+                    if not width:
+                        continue
+                    if len(present) == 1:
+                        mine = slice(None)
+                    else:
+                        mine = (indexes == idx).nonzero()[0]
+                    values = _windows(data, width)[at[mine]]
+                    rows[names[idx]][targets[mine]] = values.view(
+                        self.schema.dtype[idx]
+                    )[:, 0]
+                    at[mine] += width
+                left = ends - at
+        except IndexError:  # a field index or value past what there is
+            raise ReproError("malformed MODIFY payload") from None
+        if left.any():
+            raise ReproError("MODIFY payload does not end on a field boundary")
+
+    def fold_chain(self, data, ops, bodies, lengths):
+        """Combine one same-key chain on its encoded form — what
+        :func:`combine_chain` does to the decoded records, bytes to bytes.
+
+        ``ops`` / ``bodies`` / ``lengths`` are the chain's members in
+        timestamp order (plain ints; ``bodies`` the payload positions in
+        ``data``).  Returns ``(op, payload)`` of the combined update:
+        ``payload`` is a member's index when that member's payload is the
+        result's as it stands (the last DELETE; the last INSERT/REPLACE with
+        nothing after it), otherwise new payload bytes (the last
+        INSERT/REPLACE record with the later MODIFYs' values spliced in, or
+        the MODIFYs merged into one).  An illegal chain is decoded and handed
+        to :func:`combine_chain`, which raises its
+        :class:`UpdateConflictError`.
+        """
+        state = ops[0]
+        base = 0
+        modifies = [0] if state == _MODIFY else []
+        for i in range(1, len(ops)):
+            op = ops[i]
+            if op == _DELETE:
+                state, modifies = op, []
+            elif op == _MODIFY and state != _DELETE:
+                modifies.append(i)
+            elif op == _REPLACE or (op == _INSERT and state not in _WHOLE_RECORD):
+                state, base, modifies = _REPLACE, i, []
+            else:  # MODIFY of a deleted record, INSERT of a live one
+                head = self._HEAD.size
+                records = [self.decode(data, body - head)[0] for body in bodies]
+                combine_chain(records, self.schema)
+                raise ReproError("illegal update chain combined")  # pragma: no cover
+        if state == _DELETE:
+            return state, len(ops) - 1
+        if not modifies:
+            return state, base
+        spans = self._spans
+        index_at = self._FIELD_INDEX.unpack_from
+        record = None  # the packed record being patched; None: MODIFYs only
+        if state != _MODIFY:
+            start = bodies[base]
+            record = bytearray(data[start : start + self._record_size])
+        merged: dict = {}  # field index -> its latest (index, value) pair
+        for i in modifies:
+            pos = bodies[i]
+            end = pos + lengths[i]
+            while pos < end:
+                (idx,) = index_at(data, pos)
+                offset, width = spans[idx]
+                if record is None:
+                    merged[idx] = data[pos : pos + 2 + width]
+                else:
+                    record[offset : offset + width] = data[pos + 2 : pos + 2 + width]
+                pos += 2 + width
+        if record is None:
+            return state, b"".join([merged[idx] for idx in sorted(merged)])
+        return state, bytes(record)
 
 
 #: Estimated Python-heap bytes per materialized UpdateRecord beyond its
@@ -569,9 +678,8 @@ class UpdateCodec:
 #: but a far better one than the encoded block size used before.
 RECORD_OBJECT_OVERHEAD = 176
 
-#: Estimated bytes per entry of a materialized Python key list (list slot
-#: plus a small-int-or-boxed-int object).
-KEY_LIST_ENTRY_BYTES = 40
+#: Bytes of header columns per update (key, timestamp, op, offset, length).
+_COLUMN_BYTES = 8 + 8 + 1 + 8 + 8
 
 
 def record_array(records: Sequence[UpdateRecord]):
@@ -579,65 +687,210 @@ def record_array(records: Sequence[UpdateRecord]):
     return _np.fromiter(records, dtype=object, count=len(records))
 
 
+class UpdateColumns:
+    """Encoded updates in columnar form: a byte buffer plus the header
+    columns of the updates in it — what a scan moves from run blocks (and
+    the memory buffer) through the merge into the join.
+
+    ``keys`` / ``timestamps`` (uint64), ``ops`` (uint8), and for each update
+    its header's position in ``data`` (``offsets``) and its payload length
+    (``lengths``), as in :class:`BlockColumns`.  Rows are in (key, ts) order
+    when the object is a source's slice, and strictly increasing in key when
+    it is a merged batch.  Payload bytes are touched only by whoever needs
+    them: :meth:`records` (chains, structural merges, migration) and the
+    join's row gather / column patches.
+    """
+
+    __slots__ = ("data", "codec", "keys", "timestamps", "ops", "offsets", "lengths")
+
+    def __init__(self, data, codec, keys, timestamps, ops, offsets, lengths) -> None:
+        self.data = data
+        self.codec = codec
+        self.keys = keys
+        self.timestamps = timestamps
+        self.ops = ops
+        self.offsets = offsets
+        self.lengths = lengths
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    @classmethod
+    def from_records(
+        cls, records: Sequence[UpdateRecord], codec: UpdateCodec
+    ) -> "UpdateColumns":
+        """Encode object-backed updates (memory buffer, log replay, folded
+        chains) into the form run blocks already have."""
+        data = codec.encode_block(records)
+        keys, timestamps, ops, offsets, lengths, _ = codec.block_columns(data)
+        return cls(data, codec, keys, timestamps, ops, offsets, lengths)
+
+    def rows(self, index) -> "UpdateColumns":
+        """The updates selected by ``index`` (a slice, mask or index array),
+        over the same buffer."""
+        return UpdateColumns(
+            self.data,
+            self.codec,
+            self.keys[index],
+            self.timestamps[index],
+            self.ops[index],
+            self.offsets[index],
+            self.lengths[index],
+        )
+
+    def byte_span(self) -> tuple[int, int]:
+        """The byte range of ``data`` the rows occupy (non-empty, rows in
+        buffer order: first header to last payload)."""
+        end = int(self.offsets[-1]) + self.codec.header_size + int(self.lengths[-1])
+        return int(self.offsets[0]), end
+
+    @staticmethod
+    def concat(parts: Sequence["UpdateColumns"]) -> "UpdateColumns":
+        """Rows of ``parts`` back to back over one buffer.  Every part must
+        be non-empty with its rows in buffer order; each contributes only
+        the byte range its rows span, so a narrow slice of a large read
+        group costs what it uses."""
+        if len(parts) == 1:
+            return parts[0]
+        pieces = []
+        offsets = []
+        base = 0
+        for part in parts:
+            lo, hi = part.byte_span()
+            pieces.append(memoryview(part.data)[lo:hi])
+            offsets.append(part.offsets + (base - lo))
+            base += hi - lo
+        return UpdateColumns(
+            b"".join(pieces),
+            parts[0].codec,
+            _np.concatenate([part.keys for part in parts]),
+            _np.concatenate([part.timestamps for part in parts]),
+            _np.concatenate([part.ops for part in parts]),
+            _np.concatenate(offsets),
+            _np.concatenate([part.lengths for part in parts]),
+        )
+
+    @property
+    def records(self) -> list[UpdateRecord]:
+        """The :class:`UpdateRecord` of every row, built now."""
+        return self.codec.decode_block(self.data, 0, self)
+
+    def packed_records(self, index):
+        """The packed records of the INSERT/REPLACE rows ``index`` selects,
+        as a structured array of the schema's dtype."""
+        codec = self.codec
+        return codec.packed_records(self.data, self.offsets[index] + codec.header_size)
+
+    def apply_modifies(self, index, rows, targets) -> None:
+        """Patch ``rows[targets]`` with the MODIFY rows ``index`` selects."""
+        codec = self.codec
+        codec.apply_modifies(
+            self.data,
+            self.offsets[index] + codec.header_size,
+            self.lengths[index],
+            rows,
+            targets,
+        )
+
+
+class BlockGroup:
+    """One read group's verified bytes and header columns, shared by the
+    :class:`ColumnarBlock` s decoded from it; the group's
+    :class:`UpdateRecord` s are built in one pass the first time any of its
+    blocks is asked for records."""
+
+    __slots__ = ("data", "codec", "columns", "stride", "_records")
+
+    def __init__(
+        self, data: bytes, codec: UpdateCodec, columns: BlockColumns, stride: int
+    ) -> None:
+        self.data = data
+        self.codec = codec
+        self.columns = columns
+        #: Bytes per block: the on-SSD footprint of each.
+        self.stride = stride
+        self._records: Optional[list[UpdateRecord]] = None
+
+    def update_columns(self, lo: int, hi: int) -> UpdateColumns:
+        """Rows ``lo:hi`` as :class:`UpdateColumns` (views) over the group's
+        bytes."""
+        keys, timestamps, ops, offsets, lengths, _ = self.columns
+        return UpdateColumns(
+            self.data,
+            self.codec,
+            keys[lo:hi],
+            timestamps[lo:hi],
+            ops[lo:hi],
+            offsets[lo:hi],
+            lengths[lo:hi],
+        )
+
+    def records(self) -> list[UpdateRecord]:
+        if self._records is None:
+            self._records = self.codec.decode_block(self.data, 0, self.columns)
+        return self._records
+
+
 class ColumnarBlock:
-    """Structure-of-arrays form of one decoded update block.
+    """One decoded update block: a row range of its read group's verified
+    bytes and header columns.
 
-    Holds the verified raw block bytes plus the decoded forms:
-
-    * :meth:`columns` — parallel key / timestamp / op-code arrays
-      (``int64``/``uint8``), the form the merge kernels consume;
-    * :meth:`records` — the block's :class:`UpdateRecord` list;
-    * :meth:`records_arr` / :meth:`key_list` — an object ndarray over the
-      records and a plain Python key list, built on first use.
+    * :attr:`keys` / :attr:`timestamps` / :attr:`ops` — the block's rows of
+      the group's header columns (views), what scans slice and merge;
+    * :meth:`update_columns` — the same rows with payload offsets, over the
+      group's buffer;
+    * :meth:`records` — the block's :class:`UpdateRecord` list, for
+      record-at-a-time consumers (``MaterializedSortedRun.scan``, structural
+      merges, migration); the first call on any block of a read group
+      materialises the whole group.
 
     A run scan builds these for a whole read group at once
-    (:meth:`UpdateCodec.decode_blocks`) and hands each block its share, the
-    columns as views of the group's arrays; a block constructed on its own
-    decodes itself on first use, through the same codec calls.
+    (:meth:`UpdateCodec.decode_blocks`); a block constructed on its own is a
+    group of one.
 
     Instances are what :class:`repro.core.blockcache.DecodedBlockCache`
     stores; :attr:`nbytes` reports the entry's current decoded footprint so
     the cache's byte accounting tracks lazy materialization as it happens.
     """
 
-    __slots__ = (
-        "data",
-        "offset",
-        "count",
-        "codec",
-        "_cols",
-        "_records",
-        "_recarr",
-        "_keys",
-    )
+    __slots__ = ("group", "index", "offset")
 
     def __init__(
         self,
         data: bytes,
         codec: UpdateCodec,
         offset: int = 0,
-        columns=None,
-        records: Optional[list[UpdateRecord]] = None,
+        group: Optional[BlockGroup] = None,
+        index: int = 0,
     ) -> None:
-        (self.count,) = BLOCK_HEADER.unpack_from(data, offset)
-        self.data = data
+        if group is None:
+            columns = codec.block_columns(data, offset)
+            group = BlockGroup(data, codec, columns, len(data) - offset)
+        self.group = group
+        self.index = index
+        #: Where the block starts in ``data``.
         self.offset = offset
-        self.codec = codec
-        self._cols = columns
-        self._records = records
-        self._recarr = None
-        self._keys: Optional[list[int]] = None
 
-    def _decode(self) -> None:
-        columns = self.codec.block_columns(self.data, self.offset)
-        self._cols = columns[:3]
-        self._records = self.codec.decode_block(self.data, self.offset, columns)
+    @property
+    def data(self) -> bytes:
+        return self.group.data
+
+    @property
+    def span(self) -> tuple[int, int]:
+        """This block's row range in its group's columns."""
+        bounds = self.group.columns.bounds
+        return bounds[self.index], bounds[self.index + 1]
+
+    @property
+    def count(self) -> int:
+        lo, hi = self.span
+        return hi - lo
 
     def columns(self):
         """(keys, timestamps, ops) column arrays."""
-        if self._cols is None:
-            self._decode()
-        return self._cols
+        lo, hi = self.span
+        keys, timestamps, ops = self.group.columns[:3]
+        return keys[lo:hi], timestamps[lo:hi], ops[lo:hi]
 
     @property
     def keys(self):
@@ -651,59 +904,30 @@ class ColumnarBlock:
     def ops(self):
         return self.columns()[2]
 
+    def update_columns(self) -> UpdateColumns:
+        """The block's updates as :class:`UpdateColumns`."""
+        return self.group.update_columns(*self.span)
+
     def records(self) -> list[UpdateRecord]:
         """The block's UpdateRecord list."""
-        if self._records is None:
-            self._decode()
-        return self._records
-
-    def records_arr(self):
-        """The record list as an object ndarray (lazy, memoized).
-
-        The merge kernels gather surviving records with one fancy-index
-        operation over these arrays (pointer copies) instead of a Python
-        list comprehension per merge; slicing them is zero-copy.
-        """
-        if self._recarr is None:
-            self._recarr = record_array(self.records())
-        return self._recarr
-
-    def key_list(self) -> list[int]:
-        """Plain Python key list for bisect searches (lazy, memoized)."""
-        if self._keys is None:
-            self._keys = [u.key for u in self.records()]
-        return self._keys
+        lo, hi = self.span
+        return self.group.records()[lo:hi]
 
     @property
     def encoded_size(self) -> int:
         """The on-SSD footprint this entry replaces (the old accounting)."""
-        return len(self.data) - self.offset
+        return self.group.stride
 
     @property
     def nbytes(self) -> int:
-        """Current decoded footprint: raw bytes + every materialized form."""
-        total = len(self.data) - self.offset
-        if self._cols is not None:
-            total += sum(col.nbytes for col in self._cols)
-        if self._records is not None:
-            total += self.count * RECORD_OBJECT_OVERHEAD + self.encoded_size
-        if self._recarr is not None:
-            total += self._recarr.nbytes
-        if self._keys is not None:
-            total += self.count * KEY_LIST_ENTRY_BYTES
+        """Current decoded footprint: the block's share of its group's raw
+        bytes, header columns and (once built) records."""
+        group = self.group
+        total = group.stride + self.count * _COLUMN_BYTES
+        if group._records is not None:
+            total += self.count * RECORD_OBJECT_OVERHEAD + group.stride
         return total
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        forms = [
-            name
-            for name, present in (
-                ("cols", self._cols is not None),
-                ("records", self._records is not None),
-                ("keys", self._keys is not None),
-            )
-            if present
-        ]
-        return (
-            f"ColumnarBlock({self.count} records, {self.nbytes}B, "
-            f"materialized: {'+'.join(forms) or 'none'})"
-        )
+        built = "" if self.group._records is None else ", records built"
+        return f"ColumnarBlock({self.count} records, {self.nbytes}B{built})"

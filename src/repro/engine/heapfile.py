@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.engine.page import DEFAULT_PAGE_SIZE, HEADER, SlottedPage, uniform_pages
 from repro.engine.record import Schema
-from repro.errors import PageError, StorageError
+from repro.errors import PageError, SchemaError, StorageError
 from repro.storage.file import SimFile
 from repro.util.units import MB, ceil_div
 
@@ -38,53 +38,56 @@ def page_records(page: SlottedPage, schema: Schema) -> list[tuple]:
     return records
 
 
+def page_array(page: SlottedPage, schema: Schema):
+    """A page's live records as a key-sorted structured array of the
+    schema's dtype, without decoding them — :func:`page_records` for the
+    chunked scan's array form.  A live slot that is not one whole record
+    raises what ``Schema.unpack`` raises for it."""
+    data = page.contiguous_record_bytes(schema.record_size)
+    if data is None:
+        slots = [d for _, d in page.records()]
+        for d in slots:
+            if len(d) != schema.record_size:
+                raise SchemaError(
+                    f"expected {schema.record_size} bytes, got {len(d)}"
+                )
+        data = b"".join(slots)
+    rows = np.frombuffer(data, dtype=schema.dtype)
+    keys = rows[schema.dtype.names[schema.key_pos]]
+    if (keys[1:] < keys[:-1]).any():
+        rows = rows[np.argsort(keys, kind="stable")]
+    return rows
+
+
 class HeapChunk:
     """The decoded form of consecutive heap pages (one scan I/O).
 
-    ``keys`` holds the key of every live record (in the key column's own
-    integer type), in page order and key-sorted within each page;
-    ``page_timestamps`` and ``counts`` (live records) have one entry per
-    page.  ``error`` is the :class:`PageError` of the first page that does
-    not parse — the arrays then cover only the pages before it — or None.
-    The record tuples are built on demand by :meth:`records`, so a pass that
-    only needs keys and counts (index rebuild) never pays for them.
+    ``rows`` is a structured array (the schema's dtype) of every live
+    record, in page order and key-sorted within each page; ``keys`` is its
+    key column (in the column's own integer type); ``page_timestamps`` and
+    ``counts`` (live records) have one entry per page.  ``error`` is the
+    :class:`PageError` of the first page that does not parse — the arrays
+    then cover only the pages before it — or None.  Record tuples are built
+    on demand by :meth:`records`; a scan joins ``rows`` as it is, and a pass
+    that only needs keys and counts (index rebuild) never pays for tuples.
     """
 
-    __slots__ = ("first_page", "keys", "page_timestamps", "counts", "error",
-                 "_schema", "_parts")
+    __slots__ = ("first_page", "rows", "keys", "page_timestamps", "counts", "error",
+                 "_schema")
 
-    def __init__(self, first_page, keys, page_timestamps, counts, error,
-                 schema, parts) -> None:
+    def __init__(self, first_page, rows, keys, page_timestamps, counts, error,
+                 schema) -> None:
         self.first_page = first_page
+        self.rows = rows
         self.keys = keys
         self.page_timestamps = page_timestamps
         self.counts = counts
         self.error = error
         self._schema = schema
-        #: In page order: a flat structured array per stretch of uniform
-        #: pages, a record list per page that took the per-page path.
-        self._parts = parts
 
     def records(self, start: int = 0, stop: Optional[int] = None) -> list[tuple]:
-        """The live records aligned with ``keys[start:stop]``: one
-        ``Schema.unpack_many`` for all uniform pages of the chunk."""
-        parts = self._parts
-        arrays = [part for part in parts if not isinstance(part, list)]
-        if len(arrays) == len(parts):
-            if not arrays:
-                return []
-            flat = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-            return self._schema.unpack_many(flat[start:stop].view(np.uint8))
-        rows = self._schema.unpack_many(np.concatenate(arrays).view(np.uint8)) if arrays else []
-        out: list[tuple] = []
-        taken = 0
-        for part in parts:
-            if isinstance(part, list):
-                out.extend(part)
-            else:
-                out.extend(rows[taken : taken + len(part)])
-                taken += len(part)
-        return out[start:stop]
+        """The live records aligned with ``keys[start:stop]``, as tuples."""
+        return self._schema.unpack_many(self.rows[start:stop])
 
     def record_timestamps(self):
         """Each record's page timestamp, aligned with :attr:`keys`."""
@@ -104,17 +107,16 @@ def decode_chunk(
     column gives the keys and shows which pages hold their slots out of key
     order (same-length in-place inserts append; those pages are stable-sorted
     here, as ``page_records`` sorts them).  Any other page goes through
-    ``from_bytes`` + ``page_records`` on its own, in page order, so the first
-    unparseable page is reported with ``from_bytes``' own :class:`PageError`.
+    ``from_bytes`` + :func:`page_array` on its own, in page order, so the
+    first unparseable page is reported with ``from_bytes``' own
+    :class:`PageError`.
     """
     timestamps, counts, uniform = uniform_pages(data, page_size, schema.record_size)
     record_size = schema.record_size
-    key_pos = schema.key_pos
-    key_name = schema.dtype.names[key_pos]
+    key_name = schema.dtype.names[schema.key_pos]
     raw = np.frombuffer(data, dtype=np.uint8).reshape(-1, page_size)
     num_pages = len(counts)
     parts: list = []
-    key_parts: list = []
     error = None
     # Stretches: consecutive uniform pages with one slot count, or
     # consecutive pages for the per-page path.
@@ -130,7 +132,6 @@ def decode_chunk(
             for page in np.flatnonzero((keys[:, 1:] < keys[:, :-1]).any(axis=1)):
                 slots[page] = slots[page][np.argsort(keys[page], kind="stable")]
             parts.append(slots.reshape(-1))
-            key_parts.append(keys.reshape(-1))
             continue
         for page_no in range(start, stop):
             try:
@@ -141,20 +142,17 @@ def decode_chunk(
                 error = exc
                 num_pages = page_no
                 break
-            records = page_records(page, schema)
-            counts[page_no] = len(records)
-            parts.append(records)
-            key_parts.append(
-                np.array([r[key_pos] for r in records], dtype=schema.dtype[key_name])
-            )
-    if len(key_parts) == 1:
-        keys = key_parts[0]
-    elif key_parts:
-        keys = np.concatenate(key_parts)
+            parts.append(page_array(page, schema))
+            counts[page_no] = len(parts[-1])
+    if len(parts) == 1:
+        rows = parts[0]
+    elif parts:
+        rows = np.concatenate(parts)
     else:
-        keys = np.empty(0, dtype=schema.dtype[key_name])
+        rows = np.empty(0, dtype=schema.dtype)
     return HeapChunk(
-        first_page, keys, timestamps[:num_pages], counts[:num_pages], error, schema, parts
+        first_page, rows, rows[key_name], timestamps[:num_pages], counts[:num_pages],
+        error, schema,
     )
 
 

@@ -178,13 +178,16 @@ class Schema:
         return b"".join(self.pack(r) for r in records)
 
     def unpack_many(self, data) -> list[tuple]:
-        """Deserialize back-to-back fixed-width records (``bytes`` or any
-        contiguous byte buffer) in one pass.
+        """Deserialize back-to-back fixed-width records in one pass:
+        ``bytes``, any contiguous byte buffer, or a structured array of
+        :attr:`dtype` (what a scan's join hands over).
 
         The batch counterpart of :meth:`unpack`: one ``frombuffer`` over the
-        compiled :attr:`dtype` — what the chunked table scan uses to decode
-        every uniform page of an I/O chunk at once.
+        compiled :attr:`dtype`, then :meth:`rows` — where a scan's row
+        tuples are built.
         """
+        if isinstance(data, np.ndarray) and data.dtype == self.dtype:
+            return self.rows(data)
         if len(data) % self.record_size:
             raise SchemaError(
                 f"{len(data)} bytes is not a multiple of the "

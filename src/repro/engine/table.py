@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -23,27 +23,32 @@ from repro.engine.record import Schema
 from repro.errors import DuplicateKeyError, KeyNotFoundError
 from repro.storage.file import StorageVolume
 from repro.storage.iosched import SCAN_CPU_PER_RECORD, CpuMeter
+from repro.util.search import key_position
 
 #: Records per chunk when a (record, page_ts) pair stream is chunked.
 PAIR_CHUNK_RECORDS = 1024
 
 
 def pair_chunks(
-    pairs: Iterable[tuple[tuple, int]], key_of: Callable[[tuple], int]
-) -> Iterator[tuple[list, np.ndarray, np.ndarray]]:
+    pairs: Iterable[tuple[tuple, int]], schema: Schema
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Chunk a key-ordered (record, page_ts) stream into the
-    ``(records, keys, timestamps)`` form of
-    :meth:`Table.range_scan_pair_chunks`."""
+    ``(rows, keys, timestamps)`` form of
+    :meth:`Table.range_scan_pair_chunks` (records packed back into a
+    structured array: the rare path takes the join's one input shape)."""
     pairs = iter(pairs)
+    key_name = schema.dtype.names[schema.key_pos]
     while True:
         chunk = list(islice(pairs, PAIR_CHUNK_RECORDS))
         if not chunk:
             return
-        records = [record for record, _ in chunk]
+        rows = np.frombuffer(
+            schema.pack_many(record for record, _ in chunk), dtype=schema.dtype
+        )
         yield (
-            records,
-            np.fromiter(map(key_of, records), np.int64, len(records)),
-            np.fromiter((ts for _, ts in chunk), np.uint64, len(records)),
+            rows,
+            rows[key_name].astype(np.uint64),
+            np.fromiter((ts for _, ts in chunk), np.uint64, len(chunk)),
         )
 
 
@@ -199,14 +204,16 @@ class Table:
 
     def range_scan_pair_chunks(
         self, begin_key: int, end_key: int
-    ) -> Iterator[tuple[list, np.ndarray, np.ndarray]]:
+    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Chunk-at-a-time form of :meth:`range_scan_pairs`.
 
-        Yields ``(records, keys, timestamps)`` — the record tuples, their
-        int64 key column and each record's page timestamp, aligned and in
-        key order — one per heap I/O chunk, for the batch outer join
+        Yields ``(rows, keys, timestamps)`` — the records as a structured
+        array of the schema's dtype, their uint64 key column and each
+        record's page timestamp, aligned and in key order — one per heap I/O
+        chunk, for the array outer join
         (:class:`~repro.core.operators.MergeDataUpdates` with
-        ``data_chunks``).  Each chunk is decoded in one pass
+        ``data_chunks``); no record tuple is built here.  Each chunk is
+        decoded in one pass
         (:func:`~repro.engine.heapfile.decode_chunk`) and read only when the
         consumer asks for it, so the device sees the reads of
         :meth:`range_scan_pairs` in the same order.  When overflow records
@@ -215,7 +222,7 @@ class Table:
         """
         if self.overflow_count or self.heap.num_pages == 0 or self.index.is_empty:
             yield from pair_chunks(
-                self.range_scan_pairs(begin_key, end_key), self.schema.key_of
+                self.range_scan_pairs(begin_key, end_key), self.schema
             )
             return
         first, last = self.index.page_span(begin_key, end_key)
@@ -223,20 +230,20 @@ class Table:
         for chunk in self.heap.scan_chunks(first, last):
             if chunk.error is not None:
                 raise chunk.error
-            keys = chunk.keys.astype(np.int64, copy=False)
+            keys = chunk.keys.astype(np.uint64)
             if not len(keys):
                 continue
             lo = 0
             hi = len(keys)
             if keys[0] < begin_key:
-                lo = int(np.searchsorted(keys, begin_key, side="left"))
+                lo = key_position(keys, begin_key, "left")
             done = keys[-1] > end_key
             if done:
-                hi = int(np.searchsorted(keys, end_key, side="right"))
+                hi = key_position(keys, end_key, "right")
             if lo < hi:
                 count += hi - lo
                 yield (
-                    chunk.records(lo, hi),
+                    chunk.rows[lo:hi],
                     keys[lo:hi],
                     chunk.record_timestamps()[lo:hi],
                 )

@@ -21,6 +21,24 @@ SCENARIOS = {
     "canonical": SimConfig.canonical,
     "crasher": lambda: SimConfig.canonical().with_crasher(),
     "txn": lambda: replace(SimConfig.canonical(), txn_writers=1),
+    # Snapshot transactions against plain updaters that delete any live key,
+    # with a crash up front: first-committer-wins must see the plain writes
+    # (2 of seeds 0-2999 used to commit a MODIFY over a plain DELETE).
+    "txn-vs-plain": lambda: replace(
+        SimConfig.canonical(),
+        updaters=2,
+        scanners=1,
+        flushers=1,
+        migrators=1,
+        crashers=1,
+        txn_writers=1,
+        update_ops=5,
+        scans=1,
+        scan_batch=4,
+        flush_ops=2,
+        migrate_ops=0,
+        crasher_idle=0,
+    ),
     "heavy": lambda: replace(
         SimConfig.canonical(), updaters=2, scanners=2, update_ops=60
     ),
@@ -107,6 +125,12 @@ def main(argv=None) -> int:
         help="sample every Nth schedule prefix when exploring (default 1)",
     )
     parser.add_argument(
+        "--sweep",
+        type=int,
+        metavar="N",
+        help="run seeds SEED..SEED+N-1 and report the ones that fail",
+    )
+    parser.add_argument(
         "--shrink",
         action="store_true",
         help="on failure, delta-debug the schedule to a minimal reproducer",
@@ -126,6 +150,20 @@ def main(argv=None) -> int:
             with open(args.json, "w") as fh:
                 fh.write(report.to_json() + "\n")
         return 1 if report.failures else 0
+
+    if args.sweep:
+        failed = 0
+        for seed in range(args.seed, args.seed + args.sweep):
+            try:
+                run_simulation(config, seed=seed)
+            except SimFailure as failure:
+                failed += 1
+                sys.stdout.write(str(failure) + "\n")
+        print(
+            f"swept seeds {args.seed}..{args.seed + args.sweep - 1} of "
+            f"{args.scenario!r}: {failed} failed"
+        )
+        return 1 if failed else 0
 
     schedule = Schedule.from_text(args.replay) if args.replay else None
     try:

@@ -22,7 +22,7 @@ from repro.engine.table import Table
 from repro.obs import use_registry, use_tracer
 from repro.sim import actors
 from repro.sim.model import ModelTable, diff_states
-from repro.sim.scheduler import Schedule, SimScheduler, Step
+from repro.sim.scheduler import Schedule, SimFailure, SimScheduler, Step
 from repro.storage.disk import SimulatedDisk
 from repro.storage.file import StorageVolume
 from repro.storage.ssd import SimulatedSSD
@@ -351,7 +351,17 @@ def run_simulation(
         )
         sched.run(max_steps=max_steps)
         if validate and not sched.crashed:
-            env.validate_full()
+            try:
+                env.validate_full()
+            except Exception as exc:  # noqa: BLE001 - rewrapped with trace
+                raise SimFailure(
+                    f"final validation raised {type(exc).__name__}: {exc}",
+                    seed=seed,
+                    schedule=sched.recorded,
+                    steps=sched.steps,
+                    actor="<validate_full>",
+                    cause=exc,
+                ) from exc
         verdict = "crashed" if sched.crashed else "ok"
         report = SimReport(
             seed=seed,

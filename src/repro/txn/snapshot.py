@@ -2,10 +2,11 @@
 
 A transaction works on the snapshot of data as of its start timestamp; its
 own updates live in a small private buffer merged into its reads.  On
-commit, first-committer-wins: if another transaction committed a write to an
-overlapping key after this transaction started, it aborts.  On success the
-private updates get the commit timestamp and move to MaSM's global buffer —
-exactly the scheme the paper sketches.
+commit, first-committer-wins: if anything wrote an overlapping key after this
+transaction started — another transaction's commit or a plain
+:meth:`MaSM.apply` — it aborts.  On success the private updates get the commit
+timestamp and move to MaSM's global buffer — exactly the scheme the paper
+sketches.
 """
 
 from __future__ import annotations
@@ -26,10 +27,15 @@ class SnapshotManager:
     def __init__(self, masm: MaSM, committed_history: int = 10_000) -> None:
         self.masm = masm
         self.oracle = masm.oracle
-        # (commit_ts, frozenset(keys)) of recent committers, for conflicts.
-        self._committed: list[tuple[int, frozenset]] = []
+        #: key -> timestamp of the newest write the engine ingested for it
+        #: since this manager attached (bounded to ``committed_history``
+        #: keys, oldest writes dropped first).  Fed by :meth:`MaSM.apply`,
+        #: so it covers transaction commits and plain updates alike; it does
+        #: not survive a crash, and neither does any open transaction.
+        self._last_write: dict[int, int] = {}
         self._history = committed_history
         self._lock = threading.Lock()
+        masm.attach_snapshots(self)
 
     def begin(self) -> "SnapshotTransaction":
         sim_interleave("txn.begin")
@@ -38,18 +44,18 @@ class SnapshotManager:
     # ------------------------------------------------------------- internals
     def _conflicts(self, start_ts: int, keys: frozenset) -> bool:
         with self._lock:
-            for commit_ts, committed_keys in reversed(self._committed):
-                if commit_ts <= start_ts:
-                    break
-                if keys & committed_keys:
-                    return True
-        return False
+            last_write = self._last_write
+            return any(last_write.get(key, 0) > start_ts for key in keys)
 
-    def _record_commit(self, commit_ts: int, keys: frozenset) -> None:
+    def note_write(self, timestamp: int, key: int) -> None:
+        """One update the engine just ingested (called by ``MaSM.apply``)."""
         with self._lock:
-            self._committed.append((commit_ts, keys))
-            if len(self._committed) > self._history:
-                del self._committed[: self._history // 2]
+            last_write = self._last_write
+            if timestamp > last_write.get(key, 0):
+                last_write[key] = timestamp
+            if len(last_write) > self._history:
+                newest = sorted(last_write.items(), key=lambda kv: kv[1])
+                self._last_write = dict(newest[self._history // 2 :])
 
 
 class SnapshotTransaction:
@@ -137,7 +143,6 @@ class SnapshotTransaction:
             self.manager.masm.apply(
                 UpdateRecord(commit_ts, key, update.type, update.content)
             )
-        self.manager._record_commit(commit_ts, keys)
         return commit_ts
 
     def abort(self) -> None:

@@ -71,6 +71,59 @@ def test_stats_sink_receives_counts():
     assert sink.block_cache_evictions == 1
 
 
+def test_group_calls_match_per_block_calls():
+    """``get_many`` / ``put_many`` (what a run scan issues per read group)
+    leave the cache exactly where the per-block calls would: same hits,
+    misses, evictions, LRU order and byte charges, on the cache and on the
+    stats sink."""
+    import random
+
+    class Sink:
+        block_cache_hits = 0
+        block_cache_misses = 0
+        block_cache_evictions = 0
+
+    rng = random.Random(11)
+    sinks = Sink(), Sink()
+    per_block = DecodedBlockCache(6, stats=sinks[0])
+    grouped = DecodedBlockCache(6, stats=sinks[1])
+    for _ in range(300):
+        run = rng.choice(["a", "b"])
+        first = rng.randrange(12)
+        group = range(first, first + rng.randrange(1, 6))
+        found = [per_block.get(run, b) for b in group]
+        assert grouped.get_many(run, group) == found
+        missing = [b for b, entry in zip(group, found) if entry is None]
+        fresh = [(b, _columnar_entry(n=rng.randrange(1, 9))) for b in missing]
+        for b, entry in fresh:
+            per_block.put(run, b, entry)
+        grouped.put_many(run, fresh)
+        assert list(grouped._entries) == list(per_block._entries)  # LRU order
+        assert grouped._charged == per_block._charged
+    for attr in ("hits", "misses", "evictions", "resident_bytes", "approx_bytes"):
+        assert getattr(grouped, attr) == getattr(per_block, attr)
+    assert vars(sinks[0]) == vars(sinks[1])
+    assert per_block.evictions > 50 and per_block.hits > 50
+
+
+def test_run_scan_publishes_gauges_once_per_read_group(monkeypatch):
+    """One gauge publish per insert group, none for hits that change no
+    charge (a hit moves neither the block count nor the byte totals)."""
+    run = make_run(n=1500, block_size=1 * KB)
+    cache = DecodedBlockCache(512)
+    publishes = []
+    original = DecodedBlockCache._publish_bytes
+    monkeypatch.setattr(
+        DecodedBlockCache, "_publish_bytes", lambda self: publishes.append(1) or original(self)
+    )
+    cold = run.slice_columns(0, 10**9, cache=cache)
+    assert run.num_blocks > 128 and len(publishes) == -(-run.num_blocks // 128)
+    publishes.clear()
+    warm = run.slice_columns(0, 10**9, cache=cache)
+    assert not publishes and cache.hits == run.num_blocks
+    assert warm.keys.tolist() == cold.keys.tolist()
+
+
 # ------------------------------------------------------- byte accounting
 def _columnar_entry(n=50):
     ups = [
@@ -89,10 +142,9 @@ def test_resident_bytes_track_lazy_materialization():
     cache.put("r", 0, entry)
     charged_at_insert = cache.resident_bytes
     assert charged_at_insert == entry.nbytes
-    # Materialize the lazy forms: columns, record list, object array.
+    assert charged_at_insert > entry.encoded_size  # bytes + header columns
+    # Materialize the lazy form: the record list.
     entry.records()
-    entry.records_arr()
-    entry.key_list()
     assert entry.nbytes > charged_at_insert
     # The next hit re-reads nbytes and picks up the growth.
     assert cache.get("r", 0) is entry
@@ -134,7 +186,6 @@ def test_accounting_delta_gauge_published():
         entry = _columnar_entry()
         cache.put("r", 0, entry)
         entry.records()
-        entry.records_arr()
         cache.get("r", 0)
         gauges = {
             g.name: g.value for g in [

@@ -115,6 +115,62 @@ def test_load_run_roundtrip():
     assert list(loaded.scan(0, 10**9)) == list(written.scan(0, 10**9))
 
 
+def test_load_run_rebuilds_what_write_run_knew():
+    """One header walk per read: index, counts and extremes off the columns,
+    over mixed update types and timestamps that are not in key order."""
+    vol = StorageVolume(SimulatedSSD(capacity=8 * MB))
+    updates = []
+    for i in range(700):
+        key = i * 3
+        ts = 5000 - i if i % 7 else 9000 + i
+        if i % 3 == 0:
+            updates.append(UpdateRecord(ts, key, UpdateType.INSERT, (key, f"v{i}")))
+        elif i % 3 == 1:
+            updates.append(UpdateRecord(ts, key, UpdateType.DELETE, None))
+        else:
+            updates.append(UpdateRecord(ts, key, UpdateType.MODIFY, {"payload": f"m{i}"}))
+    written = write_run(vol, "r", updates, CODEC, block_size=1 * KB)
+    loaded = load_run(vol, "r", CODEC, block_size=1 * KB)
+    assert loaded.index._keys == written.index._keys
+    assert (loaded.num_blocks, loaded.count) == (written.num_blocks, written.count)
+    assert (loaded.min_key, loaded.max_key) == (0, 699 * 3)
+    assert (loaded.min_ts, loaded.max_ts) == (written.min_ts, written.max_ts)
+    assert all(type(v) is int for v in (loaded.min_key, loaded.max_ts, *loaded.index._keys))
+    assert list(loaded.scan(0, 10**9)) == updates
+
+
+def test_load_run_rejects_damaged_blocks_as_before():
+    """A garbled block fails its checksum; a block that verifies but whose
+    record count runs past its records is a truncated update record."""
+    from repro.errors import ChecksumError
+    from repro.storage import checksum
+
+    vol = StorageVolume(SimulatedSSD(capacity=8 * MB))
+    updates = [
+        UpdateRecord(i + 1, i * 2, UpdateType.INSERT, (i * 2, f"v{i}")) for i in range(300)
+    ]
+    block_size = 1 * KB
+    run = write_run(vol, "r", updates, CODEC, block_size=block_size)
+    assert run.num_blocks > 3
+    victim = 2 * block_size
+    good = run.file.read(victim, block_size)
+
+    garbled = bytearray(good)
+    garbled[40] ^= 0xFF
+    run.file.write(victim, bytes(garbled))
+    with pytest.raises(ChecksumError, match="block 2"):
+        load_run(vol, "r", CODEC, block_size=block_size)
+
+    count = int.from_bytes(good[:4], "little")
+    body = (count + 3).to_bytes(4, "little") + good[4 : block_size - checksum.TRAILER_SIZE]
+    run.file.write(victim, checksum.seal(body.rstrip(b"\x00"), block_size))
+    with pytest.raises(ReproError, match="truncated update record|does not match schema"):
+        load_run(vol, "r", CODEC, block_size=block_size)
+
+    run.file.write(victim, good)
+    assert load_run(vol, "r", CODEC, block_size=block_size).count == 300
+
+
 def test_load_run_missing_file():
     vol = StorageVolume(SimulatedSSD(capacity=1 * MB))
     with pytest.raises(StorageError):

@@ -22,7 +22,7 @@ from repro.core import kernels
 from repro.core.blockcache import DecodedBlockCache
 from repro.core.operators import MergeDataUpdates, MergeUpdates, RunScan
 from repro.core.sortedrun import write_run
-from repro.core.update import UpdateCodec, UpdateRecord, UpdateType
+from repro.core.update import UpdateCodec, UpdateColumns, UpdateRecord, UpdateType
 from repro.engine.record import synthetic_schema
 from repro.storage.file import StorageVolume
 from repro.storage.iosched import CpuMeter
@@ -208,12 +208,14 @@ def test_kernel_join_matches_reference(data, updates):
     fast = list(MergeDataUpdates(pairs, updates_stream(True), SCHEMA))
     assert fast == reference
 
-    # And through explicit (records, keys, timestamps) data chunks.
+    # And through explicit (rows, keys, timestamps) data chunks.
     chunk_n = data.draw(st.integers(1, 7))
     chunks = [
         (
-            [r for r, _ in pairs[i : i + chunk_n]],
-            np.array([r[0] for r, _ in pairs[i : i + chunk_n]], dtype=np.int64),
+            np.frombuffer(
+                SCHEMA.pack_many(r for r, _ in pairs[i : i + chunk_n]), SCHEMA.dtype
+            ),
+            np.array([r[0] for r, _ in pairs[i : i + chunk_n]], dtype=np.uint64),
             np.array([t for _, t in pairs[i : i + chunk_n]], dtype=np.uint64),
         )
         for i in range(0, len(pairs), chunk_n)
@@ -297,12 +299,11 @@ def test_decode_block_soa_matches_decode_block(updates):
     records = CODEC.decode_block(block)
     (soa,) = CODEC.decode_blocks([block])
     assert soa.records() == records
-    assert soa.key_list() == [u.key for u in records]
     assert list(soa.keys) == [u.key for u in records]
     assert list(soa.timestamps) == [u.timestamp for u in records]
     assert list(soa.ops) == [int(u.type) for u in records]
-    # The object-array view is the same records, order preserved.
-    assert list(soa.records_arr()) == records
+    # The columns with payload offsets materialise the same records.
+    assert soa.update_columns().records == records
 
 
 @settings(max_examples=30, deadline=None)
@@ -311,11 +312,9 @@ def test_merge_slices_matches_reference_combine(updates, seed):
     streams: list[list[UpdateRecord]] = [[], [], []]
     for u in updates:
         streams[seed.randrange(3)].append(u)
-    slices = [
-        kernels.SourceSlice.from_records(s) for s in streams if s
-    ]
+    slices = [UpdateColumns.from_records(s, CODEC) for s in streams if s]
     cpu = CpuMeter()
-    batch = kernels.merge_slices(slices, SCHEMA, cpu)
+    batch = kernels.merge_slices(slices, cpu)
     reference = list(MergeUpdates(streams, SCHEMA, fast_path=False))
     assert encoded(list(batch.records)) == encoded(reference)
     assert list(batch.keys) == [u.key for u in reference]

@@ -107,9 +107,11 @@ def test_chunk_decode_matches_per_page_decode(case):
     if failure is not None and not isinstance(failure, PageError):
         # A page that parses but whose slots are not records (wrong length,
         # or a garbled offset landing mid-record): the per-page path raises
-        # from page_records, and so does the chunk — the same error.
+        # from page_records, and so does the chunk — the same error, a wrong
+        # length when the chunk's array is built, undecodable text when its
+        # tuples are.
         with pytest.raises(type(failure)) as caught:
-            decode_chunk(data, PAGE_SIZE, schema)
+            decode_chunk(data, PAGE_SIZE, schema).records()
         assert str(caught.value) == str(failure)
         return
     chunk = decode_chunk(data, PAGE_SIZE, schema, first_page=5)
@@ -198,11 +200,12 @@ def test_group_decode_matches_per_block_decode_and_reference(blocks):
         assert ref.decode_block(FIELDS, raw) == [
             (u.timestamp, u.key, int(u.type), u.content) for u in updates
         ]
-        assert entry.data is raw and entry.count == len(updates)
+        assert entry.data[entry.offset : entry.offset + len(raw)] == raw
+        assert entry.count == len(updates) and entry.encoded_size == len(raw)
         assert entry.keys.tolist() == [u.key for u in updates]
         assert entry.timestamps.tolist() == [u.timestamp for u in updates]
         assert entry.ops.tolist() == [int(u.type) for u in updates]
-        assert list(entry.records_arr()) == updates
+        assert entry.update_columns().records == updates
     # One call over the joined buffer is the same decode.
     joined = b"".join(group)
     flat = [u for updates in blocks for u in updates]

@@ -139,8 +139,7 @@ def test_update_codec_matches_reference(case):
     assert ref.decode_block(fields, block) == plain
 
     keys, timestamps, ops, offsets, lengths, bounds = codec.block_columns(block)
-    wrap = lambda v: v - 2**64 if v >= 2**63 else v  # u64 wire value as int64
-    assert keys.tolist() == [wrap(u.key) for u in updates]
+    assert keys.tolist() == [u.key for u in updates]  # the u64 wire values
     assert timestamps.tolist() == [u.timestamp for u in updates]
     assert ops.tolist() == [int(u.type) for u in updates]
     position = ref.BLOCK_HEAD.size

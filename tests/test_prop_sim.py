@@ -11,9 +11,10 @@ the CI log is a pinned reproducer, not a 100-step trace.
 from dataclasses import replace
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.sim.__main__ import SCENARIOS
 from repro.sim.harness import SimConfig, run_simulation
 from repro.sim.scheduler import Schedule, SimFailure
 from repro.sim.shrink import shrink_schedule
@@ -82,8 +83,23 @@ def test_schedule_is_pure_function_of_seed_and_config(mix, seed):
     assert first == second
 
 
+#: A snapshot transaction reads a key, a plain updater deletes it, the
+#: transaction then commits a MODIFY of it: first-committer-wins has to see
+#: the plain delete (seeds 373 and 390 of this mix draw exactly that).  The
+#: mix is the CLI's ``txn-vs-plain`` scenario, which CI sweeps over 5K seeds.
+SI_VS_PLAIN_DELETE_MIX = {
+    name: getattr(SCENARIOS["txn-vs-plain"](), name)
+    for name in (
+        "updaters", "scanners", "flushers", "migrators", "crashers", "txn_writers",
+        "update_ops", "scans", "scan_batch", "flush_ops", "migrate_ops", "crasher_idle",
+    )
+}
+
+
 @settings(max_examples=8, deadline=None)
 @given(mix=actor_mixes, seed=st.integers(0, 2**16))
+@example(mix=SI_VS_PLAIN_DELETE_MIX, seed=373)
+@example(mix=SI_VS_PLAIN_DELETE_MIX, seed=390)
 def test_recorded_schedule_replays(mix, seed):
     config = replace(SimConfig.canonical(), **mix)
     seeded = run_simulation(config, seed=seed)
@@ -91,3 +107,20 @@ def test_recorded_schedule_replays(mix, seed):
         config, seed=seed, schedule=seeded.report.schedule
     )
     assert replayed.report.to_text() == seeded.report.to_text()
+
+
+def test_final_validation_failure_carries_a_replayable_schedule(monkeypatch):
+    """``validate_full`` runs after the last scheduler step; what it raises
+    must still come out as a SimFailure with the schedule that led there."""
+    from repro.sim.harness import SimEnv
+
+    def diverged(self):
+        raise AssertionError("final engine state diverged from model: test")
+
+    monkeypatch.setattr(SimEnv, "validate_full", diverged)
+    with pytest.raises(SimFailure) as caught:
+        run_simulation(SimConfig.canonical(), seed=3)
+    failure = caught.value
+    assert failure.actor == "<validate_full>"
+    assert failure.schedule.choices
+    assert "--replay" in str(failure) and "diverged from model" in str(failure)

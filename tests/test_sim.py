@@ -335,3 +335,14 @@ def test_crash_explorer_validates_every_probe():
     # The WAL-append crash point sits on every logged update, so a sweep
     # that never fires it is not actually crashing anything.
     assert report.fired("wal.append") > 0
+
+
+# ------------------------------------------------------------------ the CLI
+def test_cli_sweep_covers_the_pinned_txn_vs_plain_seeds(capsys):
+    """``--sweep`` runs a seed range of one scenario and fails on any
+    divergence; seeds 373 and 390 of ``txn-vs-plain`` are the two that used
+    to commit a snapshot MODIFY on top of a plain DELETE."""
+    from repro.sim.__main__ import main
+
+    assert main(["--scenario", "txn-vs-plain", "--seed", "370", "--sweep", "25"]) == 0
+    assert "swept seeds 370..394 of 'txn-vs-plain': 0 failed" in capsys.readouterr().out

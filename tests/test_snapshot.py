@@ -74,6 +74,42 @@ def test_first_committer_wins():
     assert fresh[40] == (40, "one")
 
 
+def test_plain_update_after_snapshot_aborts_the_transaction():
+    """First-committer-wins also loses against a non-transactional write:
+    a MODIFY committed on top of a plain DELETE the snapshot never saw would
+    make every later scan of the key raise."""
+    mgr = make_manager()
+    txn = mgr.begin()
+    assert txn.get(40) == (40, "rec-20")
+    txn.modify(40, {"payload": "stale"})
+    mgr.masm.delete(40)  # straight through MaSM.apply, after the snapshot
+    with pytest.raises(TransactionAborted):
+        txn.commit()
+    assert list(mgr.masm.range_scan(38, 42)) == [(38, "rec-19"), (42, "rec-21")]
+
+
+def test_plain_update_before_snapshot_does_not_conflict():
+    mgr = make_manager()
+    mgr.masm.modify(40, {"payload": "earlier"})
+    txn = mgr.begin()
+    txn.modify(40, {"payload": "mine"})
+    txn.commit()
+    assert list(mgr.masm.range_scan(40, 40)) == [(40, "mine")]
+
+
+def test_write_history_is_bounded():
+    mgr = make_manager()
+    mgr._history = 8
+    txn = mgr.begin()
+    txn.modify(4, {"payload": "mine"})
+    for key in range(0, 40, 2):
+        mgr.masm.modify(key, {"payload": "x"})
+    assert len(mgr._last_write) <= 8
+    mgr.masm.modify(4, {"payload": "again"})  # a recent write is kept
+    with pytest.raises(TransactionAborted):
+        txn.commit()
+
+
 def test_disjoint_writes_both_commit():
     mgr = make_manager()
     t1 = mgr.begin()
