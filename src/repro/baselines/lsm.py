@@ -173,20 +173,28 @@ class LSMUpdateCache:
     # -------------------------------------------------------------- migration
     def migrate(self) -> None:
         """Apply the bottom level's updates to the table and drop the run."""
-        from repro.core.migration import MigrationStats, rewrite_heap_with_updates
+        from repro.core.migration import (
+            MigrationStats,
+            drain,
+            rewrite_heap,
+            update_batches,
+        )
+        from repro.core.update import UpdateCodec
 
         run = self._runs[-1]
         if run is None:
             return
         t = self.oracle.next()
-        updates = iter(
-            MergeUpdates(
-                [run.scan(0, 2**63 - 1, query_ts=t)], self.table.schema
-            )
-        )
+        schema = self.table.schema
+        merge = MergeUpdates([run.scan(0, 2**63 - 1, query_ts=t)], schema)
         stats = MigrationStats(timestamp=t)
-        rows, entries, out_pages = rewrite_heap_with_updates(
-            self.table.heap, self.table.schema, updates, stats
+        rows, entries, out_pages = drain(
+            rewrite_heap(
+                self.table.heap,
+                schema,
+                update_batches(merge, UpdateCodec(schema)),
+                stats,
+            )
         )
         self.table.heap.truncate(out_pages)
         self.table.replace_contents(entries, rows)

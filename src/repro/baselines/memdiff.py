@@ -168,7 +168,7 @@ def _copy_rewrite(src: HeapFile, dst: HeapFile, schema, updates, stats) -> tuple
         nonlocal written
         if not out:
             return
-        dst.write_pages_sequential(written, out)
+        dst.write_pages_sequential(written, b"".join(page.to_bytes() for page in out))
         written += len(out)
         stats.pages_written += len(out)
         out.clear()

@@ -25,8 +25,9 @@ offsets into the bytes that were read:
 * an **array-in/array-out outer join** of a merged batch with a key span of
   table rows (:func:`join_partition`): the page-timestamp rule as one vector
   compare, DELETE as a mask, MODIFY as per-field column patches copied from
-  the payload bytes, INSERT/REPLACE as a row gather.  Row tuples are built by
-  the caller, once, from the joined array.
+  the payload bytes, INSERT/REPLACE as a row gather.  Each joined row comes
+  with the timestamp of the last update in it; row tuples are built by the
+  caller (a scan), or pages packed (a migration), from the joined arrays.
 
 ``MASM_DISABLE_KERNELS=1`` (see :func:`enabled`) forces the legacy
 record-at-a-time paths (CI runs the equivalence suite both ways).
@@ -265,8 +266,11 @@ def join_partition(batch: UpdateColumns, data, data_keys, data_ts):
     ``data`` is a structured array of the schema's dtype holding the rows
     with keys <= the batch's max key that the data stream has produced;
     ``data_keys`` (uint64) and ``data_ts`` (each row's page timestamp,
-    uint64) are aligned with it.  Returns the joined rows in key order, as
-    an array of the same dtype (``data`` itself when no update touches it).
+    uint64) are aligned with it.  Returns ``(rows, timestamps)``: the joined
+    rows in key order, as an array of the same dtype (``data`` itself when
+    no update touches it), and for each the timestamp of the last update in
+    it — its page timestamp, or the timestamp of the update the join applied
+    (what a migration stamps the row's new page with).
 
     The page-timestamp rule is one vector compare per batch (an update at or
     before the page timestamp of the row it matches was already migrated in
@@ -279,32 +283,40 @@ def join_partition(batch: UpdateColumns, data, data_keys, data_ts):
     if not n:
         # No base rows at these keys: only (re)insertions produce output.
         ops = batch.ops
-        return batch.packed_records((ops == _INSERT) | (ops == _REPLACE))
+        emitted = (ops == _INSERT) | (ops == _REPLACE)
+        return batch.packed_records(emitted), batch.timestamps[emitted]
     positions = data_keys.searchsorted(batch.keys)
     unmatched = data_keys.take(positions, mode="clip") != batch.keys
     newer = batch.timestamps > data_ts.take(positions, mode="clip")
     actions = _ACTIONS[batch.ops, newer.view(_np.uint8), unmatched.view(_np.uint8)]
     out = data
+    out_ts = data_ts
     patched = (actions == _PATCH).nonzero()[0]
     if len(patched):
         out = data.copy()
         batch.apply_modifies(patched, out, positions[patched])
+        out_ts = data_ts.copy()
+        out_ts[positions[patched]] = batch.timestamps[patched]
     emitted = (actions & _EMIT).nonzero()[0]
     dropped = positions[(actions & _DROP).nonzero()[0]]
     if not len(emitted) and not len(dropped):
-        return out
+        return out, out_ts
     before = positions[emitted]  # each emitted row goes before this base row
     if len(dropped):
         keep = _np.ones(n, dtype=bool)
         keep[dropped] = False
         out = out[keep]
+        out_ts = out_ts[keep]
         before -= dropped.searchsorted(before)  # ... counted in kept rows
     if not len(emitted):
-        return out
+        return out, out_ts
     before += _np.arange(len(emitted))  # ... and in output rows
     joined = _np.empty(len(out) + len(emitted), dtype=out.dtype)
+    joined_ts = _np.empty(len(joined), dtype=_np.uint64)
     base = _np.ones(len(joined), dtype=bool)
     base[before] = False
     joined[before] = batch.packed_records(emitted)
     joined[base] = out
-    return joined
+    joined_ts[before] = batch.timestamps[emitted]
+    joined_ts[base] = out_ts
+    return joined, joined_ts

@@ -980,15 +980,11 @@ class MaSM:
 
     def _replay_run_updates(self, run: MaterializedSortedRun) -> list[UpdateRecord]:
         """The table's logged updates in ``run``'s covered timestamp range."""
-        from repro.txn.log import LogRecordType
-
-        updates = [
-            rec.update
-            for rec in self.redo_log.records()
-            if rec.type == LogRecordType.UPDATE
-            and rec.table == self.table.name
-            and run.covered_min_ts <= rec.timestamp <= run.covered_max_ts
-        ]
+        updates = list(
+            self.redo_log.updates(
+                self.table.name, run.covered_min_ts, run.covered_max_ts
+            )
+        )
         updates.sort(key=UpdateRecord.sort_key)
         return updates
 

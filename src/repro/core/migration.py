@@ -8,6 +8,12 @@ data (design goal 4).  Every rebuilt page carries the timestamp of the last
 update applied to it, which is what lets concurrent and later queries decide
 whether a cached update is already reflected in a page.
 
+The rewrite works at the grain of its I/O: each heap chunk is decoded in one
+pass and joined as arrays with the merged update batches — the join loop a
+scan uses (:func:`repro.core.operators.join_batches`) — and each chunk written
+is packed in one pass (:func:`repro.engine.heapfile.encode_chunk`).  No row
+becomes a tuple unless a query rides along (:class:`CoordinatedMigration`).
+
 Partial migration (Section 3.5's "migrate a portion of updates at a time")
 applies a key range with page-granular read-modify-writes, marking migrated
 ranges on each run; a page that cannot absorb its insertions is skipped
@@ -17,19 +23,38 @@ whole (all-or-nothing per page) so the timestamp rule stays exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional
+from itertools import islice
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
-from repro.core.operators import MergeUpdates
-from repro.core.update import UpdateRecord, UpdateType, apply_update
-from repro.engine.heapfile import DEFAULT_FILL_FACTOR, page_records
+import numpy as np
+
+from repro.core.operators import MergeUpdates, join_batches
+from repro.core.update import (
+    UpdateCodec,
+    UpdateColumns,
+    UpdateRecord,
+    UpdateType,
+    apply_update,
+)
+from repro.engine.heapfile import (
+    DEFAULT_FILL_FACTOR,
+    encode_chunk,
+    page_records,
+    rows_per_page,
+)
 from repro.engine.page import SlottedPage
 from repro.errors import StorageError
 from repro.obs import get_registry, trace
 from repro.storage.faults import crash_point
 from repro.sim.hooks import interleave as sim_interleave
+from repro.util.units import ceil_div
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.masm import MaSM
+
+#: Updates per batch when a merge that cannot run its kernel path is encoded
+#: into the column form the rewrite joins.
+REWRITE_BATCH_RECORDS = 4096
 
 
 @dataclass
@@ -61,11 +86,27 @@ class MigrationStats:
             )
 
 
+def drain(generator):
+    """Run ``generator`` to its end; its return value."""
+    while True:
+        try:
+            next(generator)
+        except StopIteration as stop:
+            return stop.value
+
+
 def migrate_all(masm: "MaSM", redo_log=None) -> Optional[MigrationStats]:
     """Migrate every cached run into the table, rewriting it in place."""
+    return drain(_migrate_everything(masm, redo_log, "full"))
+
+
+def _migrate_everything(
+    masm: "MaSM", redo_log, kind: str
+) -> Iterator[np.ndarray]:
+    """One full migration, as a generator: yields the table's fresh rows
+    (structured arrays, in key order) while the same pass writes them back;
+    returns the :class:`MigrationStats`, or None when no run can migrate."""
     table = masm.table
-    heap = table.heap
-    schema = table.schema
     # Victims locked by an open compaction plan must stay cached: their
     # unmasked records are about to be re-homed into slice products, and
     # migrating them here would apply those records twice after publication.
@@ -73,25 +114,23 @@ def migrate_all(masm: "MaSM", redo_log=None) -> Optional[MigrationStats]:
     runs = [run for run in masm.runs if not run.compacting]
     if not runs:
         return None
-    sim_interleave("migration.full")
+    sim_interleave(f"migration.{kind}")
     t = masm.oracle.next()
     if redo_log is not None:
         redo_log.log_migration_start(t, [run.name for run in runs])
 
     full = (0, 2**63 - 1)
-    updates = iter(
-        MergeUpdates(
-            masm.run_update_sources(runs, *full, query_ts=t, use_cache=False),
-            schema,
-            cpu=masm.cpu,
-        )
+    merge = MergeUpdates(
+        masm.run_update_sources(runs, *full, query_ts=t, use_cache=False),
+        table.schema,
+        cpu=masm.cpu,
     )
     stats = MigrationStats(timestamp=t)
-    with trace("migration.full", runs=len(runs)):
-        stats.rows_after, entries, out_pages = rewrite_heap_with_updates(
-            heap, schema, updates, stats
+    with trace(f"migration.{kind}", runs=len(runs)):
+        stats.rows_after, entries, out_pages = yield from rewrite_heap(
+            table.heap, table.schema, update_batches(merge, masm.codec), stats
         )
-        heap.truncate(out_pages)
+        table.heap.truncate(out_pages)
         table.replace_contents(entries, stats.rows_after)
         if redo_log is not None:
             redo_log.log_migration_end(t)
@@ -106,142 +145,155 @@ def migrate_all(masm: "MaSM", redo_log=None) -> Optional[MigrationStats]:
         else:
             masm.migrated_through = max(masm.migrated_through, t)
         stats.runs_retired = len(runs)
-    stats.publish("full")
+    stats.publish(kind)
     return stats
 
 
-def rewrite_heap_with_updates(
-    heap, schema, updates: Iterator[UpdateRecord], stats: MigrationStats
-) -> tuple[int, list[tuple[int, int]], int]:
-    """Stream-rewrite the heap applying ``updates``; in-place write-behind.
+def update_batches(merge: MergeUpdates, codec: UpdateCodec) -> Iterator[UpdateColumns]:
+    """``merge``'s combined updates as key-ordered column batches: the kernel
+    path's own, or — when it cannot run (kernels disabled, only quarantined
+    or object-backed sources) — the combined record stream encoded in bounded
+    batches, so the rewrite has one input form."""
+    batches = merge.kernel_batches()
+    if batches is not None:
+        return batches
+    records = iter(merge)
+    return (
+        UpdateColumns.from_records(batch, codec)
+        for batch in iter(lambda: list(islice(records, REWRITE_BATCH_RECORDS)), [])
+    )
 
-    Returns (row_count, sparse index entries, output page count).
-    """
-    generator = rewrite_heap_streaming(heap, schema, updates, stats)
-    while True:
-        try:
-            next(generator)
-        except StopIteration as stop:
-            return stop.value
 
-
-def rewrite_heap_streaming(
-    heap, schema, updates: Iterator[UpdateRecord], stats: MigrationStats
+def rewrite_heap(
+    heap, schema, batches: Iterable[UpdateColumns], stats: MigrationStats
 ):
-    """Generator form of the in-place rewrite: yields every output record.
+    """Stream-rewrite the heap applying ``batches``; in-place write-behind.
 
-    This is what makes the "combine the migration with a table scan query"
-    optimization of Section 3.5 possible — a query can consume the merged
-    record stream while the very same pass writes the pages back.  Returns
-    (row_count, sparse index entries, output page count) as the generator's
-    value.
+    A generator yielding every output row, one structured array per join
+    step — what makes the "combine the migration with a table scan query"
+    optimization of Section 3.5 possible: a query can consume the merged
+    stream while the very same pass writes the pages back.  Returns
+    ``(row_count, sparse index entries, output page count)``.
+
+    In-place safety and the device's view: rows wait in a
+    :class:`_WriteBehind` and leave it a whole I/O chunk of *closed* pages at
+    a time, never past the read frontier, and the rule is evaluated just
+    before the next heap chunk is read — so writes land in the same gap
+    between two reads, in the same order and sizes, as when pages were
+    closed one record at a time.
     """
-    page_size = heap.page_size
-    budget = int((page_size - 24) * DEFAULT_FILL_FACTOR)
-    chunk_pages = heap.pages_per_chunk
+    out = _WriteBehind(heap, schema, stats)
 
-    out_chunk: list[SlottedPage] = []
-    entries: list[tuple[int, int]] = []
+    def data_chunks() -> Iterator[tuple]:
+        scan = heap.scan_chunks(0, heap.num_pages - 1)
+        read_frontier = 0  # input pages consumed
+        while True:
+            out.flush(read_frontier)
+            chunk = next(scan, None)
+            if chunk is None:
+                return
+            if chunk.error is not None:
+                raise chunk.error
+            read_frontier = chunk.first_page + len(chunk.counts)
+            stats.pages_read += len(chunk.counts)
+            if len(chunk.rows):
+                yield chunk.rows, chunk.keys.astype(np.uint64), chunk.record_timestamps()
+
+    def counted() -> Iterator[UpdateColumns]:
+        for batch in batches:
+            stats.updates_applied += len(batch)
+            yield batch
+
     rows = 0
-    read_frontier = 0  # input pages consumed
-    write_frontier = 0  # output pages written
+    for joined, timestamps in join_batches(counted(), data_chunks(), schema):
+        rows += len(joined)
+        out.add(joined, timestamps)
+        yield joined
+    out.finish()
+    return rows, out.entries, out.written
 
-    current = SlottedPage(page_size)
-    current_used = 0
-    current_first_key: Optional[int] = None
 
-    def close_current() -> None:
-        nonlocal current, current_used, current_first_key
-        entries.append(
-            (current_first_key if current_first_key is not None else 0,
-             write_frontier + len(out_chunk))
+class _WriteBehind:
+    """The output side of :func:`rewrite_heap`: joined rows in, whole chunks
+    of packed pages out, behind the read frontier.
+
+    Every page takes the same number of rows (the fill budget over the
+    fixed record size) and the newest timestamp among them.  A page counts
+    as *closed* only once a row beyond it has arrived — a full last page may
+    still be the table's last — and each output page passes the
+    ``migration.emit`` crash/interleave site once, right before the write
+    that carries it: device state changes nowhere else.
+    """
+
+    def __init__(self, heap, schema, stats: MigrationStats) -> None:
+        self.heap = heap
+        self.stats = stats
+        self.key_name = schema.dtype.names[schema.key_pos]
+        self.per_page = max(
+            1, rows_per_page(heap.page_size, schema.record_size, DEFAULT_FILL_FACTOR)
         )
-        out_chunk.append(current)
-        current = SlottedPage(page_size)
-        current_used = 0
-        current_first_key = None
+        self._rows = [np.empty(0, dtype=schema.dtype)]
+        self._timestamps = [np.empty(0, dtype=np.uint64)]
+        self.buffered = 0  # rows not yet written
+        self.entries: list[tuple[int, int]] = []
+        self.written = 0  # write frontier: output pages on disk
 
-    def flush_out(force: bool = False) -> None:
-        """Write buffered output pages behind the read frontier.
+    def add(self, rows, timestamps) -> None:
+        self._rows.append(rows)
+        self._timestamps.append(timestamps)
+        self.buffered += len(rows)
 
-        In-place safety: a non-forced flush never writes a page the scan has
-        not read yet.  A forced flush (input exhausted) may extend into the
-        file's slack capacity.
-        """
-        nonlocal write_frontier
-        while out_chunk:
-            count = min(chunk_pages, len(out_chunk))
-            if not force:
-                if len(out_chunk) < chunk_pages:
-                    return
-                if write_frontier + count > read_frontier:
-                    return  # would overwrite unread input: wait for reads
-            batch = out_chunk[:count]
-            del out_chunk[:count]
-            heap.write_pages_sequential(write_frontier, batch)
-            write_frontier += count
-            stats.pages_written += count
+    def flush(self, read_frontier: int) -> None:
+        """Write whole chunks of closed pages while they stay behind the
+        read frontier (never a page the scan has not read yet)."""
+        chunk_pages = self.heap.pages_per_chunk
+        while (
+            (self.buffered - 1) // self.per_page >= chunk_pages
+            and self.written + chunk_pages <= read_frontier
+        ):
+            self._write(chunk_pages)
 
-    def emit(record: tuple, ts: int) -> None:
-        nonlocal current_used, current_first_key, rows
-        # Crash-point site for plan-driven mid-migration crash tests: fires
-        # once per output record, so occurrence=N dies after N records.
-        sim_interleave("migration.emit")
-        crash_point("migration.emit")
-        data = schema.pack(record)
-        cost = len(data) + 8
-        if current_used + cost > budget or not current.fits(len(data)):
-            close_current()
-            flush_out()
-        current.insert(data)
-        current.timestamp = max(current.timestamp, ts)
-        current_used += cost
-        if current_first_key is None:
-            current_first_key = schema.key(record)
-        rows += 1
+    def finish(self) -> None:
+        """Input exhausted: close the last page and write everything left,
+        extending into the file's slack capacity if the table grew.  A table
+        left without rows keeps one empty page."""
+        pages = ceil_div(self.buffered, self.per_page) or (0 if self.entries else 1)
+        while pages:
+            count = min(self.heap.pages_per_chunk, pages)
+            self._write(count)
+            pages -= count
 
-    update = next(updates, None)
-    total_pages = heap.num_pages
-    for page_no, page in heap.scan_pages(0, total_pages - 1):
-        read_frontier = page_no + 1
-        stats.pages_read += 1
-        page_ts = page.timestamp
-        for record in page_records(page, schema):
-            key = schema.key(record)
-            while update is not None and update.key < key:
-                produced = apply_update(None, update, schema)
-                if produced is not None:
-                    emit(produced, update.timestamp)
-                    yield produced
-                stats.updates_applied += 1
-                update = next(updates, None)
-            if update is not None and update.key == key:
-                if update.timestamp > page_ts:
-                    produced = apply_update(record, update, schema)
-                    if produced is not None:
-                        emit(produced, max(page_ts, update.timestamp))
-                        yield produced
-                else:
-                    emit(record, page_ts)
-                    yield record
-                stats.updates_applied += 1
-                update = next(updates, None)
-            else:
-                emit(record, page_ts)
-                yield record
-        flush_out()
-    while update is not None:
-        produced = apply_update(None, update, schema)
-        if produced is not None:
-            emit(produced, update.timestamp)
-            yield produced
-        stats.updates_applied += 1
-        update = next(updates, None)
-    if current.slot_count or not entries:
-        close_current()
-    read_frontier = max(read_frontier, total_pages)
-    flush_out(force=True)
-    return rows, entries, write_frontier
+    def _write(self, count: int) -> None:
+        """Pack the next ``count`` pages and write them with one I/O."""
+        for _ in range(count):
+            sim_interleave("migration.emit")
+            crash_point("migration.emit")
+        per_page = self.per_page
+        # After a write the rest is one array: only new arrivals are copied.
+        rows, timestamps = (
+            parts[0] if len(parts) == 1 else np.concatenate(parts)
+            for parts in (self._rows, self._timestamps)
+        )
+        take = min(count * per_page, len(rows))
+        self._rows = [rows[take:]]
+        self._timestamps = [timestamps[take:]]
+        self.buffered -= take
+        rows = rows[:take]
+        if take:
+            page_timestamps = np.maximum.reduceat(
+                timestamps[:take], np.arange(0, take, per_page)
+            )
+            first_keys = rows[self.key_name][::per_page].tolist()
+        else:
+            page_timestamps = np.zeros(1, dtype=np.uint64)
+            first_keys = [0]
+        self.entries.extend(zip(first_keys, range(self.written, self.written + count)))
+        self.heap.write_pages_sequential(
+            self.written,
+            encode_chunk(rows, page_timestamps, per_page, self.heap.page_size),
+        )
+        self.written += count
+        self.stats.pages_written += count
 
 
 class CoordinatedMigration:
@@ -261,51 +313,25 @@ class CoordinatedMigration:
 
     def __iter__(self):
         masm = self.masm
-        table = masm.table
-        schema = table.schema
         # Flush the in-memory buffer first so the combined scan is fully
         # fresh (it merges exactly the materialized runs being migrated).
         masm.flush_buffer()
-        held = [run for run in masm.runs if run.compacting]
-        runs = [run for run in masm.runs if not run.compacting]
-        if not runs:
+        unpack = masm.table.schema.unpack_many
+        migration = _migrate_everything(masm, self.redo_log, "coordinated")
+        while True:
+            try:
+                rows = next(migration)
+            except StopIteration as stop:
+                stats = stop.value
+                break
+            yield from unpack(rows)
+        if stats is None:
             # Nothing cached: degrade to a plain fresh scan.
-            yield from masm.range_scan(*table.full_key_range())
+            yield from masm.range_scan(*masm.table.full_key_range())
             return
-        sim_interleave("migration.coordinated")
-        t = masm.oracle.next()
-        if self.redo_log is not None:
-            self.redo_log.log_migration_start(t, [run.name for run in runs])
-        full = (0, 2**63 - 1)
-        updates = iter(
-            MergeUpdates(
-                masm.run_update_sources(runs, *full, query_ts=t, use_cache=False),
-                schema,
-                cpu=masm.cpu,
-            )
-        )
-        stats = MigrationStats(timestamp=t)
-        generator = rewrite_heap_streaming(table.heap, schema, updates, stats)
-        with trace("migration.coordinated", runs=len(runs)):
-            rows, entries, out_pages = yield from generator
-            stats.rows_after = rows
-            table.heap.truncate(out_pages)
-            table.replace_contents(entries, rows)
-            if self.redo_log is not None:
-                self.redo_log.log_migration_end(t)
-            masm.retire_runs(runs, barrier_ts=t)
-            if held:
-                fence = min(run.covered_min_ts for run in held) - 1
-                masm.migrated_through = max(
-                    masm.migrated_through, min(t, fence)
-                )
-            else:
-                masm.migrated_through = max(masm.migrated_through, t)
-            stats.runs_retired = len(runs)
-            masm.stats.migrations += 1
-            if masm.governor is not None:
-                masm.governor.on_full_migration()
-        stats.publish("coordinated")
+        masm.stats.migrations += 1
+        if masm.governor is not None:
+            masm.governor.on_full_migration()
         self.stats = stats
 
 

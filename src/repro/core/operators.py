@@ -456,6 +456,63 @@ class MergeUpdates:
             self.cpu.charge(count * MERGE_CPU_PER_UPDATE)
 
 
+def join_batches(
+    batches: Iterable[UpdateColumns],
+    chunks: Iterable[tuple[object, object, object]],
+    schema: Schema,
+) -> Iterator[tuple[object, object]]:
+    """Join merged update batches against ``(rows, keys, timestamps)`` data
+    chunks (non-empty), both in key order: ``(joined rows, each row's
+    timestamp)`` per step, the arrays of
+    :func:`repro.core.kernels.join_partition`.
+
+    Each step joins the pending part of one batch with the pending part of
+    one chunk, up to whichever ends first, in one ``join_partition`` call; a
+    chunk is pulled only when the batch needs keys beyond the buffered ones,
+    so the data side never holds more than one chunk.  A scan turns each
+    step's rows into tuples (:class:`MergeDataUpdates`); a full migration
+    packs them into pages (:mod:`repro.core.migration`).
+    """
+    chunks = iter(chunks)
+    rows = _np.empty(0, dtype=schema.dtype)
+    keys = timestamps = _np.empty(0, dtype=_np.uint64)
+    start = 0  # rows before it are already joined
+    for batch in batches:
+        done = 0  # batch rows before it are already joined
+        while done < len(batch):
+            if start == len(rows):
+                rows, keys, timestamps = next(chunks, (rows[:0], keys[:0], keys[:0]))
+                start = 0
+            if not len(rows) or batch.keys[-1] < keys[-1]:
+                # The batch ends inside the chunk (or the data is over).
+                upto = len(batch)
+                split = start + int(
+                    _np.searchsorted(keys[start:], batch.keys[-1], side="right")
+                )
+            else:
+                # The chunk ends inside the batch.
+                upto = done + int(
+                    _np.searchsorted(batch.keys[done:], keys[-1], side="right")
+                )
+                split = len(rows)
+            if upto > done:
+                yield kernels.join_partition(
+                    batch.rows(slice(done, upto)),
+                    rows[start:split],
+                    keys[start:split],
+                    timestamps[start:split],
+                )
+            else:
+                yield rows[start:split], timestamps[start:split]
+            start = split
+            done = upto
+    # Data past the last update key passes through unmodified.
+    if start < len(rows):
+        yield rows[start:], timestamps[start:]
+    for rows, _, timestamps in chunks:
+        yield rows, timestamps
+
+
 class MergeDataUpdates:
     """Outer join of (record, page_ts) pairs with combined updates.
 
@@ -498,59 +555,15 @@ class MergeDataUpdates:
         return self._iter_reference()
 
     def _iter_kernel_lists(self, batches: Iterator[UpdateColumns]) -> Iterator[list]:
-        """Join update batches against data chunks, both in key order.
-
-        Each step joins the pending part of one batch with the pending part
-        of one chunk, up to whichever ends first, in one
-        :func:`repro.core.kernels.join_partition` call; a chunk is pulled
-        only when the batch needs keys beyond the buffered ones, so the data
-        side never holds more than one chunk.  Row tuples are built once per
-        step, from the joined array.
-        """
+        """The row tuples of each join step, built once, from its array."""
         schema = self.schema
-        unpack = schema.unpack_many
-        chunks = iter(
+        chunks = (
             self.data_chunks
             if self.data_chunks is not None
             else pair_chunks(self.data_pairs, schema)
         )
-        rows = _np.empty(0, dtype=schema.dtype)
-        keys = timestamps = _np.empty(0, dtype=_np.uint64)
-        start = 0  # rows before it are already joined
-        for batch in batches:
-            done = 0  # batch rows before it are already joined
-            while done < len(batch):
-                if start == len(rows):
-                    rows, keys, timestamps = next(chunks, (rows[:0], keys[:0], keys[:0]))
-                    start = 0
-                if not len(rows) or batch.keys[-1] < keys[-1]:
-                    # The batch ends inside the chunk (or the data is over).
-                    upto = len(batch)
-                    split = start + int(
-                        _np.searchsorted(keys[start:], batch.keys[-1], side="right")
-                    )
-                else:
-                    # The chunk ends inside the batch.
-                    upto = done + int(
-                        _np.searchsorted(batch.keys[done:], keys[-1], side="right")
-                    )
-                    split = len(rows)
-                joined = rows[start:split]
-                if upto > done:
-                    joined = kernels.join_partition(
-                        batch.rows(slice(done, upto)),
-                        joined,
-                        keys[start:split],
-                        timestamps[start:split],
-                    )
-                start = split
-                done = upto
-                yield unpack(joined)
-        # Data past the last update key passes through unmodified.
-        if start < len(rows):
-            yield unpack(rows[start:])
-        for chunk in chunks:
-            yield unpack(chunk[0])
+        for rows, _ in join_batches(batches, chunks, schema):
+            yield schema.unpack_many(rows)
 
     def _iter_reference(self) -> Iterator[tuple]:
         schema = self.schema

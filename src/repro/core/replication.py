@@ -86,7 +86,7 @@ from repro.errors import (
 from repro.obs import get_registry, trace
 from repro.storage.clock import SimClock
 from repro.storage.faults import NodeFaultPlan
-from repro.txn.log import LogRecordType, RedoLog
+from repro.txn.log import RedoLog
 from repro.txn.recovery import recover_masm
 from repro.txn.timestamps import TimestampOracle
 from repro.util.units import KB, MB
@@ -512,14 +512,9 @@ class ReplicaSet:
                 replica=replica_id,
                 watermark=watermark,
             ):
-                for record in source.records():
-                    if (
-                        record.type is LogRecordType.UPDATE
-                        and record.table == primary.table.name
-                        and record.update.timestamp > watermark
-                    ):
-                        replica.masm.apply(record.update)
-                        applied += 1
+                for update in source.updates(primary.table.name, watermark + 1):
+                    replica.masm.apply(update)
+                    applied += 1
         self._obs_catchup.add(applied)
         self._set_state(replica, ReplicaState.ONLINE)
         return applied

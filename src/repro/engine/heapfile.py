@@ -3,17 +3,26 @@
 A heap file holds a table's pages clustered in primary-key order (the record
 order assumption of Section 2.1).  Scans read large I/O chunks (1 MB by
 default, the paper's scan I/O size) and decode each chunk in one pass
-(:func:`decode_chunk`); point operations read and write single pages (4 KB,
-the paper's in-place update I/O size).
+(:func:`decode_chunk`); bulk load and the migration rewrite pack each chunk
+they write in one pass (:func:`encode_chunk`); point operations read and
+write single pages (4 KB, the paper's in-place update I/O size).
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.engine.page import DEFAULT_PAGE_SIZE, HEADER, SlottedPage, uniform_pages
+from repro.engine.page import (
+    DEFAULT_PAGE_SIZE,
+    HEADER,
+    SLOT,
+    SlottedPage,
+    _uniform_directory,
+    uniform_pages,
+)
 from repro.engine.record import Schema
 from repro.errors import PageError, SchemaError, StorageError
 from repro.storage.file import SimFile
@@ -156,6 +165,60 @@ def decode_chunk(
     )
 
 
+#: ``page.HEADER`` as a numpy type: the headers of a buffer of pages as one
+#: strided column each.
+_HEADER_DTYPE = np.dtype(
+    [("timestamp", "<u8"), ("slot_count", "<u4"), ("free_start", "<u4"), ("free_end", "<u4")]
+)
+
+
+def rows_per_page(page_size: int, record_size: int, fill_factor: float) -> int:
+    """How many ``record_size``-byte records a freshly packed page takes:
+    each costs its bytes plus a slot entry, against ``fill_factor`` of the
+    page's usable space (0 when not even one fits the budget)."""
+    return int((page_size - 24) * fill_factor) // (record_size + SLOT.size)
+
+
+def encode_chunk(rows, page_timestamps, per_page: int, page_size: int) -> bytes:
+    """Pack key-ordered ``rows`` (a structured array of the schema's dtype)
+    into ``len(page_timestamps)`` back-to-back pages in one vectorised pass —
+    the mirror of :func:`decode_chunk`.
+
+    Page ``i`` takes ``rows[i * per_page : (i + 1) * per_page]`` in slot
+    order and ``page_timestamps[i]``, so every page is full except the last,
+    which holds the remainder (none at all when there are no rows).  Byte
+    for byte what inserting the records into a fresh :class:`SlottedPage`
+    and calling ``to_bytes`` gives: the bulk-loaded layout, whose slot
+    directory is the memoized :func:`~repro.engine.page._uniform_directory`.
+    """
+    record_size = rows.dtype.itemsize
+    pages = len(page_timestamps)
+    full, rest = divmod(len(rows), per_page)
+    if pages != full + (1 if rest or not full else 0):
+        raise PageError(f"{len(rows)} rows at {per_page} a page are not {pages} pages")
+    out = np.zeros((pages, page_size), dtype=np.uint8)
+    heads = np.ndarray(pages, _HEADER_DTYPE, out, 0, (page_size,))
+    heads["timestamp"] = page_timestamps
+    packed = np.ascontiguousarray(rows).view(np.uint8)
+    for first, stop, count in ((0, full, per_page), (full, pages, rest)):
+        width = count * record_size
+        free_end = page_size - SLOT.size * count
+        if free_end < HEADER.size + width:
+            raise PageError("page overflow during serialization")
+        heads["slot_count"][first:stop] = count
+        heads["free_start"][first:stop] = HEADER.size + width
+        heads["free_end"][first:stop] = free_end
+        if count and first < stop:
+            start = first * per_page * record_size
+            out[first:stop, HEADER.size : HEADER.size + width] = packed[
+                start : start + (stop - first) * width
+            ].reshape(stop - first, width)
+            out[first:stop, free_end:] = np.frombuffer(
+                _uniform_directory(count, record_size)[0], dtype=np.uint8
+            )
+    return out.tobytes()
+
+
 class HeapFile:
     """Pages of one table inside a contiguous :class:`SimFile` extent."""
 
@@ -206,61 +269,51 @@ class HeapFile:
         """
         if not 0.0 < fill_factor <= 1.0:
             raise StorageError(f"fill_factor must be in (0, 1], got {fill_factor}")
+        schema = self.schema
+        per_page = rows_per_page(self.page_size, schema.record_size, fill_factor)
+        key_name = schema.dtype.names[schema.key_pos]
+        records = iter(records)
         index_entries: list[tuple[int, int]] = []
-        chunk = bytearray()
-        page = SlottedPage(self.page_size, timestamp=timestamp)
         page_no = 0
-        budget = int((self.page_size - 24) * fill_factor)
-        used = 0
-        first_key: Optional[int] = None
-        last_key: Optional[int] = None
-
-        def close_page() -> None:
-            nonlocal page, page_no, used, first_key
-            chunk.extend(page.to_bytes())
-            index_entries.append((first_key if first_key is not None else 0, page_no))
-            page_no += 1
-            if len(chunk) >= self.io_chunk:
-                self._flush_chunk(page_no - len(chunk) // self.page_size, chunk)
-                chunk.clear()
-            page = SlottedPage(self.page_size, timestamp=timestamp)
-            used = 0
-            first_key = None
-
-        for record in records:
-            key = self.schema.key(record)
-            if last_key is not None and key < last_key:
-                raise StorageError(
-                    f"bulk_load requires key order (saw {key} after {last_key})"
+        tail = np.empty(0, dtype=schema.dtype[schema.key_pos])  # the last key loaded
+        # One write's worth of records at a time: packed, checked and laid
+        # out as arrays, never as pages.
+        while batch := list(islice(records, max(1, per_page) * self.pages_per_chunk)):
+            if not per_page:
+                budget = int((self.page_size - 24) * fill_factor)
+                raise PageError(
+                    f"record of {schema.record_size} bytes exceeds page budget {budget}"
                 )
-            last_key = key
-            data = self.schema.pack(record)
-            cost = len(data) + 8  # record plus slot entry
-            if used + cost > budget or not page.fits(len(data)):
-                if used == 0:
-                    raise PageError(
-                        f"record of {len(data)} bytes exceeds page budget {budget}"
-                    )
-                close_page()
-            page.insert(data)
-            used += cost
-            if first_key is None:
-                first_key = key
-        if used > 0 or page_no == 0:
-            close_page()
-        if chunk:
-            self._flush_chunk(page_no - len(chunk) // self.page_size, chunk)
+            rows = np.frombuffer(schema.pack_many(batch), dtype=schema.dtype)
+            keys = rows[key_name]
+            sequence = np.concatenate((tail, keys))
+            unordered = np.flatnonzero(sequence[1:] < sequence[:-1])
+            if len(unordered):
+                at = unordered[0]
+                raise StorageError(
+                    f"bulk_load requires key order (saw {sequence[at + 1].item()} "
+                    f"after {sequence[at].item()})"
+                )
+            tail = keys[-1:]
+            pages = ceil_div(len(rows), per_page)
+            self.write_pages_sequential(
+                page_no,
+                encode_chunk(
+                    rows, np.full(pages, timestamp, dtype=np.uint64), per_page, self.page_size
+                ),
+            )
+            index_entries.extend(
+                zip(keys[::per_page].tolist(), range(page_no, page_no + pages))
+            )
+            page_no += pages
+        if page_no == 0:
+            self.write_pages_sequential(
+                0, SlottedPage(self.page_size, timestamp=timestamp).to_bytes()
+            )
+            index_entries.append((0, 0))
+            page_no = 1
         self.num_pages = page_no
         return index_entries
-
-    def _flush_chunk(self, start_page: int, chunk: bytearray) -> None:
-        offset = start_page * self.page_size
-        if offset + len(chunk) > self.file.size:
-            raise StorageError(
-                f"heap file {self.file.name!r} overflow: need "
-                f"{offset + len(chunk)} bytes, extent is {self.file.size}"
-            )
-        self.file.write(offset, bytes(chunk))
 
     # ------------------------------------------------------------ page I/O
     def read_page(self, page_no: int) -> SlottedPage:
@@ -317,16 +370,20 @@ class HeapFile:
         for page_no, data in self._read_chunks(first_page, last_page):
             yield decode_chunk(data, self.page_size, self.schema, page_no)
 
-    def write_pages_sequential(self, start_page: int, pages: Sequence[SlottedPage]) -> None:
-        """Write consecutive pages with one large I/O (migration write-back)."""
-        if not pages:
+    def write_pages_sequential(self, start_page: int, data: bytes) -> None:
+        """Write consecutive encoded pages with one large I/O (bulk load,
+        migration write-back)."""
+        if not data:
             return
+        offset = start_page * self.page_size
+        if offset + len(data) > self.file.size:
+            raise StorageError(
+                f"heap file {self.file.name!r} overflow: need "
+                f"{offset + len(data)} bytes, extent is {self.file.size}"
+            )
         self._check_page(start_page, allow_append=True)
-        data = b"".join(page.to_bytes() for page in pages)
-        if (start_page * self.page_size) + len(data) > self.file.size:
-            raise StorageError(f"sequential write overflows {self.file.name!r}")
-        self.file.write(start_page * self.page_size, data)
-        end = start_page + len(pages)
+        self.file.write(offset, data)
+        end = start_page + len(data) // self.page_size
         if end > self.num_pages:
             self.num_pages = end
 
@@ -363,8 +420,6 @@ class HeapFile:
         slack: float = 0.25,
     ) -> int:
         """Extent size to hold ``record_count`` records plus insertion slack."""
-        per_record = schema.record_size + 8
-        budget = int((page_size - 24) * fill_factor)
-        per_page = max(1, budget // per_record)
+        per_page = max(1, rows_per_page(page_size, schema.record_size, fill_factor))
         pages = ceil_div(record_count, per_page)
         return int(pages * (1.0 + slack) + 2) * page_size

@@ -45,9 +45,14 @@ PAGE_MAGIC = 0x3152534D
 _verification_enabled = True
 
 
-def checksum(data) -> int:
-    """Checksum of ``data`` as an unsigned 32-bit integer."""
-    return _crc(data) & 0xFFFFFFFF
+def checksum(data, seed: int = 0) -> int:
+    """Checksum of ``data`` as an unsigned 32-bit integer.
+
+    ``seed`` is the checksum of the bytes that precede ``data``:
+    ``checksum(b, checksum(a)) == checksum(a + b)``, so a prefix known in
+    advance (the redo log's record-type byte) never has to be concatenated.
+    """
+    return _crc(data, seed) & 0xFFFFFFFF
 
 
 def verification_enabled() -> bool:

@@ -33,6 +33,12 @@ lets recovery distinguish a torn tail — the last record lost to a crash
 mid-append, which is expected and safely skipped — from corruption earlier
 in the log, which is not.
 
+Every pass over the log — truncation, recovery replay, catch-up, log-fallback
+scans — is one frame walk (:meth:`RedoLog._frames`) that reads the file in
+sequential :data:`READ_CHUNK` pieces and checks each frame's CRC where it
+lies in the buffer; a pass costs one device read per chunk of live log, not
+two per frame.
+
 Truncation is compaction: the surviving suffix (records newer than the
 fence) is rewritten to the front of the file behind a fresh CHECKPOINT
 record, the append cursor drops back, and the stale remainder is zeroed
@@ -55,8 +61,18 @@ from repro.obs import get_registry
 from repro.storage.checksum import checksum
 from repro.storage.faults import crash_point
 from repro.storage.file import SimFile
+from repro.util.units import KB
 
 _FRAME = struct.Struct("<IBI")  # payload length, record type, crc
+
+#: Bytes per sequential device read of a frame walk — the log's counterpart
+#: of the heap's ``io_chunk``.  A chunk is read only when the walk reaches it,
+#: so a post-crash scan stops reading at the chunk that holds the log's end.
+READ_CHUNK = 256 * KB
+
+#: A frame's CRC covers the record-type byte, then the payload: seeding the
+#: payload's checksum with the type byte's spares concatenating the two.
+_CRC_SEEDS = tuple(checksum(bytes([rtype])) for rtype in range(256))
 
 # Fixed-width heads of the record payloads (names follow in _pack_str form).
 _U16 = struct.Struct("<H")
@@ -171,6 +187,8 @@ class RedoLog:
         #: paced slices; ``[start, end)`` in file offsets, None when clean.
         self._dirty_start = 0
         self._dirty_end = 0
+        #: table name -> its packed name, the head of every UPDATE payload.
+        self._prefixes: dict[str, bytes] = {}
         registry = get_registry()
         self._obs_records = registry.counter("txn.log.records_written")
         self._obs_bytes = registry.counter("txn.log.bytes_written")
@@ -190,9 +208,18 @@ class RedoLog:
         self.codecs[name] = codec
 
     # ---------------------------------------------------------------- writes
-    def _append(self, rtype: LogRecordType, payload: bytes) -> None:
-        crc = checksum(bytes([int(rtype)]) + payload)
-        frame = _FRAME.pack(len(payload), int(rtype), crc) + payload
+    @staticmethod
+    def _frame(rtype: LogRecordType, *parts: bytes) -> bytes:
+        """One framed record whose payload is ``parts`` back to back."""
+        crc = _CRC_SEEDS[rtype]
+        length = 0
+        for part in parts:
+            crc = checksum(part, crc)
+            length += len(part)
+        return b"".join((_FRAME.pack(length, rtype, crc), *parts))
+
+    def _append(self, rtype: LogRecordType, *parts: bytes) -> None:
+        frame = self._frame(rtype, *parts)
         crash_point("wal.append")
         self.file.append(frame)
         self._zero_guard()
@@ -219,9 +246,14 @@ class RedoLog:
         codec = self.codecs.get(table)
         if codec is None:
             raise RecoveryError(f"no codec registered for table {table!r}")
-        self._append(
-            LogRecordType.UPDATE, _pack_str(table) + codec.encode(update)
-        )
+        self._append(LogRecordType.UPDATE, self._prefix(table), codec.encode(update))
+
+    def _prefix(self, table: str) -> bytes:
+        """``_pack_str(table)``, packed once per table."""
+        prefix = self._prefixes.get(table)
+        if prefix is None:
+            prefix = self._prefixes[table] = _pack_str(table)
+        return prefix
 
     def log_run_flush(self, table: str, run_name: str, max_ts: int) -> None:
         payload = _TS.pack(max_ts) + _pack_str(table) + _pack_str(run_name)
@@ -320,37 +352,25 @@ class RedoLog:
         end = self.file.append_pos
         survivors: list[bytes] = []
         dropped = 0
-        offset = 0
-        while offset < end:
-            header = self.file.read(offset, _FRAME.size)
-            length, rtype_raw, stored_crc = _FRAME.unpack(header)
-            payload = self.file.read(offset + _FRAME.size, length)
-            if checksum(bytes([rtype_raw & 0xFF]) + payload) != stored_crc:
-                raise RecoveryError(
-                    f"live log record at offset {offset} failed checksum; "
-                    "refusing to truncate"
-                )
-            offset += _FRAME.size + length
-            rtype = LogRecordType(rtype_raw)
-            if rtype is LogRecordType.UPDATE:
-                # Only (table, timestamp) decide survival: read them off the
-                # payload's head instead of decoding the whole update.
-                table, pos = _unpack_str(payload, 0)
-                timestamp = UpdateCodec.peek_timestamp(payload, pos)
-            else:
-                record = self._decode(rtype, payload)
-                table, timestamp = record.table, record.timestamp
-            if self._survives(rtype, table, timestamp, checkpoint):
-                survivors.append(header + payload)
-            else:
-                dropped += 1
-        cp_payload = self._encode_checkpoint(checkpoint)
-        cp_crc = checksum(bytes([int(LogRecordType.CHECKPOINT)]) + cp_payload)
-        frames = [
-            _FRAME.pack(len(cp_payload), int(LogRecordType.CHECKPOINT), cp_crc)
-            + cp_payload
-        ] + survivors
-        content = b"".join(frames)
+        try:
+            for _, rtype_raw, frame in self._frames(end, scanning=False):
+                rtype = LogRecordType(rtype_raw)
+                if rtype is LogRecordType.UPDATE:
+                    # Only (table, timestamp) decide survival: read them off
+                    # the payload's head instead of decoding the whole update.
+                    table, pos = _unpack_str(frame, _FRAME.size)
+                    timestamp = UpdateCodec.peek_timestamp(frame, pos)
+                else:
+                    record = self._decode(rtype, frame[_FRAME.size :])
+                    table, timestamp = record.table, record.timestamp
+                if self._survives(rtype, table, timestamp, checkpoint):
+                    survivors.append(frame)
+                else:
+                    dropped += 1
+        except RecoveryError as exc:
+            raise RecoveryError(f"live {exc}; refusing to truncate") from exc
+        fresh = self._frame(LogRecordType.CHECKPOINT, self._encode_checkpoint(checkpoint))
+        content = b"".join((fresh, *survivors))
         if len(content) > self.file.size:
             raise RecoveryError(
                 f"compacted log ({len(content)} bytes) exceeds the log file "
@@ -416,69 +436,137 @@ class RedoLog:
         return step
 
     # ----------------------------------------------------------------- reads
-    def records(self) -> Iterator[LogRecord]:
-        """Replay the log from the beginning (recovery path).
+    def _frames(self, end: int, scanning: bool) -> Iterator[tuple[int, int, bytes]]:
+        """Walk the frames in ``[0, end)`` of the file: ``(offset, record-type
+        byte, frame)`` per frame whose CRC holds, the payload starting
+        ``_FRAME.size`` bytes into ``frame``.
 
-        When the in-memory append cursor was lost with the crash, the log is
-        scanned until the first invalid frame (unwritten space reads as
-        zeroes, which no valid frame starts with).  In that scan mode, a
-        *torn tail* — the final record partially persisted because the crash
-        interrupted the append — fails its CRC and is skipped with the
-        ``txn.log.torn_tail_skipped`` counter: the update it carried was
-        never acknowledged, so dropping it is correct.  A CRC mismatch
-        *before* a known end of log is real corruption and raises.
+        The file is read in sequential :data:`READ_CHUNK` pieces, each only
+        when the walk reaches it; a frame that straddles a chunk boundary is
+        completed from the next chunk, and frames are slices of the buffer.
+
+        ``end`` is either the known end of the log, where a frame that runs
+        past it or fails its CRC is corruption and raises, or (``scanning``)
+        the file size, where the walk stops at the first frame that is not
+        one: unwritten space (zeroes, which no valid frame starts with), or
+        a *torn tail* — the final record partially persisted because a crash
+        interrupted the append — which is counted and skipped.
+        """
+        read = self.file.read
+        unpack = _FRAME.unpack_from
+        head = _FRAME.size
+        buf = b""  # file bytes [base, base + len(buf))
+        view = memoryview(buf)
+        base = 0
+        offset = 0
+
+        def fill(need: int) -> None:
+            """Make the buffer hold file bytes ``[offset, offset + need)``
+            (``offset + need <= end``)."""
+            nonlocal buf, view, base
+            pieces = [buf[offset - base :]]
+            have = len(pieces[0])
+            while have < need:
+                step = min(READ_CHUNK, end - offset - have)
+                pieces.append(read(offset + have, step))
+                have += step
+            buf = b"".join(pieces)
+            view = memoryview(buf)
+            base = offset
+
+        while offset < end:
+            if offset + head > end:
+                if scanning:
+                    self._torn_tail(offset, "truncated frame header")
+                    return
+                raise RecoveryError("truncated log frame header")
+            if offset - base + head > len(buf):
+                fill(head)
+            length, rtype_raw, stored_crc = unpack(buf, offset - base)
+            if scanning and (rtype_raw == 0 or length == 0):
+                return  # end of written log
+            size = head + length
+            if offset + size > end:
+                if scanning:
+                    self._torn_tail(offset, "truncated payload")
+                    return
+                raise RecoveryError("truncated log record payload")
+            if offset - base + size > len(buf):
+                fill(size)
+            at = offset - base
+            if checksum(view[at + head : at + size], _CRC_SEEDS[rtype_raw]) != stored_crc:
+                if scanning:
+                    self._torn_tail(offset, "checksum mismatch")
+                    return
+                raise RecoveryError(f"log record at offset {offset} failed checksum")
+            yield offset, rtype_raw, buf[at : at + size]
+            offset += size
+
+    def _replay(self) -> Iterator[tuple[LogRecordType, bytes]]:
+        """``(type, frame)`` of every record from the beginning of the log —
+        the walk :meth:`records` and :meth:`updates` decode from.
+
+        When the in-memory append cursor was lost with a crash the log is
+        scanned to its first invalid frame (see :meth:`_frames`): a torn
+        tail is skipped with the ``txn.log.torn_tail_skipped`` counter — the
+        update it carried was never acknowledged, so dropping it is correct
+        — and the cursor is parked after the surviving records.  A CRC
+        mismatch *before* a known end of log is real corruption and raises.
         """
         end = self.file.append_pos or self.file.size
         scanning = self.file.append_pos == 0
-        offset = 0
-        while offset < end:
-            if offset + _FRAME.size > end:
-                if scanning:
-                    self._torn_tail(offset, "truncated frame header")
-                    break
-                raise RecoveryError("truncated log frame header")
-            header = self.file.read(offset, _FRAME.size)
-            length, rtype_raw, stored_crc = _FRAME.unpack(header)
-            if scanning and (rtype_raw == 0 or length == 0):
-                break  # end of written log
-            if offset + _FRAME.size + length > end:
-                if scanning:
-                    self._torn_tail(offset, "truncated payload")
-                    break
-                raise RecoveryError("truncated log record payload")
-            payload = self.file.read(offset + _FRAME.size, length)
-            if checksum(bytes([rtype_raw & 0xFF]) + payload) != stored_crc:
-                if scanning:
-                    self._torn_tail(offset, "checksum mismatch")
-                    break
-                raise RecoveryError(
-                    f"log record at offset {offset} failed checksum"
-                )
-            offset += _FRAME.size + length
+        parked = 0
+        for offset, rtype_raw, frame in self._frames(end, scanning):
+            parked = offset + len(frame)
             try:
                 rtype = LogRecordType(rtype_raw)
             except ValueError as exc:
                 raise RecoveryError(f"corrupt log record type {rtype_raw}") from exc
-            record = self._decode(rtype, payload)
-            if record.type is LogRecordType.CHECKPOINT:
+            if rtype is LogRecordType.CHECKPOINT:
                 # A persisted checkpoint means the prefix below its fence
                 # was (or may legitimately have been) reclaimed.
-                self.truncated_through = max(
-                    self.truncated_through, record.timestamp
-                )
-            yield record
+                (fence, _) = _CHECKPOINT.unpack_from(frame, _FRAME.size)
+                self.truncated_through = max(self.truncated_through, fence)
+            yield rtype, frame
         if scanning:
             # The append cursor was lost with the crash; park it after the
             # surviving records so fresh appends do not overwrite them.
-            self.file.seek_append(offset)
-            if self.truncated_through > 0 and offset < self.file.size:
+            self.file.seek_append(parked)
+            if self.truncated_through > 0 and parked < self.file.size:
                 # The dirty-region extent was volatile too.  A checkpoint in
                 # the log means a lazily-zeroed stale region may trail the
                 # live content; treat everything after it as dirty so the
                 # append-time guard and background scrubbing stay armed.
-                self._dirty_start = offset
+                self._dirty_start = parked
                 self._dirty_end = self.file.size
                 self._zero_guard()
+
+    def records(self) -> Iterator[LogRecord]:
+        """Replay the log from the beginning (recovery path): every record,
+        decoded.  See :meth:`_replay` for how the log's end is found."""
+        for rtype, frame in self._replay():
+            yield self._decode(rtype, frame[_FRAME.size :])
+
+    def updates(
+        self, table: str, min_ts: int = 0, max_ts: Optional[int] = None
+    ) -> Iterator[UpdateRecord]:
+        """The logged updates of ``table`` with ``min_ts <= ts <= max_ts``
+        (no upper bound when None), in log order.
+
+        ``(table, timestamp)`` are read off each UPDATE payload's head, as
+        truncation reads them, so only the updates asked for are decoded —
+        what log-fallback scans, run rebuilds and replica catch-up replay.
+        """
+        codec = self.codecs.get(table)
+        if codec is None:
+            raise RecoveryError(f"no codec registered for table {table!r}")
+        prefix = self._prefix(table)
+        body = _FRAME.size + len(prefix)
+        for rtype, frame in self._replay():
+            if rtype is LogRecordType.UPDATE and frame.startswith(prefix, _FRAME.size):
+                timestamp = codec.peek_timestamp(frame, body)
+                if timestamp >= min_ts and (max_ts is None or timestamp <= max_ts):
+                    yield codec.decode(frame, body)[0]
 
     def _torn_tail(self, offset: int, reason: str) -> None:
         """Count a torn tail record found while scanning after a crash.

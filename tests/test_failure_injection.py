@@ -128,10 +128,14 @@ def test_double_crash_during_redo():
     assert got == shadow
 
 
-@pytest.mark.parametrize("emit_count", [1, 400, 1200])
+@pytest.mark.parametrize("emit_count", [1, 18, 44])
 def test_plan_driven_crash_mid_migration(emit_count):
     """The same torn-migration scenario, but the crash comes from a fault
-    plan's named crash point instead of abandoning the iterator by hand."""
+    plan's named crash point instead of abandoning the iterator by hand.
+
+    ``migration.emit`` fires once per output page (46 here, all carried by
+    the one final chunk write), so the occurrences die with the update runs
+    read to different depths and the heap not yet written."""
     from repro.errors import SimulatedCrash
     from repro.storage.faults import FaultPlan, use_fault_plan
 

@@ -358,7 +358,8 @@ def test_crash_point_mid_migration_plan_driven():
     """The hand-torn `del iterator` scenario, now driven by a fault plan."""
     masm, table, ssd_vol, log, config, shadow = build()
     workload(masm, shadow, 400, seed=FAULT_SEED)
-    plan = FaultPlan(seed=FAULT_SEED).crash_at("migration.emit", occurrence=200)
+    # One hit per output page (46 of them): die in the middle.
+    plan = FaultPlan(seed=FAULT_SEED).crash_at("migration.emit", occurrence=20)
     with use_fault_plan(plan):
         with pytest.raises(SimulatedCrash):
             for _ in CoordinatedMigration(masm, redo_log=log):

@@ -108,7 +108,7 @@ def test_write_pages_sequential():
     heap = make_heap()
     heap.bulk_load(records(100))
     pages = [SlottedPage(heap.page_size, timestamp=9) for _ in range(3)]
-    heap.write_pages_sequential(0, pages)
+    heap.write_pages_sequential(0, b"".join(page.to_bytes() for page in pages))
     assert heap.read_page(2).timestamp == 9
 
 

@@ -1,0 +1,361 @@
+"""The chunked WAL frame walk against the per-frame reference.
+
+``RedoLog._frames`` reads the live log in sequential ``READ_CHUNK`` pieces and
+serves truncation, recovery replay, catch-up and log-fallback scans.  Over
+random record mixes and every chunk size it must be indistinguishable, from
+the outside, from the two-reads-per-frame passes in ``reference_wal``:
+
+* the same records, errors and side effects (parked cursor, truncation
+  fence, dirty region) with frames straddling every read-chunk boundary, in
+  known-end and in post-crash scanning mode;
+* a torn tail cut at every byte of the last frame stops the scan, is counted
+  and leaves the cursor where the torn frame began;
+* a flipped bit mid-log raises ``RecoveryError`` from ``records()`` (known
+  end) and from ``truncate_through`` ("refusing to truncate");
+* ``truncate_through`` leaves the same file bytes, cursor, dirty region and
+  ``TruncationReport``;
+* and a pass costs at most ``ceil(live bytes / chunk) + 1`` device reads.
+
+``MASM_FAULT_SEED`` / ``MASM_CHAOS_SEED`` seed the fuzz legs (CI runs the
+suite under every seed of its ``faults`` and ``chaos`` jobs).
+"""
+
+from __future__ import annotations
+
+import os
+import random
+from contextlib import contextmanager
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_wal as ref
+from repro.core.update import UpdateCodec, UpdateRecord, UpdateType
+from repro.engine.record import Schema
+from repro.errors import RecoveryError
+from repro.obs import MetricsRegistry, get_registry, use_registry
+from repro.storage.file import StorageVolume
+from repro.storage.ssd import SimulatedSSD
+from repro.txn import log as log_module
+from repro.txn.log import _FRAME, Checkpoint, RedoLog, RunManifestEntry
+from repro.util.units import KB, MB, ceil_div
+
+pytestmark = [pytest.mark.faults, pytest.mark.chaos]
+
+SEED = int(os.environ.get("MASM_FAULT_SEED", "11")) * 1009 + int(
+    os.environ.get("MASM_CHAOS_SEED", "3")
+)
+
+SCHEMA = Schema([("key", "u32"), ("payload", "s12")])
+CODEC = UpdateCodec(SCHEMA)
+TABLES = ("t", "other-table")
+LOG_BYTES = 64 * KB
+
+
+# ------------------------------------------------------------------ fixtures
+def make_log(size: int = LOG_BYTES) -> RedoLog:
+    volume = StorageVolume(SimulatedSSD(capacity=1 * MB))
+    return RedoLog(volume.create("wal", size), {name: CODEC for name in TABLES})
+
+
+def reopen(log: RedoLog) -> RedoLog:
+    """The log as a restarted process finds it: bytes kept, cursor lost."""
+    log.file._append_pos = 0
+    return RedoLog(log.file, log.codecs)
+
+
+@contextmanager
+def read_chunk(size: int):
+    saved = log_module.READ_CHUNK
+    log_module.READ_CHUNK = size
+    try:
+        yield
+    finally:
+        log_module.READ_CHUNK = saved
+
+
+def state(log: RedoLog) -> tuple:
+    """Everything a pass may change, file bytes included."""
+    return (
+        log.file.append_pos,
+        log.truncated_through,
+        log._dirty_start,
+        log._dirty_end,
+        log.file.peek(0, log.file.size),
+    )
+
+
+names = st.text("abcdefgh-0123", min_size=1, max_size=12)
+keys = st.integers(0, 2**32 - 1)
+texts = st.text("xyz é", max_size=6)
+spans = st.tuples(st.integers(0, 1000), st.integers(1000, 2**40))
+tables = st.sampled_from(TABLES)
+OPS = st.one_of(
+    st.tuples(st.just("insert"), tables, keys, texts),
+    st.tuples(st.just("delete"), tables, keys),
+    st.tuples(st.just("modify"), tables, keys, texts),
+    st.tuples(st.just("flush"), tables, names),
+    st.tuples(st.just("migration"), st.lists(names, max_size=3), st.none() | spans),
+    st.tuples(st.just("merge"), names, st.lists(names, max_size=3)),
+    st.tuples(st.just("slice"), names, st.lists(names, max_size=3), spans),
+    st.tuples(
+        st.just("checkpoint"),
+        tables,
+        st.lists(st.tuples(names, st.lists(spans, max_size=2)), max_size=3),
+    ),
+)
+
+
+def apply_ops(log: RedoLog, ops) -> None:
+    """Append one record per op; op ``i`` carries timestamp ``i``."""
+    for ts, op in enumerate(ops, start=1):
+        kind = op[0]
+        if kind == "insert":
+            _, table, key, text = op
+            log.log_update(table, UpdateRecord(ts, key, UpdateType.INSERT, (key, text)))
+        elif kind == "delete":
+            log.log_update(op[1], UpdateRecord(ts, op[2], UpdateType.DELETE, None))
+        elif kind == "modify":
+            _, table, key, text = op
+            log.log_update(table, UpdateRecord(ts, key, UpdateType.MODIFY, {"payload": text}))
+        elif kind == "flush":
+            log.log_run_flush(op[1], op[2], max_ts=ts)
+        elif kind == "migration":
+            log.log_migration_start(ts, op[1], key_range=op[2])
+            log.log_migration_end(ts)
+        elif kind == "merge":
+            log.log_run_merge(ts, op[1], op[2], covered_ts=(1, ts))
+        elif kind == "slice":
+            log.log_merge_slice(ts, op[1], op[2], key_range=op[3], covered_ts=(1, ts))
+        else:
+            _, table, runs = op
+            entries = tuple(
+                RunManifestEntry(name, 1, ts, tuple(ranges)) for name, ranges in runs
+            )
+            log.log_checkpoint(Checkpoint(table, ts // 2, ts // 3, entries))
+
+
+def random_ops(rng: random.Random, count: int) -> list:
+    """A seeded mix of every record kind (the non-hypothesis fuzz legs)."""
+    ops = []
+    for _ in range(count):
+        roll = rng.random()
+        table = rng.choice(TABLES)
+        if roll < 0.6:
+            kind = rng.choice(["insert", "delete", "modify"])
+            op = (kind, table, rng.randrange(2**32))
+            ops.append(op if kind == "delete" else op + ("v%d" % rng.randrange(999),))
+        elif roll < 0.7:
+            ops.append(("flush", table, "run-%d" % rng.randrange(99)))
+        elif roll < 0.8:
+            ops.append(("migration", ["r%d" % i for i in range(rng.randrange(4))], None))
+        elif roll < 0.9:
+            ops.append(("merge", "product", ["v%d" % i for i in range(rng.randrange(4))]))
+        else:
+            ops.append(("checkpoint", table, [("run-a", [(0, 5)]), ("run-b", [])]))
+    return ops
+
+
+def twin_logs(ops, size: int = LOG_BYTES) -> tuple[RedoLog, RedoLog]:
+    first, second = make_log(size), make_log(size)
+    apply_ops(first, ops)
+    apply_ops(second, ops)
+    assert state(first) == state(second)
+    return first, second
+
+
+# ------------------------------------------------- records(): random mixes
+@settings(max_examples=60, deadline=None)
+@given(ops=st.lists(OPS, min_size=1, max_size=30), chunk=st.integers(1, 400))
+def test_chunked_walk_equals_the_per_frame_reference(ops, chunk):
+    log, twin = twin_logs(ops)
+    with read_chunk(chunk):
+        # Known end: the live cursor bounds the walk.
+        assert list(log.records()) == list(ref.reference_records(twin))
+        assert state(log) == state(twin)
+        # Post-crash scan: the end is found, the cursor parked, and (after
+        # a checkpoint) the rest of the file treated as dirty.
+        log, twin = reopen(log), reopen(twin)
+        assert list(log.records()) == list(ref.reference_records(twin))
+        assert state(log) == state(twin)
+        assert log.file.append_pos > 0
+
+
+def test_frames_straddle_every_read_chunk_boundary():
+    """One fixed log, every chunk size from one byte to past the whole log:
+    each frame's header and payload meet a chunk edge at every offset."""
+    ops = random_ops(random.Random(SEED), 12)
+    log, twin = twin_logs(ops)
+    expected = list(ref.reference_records(twin))
+    live = log.live_bytes
+    for chunk in range(1, live + 3):
+        with read_chunk(chunk):
+            assert list(log.records()) == expected
+            scanned = reopen(make_copy(log))
+            assert list(scanned.records()) == expected
+            assert scanned.file.append_pos == live
+
+
+def make_copy(log: RedoLog) -> RedoLog:
+    copy = make_log(log.file.size)
+    copy.file.write(0, log.file.peek(0, log.live_bytes))
+    return copy
+
+
+def test_updates_reads_only_the_asked_table_and_span():
+    ops = random_ops(random.Random(SEED + 1), 200)
+    log = make_log()
+    apply_ops(log, ops)
+    everything = list(log.records())
+    for table in TABLES:
+        for lo, hi in ((0, None), (50, 120), (201, None), (7, 7)):
+            want = [
+                r.update
+                for r in everything
+                if r.update is not None
+                and r.table == table
+                and lo <= r.timestamp
+                and (hi is None or r.timestamp <= hi)
+            ]
+            with read_chunk(97):
+                assert list(log.updates(table, lo, hi)) == want
+    with pytest.raises(RecoveryError, match="no codec registered"):
+        list(log.updates("nobody"))
+
+
+# ----------------------------------------------------------------- torn tail
+def test_torn_tail_cut_at_every_byte_of_the_last_frame():
+    # The last frame ends in a non-zero byte: cutting trailing zeroes off a
+    # frame would leave it whole (unwritten space reads as zeroes).
+    ops = random_ops(random.Random(SEED + 2), 9) + [("insert", "t", 77, "twelve-bytes")]
+    whole = make_log()
+    apply_ops(whole, ops)
+    image = whole.file.peek(0, whole.live_bytes)
+    start = len(image) - len(_last_frame(image))
+    expected = list(whole.records())[:-1]
+    for cut in range(len(image) - start):
+        for chunk in (5, 64, 256 * KB):
+            with use_registry(MetricsRegistry()), read_chunk(chunk):
+                torn = make_log()
+                torn.file.write(0, image[: start + cut])
+                torn = reopen(torn)
+                assert list(torn.records()) == expected
+                skipped = get_registry().counter("txn.log.torn_tail_skipped").value
+            with use_registry(MetricsRegistry()):
+                twin = make_log()
+                twin.file.write(0, image[: start + cut])
+                twin = reopen(twin)
+                assert list(ref.reference_records(twin)) == expected
+                assert skipped == get_registry().counter("txn.log.torn_tail_skipped").value
+            # Zero bytes are unwritten space, not a tear: the tail counts as
+            # torn once the frame's type byte made it to the device.
+            assert skipped == (1 if cut > 4 else 0)
+            assert torn.file.append_pos == start
+            assert state(torn) == state(twin)
+            # The next append reuses the torn frame's space.
+            torn.log_update("t", UpdateRecord(999, 1, UpdateType.DELETE, None))
+            assert len(list(torn.records())) == len(expected) + 1
+
+
+def _last_frame(image: bytes) -> bytes:
+    offset = 0
+    while True:
+        length = _FRAME.unpack_from(image, offset)[0]
+        end = offset + _FRAME.size + length
+        if end == len(image):
+            return image[offset:]
+        offset = end
+
+
+# ----------------------------------------------------------------- corruption
+@settings(max_examples=40, deadline=None)
+@given(
+    ops=st.lists(OPS, min_size=2, max_size=20),
+    chunk=st.integers(1, 300),
+    where=st.floats(0, 1, exclude_max=True),
+    bit=st.integers(0, 7),
+)
+def test_flipped_bit_mid_log_is_corruption_not_a_torn_tail(ops, chunk, where, bit):
+    log = make_log()
+    apply_ops(log, ops)
+    # Flip one bit under a CRC: in a payload or a stored CRC, not in a length
+    # or type field (a damaged length is a different error: see below).
+    image = log.file.peek(0, log.live_bytes)
+    spots = []
+    offset = 0
+    while offset < len(image):
+        length = _FRAME.unpack_from(image, offset)[0]
+        spots.extend(range(offset + 5, offset + _FRAME.size + length))
+        offset += _FRAME.size + length
+    spot = spots[int(where * len(spots))]
+    log.file.write(spot, bytes([image[spot] ^ (1 << bit)]))
+    before = log.file.append_pos, log.file.peek(0, log.file.size)
+    with read_chunk(chunk):
+        with pytest.raises(RecoveryError, match="failed checksum"):
+            list(log.records())
+        with pytest.raises(RecoveryError, match="refusing to truncate"):
+            log.truncate_through(Checkpoint("t", len(ops), 0))
+    assert (log.file.append_pos, log.file.peek(0, log.file.size)) == before
+
+
+def test_frame_running_past_a_known_end_raises():
+    log = make_log()
+    apply_ops(log, random_ops(random.Random(SEED + 3), 6))
+    end = log.live_bytes
+    for chop, message in ((3, "truncated log frame header"), (12, "truncated log record payload")):
+        # A short cursor strands the start of a frame before the known end.
+        last = end - len(_last_frame(log.file.peek(0, end)))
+        log.file.seek_append(last + chop)
+        with pytest.raises(RecoveryError, match=message):
+            list(log.records())
+        with pytest.raises(RecoveryError, match="refusing to truncate"):
+            log.truncate_through(Checkpoint("t", 1, 0))
+
+
+# ----------------------------------------------------------------- truncation
+@settings(max_examples=60, deadline=None)
+@given(
+    ops=st.lists(OPS, min_size=1, max_size=30),
+    chunk=st.integers(1, 400),
+    fence=st.floats(0, 1.2),
+    table=tables,
+)
+def test_truncation_equals_the_per_frame_reference(ops, chunk, fence, table):
+    log, twin = twin_logs(ops)
+    checkpoint = Checkpoint(
+        table, int(fence * len(ops)), 0, (RunManifestEntry("run-x", 1, 5, ((1, 9),)),)
+    )
+    with read_chunk(chunk):
+        report = log.truncate_through(checkpoint)
+        assert report == ref.reference_truncate_through(twin, checkpoint)
+        assert state(log) == state(twin)
+        # And again over the compacted log, with its dirty tail behind it.
+        later = Checkpoint(table, len(ops), 0)
+        assert log.truncate_through(later) == ref.reference_truncate_through(twin, later)
+        assert state(log) == state(twin)
+        assert list(log.records()) == list(ref.reference_records(twin))
+
+
+# ---------------------------------------------------------------- read budget
+@pytest.mark.parametrize("chunk", [512, 4 * KB, 256 * KB])
+def test_a_pass_reads_one_chunk_at_a_time(chunk):
+    log = make_log()
+    apply_ops(log, random_ops(random.Random(SEED + 4), 600))
+    live = log.live_bytes
+    assert live > 8 * KB
+    budget = ceil_div(live, chunk) + 1
+
+    def reads(of: RedoLog, run) -> int:
+        stats = of.file.device.stats
+        before = stats.reads
+        run()
+        return stats.reads - before
+
+    with read_chunk(chunk):
+        assert reads(log, lambda: list(log.records())) <= budget
+        assert reads(log, lambda: list(log.updates("t", 100))) <= budget
+        scanning = reopen(make_copy(log))
+        assert reads(scanning, lambda: list(scanning.records())) <= budget
+        assert scanning.file.append_pos == live
+        assert reads(log, lambda: log.truncate_through(Checkpoint("t", 300, 0))) <= budget

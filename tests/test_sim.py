@@ -337,6 +337,15 @@ def test_crash_explorer_validates_every_probe():
     assert report.fired("wal.append") > 0
 
 
+def test_crash_explorer_fires_the_migration_emit_site():
+    """``migration.emit`` sits on every output page of a full migration (and
+    on every page of a paced slice); seed 11's canonical schedule reaches it,
+    so a sweep that never fires it has lost the site."""
+    report = explore_crash_schedules(seed=11, sites=("migration.emit",))
+    assert report.fired("migration.emit") > 0
+    assert not report.failures
+
+
 # ------------------------------------------------------------------ the CLI
 def test_cli_sweep_covers_the_pinned_txn_vs_plain_seeds(capsys):
     """``--sweep`` runs a seed range of one scenario and fails on any
