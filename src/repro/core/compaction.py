@@ -43,17 +43,17 @@ and *what* to merge with a modeled decision, and *how* with bounded slices:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
+from repro.core import kernels
 from repro.core.governor import STATE_CRITICAL, PacingController, TokenBucket
-from repro.core.operators import merge_update_streams
 from repro.core.sortedrun import MaterializedSortedRun, write_run
 from repro.errors import OutOfSpaceError, StorageError
 from repro.obs import get_registry, trace
 from repro.sim.hooks import interleave as sim_interleave
 from repro.storage.device import DeviceProfile
 from repro.storage.faults import crash_point
+from repro.util.search import key_position
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.masm import MaSM
@@ -485,27 +485,8 @@ class CompactionScheduler:
             int(self.pacer.fraction * max(plan.total_count, 1)),
             floor,
         )
-        stream = merge_update_streams(
-            [
-                iter(src)
-                for src in masm.run_update_sources(
-                    victims, plan.cursor, KEY_MAX, query_ts=None, use_cache=False
-                )
-            ]
-        )
-        records = list(islice(stream, target))
-        leftover = None
-        if records:
-            # A key's whole version chain must land in one product: a split
-            # chain would answer timestamps between the versions from two
-            # runs whose masks disagree about who owns the key.
-            last_key = records[-1].key
-            for update in stream:
-                if update.key != last_key:
-                    leftover = update
-                    break
-                records.append(update)
-        if not records:
+        updates, leftover = self._take_merged(victims, plan.cursor, target)
+        if updates is None:
             # Every remaining key under the cursor was already migrated in
             # place (masked).  Close the mask without a product: the range
             # holds nothing a product would need to own.
@@ -515,7 +496,7 @@ class CompactionScheduler:
             self._finish_if_complete()
             return False
         lo = plan.cursor
-        hi = KEY_MAX if leftover is None else records[-1].key
+        hi = int(updates.keys[-1]) if leftover else KEY_MAX
         name = masm._next_run_name()
         covered = (
             min(v.covered_min_ts for v in victims),
@@ -536,7 +517,7 @@ class CompactionScheduler:
         product = write_run(
             masm.ssd,
             name,
-            records,
+            updates,
             masm.codec,
             block_size=masm.config.block_size,
             passes=plan.passes,
@@ -552,11 +533,54 @@ class CompactionScheduler:
         )
         plan.slices += 1
         self._slices.add(1)
-        if leftover is None:
-            plan.done = True
-        else:
+        if leftover:
             plan.cursor = hi + 1
+        else:
+            plan.done = True
         return True
+
+    def _take_merged(self, victims, cursor: int, target: int):
+        """``(updates, leftover)``: the first ``target`` updates of the
+        victims' merged content from key ``cursor`` on plus the rest of the
+        last one's key (a key's version chain split over two products would
+        answer the timestamps between from runs whose masks disagree about
+        who owns the key), and whether anything is left after them;
+        ``updates`` is None when there is nothing from ``cursor`` on.
+
+        Victims are read one read group at a time, a further group only from
+        the victim whose last key read keeps the merged prefix from being final.
+        """
+        sources = [
+            source.column_groups()
+            for source in self.masm.run_update_sources(
+                victims, cursor, KEY_MAX, query_ts=None, use_cache=False
+            )
+        ]
+        last: dict[int, int] = {}  # victim not read to its end -> last key read
+
+        def pull(slot: int) -> list:
+            group = next(sources[slot], None)
+            if group is None:
+                last.pop(slot, None)
+                return []
+            last[slot] = int(group.keys[-1])
+            return [group]
+
+        read = [group for slot in range(len(sources)) for group in pull(slot)]
+        while True:
+            # Merged from the groups as read each time: a merged result's rows
+            # are no longer in buffer order, which the merge wants of its input.
+            merged = kernels.merge_sorted(read)
+            if merged is None:
+                return None, False
+            # Keys below every unfinished victim's last are final.
+            bound = min(last.values(), default=None)
+            if bound is None or target <= key_position(merged.keys, bound, "left"):
+                taken = min(target, len(merged))
+                cut = key_position(merged.keys, int(merged.keys[taken - 1]), "right")
+                return merged.rows(slice(0, cut)), cut < len(merged)
+            for slot in [slot for slot, key in last.items() if key == bound]:
+                read += pull(slot)
 
     def apply_pending(self) -> None:
         """Publish committed slices once no in-flight scan can be skewed.

@@ -87,11 +87,10 @@ def _gallop_two_source_order(a: UpdateColumns, b: UpdateColumns):
     return order
 
 
-def merge_slices(
-    slices: Sequence[UpdateColumns], cpu: Optional[CpuMeter] = None
-) -> Optional[UpdateColumns]:
-    """Merge (key, ts)-sorted slices and combine same-key chains into one
-    batch, strictly increasing in key; None when every slice is empty.
+def _merge(slices: Sequence[UpdateColumns]):
+    """``(rows, order)``: the non-empty slices back to back and the
+    permutation that puts them in (key, ts) order (None: as they stand);
+    ``(None, None)`` when every slice is empty.
 
     ``slices`` must be in source order: the stable lexicographic sort (and
     the galloping two-source path) then break (key, ts) ties exactly like
@@ -99,37 +98,61 @@ def merge_slices(
     """
     live = [s for s in slices if len(s)]
     if not live:
-        return None
+        return None, None
     merged = UpdateColumns.concat(live)
     order = None
     if len(live) == 2:
         order = _gallop_two_source_order(live[0], live[1])
     if order is None and len(live) > 1:
         order = _np.lexsort((merged.timestamps, merged.keys))
+    return merged, order
+
+
+def merge_sorted(slices: Sequence[UpdateColumns]) -> Optional[UpdateColumns]:
+    """Merge (key, ts)-sorted slices (in source order) into one, every
+    update kept — what a structural merge or a compaction slice writes: the
+    product must still answer timestamps between a key's versions.  None
+    when every slice is empty."""
+    merged, order = _merge(slices)
+    return merged if order is None else merged.rows(order)
+
+
+def merge_slices(
+    slices: Sequence[UpdateColumns], cpu: Optional[CpuMeter] = None
+) -> Optional[UpdateColumns]:
+    """Merge (key, ts)-sorted slices (in source order) and combine same-key
+    chains into one batch, strictly increasing in key; None when every slice
+    is empty."""
+    merged, order = _merge(slices)
+    if merged is None:
+        return None
     if cpu is not None:
         cpu.charge_batch(len(merged), KERNEL_MERGE_CPU_PER_UPDATE, kind="merge")
-    return _combine_same_key_runs(merged, order, cpu)
-
-
-def _combine_same_key_runs(
-    merged: UpdateColumns, order, cpu: Optional[CpuMeter]
-) -> UpdateColumns:
-    """``merged`` in ``order`` (None: as it stands) with every run of equal
-    keys collapsed into the chain's combined update.
-
-    Chains are located with one shifted comparison and folded on their
-    encoded form (:meth:`UpdateCodec.fold_chain`): most keep one member's
-    payload as it is, the rest get a freshly spliced payload appended to the
-    batch's buffer.  The combined update takes the chain's first position,
-    its last member's timestamp and the folded op code.  Rows of unique keys
-    pass through untouched, and nothing becomes an object.
-    """
     keys = merged.keys if order is None else merged.keys[order]
-    dup = keys[1:] == keys[:-1]
+    follows = _np.zeros(len(keys), dtype=bool)  # same key as the row before
+    _np.equal(keys[1:], keys[:-1], out=follows[1:])
+    return fold_chains(merged, order, follows, cpu)
+
+
+def fold_chains(
+    merged: UpdateColumns, order, follows, cpu: Optional[CpuMeter] = None
+) -> UpdateColumns:
+    """``merged`` in ``order`` (None: as it stands) with every row flagged in
+    ``follows`` folded into the row before it: each run of flagged rows and
+    the row they follow — one key's updates in timestamp order — collapses
+    into the chain's combined update.
+
+    Chains are folded on their encoded form (:meth:`UpdateCodec.fold_chain`):
+    most keep one member's payload as it is, the rest get a freshly spliced
+    payload appended to the batch's buffer.  The combined update takes the
+    chain's first position, its last member's timestamp and the folded op
+    code — in the columns; the header bytes under a chain's row stay a
+    member's (:meth:`UpdateColumns.contiguous` rebuilds them).  Unflagged
+    rows pass through untouched, and nothing becomes an object.
+    """
+    dup = follows[1:]
     if not dup.any():
         return merged if order is None else merged.rows(order)
-    follows = _np.zeros(len(keys), dtype=bool)  # same key as the row before
-    follows[1:] = dup
     member = follows.copy()
     member[:-1] |= dup
     member_rows = member.nonzero()[0]

@@ -18,32 +18,22 @@ from __future__ import annotations
 
 import math
 import threading
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Iterator, Optional
 
+import numpy as np
+
+from repro.core import kernels
 from repro.core.blockcache import DEFAULT_CACHE_BLOCKS, DecodedBlockCache
 from repro.core.compaction import CompactionConfig, CompactionScheduler
 from repro.core.governor import GovernorConfig, LoadGovernor, OverloadPolicy
 from repro.core.membuffer import InMemoryUpdateBuffer
 from repro.obs import get_registry, trace
-from repro.core.operators import (
-    MemScan,
-    MergeDataUpdates,
-    MergeUpdates,
-    RunScan,
-    merge_update_streams,
-)
+from repro.core.operators import MemScan, MergeDataUpdates, MergeUpdates, RunScan
 from repro.core.runindex import COARSE_GRANULARITY
 from repro.core.sortedrun import MaterializedSortedRun, write_run
-from repro.core.update import (
-    UpdateCodec,
-    UpdateConflictError,
-    UpdateRecord,
-    UpdateType,
-    combine,
-)
+from repro.core.update import UpdateCodec, UpdateColumns, UpdateRecord, UpdateType
 from repro.engine.table import Table
 from repro.errors import OutOfSpaceError, StorageError, UpdateCacheFullError
 from repro.sim.hooks import interleave as sim_interleave
@@ -136,10 +126,6 @@ class MaSMParameters:
     update_pages: int  # S
     query_pages: int  # total - S
     merge_fan_in: int  # N
-
-    @property
-    def memory_bytes_per_page(self) -> int:  # pragma: no cover - alias
-        return DEFAULT_SSD_PAGE
 
 
 def derive_parameters(
@@ -234,6 +220,11 @@ class MaSMStats:
             self._counters[name].set(value)
         except KeyError:
             raise AttributeError(f"MaSMStats has no counter {name!r}") from None
+
+    def counter(self, name: str):
+        """The registry counter behind ``name`` — for a hot path to bind once
+        and ``.add()`` to, instead of a read-modify-write through the view."""
+        return self._counters[name]
 
     def as_dict(self) -> dict[str, float]:
         return {name: self._counters[name].value for name in MASM_STAT_FIELDS}
@@ -383,6 +374,8 @@ class MaSM:
         self.runs_version = 0
         self._runs_by_flush_epoch: dict[int, MaterializedSortedRun] = {}
         self.stats = MaSMStats(scope=self.name)
+        #: The one counter every update moves.
+        self.count_ingested = self.stats.counter("updates_ingested").add
         self.block_cache: Optional[DecodedBlockCache] = (
             DecodedBlockCache(
                 self.config.decoded_cache_blocks,
@@ -516,10 +509,16 @@ class MaSM:
         self.apply(UpdateRecord(ts, key, UpdateType.MODIFY, dict(changes)))
         return ts
 
-    def apply(self, update: UpdateRecord) -> None:
+    def apply(self, update: UpdateRecord, encoded: Optional[bytes] = None) -> None:
         """Ingest a well-formed update that already has a timestamp.
 
-        With a governor attached, admission control runs first: the update
+        The update is encoded here, once — which also rejects an ill-formed
+        one (over-wide string, ill-typed value, unknown field) before
+        anything else happens — and those bytes are what the redo log frames,
+        the buffer holds and a flush writes.  ``encoded`` is that encoding
+        when the caller already made it (a replica set, for all its replicas).
+
+        With a governor attached, admission control runs next: the update
         may be delayed (bounded, charged to the SimClock), shed (typed
         :class:`~repro.errors.BackpressureError`, before anything is
         logged), or admitted after the caller pays a migration slice —
@@ -527,20 +526,17 @@ class MaSM:
         that passes admission is never dropped.
         """
         sim_interleave("masm.apply")
+        if encoded is None:
+            encoded = self.codec.encode(update)
         if self.governor is not None:
             self.governor.admit(update)
         with self._lock:
-            # An ill-formed update (over-wide string, ill-typed value) must
-            # be rejected before it is logged or buffered: logging encodes
-            # it, which checks it; without a log, check it explicitly.
             if self.redo_log is not None:
-                self.redo_log.log_update(self.table.name, update)
-            else:
-                self.codec.check(update)
-            if self.buffer.would_overflow(update):
+                self.redo_log.log_update(self.table.name, encoded)
+            if self.buffer.would_overflow(len(encoded)):
                 self._handle_full_buffer()
-            self.buffer.append(update)
-            self.stats.updates_ingested += 1
+            self.buffer.append(encoded)
+            self.count_ingested(1)
             self.last_update_ts = max(self.last_update_ts, update.timestamp)
             if self.snapshots is not None:
                 self.snapshots.note_write(update.timestamp, update.key)
@@ -573,8 +569,8 @@ class MaSM:
                 flush_epoch = self.buffer.flush_epoch
                 # Raw (pre-duplicate-merge) timestamp span: the log-replay
                 # fallback must cover every logged update this run absorbs.
-                raw_min_ts = min(u.timestamp for u in updates)
-                raw_max_ts = max(u.timestamp for u in updates)
+                raw_min_ts = int(updates.timestamps.min())
+                raw_max_ts = int(updates.timestamps.max())
                 # Reset any stolen pages: the buffer returns to S pages.
                 self.buffer.capacity_bytes = (
                     self.params.update_pages * self.ssd_page_size
@@ -590,9 +586,7 @@ class MaSM:
                     # Migrate first if this flush would push the cache past
                     # the threshold ("updates reach a certain threshold of
                     # the SSD size").
-                    projected = self.cached_run_bytes + sum(
-                        self.codec.encoded_size(u) for u in updates
-                    )
+                    projected = self.cached_run_bytes + updates.encoded_bytes
                     if projected >= self.config.migration_threshold * self.cache_bytes:
                         self.migrate()
                 run = self._write_run(updates, passes=1)
@@ -612,34 +606,37 @@ class MaSM:
                     )
                 return run
 
-    def _merge_duplicates(self, updates: list[UpdateRecord]) -> list[UpdateRecord]:
+    def _merge_duplicates(self, updates: UpdateColumns) -> UpdateColumns:
         """Combine same-key duplicates when no concurrent scan forbids it.
 
         Section 3.5: updates at t1 < t2 may merge only if no concurrent scan
-        has a timestamp t with t1 < t <= t2.  With the oldest active query
-        timestamp as the cut, everything newer stays separate.
+        has a timestamp t with t1 < t <= t2.  ``updates`` are (key, ts)
+        sorted; each chain of neighbours that may merge is folded on its
+        encoded form.  A pair that cannot combine (an INSERT of a live
+        record, a MODIFY of a deleted one) stays two records: the later one
+        starts the next chain.
         """
         with self._lock:
-            scan_timestamps = sorted(self._active_scans.values())
-
-        def may_merge(t1: int, t2: int) -> bool:
-            return not any(t1 < t <= t2 for t in scan_timestamps)
-
-        merged: list[UpdateRecord] = []
-        for update in updates:  # already (key, ts) sorted
-            if (
-                merged
-                and merged[-1].key == update.key
-                and may_merge(merged[-1].timestamp, update.timestamp)
+            scans = np.array(sorted(self._active_scans.values()), dtype=np.uint64)
+        keys = updates.keys
+        seen = scans.searchsorted(updates.timestamps, "right")  # scans at or before
+        follows = np.zeros(len(updates), dtype=bool)  # folds into the row before
+        follows[1:] = (keys[1:] == keys[:-1]) & (seen[1:] == seen[:-1])
+        ops = updates.ops.tolist()
+        insert, delete, modify, replace = map(int, UpdateType)
+        state = None  # op code of the chain so far
+        for i in follows.nonzero()[0].tolist():
+            if not follows[i - 1]:
+                state = ops[i - 1]
+            op = ops[i]
+            if (op == insert and state in (insert, replace)) or (
+                op == modify and state == delete
             ):
-                try:
-                    merged[-1] = combine(merged[-1], update, self.table.schema)
-                    self.stats.duplicates_merged += 1
-                    continue
-                except UpdateConflictError:
-                    pass  # uncombinable chain: keep both records
-            merged.append(update)
-        return merged
+                follows[i] = False
+            elif op != modify:
+                state = delete if op == delete else replace
+        self.stats.duplicates_merged += int(follows.sum())
+        return kernels.fold_chains(updates, None, follows)
 
     def _next_run_name(self) -> str:
         name = f"{self.name}-run-{self._run_seq:05d}"
@@ -648,7 +645,7 @@ class MaSM:
 
     def _write_run(
         self,
-        updates: list[UpdateRecord],
+        updates: UpdateColumns,
         passes: int,
         size_hint: Optional[int] = None,
         replacing_bytes: int = 0,
@@ -664,8 +661,10 @@ class MaSM:
         """
         if name is None:
             name = self._next_run_name()
-        new_bytes = sum(self.codec.encoded_size(u) for u in updates)
-        if self.cached_run_bytes - replacing_bytes + new_bytes > self.cache_bytes:
+        if (
+            self.cached_run_bytes - replacing_bytes + updates.encoded_bytes
+            > self.cache_bytes
+        ):
             raise UpdateCacheFullError(
                 f"{self.name}: SSD update cache full "
                 f"({self.cached_run_bytes}/{self.cache_bytes} bytes); migrate first"
@@ -729,14 +728,8 @@ class MaSM:
                 # replays its content from the redo log, so the merge also
                 # *heals* damaged runs — the merged output is freshly
                 # written, sealed and trustworthy again.
-                full = (0, 2**63 - 1)
-                merged_stream = merge_update_streams(
-                    [
-                        iter(src)
-                        for src in self.run_update_sources(
-                            victims, *full, query_ts=None, use_cache=False
-                        )
-                    ]
+                sources = self.run_update_sources(
+                    victims, 0, 2**63 - 1, query_ts=None, use_cache=False
                 )
                 size_hint = (
                     sum(r.file.size for r in victims) + self.config.block_size
@@ -761,8 +754,16 @@ class MaSM:
                             max(r.covered_max_ts for r in victims),
                         ),
                     )
+                # The victims are read here, after the log append, each one
+                # whole: every update is kept (the product must still answer
+                # timestamps between a key's versions).
+                merged = kernels.merge_sorted(
+                    [group for source in sources for group in source.column_groups()]
+                )
+                if merged is None:  # every victim fully migrated: refused below
+                    merged = UpdateColumns.from_encoded([], self.codec)
                 run = self._write_run(
-                    list(merged_stream),
+                    merged,
                     passes=passes,
                     size_hint=size_hint,
                     replacing_bytes=sum(r.size_bytes for r in victims),
@@ -963,30 +964,23 @@ class MaSM:
             max_ts=run.covered_max_ts,
         ):
             replayed = self._replay_run_updates(run)
-        migrated = list(run.migrated_ranges)
-        migrated_starts = [lo for lo, _ in migrated] if migrated else None
-        for update in replayed:
-            if update.key < begin_key or update.key > end_key:
-                continue
-            if query_ts is not None and update.timestamp > query_ts:
-                continue
-            if after is not None and update.sort_key() <= after:
-                continue
-            if migrated_starts is not None:
-                j = bisect_right(migrated_starts, update.key) - 1
-                if j >= 0 and update.key <= migrated[j][1]:
-                    continue
-            yield update
+        keys, timestamps = replayed.keys, replayed.timestamps
+        wanted = (keys >= max(begin_key, 0)) & (keys <= min(end_key, 2**64 - 1))
+        if query_ts is not None:
+            wanted &= timestamps <= query_ts
+        if after is not None:
+            wanted &= (keys > after[0]) | ((keys == after[0]) & (timestamps > after[1]))
+        for lo, hi in run.migrated_ranges:
+            wanted &= (keys < lo) | (keys > hi)
+        yield from replayed.rows(wanted).records
 
-    def _replay_run_updates(self, run: MaterializedSortedRun) -> list[UpdateRecord]:
-        """The table's logged updates in ``run``'s covered timestamp range."""
-        updates = list(
-            self.redo_log.updates(
-                self.table.name, run.covered_min_ts, run.covered_max_ts
-            )
+    def _replay_run_updates(self, run: MaterializedSortedRun) -> UpdateColumns:
+        """The table's logged updates in ``run``'s covered timestamp range,
+        as logged (encoded), in (key, ts) order."""
+        logged = self.redo_log.encoded_updates(
+            self.table.name, run.covered_min_ts, run.covered_max_ts
         )
-        updates.sort(key=UpdateRecord.sort_key)
-        return updates
+        return UpdateColumns.from_encoded(list(logged), self.codec).sorted()
 
     # ------------------------------------------------------------- scrubbing
     def scrub(self, repair: bool = False) -> "ScrubReport":
@@ -1052,14 +1046,14 @@ class MaSM:
         if not self._log_covers(run):
             return None
         updates = self._replay_run_updates(run)
-        if not updates:
+        if not len(updates):
             return None
         return self._swap_rebuilt_run(run, updates, source="log")
 
     def _swap_rebuilt_run(
         self,
         run: MaterializedSortedRun,
-        updates: list[UpdateRecord],
+        updates: "UpdateColumns | list[UpdateRecord]",
         source: str,
     ) -> MaterializedSortedRun:
         """Replace ``run``'s damaged SSD file with a fresh materialization
@@ -1137,7 +1131,7 @@ class MaSM:
         collected: list[UpdateRecord] = []
         with self._lock:
             runs = list(self.runs)
-            buffered = list(self.buffer._entries)
+            buffered = self.buffer.updates(min_ts, max_ts)
         for run in runs:
             if run.covered_max_ts < min_ts or run.covered_min_ts > max_ts:
                 continue
@@ -1151,11 +1145,10 @@ class MaSM:
                     seen.add(tag)
                     collected.append(update)
         for update in buffered:
-            if min_ts <= update.timestamp <= max_ts:
-                tag = (update.timestamp, update.key)
-                if tag not in seen:
-                    seen.add(tag)
-                    collected.append(update)
+            tag = (update.timestamp, update.key)
+            if tag not in seen:
+                seen.add(tag)
+                collected.append(update)
         collected.sort(key=UpdateRecord.sort_key)
         return collected
 
@@ -1508,20 +1501,3 @@ class MaSM:
         config = kwargs.pop("config", None) or MaSMConfig(alpha=1.0)
         config.alpha = 1.0
         return cls(table, ssd_volume, config=config, **kwargs)
-
-
-class MergeUpdatesPreservingDuplicates:
-    """Merges runs keeping every update record (for 2-pass run creation).
-
-    Unlike :class:`MergeUpdates`, same-key updates are *not* combined: the
-    merged run must still serve queries with timestamps between the updates.
-    The input runs are deleted right after the merge, so their blocks are
-    scanned without going through the decoded-block cache.
-    """
-
-    def __init__(self, runs: list[MaterializedSortedRun]) -> None:
-        self.runs = runs
-
-    def __iter__(self) -> Iterator[UpdateRecord]:
-        full_range = (0, 2**63 - 1)
-        return merge_update_streams([run.scan(*full_range) for run in self.runs])

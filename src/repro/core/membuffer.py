@@ -1,8 +1,13 @@
 """The latched in-memory buffer for recent updates.
 
-Incoming well-formed updates are appended here in arrival (timestamp) order.
-Query processing sorts the buffer into (key, timestamp) order; concurrent
-scans survive both re-sorts and flushes the way Section 3.2 describes:
+Incoming well-formed updates are appended here in arrival (timestamp) order,
+in their encoded form — the bytes the redo log framed and a flush will pack
+into run blocks unchanged.  Readers see the buffer in (key, timestamp)
+order — the first reader after an append puts the new arrivals in their
+places — and take a key range of it as
+:class:`~repro.core.update.UpdateColumns` or as decoded records.
+Concurrent scans survive both re-sorts and flushes the way Section 3.2
+describes:
 
 * the buffer carries a *sort epoch* — a scan cursor that detects a newer
   epoch re-positions itself by searching for its last-delivered (key, ts);
@@ -16,14 +21,17 @@ scans survive both re-sorts and flushes the way Section 3.2 describes:
 
 from __future__ import annotations
 
-import bisect
 import threading
+from bisect import bisect_left
+from itertools import islice
+from operator import itemgetter
 from typing import Iterator, Optional
 
-from repro.core.update import UpdateCodec, UpdateRecord
+from repro.core.update import UpdateCodec, UpdateColumns, UpdateRecord
 from repro.engine.record import Schema
 from repro.errors import UpdateCacheFullError
 
+_KEY_TS = itemgetter(0, 1)
 
 class BufferFlushed(Exception):
     """Raised by a cursor when the buffer was flushed under it.
@@ -38,15 +46,17 @@ class BufferFlushed(Exception):
 
 
 class InMemoryUpdateBuffer:
-    """Append-mostly buffer of :class:`UpdateRecord` with epoch bookkeeping."""
+    """Append-mostly buffer of encoded updates with epoch bookkeeping."""
 
     def __init__(self, schema: Schema, capacity_bytes: int) -> None:
         self.schema = schema
         self.codec = UpdateCodec(schema)
         self.capacity_bytes = capacity_bytes
-        self._entries: list[UpdateRecord] = []
+        #: ``(key, timestamp, encoding)`` per update: the first ``_placed`` in
+        #: (key, ts) order, the rest as they arrived since the last reader.
+        self._entries: list[tuple[int, int, bytes]] = []
+        self._placed = 0
         self._bytes = 0
-        self._sorted = True  # an empty buffer is trivially sorted
         self.sort_epoch = 0
         self.flush_epoch = 0
         self._latch = threading.Lock()
@@ -64,27 +74,23 @@ class InMemoryUpdateBuffer:
         """Whole pages the buffered updates occupy (ceiling)."""
         return -(-self._bytes // page_size) if self._bytes else 0
 
-    @property
-    def is_full(self) -> bool:
-        return self._bytes >= self.capacity_bytes
-
-    def would_overflow(self, update: UpdateRecord) -> bool:
-        return self._bytes + self.codec.encoded_size(update) > self.capacity_bytes
+    def would_overflow(self, size: int) -> bool:
+        """Would an update of ``size`` encoded bytes exceed the capacity?"""
+        return self._bytes + size > self.capacity_bytes
 
     # ------------------------------------------------------------------ writes
-    def append(self, update: UpdateRecord) -> None:
-        """Add an incoming update (arrival order)."""
-        size = self.codec.encoded_size(update)
+    def append(self, encoded: bytes) -> None:
+        """Add an incoming update (arrival order), as the engine encoded it —
+        once, for the log and every replica's buffer."""
+        timestamp, key, _, _ = self.codec.peek_head(encoded)
+        size = len(encoded)
         with self._latch:
             if self._bytes + size > self.capacity_bytes:
                 raise UpdateCacheFullError(
                     f"update buffer full ({self._bytes}/{self.capacity_bytes} bytes)"
                 )
-            self._entries.append(update)
+            self._entries.append((key, timestamp, encoded))
             self._bytes += size
-            if self._sorted and len(self._entries) > 1:
-                if update.sort_key() < self._entries[-2].sort_key():
-                    self._sorted = False
 
     def shrink_capacity(self, capacity_bytes: int) -> None:
         """Give back stolen pages: reduce capacity without touching data.
@@ -102,29 +108,48 @@ class InMemoryUpdateBuffer:
                 )
             self.capacity_bytes = capacity_bytes
 
+    def _place(self) -> list[tuple[int, int, bytes]]:
+        """The entries in (key, ts) order (latch held): each arrival is put
+        behind the placed updates of its key and no later timestamp, which
+        bumps the sort epoch if that is not where arrival order had it.  A
+        reader pays for the arrivals since the last one, not for the buffer."""
+        entries = self._entries
+        if self._placed < len(entries):
+            arrived = entries[self._placed :]
+            del entries[self._placed :]
+            moved = False
+            for entry in arrived:
+                # (key, ts + 1) sorts before any entry of that key and a later
+                # timestamp, after every other one, and never meets the bytes.
+                at = bisect_left(entries, (entry[0], entry[1] + 1))
+                moved = moved or at < len(entries)
+                entries.insert(at, entry)
+            if moved:
+                self.sort_epoch += 1
+            self._placed = len(entries)
+        return entries
+
     def sort(self) -> None:
         """Sort into (key, timestamp) order; bumps the sort epoch if reordered."""
         with self._latch:
-            if self._sorted:
-                return
-            self._entries.sort(key=UpdateRecord.sort_key)
-            self._sorted = True
-            self.sort_epoch += 1
+            self._place()
 
-    def drain_sorted(self) -> list[UpdateRecord]:
+    def drain_sorted(self) -> UpdateColumns:
         """Atomically take all updates (sorted) and reset the buffer.
 
         This is the flush step that materializes a sorted run; the flush
-        epoch advances so concurrent cursors can detect it.
+        epoch advances so concurrent cursors can detect it.  The columns lie
+        over the updates' bytes back to back — what a run's blocks are cut
+        from — and the buffer keeps nothing of them.
         """
         with self._latch:
-            self._entries.sort(key=UpdateRecord.sort_key)
-            taken = self._entries
+            # One stable sort: a flush usually meets a buffer no scan placed.
+            taken = sorted(self._entries, key=_KEY_TS)
             self._entries = []
+            self._placed = 0
             self._bytes = 0
-            self._sorted = True
             self.flush_epoch += 1
-            return taken
+        return UpdateColumns.from_encoded([entry[2] for entry in taken], self.codec)
 
     # ------------------------------------------------------------------ reads
     def cursor(
@@ -150,6 +175,32 @@ class InMemoryUpdateBuffer:
             self, begin_key, end_key, query_ts, batch_size, flush_epoch
         )
 
+    def _visible(self, begin_key, end_key, query_ts, after=None, limit=None) -> list[bytes]:
+        """The encodings of the updates with keys in [begin_key, end_key]
+        visible at ``query_ts``, in (key, ts) order (latch held): those past
+        sort position ``after``, at most ``limit`` of them."""
+        entries = self._place()
+        lo = bisect_left(entries, (begin_key,))
+        if after is not None:
+            lo = max(lo, bisect_left(entries, (after[0], after[1] + 1)))
+        hi = bisect_left(entries, (end_key + 1,))
+        if lo >= hi:
+            return []  # most scans meet no update of their range here
+        in_range = map(entries.__getitem__, range(lo, hi))
+        return [e[2] for e in islice((e for e in in_range if e[1] <= query_ts), limit)]
+
+    def columns_range(
+        self, begin_key: int, end_key: int, query_ts: int
+    ) -> tuple[Optional[UpdateColumns], int]:
+        """``(columns, flush_epoch)``: the visible updates of a key range as
+        columns over their bytes (None when there are none) and the flush
+        epoch they were read in — what the merge kernels take from the
+        buffer, no record built."""
+        with self._latch:
+            pieces = self._visible(begin_key, end_key, query_ts)
+            flush_epoch = self.flush_epoch
+        return (UpdateColumns.from_encoded(pieces, self.codec) if pieces else None), flush_epoch
+
     def snapshot_range(
         self,
         begin_key: int,
@@ -162,32 +213,23 @@ class InMemoryUpdateBuffer:
 
         Returns (batch, sort_epoch, flush_epoch) captured under the latch —
         the batched retrieval Section 3.2 uses to keep latching overhead low.
-        The buffer must be sorted; callers sort first.
+        The records are decoded here, for the record-at-a-time read path.
         """
+        decode = self.codec.decode
         with self._latch:
-            if not self._sorted:
-                self._entries.sort(key=UpdateRecord.sort_key)
-                self._sorted = True
-                self.sort_epoch += 1
-            floor = (begin_key, -1) if after is None else after
-            pos = bisect.bisect_right(
-                self._entries, floor, key=UpdateRecord.sort_key
-            )
-            batch: list[UpdateRecord] = []
-            while pos < len(self._entries) and len(batch) < limit:
-                entry = self._entries[pos]
-                if entry.key > end_key:
-                    break
-                if entry.key >= begin_key and entry.timestamp <= query_ts:
-                    batch.append(entry)
-                pos += 1
-            return batch, self.sort_epoch, self.flush_epoch
+            pieces = self._visible(begin_key, end_key, query_ts, after, limit)
+            return [decode(piece)[0] for piece in pieces], self.sort_epoch, self.flush_epoch
+
+    def updates(self, min_ts: int, max_ts: int) -> list[UpdateRecord]:
+        """The buffered updates with ``min_ts <= ts <= max_ts``, decoded, in
+        (key, ts) order."""
+        decode = self.codec.decode
+        with self._latch:
+            return [decode(e[2])[0] for e in self._place() if min_ts <= e[1] <= max_ts]
 
     def min_timestamp(self) -> Optional[int]:
         with self._latch:
-            if not self._entries:
-                return None
-            return min(e.timestamp for e in self._entries)
+            return min((entry[1] for entry in self._entries), default=None)
 
 
 class BufferCursor:

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as _np
 
-from repro.core import kernels
+from repro.core import kernels, sortedrun
 from repro.core.blockcache import DecodedBlockCache
 from repro.core.membuffer import BufferFlushed, InMemoryUpdateBuffer
 from repro.core.sortedrun import MaterializedSortedRun
@@ -45,6 +45,7 @@ from repro.storage.iosched import (
     MERGE_CPU_PER_UPDATE,
     CpuMeter,
 )
+from repro.util.search import key_position
 
 #: Largest representable timestamp — "everything at this key" when used as
 #: the timestamp half of an ``after`` resume position.
@@ -181,6 +182,36 @@ class RunScan:
             last = (update.key, update.timestamp)
             yield update
 
+    def column_groups(self) -> Iterator[UpdateColumns]:
+        """The scan as non-empty :class:`UpdateColumns` pieces in key order,
+        one per read group of the run (one batched SSD read, uncached), each
+        read only when asked for — what structural merges and compaction
+        slices write runs from.  Degrades to the ``fallback`` stream
+        (encoded in one piece) exactly where :meth:`__iter__` would."""
+        run = self.run
+        after: Optional[tuple[int, int]] = None
+        if not (run.quarantined and self.fallback is not None):
+            first, last = run.index.block_span(self.begin_key, self.end_key) or (0, -1)
+            step = sortedrun.READ_BATCH_BLOCKS
+            for block in range(first, last + 1, step):
+                blocks = (block, min(block + step - 1, last))
+                try:
+                    group = run.slice_columns(
+                        self.begin_key, self.end_key, self.query_ts, stats=self.stats, blocks=blocks
+                    )
+                except (ChecksumError, TransientIOError):
+                    if self.fallback is None:
+                        raise
+                    break
+                if group is not None:
+                    after = (int(group.keys[-1]), int(group.timestamps[-1]))
+                    yield group
+            else:
+                return
+        records = list(self.fallback(after))
+        if records:
+            yield UpdateColumns.from_records(records, run.codec)
+
 
 class MemScan:
     """Iterates the in-memory buffer; hands over to a run on flush.
@@ -244,39 +275,28 @@ class MemScan:
                 return
             yield update
 
-
-class _Lookahead:
-    """A one-record lookahead over a sorted update stream.
-
-    Lets the partitioned merge drain non-columnar sources (Mem_scans,
-    fallback replays, plain iterables) partition by partition: records up to
-    a boundary key are taken as a list, the first record beyond it is held
-    for the next partition.
-    """
-
-    __slots__ = ("_it", "_head")
-
-    def __init__(self, source: Iterable[UpdateRecord]) -> None:
-        self._it = iter(source)
-        self._head: Optional[UpdateRecord] = next(self._it, None)
-
-    def take_upto(self, hi: Optional[int]) -> list[UpdateRecord]:
-        """All pending records with ``key <= hi`` (every record if None)."""
-        head = self._head
-        if head is None or (hi is not None and head.key > hi):
-            return []
-        out = [head]
-        if hi is None:
-            out.extend(self._it)
-            self._head = None
-            return out
-        for update in self._it:
-            if update.key > hi:
-                self._head = update
-                return out
-            out.append(update)
-        self._head = None
-        return out
+    def slice_columns(self, lo: int, hi: Optional[int]) -> Optional[UpdateColumns]:
+        """The scan's updates with keys in [lo, hi] (no upper bound when
+        None) as columns over the buffer's bytes, or — once the buffer has
+        flushed — over the blocks of the run that absorbed them; None when
+        there are none.  The kernel path's per-partition form of
+        :meth:`__iter__`."""
+        lo = max(lo, self.begin_key)
+        hi = self.end_key if hi is None else min(hi, self.end_key)
+        if lo > hi:
+            return None
+        columns, flush_epoch = self.buffer.columns_range(lo, hi, self.query_ts)
+        if self.flush_epoch is None:
+            self.flush_epoch = flush_epoch
+        if flush_epoch == self.flush_epoch:
+            return columns
+        # Flushed since the scan registered: see BufferCursor.__next__.
+        run = self.run_for_flush and self.run_for_flush(self.flush_epoch + 1)
+        if run is None:
+            return None
+        return run.slice_columns(
+            lo, hi, self.query_ts, cache=self.cache, stats=self.stats
+        )
 
 
 class MergeUpdates:
@@ -292,9 +312,10 @@ class MergeUpdates:
     the merge runs array-at-a-time: the key range is split into partitions at
     boundary keys drawn from the runs' own indexes, each run contributes a
     partition slice in columnar form (:meth:`MaterializedSortedRun.
-    slice_columns`), object-backed sources are drained up to the partition
-    boundary and encoded into the same form, and one kernel invocation
-    merges + combines the partition (:func:`repro.core.kernels.merge_slices`).
+    slice_columns`), the memory buffer its own (:meth:`MemScan.
+    slice_columns`), object-backed sources are encoded into the same form
+    once and sliced, and one kernel invocation merges + combines the
+    partition (:func:`repro.core.kernels.merge_slices`).
     Iterating the merge materialises each batch's records; the join
     (:class:`MergeDataUpdates`) takes the batches as they are.  A run that
     fails mid-scan
@@ -352,20 +373,30 @@ class MergeUpdates:
     def _iter_batches_kernel(self) -> Iterator[UpdateColumns]:
         cpu = self.cpu
         sources = self.sources
-        runs: dict[int, RunScan] = {}
-        extras: dict[int, _Lookahead] = {}
-        for slot, src in enumerate(sources):
-            if isinstance(src, RunScan) and not src.run.quarantined:
-                runs[slot] = src
-            else:
-                extras[slot] = _Lookahead(src)
-        # Object-backed sources are encoded the way the runs are.
+        runs: dict[int, RunScan] = {
+            slot: src
+            for slot, src in enumerate(sources)
+            if isinstance(src, RunScan) and not src.run.quarantined
+        }
         codec = next(iter(runs.values())).run.codec
 
-        def drain(extra: _Lookahead, hi: Optional[int]) -> Optional[UpdateColumns]:
-            records = extra.take_upto(hi)
-            return UpdateColumns.from_records(records, codec) if records else None
+        def sliced(source: Iterable[UpdateRecord]) -> Callable:
+            """An object-backed source, encoded once the way the runs are."""
+            columns = UpdateColumns.from_records(list(source), codec)
 
+            def take(lo: int, hi: Optional[int]) -> Optional[UpdateColumns]:
+                first = key_position(columns.keys, lo, "left")
+                last = len(columns) if hi is None else key_position(columns.keys, hi, "right")
+                return columns.rows(slice(first, last)) if first < last else None
+
+            return take
+
+        #: Every other source, as ``(lo, hi) -> its columns in [lo, hi]``.
+        extras: dict[int, Callable] = {
+            slot: src.slice_columns if isinstance(src, MemScan) else sliced(src)
+            for slot, src in enumerate(sources)
+            if slot not in runs
+        }
         begin = min(rs.begin_key for rs in runs.values())
         end = max(rs.end_key for rs in runs.values())
         bounds = kernels.partition_points(
@@ -374,8 +405,8 @@ class MergeUpdates:
             end,
             self.blocks_per_partition,
         )
-        # The final partition is unbounded so non-columnar sources drain
-        # records past the last run key.
+        # The final partition is unbounded: the other sources may hold
+        # updates past the last run key.
         ranges = kernels.partition_ranges(bounds, begin, None)
         for lo, hi in ranges:
             sim_interleave("kernels.partition")
@@ -383,7 +414,8 @@ class MergeUpdates:
             for slot in range(len(sources)):
                 rs = runs.get(slot)
                 if rs is None:
-                    cols = drain(extras[slot], hi)
+                    # Their own range may start below the runs'.
+                    cols = extras[slot](lo if lo > begin else 0, hi)
                 else:
                     r_lo = max(lo, rs.begin_key)
                     r_hi = rs.end_key if hi is None else min(hi, rs.end_key)
@@ -402,8 +434,8 @@ class MergeUpdates:
                             raise
                         after = None if lo <= begin else (lo - 1, _MAX_TS)
                         del runs[slot]
-                        extras[slot] = _Lookahead(rs.fallback(after))
-                        cols = drain(extras[slot], hi)
+                        extras[slot] = sliced(rs.fallback(after))
+                        cols = extras[slot](lo, hi)
                 if cols is not None:
                     slices.append(cols)
             if not slices:

@@ -73,7 +73,7 @@ import dataclasses as _dc
 from repro.core import kernels
 from repro.core.masm import MaSM, MaSMConfig
 from repro.core.sharding import ShardNode, build_shard_node, hash_partitioner
-from repro.core.update import UpdateRecord, UpdateType
+from repro.core.update import UpdateCodec, UpdateRecord, UpdateType
 from repro.engine.record import Schema
 from repro.engine.table import Table
 from repro.errors import (
@@ -157,6 +157,8 @@ class ReplicaSet:
             raise ReplicationError("a replica set needs at least one replica")
         self.shard_id = shard_id
         self.schema = schema
+        #: Encodes each update once for every replica's log and buffer.
+        self.codec = UpdateCodec(schema)
         self.oracle = oracle
         self.clock = clock
         self.replicas = replicas
@@ -302,11 +304,16 @@ class ReplicaSet:
     def apply(self, update: UpdateRecord) -> None:
         """Primary applies, then ships the same record to ONLINE followers.
 
+        The update is encoded once, first: an ill-formed one is rejected
+        before any replica sees it, and every replica logs and buffers the
+        same bytes.
+
         A primary that fails mid-apply is marked CRASHED and the apply is
         retried on the promoted follower — the client sees one successful
         ingest, not a failure plus a retry.  Followers that fail their
         ship are dropped (CRASHED) and must rejoin via recover + catch-up.
         """
+        encoded = self.codec.encode(update)
         while True:
             primary = self.primary
             if primary.state is not ReplicaState.ONLINE:
@@ -316,7 +323,7 @@ class ReplicaSet:
                 )
             try:
                 self._guard(primary)
-                primary.masm.apply(update)
+                primary.masm.apply(update, encoded)
                 break
             except ReplicaUnavailableError:
                 self._mark_crashed(primary)
@@ -333,7 +340,7 @@ class ReplicaSet:
                 continue
             try:
                 self._guard(follower)
-                follower.masm.apply(update)
+                follower.masm.apply(update, encoded)
                 self._obs_ships.add(1)
             except ReproError:
                 # Any failed ship (node fault, storage error, shed) leaves
@@ -512,8 +519,9 @@ class ReplicaSet:
                 replica=replica_id,
                 watermark=watermark,
             ):
-                for update in source.updates(primary.table.name, watermark + 1):
-                    replica.masm.apply(update)
+                decode = self.codec.decode
+                for encoded in source.encoded_updates(primary.table.name, watermark + 1):
+                    replica.masm.apply(decode(encoded)[0], encoded)
                     applied += 1
         self._obs_catchup.add(applied)
         self._set_state(replica, ReplicaState.ONLINE)

@@ -14,7 +14,6 @@ migrated; scans skip updates inside migrated ranges.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import islice
 from typing import Iterable, Iterator, Optional
 
 import numpy as _np
@@ -36,9 +35,6 @@ from repro.util.search import key_position
 from repro.util.units import MB, ceil_div
 
 _BLOCK_HEADER = BLOCK_HEADER  # record count (framing owned by the codec)
-
-#: Updates are encoded in batches of this many records when writing a run.
-ENCODE_BATCH = 1024
 
 #: Blocks are grouped into write I/Os of this size when materializing a run.
 DEFAULT_WRITE_CHUNK = 1 * MB
@@ -297,11 +293,13 @@ class MaterializedSortedRun:
         after: Optional[tuple[int, int]] = None,
         cache: Optional[DecodedBlockCache] = None,
         stats=None,
+        blocks: Optional[tuple[int, int]] = None,
     ) -> Optional[UpdateColumns]:
         """Columnar form of :meth:`scan`: the run's contribution to one key
         partition as :class:`UpdateColumns` — header columns plus payload
         offsets into the read groups' bytes, all filters already applied and
-        no :class:`UpdateRecord` built.
+        no :class:`UpdateRecord` built.  ``blocks`` narrows the read to that
+        (first, last) stretch of the range's block span.
 
         This is what the merge kernels consume (one call per partition per
         run).  Returns None when the partition is empty for this run.
@@ -310,7 +308,7 @@ class MaterializedSortedRun:
         is built atomically), so the caller can swap in the fallback stream
         from the last partition boundary.
         """
-        span = self.index.block_span(begin_key, end_key)
+        span = blocks or self.index.block_span(begin_key, end_key)
         if span is None:
             return None
         first_block, last_block = span
@@ -590,143 +588,104 @@ def load_run(
 def write_run(
     volume: StorageVolume,
     name: str,
-    updates: Iterable[UpdateRecord],
+    updates: "UpdateColumns | Iterable[UpdateRecord]",
     codec: UpdateCodec,
     block_size: int = COARSE_GRANULARITY,
     write_chunk: int = DEFAULT_WRITE_CHUNK,
     passes: int = 1,
     size_hint: Optional[int] = None,
 ) -> MaterializedSortedRun:
-    """Materialize a (key, ts)-sorted update stream as a run on ``volume``.
+    """Materialize (key, ts)-sorted updates as a run on ``volume``.
 
-    ``size_hint`` pre-allocates the file for streaming writers (merges); the
-    extent is shrunk to the written size afterwards.  Raises
-    :class:`StorageError` if the stream is empty or out of order.
+    ``updates`` are encoded updates in columnar form (a flushed buffer, a
+    merge's output), whose bytes go into the blocks as they are;
+    :class:`UpdateRecord` s are encoded into that form first.  Blocks are
+    packed from the length column, greedily, never splitting an update.
+
+    ``size_hint`` pre-allocates the file and writes it ``write_chunk`` bytes
+    at a time (merges), shrinking the extent to the written size afterwards;
+    without it the run is one write to an exactly sized file.  Raises
+    :class:`StorageError`, before anything is written, if there are no
+    updates, they are out of order, or one does not fit a block.
     """
-    if write_chunk % block_size != 0:
-        write_chunk = block_size * max(1, write_chunk // block_size)
-
-    first_keys: list[int] = []
-    blocks_in_chunk: list[bytes] = []
-    block_records: list[bytes] = []
-    block_bytes = _BLOCK_HEADER.size
-    block_first_key: Optional[int] = None
-
-    stats = {
-        "count": 0,
-        "min_key": None,
-        "max_key": None,
-        "min_ts": None,
-        "max_ts": None,
-    }
-    file: Optional[SimFile] = None
-    written_blocks = 0
-    last_sort_key: Optional[tuple[int, int]] = None
-
-    def ensure_file(total_hint: int) -> SimFile:
-        nonlocal file
-        if file is None:
-            file = volume.create(name, total_hint)
-        return file
-
-    def flush_chunk() -> None:
-        nonlocal written_blocks
-        if not blocks_in_chunk:
-            return
-        data = b"".join(blocks_in_chunk)
-        target = ensure_file(size_hint if size_hint else len(data))
-        if target.append_pos + len(data) > target.size:
-            raise StorageError(
-                f"run {name!r} overflows its pre-allocated extent "
-                f"({target.size} bytes; size_hint too small)"
-            )
-        target.append(data)
-        written_blocks += len(blocks_in_chunk)
-        blocks_in_chunk.clear()
-
-    def close_block() -> None:
-        nonlocal block_records, block_bytes, block_first_key
-        if not block_records:
-            return
-        body = codec.frame_block(block_records)
-        blocks_in_chunk.append(_checksum.seal(body, block_size))
-        first_keys.append(block_first_key)
-        block_records = []
-        block_bytes = _BLOCK_HEADER.size
-        block_first_key = None
-        # Without a size hint the file cannot be allocated yet; buffer all
-        # blocks and write once at the end (1-pass runs fit in memory by
-        # construction — they come from the in-memory buffer).
-        if size_hint is not None and len(blocks_in_chunk) * block_size >= write_chunk:
-            flush_chunk()
-
-    # Encode in batches so the codec can run one tight pre-bound loop per
-    # ENCODE_BATCH updates instead of re-resolving packers per record.
-    stream = iter(updates)
-    while True:
-        batch = list(islice(stream, ENCODE_BATCH))
-        if not batch:
-            break
-        for update, encoded in zip(batch, codec.encode_many(batch)):
-            sort_key = (update.key, update.timestamp)
-            if last_sort_key is not None and sort_key < last_sort_key:
-                raise StorageError(
-                    f"updates for run {name!r} are not (key, ts)-sorted"
-                )
-            last_sort_key = sort_key
-            # Each block's payload budget leaves room for the checksum
-            # trailer stamped by close_block.
-            payload_budget = block_size - _checksum.TRAILER_SIZE
-            if _BLOCK_HEADER.size + len(encoded) > payload_budget:
-                raise StorageError(
-                    f"update of {len(encoded)} bytes exceeds block size {block_size}"
-                )
-            if block_bytes + len(encoded) > payload_budget:
-                close_block()
-            if block_first_key is None:
-                block_first_key = update.key
-            block_records.append(encoded)
-            block_bytes += len(encoded)
-            stats["count"] += 1
-            if stats["min_key"] is None:
-                stats["min_key"] = update.key
-                stats["min_ts"] = stats["max_ts"] = update.timestamp
-            stats["max_key"] = update.key
-            stats["min_ts"] = min(stats["min_ts"], update.timestamp)
-            stats["max_ts"] = max(stats["max_ts"], update.timestamp)
-
-    close_block()
-    if stats["count"] == 0:
+    if not isinstance(updates, UpdateColumns):
+        updates = UpdateColumns.from_records(list(updates), codec)
+    count = len(updates)
+    if not count:
         raise StorageError(f"refusing to materialize empty run {name!r}")
-    if size_hint is None and file is None:
-        # Everything still buffered: allocate exactly and write once.
-        data = b"".join(blocks_in_chunk)
-        file = volume.create(name, len(data))
-        file.append(data)
-        written_blocks = len(blocks_in_chunk)
-        blocks_in_chunk.clear()
+    keys, timestamps = updates.keys, updates.timestamps
+    sizes = updates.lengths + codec.header_size
+    # Each block's budget leaves room for its count and checksum trailer.
+    budget = block_size - _checksum.TRAILER_SIZE - _BLOCK_HEADER.size
+    misplaced = (keys[1:] < keys[:-1]) | (
+        (keys[1:] == keys[:-1]) & (timestamps[1:] < timestamps[:-1])
+    )
+    oversize = sizes > budget
+    if misplaced.any() or oversize.any():
+        # Whichever a walk of the updates in order would have met first.
+        at_misplaced = int(misplaced.argmax()) + 1 if misplaced.any() else count
+        at_oversize = int(oversize.argmax()) if oversize.any() else count
+        if at_misplaced <= at_oversize:
+            raise StorageError(f"updates for run {name!r} are not (key, ts)-sorted")
+        raise StorageError(
+            f"update of {int(sizes[at_oversize])} bytes exceeds block size {block_size}"
+        )
+
+    updates = updates.contiguous()
+    ends = _np.cumsum(sizes)  # update i is data[ends[i] - sizes[i] : ends[i]]
+    bounds = [0]  # block b holds updates bounds[b]:bounds[b + 1] ...
+    cuts = [0]  # ... which are data[cuts[b]:cuts[b + 1]]
+    while bounds[-1] < count:
+        bounds.append(int(ends.searchsorted(cuts[-1] + budget, "right")))
+        cuts.append(int(ends[bounds[-1] - 1]))
+    data = memoryview(updates.data)
+    pack_count = _BLOCK_HEADER.pack
+
+    def blocks(first: int, last: int) -> bytes:
+        return b"".join(
+            [
+                _checksum.seal(
+                    pack_count(bounds[b + 1] - bounds[b]) + data[cuts[b] : cuts[b + 1]],
+                    block_size,
+                )
+                for b in range(first, last)
+            ]
+        )
+
+    num_blocks = len(bounds) - 1
+    if size_hint is None:
+        # A 1-pass run fits in memory by construction (it comes from the
+        # in-memory buffer): allocate exactly and write once.
+        file = volume.create(name, num_blocks * block_size)
+        file.append(blocks(0, num_blocks))
     else:
-        flush_chunk()
+        per_write = max(1, write_chunk // block_size)
+        file = None
+        for first in range(0, num_blocks, per_write):
+            chunk = blocks(first, min(first + per_write, num_blocks))
+            if file is None:
+                file = volume.create(name, size_hint or len(chunk))
+            if file.append_pos + len(chunk) > file.size:
+                raise StorageError(
+                    f"run {name!r} overflows its pre-allocated extent "
+                    f"({file.size} bytes; size_hint too small)"
+                )
+            file.append(chunk)
+        if num_blocks * block_size < file.size:
+            shrink = getattr(volume, "shrink", None)
+            if shrink is not None:
+                shrink(name, num_blocks * block_size)
 
-    if file is None:  # pragma: no cover - guarded by the count check above
-        raise StorageError(f"run {name!r} was never allocated a file")
-    used = written_blocks * block_size
-    if used < file.size:
-        shrink = getattr(volume, "shrink", None)
-        if shrink is not None:
-            shrink(name, used)
-
-    index = RunIndex(first_keys, block_size)
     return MaterializedSortedRun(
         name=name,
         file=volume.open(name),
         codec=codec,
-        index=index,
-        num_blocks=written_blocks,
-        count=stats["count"],
-        min_key=stats["min_key"],
-        max_key=stats["max_key"],
-        min_ts=stats["min_ts"],
-        max_ts=stats["max_ts"],
+        index=RunIndex(keys[bounds[:-1]].tolist(), block_size),
+        num_blocks=num_blocks,
+        count=count,
+        min_key=int(keys[0]),
+        max_key=int(keys[-1]),
+        min_ts=int(timestamps.min()),
+        max_ts=int(timestamps.max()),
         passes=passes,
     )

@@ -172,7 +172,7 @@ def _windows(data: bytes, width: int):
     """Every ``width``-byte window of ``data`` as rows of a 2-D uint8 view
     (row ``i`` starts at byte ``i``): indexing it with an array of positions
     gathers one fixed-width field from each, wherever they sit."""
-    return _np.ndarray((len(data) - width + 1, width), _np.uint8, data, 0, (1, 1))
+    return _np.ndarray((max(0, len(data) - width + 1), width), _np.uint8, data, 0, (1, 1))
 
 
 class BlockColumns(NamedTuple):
@@ -235,6 +235,8 @@ class UpdateCodec:
         )
         #: Per field ``(offset, width)`` inside a packed record.
         self._spans = tuple((f.offset, f.width) for f in schema.fields)
+        #: Field indexes in the order a MODIFY payload lists them (by name).
+        self._modify_order = sorted(range(len(self._fields)), key=lambda i: self._fields[i][0])
         #: ``_HEAD`` as a packed numpy type: headers gathered from a buffer
         #: view as one row per update.
         self._head_dtype = _np.dtype(
@@ -254,7 +256,7 @@ class UpdateCodec:
         """``len(self.encode(update))`` by arithmetic over the field widths.
 
         Sizes only: a value that does not fit its field is rejected by
-        :meth:`encode` / :meth:`check`, not here.
+        :meth:`encode`, not here.
         """
         size = self._sizes[update.type]
         if size is not None:
@@ -265,13 +267,6 @@ class UpdateCodec:
             )
         except KeyError as exc:
             raise SchemaError(f"no field named {exc.args[0]!r}") from None
-
-    def check(self, update: UpdateRecord) -> None:
-        """Raise what :meth:`encode` would raise for an ill-formed update
-        (over-wide string, ill-typed or out-of-range value, unknown field,
-        wrong arity) — for callers that buffer an update without encoding
-        it and must not find out at flush time."""
-        self._payload(update)
 
     def _pack_field(self, idx: int, value) -> bytes:
         name, width, is_string, packer = self._fields[idx]
@@ -345,6 +340,10 @@ class UpdateCodec:
             content = self.schema.unpack_from(data, body)
         return UpdateRecord(timestamp, key, utype, content), end
 
+    #: ``(timestamp, key, op code, payload length)`` of the encoded update at
+    #: ``offset`` of ``data`` — no payload decode.
+    peek_head = _HEAD.unpack_from
+
     @classmethod
     def peek_timestamp(cls, data: bytes, offset: int = 0) -> int:
         """The timestamp of the encoded update at ``offset`` — no payload
@@ -363,13 +362,9 @@ class UpdateCodec:
             append(head_pack(u.timestamp, u.key, u.type, len(body)) + body)
         return out
 
-    def frame_block(self, encoded_records: Sequence[bytes]) -> bytes:
-        """Frame already-encoded records as one block (count header + body)."""
-        return BLOCK_HEADER.pack(len(encoded_records)) + b"".join(encoded_records)
-
     def encode_block(self, updates: Sequence[UpdateRecord]) -> bytes:
         """Encode a whole block of updates: count header + packed records."""
-        return self.frame_block(self.encode_many(updates))
+        return BLOCK_HEADER.pack(len(updates)) + b"".join(self.encode_many(updates))
 
     def decode_block(
         self, data: bytes, offset: int = 0, columns=None
@@ -529,9 +524,7 @@ class UpdateCodec:
                 none, none, _np.empty(0, dtype=_np.uint8), empty, empty, bounds
             )
         offsets = _np.concatenate(pieces)
-        heads = _windows(data, head_size)[offsets].view(self._head_dtype)[:, 0]
-        ops = _np.ascontiguousarray(heads["op"])
-        lengths = heads["payload_len"].astype(_np.int64)
+        keys, timestamps, ops, lengths = self.header_columns(data, offsets)
         sized = lengths == rec_size
         whole = (ops == _INSERT) | (ops == _REPLACE)
         for first, last in guessed:
@@ -541,13 +534,18 @@ class UpdateCodec:
             raise ReproError(
                 f"record payload in block does not match schema size {rec_size}"
             )
-        return BlockColumns(
+        return BlockColumns(keys, timestamps, ops, offsets, lengths, bounds)
+
+    def header_columns(self, data, offsets):
+        """``(keys, timestamps, ops, payload lengths)`` of the encoded updates
+        whose headers start at ``offsets`` in ``data``: one gather, no
+        payload touched."""
+        heads = _windows(data, self._HEAD.size)[offsets].view(self._head_dtype)[:, 0]
+        return (
             _np.ascontiguousarray(heads["key"]),
             _np.ascontiguousarray(heads["timestamp"]),
-            ops,
-            offsets,
-            lengths,
-            bounds,
+            _np.ascontiguousarray(heads["op"]),
+            heads["payload_len"].astype(_np.int64),
         )
 
     def decode_blocks(self, blocks: Sequence[bytes]) -> list["ColumnarBlock"]:
@@ -668,7 +666,10 @@ class UpdateCodec:
                     record[offset : offset + width] = data[pos + 2 : pos + 2 + width]
                 pos += 2 + width
         if record is None:
-            return state, b"".join([merged[idx] for idx in sorted(merged)])
+            # The order :meth:`encode` writes a MODIFY's pairs in.
+            return state, b"".join(
+                [merged[idx] for idx in self._modify_order if idx in merged]
+            )
         return state, bytes(record)
 
 
@@ -719,11 +720,54 @@ class UpdateColumns:
     def from_records(
         cls, records: Sequence[UpdateRecord], codec: UpdateCodec
     ) -> "UpdateColumns":
-        """Encode object-backed updates (memory buffer, log replay, folded
-        chains) into the form run blocks already have."""
-        data = codec.encode_block(records)
-        keys, timestamps, ops, offsets, lengths, _ = codec.block_columns(data)
+        """Encode object-backed updates (fallback replays, oracles, callers
+        at the API edge) into the form run blocks already have."""
+        return cls.from_encoded(codec.encode_many(records), codec)
+
+    @classmethod
+    def from_encoded(cls, pieces: Sequence[bytes], codec: UpdateCodec) -> "UpdateColumns":
+        """Updates that are already encoded (:meth:`UpdateCodec.encode`
+        output: the memory buffer's entries, WAL frame payloads), in the
+        order given, over their bytes back to back."""
+        data = b"".join(pieces)
+        sizes = _np.fromiter(map(len, pieces), dtype=_np.int64, count=len(pieces))
+        offsets = _np.cumsum(sizes) - sizes
+        keys, timestamps, ops, lengths = codec.header_columns(data, offsets)
         return cls(data, codec, keys, timestamps, ops, offsets, lengths)
+
+    def sorted(self) -> "UpdateColumns":
+        """The rows in (key, ts) order — equal positions keep their order."""
+        return self.rows(_np.lexsort((self.timestamps, self.keys)))
+
+    @property
+    def encoded_bytes(self) -> int:
+        """Total encoded size of the rows (headers and payloads)."""
+        return int(self.lengths.sum()) + len(self) * self.codec.header_size
+
+    def contiguous(self) -> "UpdateColumns":
+        """The same rows (at least one) over a buffer that holds exactly
+        their encodings, back to back in row order — what a block writer
+        slices.  ``self`` when it already is one; otherwise the rows' bytes
+        are copied out in order and their headers packed from the columns (a
+        folded chain's columns carry its timestamp and op code, the bytes
+        under it a member's)."""
+        codec = self.codec
+        sizes = self.lengths + codec.header_size
+        ends = _np.cumsum(sizes)
+        starts = ends - sizes
+        if len(self.data) == ends[-1] and (self.offsets == starts).all():
+            return self
+        view = memoryview(self.data)
+        out = bytearray().join(
+            [view[at : at + size] for at, size in zip(self.offsets.tolist(), sizes.tolist())]
+        )
+        heads = _np.empty(len(sizes), dtype=codec._head_dtype)
+        heads["timestamp"], heads["key"] = self.timestamps, self.keys
+        heads["op"], heads["payload_len"] = self.ops, self.lengths
+        _windows(out, codec.header_size)[starts] = heads.view(_np.uint8).reshape(len(sizes), -1)
+        return UpdateColumns(
+            bytes(out), codec, self.keys, self.timestamps, self.ops, starts, self.lengths
+        )
 
     def rows(self, index) -> "UpdateColumns":
         """The updates selected by ``index`` (a slice, mask or index array),

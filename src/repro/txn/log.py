@@ -51,7 +51,7 @@ filters by timestamp anyway — laziness trades no correctness.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterator, Optional
 
@@ -93,6 +93,9 @@ class LogRecordType(IntEnum):
     RUN_MERGE = 5
     CHECKPOINT = 6
     MERGE_SLICE = 7
+
+
+_UPDATE = int(LogRecordType.UPDATE)
 
 
 @dataclass(frozen=True)
@@ -147,7 +150,10 @@ class LogRecord:
     type: LogRecordType
     timestamp: int
     table: Optional[str] = None
-    update: Optional[UpdateRecord] = None
+    #: UPDATE only: the update as logged (its encoding) — what recovery puts
+    #: back into the buffer — and the codec :attr:`update` decodes it with.
+    encoded: Optional[bytes] = None
+    codec: Optional[UpdateCodec] = field(default=None, compare=False, repr=False)
     run_name: Optional[str] = None
     run_names: Optional[tuple[str, ...]] = None
     key_range: Optional[tuple[int, int]] = None
@@ -157,6 +163,10 @@ class LogRecord:
     covered_ts: Optional[tuple[int, int]] = None
     #: CHECKPOINT only: the full decoded fence + run manifest.
     checkpoint: Optional[Checkpoint] = None
+
+    @property
+    def update(self) -> Optional[UpdateRecord]:
+        return self.codec.decode(self.encoded)[0] if self.codec else None
 
 
 def _pack_str(text: str) -> bytes:
@@ -242,11 +252,15 @@ class RedoLog:
         if self._dirty_end > pos:
             self.file.zero_range(pos, min(_FRAME.size, self._dirty_end - pos))
 
-    def log_update(self, table: str, update: UpdateRecord) -> None:
+    def log_update(self, table: str, update: "UpdateRecord | bytes") -> None:
+        """Log one update of ``table``: its encoding — the engine passes the
+        bytes it also buffers, encoded once — or the record, encoded here."""
         codec = self.codecs.get(table)
         if codec is None:
             raise RecoveryError(f"no codec registered for table {table!r}")
-        self._append(LogRecordType.UPDATE, self._prefix(table), codec.encode(update))
+        if not isinstance(update, bytes):
+            update = codec.encode(update)
+        self._append(LogRecordType.UPDATE, self._prefix(table), update)
 
     def _prefix(self, table: str) -> bytes:
         """``_pack_str(table)``, packed once per table."""
@@ -350,27 +364,44 @@ class RedoLog:
         its timestamp exactly as if it had survived legitimately.
         """
         end = self.file.append_pos
-        survivors: list[bytes] = []
-        dropped = 0
+        pieces: list[bytes] = []  # the survivors, adjacent ones in one piece
+        kept = dropped = 0
+        run_buf = b""  # the open piece is run_buf[run_start:run_end]
+        run_start = run_end = 0
+        head = _FRAME.size
+        fence = checkpoint.checkpoint_ts
+        prefix = self._prefix(checkpoint.table)
+        body = head + len(prefix)  # where an update of the table starts
+        peek_timestamp = UpdateCodec.peek_timestamp
         try:
-            for _, rtype_raw, frame in self._frames(end, scanning=False):
-                rtype = LogRecordType(rtype_raw)
-                if rtype is LogRecordType.UPDATE:
-                    # Only (table, timestamp) decide survival: read them off
-                    # the payload's head instead of decoding the whole update.
-                    table, pos = _unpack_str(frame, _FRAME.size)
-                    timestamp = UpdateCodec.peek_timestamp(frame, pos)
+            for _, rtype_raw, buf, at, size in self._frames(end, scanning=False):
+                if rtype_raw == _UPDATE:
+                    # Only (table, timestamp) decide survival: compare the
+                    # payload's head where it lies instead of decoding it.
+                    survives = (
+                        not buf.startswith(prefix, at + head)
+                        or peek_timestamp(buf, at + body) > fence
+                    )
                 else:
-                    record = self._decode(rtype, frame[_FRAME.size :])
-                    table, timestamp = record.table, record.timestamp
-                if self._survives(rtype, table, timestamp, checkpoint):
-                    survivors.append(frame)
-                else:
+                    rtype = LogRecordType(rtype_raw)
+                    record = self._decode(rtype, buf[at + head : at + size])
+                    survives = self._survives(
+                        rtype, record.table, record.timestamp, checkpoint
+                    )
+                if not survives:
                     dropped += 1
+                    continue
+                kept += 1
+                if buf is run_buf and at == run_end:
+                    run_end += size
+                else:
+                    pieces.append(run_buf[run_start:run_end])
+                    run_buf, run_start, run_end = buf, at, at + size
         except RecoveryError as exc:
             raise RecoveryError(f"live {exc}; refusing to truncate") from exc
+        pieces.append(run_buf[run_start:run_end])
         fresh = self._frame(LogRecordType.CHECKPOINT, self._encode_checkpoint(checkpoint))
-        content = b"".join((fresh, *survivors))
+        content = b"".join((fresh, *pieces))
         if len(content) > self.file.size:
             raise RecoveryError(
                 f"compacted log ({len(content)} bytes) exceeds the log file "
@@ -394,7 +425,7 @@ class RedoLog:
         return TruncationReport(
             reclaimed_bytes=reclaimed,
             records_dropped=dropped,
-            records_kept=len(survivors),
+            records_kept=kept,
             live_bytes=new_end,
             dirty_bytes=self.dirty_bytes,
         )
@@ -436,14 +467,18 @@ class RedoLog:
         return step
 
     # ----------------------------------------------------------------- reads
-    def _frames(self, end: int, scanning: bool) -> Iterator[tuple[int, int, bytes]]:
+    def _frames(
+        self, end: int, scanning: bool
+    ) -> Iterator[tuple[int, int, bytes, int, int]]:
         """Walk the frames in ``[0, end)`` of the file: ``(offset, record-type
-        byte, frame)`` per frame whose CRC holds, the payload starting
-        ``_FRAME.size`` bytes into ``frame``.
+        byte, buffer, position, size)`` per frame whose CRC holds — the frame
+        is ``buffer[position : position + size]``, its payload starting
+        ``_FRAME.size`` bytes in.
 
         The file is read in sequential :data:`READ_CHUNK` pieces, each only
         when the walk reaches it; a frame that straddles a chunk boundary is
-        completed from the next chunk, and frames are slices of the buffer.
+        completed from the next chunk, and consecutive frames share a buffer
+        until the walk has to read again.
 
         ``end`` is either the known end of the log, where a frame that runs
         past it or fails its CRC is corruption and raises, or (``scanning``)
@@ -499,7 +534,7 @@ class RedoLog:
                     self._torn_tail(offset, "checksum mismatch")
                     return
                 raise RecoveryError(f"log record at offset {offset} failed checksum")
-            yield offset, rtype_raw, buf[at : at + size]
+            yield offset, rtype_raw, buf, at, size
             offset += size
 
     def _replay(self) -> Iterator[tuple[LogRecordType, bytes]]:
@@ -516,8 +551,8 @@ class RedoLog:
         end = self.file.append_pos or self.file.size
         scanning = self.file.append_pos == 0
         parked = 0
-        for offset, rtype_raw, frame in self._frames(end, scanning):
-            parked = offset + len(frame)
+        for offset, rtype_raw, buf, at, size in self._frames(end, scanning):
+            parked = offset + size
             try:
                 rtype = LogRecordType(rtype_raw)
             except ValueError as exc:
@@ -525,9 +560,9 @@ class RedoLog:
             if rtype is LogRecordType.CHECKPOINT:
                 # A persisted checkpoint means the prefix below its fence
                 # was (or may legitimately have been) reclaimed.
-                (fence, _) = _CHECKPOINT.unpack_from(frame, _FRAME.size)
+                (fence, _) = _CHECKPOINT.unpack_from(buf, at + _FRAME.size)
                 self.truncated_through = max(self.truncated_through, fence)
-            yield rtype, frame
+            yield rtype, buf[at : at + size]
         if scanning:
             # The append cursor was lost with the crash; park it after the
             # surviving records so fresh appends do not overwrite them.
@@ -547,15 +582,15 @@ class RedoLog:
         for rtype, frame in self._replay():
             yield self._decode(rtype, frame[_FRAME.size :])
 
-    def updates(
+    def encoded_updates(
         self, table: str, min_ts: int = 0, max_ts: Optional[int] = None
-    ) -> Iterator[UpdateRecord]:
+    ) -> Iterator[bytes]:
         """The logged updates of ``table`` with ``min_ts <= ts <= max_ts``
-        (no upper bound when None), in log order.
+        (no upper bound when None), in log order, as logged (encoded).
 
         ``(table, timestamp)`` are read off each UPDATE payload's head, as
-        truncation reads them, so only the updates asked for are decoded —
-        what log-fallback scans, run rebuilds and replica catch-up replay.
+        truncation reads them; nothing is decoded — what log-fallback scans
+        and run rebuilds replay.
         """
         codec = self.codecs.get(table)
         if codec is None:
@@ -566,7 +601,15 @@ class RedoLog:
             if rtype is LogRecordType.UPDATE and frame.startswith(prefix, _FRAME.size):
                 timestamp = codec.peek_timestamp(frame, body)
                 if timestamp >= min_ts and (max_ts is None or timestamp <= max_ts):
-                    yield codec.decode(frame, body)[0]
+                    yield frame[body:]
+
+    def updates(
+        self, table: str, min_ts: int = 0, max_ts: Optional[int] = None
+    ) -> Iterator[UpdateRecord]:
+        """:meth:`encoded_updates`, decoded (oracles, tools, tests)."""
+        codec = self.codecs.get(table)  # encoded_updates raises if there is none
+        for encoded in self.encoded_updates(table, min_ts, max_ts):
+            yield codec.decode(encoded)[0]
 
     def _torn_tail(self, offset: int, reason: str) -> None:
         """Count a torn tail record found while scanning after a crash.
@@ -582,8 +625,8 @@ class RedoLog:
             codec = self.codecs.get(table)
             if codec is None:
                 raise RecoveryError(f"no codec registered for table {table!r}")
-            update, _ = codec.decode(payload, pos)
-            return LogRecord(rtype, update.timestamp, table=table, update=update)
+            timestamp = codec.peek_timestamp(payload, pos)
+            return LogRecord(rtype, timestamp, table=table, encoded=payload[pos:], codec=codec)
         if rtype == LogRecordType.RUN_FLUSH:
             (max_ts,) = _TS.unpack_from(payload, 0)
             table, pos = _unpack_str(payload, _TS.size)

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.core.masm import MaSM, MaSMConfig
 from repro.core.sortedrun import load_run
-from repro.core.update import UpdateRecord
+from repro.core.update import UpdateColumns
 from repro.engine.table import Table
 from repro.errors import RecoveryError, StorageError
 from repro.obs import get_registry, trace
@@ -130,7 +130,7 @@ def recover_masm(
     # (written but never logged) and damaged runs can be told apart.
     flushed_through = 0  # max update ts known to be in a logged run
     migrated_ts = 0  # max ts applied in place by a completed full migration
-    pending: list[UpdateRecord] = []
+    pending: list[tuple[int, bytes]] = []  # (timestamp, the update as logged)
     open_migrations: dict[int, tuple[str, ...]] = {}
     completed_full: list[tuple[str, ...]] = []
     completed_partial: list[tuple[tuple[str, ...], tuple[int, int]]] = []
@@ -157,7 +157,7 @@ def recover_masm(
             )
             if record.type == LogRecordType.UPDATE:
                 if record.table == table.name:
-                    pending.append(record.update)
+                    pending.append((record.timestamp, record.encoded))
             elif record.type == LogRecordType.RUN_FLUSH:
                 if record.table == table.name:
                     flushed_through = max(flushed_through, record.timestamp)
@@ -394,23 +394,24 @@ def recover_masm(
                 gap_lo = log_floor + 1
                 if gap_lo > gap_hi:
                     continue
-            lost = [u for u in pending if gap_lo <= u.timestamp <= gap_hi]
+            lost = [encoded for ts, encoded in pending if gap_lo <= ts <= gap_hi]
             if not lost:
                 continue
-            lost.sort(key=UpdateRecord.sort_key)
             with trace("txn.recover.rebuild_run", updates=len(lost)):
-                rebuilt = masm._write_run(lost, passes=1)
+                rebuilt = masm._write_run(
+                    UpdateColumns.from_encoded(lost, masm.codec).sorted(), passes=1
+                )
             rebuilt.covered_min_ts = gap_lo
             rebuilt.covered_max_ts = gap_hi
             report.runs_rebuilt += 1
 
     # ---- 2. rebuild the in-memory buffer ----------------------------------
-    for update in pending:
-        if update.timestamp > flushed_through:
-            if masm.buffer.would_overflow(update):
+    for timestamp, encoded in pending:
+        if timestamp > flushed_through:
+            if masm.buffer.would_overflow(len(encoded)):
                 masm._handle_full_buffer()
-            masm.buffer.append(update)
-            masm.stats.updates_ingested += 1
+            masm.buffer.append(encoded)
+            masm.count_ingested(1)
             report.buffer_updates_replayed += 1
 
     # ---- 5. the oracle must move past everything seen ----------------------

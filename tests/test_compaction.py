@@ -16,7 +16,9 @@ import sys
 
 import pytest
 
+from repro.core import sortedrun
 from repro.core.compaction import (
+    KEY_MAX,
     CompactionConfig,
     CompactionScheduler,
     RunStat,
@@ -25,6 +27,7 @@ from repro.core.compaction import (
     score_candidates,
 )
 from repro.core.masm import MaSM, MaSMConfig
+from repro.core.operators import merge_update_streams
 from repro.engine.record import synthetic_schema
 from repro.engine.table import Table
 from repro.errors import SimulatedCrash, StorageError
@@ -417,3 +420,40 @@ def test_checkpoint_after_compaction_completes_and_recovers():
     got = scan_values(recovered)
     for key, value in expect.items():
         assert got[key] == value
+
+
+def test_a_slice_reads_its_victims_a_group_at_a_time_like_the_record_merge(monkeypatch):
+    # Two-block read groups, so a run of a dozen blocks is six reads.
+    monkeypatch.setattr(sortedrun, "READ_BATCH_BLOCKS", 2)
+    masm, *_ = build_system(trigger_runs=99)
+    churn(masm, rounds=3, per_round=450)
+    victims = list(masm.runs)
+    assert len(victims) == 3 and all(run.num_blocks >= 6 for run in victims)
+    reads = masm.ssd.device.stats
+
+    def record_merge(cursor, target):
+        """What ``_emit_slice`` took from the lazy record-at-a-time merge."""
+        stream = merge_update_streams(
+            [iter(s) for s in masm.run_update_sources(victims, cursor, KEY_MAX, None, use_cache=False)]
+        )
+        taken, leftover = [], False
+        for update in stream:
+            if len(taken) >= target and update.key != taken[-1].key:
+                leftover = True
+                break
+            taken.append(update)
+        return taken, leftover
+
+    whole = None
+    for cursor, target in [(0, 10**6), (0, 1), (0, 40), (0, 400), (700, 150), (1990, 5), (2500, 5)]:
+        before = reads.reads
+        want, want_leftover = record_merge(cursor, target)
+        record_reads, before = reads.reads - before, reads.reads
+        updates, leftover = masm.compactor._take_merged(victims, cursor, target)
+        slice_reads = reads.reads - before
+        assert (updates.records if updates is not None else []) == want
+        assert leftover == want_leftover
+        assert slice_reads == record_reads
+        whole = whole or slice_reads
+    assert slice_reads < whole  # a short slice does not read the victims whole
+

@@ -21,7 +21,7 @@ import traceback
 
 from repro.core.masm import MaSM, MaSMConfig
 from repro.core.membuffer import InMemoryUpdateBuffer
-from repro.core.update import UpdateRecord, UpdateType
+from repro.core.update import UpdateCodec, UpdateRecord, UpdateType
 from repro.engine.record import synthetic_schema
 from repro.engine.table import Table
 from repro.storage.disk import SimulatedDisk
@@ -70,11 +70,12 @@ def test_buffer_concurrent_append_and_cursor():
     writer_started = threading.Event()
     readers_done = threading.Event()
     total = 3000
+    encode = UpdateCodec(SCHEMA).encode
 
     def writer():
         for ts in range(1, total + 1):
             buffer.append(
-                UpdateRecord(ts, (ts * 7) % 1000, UpdateType.DELETE, None)
+                encode(UpdateRecord(ts, (ts * 7) % 1000, UpdateType.DELETE, None))
             )
             if ts >= 50:
                 writer_started.set()  # readers overlap a live writer

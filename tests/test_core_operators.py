@@ -42,7 +42,7 @@ def test_run_scan_filters_range_and_ts():
 def test_mem_scan_plain():
     buf = InMemoryUpdateBuffer(SCHEMA, 64 * KB)
     for ts, key in [(1, 30), (2, 10), (3, 50)]:
-        buf.append(dele(ts, key))
+        buf.append(CODEC.encode(dele(ts, key)))
     got = list(MemScan(buf, 0, 40, query_ts=10))
     assert [u.key for u in got] == [10, 30]
 
@@ -50,7 +50,7 @@ def test_mem_scan_plain():
 def test_mem_scan_hands_over_to_run_on_flush():
     buf = InMemoryUpdateBuffer(SCHEMA, 64 * KB)
     for ts, key in [(1, 10), (2, 20), (3, 30), (4, 40)]:
-        buf.append(dele(ts, key))
+        buf.append(CODEC.encode(dele(ts, key)))
     runs = {}
 
     scan = MemScan(buf, 0, 100, query_ts=10, run_for_flush=runs.get)
@@ -60,7 +60,7 @@ def test_mem_scan_hands_over_to_run_on_flush():
     # Flush mid-scan: materialize the drained updates as the run the scan
     # must continue from.
     drained = buf.drain_sorted()
-    runs[buf.flush_epoch] = make_run(drained, "flushed")
+    runs[buf.flush_epoch] = make_run(drained.records, "flushed")
     rest = [u.key for u in it]
     assert rest == [20, 30, 40]
 
@@ -68,20 +68,20 @@ def test_mem_scan_hands_over_to_run_on_flush():
 def test_mem_scan_handover_respects_query_ts():
     buf = InMemoryUpdateBuffer(SCHEMA, 64 * KB)
     for ts, key in [(1, 10), (2, 20), (9, 30)]:
-        buf.append(dele(ts, key))
+        buf.append(CODEC.encode(dele(ts, key)))
     runs = {}
     scan = MemScan(buf, 0, 100, query_ts=5, run_for_flush=runs.get)
     it = iter(scan)
     assert next(it).key == 10
     drained = buf.drain_sorted()
-    runs[buf.flush_epoch] = make_run(drained, "flushed")
+    runs[buf.flush_epoch] = make_run(drained.records, "flushed")
     assert [u.key for u in it] == [20]  # key 30 has ts > query_ts
 
 
 def test_mem_scan_without_lookup_stops_on_flush():
     buf = InMemoryUpdateBuffer(SCHEMA, 64 * KB)
-    buf.append(dele(1, 10))
-    buf.append(dele(2, 20))
+    buf.append(CODEC.encode(dele(1, 10)))
+    buf.append(CODEC.encode(dele(2, 20)))
     scan = MemScan(buf, 0, 100, query_ts=10)
     it = iter(scan)
     next(it)

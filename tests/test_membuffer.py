@@ -3,12 +3,13 @@
 import pytest
 
 from repro.core.membuffer import BufferFlushed, InMemoryUpdateBuffer
-from repro.core.update import UpdateRecord, UpdateType
+from repro.core.update import UpdateCodec, UpdateRecord, UpdateType
 from repro.engine.record import synthetic_schema
 from repro.errors import UpdateCacheFullError
 from repro.util.units import KB
 
 SCHEMA = synthetic_schema()
+CODEC = UpdateCodec(SCHEMA)
 
 
 def make_buffer(capacity=64 * KB):
@@ -16,7 +17,8 @@ def make_buffer(capacity=64 * KB):
 
 
 def upd(ts, key):
-    return UpdateRecord(ts, key, UpdateType.DELETE, None)
+    """A DELETE as the engine hands it to the buffer: encoded."""
+    return CODEC.encode(UpdateRecord(ts, key, UpdateType.DELETE, None))
 
 
 def test_append_accumulates_bytes():
@@ -31,7 +33,7 @@ def test_capacity_enforced():
     buf.append(upd(1, 1))
     with pytest.raises(UpdateCacheFullError):
         buf.append(upd(2, 2))
-    assert buf.would_overflow(upd(2, 2))
+    assert buf.would_overflow(21)
 
 
 def test_pages_used():
@@ -57,7 +59,7 @@ def test_drain_sorted_returns_key_order_and_resets():
     for ts, key in [(1, 30), (2, 10), (3, 20), (4, 10)]:
         buf.append(upd(ts, key))
     drained = buf.drain_sorted()
-    assert [(u.key, u.timestamp) for u in drained] == [
+    assert [(u.key, u.timestamp) for u in drained.records] == [
         (10, 2),
         (10, 4),
         (20, 3),
@@ -153,3 +155,26 @@ def test_snapshot_range_batching():
     assert len(batch) == 4
     batch2, _, _ = buf.snapshot_range(0, 100, 100, after=batch[-1].sort_key())
     assert batch2[0].key == 4
+
+
+def test_updates_at_one_position_keep_their_arrival_order():
+    # The oracle never hands out a timestamp twice, but a caller that does
+    # gets what a stable sort gives: placed by a reader or sorted by a flush.
+    first = CODEC.encode(UpdateRecord(7, 10, UpdateType.DELETE, None))
+    second = CODEC.encode(UpdateRecord(7, 10, UpdateType.INSERT, (10, "again")))
+    for read_between in (True, False):
+        buf = make_buffer()
+        buf.append(upd(9, 10))
+        buf.append(first)
+        if read_between:
+            buf.sort()
+        buf.append(second)
+        batch, _, _ = buf.snapshot_range(0, 100, 100)
+        assert [(u.timestamp, u.type) for u in batch] == [
+            (7, UpdateType.DELETE), (7, UpdateType.INSERT), (9, UpdateType.DELETE)
+        ]
+        buf.append(CODEC.encode(UpdateRecord(7, 10, UpdateType.MODIFY, {"payload": "m"})))
+        assert [u.type for u in buf.drain_sorted().records] == [
+            UpdateType.DELETE, UpdateType.INSERT, UpdateType.MODIFY, UpdateType.DELETE
+        ]
+

@@ -510,14 +510,7 @@ def test_engine_scan_equals_reference_over_non_uniform_pages(data):
     scan = masm.range_scan(begin, end, query_ts=query_ts)
     # The scan registered (and settled run budget and buffer) just now.
     horizon = masm.oracle.current if query_ts is None else query_ts
-    buffered = sorted(
-        (
-            u
-            for u in masm.buffer._entries
-            if begin <= u.key <= end and u.timestamp <= horizon
-        ),
-        key=UpdateRecord.sort_key,
-    )
+    buffered = [u for u in masm.buffer.updates(0, horizon) if begin <= u.key <= end]
     reference = outcome(
         MergeDataUpdates(
             table.range_scan_pairs(begin, end),
@@ -536,6 +529,6 @@ def cached_updates_address(masm, key) -> bool:
     """True when a cached update addresses ``key``: deleting its base row in
     place would leave, say, a cached MODIFY without one — the engine's own
     migration never does that."""
-    return any(u.key == key for u in masm.buffer._entries) or any(
+    return any(u.key == key for u in masm.buffer.updates(0, 2**63)) or any(
         any(True for _ in run.scan_records(key, key)) for run in masm.runs
     )

@@ -314,9 +314,13 @@ def test_apply_rejects_ill_formed_update_before_logging_or_buffering(update, log
     if logged:
         log = RedoLog(ssd.create("wal", 64 * KB))
         masm.attach_log(log)
-    with pytest.raises(ReproError):
+    with pytest.raises(ReproError) as codec_error:
+        UpdateCodec(WIDE).encode(update)
+    with pytest.raises(type(codec_error.value)) as raised:
         masm.apply(update)
+    assert str(raised.value) == str(codec_error.value)  # encoded once: the codec's own error
     assert masm.buffer.count == 0 and masm.buffer.used_bytes == 0
+    assert masm.stats.updates_ingested == 0
     if log is not None:
         assert log.records_written == 0 and log.file.append_pos == 0
     # The engine is still usable and the rejected update left no trace.

@@ -15,7 +15,7 @@ from repro.core.replication import (
     ReplicaState,
     ReplicatedWarehouse,
 )
-from repro.core.update import UpdateRecord, UpdateType
+from repro.core.update import UpdateCodec, UpdateRecord, UpdateType
 from repro.engine.record import synthetic_schema
 from repro.errors import (
     DeadlineExceededError,
@@ -23,6 +23,7 @@ from repro.errors import (
     QuotaExceededError,
     ReplicaUnavailableError,
     ReplicationError,
+    ReproError,
 )
 from repro.obs import use_registry
 from repro.server import (
@@ -171,6 +172,63 @@ def test_follower_ship_failure_drops_follower():
         assert rset.replica(2).state is ReplicaState.CRASHED
         assert rset.primary_id == 0
         assert_replicas_identical(rset, model, "after follower drop")
+
+
+ILL_FORMED = [
+    UpdateRecord(0, 1, UpdateType.INSERT, (1, "x" * 200)),
+    UpdateRecord(0, 2, UpdateType.MODIFY, {"key": "not a number"}),
+    UpdateRecord(0, 2, UpdateType.MODIFY, {"no_such_field": 1}),
+]
+
+
+@pytest.mark.parametrize("update", ILL_FORMED, ids=lambda u: f"{u.type.name}-{list(u.content)[-1]}")
+def test_ill_formed_update_is_rejected_before_any_replica_sees_it(update):
+    """The set encodes — and so validates — once, first: the codec's own
+    error reaches the caller and no replica logged, buffered or was dropped
+    for it."""
+    with use_registry():
+        rset, model = build_set()
+        apply_mixed(rset, model, 20, "warm")
+
+        def footprint():
+            return [
+                (r.wal.live_bytes, r.wal.records_written, r.masm.buffer.count,
+                 r.masm.buffer.used_bytes, r.masm.stats.updates_ingested, r.state)
+                for r in rset.replicas
+            ]
+
+        before = footprint()
+        update.timestamp = rset.oracle.next()
+        with pytest.raises(ReproError) as codec_error:
+            UpdateCodec(SCHEMA).encode(update)
+        with pytest.raises(type(codec_error.value)) as raised:
+            rset.apply(update)
+        assert str(raised.value) == str(codec_error.value)
+        assert footprint() == before
+        assert rset.online_ids() == [0, 1, 2] and rset.primary_id == 0
+        apply_mixed(rset, model, 5, "after")
+        assert_replicas_identical(rset, model, "after a rejected update")
+
+
+def test_dropped_follower_catches_up_to_identical_bytes():
+    """A follower that fails its ship after the primary applied ends
+    CRASHED; rejoined, its log holds the very bytes the primary's does."""
+    with use_registry():
+        clock = SimClock()
+        plan = NodeFaultPlan()
+        rset, model = build_set(node_faults={1: plan}, clock=clock)
+        apply_mixed(rset, model, 10, "warm")
+        plan.crash_at = clock.now
+        apply_mixed(rset, model, 8, "missed")
+        follower = rset.replica(1)
+        assert follower.state is ReplicaState.CRASHED and rset.primary_id == 0
+        assert rset.primary.masm.buffer.count == follower.masm.buffer.count + 8
+        assert rset.rejoin(1) == 8
+        assert follower.state is ReplicaState.ONLINE
+        table = rset.primary.table.name
+        logged = [list(r.wal.encoded_updates(table)) for r in rset.replicas]
+        assert logged[0] == logged[1] == logged[2] and len(logged[0]) == 18
+        assert_replicas_identical(rset, model, "after the dropped follower rejoined")
 
 
 def test_all_replicas_down_raises_typed():
