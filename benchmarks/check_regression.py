@@ -1,8 +1,8 @@
 """CI regression gate for the scan/merge read hot path and the serving door.
 
-Runs a fresh ``--smoke``-sized measurement of
-:mod:`benchmarks.bench_scan_merge_hotpath` and compares it against the
-committed full-run baseline in ``benchmarks/results/BENCH_scan_merge.json``;
+Runs a fresh measurement of :mod:`benchmarks.bench_scan_merge_hotpath`
+(``--smoke``: the same workload over fewer rounds) and compares it against
+the committed full-run baseline in ``benchmarks/results/BENCH_scan_merge.json``;
 then does the same for the serving surface
 (:mod:`benchmarks.bench_serving` vs ``BENCH_serving.json``) and the
 availability-under-chaos surface (:mod:`benchmarks.bench_availability` vs
@@ -19,8 +19,8 @@ deterministic double run).
 Absolute numbers are machine-dependent (the committed baseline and a CI
 runner differ in CPU and in workload size), so both gates compare
 *normalized ratios* against a reference row re-measured live in the same
-run — ``legacy`` records/sec for the hot path, the ``victim-solo`` latency
-surface for serving.  Ratios cancel out host speed and workload scale,
+run — the ``reference`` operators' rates for the hot path, the
+``victim-solo`` latency surface for serving.  Ratios cancel out host speed and workload scale,
 leaving only the relative shape a code regression would change.  Note the
 directions differ: hot-path ratios are speedups (bigger is better, gate on
 falling below the floor), serving ratios are latency multiples (smaller is
@@ -68,7 +68,7 @@ COMPACTION_BASELINE_FILE = RESULTS_DIR / "BENCH_compaction.json"
 COMPACTION_FRESH_RESULT_FILE = "BENCH_compaction.fresh.json"
 
 #: The row whose cells normalize every other row (re-measured each run).
-REFERENCE_ROW = "legacy"
+REFERENCE_ROW = "reference"
 #: The serving gate's normalizer: the victim tenant's solo latency surface.
 SERVING_REFERENCE_ROW = "victim-solo"
 
@@ -92,8 +92,8 @@ SERVING_SHED_RATE_CEILING = 0.25
 #: silently dropped e.g. the pipeline measurement — or the whole serving
 #: surface — would pass the gate.
 REQUIRED_CELLS = (
-    ("batch-warm", "merge_rps"),
-    ("batch-warm", "pipeline_rps"),
+    ("shipping-warm", "merge_rps"),
+    ("shipping-warm", "pipeline_rps"),
 )
 SERVING_REQUIRED_CELLS = (
     ("victim-shared", "p50_ms"),
@@ -298,8 +298,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--tolerance",
         type=float,
-        default=0.20,
-        help="allowed fractional drop in a normalized speedup (default 0.20)",
+        default=0.35,
+        help="allowed fractional drop in a normalized speedup (default 0.35: "
+        "on a shared machine the ratios move by about a fifth from one "
+        "process to the next, and rise under load)",
     )
     parser.add_argument(
         "--baseline",

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from repro.core.operators import MergeDataUpdates
+from repro.core.operators import MergeDataUpdates, MergeUpdates
 from repro.core.update import UpdateCodec, UpdateRecord, UpdateType, combine_chain
 from repro.engine.btree import BPlusTree
 from repro.engine.table import Table
@@ -172,10 +172,17 @@ class IndexedUpdates:
     def range_scan(self, begin_key: int, end_key: int) -> Iterator[tuple]:
         """Fresh records: table scan merged with index-fetched updates."""
         query_ts = self.oracle.next()
-        updates = self._updates_for_range(begin_key, end_key, query_ts)
-        data = self.table.range_scan_pairs(begin_key, end_key)
+        updates = MergeUpdates(
+            [self._updates_for_range(begin_key, end_key, query_ts)], self.table.schema
+        )
         return iter(
-            MergeDataUpdates(data, updates, self.table.schema, cpu=self.table.cpu)
+            MergeDataUpdates(
+                None,
+                updates,
+                self.table.schema,
+                cpu=self.table.cpu,
+                data_chunks=self.table.range_scan_pair_chunks(begin_key, end_key),
+            )
         )
 
     # ------------------------------------------------------------- accounting

@@ -165,21 +165,20 @@ class LSMUpdateCache:
         ]
         sources.append(self._c0_scan(begin_key, end_key, query_ts))
         updates = MergeUpdates(sources, self.table.schema, cpu=self.table.cpu)
-        data = self.table.range_scan_pairs(begin_key, end_key)
         return iter(
-            MergeDataUpdates(data, updates, self.table.schema, cpu=self.table.cpu)
+            MergeDataUpdates(
+                None,
+                updates,
+                self.table.schema,
+                cpu=self.table.cpu,
+                data_chunks=self.table.range_scan_pair_chunks(begin_key, end_key),
+            )
         )
 
     # -------------------------------------------------------------- migration
     def migrate(self) -> None:
         """Apply the bottom level's updates to the table and drop the run."""
-        from repro.core.migration import (
-            MigrationStats,
-            drain,
-            rewrite_heap,
-            update_batches,
-        )
-        from repro.core.update import UpdateCodec
+        from repro.core.migration import MigrationStats, drain, rewrite_heap
 
         run = self._runs[-1]
         if run is None:
@@ -189,12 +188,7 @@ class LSMUpdateCache:
         merge = MergeUpdates([run.scan(0, 2**63 - 1, query_ts=t)], schema)
         stats = MigrationStats(timestamp=t)
         rows, entries, out_pages = drain(
-            rewrite_heap(
-                self.table.heap,
-                schema,
-                update_batches(merge, UpdateCodec(schema)),
-                stats,
-            )
+            rewrite_heap(self.table.heap, schema, merge.kernel_batches(), stats)
         )
         self.table.heap.truncate(out_pages)
         self.table.replace_contents(entries, rows)

@@ -95,9 +95,14 @@ class InMemoryDifferential:
             self.table.schema,
             cpu=self.table.cpu,
         )
-        data = self.table.range_scan_pairs(begin_key, end_key)
         return iter(
-            MergeDataUpdates(data, updates, self.table.schema, cpu=self.table.cpu)
+            MergeDataUpdates(
+                None,
+                updates,
+                self.table.schema,
+                cpu=self.table.cpu,
+                data_chunks=self.table.range_scan_pair_chunks(begin_key, end_key),
+            )
         )
 
     # -------------------------------------------------------------- migration

@@ -36,14 +36,13 @@ from repro.core.sharding import (
 from repro.core.sortorders import MultiOrderTable, projection_schema
 from repro.core.views import LazyMaterializedView, ViewCatalog
 from repro.core.blockcache import DecodedBlockCache
-from repro.core.membuffer import BufferFlushed, InMemoryUpdateBuffer
+from repro.core.membuffer import InMemoryUpdateBuffer
 from repro.core.migration import MigrationStats, migrate_all, migrate_range
 from repro.core.operators import (
     MemScan,
     MergeDataUpdates,
     MergeUpdates,
     RunScan,
-    merge_update_streams,
 )
 from repro.core.runindex import (
     COARSE_GRANULARITY,
@@ -64,7 +63,6 @@ from repro.core.update import (
 __all__ = [
     "COARSE_GRANULARITY",
     "FINE_GRANULARITY",
-    "BufferFlushed",
     "DecodedBlockCache",
     "GovernorConfig",
     "InMemoryUpdateBuffer",
@@ -104,7 +102,6 @@ __all__ = [
     "combine",
     "combine_chain",
     "derive_parameters",
-    "merge_update_streams",
     "migrate_all",
     "migrate_range",
     "write_run",

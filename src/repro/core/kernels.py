@@ -1,11 +1,10 @@
 """Array-at-a-time merge kernels over columnar update blocks.
 
-The scan-side operators (:mod:`repro.core.operators`) would otherwise spend
-their time in per-record Python work: tuple keys, heap pushes, one iterator
-round-trip and one :class:`~repro.core.update.UpdateRecord` per update.
-These kernels replace that with column operations over
-:class:`~repro.core.update.UpdateColumns` — header columns plus payload
-offsets into the bytes that were read:
+What the scan-side operators (:mod:`repro.core.operators`) are made of:
+column operations over :class:`~repro.core.update.UpdateColumns` — header
+columns plus payload offsets into the bytes that were read — in place of
+per-record tuple keys, heap pushes and one
+:class:`~repro.core.update.UpdateRecord` per update:
 
 * a **galloping two-source merge**: each side's key column is binary-searched
   into the other (``np.searchsorted``), producing the merged permutation with
@@ -28,14 +27,10 @@ offsets into the bytes that were read:
   the payload bytes, INSERT/REPLACE as a row gather.  Each joined row comes
   with the timestamp of the last update in it; row tuples are built by the
   caller (a scan), or pages packed (a migration), from the joined arrays.
-
-``MASM_DISABLE_KERNELS=1`` (see :func:`enabled`) forces the legacy
-record-at-a-time paths (CI runs the equivalence suite both ways).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Sequence
 
 import numpy as _np
@@ -48,15 +43,6 @@ from repro.storage.iosched import (
 )
 
 _INSERT, _DELETE, _MODIFY, _REPLACE = map(int, UpdateType)
-
-
-def enabled() -> bool:
-    """True when the kernel fast path may run (not disabled).
-
-    The environment variable is consulted on every call so a test or an
-    operator can flip ``MASM_DISABLE_KERNELS`` without re-importing.
-    """
-    return not os.environ.get("MASM_DISABLE_KERNELS")
 
 
 # --------------------------------------------------------------------- merge

@@ -71,11 +71,7 @@ class MaSMConfig:
     #: count, enforced against byte-accurate per-entry accounting (lazy
     #: record materialization included).  None bounds by blocks only.
     decoded_cache_bytes: Optional[int] = None
-    #: Scan with the columnar merge kernels (:mod:`repro.core.kernels`) when
-    #: available.  False forces the record-at-a-time operator paths; the
-    #: ``MASM_DISABLE_KERNELS`` environment variable does the same globally.
-    use_kernels: bool = True
-    #: Target run-index blocks per merge partition for the kernel path.
+    #: Target run-index blocks per merge partition of a scan.
     #: None uses :data:`repro.core.kernels.DEFAULT_BLOCKS_PER_PARTITION`;
     #: small values force multi-partition merges on small runs (used by the
     #: simulation's ``kernels`` scenario to stress partition boundaries).
@@ -852,25 +848,18 @@ class MaSM:
                     update_sources,
                     self.table.schema,
                     cpu=self.cpu,
-                    use_kernels=self.config.use_kernels,
                     blocks_per_partition=self.config.kernel_blocks_per_partition,
                 )
-                data = self.table.range_scan_pairs(begin_key, end_key)
-                data_chunks = None
-                if self.config.use_kernels:
-                    chunked = getattr(self.table, "range_scan_pair_chunks", None)
-                    if chunked is not None:
-                        data_chunks = chunked(begin_key, end_key)
                 with span:
                     # One iterable, itself a chain over the join's
                     # per-partition row lists: draining the scan never
                     # resumes this frame per row.
                     yield MergeDataUpdates(
-                        data,
+                        None,
                         updates,
                         self.table.schema,
                         cpu=self.cpu,
-                        data_chunks=data_chunks,
+                        data_chunks=self.table.range_scan_pair_chunks(begin_key, end_key),
                     )
             finally:
                 sim_interleave("masm.scan.end")

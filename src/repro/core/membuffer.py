@@ -9,40 +9,29 @@ places — and take a key range of it as
 Concurrent scans survive both re-sorts and flushes the way Section 3.2
 describes:
 
-* the buffer carries a *sort epoch* — a scan cursor that detects a newer
-  epoch re-positions itself by searching for its last-delivered (key, ts);
-* the buffer carries a *flush epoch* — a cursor that detects a flush learns
-  which materialized run replaced the data it was reading and the MaSM scan
-  operator swaps in a Run_scan (see :mod:`repro.core.operators`);
-* new updates that land between a cursor's position and its range end are
-  filtered out by the query timestamp, so a query never sees updates later
-  than itself.
+* a scan reads the buffer one key partition at a time, each read a fresh
+  pair of bisections under the latch, so a re-sort between two reads (the
+  *sort epoch* counts them) cannot misplace it;
+* the buffer carries a *flush epoch* — a read that finds a newer one than
+  the scan registered under tells the MaSM scan operator to swap in a
+  Run_scan over the materialized run that replaced the data (see
+  :class:`repro.core.operators.MemScan`);
+* new updates that land inside a scan's range are filtered out by the query
+  timestamp, so a query never sees updates later than itself.
 """
 
 from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from itertools import islice
 from operator import itemgetter
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.core.update import UpdateCodec, UpdateColumns, UpdateRecord
 from repro.engine.record import Schema
 from repro.errors import UpdateCacheFullError
 
 _KEY_TS = itemgetter(0, 1)
-
-class BufferFlushed(Exception):
-    """Raised by a cursor when the buffer was flushed under it.
-
-    Carries the flush epoch so the caller can locate the materialized run
-    that now holds the updates this cursor was reading.
-    """
-
-    def __init__(self, flush_epoch: int):
-        super().__init__(f"update buffer flushed (epoch {flush_epoch})")
-        self.flush_epoch = flush_epoch
 
 
 class InMemoryUpdateBuffer:
@@ -138,7 +127,7 @@ class InMemoryUpdateBuffer:
         """Atomically take all updates (sorted) and reset the buffer.
 
         This is the flush step that materializes a sorted run; the flush
-        epoch advances so concurrent cursors can detect it.  The columns lie
+        epoch advances so concurrent scans can detect it.  The columns lie
         over the updates' bytes back to back — what a run's blocks are cut
         from — and the buffer keeps nothing of them.
         """
@@ -152,73 +141,20 @@ class InMemoryUpdateBuffer:
         return UpdateColumns.from_encoded([entry[2] for entry in taken], self.codec)
 
     # ------------------------------------------------------------------ reads
-    def cursor(
-        self,
-        begin_key: int,
-        end_key: int,
-        query_ts: int,
-        batch_size: int = 64,
-        flush_epoch: Optional[int] = None,
-    ) -> "BufferCursor":
-        """A stable cursor over [begin_key, end_key] visible at ``query_ts``.
-
-        ``batch_size`` is how many updates each latch acquisition grabs
-        (Section 3.2: "Mem_scan retrieves multiple update records at a time
-        to reduce latching overhead").  ``flush_epoch`` is the epoch the
-        cursor's visibility snapshot belongs to — the scan's registration
-        point, not cursor construction, which may happen arbitrarily later
-        (operators build lazily): a flush in between must still raise
-        :class:`BufferFlushed` or the drained updates would silently vanish
-        from the scan.
-        """
-        return BufferCursor(
-            self, begin_key, end_key, query_ts, batch_size, flush_epoch
-        )
-
-    def _visible(self, begin_key, end_key, query_ts, after=None, limit=None) -> list[bytes]:
-        """The encodings of the updates with keys in [begin_key, end_key]
-        visible at ``query_ts``, in (key, ts) order (latch held): those past
-        sort position ``after``, at most ``limit`` of them."""
-        entries = self._place()
-        lo = bisect_left(entries, (begin_key,))
-        if after is not None:
-            lo = max(lo, bisect_left(entries, (after[0], after[1] + 1)))
-        hi = bisect_left(entries, (end_key + 1,))
-        if lo >= hi:
-            return []  # most scans meet no update of their range here
-        in_range = map(entries.__getitem__, range(lo, hi))
-        return [e[2] for e in islice((e for e in in_range if e[1] <= query_ts), limit)]
-
     def columns_range(
         self, begin_key: int, end_key: int, query_ts: int
     ) -> tuple[Optional[UpdateColumns], int]:
-        """``(columns, flush_epoch)``: the visible updates of a key range as
-        columns over their bytes (None when there are none) and the flush
-        epoch they were read in — what the merge kernels take from the
-        buffer, no record built."""
+        """``(columns, flush_epoch)``: the updates with keys in [begin_key,
+        end_key] visible at ``query_ts`` as columns over their bytes, in
+        (key, ts) order (None when there are none), and the flush epoch they
+        were read in — what a scan takes from the buffer, no record built."""
         with self._latch:
-            pieces = self._visible(begin_key, end_key, query_ts)
+            entries = self._place()
+            lo = bisect_left(entries, (begin_key,))
+            hi = bisect_left(entries, (end_key + 1,))
+            pieces = [e[2] for e in entries[lo:hi] if e[1] <= query_ts]
             flush_epoch = self.flush_epoch
         return (UpdateColumns.from_encoded(pieces, self.codec) if pieces else None), flush_epoch
-
-    def snapshot_range(
-        self,
-        begin_key: int,
-        end_key: int,
-        query_ts: int,
-        after: Optional[tuple[int, int]] = None,
-        limit: int = 64,
-    ) -> tuple[list[UpdateRecord], int, int]:
-        """Grab up to ``limit`` visible updates after sort-position ``after``.
-
-        Returns (batch, sort_epoch, flush_epoch) captured under the latch —
-        the batched retrieval Section 3.2 uses to keep latching overhead low.
-        The records are decoded here, for the record-at-a-time read path.
-        """
-        decode = self.codec.decode
-        with self._latch:
-            pieces = self._visible(begin_key, end_key, query_ts, after, limit)
-            return [decode(piece)[0] for piece in pieces], self.sort_epoch, self.flush_epoch
 
     def updates(self, min_ts: int, max_ts: int) -> list[UpdateRecord]:
         """The buffered updates with ``min_ts <= ts <= max_ts``, decoded, in
@@ -230,71 +166,3 @@ class InMemoryUpdateBuffer:
     def min_timestamp(self) -> Optional[int]:
         with self._latch:
             return min((entry[1] for entry in self._entries), default=None)
-
-
-class BufferCursor:
-    """Iterates the buffer in (key, ts) order, resilient to re-sorts.
-
-    If the buffer flushes mid-iteration, :meth:`__next__` raises
-    :class:`BufferFlushed`; the MaSM scan operator catches it and continues
-    from the materialized run that absorbed the updates.
-    """
-
-    def __init__(
-        self,
-        buffer: InMemoryUpdateBuffer,
-        begin_key: int,
-        end_key: int,
-        query_ts: int,
-        batch_size: int = 64,
-        flush_epoch: Optional[int] = None,
-    ) -> None:
-        self.buffer = buffer
-        self.begin_key = begin_key
-        self.end_key = end_key
-        self.query_ts = query_ts
-        self.batch_size = max(1, batch_size)
-        self._last: Optional[tuple[int, int]] = None
-        self._batch: list[UpdateRecord] = []
-        self._batch_pos = 0
-        self._flush_epoch = (
-            flush_epoch if flush_epoch is not None else buffer.flush_epoch
-        )
-        self._exhausted = False
-
-    def __iter__(self) -> Iterator[UpdateRecord]:
-        return self
-
-    def __next__(self) -> UpdateRecord:
-        if self._exhausted:
-            raise StopIteration
-        if self._batch_pos >= len(self._batch):
-            batch, _, flush_epoch = self.buffer.snapshot_range(
-                self.begin_key,
-                self.end_key,
-                self.query_ts,
-                after=self._last,
-                limit=self.batch_size,
-            )
-            if flush_epoch != self._flush_epoch:
-                self._exhausted = True
-                # Hand over to the flush that drained *this cursor's*
-                # generation (epoch + 1).  Every update visible at the
-                # cursor's query timestamp was already buffered when that
-                # flush drained, so later flushes (epoch + 2, ...) can only
-                # contain updates this cursor must not see anyway.
-                raise BufferFlushed(self._flush_epoch + 1)
-            if not batch:
-                self._exhausted = True
-                raise StopIteration
-            self._batch = batch
-            self._batch_pos = 0
-        update = self._batch[self._batch_pos]
-        self._batch_pos += 1
-        self._last = update.sort_key()
-        return update
-
-    @property
-    def last_position(self) -> Optional[tuple[int, int]]:
-        """The (key, ts) of the last delivered update (resume point)."""
-        return self._last

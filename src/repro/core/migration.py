@@ -23,14 +23,12 @@ whole (all-or-nothing per page) so the timestamp rule stays exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 import numpy as np
 
 from repro.core.operators import MergeUpdates, join_batches
 from repro.core.update import (
-    UpdateCodec,
     UpdateColumns,
     UpdateRecord,
     UpdateType,
@@ -51,10 +49,6 @@ from repro.util.units import ceil_div
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.masm import MaSM
-
-#: Updates per batch when a merge that cannot run its kernel path is encoded
-#: into the column form the rewrite joins.
-REWRITE_BATCH_RECORDS = 4096
 
 
 @dataclass
@@ -128,7 +122,7 @@ def _migrate_everything(
     stats = MigrationStats(timestamp=t)
     with trace(f"migration.{kind}", runs=len(runs)):
         stats.rows_after, entries, out_pages = yield from rewrite_heap(
-            table.heap, table.schema, update_batches(merge, masm.codec), stats
+            table.heap, table.schema, merge.kernel_batches(), stats
         )
         table.heap.truncate(out_pages)
         table.replace_contents(entries, stats.rows_after)
@@ -147,21 +141,6 @@ def _migrate_everything(
         stats.runs_retired = len(runs)
     stats.publish(kind)
     return stats
-
-
-def update_batches(merge: MergeUpdates, codec: UpdateCodec) -> Iterator[UpdateColumns]:
-    """``merge``'s combined updates as key-ordered column batches: the kernel
-    path's own, or — when it cannot run (kernels disabled, only quarantined
-    or object-backed sources) — the combined record stream encoded in bounded
-    batches, so the rewrite has one input form."""
-    batches = merge.kernel_batches()
-    if batches is not None:
-        return batches
-    records = iter(merge)
-    return (
-        UpdateColumns.from_records(batch, codec)
-        for batch in iter(lambda: list(islice(records, REWRITE_BATCH_RECORDS)), [])
-    )
 
 
 def rewrite_heap(

@@ -85,10 +85,8 @@ class SecondaryIndexManager:
 
     def _buffer_keys(self, y_begin, y_end, query_ts: int) -> set[int]:
         keys: set[int] = set()
-        batch, _, _ = self.masm.buffer.snapshot_range(
-            0, 2**63 - 1, query_ts, limit=10**9
-        )
-        for update in batch:
+        columns, _ = self.masm.buffer.columns_range(0, 2**63 - 1, query_ts)
+        for update in columns.records if columns is not None else ():
             y = self._y_of_update(update)
             if y is not None and y_begin <= y <= y_end:
                 keys.add(update.key)

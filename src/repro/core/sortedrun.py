@@ -185,63 +185,38 @@ class MaterializedSortedRun:
         timestamp visibility).  ``after`` resumes past a (key, ts) position —
         used when a Mem_scan hands over to a Run_scan mid-query.
 
-        The block-granular fast path: each block comes decoded from its read
-        group's one decode pass (or from the shared ``cache``, skipping the
-        SSD read entirely) and the query's slice of the block is found by
-        binary search.  ``stats`` (a ``MaSMStats``-like object)
-        receives ``blocks_decoded`` increments.
+        The records of :meth:`column_groups`, one read group decoded per
+        pull: nothing of a group is yielded before every block of it was
+        read and verified.
         """
-        span = self.index.block_span(begin_key, end_key)
-        if span is None:
-            return
-        first_block, last_block = span
-        # Snapshot the masked ranges (migrated + merged) once per scan; both
-        # lists are kept coalesced, disjoint, and sorted, so membership in
-        # their union is one bisect over the merged snapshot.
-        migrated = self.masked_spans()
-        migrated_starts = [lo for lo, _ in migrated] if migrated else None
-        for _, entry in self._iter_decoded_blocks(
-            first_block, last_block, cache, stats
-        ):
-            if not entry.count:
-                continue
-            keys = entry.keys
-            if keys[0] > end_key:
-                return  # blocks are key-ordered: nothing further matches
-            lo = 0
-            if keys[0] < begin_key:
-                lo = key_position(keys, begin_key, "left")
-            hi = len(keys)
-            if keys[-1] > end_key:
-                hi = key_position(keys, end_key, "right")
-            if after is not None and lo < hi and keys[lo] <= after[0]:
-                after_key, after_ts = after
-                timestamps = entry.timestamps
-                pos = max(lo, key_position(keys, after_key, "left"))
-                while (
-                    pos < hi
-                    and keys[pos] == after_key
-                    and timestamps[pos] <= after_ts
-                ):
-                    pos += 1
-                lo = pos
-            if lo >= hi:
-                continue
-            records = entry.records()
-            if query_ts is None and migrated_starts is None:
-                if lo == 0 and hi == len(records):
-                    yield from records
-                else:
-                    yield from records[lo:hi]
-            else:
-                for update in records[lo:hi]:
-                    if query_ts is not None and update.timestamp > query_ts:
-                        continue
-                    if migrated_starts is not None:
-                        j = bisect_right(migrated_starts, update.key) - 1
-                        if j >= 0 and update.key <= migrated[j][1]:
-                            continue
-                    yield update
+        for group in self.column_groups(begin_key, end_key, query_ts, after, cache, stats):
+            yield from group.records
+
+    def column_groups(
+        self,
+        begin_key: int,
+        end_key: int,
+        query_ts: Optional[int] = None,
+        after: Optional[tuple[int, int]] = None,
+        cache: Optional[DecodedBlockCache] = None,
+        stats=None,
+    ) -> Iterator[UpdateColumns]:
+        """:meth:`slice_columns` one read group (``READ_BATCH_BLOCKS``
+        blocks: one batched SSD read) at a time, each read only when asked
+        for; groups with nothing to show are skipped."""
+        first, last = self.index.block_span(begin_key, end_key) or (0, -1)
+        for block in range(first, last + 1, READ_BATCH_BLOCKS):
+            group = self.slice_columns(
+                begin_key,
+                end_key,
+                query_ts,
+                after,
+                cache,
+                stats,
+                blocks=(block, min(block + READ_BATCH_BLOCKS - 1, last)),
+            )
+            if group is not None:
+                yield group
 
     def _iter_decoded_blocks(
         self,
@@ -368,60 +343,6 @@ class MaterializedSortedRun:
             if not len(columns):
                 return None
         return columns
-
-    def scan_records(
-        self,
-        begin_key: int,
-        end_key: int,
-        query_ts: Optional[int] = None,
-        after: Optional[tuple[int, int]] = None,
-    ) -> Iterator[UpdateRecord]:
-        """Record-at-a-time reference scan (the pre-batch implementation).
-
-        Kept verbatim as the equivalence oracle for the batch fast path: the
-        property suite asserts :meth:`scan` yields identical output.
-        """
-        span = self.index.block_span(begin_key, end_key)
-        if span is None:
-            return
-        first_block, last_block = span
-        block = first_block
-        while block <= last_block:
-            group_end = min(block + READ_BATCH_BLOCKS - 1, last_block)
-            requests = [
-                (b * self.block_size, self.block_size)
-                for b in range(block, group_end + 1)
-            ]
-            for b, data in zip(range(block, group_end + 1), self.file.read_batch(requests)):
-                _checksum.verify(data, context=f"run {self.name!r} block {b}")
-                yield from self._decode_block_records(
-                    data, begin_key, end_key, query_ts, after
-                )
-            block = group_end + 1
-
-    def _decode_block_records(
-        self,
-        data: bytes,
-        begin_key: int,
-        end_key: int,
-        query_ts: Optional[int],
-        after: Optional[tuple[int, int]],
-    ) -> Iterator[UpdateRecord]:
-        (count,) = _BLOCK_HEADER.unpack_from(data, 0)
-        offset = _BLOCK_HEADER.size
-        for _ in range(count):
-            update, offset = self.codec.decode(data, offset)
-            if update.key < begin_key:
-                continue
-            if update.key > end_key:
-                return
-            if query_ts is not None and update.timestamp > query_ts:
-                continue
-            if after is not None and update.sort_key() <= after:
-                continue
-            if self._is_migrated(update.key):
-                continue
-            yield update
 
     def raw_records(
         self,

@@ -673,12 +673,6 @@ class UpdateCodec:
         return state, bytes(record)
 
 
-#: Estimated Python-heap bytes per materialized UpdateRecord beyond its
-#: encoded payload (slotted instance, boxed timestamp and key, content tuple
-#: or dict).  Used by the decoded-block cache's byte accounting; an estimate,
-#: but a far better one than the encoded block size used before.
-RECORD_OBJECT_OVERHEAD = 176
-
 #: Bytes of header columns per update (key, timestamp, op, offset, length).
 _COLUMN_BYTES = 8 + 8 + 1 + 8 + 8
 
@@ -698,7 +692,7 @@ class UpdateColumns:
     (``lengths``), as in :class:`BlockColumns`.  Rows are in (key, ts) order
     when the object is a source's slice, and strictly increasing in key when
     it is a merged batch.  Payload bytes are touched only by whoever needs
-    them: :meth:`records` (chains, structural merges, migration) and the
+    them: :attr:`records` (record-shaped consumers), chain folds and the
     join's row gather / column patches.
     """
 
@@ -839,11 +833,9 @@ class UpdateColumns:
 
 class BlockGroup:
     """One read group's verified bytes and header columns, shared by the
-    :class:`ColumnarBlock` s decoded from it; the group's
-    :class:`UpdateRecord` s are built in one pass the first time any of its
-    blocks is asked for records."""
+    :class:`ColumnarBlock` s decoded from it."""
 
-    __slots__ = ("data", "codec", "columns", "stride", "_records")
+    __slots__ = ("data", "codec", "columns", "stride")
 
     def __init__(
         self, data: bytes, codec: UpdateCodec, columns: BlockColumns, stride: int
@@ -853,7 +845,6 @@ class BlockGroup:
         self.columns = columns
         #: Bytes per block: the on-SSD footprint of each.
         self.stride = stride
-        self._records: Optional[list[UpdateRecord]] = None
 
     def update_columns(self, lo: int, hi: int) -> UpdateColumns:
         """Rows ``lo:hi`` as :class:`UpdateColumns` (views) over the group's
@@ -869,11 +860,6 @@ class BlockGroup:
             lengths[lo:hi],
         )
 
-    def records(self) -> list[UpdateRecord]:
-        if self._records is None:
-            self._records = self.codec.decode_block(self.data, 0, self.columns)
-        return self._records
-
 
 class ColumnarBlock:
     """One decoded update block: a row range of its read group's verified
@@ -882,19 +868,14 @@ class ColumnarBlock:
     * :attr:`keys` / :attr:`timestamps` / :attr:`ops` — the block's rows of
       the group's header columns (views), what scans slice and merge;
     * :meth:`update_columns` — the same rows with payload offsets, over the
-      group's buffer;
-    * :meth:`records` — the block's :class:`UpdateRecord` list, for
-      record-at-a-time consumers (``MaterializedSortedRun.scan``, structural
-      merges, migration); the first call on any block of a read group
-      materialises the whole group.
+      group's buffer (its ``records`` decodes them).
 
     A run scan builds these for a whole read group at once
     (:meth:`UpdateCodec.decode_blocks`); a block constructed on its own is a
     group of one.
 
     Instances are what :class:`repro.core.blockcache.DecodedBlockCache`
-    stores; :attr:`nbytes` reports the entry's current decoded footprint so
-    the cache's byte accounting tracks lazy materialization as it happens.
+    stores; :attr:`nbytes` is what its byte accounting charges an entry.
     """
 
     __slots__ = ("group", "index", "offset")
@@ -952,11 +933,6 @@ class ColumnarBlock:
         """The block's updates as :class:`UpdateColumns`."""
         return self.group.update_columns(*self.span)
 
-    def records(self) -> list[UpdateRecord]:
-        """The block's UpdateRecord list."""
-        lo, hi = self.span
-        return self.group.records()[lo:hi]
-
     @property
     def encoded_size(self) -> int:
         """The on-SSD footprint this entry replaces (the old accounting)."""
@@ -964,14 +940,9 @@ class ColumnarBlock:
 
     @property
     def nbytes(self) -> int:
-        """Current decoded footprint: the block's share of its group's raw
-        bytes, header columns and (once built) records."""
-        group = self.group
-        total = group.stride + self.count * _COLUMN_BYTES
-        if group._records is not None:
-            total += self.count * RECORD_OBJECT_OVERHEAD + group.stride
-        return total
+        """Decoded footprint: the block's share of its group's raw bytes
+        and header columns."""
+        return self.group.stride + self.count * _COLUMN_BYTES
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        built = "" if self.group._records is None else ", records built"
-        return f"ColumnarBlock({self.count} records, {self.nbytes}B{built})"
+        return f"ColumnarBlock({self.count} records, {self.nbytes}B)"

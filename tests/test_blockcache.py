@@ -4,6 +4,7 @@ back the block-granular read pipeline."""
 
 import pytest
 
+import reference_operators as ref
 from repro.core.blockcache import DecodedBlockCache
 from repro.core.sortedrun import write_run
 from repro.core.update import BLOCK_HEADER, UpdateCodec, UpdateRecord, UpdateType
@@ -143,12 +144,19 @@ def test_resident_bytes_track_lazy_materialization():
     charged_at_insert = cache.resident_bytes
     assert charged_at_insert == entry.nbytes
     assert charged_at_insert > entry.encoded_size  # bytes + header columns
-    # Materialize the lazy form: the record list.
-    entry.records()
-    assert entry.nbytes > charged_at_insert
-    # The next hit re-reads nbytes and picks up the growth.
-    assert cache.get("r", 0) is entry
-    assert cache.resident_bytes == entry.nbytes
+    # Decoding a block's records builds nothing the block keeps.
+    assert len(entry.update_columns().records) == entry.count
+    assert entry.nbytes == charged_at_insert
+    # An entry that does grow after insertion is re-read on its next hit.
+
+    class Growing:
+        nbytes = 100
+
+    grown = Growing()
+    cache.put("r", 1, grown)
+    grown.nbytes = 250
+    assert cache.get("r", 1) is grown
+    assert cache.resident_bytes == entry.nbytes + 250
 
 
 def test_capacity_bytes_evicts_on_decoded_footprint():
@@ -185,7 +193,6 @@ def test_accounting_delta_gauge_published():
         cache = DecodedBlockCache(8)
         entry = _columnar_entry()
         cache.put("r", 0, entry)
-        entry.records()
         cache.get("r", 0)
         gauges = {
             g.name: g.value for g in [
@@ -206,7 +213,7 @@ def test_warm_scan_skips_ssd_reads():
     vol = StorageVolume(SimulatedSSD(capacity=64 * MB))
     run = make_run(vol=vol)
     cache = DecodedBlockCache(256)
-    assert list(run.scan(0, 10**9, cache=cache)) == list(run.scan_records(0, 10**9))
+    assert list(run.scan(0, 10**9, cache=cache)) == list(ref.scan_run(run, 0, 10**9))
     before = vol.device.snapshot()
     warm = list(run.scan(0, 10**9, cache=cache))
     delta = vol.device.stats.delta(before)

@@ -29,9 +29,9 @@ def baseline():
 
 
 def test_committed_baseline_is_loadable(baseline):
-    assert "legacy" in baseline
-    assert "batch-warm" in baseline
-    assert baseline["batch-warm"]["merge_rps"] > baseline["legacy"]["merge_rps"]
+    assert "reference" in baseline
+    assert "shipping-warm" in baseline
+    assert baseline["shipping-warm"]["merge_rps"] > baseline["reference"]["merge_rps"]
 
 
 def test_baseline_vs_itself_passes(baseline):
@@ -41,22 +41,22 @@ def test_baseline_vs_itself_passes(baseline):
 
 
 def test_synthetic_25pct_slowdown_fails(baseline):
-    """A 25% drop in the batch path exceeds the 20% tolerance."""
+    """A 25% drop in the shipping path exceeds the 20% tolerance."""
     slowed = copy.deepcopy(baseline)
     for label, values in slowed.items():
-        if label == "legacy":
-            continue  # legacy is the normalizer; only the fast path regresses
+        if label == "reference":
+            continue  # the normalizer; only the shipping path regresses
         for column in values:
             values[column] *= 0.75
     failures = compare(baseline, slowed, tolerance=0.20)
     assert failures, "a 25% hot-path slowdown must trip the gate"
-    assert any("batch-warm/merge_rps" in f for f in failures)
+    assert any("shipping-warm/merge_rps" in f for f in failures)
 
 
 def test_slowdown_within_tolerance_passes(baseline):
     slowed = copy.deepcopy(baseline)
     for label, values in slowed.items():
-        if label == "legacy":
+        if label == "reference":
             continue
         for column in values:
             values[column] *= 0.85  # 15% < the 20% tolerance
@@ -64,7 +64,7 @@ def test_slowdown_within_tolerance_passes(baseline):
 
 
 def test_uniform_machine_slowdown_passes(baseline):
-    """A slower host scales every row including legacy: ratios are unchanged,
+    """A slower host scales every row including the reference: ratios are unchanged,
     so the gate must not fire (machine-independence)."""
     slowed = {
         label: {column: value * 0.5 for column, value in values.items()}
@@ -75,15 +75,15 @@ def test_uniform_machine_slowdown_passes(baseline):
 
 def test_missing_row_is_a_failure(baseline):
     partial = {
-        label: values for label, values in baseline.items() if label != "batch-warm"
+        label: values for label, values in baseline.items() if label != "shipping-warm"
     }
     failures = compare(baseline, partial, tolerance=0.20)
-    assert any("batch-warm" in f and "missing" in f for f in failures)
+    assert any("shipping-warm" in f and "missing" in f for f in failures)
 
 
 def test_normalized_requires_reference_row(baseline):
     with pytest.raises(ValueError):
-        normalized({"batch-warm": {"merge_rps": 1.0}})
+        normalized({"shipping-warm": {"merge_rps": 1.0}})
 
 
 # ------------------------------------------------------------- serving gate

@@ -9,6 +9,7 @@ checkpoint/snapshot gating, the structural emergency fallback, and crash
 recovery resuming a half-merged plan.
 """
 
+import heapq
 import json
 import os
 import subprocess
@@ -27,7 +28,7 @@ from repro.core.compaction import (
     score_candidates,
 )
 from repro.core.masm import MaSM, MaSMConfig
-from repro.core.operators import merge_update_streams
+from repro.core.update import UpdateRecord
 from repro.engine.record import synthetic_schema
 from repro.engine.table import Table
 from repro.errors import SimulatedCrash, StorageError
@@ -433,8 +434,9 @@ def test_a_slice_reads_its_victims_a_group_at_a_time_like_the_record_merge(monke
 
     def record_merge(cursor, target):
         """What ``_emit_slice`` took from the lazy record-at-a-time merge."""
-        stream = merge_update_streams(
-            [iter(s) for s in masm.run_update_sources(victims, cursor, KEY_MAX, None, use_cache=False)]
+        stream = heapq.merge(
+            *masm.run_update_sources(victims, cursor, KEY_MAX, None, use_cache=False),
+            key=UpdateRecord.sort_key,
         )
         taken, leftover = [], False
         for update in stream:

@@ -88,9 +88,9 @@ def test_buffer_concurrent_append_and_cursor():
     def reader():
         assert writer_started.wait(timeout=20), "writer never reached 50 appends"
         for _ in range(30):
-            seen = list(buffer.cursor(0, 1000, query_ts=10**9, batch_size=8))
-            keys = [u.sort_key() for u in seen]
-            assert keys == sorted(keys), "cursor yielded out of order"
+            seen, _ = buffer.columns_range(0, 1000, query_ts=10**9)
+            keys = list(zip(seen.keys.tolist(), seen.timestamps.tolist()))
+            assert keys == sorted(keys), "buffer read out of order"
         finished.release()
 
     readers = 3

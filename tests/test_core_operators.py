@@ -54,15 +54,19 @@ def test_mem_scan_hands_over_to_run_on_flush():
     runs = {}
 
     scan = MemScan(buf, 0, 100, query_ts=10, run_for_flush=runs.get)
-    it = iter(scan)
-    assert next(it).key == 10  # cursor started (batch is per-call in scan)
+    assert scan.slice_columns(0, 15).keys.tolist() == [10]  # first partition
 
     # Flush mid-scan: materialize the drained updates as the run the scan
     # must continue from.
     drained = buf.drain_sorted()
     runs[buf.flush_epoch] = make_run(drained.records, "flushed")
-    rest = [u.key for u in it]
-    assert rest == [20, 30, 40]
+    buf.append(CODEC.encode(dele(5, 25)))  # the next generation: not this scan's
+    assert scan.slice_columns(16, 30).keys.tolist() == [20, 30]
+    assert scan.slice_columns(31, None).keys.tolist() == [40]
+    # A scan registered before the flush but first read after it: all of it
+    # comes from the run.
+    late = MemScan(buf, 0, 100, query_ts=10, run_for_flush=runs.get, flush_epoch=0)
+    assert [u.key for u in late] == [10, 20, 30, 40]
 
 
 def test_mem_scan_handover_respects_query_ts():
@@ -71,11 +75,10 @@ def test_mem_scan_handover_respects_query_ts():
         buf.append(CODEC.encode(dele(ts, key)))
     runs = {}
     scan = MemScan(buf, 0, 100, query_ts=5, run_for_flush=runs.get)
-    it = iter(scan)
-    assert next(it).key == 10
+    assert scan.slice_columns(0, 15).keys.tolist() == [10]
     drained = buf.drain_sorted()
     runs[buf.flush_epoch] = make_run(drained.records, "flushed")
-    assert [u.key for u in it] == [20]  # key 30 has ts > query_ts
+    assert scan.slice_columns(16, None).keys.tolist() == [20]  # key 30 has ts > query_ts
 
 
 def test_mem_scan_without_lookup_stops_on_flush():
@@ -86,9 +89,10 @@ def test_mem_scan_without_lookup_stops_on_flush():
     it = iter(scan)
     next(it)
     buf.drain_sorted()
-    # Updates already batched out under the latch still arrive; after them
+    # Updates already taken out under the latch still arrive; after them
     # the scan ends (no run_for_flush to continue from).
     assert [u.key for u in it] == [20]
+    assert scan.slice_columns(0, None) is None
 
 
 def test_merge_updates_combines_same_key_across_sources():
@@ -115,7 +119,7 @@ def test_merge_data_updates_outer_join():
         dele(3, 30),  # delete existing
         ins(4, 40, "after"),  # insert after the data
     ]
-    got = list(MergeDataUpdates(data, updates, SCHEMA))
+    got = list(MergeDataUpdates(data, MergeUpdates([updates], SCHEMA), SCHEMA))
     assert got == [(5, "before"), (10, "a"), (20, "patched"), (40, "after")]
 
 
@@ -123,14 +127,14 @@ def test_merge_data_updates_skips_already_applied():
     # The record's page timestamp says the update at ts=3 was migrated.
     data = [((10, "migrated"), 5)]
     updates = [mod(3, 10, "stale")]
-    got = list(MergeDataUpdates(data, updates, SCHEMA))
+    got = list(MergeDataUpdates(data, MergeUpdates([updates], SCHEMA), SCHEMA))
     assert got == [(10, "migrated")]
 
 
 def test_merge_data_updates_applies_newer_than_page():
     data = [((10, "old"), 5)]
     updates = [mod(7, 10, "fresh")]
-    got = list(MergeDataUpdates(data, updates, SCHEMA))
+    got = list(MergeDataUpdates(data, MergeUpdates([updates], SCHEMA), SCHEMA))
     assert got == [(10, "fresh")]
 
 
@@ -139,15 +143,15 @@ def test_merge_data_updates_floating_delete_is_noop():
     # the cached delete must not produce anything.
     data = [((10, "a"), 0)]
     updates = [dele(2, 99)]
-    got = list(MergeDataUpdates(data, updates, SCHEMA))
+    got = list(MergeDataUpdates(data, MergeUpdates([updates], SCHEMA), SCHEMA))
     assert got == [(10, "a")]
 
 
 def test_merge_data_updates_empty_data():
     updates = [ins(1, 5, "x")]
-    assert list(MergeDataUpdates([], updates, SCHEMA)) == [(5, "x")]
+    assert list(MergeDataUpdates([], MergeUpdates([updates], SCHEMA), SCHEMA)) == [(5, "x")]
 
 
 def test_merge_data_updates_empty_updates():
     data = [((10, "a"), 0)]
-    assert list(MergeDataUpdates(data, [], SCHEMA)) == [(10, "a")]
+    assert list(MergeDataUpdates(data, MergeUpdates([], SCHEMA), SCHEMA)) == [(10, "a")]

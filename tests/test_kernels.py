@@ -1,11 +1,11 @@
-"""Columnar merge kernels: array-at-a-time path == record-at-a-time oracle.
+"""Columnar merge kernels: the array-at-a-time pipeline == the
+record-at-a-time reference operators (``tests/reference_operators.py``).
 
-The kernel path (:mod:`repro.core.kernels` + ``MaterializedSortedRun.
-slice_columns`` + the partitioned merge in ``MergeUpdates``/
-``MergeDataUpdates``) must be *observationally identical* to the
-record-at-a-time reference operators over random update streams — mixed op
-types, duplicate keys across runs, empty runs, single-record blocks — and
-must degrade to the same behaviour when kernels are unavailable.
+:mod:`repro.core.kernels` + ``MaterializedSortedRun.slice_columns`` + the
+partitioned merge in ``MergeUpdates``/``MergeDataUpdates`` must be
+*observationally identical* to the reference over random update streams —
+mixed op types, duplicate keys across runs, empty runs, single-record blocks
+— and keep producing batches when its runs are quarantined or fail mid-scan.
 """
 
 from __future__ import annotations
@@ -18,9 +18,11 @@ from hypothesis import strategies as st
 
 np = pytest.importorskip("numpy")
 
+import reference_operators as ref
 from repro.core import kernels
 from repro.core.blockcache import DecodedBlockCache
-from repro.core.operators import MergeDataUpdates, MergeUpdates, RunScan
+from repro.core.membuffer import InMemoryUpdateBuffer
+from repro.core.operators import MemScan, MergeDataUpdates, MergeUpdates, RunScan
 from repro.core.sortedrun import write_run
 from repro.core.update import UpdateCodec, UpdateColumns, UpdateRecord, UpdateType
 from repro.engine.record import synthetic_schema
@@ -113,11 +115,7 @@ def test_kernel_merge_matches_reference(data, updates):
             run.mark_migrated(lo, lo + width)
 
     reference = list(
-        MergeUpdates(
-            [run.scan_records(begin, end, query_ts) for run in runs],
-            SCHEMA,
-            fast_path=False,
-        )
+        ref.merge_updates([ref.scan_run(run, begin, end, query_ts) for run in runs], SCHEMA)
     )
     cache = DecodedBlockCache(256)
     blocks_per_partition = data.draw(st.sampled_from([1, 2, 32]))
@@ -128,8 +126,6 @@ def test_kernel_merge_matches_reference(data, updates):
         merge = MergeUpdates(
             sources, SCHEMA, blocks_per_partition=blocks_per_partition
         )
-        if runs and kernels.enabled():
-            assert merge.kernel_batches() is not None
         assert encoded(merge) == encoded(reference)
 
 
@@ -149,17 +145,14 @@ def test_kernel_merge_with_non_columnar_sources(data, updates):
         if batch
     ]
     memory = per_source[2]
-    if not runs:
-        return  # kernel path needs >= 1 columnar run; nothing to test
     begin = data.draw(st.integers(-10, KEY_SPACE + 10))
     end = data.draw(st.integers(begin, KEY_SPACE + 10))
 
     reference = list(
-        MergeUpdates(
-            [run.scan_records(begin, end) for run in runs]
+        ref.merge_updates(
+            [ref.scan_run(run, begin, end) for run in runs]
             + [[u for u in memory if begin <= u.key <= end]],
             SCHEMA,
-            fast_path=False,
         )
     )
     sources = [RunScan(run, begin, end) for run in runs] + [
@@ -177,8 +170,6 @@ def test_kernel_join_matches_reference(data, updates):
     num_runs = data.draw(st.integers(1, 3))
     seed = data.draw(st.randoms())
     runs = build_runs(vol, updates, num_runs, seed, 512)
-    if not runs:
-        return
     max_ts = max(u.timestamp for u in updates)
     # Base data: random subset of the key space with per-record page
     # timestamps straddling the update timestamps (exercises the
@@ -194,18 +185,12 @@ def test_kernel_join_matches_reference(data, updates):
     ]
     begin, end = 0, KEY_SPACE + 10
 
-    def updates_stream(fast: bool) -> MergeUpdates:
-        if fast:
-            sources = [RunScan(run, begin, end) for run in runs]
-            return MergeUpdates(sources, SCHEMA, blocks_per_partition=2)
-        return MergeUpdates(
-            [run.scan_records(begin, end) for run in runs],
-            SCHEMA,
-            fast_path=False,
-        )
+    def updates_stream() -> MergeUpdates:
+        sources = [RunScan(run, begin, end) for run in runs]
+        return MergeUpdates(sources, SCHEMA, blocks_per_partition=2)
 
-    reference = list(MergeDataUpdates(pairs, updates_stream(False), SCHEMA))
-    fast = list(MergeDataUpdates(pairs, updates_stream(True), SCHEMA))
+    reference = ref.scan_rows(pairs, [ref.scan_run(run, begin, end) for run in runs], SCHEMA)
+    fast = list(MergeDataUpdates(pairs, updates_stream(), SCHEMA))
     assert fast == reference
 
     # And through explicit (rows, keys, timestamps) data chunks.
@@ -221,7 +206,7 @@ def test_kernel_join_matches_reference(data, updates):
         for i in range(0, len(pairs), chunk_n)
     ]
     chunked = list(
-        MergeDataUpdates(pairs, updates_stream(True), SCHEMA, data_chunks=iter(chunks))
+        MergeDataUpdates(None, updates_stream(), SCHEMA, data_chunks=iter(chunks))
     )
     assert chunked == reference
 
@@ -298,7 +283,7 @@ def test_decode_block_soa_matches_decode_block(updates):
     block = CODEC.encode_block(updates)
     records = CODEC.decode_block(block)
     (soa,) = CODEC.decode_blocks([block])
-    assert soa.records() == records
+    assert soa.update_columns().records == records
     assert list(soa.keys) == [u.key for u in records]
     assert list(soa.timestamps) == [u.timestamp for u in records]
     assert list(soa.ops) == [int(u.type) for u in records]
@@ -315,7 +300,7 @@ def test_merge_slices_matches_reference_combine(updates, seed):
     slices = [UpdateColumns.from_records(s, CODEC) for s in streams if s]
     cpu = CpuMeter()
     batch = kernels.merge_slices(slices, cpu)
-    reference = list(MergeUpdates(streams, SCHEMA, fast_path=False))
+    reference = list(ref.merge_updates(streams, SCHEMA))
     assert encoded(list(batch.records)) == encoded(reference)
     assert list(batch.keys) == [u.key for u in reference]
     assert cpu.class_total("merge") > 0
@@ -350,32 +335,27 @@ def test_quarantined_run_streams_through_fallback():
     ]
     merge = MergeUpdates(sources, SCHEMA, blocks_per_partition=1)
     reference = list(
-        MergeUpdates(
-            [iter(updates), healthy.scan_records(0, 10**6)],
-            SCHEMA,
-            fast_path=False,
-        )
+        ref.merge_updates([iter(updates), ref.scan_run(healthy, 0, 10**6)], SCHEMA)
     )
     assert encoded(merge) == encoded(reference)
 
 
 def test_all_sources_quarantined_disables_kernel_path():
+    """Quarantine disables the run, not the pipeline: with no healthy run to
+    partition by, the fallbacks feed one unbounded partition."""
     updates, run = make_run()
     run.quarantine("test damage")
     sources = [RunScan(run, 0, 10**6, fallback=lambda after: iter(updates))]
-    merge = MergeUpdates(sources, SCHEMA)
-    assert merge.kernel_batches() is None  # no healthy columnar run
-    assert encoded(merge) == encoded(
-        MergeUpdates([iter(updates)], SCHEMA, fast_path=False)
-    )
+    merge = MergeUpdates(sources, SCHEMA, blocks_per_partition=1)
+    batches = list(merge.kernel_batches())
+    assert [len(batch) for batch in batches] == [len(updates)]
+    assert encoded(batches[0].records) == encoded(updates)
+    assert encoded(merge) == encoded(ref.merge_updates([iter(updates)], SCHEMA))
 
 
 def test_mid_scan_corruption_degrades_to_fallback(monkeypatch):
     from repro.core.sortedrun import MaterializedSortedRun
     from repro.errors import ChecksumError
-
-    if not kernels.enabled():
-        pytest.skip("kernel path disabled; slice_columns never reached")
 
     updates, run = make_run(n=60, block_size=256)
     # Fail every columnar slice after the first partition: the merge must
@@ -405,20 +385,93 @@ def test_mid_scan_corruption_degrades_to_fallback(monkeypatch):
     assert calls["n"] > 1
 
 
-# ------------------------------------------------------------ kill switches
-def test_disable_env_var_kills_kernel_path(monkeypatch):
-    _, run = make_run()
-    monkeypatch.setenv("MASM_DISABLE_KERNELS", "1")
-    assert not kernels.enabled()
-    merge = MergeUpdates([RunScan(run, 0, 10**6)], SCHEMA)
-    assert merge.kernel_batches() is None
-    monkeypatch.delenv("MASM_DISABLE_KERNELS")
-    if kernels.enabled():
-        assert merge.kernel_batches() is not None
+# ------------------------------------------------------- sources without a run
+def buffer_of(updates):
+    buffer = InMemoryUpdateBuffer(SCHEMA, 1 * MB)
+    for update in sorted(updates, key=lambda u: u.timestamp):
+        buffer.append(CODEC.encode(update))
+    return buffer
 
 
-def test_use_kernels_flag_kills_kernel_path():
-    updates, run = make_run()
-    merge = MergeUpdates([RunScan(run, 0, 10**6)], SCHEMA, use_kernels=False)
-    assert merge.kernel_batches() is None
-    assert encoded(merge) == encoded(updates)
+def test_a_merge_without_sources_joins_the_data_through():
+    merge = MergeUpdates([], SCHEMA)
+    assert list(merge.kernel_batches()) == [] and list(merge) == []
+    pairs = [((k, f"base-{k}"), 3) for k in range(0, 20, 2)]
+    assert list(MergeDataUpdates(pairs, merge, SCHEMA)) == [record for record, _ in pairs]
+    assert list(MergeDataUpdates([], MergeUpdates([[]], SCHEMA), SCHEMA)) == []
+
+
+def test_buffer_and_object_sources_alone_are_one_unbounded_partition():
+    updates, _ = make_run(n=30)
+    for sources in (
+        [MemScan(buffer_of(updates), 0, 10**6, query_ts=10**6)],
+        [updates[::2], updates[1::2]],
+        [MemScan(buffer_of(updates[::2]), 0, 10**6, query_ts=10**6), updates[1::2]],
+    ):
+        merge = MergeUpdates(sources, SCHEMA, blocks_per_partition=1)
+        (batch,) = merge.kernel_batches()
+        assert batch.keys.tolist() == [u.key for u in updates]
+        assert encoded(merge) == encoded(updates)
+
+
+def test_memscan_hands_over_to_the_flushed_run_between_two_partitions():
+    """The buffer flushes after the first partition was merged: the later
+    partitions take the buffer's share from the run of that flush."""
+    vol = StorageVolume(SimulatedSSD(capacity=16 * MB))
+    on_ssd, run = make_run(vol, n=60, block_size=256)
+    buffered = [
+        UpdateRecord(1000 + i, 2 * i + 1, UpdateType.INSERT, (2 * i + 1, f"b{i}"))
+        for i in range(60)
+    ]
+    buffer = buffer_of(buffered)
+    flushed = {}
+    sources = [
+        RunScan(run, 0, 10**6, query_ts=5000),
+        MemScan(buffer, 0, 10**6, query_ts=5000, run_for_flush=flushed.get, flush_epoch=0),
+    ]
+    batches = MergeUpdates(sources, SCHEMA, blocks_per_partition=1).kernel_batches()
+    first = next(batches)
+    assert 0 < len(first) < 120
+    flushed[1] = write_run(vol, "flushed", buffer.drain_sorted(), CODEC, block_size=256)
+    assert buffer.flush_epoch == 1
+    # The next generation's update is later than the query: never shown.
+    buffer.append(CODEC.encode(UpdateRecord(6000, 119, UpdateType.DELETE, None)))
+    merged = first.records + [u for batch in batches for u in batch.records]
+    assert encoded(merged) == encoded(sorted(on_ssd + buffered, key=UpdateRecord.sort_key))
+
+
+# ------------------------------------------- the Figure 13 comparability contract
+@pytest.mark.parametrize("source", ["runs", "buffer", "objects"])
+@pytest.mark.parametrize("chains", [False, True], ids=["unique-keys", "chains"])
+def test_merge_cpu_is_one_constant_per_update_whatever_the_source(source, chains):
+    """``storage/iosched`` promises decode + merge = ``MERGE_CPU_PER_UPDATE``
+    per consumed update, and a same-key chain costs its members one
+    ``KERNEL_COMBINE_CPU_PER_UPDATE`` each on top, under class ``combine`` —
+    what keeps Figure 13's simulated CPU comparable across engines whose
+    updates reach the merge from runs, from memory or as objects."""
+    from repro.storage.iosched import KERNEL_COMBINE_CPU_PER_UPDATE, MERGE_CPU_PER_UPDATE
+
+    first = [UpdateRecord(i + 1, 3 * i, UpdateType.INSERT, (3 * i, f"v{i}")) for i in range(90)]
+    second = [
+        UpdateRecord(500 + i, 3 * i if chains and i % 4 == 0 else 3 * i + 1,
+                     UpdateType.MODIFY, {"payload": f"m{i}"})
+        for i in range(90)
+    ]
+    members = 2 * sum(1 for i in range(90) if chains and i % 4 == 0)
+    vol = StorageVolume(SimulatedSSD(capacity=16 * MB))
+    if source == "runs":
+        sources = [
+            RunScan(write_run(vol, f"cpu-{n}", part, CODEC, block_size=512), 0, 10**6)
+            for n, part in enumerate((first, second))
+        ]
+    elif source == "buffer":
+        sources = [MemScan(buffer_of(first + second), 0, 10**6, query_ts=10**6)]
+    else:
+        sources = [first, second]
+    cpu = CpuMeter()
+    merged = list(MergeUpdates(sources, SCHEMA, cpu=cpu, blocks_per_partition=2))
+    assert len(merged) == 180 - members // 2
+    combine = cpu.class_total("combine")
+    assert combine == pytest.approx(members * KERNEL_COMBINE_CPU_PER_UPDATE, rel=1e-12)
+    assert cpu.total - combine == pytest.approx(180 * MERGE_CPU_PER_UPDATE, rel=1e-12)
+    assert set(cpu.by_class) == {"decode", "merge"} | ({"combine"} if members else set())

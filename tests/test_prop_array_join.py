@@ -4,8 +4,8 @@ A scan's kernel path never builds an ``UpdateRecord``: run blocks stay bytes
 plus header columns, same-key chains are folded on their encoded form, the
 join gathers and patches packed rows, and tuples are built once from the
 joined array.  Everything it returns — and every ``UpdateConflictError`` it
-raises — must be what ``MergeUpdates._iter_reference`` +
-``MergeDataUpdates._iter_reference`` give over the same inputs: random
+raises — must be what the record-at-a-time operators of
+``tests/reference_operators.py`` give over the same inputs: random
 schemas (ints, floats, non-ASCII strings, u64 keys on both sides of 2**63),
 all four update types, chains across runs and the memory stream, multi-field
 MODIFYs, page timestamps on both sides of the updates', masked key spans and
@@ -21,9 +21,10 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_operators as ref
 from repro.core import update as update_module
 from repro.core.blockcache import DecodedBlockCache
 from repro.core.masm import MaSM, MaSMConfig
@@ -166,7 +167,6 @@ def test_array_join_equals_reference_join(world, data):
         for i, source in enumerate(dealt)
         if source
     ]
-    assume(runs)
     top = 2**64 - 1 if schema.fields[schema.key_pos].type_code == "u64" else 2**32 - 1
     begin, end = 0, top
     if data.draw(st.booleans()):
@@ -185,15 +185,14 @@ def test_array_join_equals_reference_join(world, data):
     in_range = [pair for pair in pairs if begin <= pair[0][schema.key_pos] <= end]
 
     reference = outcome(
-        MergeDataUpdates(
+        ref.merge_data_updates(
             in_range,
-            MergeUpdates(
-                [run.scan_records(begin, end, query_ts) for run in runs] + [in_memory],
+            ref.merge_updates(
+                [ref.scan_run(run, begin, end, query_ts) for run in runs] + [in_memory],
                 schema,
-                fast_path=False,
             ),
             schema,
-        )._iter_reference()
+        )
     )
 
     def kernel_updates(cache):
@@ -219,9 +218,7 @@ def test_array_join_equals_reference_join(world, data):
         )
         for i in range(0, len(in_range), size)
     ]
-    chunked = MergeDataUpdates(
-        in_range, kernel_updates(cache), schema, data_chunks=iter(chunks)
-    )
+    chunked = MergeDataUpdates(None, kernel_updates(cache), schema, data_chunks=iter(chunks))
     assert outcome(chunked) == reference
 
 
@@ -317,20 +314,15 @@ def synthetic_engine(rows=400, updates=260, seed=3):
 
 
 def test_scans_build_no_update_records(monkeypatch):
-    """Runs with same-key chains across them, scanned cold and warm: the
-    kernel path materialises nothing — records are for chains that conflict,
-    structural merges and migration."""
-    monkeypatch.delenv("MASM_DISABLE_KERNELS", raising=False)
+    """Runs with same-key chains across them, scanned cold and warm: a scan
+    materialises nothing — records are for chains that conflict and for
+    record-shaped consumers (partial migration, secondary indexes)."""
     masm, schema = synthetic_engine()
     assert len(masm.runs) >= 3
-    reference = list(
-        MergeDataUpdates(
-            masm.table.range_scan_pairs(0, 2**32),
-            MergeUpdates(
-                [run.scan_records(0, 2**32) for run in masm.runs], schema, fast_path=False
-            ),
-            schema,
-        )._iter_reference()
+    reference = ref.scan_rows(
+        masm.table.range_scan_pairs(0, 2**32),
+        [ref.scan_run(run, 0, 2**32) for run in masm.runs],
+        schema,
     )
     monkeypatch.setattr(update_module, "UpdateRecord", _Counting)
     _Counting.built = 0
@@ -338,7 +330,7 @@ def test_scans_build_no_update_records(monkeypatch):
     assert list(masm.range_scan(0, 2**32)) == reference  # decoded blocks cached
     assert list(masm.range_scan(100, 300)) == [r for r in reference if 100 <= r[0] <= 300]
     assert _Counting.built == 0
-    # The record-at-a-time consumers still get records, a read group at a time.
+    # Record-shaped consumers still get records, a read group at a time.
     run = masm.runs[0]
     assert len(list(run.scan(0, 2**32, cache=masm.block_cache))) == run.count
     assert _Counting.built >= run.count
@@ -381,14 +373,14 @@ def _check_lazy_group_records(world, data):
     for entry, block in zip(entries, blocks):
         assert entry.keys.tolist() == [u.key for u in block]
         assert entry.update_columns().records == block
-    built = _Counting.built
+    assert _Counting.built == len(updates)
+    # Records are a view decoded on demand: asking one block for them builds
+    # that block's and nothing for its neighbours in the read group.
     victim = data.draw(st.integers(0, len(entries) - 1))
-    assert entries[victim].records() == codec.decode_block(group[victim]) == blocks[victim]
-    # That one call decoded the whole read group; the others only slice it.
     _Counting.built = 0
-    for entry, raw, block in zip(entries, group, blocks):
-        assert entry.records() == block
-    assert _Counting.built == 0 and built == len(updates)
+    assert entries[victim].update_columns().records == blocks[victim]
+    assert _Counting.built == len(blocks[victim])
+    assert codec.decode_block(group[victim]) == blocks[victim]
 
 
 def test_payload_views_outlive_evicted_neighbours():
@@ -420,7 +412,7 @@ def test_payload_views_outlive_evicted_neighbours():
     assert schema.unpack_many(columns.packed_records(whole)) == [
         u.content for u in blocks[4] if u.type is INSERT
     ]
-    assert survivor.records() == blocks[4]
+    assert survivor.update_columns().records == blocks[4]
 
 
 # ------------------------------------------------- through a real heap file
@@ -459,7 +451,7 @@ def test_engine_scan_equals_reference_over_non_uniform_pages(data):
             max_size=60,
         )
     )
-    # At least one run (the kernel path partitions by runs), wherever it falls.
+    # At least one run, wherever it falls.
     kinds.insert(data.draw(st.integers(5, len(kinds))), "flush")
     for kind in kinds:
         stamp = next(ts)
@@ -512,15 +504,14 @@ def test_engine_scan_equals_reference_over_non_uniform_pages(data):
     horizon = masm.oracle.current if query_ts is None else query_ts
     buffered = [u for u in masm.buffer.updates(0, horizon) if begin <= u.key <= end]
     reference = outcome(
-        MergeDataUpdates(
+        ref.merge_data_updates(
             table.range_scan_pairs(begin, end),
-            MergeUpdates(
-                [run.scan_records(begin, end, horizon) for run in masm.runs] + [buffered],
+            ref.merge_updates(
+                [ref.scan_run(run, begin, end, horizon) for run in masm.runs] + [buffered],
                 schema,
-                fast_path=False,
             ),
             schema,
-        )._iter_reference()
+        )
     )
     assert outcome(scan) == reference
 
@@ -530,5 +521,51 @@ def cached_updates_address(masm, key) -> bool:
     place would leave, say, a cached MODIFY without one — the engine's own
     migration never does that."""
     return any(u.key == key for u in masm.buffer.updates(0, 2**63)) or any(
-        any(True for _ in run.scan_records(key, key)) for run in masm.runs
+        any(True for _ in ref.scan_run(run, key, key)) for run in masm.runs
     )
+
+
+def test_a_scan_without_any_run_is_the_same_array_join(monkeypatch):
+    """Buffered updates and no run — a fresh table, and again right after
+    ``migrate()`` — take the same pipeline as a scan over runs: no
+    ``UpdateRecord`` is built, no row goes through ``Schema.unpack``, and the
+    rows are the reference join's."""
+    import random
+
+    schema = Schema([("key", "u32"), ("payload", "s20"), ("n", "i64")])
+    disk = StorageVolume(SimulatedDisk(capacity=16 * MB))
+    ssd = StorageVolume(SimulatedSSD(capacity=4 * MB))
+    table = Table.create(disk, "t", schema, 400, io_chunk=16 * KB)
+    table.bulk_load((i * 2, f"rec-{i}", i) for i in range(400))
+    masm = MaSM(
+        table,
+        ssd,
+        config=MaSMConfig(alpha=1.0, ssd_page_size=4 * KB, block_size=1 * KB, auto_migrate=False),
+    )
+    rng = random.Random(11)
+    unpacked = []
+    real_unpack = Schema.unpack
+
+    def buffer_some():
+        for i in range(60):
+            key = rng.randrange(400) * 2
+            masm.modify(key, {"payload": f"m{i}", "n": -i})  # chains now and then
+        masm.insert((rng.randrange(400) * 2 + 1, "new", 0))
+        masm.delete(rng.randrange(400) * 2)
+
+    for round_ in ("fresh", "just migrated"):
+        buffer_some()
+        assert not masm.runs and masm.buffer.count
+        reference = ref.scan_rows(
+            table.range_scan_pairs(0, 2**32), [masm.buffer.updates(0, 2**62)], schema
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(update_module, "UpdateRecord", _Counting)
+            patch.setattr(Schema, "unpack", lambda self, data: unpacked.append(1) or real_unpack(self, data))
+            _Counting.built = 0
+            assert list(masm.range_scan(0, 2**32)) == reference, round_
+            assert list(masm.range_scan(300, 500)) == [r for r in reference if 300 <= r[0] <= 500]
+            assert (_Counting.built, len(unpacked)) == (0, 0), round_
+        masm.flush_buffer()
+        masm.migrate()
+        assert not masm.runs and not masm.buffer.count

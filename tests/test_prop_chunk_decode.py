@@ -196,7 +196,7 @@ def test_group_decode_matches_per_block_decode_and_reference(blocks):
     entries = CODEC.decode_blocks(group)
     assert len(entries) == len(blocks)
     for entry, raw, updates in zip(entries, group, blocks):
-        assert entry.records() == CODEC.decode_block(raw) == updates
+        assert entry.update_columns().records == CODEC.decode_block(raw) == updates
         assert ref.decode_block(FIELDS, raw) == [
             (u.timestamp, u.key, int(u.type), u.content) for u in updates
         ]
@@ -248,7 +248,7 @@ def test_stride_guess_that_does_not_hold_falls_back_to_the_header_walk():
     assert CODEC._walk(raw, 0, 1, 0, guess=True) is None
     assert CODEC.decode_block(raw) == updates
     (entry,) = CODEC.decode_blocks([raw])
-    assert entry.records() == updates and entry.ops.tolist() == [0, 1, 0]
+    assert entry.update_columns().records == updates and entry.ops.tolist() == [0, 1, 0]
 
 
 def test_block_views_outlive_evicted_neighbours():
@@ -274,7 +274,7 @@ def test_block_views_outlive_evicted_neighbours():
     assert keys.tolist() == [u.key for u in blocks[5]]
     assert timestamps.tolist() == [u.timestamp for u in blocks[5]]
     assert ops.tolist() == [int(u.type) for u in blocks[5]]
-    assert survivor.records() == blocks[5]
+    assert survivor.update_columns().records == blocks[5]
     assert np.shares_memory(keys, survivor.keys)
 
 

@@ -154,7 +154,7 @@ def test_update_codec_matches_reference(case):
     # The cached form: records decoded from already-built columns.
     entry = ColumnarBlock(block, codec)
     entry.columns()
-    assert entry.records() == updates
+    assert entry.update_columns().records == updates
 
 
 # ---------------------------------------------------------------------- pages

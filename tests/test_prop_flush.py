@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 import reference_run_writer as ref
 from test_prop_codec import record_strategy, schemas, value_strategy
 from repro.core.masm import MaSM, MaSMConfig
-from repro.core.membuffer import BufferFlushed, InMemoryUpdateBuffer
+from repro.core.membuffer import InMemoryUpdateBuffer
 from repro.core.operators import MemScan
 from repro.core.sortedrun import write_run
 from repro.core.update import UpdateCodec, UpdateColumns, UpdateRecord, UpdateType
@@ -311,7 +311,7 @@ BUFFER_OPS = st.one_of(
     # (key, kind, straggler): a straggler's timestamp is below its
     # predecessors' (arrival order is not timestamp order).
     st.tuples(st.just("append"), KEYS, st.sampled_from("idm"), st.sampled_from([0, 0, 13, 27])),
-    st.tuples(st.just("read"), KEYS, KEYS, st.integers(0, 40), st.booleans(), st.integers(1, 5)),
+    st.tuples(st.just("read"), KEYS, KEYS, st.integers(0, 40)),
     st.tuples(st.just("sort")),
     st.tuples(st.just("drain")),
     st.tuples(st.just("shrink"), st.integers(-40, 200)),
@@ -349,9 +349,9 @@ def make_update(ts: int, key: int, kind: str) -> UpdateRecord:
 
 
 class OpenScan:
-    """A MemScan begun at some point of the run, read a few updates at a
-    time by record or a key partition at a time by column, and what it has
-    to deliver whatever happens to the buffer meanwhile."""
+    """A MemScan begun at some point of the run, read as records (one
+    snapshot at the first pull) or a key partition at a time by column, and
+    what it has to deliver whatever happens to the buffer meanwhile."""
 
     def __init__(self, buffer, model, runs, begin, end, query_ts, pulls, split) -> None:
         buffer.sort()  # whether or not the reads below reach the buffer
@@ -399,7 +399,7 @@ class OpenScan:
         ("append", 5, "d", 0),
         ("sort",),
         ("append", 5, "m", 27),
-        ("read", 0, 12, 0, False, 5),
+        ("read", 0, 12, 0),
     ],
     400,
 )
@@ -411,7 +411,7 @@ class OpenScan:
 )
 @example(
     # A range ends on a buffered key: both ends are inclusive.
-    [("append", 5, "i", 0), ("append", 7, "d", 0), ("read", 5, 7, 0, False, 5)],
+    [("append", 5, "i", 0), ("append", 7, "d", 0), ("read", 5, 7, 0)],
     400,
 )
 def test_buffer_behaves_like_a_sorted_list(ops, capacity):
@@ -438,26 +438,21 @@ def test_buffer_behaves_like_a_sorted_list(ops, capacity):
             model.entries.append(update)
             model.bytes += size
         elif op[0] == "read":
-            _, begin, end, back, resume, limit = op
-            query_ts = clock - back
-            visible = model.visible(begin, end, query_ts)
-            after = None
-            if resume and visible:
-                at = visible[len(visible) // 2]
-                after = at.sort_key()
-                visible = visible[len(visible) // 2 + 1 :]
-            batch, sort_epoch, flush_epoch = buffer.snapshot_range(
-                begin, end, query_ts, after=after, limit=limit
-            )
-            assert batch == visible[:limit]
-            assert (sort_epoch, flush_epoch) == (model.sort_epoch, model.flush_epoch)
+            _, begin, end, back = op
+            visible = model.visible(begin, end, clock - back)
+            columns, flush_epoch = buffer.columns_range(begin, end, clock - back)
+            assert (columns.records if columns is not None else []) == visible
+            assert flush_epoch == model.flush_epoch
         elif op[0] == "sort":
             buffer.sort()
             model.sort()
         elif op[0] == "drain":
-            cursor = buffer.cursor(0, 12, clock, batch_size=1)
-            first = next(cursor, None)
-            model.sort()
+            # Registered before the flush, first read after it.
+            late = MemScan(
+                buffer, 0, 12, clock, run_for_flush=runs.get, flush_epoch=buffer.flush_epoch
+            )
+            # A flush sorts what it takes; it places nothing for readers.
+            model.entries.sort(key=UpdateRecord.sort_key)
             drained = buffer.drain_sorted()
             assert drained.records == model.entries
             model.flush_epoch += 1
@@ -465,10 +460,8 @@ def test_buffer_behaves_like_a_sorted_list(ops, capacity):
                 runs[model.flush_epoch] = write_run(
                     volume, f"run-{model.flush_epoch}", drained, BUFFER_CODEC, block_size=256
                 )
-                with pytest.raises(BufferFlushed) as flushed:
-                    next(cursor)
-                assert flushed.value.flush_epoch == model.flush_epoch
-                assert cursor.last_position == first.sort_key()
+            # It is handed the run of the flush that drained its generation.
+            assert list(late) == model.entries
             model.entries, model.bytes = [], 0
         elif op[0] == "shrink":
             new_capacity = model.bytes + op[1]

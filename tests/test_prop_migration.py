@@ -9,7 +9,7 @@ sparse-index entries, ``row_count``, ``MigrationStats``, the rows a
 writes — over all four update types, same-key chains across runs, pages whose
 timestamp is ahead of some of their updates (partly migrated), non-uniform
 and tombstoned pages, growth past the old end of the heap and shrink (with
-``heap.truncate`` zeroing the tail), with the merge kernels on and off.
+``heap.truncate`` zeroing the tail).
 
 The golden traces at the bottom were recorded on the parent commit (the
 per-record rewrite in ``src/``), so they also hold if the reference drifts.
@@ -18,9 +18,7 @@ per-record rewrite in ``src/``), so they also hold if the reference drifts.
 from __future__ import annotations
 
 import hashlib
-import os
 import random
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -46,17 +44,9 @@ pytestmark = pytest.mark.faults
 SCHEMA = Schema([("key", "u32"), ("name", "s10"), ("qty", "i64"), ("price", "f64")])
 
 
-@contextmanager
-def kernels(enabled: bool):
-    saved = os.environ.pop("MASM_DISABLE_KERNELS", None)
-    if not enabled:
-        os.environ["MASM_DISABLE_KERNELS"] = "1"
-    try:
-        yield
-    finally:
-        os.environ.pop("MASM_DISABLE_KERNELS", None)
-        if saved is not None:
-            os.environ["MASM_DISABLE_KERNELS"] = saved
+#: The one read path, by the name these tests' ids have carried since the
+#: suite also ran on a second one.
+ONE_PATH = pytest.mark.parametrize("path", ["kernels"])
 
 
 # ------------------------------------------------------------------ scenario
@@ -205,7 +195,7 @@ def assert_same_migration(new: System, old: System) -> None:
 
 
 # ------------------------------------------------------------ property suite
-@pytest.mark.parametrize("use_kernels", [True, False], ids=["kernels", "nokernels"])
+@ONE_PATH
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(0, 2**20),
@@ -218,44 +208,40 @@ def assert_same_migration(new: System, old: System) -> None:
     partition_blocks=st.sampled_from([2, 6, 32]),
 )
 def test_full_migration_equals_the_per_record_rewrite(
-    use_kernels, seed, rows, steps, mix, flushes, page_size, chunk_pages, partition_blocks
+    path, seed, rows, steps, mix, flushes, page_size, chunk_pages, partition_blocks
 ):
-    with kernels(use_kernels):
-        new, old = twins(
-            seed, rows, steps, mix, flushes, page_size, chunk_pages, partition_blocks
-        )
-        # With nothing cached a coordinated migration is a plain scan.
-        assume(new.masm.runs or new.masm.buffer.count)
-        assert_same_migration(new, old)
+    new, old = twins(seed, rows, steps, mix, flushes, page_size, chunk_pages, partition_blocks)
+    # With nothing cached a coordinated migration is a plain scan.
+    assume(new.masm.runs or new.masm.buffer.count)
+    assert_same_migration(new, old)
 
 
-@pytest.mark.parametrize("use_kernels", [True, False], ids=["kernels", "nokernels"])
+@ONE_PATH
 @pytest.mark.parametrize("mix", ["grow", "shrink"])
-def test_growth_and_shrink_across_many_chunks(use_kernels, mix):
+def test_growth_and_shrink_across_many_chunks(path, mix):
     """Enough pages per migration that write-behind blocks on the read
     frontier (growth) and the heap's tail is released (shrink)."""
-    with kernels(use_kernels):
-        new, old = twins(7, 1500, 700, mix, 2, 1024, 2, 6)
-        pages_before = new.table.heap.num_pages
-        assert_same_migration(new, old)
-        pages_after = new.table.heap.num_pages
-        writes = [op for op in new.device_ops("disk") if op[0] == "w"]
-        assert len(writes) > 20
-        if mix == "grow":
-            assert pages_after > pages_before
-        else:
-            assert pages_after < pages_before
-            # heap.truncate zeroed the released tail.
-            heap = new.table.heap
-            tail = heap.file.peek(
-                pages_after * heap.page_size, (pages_before - pages_after) * heap.page_size
-            )
-            assert not any(tail)
+    new, old = twins(7, 1500, 700, mix, 2, 1024, 2, 6)
+    pages_before = new.table.heap.num_pages
+    assert_same_migration(new, old)
+    pages_after = new.table.heap.num_pages
+    writes = [op for op in new.device_ops("disk") if op[0] == "w"]
+    assert len(writes) > 20
+    if mix == "grow":
+        assert pages_after > pages_before
+    else:
+        assert pages_after < pages_before
+        # heap.truncate zeroed the released tail.
+        heap = new.table.heap
+        tail = heap.file.peek(
+            pages_after * heap.page_size, (pages_before - pages_after) * heap.page_size
+        )
+        assert not any(tail)
 
 
 def test_quarantined_runs_take_the_same_rewrite():
-    """Every run quarantined: the merge has no columnar source, so its record
-    stream (redo-log replay) is encoded in batches and joined as arrays."""
+    """Every run quarantined: the merge has no run to partition by, so each
+    record stream (redo-log replay) is encoded whole and joined as arrays."""
     new, old = twins(3, 300, 120, "mixed", 2, 1024, 2, 6, with_log=True)
     for system in (new, old):
         assert system.masm.runs
@@ -465,28 +451,25 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("use_kernels", [True, False], ids=["kernels", "nokernels"])
+@ONE_PATH
 @pytest.mark.parametrize("scenario", sorted(GOLDEN))
-def test_migration_issues_the_disk_operations_recorded_at_the_parent_commit(
-    scenario, use_kernels
-):
+def test_migration_issues_the_disk_operations_recorded_at_the_parent_commit(scenario, path):
     expected_ops, pages_read, pages_written, rows_after, digest = GOLDEN[scenario]
-    with kernels(use_kernels):
-        masm, disk, ssd = golden_system(*scenario)
-        store = disk.device.store
-        ops = []
+    masm, disk, ssd = golden_system(*scenario)
+    store = disk.device.store
+    ops = []
 
-        def read(offset, size, _read=store.read):
-            ops.append(("r", offset, size))
-            return _read(offset, size)
+    def read(offset, size, _read=store.read):
+        ops.append(("r", offset, size))
+        return _read(offset, size)
 
-        def write(offset, data, _write=store.write):
-            ops.append(("w", offset, len(data)))
-            return _write(offset, data)
+    def write(offset, data, _write=store.write):
+        ops.append(("w", offset, len(data)))
+        return _write(offset, data)
 
-        store.read, store.write = read, write
-        stats = migrate_all(masm)
-        del store.read, store.write
+    store.read, store.write = read, write
+    stats = migrate_all(masm)
+    del store.read, store.write
     assert ops == expected_ops
     assert (stats.pages_read, stats.pages_written, stats.rows_after) == (
         pages_read, pages_written, rows_after,

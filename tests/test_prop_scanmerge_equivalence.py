@@ -1,25 +1,33 @@
-"""Property tests: the batch scan/merge fast path is byte-identical to the
-record-at-a-time reference implementation.
+"""Property tests: the scan/merge pipeline against the record-at-a-time
+reference operators (``tests/reference_operators.py``).
 
-The batch read pipeline (block-granular decode, per-block binary search,
-decoded-block cache, tuple-keyed k-way merge) must produce exactly the output
-of the legacy iterators it replaced, over random update streams, key ranges,
-``query_ts`` visibility horizons, ``after`` handover positions, and migrated
-ranges — cold and warm.
+Run scans (read groups decoded through the shared cache), the partitioned
+kernel merge and the array join must produce exactly the reference's output
+over random update streams, key ranges, ``query_ts`` visibility horizons,
+``after`` handover positions and migrated ranges — cold and warm — and over
+every mix of sources a scan can be handed: none, the memory buffer alone,
+object lists alone, runs healthy or quarantined, a buffer that flushes
+between two partitions.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import reference_operators as ref
+from test_faults import flip_one_bit
+from repro.core import kernels
 from repro.core.blockcache import DecodedBlockCache
-from repro.core.operators import MergeUpdates, RunScan, merge_update_streams
+from repro.core.membuffer import InMemoryUpdateBuffer
+from repro.core.operators import MemScan, MergeDataUpdates, MergeUpdates, RunScan
 from repro.core.sortedrun import write_run
-from repro.core.update import UpdateCodec, UpdateRecord, UpdateType
+from repro.core.update import UpdateCodec, UpdateColumns, UpdateRecord, UpdateType
 from repro.engine.record import synthetic_schema
+from repro.errors import ReproError
 from repro.storage.file import StorageVolume
 from repro.storage.ssd import SimulatedSSD
 from repro.util.units import KB, MB
@@ -96,7 +104,7 @@ def test_batch_scan_matches_reference_scan(data, updates):
     for lo, width in migrations:
         run.mark_migrated(lo, lo + width)
 
-    reference = list(run.scan_records(begin, end, query_ts, after))
+    reference = list(ref.scan_run(run, begin, end, query_ts, after))
     cold = list(run.scan(begin, end, query_ts, after))
     assert encoded(cold) == encoded(reference)
 
@@ -120,7 +128,7 @@ def test_fast_merge_matches_reference_merge(updates, num_streams, seed):
     for u in updates:
         streams[seed.randrange(num_streams)].append(u)
 
-    reference = list(MergeUpdates(streams, SCHEMA, fast_path=False))
+    reference = list(ref.merge_updates(streams, SCHEMA))
     fast = list(MergeUpdates(streams, SCHEMA))
     assert encoded(fast) == encoded(reference)
 
@@ -131,8 +139,9 @@ def test_merge_stream_preserves_every_record(updates, num_streams, seed):
     streams: list[list[UpdateRecord]] = [[] for _ in range(num_streams)]
     for u in updates:
         streams[seed.randrange(num_streams)].append(u)
-    merged = list(merge_update_streams(streams))
-    assert encoded(merged) == encoded(updates)
+    # The structural-merge kernel: every update kept, ties by source position.
+    merged = kernels.merge_sorted([UpdateColumns.from_records(s, CODEC) for s in streams])
+    assert encoded(merged.records) == encoded(updates)
 
 
 @settings(max_examples=25, deadline=None)
@@ -158,11 +167,7 @@ def test_merged_runs_scan_equivalence(data, updates):
 
     cache = DecodedBlockCache(64)
     reference = list(
-        MergeUpdates(
-            [run.scan_records(begin, end, query_ts) for run in runs],
-            SCHEMA,
-            fast_path=False,
-        )
+        ref.merge_updates([ref.scan_run(run, begin, end, query_ts) for run in runs], SCHEMA)
     )
     for _ in range(2):  # cold then warm
         fast = list(
@@ -173,10 +178,8 @@ def test_merged_runs_scan_equivalence(data, updates):
         )
         assert encoded(fast) == encoded(reference)
 
-    # RunScan-object sources additionally unlock the columnar kernel path
-    # (partitioned array-at-a-time merge) when numpy is available; generator
-    # sources above exercise the record-at-a-time batch path.  Both must
-    # match the reference exactly.
+    # Generator sources above are encoded whole into one partition; RunScan
+    # sources are sliced partition by partition off the runs' own indexes.
     for blocks_per_partition in (1, 32):
         kernel = list(
             MergeUpdates(
@@ -189,3 +192,134 @@ def test_merged_runs_scan_equivalence(data, updates):
             )
         )
         assert encoded(kernel) == encoded(reference)
+
+
+# ------------------------------------------------------------ every source mix
+MIXES = ("none", "mem", "objects", "quarantined", "mixed", "damaged", "flush")
+
+
+def outcome(rows):
+    """The rows, or the error draining them raises."""
+    try:
+        return list(rows)
+    except ReproError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("mix", MIXES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), updates=update_streams())
+def test_every_source_mix_joins_like_the_reference(mix, data, updates):
+    """Whatever a scan is handed — no source, the buffer alone, object lists
+    alone, runs healthy, quarantined or damaged mid-scan, a buffer that
+    flushes while the scan runs — rows, order and errors are the
+    record-at-a-time operators'."""
+    max_ts = max(u.timestamp for u in updates)
+    if data.draw(st.booleans()):
+        # A chain that cannot combine: both sides must refuse it alike.
+        key = data.draw(st.sampled_from(updates)).key
+        updates = sorted(
+            updates
+            + [UpdateRecord(max_ts + n, key, UpdateType.INSERT, (key, "twice")) for n in (1, 2)],
+            key=UpdateRecord.sort_key,
+        )
+        max_ts += 2
+    begin, end, query_ts, _, migrations = data.draw(scan_params(max_ts))
+    horizon = max_ts + 5 if query_ts is None else query_ts
+
+    def visible(records):
+        return [u for u in records if begin <= u.key <= end and u.timestamp <= horizon]
+
+    data_keys = sorted(data.draw(st.lists(st.integers(0, KEY_SPACE), max_size=40, unique=True)))
+    pairs = [
+        ((k, f"base-{k}"), 0 if mix == "objects" else data.draw(st.integers(0, max_ts + 1)))
+        for k in data_keys
+        if begin <= k <= end
+    ]
+
+    # Deal the stream: some runs, one in-memory part.
+    num_runs = {"none": 0, "mem": 0, "objects": 0, "flush": 1}.get(mix)
+    if num_runs is None:
+        num_runs = data.draw(st.integers(1, 3))
+    seed = data.draw(st.randoms())
+    parts: list[list[UpdateRecord]] = [[] for _ in range(num_runs + 1)]
+    for u in updates:
+        parts[seed.randrange(num_runs + 1)].append(u)
+    memory = parts.pop()
+    vol = StorageVolume(SimulatedSSD(capacity=16 * MB))
+    block_size = data.draw(st.sampled_from([256, 512, 4 * KB]))
+    runs = [
+        write_run(vol, f"mix-run-{i}", part, CODEC, block_size=block_size)
+        for i, part in enumerate(parts)
+        if part
+    ]
+    for run in runs:
+        for lo, width in migrations:
+            run.mark_migrated(lo, lo + width)
+    cache = data.draw(st.none() | st.just(DecodedBlockCache(8)))
+
+    # What each run holds for this scan, read before any damage is done.
+    run_records = [list(ref.scan_run(run, begin, end, query_ts)) for run in runs]
+    reference_sources: list = list(run_records)
+    sources: list = []
+    for run, records in zip(runs, run_records):
+        def fallback(after, records=records):
+            return [u for u in records if after is None or u.sort_key() > after]
+
+        degraded = mix == "quarantined" or (mix == "mixed" and data.draw(st.booleans()))
+        if degraded:
+            run.quarantine("test damage")
+        sources.append(
+            RunScan(run, begin, end, query_ts, cache=cache, fallback=fallback if degraded else None)
+        )
+    if mix == "damaged" and runs:
+        victim = data.draw(st.integers(0, len(runs) - 1))
+        flip_one_bit(runs[victim], data.draw(st.integers(0, runs[victim].num_blocks - 1)))
+        if data.draw(st.booleans()):
+            sources[victim].fallback = lambda after: [
+                u for u in run_records[victim] if after is None or u.sort_key() > after
+            ]
+        else:
+            # No log to fall back on: the damage surfaces, as the same error.
+            reference_sources[victim] = ref.scan_run(runs[victim], begin, end, query_ts)
+
+    buffer = InMemoryUpdateBuffer(SCHEMA, 1 * MB)
+    flushed: dict = {}
+    if mix in ("mem", "mixed", "flush"):
+        for u in sorted(memory, key=lambda u: u.timestamp):
+            buffer.append(CODEC.encode(u))
+        sources.append(
+            MemScan(
+                buffer, begin, end, horizon, run_for_flush=flushed.get,
+                cache=cache, flush_epoch=buffer.flush_epoch,
+            )
+        )
+        reference_sources.append(visible(memory))
+    elif mix != "none":
+        sources.append(visible(memory))
+        reference_sources.append(visible(memory))
+
+    expected = outcome(ref.merge_data_updates(pairs, ref.merge_updates(reference_sources, SCHEMA), SCHEMA))
+
+    merge = MergeUpdates(
+        sources, SCHEMA, blocks_per_partition=data.draw(st.sampled_from([1, 2, 32]))
+    )
+    rows = iter(MergeDataUpdates(pairs, merge, SCHEMA))
+
+    def drained():
+        yield from itertools.islice(rows, data.draw(st.integers(0, 30)) if mix == "flush" else 0)
+        if mix == "flush":
+            taken = buffer.drain_sorted()
+            if len(taken):
+                flushed[buffer.flush_epoch] = write_run(
+                    vol, "mix-flushed", taken, CODEC, block_size=block_size
+                )
+            # The next generation's: later than the scan, never its business.
+            buffer.append(CODEC.encode(UpdateRecord(horizon + 1, max(begin, 0), UpdateType.DELETE, None)))
+        yield from rows
+
+    got = outcome(drained())
+    event(f"{mix}: {'rows' if isinstance(got, list) else got.split(':')[0]}")
+    assert got == expected
+    if mix == "none":
+        assert expected == [record for record, _ in pairs]
