@@ -12,11 +12,12 @@ Run:  python examples/warehouse_extensions.py
 from repro import MB, SimulatedDisk, SimulatedSSD, StorageVolume
 from repro.core.masm import MaSM, MaSMConfig
 from repro.core.migration import CoordinatedMigration
+from repro.core.replication import ReplicatedWarehouse
 from repro.core.secondary import SecondaryIndexManager
-from repro.core.sharding import ShardedWarehouse
 from repro.core.views import ViewCatalog
 from repro.engine.record import Schema
 from repro.engine.table import Table
+from repro.storage.clock import SimClock
 from repro.util.units import KB, fmt_time
 
 ORDERS = Schema([("o_id", "u32"), ("o_region", "u32"), ("o_total", "u32"), ("o_status", "s10")])
@@ -24,15 +25,18 @@ ORDERS = Schema([("o_id", "u32"), ("o_region", "u32"), ("o_total", "u32"), ("o_s
 
 def sharded_cluster_demo() -> None:
     print("=== shared-nothing cluster (3 nodes, hash-partitioned) ===")
-    warehouse = ShardedWarehouse(ORDERS, num_nodes=3, records_per_node=4000)
+    warehouse = ReplicatedWarehouse(
+        ORDERS, 3, SimClock(), replication=1, records_per_node=4000
+    )
     warehouse.bulk_load(
         [(i, i % 7, (i * 37) % 10_000, "OPEN") for i in range(9000)]
     )
-    print(f"rows per shard: {warehouse.shard_sizes()}")
+    sizes = [shard.primary.table.row_count for shard in warehouse.shards]
+    print(f"rows per shard: {sizes}")
     warehouse.modify(1234, {"o_status": "SHIPPED"})
     warehouse.insert((9500, 3, 42, "OPEN"))
     warehouse.delete(10)
-    fresh = {r[0]: r for r in warehouse.range_scan(1230, 1240)}
+    fresh = {r[0]: r for r in warehouse.partitioned_range_scan(1230, 1240)}
     print(f"routed updates visible: order 1234 -> {fresh[1234][3]}")
     breakdown = warehouse.measure_scan(0, 10_000)
     serial = sum(breakdown.device_busy.values())
@@ -42,7 +46,7 @@ def sharded_cluster_demo() -> None:
     )
     warehouse.migrate_all()
     print(f"after node-local migrations: caches empty = "
-          f"{all(not n.masm.runs for n in warehouse.nodes)}\n")
+          f"{all(not s.primary.masm.runs for s in warehouse.shards)}\n")
 
 
 def single_node() -> MaSM:

@@ -48,7 +48,6 @@ from repro.core import (
     ReplicaSet,
     ReplicaState,
     ReplicatedWarehouse,
-    ShardedWarehouse,
     UpdateRecord,
     UpdateType,
     migrate_all,
@@ -126,7 +125,6 @@ __all__ = [
     "ReplicatedWarehouse",
     "ReplicationError",
     "ReproError",
-    "ShardedWarehouse",
     "SimulatedCrash",
     "Schema",
     "SimulatedDisk",

@@ -24,11 +24,11 @@ from repro.server import (
     ArrivalKind,
     FrontDoor,
     QuotaPolicy,
+    ReplicatedBackend,
     SessionManager,
     SessionMode,
     SessionSpec,
     TenantQuota,
-    WarehouseBackend,
 )
 
 from repro.bench.figures.serving_scale import NODES, RECORDS_PER_NODE
@@ -83,7 +83,7 @@ def _phase(specs, seed: int, scope: str) -> dict:
     """Run one phase on a fresh warehouse; return its tenant report."""
     warehouse = build_warehouse(seed)
     frontdoor = FrontDoor(
-        WarehouseBackend(warehouse), quotas=_quotas(), scope=scope
+        ReplicatedBackend(warehouse, scope=scope), quotas=_quotas(), scope=scope
     )
     manager = SessionManager(
         frontdoor,

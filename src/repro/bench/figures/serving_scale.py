@@ -21,17 +21,17 @@ from typing import Optional
 
 from repro import obs
 from repro.bench.harness import FigureResult
-from repro.core.sharding import ShardedWarehouse
+from repro.core.replication import ReplicatedWarehouse
 from repro.engine.record import synthetic_schema
 from repro.server import (
     ArrivalKind,
     FrontDoor,
     QuotaPolicy,
+    ReplicatedBackend,
     SessionManager,
     SessionMode,
     SessionSpec,
     TenantQuota,
-    WarehouseBackend,
 )
 from repro.storage.clock import SimClock
 from repro.workloads.synthetic import SyntheticUpdateGenerator
@@ -47,14 +47,14 @@ RECORDS_PER_NODE = 4_000
 WARMUP_UPDATES = 1_500
 
 
-def build_warehouse(seed: int) -> ShardedWarehouse:
+def build_warehouse(seed: int) -> ReplicatedWarehouse:
     """A served warehouse: shared timeline, warmed update cache."""
-    clock = SimClock()
-    warehouse = ShardedWarehouse(
+    warehouse = ReplicatedWarehouse(
         synthetic_schema(100),
-        num_nodes=NODES,
+        NODES,
+        SimClock(),
+        replication=1,
         records_per_node=RECORDS_PER_NODE,
-        clock=clock,
     )
     total = NODES * RECORDS_PER_NODE
     warehouse.bulk_load((i * 2, f"rec-{i}") for i in range(total))
@@ -63,10 +63,8 @@ def build_warehouse(seed: int) -> ShardedWarehouse:
     )
     for _ in range(WARMUP_UPDATES):
         update = generator.next_update()
-        node = warehouse.nodes[warehouse.route(update.key)]
-        node.masm.apply(update)
-    for node in warehouse.nodes:
-        node.masm.flush_buffer()
+        warehouse.shards[warehouse.route(update.key)].apply(update)
+    warehouse.flush_all()
     return warehouse
 
 
@@ -152,7 +150,9 @@ def run(
     population = sessions if sessions is not None else max(30, int(BASE_SESSIONS * scale))
     warehouse = build_warehouse(seed)
     frontdoor = FrontDoor(
-        WarehouseBackend(warehouse), quotas=default_quotas(), scope="serving"
+        ReplicatedBackend(warehouse, scope="serving"),
+        quotas=default_quotas(),
+        scope="serving",
     )
     specs = tenant_specs(population, requests)
     manager = SessionManager(

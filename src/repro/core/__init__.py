@@ -28,7 +28,6 @@ from repro.core.replication import (
 )
 from repro.core.secondary import SecondaryIndexManager
 from repro.core.sharding import (
-    ShardedWarehouse,
     build_shard_node,
     hash_partitioner,
     range_partitioner,
@@ -78,7 +77,6 @@ __all__ = [
     "ReplicaState",
     "ReplicatedWarehouse",
     "SecondaryIndexManager",
-    "ShardedWarehouse",
     "ViewCatalog",
     "build_shard_node",
     "hash_partitioner",

@@ -55,9 +55,11 @@ timestamp strictly greater than everything it durably saw
 watermark`` and can neither skip nor double-apply an update.
 
 :class:`ReplicatedWarehouse` composes one :class:`ReplicaSet` per shard
-behind the same routing surface :class:`ShardedWarehouse` offers, plus the
-per-replica scan entry points the hedged fan-out executor in
-:mod:`repro.server.router` schedules over.
+behind one routing surface (bulk load, routed updates, fan-out scans,
+node-local migration), plus the per-replica scan entry points the hedged
+fan-out executor in :mod:`repro.server.router` schedules over.  It is the
+one warehouse topology: the paper's unreplicated shared-nothing cluster
+(Section 5) is ``ReplicatedWarehouse(schema, n, SimClock(), replication=1)``.
 """
 
 from __future__ import annotations
@@ -86,6 +88,7 @@ from repro.errors import (
 from repro.obs import get_registry, trace
 from repro.storage.clock import SimClock
 from repro.storage.faults import NodeFaultPlan
+from repro.storage.iosched import OverlapWindow, TimeBreakdown
 from repro.txn.log import RedoLog
 from repro.txn.recovery import recover_masm
 from repro.txn.timestamps import TimestampOracle
@@ -752,15 +755,17 @@ class ReplicaSet:
 
 
 class ReplicatedWarehouse:
-    """N-way replicated shards behind the :class:`ShardedWarehouse` surface.
+    """N shards of ``replication`` MaSM nodes each, behind one router.
 
-    Same public routing API (``bulk_load`` / ``insert`` / ``delete`` /
-    ``modify`` / ``partitioned_range_scan``), plus the per-replica scan
-    entry points (:meth:`scan_shard_partition`, :meth:`shard_route_ids`)
-    the hedged fan-out executor schedules over, and the chaos levers
-    (:meth:`crash_replica` / :meth:`rejoin_replica`) the availability
-    driver pulls.  A shared clock is mandatory: failover and hedging are
-    decisions *about time*, so every replica must live on one timeline.
+    The routing API (``bulk_load`` / ``insert`` / ``delete`` / ``modify`` /
+    ``partitioned_range_scan`` / ``measure_scan`` / ``migrate_all``), plus
+    the per-replica scan entry points (:meth:`scan_shard_partition`,
+    :meth:`shard_route_ids`) the hedged fan-out executor schedules over,
+    and the chaos levers (:meth:`crash_replica` / :meth:`rejoin_replica`)
+    the availability driver pulls.  ``replication=1`` is the unreplicated
+    cluster.  A shared clock is mandatory: failover, hedging and serving
+    latency are decisions *about time*, so every node lives on one
+    timeline.
     """
 
     def __init__(
@@ -780,7 +785,9 @@ class ReplicatedWarehouse:
         if num_shards < 1:
             raise ValueError("need at least one shard")
         if clock is None:
-            raise ValueError("replication needs one shared SimClock timeline")
+            raise ValueError(
+                "a warehouse needs one shared timeline: pass clock=SimClock()"
+            )
         self.schema = schema
         self.route = partitioner or hash_partitioner(num_shards)
         self.oracle = TimestampOracle()
@@ -905,6 +912,7 @@ class ReplicatedWarehouse:
 
         The plain path for clients that do not run through the serving
         router; each partition merges the primaries key-ordered.
+        ``query_ts`` pins the whole fan-out to a caller-drawn snapshot.
         """
         if query_ts is None:
             query_ts = self.oracle.next()
@@ -921,6 +929,23 @@ class ReplicatedWarehouse:
                 begin_key, end_key, blocks_per_partition
             )
         )
+
+    def measure_scan(self, begin_key: int, end_key: int) -> TimeBreakdown:
+        """Run a fan-out scan and return the cross-node critical path.
+
+        Busy time is charged per device, so on the shared clock the elapsed
+        time is still the busiest primary device, not the serial sum.
+        """
+        devices = {}
+        for shard in self.shards:
+            node = shard.primary.node
+            devices[f"disk-{shard.shard_id}"] = node.disk
+            devices[f"ssd-{shard.shard_id}"] = node.ssd
+        window = OverlapWindow(devices)
+        with window:
+            for _ in self.partitioned_range_scan(begin_key, end_key):
+                pass
+        return window.result
 
     # ----------------------------------------------------------------- chaos
     def crash_replica(self, shard_id: int, replica_id: int) -> None:
@@ -968,14 +993,26 @@ class ReplicatedWarehouse:
             results.append(self.shards[shard_id].anti_entropy())
         return results
 
-    # --------------------------------------------------------------- balance
-    def flush_all(self) -> None:
-        """Flush every replica's buffer (bench warmup helper)."""
+    # ------------------------------------------------------------- migration
+    def _online_replicas(self) -> Iterator[Replica]:
         for shard in self.shards:
             for replica in shard.replicas:
                 if replica.state is ReplicaState.ONLINE:
-                    replica.masm.flush_buffer()
+                    yield replica
 
+    def flush_all(self) -> None:
+        """Flush every replica's buffer (bench warmup helper)."""
+        for replica in self._online_replicas():
+            replica.masm.flush_buffer()
+
+    def migrate_all(self) -> None:
+        """Flush, then migrate every replica's cache (node-local migrations)."""
+        for replica in self._online_replicas():
+            replica.masm.flush_buffer()
+            if replica.masm.runs:
+                replica.masm.migrate()
+
+    # ------------------------------------------------------------- reporting
     def replica_report(self) -> Dict[str, str]:
         """JSON-ready replica states, keyed ``shard.replica``."""
         return {

@@ -6,32 +6,30 @@ fan out.  Because both decompose into per-node operations, "we can apply
 MaSM algorithms on a per-machine-node basis" — each node gets its own disk,
 SSD update cache, and MaSM instance.
 
-:class:`ShardedWarehouse` builds exactly that: N nodes, a partitioning
-function, routed updates, and fan-out range scans whose results merge back
-into one key-ordered stream.
+This module holds the per-node pieces: :class:`ShardNode` and its one
+construction recipe :func:`build_shard_node`, plus the hash and range
+partitioners.  The cluster itself — routing, bulk load, fan-out scans,
+node-local migration — is
+:class:`~repro.core.replication.ReplicatedWarehouse`; an unreplicated
+cluster is one built with ``replication=1``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import heapq
 from dataclasses import dataclass
-from itertools import chain
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from repro.core import kernels
-from repro.core.governor import STATE_HIGH
 from repro.core.masm import MaSM, MaSMConfig
 from repro.engine.record import Schema
 from repro.engine.table import Table
 from repro.storage.clock import SimClock
 from repro.storage.disk import SimulatedDisk
 from repro.storage.file import StorageVolume
-from repro.storage.iosched import CpuMeter, OverlapWindow, TimeBreakdown
+from repro.storage.iosched import CpuMeter
 from repro.storage.ssd import SimulatedSSD
 from repro.txn.log import RedoLog
 from repro.txn.timestamps import TimestampOracle
-from repro.util.units import MB
 
 
 @dataclass
@@ -65,11 +63,10 @@ def build_shard_node(
 ) -> ShardNode:
     """Build one shared-nothing node: disk + SSD + table + MaSM (+ WAL).
 
-    The single construction recipe both :class:`ShardedWarehouse` (one
-    node per shard) and :class:`~repro.core.replication.ReplicaSet` (N
-    identical nodes per shard) use, so a replica is byte-for-byte the same
-    kind of node as an unreplicated shard.  ``masm_config`` is copied per
-    node — each node builds its own governor, nothing is shared.
+    The single construction recipe every node uses — each member of a
+    :class:`~repro.core.replication.ReplicaSet`, and so each shard of an
+    unreplicated cluster too.  ``masm_config`` is copied per node — each
+    node builds its own governor, nothing is shared.
     """
     label = device_label if device_label is not None else str(node_id)
     disk = SimulatedDisk(capacity=disk_capacity, clock=clock)
@@ -133,236 +130,3 @@ def range_partitioner(boundaries: Sequence[int]) -> Callable[[int], int]:
         return bisect.bisect_right(bounds, key)
 
     return route
-
-
-class ShardedWarehouse:
-    """N MaSM-equipped nodes behind one routing layer."""
-
-    def __init__(
-        self,
-        schema: Schema,
-        num_nodes: int,
-        partitioner: Optional[Callable[[int], int]] = None,
-        records_per_node: int = 20_000,
-        disk_capacity: int = 256 * MB,
-        ssd_capacity: int = 8 * MB,
-        masm_config: Optional[MaSMConfig] = None,
-        clock: Optional[SimClock] = None,
-        wrap_device: Optional[Callable[[str, object], object]] = None,
-        attach_logs: bool = False,
-    ) -> None:
-        """Build ``num_nodes`` shared-nothing nodes behind one router.
-
-        ``clock`` shares ONE simulated timeline across every node's devices
-        — the serving layer needs a single clock for session arrivals and
-        latency accounting; leave it ``None`` for the legacy per-node
-        timelines (``measure_scan``'s parallel critical path).
-
-        ``wrap_device`` is the fault-injection hook: it is called as
-        ``wrap_device("disk-0", device)`` / ``wrap_device("ssd-0", device)``
-        for every node device and its return value is used instead — wrap
-        a node's SSD in a :class:`~repro.storage.faults.FaultyDevice` to
-        test degraded fan-out scans.
-
-        ``attach_logs`` gives every node a local redo log on its SSD
-        volume, enabling the quarantine + log-fallback read path when a
-        shard's run blocks fail checksum verification mid-scan.
-        """
-        if num_nodes < 1:
-            raise ValueError("need at least one node")
-        self.schema = schema
-        self.route = partitioner or hash_partitioner(num_nodes)
-        self.oracle = TimestampOracle()  # global commit order
-        #: The shared timeline, or None when every node keeps its own (the
-        #: legacy layout measure_scan's parallel critical path relies on).
-        self.clock: Optional[SimClock] = clock
-        self.nodes: list[ShardNode] = [
-            build_shard_node(
-                node_id,
-                schema,
-                records_per_node=records_per_node,
-                disk_capacity=disk_capacity,
-                ssd_capacity=ssd_capacity,
-                masm_config=masm_config,
-                oracle=self.oracle,
-                clock=clock,
-                wrap_device=wrap_device,
-                attach_log=attach_logs,
-            )
-            for node_id in range(num_nodes)
-        ]
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.nodes)
-
-    # ------------------------------------------------------------- loading
-    def bulk_load(self, records: Iterable[tuple]) -> None:
-        """Partition and load records (each node bulk-loads its share)."""
-        shares: list[list[tuple]] = [[] for _ in self.nodes]
-        for record in records:
-            shares[self.route(self.schema.key(record))].append(record)
-        for node, share in zip(self.nodes, shares):
-            share.sort(key=self.schema.key)
-            node.table.bulk_load(share)
-
-    @property
-    def row_count(self) -> int:
-        return sum(node.table.row_count for node in self.nodes)
-
-    # -------------------------------------------------------------- updates
-    def insert(self, record: tuple) -> int:
-        node = self.nodes[self.route(self.schema.key(record))]
-        return node.masm.insert(record)
-
-    def delete(self, key: int) -> int:
-        return self.nodes[self.route(key)].masm.delete(key)
-
-    def modify(self, key: int, changes: dict) -> int:
-        return self.nodes[self.route(key)].masm.modify(key, changes)
-
-    # ---------------------------------------------------------------- scans
-    def range_scan(
-        self,
-        begin_key: int,
-        end_key: int,
-        query_ts: Optional[int] = None,
-    ) -> Iterator[tuple]:
-        """Fan the scan out to every node; merge into one key-ordered stream.
-
-        Nodes execute in parallel in a real deployment; here each node's
-        I/O lands on its own simulated devices, so :meth:`measure_scan`
-        reports the parallel critical path.  ``query_ts`` pins the scan to
-        one already-drawn snapshot timestamp (the serving router's unit of
-        isolation); by default every node scans at a fresh shared one.
-        """
-        if query_ts is None:
-            query_ts = self.oracle.next()
-        streams = [
-            node.masm.range_scan(begin_key, end_key, query_ts=query_ts)
-            for node in self.nodes
-        ]
-        return heapq.merge(*streams, key=self.schema.key)
-
-    def partitioned_range_scan(
-        self,
-        begin_key: int,
-        end_key: int,
-        blocks_per_partition: int = kernels.DEFAULT_BLOCKS_PER_PARTITION,
-        query_ts: Optional[int] = None,
-    ) -> Iterator[tuple]:
-        """Key-range-partitioned fan-out scan over one global snapshot.
-
-        Draws ONE timestamp from the global oracle, then splits
-        ``[begin, end]`` at block boundaries harvested from every node's
-        run indexes (:func:`kernels.partition_points`).  Each partition
-        fans out to all nodes with the shared ``query_ts`` — so every
-        partition sees the same committed prefix even if flushes or
-        migrations land between partitions — merges key-ordered across
-        nodes, and partitions concatenate back into one ordered stream.
-        Partitions are the natural unit of scan parallelism; here they
-        run sequentially and each inner merge rides the columnar kernel
-        path of its node's MaSM.  ``query_ts`` pins the whole fan-out to a
-        caller-drawn snapshot (one timestamp per serving request).
-        """
-        if query_ts is None:
-            query_ts = self.oracle.next()
-
-        def scan_partition(lo: int, hi: int) -> Iterator[tuple]:
-            streams = [
-                node.masm.range_scan(lo, hi, query_ts=query_ts)
-                for node in self.nodes
-            ]
-            return heapq.merge(*streams, key=self.schema.key)
-
-        return chain.from_iterable(
-            scan_partition(lo, hi)
-            for lo, hi in self.partition_bounds(
-                begin_key, end_key, blocks_per_partition
-            )
-        )
-
-    def partition_bounds(
-        self,
-        begin_key: int,
-        end_key: int,
-        blocks_per_partition: int = kernels.DEFAULT_BLOCKS_PER_PARTITION,
-    ) -> list[tuple[int, int]]:
-        """Key-range partitions of ``[begin, end]`` from the run indexes.
-
-        Each ``(lo, hi)`` is a closed sub-range; together they cover the
-        requested range exactly.  Bounds come from block boundaries
-        harvested across every node's run indexes, so partition sizes
-        track where the cached updates actually are.  This is the shared
-        planning step for :meth:`partitioned_range_scan` and the
-        replicated fan-out executor (which schedules hedges and deadline
-        checks per partition).
-        """
-        indexes = [
-            run.index for node in self.nodes for run in node.masm.runs
-        ]
-        bounds = kernels.partition_points(
-            indexes, begin_key, end_key, blocks_per_partition
-        )
-        return [
-            (lo, end_key if hi is None else hi)
-            for lo, hi in kernels.partition_ranges(bounds, begin_key, end_key)
-        ]
-
-    def measure_scan(self, begin_key: int, end_key: int) -> TimeBreakdown:
-        """Run a fan-out scan and return the cross-node critical path."""
-        devices = {}
-        for node in self.nodes:
-            devices[f"disk-{node.node_id}"] = node.disk
-            devices[f"ssd-{node.node_id}"] = node.ssd
-        window = OverlapWindow(devices)
-        with window:
-            for _ in self.range_scan(begin_key, end_key):
-                pass
-        return window.result
-
-    # ------------------------------------------------------------ migration
-    def migrate_all(self) -> None:
-        """Migrate every node's cache (independent, node-local migrations)."""
-        for node in self.nodes:
-            node.masm.flush_buffer()
-            if node.masm.runs:
-                node.masm.migrate()
-
-    def migrate_pressured(self, max_steps: Optional[int] = None) -> int:
-        """Run paced migration slices across governed nodes, hottest first.
-
-        Orders nodes by SSD-cache utilization (descending) and gives each
-        node above its high watermark one paced slice, up to ``max_steps``
-        slices total.  Returns the number of slices run.  Ungoverned nodes
-        are skipped — they keep the legacy flush-time migration.
-        """
-        governed = sorted(
-            (n for n in self.nodes if n.masm.governor is not None),
-            key=lambda n: n.masm.utilization,
-            reverse=True,
-        )
-        steps = 0
-        for node in governed:
-            if max_steps is not None and steps >= max_steps:
-                break
-            governor = node.masm.governor
-            if node.masm.runs and governor.watermark_state() >= STATE_HIGH:
-                if governor.migrate_step():
-                    steps += 1
-        return steps
-
-    def overload_report(self) -> list[dict]:
-        """Per-node governor snapshots (empty when nodes are ungoverned)."""
-        return [
-            node.masm.governor.report()
-            for node in self.nodes
-            if node.masm.governor is not None
-        ]
-
-    # ------------------------------------------------------------- balance
-    def cache_utilizations(self) -> list[float]:
-        return [node.masm.utilization for node in self.nodes]
-
-    def shard_sizes(self) -> list[int]:
-        return [node.table.row_count for node in self.nodes]

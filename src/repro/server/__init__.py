@@ -1,14 +1,15 @@
 """Multi-tenant query serving over the MaSM engine.
 
-The serving layer turns the single-caller :class:`ShardedWarehouse` into a
-query *service*: a session manager drives thousands of simulated clients
+The serving layer turns the single-caller
+:class:`~repro.core.replication.ReplicatedWarehouse` into a query
+*service*: a session manager drives thousands of simulated clients
 (open-loop Poisson/bursty and closed-loop think-time) on one shared
 :class:`SimClock`; a request router executes each admitted request under
-exactly one snapshot timestamp via the key-range-partitioned fan-out/merge
-executor; per-tenant token-bucket quotas decide, per request, between
-ADMIT, DELAY (a reschedule interval — the event loop never blocks) and
-SHED (a typed retryable :class:`~repro.errors.QuotaExceededError`).  All
-outcomes land in ``repro.obs`` so every run exports per-tenant
+exactly one snapshot timestamp via the :class:`ReplicatedBackend`
+key-range-partitioned fan-out/merge executor; per-tenant token-bucket
+quotas decide, per request, between ADMIT, DELAY (a reschedule interval —
+the event loop never blocks) and SHED (a typed retryable
+:class:`~repro.errors.QuotaExceededError`).  All outcomes land in ``repro.obs`` so every run exports per-tenant
 p50/p99/p999 latency surfaces, queue depths and shed/delay counters.
 """
 
@@ -32,8 +33,6 @@ from repro.server.router import (
     QueryResult,
     ReplicatedBackend,
     RequestRouter,
-    SingleEngineBackend,
-    WarehouseBackend,
 )
 from repro.server.session import (
     ArrivalKind,
@@ -67,8 +66,6 @@ __all__ = [
     "SessionManager",
     "SessionMode",
     "SessionSpec",
-    "SingleEngineBackend",
     "TenantAdmission",
     "TenantQuota",
-    "WarehouseBackend",
 ]

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.errors import DeadlineExceededError
+from repro.errors import DeadlineExceededError, QuotaExceededError
 from repro.obs import get_registry
 from repro.server.quotas import TenantAdmission, TenantQuota
 from repro.server.router import (
@@ -78,7 +78,7 @@ class FrontDoor:
         """
         try:
             return self.admission.decide(tenant, waited)
-        except Exception:
+        except QuotaExceededError:
             self._instruments(tenant)["rejected"].add(1)
             raise
 

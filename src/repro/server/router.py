@@ -9,21 +9,16 @@ what makes failover and hedging *safe*: a backup replica scanned at the
 same ``query_ts`` returns byte-identical rows, so retrying elsewhere can
 never change an answer, only rescue it.
 
-Backends adapt the engines the router can serve:
-
-* :class:`WarehouseBackend` — a :class:`~repro.core.sharding.ShardedWarehouse`;
-  scans ride the key-range-partitioned fan-out/merge executor, so each
-  partition's inner merge uses the columnar kernel path of its node.
-* :class:`ReplicatedBackend` — a
-  :class:`~repro.core.replication.ReplicatedWarehouse`; adds per-partition
-  hedged reads (after an EWMA-p95 delay, a backup replica is scanned under
-  the same snapshot; first success wins, the loser is cancelled and
-  counted), circuit-breaker-routed failover, and deadline-budgeted
-  execution with per-tenant strict/degraded partial-result policies.
-* :class:`SingleEngineBackend` — one bare :class:`~repro.core.masm.MaSM`;
-  this is what the deterministic simulator serves through, so the serving
-  code path interleaves with flush/migrate/crash actors under the model
-  oracle.
+The backend protocol is ``clock`` + ``snapshot_ts()`` + ``fanout_scan()``,
+and :class:`ReplicatedBackend` is its one implementation: a
+:class:`~repro.core.replication.ReplicatedWarehouse` (``replication=1`` for
+an unreplicated cluster) scanned partition by partition, each shard's rows
+on one replica, with per-partition hedged reads (after an EWMA-p95 delay, a
+backup replica is scanned under the same snapshot; first success wins, the
+loser is cancelled and counted), circuit-breaker-routed failover, and
+deadline-budgeted execution with per-tenant strict/degraded partial-result
+policies.  The deterministic simulator serves through its own test double
+of the same protocol (``repro.sim.actors._EnvBackend``).
 
 Deadlines: a :class:`Deadline` is armed per request at dispatch and
 threaded through the fan-out; it is checked at every partition boundary
@@ -40,7 +35,7 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.errors import (
     DeadlineExceededError,
@@ -155,49 +150,6 @@ class Deadline:
             )
 
 
-class WarehouseBackend:
-    """Adapt a :class:`ShardedWarehouse` to the router's backend protocol."""
-
-    def __init__(self, warehouse, blocks_per_partition: Optional[int] = None):
-        if warehouse.clock is None:
-            raise ValueError(
-                "serving needs one timeline: build the ShardedWarehouse "
-                "with a shared clock=SimClock()"
-            )
-        self.warehouse = warehouse
-        self.clock = warehouse.clock
-        self.blocks_per_partition = blocks_per_partition
-
-    def snapshot_ts(self) -> int:
-        return self.warehouse.oracle.next()
-
-    def scan(self, begin_key: int, end_key: int, query_ts: int) -> Iterator[tuple]:
-        if self.blocks_per_partition is None:
-            return self.warehouse.partitioned_range_scan(
-                begin_key, end_key, query_ts=query_ts
-            )
-        return self.warehouse.partitioned_range_scan(
-            begin_key,
-            end_key,
-            blocks_per_partition=self.blocks_per_partition,
-            query_ts=query_ts,
-        )
-
-
-class SingleEngineBackend:
-    """Adapt one MaSM engine (the simulator's serving target)."""
-
-    def __init__(self, masm) -> None:
-        self.masm = masm
-        self.clock = masm.ssd.device.clock
-
-    def snapshot_ts(self) -> int:
-        return self.masm.oracle.next()
-
-    def scan(self, begin_key: int, end_key: int, query_ts: int) -> Iterator[tuple]:
-        return self.masm.range_scan(begin_key, end_key, query_ts=query_ts)
-
-
 @dataclass
 class FanoutOutcome:
     """What one replicated fan-out produced (rows + per-request counters)."""
@@ -263,11 +215,6 @@ class ReplicatedBackend:
 
     def snapshot_ts(self) -> int:
         return self.warehouse.oracle.next()
-
-    def scan(self, begin_key: int, end_key: int, query_ts: int) -> Iterator[tuple]:
-        """Protocol-compatible plain scan (primary replicas, no hedging)."""
-        outcome = self.fanout_scan(begin_key, end_key, query_ts)
-        return iter(outcome.records)
 
     # ------------------------------------------------------------- execution
     def fanout_scan(
@@ -516,18 +463,18 @@ class RequestRouter:
             or deadline_policy.mode is DeadlineMode.STRICT
         )
         try:
-            if hasattr(self.backend, "fanout_scan"):
-                records, uncovered = self._execute_fanout(
-                    request, query_ts, deadline, strict
-                )
-            else:
-                records, uncovered = self._execute_plain(
-                    request, query_ts, deadline, strict
-                )
+            outcome = self.backend.fanout_scan(
+                request.begin_key,
+                request.end_key,
+                query_ts,
+                deadline=deadline,
+                strict=strict,
+            )
         except DeadlineExceededError:
             self._deadline_exceeded.add(1)
             raise
         finished = self.clock.now
+        records, uncovered = outcome.records, outcome.uncovered
         partial = bool(uncovered)
         if partial:
             self._partials.add(1)
@@ -544,44 +491,3 @@ class RequestRouter:
             uncovered=tuple(uncovered),
             records=tuple(records) if self.keep_records else None,
         )
-
-    def _execute_fanout(self, request, query_ts, deadline, strict):
-        outcome = self.backend.fanout_scan(
-            request.begin_key,
-            request.end_key,
-            query_ts,
-            deadline=deadline,
-            strict=strict,
-        )
-        return outcome.records, outcome.uncovered
-
-    def _execute_plain(self, request, query_ts, deadline, strict):
-        """Unreplicated drain with the same deadline semantics.
-
-        The stream is key-ordered, so on a DEGRADED overrun the uncovered
-        remainder is exactly ``(last_key + 1, end_key)``.
-        """
-        records: list = []
-        key_of = None
-        for row in self.backend.scan(
-            request.begin_key, request.end_key, query_ts
-        ):
-            records.append(row)
-            if deadline is None or len(records) % DEADLINE_CHECK_STRIDE:
-                continue
-            if not deadline.expired:
-                continue
-            if strict:
-                deadline.check()
-            key_of = self._schema_key(records[-1])
-            if key_of >= request.end_key:
-                return records, []
-            return records, [(key_of + 1, request.end_key)]
-        return records, []
-
-    def _schema_key(self, row: tuple):
-        backend = self.backend
-        warehouse = getattr(backend, "warehouse", None)
-        if warehouse is not None:
-            return warehouse.schema.key(row)
-        return backend.masm.table.schema.key(row)

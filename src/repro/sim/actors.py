@@ -171,9 +171,9 @@ def crasher(env, name: str, seed: int, idle_steps: int):
 
 
 class _EnvBackend:
-    """Router backend that re-reads ``env.masm`` on every call.
+    """Router backend test double that re-reads ``env.masm`` on every call.
 
-    The serving layer's backends capture an engine; in the simulator the
+    The serving layer's backend captures a warehouse; in the simulator the
     engine is replaced wholesale by crash+recover, so the sim's backend
     proxies through ``env`` instead — same rule every actor follows.  The
     clock is stable across crashes (the SSD device survives recovery).
@@ -186,8 +186,17 @@ class _EnvBackend:
     def snapshot_ts(self) -> int:
         return self.env.masm.oracle.next()
 
-    def scan(self, begin_key: int, end_key: int, query_ts: int):
-        return self.env.masm.range_scan(begin_key, end_key, query_ts=query_ts)
+    def fanout_scan(
+        self, begin_key: int, end_key: int, query_ts: int, deadline=None, strict=True
+    ):
+        """One scan of the current engine, never partial: the simulator's
+        front door arms no deadlines, so ``deadline``/``strict`` are unused."""
+        from repro.server.router import FanoutOutcome
+
+        records = list(
+            self.env.masm.range_scan(begin_key, end_key, query_ts=query_ts)
+        )
+        return FanoutOutcome(records=records, uncovered=[])
 
 
 def server(env, name: str, seed: int, requests: int):

@@ -23,7 +23,7 @@ from repro.core.governor import (
     TokenBucket,
 )
 from repro.core.masm import MaSM, MaSMConfig
-from repro.core.sharding import ShardedWarehouse
+from repro.core.replication import ReplicatedWarehouse
 from repro.engine.record import synthetic_schema
 from repro.engine.table import Table
 from repro.errors import BackpressureError, UpdateCacheFullError
@@ -270,8 +270,7 @@ class TestWatermarks:
             # Fill past the high watermark without tripping admission.
             model, _, _ = flood(masm, clock, 1200, arrival_rate=1e9)
             masm.flush_buffer()
-            if masm.governor.watermark_state() < STATE_HIGH:
-                pytest.skip("cache did not reach high water in this sizing")
+            assert masm.governor.watermark_state() >= STATE_HIGH
             before = masm.governor._steps.value
             list(masm.range_scan(0, 50))
             assert masm.governor._steps.value > before
@@ -453,51 +452,17 @@ class TestShardedGovernance:
                 overload_policy=OverloadPolicy.DELAY,
                 governor=GovernorConfig(admit_rate=None),
             )
-            warehouse = ShardedWarehouse(
-                SCHEMA, num_nodes=3, records_per_node=400, masm_config=config
+            warehouse = ReplicatedWarehouse(
+                SCHEMA,
+                3,
+                SimClock(),
+                replication=1,
+                records_per_node=400,
+                masm_config=config,
             )
-            governors = [node.masm.governor for node in warehouse.nodes]
+            governors = [
+                shard.primary.masm.governor for shard in warehouse.shards
+            ]
             assert all(g is not None for g in governors)
             assert len({id(g) for g in governors}) == 3
             assert len({g.scope for g in governors}) == 3
-            assert len(warehouse.overload_report()) == 3
-
-    def test_migrate_pressured_hottest_first(self):
-        with use_registry():
-            config = MaSMConfig(
-                alpha=1.4,
-                ssd_page_size=4 * KB,
-                block_size=2 * KB,
-                cache_bytes=64 * KB,
-                auto_migrate=False,
-                governor=GovernorConfig(
-                    admit_rate=None,
-                    max_slice_fraction=1.0,
-                    min_slice_fraction=0.5,
-                    # Let pressure build: this test drives slices through
-                    # the warehouse-level migrate_pressured instead.
-                    migrate_on_apply=False,
-                ),
-            )
-            warehouse = ShardedWarehouse(
-                SCHEMA, num_nodes=2, records_per_node=600, masm_config=config
-            )
-            warehouse.bulk_load((i * 2, f"rec-{i}") for i in range(1200))
-            # Update only keys routed to one shard until it crosses high
-            # water; the other stays cool.
-            rng = random.Random(7)
-            hot = warehouse.nodes[0]
-            step = 0
-            while hot.masm.governor.watermark_state() < STATE_HIGH and step < 30000:
-                key = rng.randrange(600) * 2
-                if warehouse.route(key) == 0:
-                    warehouse.modify(key, {"payload": f"h{step}"})
-                step += 1
-            for node in warehouse.nodes:
-                node.masm.flush_buffer()
-            if hot.masm.governor.watermark_state() < STATE_HIGH:
-                pytest.skip("shard never crossed high water at this sizing")
-            hot_util = hot.masm.utilization
-            steps = warehouse.migrate_pressured(max_steps=2)
-            assert steps >= 1
-            assert hot.masm.utilization <= hot_util

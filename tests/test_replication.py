@@ -479,9 +479,16 @@ def test_hedged_read_same_snapshot_identical_rows():
         )
 
 
-def test_strict_deadline_raises_typed():
+#: The deadline contract holds for an unreplicated cluster too.
+REPLICATION = pytest.mark.parametrize("replication", [1, 3], ids=["r1", "r3"])
+
+
+@REPLICATION
+def test_strict_deadline_raises_typed(replication):
     with use_registry():
-        warehouse, model, clock = build_warehouse(num_shards=1)
+        warehouse, model, clock = build_warehouse(
+            num_shards=1, replication=replication
+        )
         warehouse_mixed(warehouse, model, 120, "strict")
         warehouse.flush_all()
         router = RequestRouter(
@@ -499,9 +506,12 @@ def test_strict_deadline_raises_typed():
         assert excinfo.value.retryable
 
 
-def test_degraded_deadline_returns_partial_with_uncovered():
+@REPLICATION
+def test_degraded_deadline_returns_partial_with_uncovered(replication):
     with use_registry():
-        warehouse, model, clock = build_warehouse(num_shards=1)
+        warehouse, model, clock = build_warehouse(
+            num_shards=1, replication=replication
+        )
         warehouse_mixed(warehouse, model, 120, "degraded")
         warehouse.flush_all()
         router = RequestRouter(

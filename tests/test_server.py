@@ -9,7 +9,7 @@ import os
 
 import pytest
 
-from repro.core.sharding import ShardedWarehouse
+from repro.core.replication import ReplicatedWarehouse
 from repro.engine.record import synthetic_schema
 from repro.errors import QuotaExceededError
 from repro.obs import MetricsRegistry, use_registry
@@ -17,12 +17,12 @@ from repro.server import (
     ArrivalKind,
     FrontDoor,
     QuotaPolicy,
+    ReplicatedBackend,
     SessionManager,
     SessionMode,
     SessionSpec,
     TenantAdmission,
     TenantQuota,
-    WarehouseBackend,
 )
 from repro.storage.clock import SimClock
 
@@ -35,15 +35,13 @@ SCHEMA = synthetic_schema()
 
 
 def build_warehouse(n=300, nodes=2, cached_updates=40):
-    clock = SimClock()
-    warehouse = ShardedWarehouse(
-        SCHEMA, nodes, records_per_node=n, clock=clock
+    warehouse = ReplicatedWarehouse(
+        SCHEMA, nodes, SimClock(), replication=1, records_per_node=n
     )
     warehouse.bulk_load((i * 2, f"rec-{i}") for i in range(nodes * n))
     for i in range(cached_updates):
         warehouse.modify(i * 4, {"payload": f"patched-{i}"})
-    for node in warehouse.nodes:
-        node.masm.flush_buffer()
+    warehouse.flush_all()
     return warehouse
 
 
@@ -114,16 +112,32 @@ def test_unmetered_tenant_is_always_admitted():
         assert admission.decide("anyone") == 0.0
 
 
+def test_admission_bug_is_not_counted_as_a_rejection():
+    """Only a quota decision is a tenant rejection; any other error raised
+    by admission propagates untouched and leaves ``rejected`` alone."""
+    with use_registry(MetricsRegistry()) as registry:
+        warehouse = build_warehouse(n=10, cached_updates=0)
+        frontdoor = FrontDoor(ReplicatedBackend(warehouse), scope="test.bug")
+        rejected = registry.counter("test.bug.tenant.t.rejected")
+
+        def broken(tenant, waited=0.0):
+            raise RuntimeError("admission bug")
+
+        frontdoor.admission.decide = broken
+        with pytest.raises(RuntimeError, match="admission bug"):
+            frontdoor.try_admit("t")
+        assert rejected.value == 0
+
+
 # ------------------------------------------------------------------- router
-def test_warehouse_backend_requires_shared_clock():
-    warehouse = ShardedWarehouse(SCHEMA, 2, records_per_node=10)
+def test_warehouse_requires_shared_clock():
     with pytest.raises(ValueError, match="clock"):
-        WarehouseBackend(warehouse)
+        ReplicatedWarehouse(SCHEMA, 2, None, replication=1)
 
 
 def test_request_draws_exactly_one_snapshot_timestamp():
     warehouse = build_warehouse()
-    frontdoor = FrontDoor(WarehouseBackend(warehouse))
+    frontdoor = FrontDoor(ReplicatedBackend(warehouse))
     before = warehouse.oracle.current
     frontdoor.query("t", 0, 10**9)
     # One timestamp per request, however many partitions the scan fans
@@ -133,7 +147,7 @@ def test_request_draws_exactly_one_snapshot_timestamp():
 
 def test_request_rows_match_direct_scan_at_its_snapshot():
     warehouse = build_warehouse()
-    frontdoor = FrontDoor(WarehouseBackend(warehouse))
+    frontdoor = FrontDoor(ReplicatedBackend(warehouse))
     result = frontdoor.query("t", 100, 700)
     reference = list(
         warehouse.partitioned_range_scan(100, 700, query_ts=result.query_ts)
@@ -146,7 +160,7 @@ def test_request_rows_match_direct_scan_at_its_snapshot():
 def test_frontdoor_query_pays_delay_on_the_clock():
     warehouse = build_warehouse(cached_updates=0)
     frontdoor = FrontDoor(
-        WarehouseBackend(warehouse),
+        ReplicatedBackend(warehouse),
         quotas={"t": TenantQuota(rate=0.5, burst=1.0, max_delay_seconds=10.0)},
     )
     frontdoor.query("t", 0, 100)
@@ -174,7 +188,7 @@ def test_session_spec_validation():
 
 def test_write_fraction_requires_write_op():
     warehouse = build_warehouse(cached_updates=0)
-    frontdoor = FrontDoor(WarehouseBackend(warehouse))
+    frontdoor = FrontDoor(ReplicatedBackend(warehouse))
     spec = SessionSpec(
         tenant="t", sessions=1, requests=1, write_fraction=1.0
     )
@@ -221,7 +235,7 @@ def _run_population(quotas=None, specs=None, write_op_factory=None, seed=SEED):
     with use_registry(MetricsRegistry()):
         warehouse = build_warehouse()
         frontdoor = FrontDoor(
-            WarehouseBackend(warehouse), quotas=quotas, scope="test.serving"
+            ReplicatedBackend(warehouse), quotas=quotas, scope="test.serving"
         )
         manager = SessionManager(
             frontdoor,

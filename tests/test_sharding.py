@@ -1,16 +1,18 @@
-"""Shared-nothing MaSM: routing, fan-out scans, node-local migration."""
+"""Shared-nothing MaSM: routing, fan-out scans, node-local migration.
+
+The unreplicated cluster of Section 5 is a ``ReplicatedWarehouse`` with
+``replication=1``: one MaSM node per shard, every node on one timeline.
+"""
 
 import os
 
 import pytest
 
-from repro.core.sharding import (
-    ShardedWarehouse,
-    hash_partitioner,
-    range_partitioner,
-)
+from repro.core.replication import ReplicatedWarehouse
+from repro.core.sharding import hash_partitioner, range_partitioner
 from repro.engine.record import synthetic_schema
 from repro.obs import MetricsRegistry, get_registry, use_registry
+from repro.storage.clock import SimClock
 from repro.storage.faults import FaultPlan, FaultyDevice
 
 SCHEMA = synthetic_schema()
@@ -18,23 +20,33 @@ SCHEMA = synthetic_schema()
 FAULT_SEED = int(os.environ.get("MASM_FAULT_SEED", "11"))
 
 
-def make(num_nodes=3, n=600, partitioner=None):
-    warehouse = ShardedWarehouse(
-        SCHEMA, num_nodes, partitioner=partitioner, records_per_node=n
+def cluster(num_nodes, n, **kwargs):
+    """An unreplicated cluster: one node per shard on one shared clock."""
+    return ReplicatedWarehouse(
+        SCHEMA, num_nodes, SimClock(), replication=1, records_per_node=n,
+        **kwargs,
     )
+
+
+def nodes(warehouse):
+    return [shard.primary for shard in warehouse.shards]
+
+
+def make(num_nodes=3, n=600):
+    warehouse = cluster(num_nodes, n)
     warehouse.bulk_load([(i * 2, f"rec-{i}") for i in range(n)])
     return warehouse
 
 
 def test_needs_at_least_one_node():
     with pytest.raises(ValueError):
-        ShardedWarehouse(SCHEMA, 0)
+        ReplicatedWarehouse(SCHEMA, 0, SimClock(), replication=1)
 
 
 def test_bulk_load_partitions_all_rows():
     wh = make(3, 600)
     assert wh.row_count == 600
-    sizes = wh.shard_sizes()
+    sizes = [node.table.row_count for node in nodes(wh)]
     assert len(sizes) == 3
     assert all(s > 0 for s in sizes)
 
@@ -56,7 +68,7 @@ def test_range_partitioner_routes_by_boundary():
 
 def test_fanout_scan_is_key_ordered_and_complete():
     wh = make(3, 500)
-    keys = [SCHEMA.key(r) for r in wh.range_scan(0, 10**9)]
+    keys = [SCHEMA.key(r) for r in wh.partitioned_range_scan(0, 10**9)]
     assert keys == [i * 2 for i in range(500)]
 
 
@@ -67,9 +79,8 @@ def test_partitioned_scan_matches_fanout_scan():
         wh.insert((i * 4 + 1, f"new-{i}"))
     for i in range(50):
         wh.modify(i * 8, {"payload": f"patched-{i}"})
-    for node in wh.nodes:
-        node.masm.flush_buffer()
-    reference = list(wh.range_scan(0, 10**9))
+    wh.flush_all()
+    reference = list(wh.partitioned_range_scan(0, 10**9))
     # Tiny partitions: the scan actually splits into several key ranges.
     partitioned = list(wh.partitioned_range_scan(0, 10**9, blocks_per_partition=1))
     assert partitioned == reference
@@ -92,7 +103,7 @@ def test_updates_route_and_remain_visible():
     wh.insert((801, "new"))
     wh.modify(40, {"payload": "patched"})
     wh.delete(42)
-    got = {SCHEMA.key(r): r for r in wh.range_scan(0, 10**9)}
+    got = {SCHEMA.key(r): r for r in wh.partitioned_range_scan(0, 10**9)}
     assert got[801] == (801, "new")
     assert got[40] == (40, "patched")
     assert 42 not in got
@@ -100,9 +111,9 @@ def test_updates_route_and_remain_visible():
 
 def test_update_lands_on_exactly_one_node():
     wh = make(3, 300)
-    before = [n.masm.stats.updates_ingested for n in wh.nodes]
+    before = [n.masm.stats.updates_ingested for n in nodes(wh)]
     wh.modify(100, {"payload": "x"})
-    after = [n.masm.stats.updates_ingested for n in wh.nodes]
+    after = [n.masm.stats.updates_ingested for n in nodes(wh)]
     assert sum(after) - sum(before) == 1
 
 
@@ -111,8 +122,8 @@ def test_migrate_all_clears_every_cache():
     for i in range(60):
         wh.modify(i * 2, {"payload": f"v{i}"})
     wh.migrate_all()
-    assert all(not n.masm.runs for n in wh.nodes)
-    got = {SCHEMA.key(r): r for r in wh.range_scan(0, 200)}
+    assert all(not n.masm.runs for n in nodes(wh))
+    got = {SCHEMA.key(r): r for r in wh.partitioned_range_scan(0, 200)}
     assert got[0] == (0, "v0")
 
 
@@ -123,13 +134,6 @@ def test_measure_scan_reports_parallel_critical_path():
     total = sum(breakdown.device_busy.values())
     assert breakdown.elapsed == pytest.approx(busiest)
     assert breakdown.elapsed < total  # parallel, not serial
-
-
-def test_cache_utilizations_per_node():
-    wh = make(2, 300)
-    utils = wh.cache_utilizations()
-    assert len(utils) == 2
-    assert all(u == 0.0 for u in utils)
 
 
 # --------------------------------------------------- fan-out scans under faults
@@ -145,7 +149,7 @@ def flip_one_bit(run, block_no=0, bit=3):
 def loaded(n=600, **kwargs):
     """A warehouse with base data, cached updates and flushed runs, plus
     the shadow dict the scans must reproduce."""
-    wh = ShardedWarehouse(SCHEMA, 2, records_per_node=n, **kwargs)
+    wh = cluster(2, n, **kwargs)
     wh.bulk_load([(i * 2, f"rec-{i}") for i in range(n)])
     shadow = {i * 2: (i * 2, f"rec-{i}") for i in range(n)}
     for i in range(n // 8):
@@ -154,8 +158,7 @@ def loaded(n=600, **kwargs):
     for i in range(n // 10):
         wh.insert((i * 4 + 1, f"new-{i}"))
         shadow[i * 4 + 1] = (i * 4 + 1, f"new-{i}")
-    for node in wh.nodes:
-        node.masm.flush_buffer()
+    wh.flush_all()
     return wh, shadow
 
 
@@ -188,8 +191,8 @@ def test_partitioned_scan_survives_corrupt_shard_run():
     """A mid-scan checksum failure on ONE shard's run quarantines that run
     and falls back to its redo log — without corrupting the merged result
     or leaking post-snapshot updates into the pinned timestamp."""
-    wh, shadow = loaded(attach_logs=True)
-    victim = next(node for node in wh.nodes if node.masm.runs)
+    wh, shadow = loaded()
+    victim = next(node for node in nodes(wh) if node.masm.runs)
     flip_one_bit(victim.masm.runs[0])
     ts = wh.oracle.next()
     # Updates committed after the snapshot was drawn: the scan pinned at
