@@ -74,7 +74,7 @@ def build_workload(num_runs: int, per_run: int, table_rows: int):
             )
             for i in range(per_run)
         ]
-        runs.append(write_run(ssd, f"hotpath-run-{r}", updates, codec))
+        runs.append(write_run(ssd, f"hotpath-run-{r}", ref.columns_of(updates, codec), codec))
     disk = StorageVolume(SimulatedDisk(capacity=1 * GB))
     table = build_synthetic_table(disk, num_records=table_rows)
     return schema, runs, table
@@ -105,7 +105,7 @@ def reference_merge(schema, runs):
 
 
 def shipping_merge(schema, runs, cache) -> MergeUpdates:
-    return MergeUpdates([RunScan(run, *FULL_KEY_RANGE, cache=cache) for run in runs], schema)
+    return MergeUpdates([RunScan(run, *FULL_KEY_RANGE, cache=cache) for run in runs])
 
 
 def measure_merge(schema, runs, cache=None, reference: bool = False) -> float:

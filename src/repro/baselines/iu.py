@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from repro.core.operators import MergeDataUpdates, MergeUpdates
-from repro.core.update import UpdateCodec, UpdateRecord, UpdateType, combine_chain
+from repro.core.update import UpdateCodec, UpdateColumns, UpdateRecord, UpdateType
 from repro.engine.btree import BPlusTree
 from repro.engine.table import Table
 from repro.errors import UpdateCacheFullError
@@ -143,38 +143,23 @@ class IndexedUpdates:
         self.cached_updates += 1
 
     # ------------------------------------------------------------------ scans
-    def _fetch(self, entry: tuple) -> UpdateRecord:
-        kind, offset, length, _ts = entry
-        data = self.tables[kind].read_entry(offset, length)
-        update, _ = self.codec.decode(data)
-        return update
-
     def _updates_for_range(
         self, begin_key: int, end_key: int, query_ts: int
-    ) -> Iterator[UpdateRecord]:
-        """Combined updates per key, fetched with one random read each."""
-        chain: list[UpdateRecord] = []
-        for key, entry in self.index.range(begin_key, end_key):
-            if entry[3] > query_ts:
-                continue
-            update = self._fetch(entry)
-            if chain and chain[0].key != key:
-                yield self._combined(chain)
-                chain = []
-            chain.append(update)
-        if chain:
-            yield self._combined(chain)
-
-    def _combined(self, chain: list[UpdateRecord]) -> UpdateRecord:
-        chain.sort(key=UpdateRecord.sort_key)
-        return combine_chain(chain, self.table.schema)
+    ) -> UpdateColumns:
+        """The cached updates of keys in [begin, end] visible at
+        ``query_ts``, each entry fetched with one random read, in (key, ts)
+        order as stored — the merge combines each key's chain."""
+        fetched = [
+            self.tables[kind].read_entry(offset, length)
+            for _key, (kind, offset, length, ts) in self.index.range(begin_key, end_key)
+            if ts <= query_ts
+        ]
+        return UpdateColumns.from_encoded(fetched, self.codec).sorted()
 
     def range_scan(self, begin_key: int, end_key: int) -> Iterator[tuple]:
         """Fresh records: table scan merged with index-fetched updates."""
         query_ts = self.oracle.next()
-        updates = MergeUpdates(
-            [self._updates_for_range(begin_key, end_key, query_ts)], self.table.schema
-        )
+        updates = MergeUpdates([self._updates_for_range(begin_key, end_key, query_ts)])
         return iter(
             MergeDataUpdates(
                 None,

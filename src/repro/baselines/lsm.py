@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-import heapq
-
-from repro.core.operators import MergeDataUpdates, MergeUpdates
+from repro.core import kernels
+from repro.core.operators import MergeDataUpdates, MergeUpdates, RunScan
 from repro.core.runindex import COARSE_GRANULARITY
 from repro.core.sortedrun import MaterializedSortedRun, write_run
-from repro.core.update import UpdateCodec, UpdateRecord, UpdateType
+from repro.core.update import UpdateCodec, UpdateColumns, UpdateRecord, UpdateType
 from repro.engine.table import Table
 from repro.storage.file import StorageVolume
 from repro.txn.timestamps import TimestampOracle
@@ -59,7 +58,8 @@ class LSMUpdateCache:
         self.level_targets = [
             memory_bytes * (size_ratio ** (i + 1)) for i in range(levels)
         ]
-        self._c0: list[UpdateRecord] = []
+        #: C0: the updates as encoded, in arrival order (like MaSM's buffer).
+        self._c0: list[bytes] = []
         self._c0_bytes = 0
         self._runs: list[Optional[MaterializedSortedRun]] = [None] * levels
         self._seq = 0
@@ -85,8 +85,9 @@ class LSMUpdateCache:
         return ts
 
     def apply(self, update: UpdateRecord) -> None:
-        self._c0.append(update)
-        self._c0_bytes += self.codec.encoded_size(update)
+        encoded = self.codec.encode(update)
+        self._c0.append(encoded)
+        self._c0_bytes += len(encoded)
         self.updates_ingested += 1
         if self._c0_bytes >= self.memory_bytes:
             self._propagate(0)
@@ -99,24 +100,25 @@ class LSMUpdateCache:
         existing entries is what inflates the write count.
         """
         if level == 0:
-            incoming = sorted(self._c0, key=UpdateRecord.sort_key)
+            incoming = [self._c0_columns()] if self._c0 else []
             self._c0 = []
             self._c0_bytes = 0
         else:
             run = self._runs[level - 1]
-            incoming = list(run.scan(0, 2**63 - 1)) if run else []
+            incoming = list(run.column_groups(0, 2**63 - 1)) if run else []
             if run is not None:
                 self.ssd.delete(run.name)
                 self._runs[level - 1] = None
         if not incoming:
             return
         existing_run = self._runs[level]
-        sources = [iter(incoming)]
-        size_hint = self._estimate_bytes(incoming) + self.block_size
+        pieces = incoming
+        size_hint = sum(piece.encoded_bytes for piece in incoming) + self.block_size
         if existing_run is not None:
-            sources.append(existing_run.scan(0, 2**63 - 1))
+            pieces = incoming + list(existing_run.column_groups(0, 2**63 - 1))
             size_hint += existing_run.file.size + self.block_size
-        merged = heapq.merge(*sources, key=UpdateRecord.sort_key)
+        # Every update is kept; a (key, ts) tie goes to the incoming level.
+        merged = kernels.merge_sorted(pieces)
         new_name = f"{self.name}-c{level + 1}-{self._seq:05d}"
         self._seq += 1
         new_run = write_run(
@@ -140,31 +142,25 @@ class LSMUpdateCache:
                 # data (what bounds Ch at its target in the steady state).
                 self.migrate()
 
-    def _estimate_bytes(self, updates: list[UpdateRecord]) -> int:
-        return sum(self.codec.encoded_size(u) for u in updates)
+    def _c0_columns(self) -> UpdateColumns:
+        """C0 in (key, ts) order, over its bytes."""
+        return UpdateColumns.from_encoded(self._c0, self.codec).sorted()
 
     # ------------------------------------------------------------------ scans
-    def _c0_scan(
-        self, begin_key: int, end_key: int, query_ts: int
-    ) -> Iterator[UpdateRecord]:
-        visible = [
-            u
-            for u in self._c0
-            if begin_key <= u.key <= end_key and u.timestamp <= query_ts
-        ]
-        visible.sort(key=UpdateRecord.sort_key)
-        return iter(visible)
-
     def range_scan(self, begin_key: int, end_key: int) -> Iterator[tuple]:
         """Fresh records: index range scans on every LSM level plus C0."""
         query_ts = self.oracle.next()
-        sources = [
-            run.scan(begin_key, end_key, query_ts)
+        sources: list = [
+            RunScan(run, begin_key, end_key, query_ts)
             for run in self._runs
             if run is not None
         ]
-        sources.append(self._c0_scan(begin_key, end_key, query_ts))
-        updates = MergeUpdates(sources, self.table.schema, cpu=self.table.cpu)
+        c0 = self._c0_columns()
+        keys = c0.keys
+        sources.append(
+            c0.rows((keys >= begin_key) & (keys <= end_key) & (c0.timestamps <= query_ts))
+        )
+        updates = MergeUpdates(sources, cpu=self.table.cpu)
         return iter(
             MergeDataUpdates(
                 None,
@@ -184,11 +180,10 @@ class LSMUpdateCache:
         if run is None:
             return
         t = self.oracle.next()
-        schema = self.table.schema
-        merge = MergeUpdates([run.scan(0, 2**63 - 1, query_ts=t)], schema)
+        merge = MergeUpdates([RunScan(run, 0, 2**63 - 1, query_ts=t)])
         stats = MigrationStats(timestamp=t)
         rows, entries, out_pages = drain(
-            rewrite_heap(self.table.heap, schema, merge.kernel_batches(), stats)
+            rewrite_heap(self.table.heap, self.table.schema, merge.kernel_batches(), stats)
         )
         self.table.heap.truncate(out_pages)
         self.table.replace_contents(entries, rows)

@@ -16,7 +16,7 @@ from typing import Iterator, Optional
 
 from repro.core.migration import MigrationStats
 from repro.core.operators import MergeDataUpdates, MergeUpdates
-from repro.core.update import UpdateCodec, UpdateRecord, UpdateType
+from repro.core.update import UpdateCodec, UpdateColumns, UpdateRecord, UpdateType
 from repro.engine.btree import BPlusTree
 from repro.engine.heapfile import HeapFile
 from repro.engine.table import Table
@@ -43,6 +43,7 @@ class InMemoryDifferential:
         # default: the volume backing the table's heap file.
         self.disk = disk_volume or table.heap.file.volume
         self.auto_migrate = auto_migrate
+        #: key -> (timestamp, encoded update), a key's updates in arrival order.
         self._tree = BPlusTree()
         self._bytes = 0
         self._copy_seq = 0
@@ -68,8 +69,9 @@ class InMemoryDifferential:
         return ts
 
     def apply(self, update: UpdateRecord) -> None:
-        self._tree.insert(update.key, update)
-        self._bytes += self.codec.encoded_size(update)
+        encoded = self.codec.encode(update)
+        self._tree.insert(update.key, (update.timestamp, encoded))
+        self._bytes += len(encoded)
         self.updates_ingested += 1
         if self.auto_migrate and self._bytes >= self.memory_bytes:
             self.migrate()
@@ -83,18 +85,19 @@ class InMemoryDifferential:
         return self._bytes >= self.memory_bytes
 
     # ------------------------------------------------------------------ scans
-    def _updates(self, begin_key: int, end_key: int, query_ts: int):
-        for _key, update in self._tree.range(begin_key, end_key):
-            if update.timestamp <= query_ts:
-                yield update
+    def _updates(self, begin_key: int, end_key: int, query_ts: int) -> UpdateColumns:
+        """The cached updates of keys in [begin, end] visible at
+        ``query_ts``, in (key, ts) order, as encoded."""
+        visible = [
+            encoded
+            for _key, (ts, encoded) in self._tree.range(begin_key, end_key)
+            if ts <= query_ts
+        ]
+        return UpdateColumns.from_encoded(visible, self.codec).sorted()
 
     def range_scan(self, begin_key: int, end_key: int) -> Iterator[tuple]:
         query_ts = self.oracle.next()
-        updates = MergeUpdates(
-            [self._updates(begin_key, end_key, query_ts)],
-            self.table.schema,
-            cpu=self.table.cpu,
-        )
+        updates = MergeUpdates([self._updates(begin_key, end_key, query_ts)], cpu=self.table.cpu)
         return iter(
             MergeDataUpdates(
                 None,
@@ -115,11 +118,7 @@ class InMemoryDifferential:
         if len(self._tree) == 0:
             return None
         t = self.oracle.next()
-        updates = iter(
-            MergeUpdates(
-                [self._updates(0, 2**63 - 1, t)], self.table.schema, cpu=self.table.cpu
-            )
-        )
+        updates = iter(MergeUpdates([self._updates(0, 2**63 - 1, t)], cpu=self.table.cpu))
         heap = self.table.heap
         copy_name = f"{self.table.name}-copy-{self._copy_seq}"
         self._copy_seq += 1

@@ -846,7 +846,6 @@ class MaSM:
                 )
                 updates = MergeUpdates(
                     update_sources,
-                    self.table.schema,
                     cpu=self.cpu,
                     blocks_per_partition=self.config.kernel_blocks_per_partition,
                 )
@@ -932,14 +931,15 @@ class MaSM:
         end_key: int,
         query_ts: Optional[int],
         after: Optional[tuple[int, int]],
-    ) -> Iterator[UpdateRecord]:
+    ) -> UpdateColumns:
         """Replace a damaged run's scan with redo-log replay of its range.
 
-        Quarantines the run (first failure only), then yields exactly the
-        updates the run's intact blocks would have yielded: the table's
-        logged updates inside the run's covered timestamp range, (key, ts)-
-        sorted, with the query's key range, timestamp visibility, ``after``
-        resume position and the run's migrated ranges applied.
+        Quarantines the run (first failure only), then returns exactly the
+        updates the run's intact blocks would have delivered, as logged: the
+        table's logged updates inside the run's covered timestamp range,
+        (key, ts)-sorted, with the query's key range, timestamp visibility,
+        ``after`` resume position and the run's masked spans (migrated and
+        merged ranges) applied.
         """
         if run.quarantine("block failed verification during scan"):
             self.stats.quarantined_runs += 1
@@ -959,9 +959,9 @@ class MaSM:
             wanted &= timestamps <= query_ts
         if after is not None:
             wanted &= (keys > after[0]) | ((keys == after[0]) & (timestamps > after[1]))
-        for lo, hi in run.migrated_ranges:
+        for lo, hi in run.masked_spans():
             wanted &= (keys < lo) | (keys > hi)
-        yield from replayed.rows(wanted).records
+        return replayed.rows(wanted)
 
     def _replay_run_updates(self, run: MaterializedSortedRun) -> UpdateColumns:
         """The table's logged updates in ``run``'s covered timestamp range,
@@ -1042,7 +1042,7 @@ class MaSM:
     def _swap_rebuilt_run(
         self,
         run: MaterializedSortedRun,
-        updates: "UpdateColumns | list[UpdateRecord]",
+        updates: UpdateColumns,
         source: str,
     ) -> MaterializedSortedRun:
         """Replace ``run``'s damaged SSD file with a fresh materialization
@@ -1102,25 +1102,25 @@ class MaSM:
         updates = donor.updates_in_ts_span(
             run.covered_min_ts, run.covered_max_ts
         )
-        if not updates:
+        if not len(updates):
             return False
         self._swap_rebuilt_run(run, updates, source="peer")
         return True
 
-    def updates_in_ts_span(self, min_ts: int, max_ts: int) -> list[UpdateRecord]:
-        """Every durable update with timestamp in ``[min_ts, max_ts]``.
+    def updates_in_ts_span(self, min_ts: int, max_ts: int) -> UpdateColumns:
+        """Every durable update with timestamp in ``[min_ts, max_ts]``, as
+        stored.
 
         The donor side of peer repair when run names do not line up: the
-        union of run contents (unfiltered by migrated ranges) and the
-        in-memory buffer, deduplicated by (timestamp, key) and (key, ts)-
-        sorted.  Raises on quarantined runs in range — a donor must be
-        healthy.
+        union of run contents (every block read and verified, unfiltered by
+        masked ranges) and the in-memory buffer, deduplicated by (key,
+        timestamp) — the first copy met wins — and (key, ts)-sorted.  Raises
+        on quarantined runs in range — a donor must be healthy.
         """
-        seen: set[tuple[int, int]] = set()
-        collected: list[UpdateRecord] = []
         with self._lock:
             runs = list(self.runs)
-            buffered = self.buffer.updates(min_ts, max_ts)
+            buffered, _ = self.buffer.columns_range(0, 2**64 - 1, max_ts)
+        pieces: list[UpdateColumns] = []
         for run in runs:
             if run.covered_max_ts < min_ts or run.covered_min_ts > max_ts:
                 continue
@@ -1128,18 +1128,18 @@ class MaSM:
                 raise StorageError(
                     f"{self.name}: donor run {run.name!r} is quarantined"
                 )
-            for update in run.raw_records(min_ts, max_ts):
-                tag = (update.timestamp, update.key)
-                if tag not in seen:
-                    seen.add(tag)
-                    collected.append(update)
-        for update in buffered:
-            tag = (update.timestamp, update.key)
-            if tag not in seen:
-                seen.add(tag)
-                collected.append(update)
-        collected.sort(key=UpdateRecord.sort_key)
-        return collected
+            pieces.extend(run.stored_blocks())
+        if buffered is not None:
+            pieces.append(buffered)
+        if not pieces:
+            return UpdateColumns.from_encoded([], self.codec)
+        stored = UpdateColumns.concat(pieces)
+        timestamps = stored.timestamps
+        stored = stored.rows((timestamps >= min_ts) & (timestamps <= max_ts)).sorted()
+        keys, timestamps = stored.keys, stored.timestamps
+        first = np.ones(len(stored), dtype=bool)  # the first copy of each (key, ts)
+        first[1:] = (keys[1:] != keys[:-1]) | (timestamps[1:] != timestamps[:-1])
+        return stored.rows(first)
 
     # ----------------------------------------------------------- checkpoints
     def _checkpoint_fence(self) -> int:

@@ -5,7 +5,7 @@ in their encoded form — the bytes the redo log framed and a flush will pack
 into run blocks unchanged.  Readers see the buffer in (key, timestamp)
 order — the first reader after an append puts the new arrivals in their
 places — and take a key range of it as
-:class:`~repro.core.update.UpdateColumns` or as decoded records.
+:class:`~repro.core.update.UpdateColumns`.
 Concurrent scans survive both re-sorts and flushes the way Section 3.2
 describes:
 
@@ -27,7 +27,7 @@ from bisect import bisect_left
 from operator import itemgetter
 from typing import Optional
 
-from repro.core.update import UpdateCodec, UpdateColumns, UpdateRecord
+from repro.core.update import UpdateCodec, UpdateColumns
 from repro.engine.record import Schema
 from repro.errors import UpdateCacheFullError
 
@@ -155,13 +155,6 @@ class InMemoryUpdateBuffer:
             pieces = [e[2] for e in entries[lo:hi] if e[1] <= query_ts]
             flush_epoch = self.flush_epoch
         return (UpdateColumns.from_encoded(pieces, self.codec) if pieces else None), flush_epoch
-
-    def updates(self, min_ts: int, max_ts: int) -> list[UpdateRecord]:
-        """The buffered updates with ``min_ts <= ts <= max_ts``, decoded, in
-        (key, ts) order."""
-        decode = self.codec.decode
-        with self._latch:
-            return [decode(e[2])[0] for e in self._place() if min_ts <= e[1] <= max_ts]
 
     def min_timestamp(self) -> Optional[int]:
         with self._latch:

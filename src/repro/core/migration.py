@@ -116,7 +116,6 @@ def _migrate_everything(
     full = (0, 2**63 - 1)
     merge = MergeUpdates(
         masm.run_update_sources(runs, *full, query_ts=t, use_cache=False),
-        table.schema,
         cpu=masm.cpu,
     )
     stats = MigrationStats(timestamp=t)
@@ -361,7 +360,6 @@ def migrate_range(
     updates = iter(
         MergeUpdates(
             masm.run_update_sources(runs, begin_key, end_key, query_ts=t),
-            schema,
             cpu=masm.cpu,
         )
     )

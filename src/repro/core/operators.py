@@ -12,6 +12,7 @@
 
 There is one pipeline: every source hands over the updates of a key partition
 as :class:`~repro.core.update.UpdateColumns` (bytes plus header columns),
+encoded where the update entered the system and never again,
 :func:`repro.core.kernels.merge_slices` merges and combines the partition,
 and :func:`join_batches` joins the batches with the table's rows, arrays in
 and out.  Iterating a source or the merge decodes those columns into
@@ -23,7 +24,7 @@ suites compare against live in ``tests/reference_operators.py``.
 from __future__ import annotations
 
 from itertools import chain as _chain
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 import numpy as _np
 
@@ -31,7 +32,7 @@ from repro.core import kernels
 from repro.core.blockcache import DecodedBlockCache
 from repro.core.membuffer import InMemoryUpdateBuffer
 from repro.core.sortedrun import MaterializedSortedRun
-from repro.core.update import UpdateCodec, UpdateColumns, UpdateRecord
+from repro.core.update import UpdateColumns, UpdateRecord
 from repro.engine.record import Schema
 from repro.engine.table import pair_chunks
 from repro.errors import ChecksumError, TransientIOError
@@ -53,9 +54,11 @@ class RunScan:
     ``fallback`` makes the scan degrade gracefully when the run's SSD copy
     turns out to be damaged: if a block fails checksum verification (or a
     read keeps failing transiently past the retry budget), the scan hands
-    over to ``fallback(after)`` — a slower but correct replacement stream,
-    in practice MaSM's redo-log replay of the run's timestamp range.  The
-    handover is seamless because the run scan verifies each block *before*
+    over to ``fallback(after)`` — a slower but correct replacement: the
+    updates past ``after`` as (key, ts)-sorted :class:`UpdateColumns` in
+    buffer order (:meth:`UpdateColumns.sorted`), in practice MaSM's redo-log
+    replay of the run's timestamp range, as logged.  The handover is
+    seamless because the run scan verifies each block *before*
     yielding anything from it, so ``after`` (the last yielded (key, ts)
     position, or None) is an exact resume point — the same contract
     :class:`MemScan` uses when a flush hands it over to a run.
@@ -69,9 +72,7 @@ class RunScan:
         query_ts: Optional[int] = None,
         cache: Optional[DecodedBlockCache] = None,
         stats=None,
-        fallback: Optional[
-            Callable[[Optional[tuple[int, int]]], Iterable[UpdateRecord]]
-        ] = None,
+        fallback: Optional[Callable[[Optional[tuple[int, int]]], UpdateColumns]] = None,
     ) -> None:
         self.run = run
         self.begin_key = begin_key
@@ -90,7 +91,7 @@ class RunScan:
         when asked for — what structural merges and compaction slices write
         runs from, and what :meth:`__iter__` decodes.  On a damaged group
         (or a quarantined run) the rest of the scan is the ``fallback``
-        stream past the last piece delivered, encoded in one piece."""
+        past the last piece delivered, in one piece."""
         run = self.run
         after: Optional[tuple[int, int]] = None
         if not (run.quarantined and self.fallback is not None):
@@ -109,9 +110,9 @@ class RunScan:
                 # The run's bytes can no longer be trusted (or read).
                 if self.fallback is None:
                     raise
-        records = list(self.fallback(after))
-        if records:
-            yield UpdateColumns.from_records(records, run.codec)
+        columns = self.fallback(after)
+        if len(columns):
+            yield columns
 
 
 class MemScan:
@@ -177,35 +178,55 @@ class MemScan:
         )
 
 
+#: What :class:`MergeUpdates` merges: a run's scan, the memory buffer's, or
+#: any other (key, ts)-sorted updates as columns in buffer order
+#: (:meth:`UpdateColumns.sorted`) — a transaction's own writes, a baseline's
+#: store.
+UpdateSource = Union[RunScan, MemScan, UpdateColumns]
+
+
+def _key_slicer(
+    columns: Optional[UpdateColumns],
+) -> Callable[[int, Optional[int]], Optional[UpdateColumns]]:
+    """``(lo, hi) ->`` the rows of ``columns`` with keys in [lo, hi] (no
+    upper bound when ``hi`` is None), None when there are none."""
+
+    def take(lo: int, hi: Optional[int]) -> Optional[UpdateColumns]:
+        if columns is None:
+            return None
+        first = key_position(columns.keys, lo, "left")
+        last = len(columns) if hi is None else key_position(columns.keys, hi, "right")
+        return columns.rows(slice(first, last)) if first < last else None
+
+    return take
+
+
 class MergeUpdates:
-    """K-way merge of sorted update streams, combining same-key chains.
+    """K-way merge of sorted update sources, combining same-key chains.
 
     The merge runs array-at-a-time: the key range is split into partitions
     at boundary keys drawn from the healthy runs' own indexes (one unbounded
     partition when there is none), each run contributes a partition slice in
     columnar form (:meth:`MaterializedSortedRun.slice_columns`), the memory
-    buffer its own (:meth:`MemScan.slice_columns`), any other source — a
-    transaction's own writes, a baseline's update stream, a quarantined
-    run's fallback — is encoded into the same form once and sliced, and one
-    kernel invocation merges + combines the partition
-    (:func:`repro.core.kernels.merge_slices`).  The join
+    buffer its own (:meth:`MemScan.slice_columns`), an :class:`UpdateColumns`
+    source and a quarantined run's scan (its ``fallback``) the key range of
+    what they hold, and one kernel invocation merges + combines the
+    partition (:func:`repro.core.kernels.merge_slices`).  The join
     (:class:`MergeDataUpdates`) takes the batches as they are; iterating the
     merge yields one combined :class:`UpdateRecord` per distinct key, in key
     order, decoded from them.  A run that fails mid-scan (checksum/transient
-    I/O) degrades to its ``fallback`` stream from the current partition
-    boundary on — slices are built atomically, so nothing from the failed
-    partition was delivered.
+    I/O) degrades to its ``fallback`` from the current partition boundary
+    on — slices are built atomically, so nothing from the failed partition
+    was delivered.
     """
 
     def __init__(
         self,
-        sources: Iterable[Iterable[UpdateRecord]],
-        schema: Schema,
+        sources: Iterable[UpdateSource],
         cpu: Optional[CpuMeter] = None,
         blocks_per_partition: Optional[int] = None,
     ) -> None:
         self.sources = list(sources)
-        self.schema = schema
         self.cpu = cpu
         self.blocks_per_partition = (
             blocks_per_partition
@@ -222,29 +243,23 @@ class MergeUpdates:
         key), each built when asked for."""
         cpu = self.cpu
         sources = self.sources
-        schema = self.schema
         runs: dict[int, RunScan] = {
             slot: src
             for slot, src in enumerate(sources)
             if isinstance(src, RunScan) and not src.run.quarantined
         }
 
-        def sliced(source: Iterable[UpdateRecord]) -> Callable:
-            """An object-backed source, encoded once the way the runs are."""
-            columns = UpdateColumns.from_records(list(source), UpdateCodec(schema))
-
-            def take(lo: int, hi: Optional[int]) -> Optional[UpdateColumns]:
-                first = key_position(columns.keys, lo, "left")
-                last = len(columns) if hi is None else key_position(columns.keys, hi, "right")
-                return columns.rows(slice(first, last)) if first < last else None
-
-            return take
+        def slicer(src) -> Callable:
+            if isinstance(src, MemScan):
+                return src.slice_columns
+            if isinstance(src, RunScan):  # quarantined
+                groups = list(src.column_groups())
+                return _key_slicer(UpdateColumns.concat(groups) if groups else None)
+            return _key_slicer(src)
 
         #: Every other source, as ``(lo, hi) -> its columns in [lo, hi]``.
         extras: dict[int, Callable] = {
-            slot: src.slice_columns if isinstance(src, MemScan) else sliced(src)
-            for slot, src in enumerate(sources)
-            if slot not in runs
+            slot: slicer(src) for slot, src in enumerate(sources) if slot not in runs
         }
         begin = min((rs.begin_key for rs in runs.values()), default=0)
         end = max((rs.end_key for rs in runs.values()), default=begin)
@@ -283,7 +298,7 @@ class MergeUpdates:
                             raise
                         after = None if lo <= begin else (lo - 1, _MAX_TS)
                         del runs[slot]
-                        extras[slot] = sliced(rs.fallback(after))
+                        extras[slot] = _key_slicer(rs.fallback(after))
                         cols = extras[slot](lo, hi)
                 if cols is not None:
                     slices.append(cols)

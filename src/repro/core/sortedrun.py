@@ -13,8 +13,8 @@ migrated; scans skip updates inside migrated ranges.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from typing import Iterable, Iterator, Optional
+from bisect import bisect_left
+from typing import Iterator, Optional
 
 import numpy as _np
 
@@ -344,31 +344,21 @@ class MaterializedSortedRun:
                 return None
         return columns
 
-    def raw_records(
-        self,
-        min_ts: Optional[int] = None,
-        max_ts: Optional[int] = None,
-    ) -> Iterator[UpdateRecord]:
-        """Every record in the run, filtered only by timestamp span.
+    def stored_blocks(self) -> Iterator[UpdateColumns]:
+        """Every update in the run, one block read at a time, as columns.
 
-        Unlike :meth:`scan`, migrated ranges are *not* filtered: this is the
-        donor side of peer repair, which must hand over the run's complete
-        durable content — the receiver keeps its own migrated-range
-        bookkeeping.  Blocks are checksum-verified, so a damaged donor run
-        raises instead of spreading corruption.
+        Unlike :meth:`scan`, nothing is filtered — not even migrated or
+        merged ranges: this is the donor side of peer repair, which must
+        hand over the run's complete durable content (the receiver keeps its
+        own masks).  Each block is checksum-verified, so a damaged donor run
+        raises instead of spreading corruption.  Empty blocks yield nothing.
         """
         for block in range(self.num_blocks):
             data = self.file.read(block * self.block_size, self.block_size)
             _checksum.verify(data, context=f"run {self.name!r} block {block}")
-            (count,) = _BLOCK_HEADER.unpack_from(data, 0)
-            offset = _BLOCK_HEADER.size
-            for _ in range(count):
-                update, offset = self.codec.decode(data, offset)
-                if min_ts is not None and update.timestamp < min_ts:
-                    continue
-                if max_ts is not None and update.timestamp > max_ts:
-                    continue
-                yield update
+            entry = ColumnarBlock(data, self.codec)
+            if entry.count:
+                yield entry.update_columns()
 
     def block_digests(self) -> list[int]:
         """Per-block CRC digests for cross-replica anti-entropy comparison.
@@ -418,13 +408,6 @@ class MaterializedSortedRun:
             else:
                 combined.append((lo, hi))
         return combined
-
-    def _is_migrated(self, key: int) -> bool:
-        ranges = self.masked_spans()
-        if not ranges:
-            return False
-        i = bisect_right(ranges, (key, float("inf"))) - 1
-        return i >= 0 and ranges[i][0] <= key <= ranges[i][1]
 
     def fully_migrated(self, table_min: int, table_max: int) -> bool:
         """True if the migrated ranges cover [table_min, table_max]."""
@@ -509,7 +492,7 @@ def load_run(
 def write_run(
     volume: StorageVolume,
     name: str,
-    updates: "UpdateColumns | Iterable[UpdateRecord]",
+    updates: UpdateColumns,
     codec: UpdateCodec,
     block_size: int = COARSE_GRANULARITY,
     write_chunk: int = DEFAULT_WRITE_CHUNK,
@@ -519,9 +502,9 @@ def write_run(
     """Materialize (key, ts)-sorted updates as a run on ``volume``.
 
     ``updates`` are encoded updates in columnar form (a flushed buffer, a
-    merge's output), whose bytes go into the blocks as they are;
-    :class:`UpdateRecord` s are encoded into that form first.  Blocks are
-    packed from the length column, greedily, never splitting an update.
+    merge's output, a log replay), whose bytes go into the blocks as they
+    are.  Blocks are packed from the length column, greedily, never
+    splitting an update.
 
     ``size_hint`` pre-allocates the file and writes it ``write_chunk`` bytes
     at a time (merges), shrinking the extent to the written size afterwards;
@@ -529,8 +512,6 @@ def write_run(
     :class:`StorageError`, before anything is written, if there are no
     updates, they are out of order, or one does not fit a block.
     """
-    if not isinstance(updates, UpdateColumns):
-        updates = UpdateColumns.from_records(list(updates), codec)
     count = len(updates)
     if not count:
         raise StorageError(f"refusing to materialize empty run {name!r}")

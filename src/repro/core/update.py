@@ -711,14 +711,6 @@ class UpdateColumns:
         return len(self.keys)
 
     @classmethod
-    def from_records(
-        cls, records: Sequence[UpdateRecord], codec: UpdateCodec
-    ) -> "UpdateColumns":
-        """Encode object-backed updates (fallback replays, oracles, callers
-        at the API edge) into the form run blocks already have."""
-        return cls.from_encoded(codec.encode_many(records), codec)
-
-    @classmethod
     def from_encoded(cls, pieces: Sequence[bytes], codec: UpdateCodec) -> "UpdateColumns":
         """Updates that are already encoded (:meth:`UpdateCodec.encode`
         output: the memory buffer's entries, WAL frame payloads), in the
@@ -730,8 +722,12 @@ class UpdateColumns:
         return cls(data, codec, keys, timestamps, ops, offsets, lengths)
 
     def sorted(self) -> "UpdateColumns":
-        """The rows in (key, ts) order — equal positions keep their order."""
-        return self.rows(_np.lexsort((self.timestamps, self.keys)))
+        """The rows in (key, ts) order — equal positions keep their order —
+        over a buffer that holds them back to back (:meth:`contiguous`): the
+        form every update source hands the merge."""
+        if not len(self):
+            return self
+        return self.rows(_np.lexsort((self.timestamps, self.keys))).contiguous()
 
     @property
     def encoded_bytes(self) -> int:

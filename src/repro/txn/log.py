@@ -252,15 +252,12 @@ class RedoLog:
         if self._dirty_end > pos:
             self.file.zero_range(pos, min(_FRAME.size, self._dirty_end - pos))
 
-    def log_update(self, table: str, update: "UpdateRecord | bytes") -> None:
-        """Log one update of ``table``: its encoding — the engine passes the
-        bytes it also buffers, encoded once — or the record, encoded here."""
-        codec = self.codecs.get(table)
-        if codec is None:
+    def log_update(self, table: str, encoded: bytes) -> None:
+        """Log one update of ``table`` as its codec encoded it — the bytes
+        the engine also buffers, encoded once."""
+        if table not in self.codecs:
             raise RecoveryError(f"no codec registered for table {table!r}")
-        if not isinstance(update, bytes):
-            update = codec.encode(update)
-        self._append(LogRecordType.UPDATE, self._prefix(table), update)
+        self._append(LogRecordType.UPDATE, self._prefix(table), encoded)
 
     def _prefix(self, table: str) -> bytes:
         """``_pack_str(table)``, packed once per table."""
@@ -539,7 +536,7 @@ class RedoLog:
 
     def _replay(self) -> Iterator[tuple[LogRecordType, bytes]]:
         """``(type, frame)`` of every record from the beginning of the log —
-        the walk :meth:`records` and :meth:`updates` decode from.
+        the walk :meth:`records` and :meth:`encoded_updates` read.
 
         When the in-memory append cursor was lost with a crash the log is
         scanned to its first invalid frame (see :meth:`_frames`): a torn
@@ -602,14 +599,6 @@ class RedoLog:
                 timestamp = codec.peek_timestamp(frame, body)
                 if timestamp >= min_ts and (max_ts is None or timestamp <= max_ts):
                     yield frame[body:]
-
-    def updates(
-        self, table: str, min_ts: int = 0, max_ts: Optional[int] = None
-    ) -> Iterator[UpdateRecord]:
-        """:meth:`encoded_updates`, decoded (oracles, tools, tests)."""
-        codec = self.codecs.get(table)  # encoded_updates raises if there is none
-        for encoded in self.encoded_updates(table, min_ts, max_ts):
-            yield codec.decode(encoded)[0]
 
     def _torn_tail(self, offset: int, reason: str) -> None:
         """Count a torn tail record found while scanning after a crash.

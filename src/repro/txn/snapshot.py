@@ -16,7 +16,7 @@ from typing import Iterator, Optional
 
 from repro.core.masm import MaSM
 from repro.core.operators import MergeDataUpdates, MergeUpdates
-from repro.core.update import UpdateRecord, UpdateType, combine
+from repro.core.update import UpdateColumns, UpdateRecord, UpdateType, combine
 from repro.errors import TransactionAborted, TransactionError
 from repro.sim.hooks import interleave as sim_interleave
 
@@ -103,10 +103,7 @@ class SnapshotTransaction:
         base = self.manager.masm.range_scan(
             begin_key, end_key, query_ts=self.start_ts
         )
-        own = sorted(
-            (u for k, u in self._writes.items() if begin_key <= k <= end_key),
-            key=UpdateRecord.sort_key,
-        )
+        own = [u for k, u in sorted(self._writes.items()) if begin_key <= k <= end_key]
         if not own:
             return base
 
@@ -115,7 +112,8 @@ class SnapshotTransaction:
             # irrelevant here because private writes are never migrated.
             for record in base:
                 yield record, 0
-        updates = MergeUpdates([own], self.schema)
+        codec = self.manager.masm.codec
+        updates = MergeUpdates([UpdateColumns.from_encoded(codec.encode_many(own), codec)])
         return iter(MergeDataUpdates(pairs(), updates, self.schema))
 
     def get(self, key: int) -> Optional[tuple]:

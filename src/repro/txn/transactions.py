@@ -16,7 +16,7 @@ from typing import Iterator, Optional
 
 from repro.core.masm import MaSM
 from repro.core.operators import MergeDataUpdates, MergeUpdates
-from repro.core.update import UpdateRecord, UpdateType, combine
+from repro.core.update import UpdateColumns, UpdateRecord, UpdateType, combine
 from repro.errors import TransactionError
 from repro.txn.locks import LockManager, LockMode
 
@@ -89,18 +89,16 @@ class LockingTransaction:
         """Range read under shared locks (range lock = one resource here)."""
         self._lock(("range", begin_key, end_key), LockMode.SHARED)
         base = self.manager.masm.range_scan(begin_key, end_key)
-        own = sorted(
-            (
-                UpdateRecord(2**62, k, u.type, u.content)
-                for k, u in self._writes.items()
-                if begin_key <= k <= end_key
-            ),
-            key=UpdateRecord.sort_key,
-        )
+        own = [
+            UpdateRecord(2**62, k, u.type, u.content)
+            for k, u in sorted(self._writes.items())
+            if begin_key <= k <= end_key
+        ]
         if not own:
             return base
         pairs = ((record, 0) for record in base)
-        updates = MergeUpdates([own], self.schema)
+        codec = self.manager.masm.codec
+        updates = MergeUpdates([UpdateColumns.from_encoded(codec.encode_many(own), codec)])
         return iter(MergeDataUpdates(pairs, updates, self.schema))
 
     # ---------------------------------------------------------------- finish

@@ -224,7 +224,6 @@ def reference_full_migration(masm):
     updates = iter(
         MergeUpdates(
             masm.run_update_sources(runs, 0, 2**63 - 1, query_ts=t, use_cache=False),
-            table.schema,
             cpu=masm.cpu,
         )
     )

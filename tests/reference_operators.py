@@ -15,18 +15,42 @@ code does not import this module.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Iterator, Optional
+from bisect import bisect_right
+from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.core import sortedrun
 from repro.core.sortedrun import MaterializedSortedRun
 from repro.core.update import (
     BLOCK_HEADER,
+    UpdateCodec,
+    UpdateColumns,
     UpdateRecord,
     apply_update,
     combine_chain,
 )
 from repro.engine.record import Schema
 from repro.storage import checksum
+
+
+def columns_of(records: Sequence[UpdateRecord], codec: UpdateCodec) -> UpdateColumns:
+    """Records as the columns a merge source hands over and a run writer
+    takes: each one encoded, back to back, in the order given."""
+    return UpdateColumns.from_encoded(codec.encode_many(records), codec)
+
+
+def buffered_records(buffer, begin_key: int, end_key: int, query_ts: int) -> list[UpdateRecord]:
+    """The memory buffer's updates with keys in [begin, end] visible at
+    ``query_ts``, decoded, in (key, ts) order."""
+    columns, _ = buffer.columns_range(begin_key, end_key, query_ts)
+    return columns.records if columns is not None else []
+
+
+def is_masked(run: MaterializedSortedRun, key: int) -> bool:
+    """Does ``key`` lie in one of ``run``'s masked (migrated or merged)
+    spans?  One bisection over the coalesced span list."""
+    ranges = run.masked_spans()
+    i = bisect_right(ranges, (key, float("inf"))) - 1
+    return i >= 0 and ranges[i][0] <= key <= ranges[i][1]
 
 
 def scan_run(
@@ -60,7 +84,7 @@ def scan_run(
                     continue
                 if after is not None and update.sort_key() <= after:
                     continue
-                if run._is_migrated(update.key):
+                if is_masked(run, update.key):
                     continue
                 yield update
         block = group.stop

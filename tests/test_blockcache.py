@@ -23,7 +23,7 @@ def make_run(n=2000, name="r0", block_size=4 * KB, vol=None):
         UpdateRecord(i + 1, i * 2, UpdateType.INSERT, (i * 2, f"v{i}"))
         for i in range(n)
     ]
-    return write_run(vol, name, ups, CODEC, block_size=block_size)
+    return write_run(vol, name, ref.columns_of(ups, CODEC), CODEC, block_size=block_size)
 
 
 # ------------------------------------------------------------------ LRU core
@@ -285,7 +285,7 @@ def test_is_migrated_bisect_semantics():
         run.mark_migrated(lo, hi)
     covered = {k for lo, hi in [(10, 20), (40, 50), (90, 95)] for k in range(lo, hi + 1)}
     for key in range(0, 120):
-        assert run._is_migrated(key) == (key in covered)
+        assert ref.is_masked(run, key) == (key in covered)
 
 
 def test_many_partial_migrations_stay_compact():

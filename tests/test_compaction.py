@@ -17,6 +17,7 @@ import sys
 
 import pytest
 
+import reference_operators as ref_ops
 from repro.core import sortedrun
 from repro.core.compaction import (
     KEY_MAX,
@@ -28,7 +29,7 @@ from repro.core.compaction import (
     score_candidates,
 )
 from repro.core.masm import MaSM, MaSMConfig
-from repro.core.update import UpdateRecord
+from repro.core.update import UpdateRecord, UpdateType
 from repro.engine.record import synthetic_schema
 from repro.engine.table import Table
 from repro.errors import SimulatedCrash, StorageError
@@ -459,3 +460,81 @@ def test_a_slice_reads_its_victims_a_group_at_a_time_like_the_record_merge(monke
         whole = whole or slice_reads
     assert slice_reads < whole  # a short slice does not read the victims whole
 
+
+
+# ------------------------------------------------------------ degraded reads
+def insert_rounds(masm, rounds=6, per_round=60):
+    """Fresh odd keys (none in the table), one flushed run per round."""
+    expect = {}
+    for r in range(rounds):
+        for j in range(per_round):
+            key = (r * per_round + j) * 2 + 1
+            masm.insert((key, f"ins-{key}"))
+            expect[key] = f"ins-{key}"
+        masm.flush_buffer()
+    return expect
+
+
+def test_log_fallback_of_a_merged_victim_skips_its_masked_keys():
+    """A victim whose keys a published slice product re-homed is served
+    from the log without those keys: the product already hands them over."""
+    masm, *_ = build_system(emergency_slack=100)
+    expect = insert_rounds(masm)
+    masm.compactor.maybe_step()
+    masm.compactor.apply_pending()
+    victim = next(run for run in masm.runs if run.merged_ranges)
+    victim.quarantine("test damage")
+    got = scan_values(masm)
+    assert masm.stats.log_fallback_scans > 0
+    for key, value in expect.items():
+        assert got[key] == value
+
+
+def test_peer_repair_rebuilds_the_reference_run():
+    """The donor hands over its runs and its buffer, deduplicated by (ts,
+    key): here slice products overlap their masked victims, and the damaged
+    run's span reaches past the donor's runs into its buffer.  The rebuilt
+    run is, block for block, what the record-at-a-time writer makes of that
+    reference set."""
+    import reference_run_writer
+
+    donor, *_ = build_system(emergency_slack=100)
+    receiver, *_ = build_system(compaction="structural")
+    stream = [
+        UpdateRecord(ts, key, UpdateType.MODIFY, {"payload": f"v{ts}"})
+        for ts, key in enumerate(((i * 37) % 1000 * 2 for i in range(420)), start=1)
+    ]
+    for i, update in enumerate(stream):
+        donor.apply(update)
+        receiver.apply(update)
+        if i % 60 == 59 and i < 360:
+            donor.flush_buffer()
+    donor.compactor.maybe_step()
+    donor.compactor.apply_pending()
+    assert any(run.merged_ranges for run in donor.runs) and donor.buffer.count
+    damaged = receiver.flush_buffer()
+    assert (damaged.covered_min_ts, damaged.covered_max_ts) == (1, len(stream))
+    damaged.quarantine("test damage")
+
+    stored = []  # every update the donor holds, runs first, then its buffer
+    for run in donor.runs:
+        for block in range(run.num_blocks):
+            data = run.file.peek(block * run.block_size, run.block_size)
+            stored += run.codec.decode_block(data)
+    stored += ref_ops.buffered_records(donor.buffer, 0, KEY_MAX, 2**62)
+    assert len({(u.timestamp, u.key) for u in stored}) < len(stored)  # overlap
+    unique = {}
+    for update in stored:
+        unique.setdefault((update.timestamp, update.key), update)
+    expected = reference_run_writer.reference_write_run(
+        StorageVolume(SimulatedSSD(capacity=16 * MB)),
+        damaged.name,
+        sorted(unique.values(), key=UpdateRecord.sort_key),
+        receiver.codec,
+        block_size=receiver.config.block_size,
+    )
+
+    assert receiver.repair_run_from_peer(damaged.name, donor)
+    rebuilt = next(run for run in receiver.runs if run.name == damaged.name)
+    assert not rebuilt.quarantined
+    assert rebuilt.block_digests() == expected.block_digests()

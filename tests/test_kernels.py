@@ -24,7 +24,7 @@ from repro.core.blockcache import DecodedBlockCache
 from repro.core.membuffer import InMemoryUpdateBuffer
 from repro.core.operators import MemScan, MergeDataUpdates, MergeUpdates, RunScan
 from repro.core.sortedrun import write_run
-from repro.core.update import UpdateCodec, UpdateColumns, UpdateRecord, UpdateType
+from repro.core.update import UpdateCodec, UpdateRecord, UpdateType
 from repro.engine.record import synthetic_schema
 from repro.storage.file import StorageVolume
 from repro.storage.iosched import CpuMeter
@@ -81,7 +81,7 @@ def build_runs(vol, updates, num_runs, seed, block_size):
     for u in updates:
         per_run[seed.randrange(num_runs)].append(u)
     return [
-        write_run(vol, f"kern-run-{i}", batch, CODEC, block_size=block_size)
+        write_run(vol, f"kern-run-{i}", ref.columns_of(batch, CODEC), CODEC, block_size=block_size)
         for i, batch in enumerate(per_run)
         if batch  # write_run rejects empty streams: an empty deal = no run
     ]
@@ -123,16 +123,15 @@ def test_kernel_merge_matches_reference(data, updates):
         sources = [
             RunScan(run, begin, end, query_ts, cache=cache) for run in runs
         ]
-        merge = MergeUpdates(
-            sources, SCHEMA, blocks_per_partition=blocks_per_partition
-        )
+        merge = MergeUpdates(sources, blocks_per_partition=blocks_per_partition)
         assert encoded(merge) == encoded(reference)
 
 
 @settings(max_examples=25, deadline=None)
 @given(data=st.data(), updates=update_streams())
 def test_kernel_merge_with_non_columnar_sources(data, updates):
-    """Mixing RunScans with plain sorted iterables (the Mem_scan shape)."""
+    """Mixing RunScans with plain sorted columns: an object store (a write
+    set, a baseline) encoded once."""
     vol = StorageVolume(SimulatedSSD(capacity=16 * MB))
     seed = data.draw(st.randoms())
     # Deal across two runs and one plain in-memory list.
@@ -140,7 +139,7 @@ def test_kernel_merge_with_non_columnar_sources(data, updates):
     for u in updates:
         per_source[seed.randrange(3)].append(u)
     runs = [
-        write_run(vol, f"mix-run-{i}", batch, CODEC, block_size=512)
+        write_run(vol, f"mix-run-{i}", ref.columns_of(batch, CODEC), CODEC, block_size=512)
         for i, batch in enumerate(per_source[:2])
         if batch
     ]
@@ -156,9 +155,9 @@ def test_kernel_merge_with_non_columnar_sources(data, updates):
         )
     )
     sources = [RunScan(run, begin, end) for run in runs] + [
-        [u for u in memory if begin <= u.key <= end]
+        ref.columns_of([u for u in memory if begin <= u.key <= end], CODEC)
     ]
-    fast = MergeUpdates(sources, SCHEMA, blocks_per_partition=1)
+    fast = MergeUpdates(sources, blocks_per_partition=1)
     assert encoded(fast) == encoded(reference)
 
 
@@ -187,7 +186,7 @@ def test_kernel_join_matches_reference(data, updates):
 
     def updates_stream() -> MergeUpdates:
         sources = [RunScan(run, begin, end) for run in runs]
-        return MergeUpdates(sources, SCHEMA, blocks_per_partition=2)
+        return MergeUpdates(sources, blocks_per_partition=2)
 
     reference = ref.scan_rows(pairs, [ref.scan_run(run, begin, end) for run in runs], SCHEMA)
     fast = list(MergeDataUpdates(pairs, updates_stream(), SCHEMA))
@@ -297,7 +296,7 @@ def test_merge_slices_matches_reference_combine(updates, seed):
     streams: list[list[UpdateRecord]] = [[], [], []]
     for u in updates:
         streams[seed.randrange(3)].append(u)
-    slices = [UpdateColumns.from_records(s, CODEC) for s in streams if s]
+    slices = [ref.columns_of(s, CODEC) for s in streams if s]
     cpu = CpuMeter()
     batch = kernels.merge_slices(slices, cpu)
     reference = list(ref.merge_updates(streams, SCHEMA))
@@ -318,7 +317,7 @@ def make_run(vol=None, n=40, name="deg-run", block_size=256, key_offset=0, ts_of
         )
         for i in range(n)
     ]
-    return updates, write_run(vol, name, updates, CODEC, block_size=block_size)
+    return updates, write_run(vol, name, ref.columns_of(updates, CODEC), CODEC, block_size=block_size)
 
 
 def test_quarantined_run_streams_through_fallback():
@@ -330,10 +329,10 @@ def test_quarantined_run_streams_through_fallback():
     )
     run.quarantine("test damage")
     sources = [
-        RunScan(run, 0, 10**6, fallback=lambda after: iter(updates)),
+        RunScan(run, 0, 10**6, fallback=lambda after: ref.columns_of(updates, CODEC)),
         RunScan(healthy, 0, 10**6),
     ]
-    merge = MergeUpdates(sources, SCHEMA, blocks_per_partition=1)
+    merge = MergeUpdates(sources, blocks_per_partition=1)
     reference = list(
         ref.merge_updates([iter(updates), ref.scan_run(healthy, 0, 10**6)], SCHEMA)
     )
@@ -345,8 +344,8 @@ def test_all_sources_quarantined_disables_kernel_path():
     partition by, the fallbacks feed one unbounded partition."""
     updates, run = make_run()
     run.quarantine("test damage")
-    sources = [RunScan(run, 0, 10**6, fallback=lambda after: iter(updates))]
-    merge = MergeUpdates(sources, SCHEMA, blocks_per_partition=1)
+    sources = [RunScan(run, 0, 10**6, fallback=lambda after: ref.columns_of(updates, CODEC))]
+    merge = MergeUpdates(sources, blocks_per_partition=1)
     batches = list(merge.kernel_batches())
     assert [len(batch) for batch in batches] == [len(updates)]
     assert encoded(batches[0].records) == encoded(updates)
@@ -373,14 +372,12 @@ def test_mid_scan_corruption_degrades_to_fallback(monkeypatch):
 
     def fallback(after):
         if after is None:
-            return iter(updates)
+            return ref.columns_of(updates, CODEC)
         key, ts = after
-        return iter(
-            [u for u in updates if (u.key, u.timestamp) > (key, ts)]
-        )
+        return ref.columns_of([u for u in updates if (u.key, u.timestamp) > (key, ts)], CODEC)
 
     sources = [RunScan(run, 0, 10**6, fallback=fallback)]
-    merge = MergeUpdates(sources, SCHEMA, blocks_per_partition=1)
+    merge = MergeUpdates(sources, blocks_per_partition=1)
     assert encoded(merge) == encoded(updates)
     assert calls["n"] > 1
 
@@ -394,21 +391,23 @@ def buffer_of(updates):
 
 
 def test_a_merge_without_sources_joins_the_data_through():
-    merge = MergeUpdates([], SCHEMA)
+    merge = MergeUpdates([])
     assert list(merge.kernel_batches()) == [] and list(merge) == []
     pairs = [((k, f"base-{k}"), 3) for k in range(0, 20, 2)]
     assert list(MergeDataUpdates(pairs, merge, SCHEMA)) == [record for record, _ in pairs]
-    assert list(MergeDataUpdates([], MergeUpdates([[]], SCHEMA), SCHEMA)) == []
+    empty = MergeUpdates([ref.columns_of([], CODEC)])
+    assert list(MergeDataUpdates([], empty, SCHEMA)) == []
 
 
 def test_buffer_and_object_sources_alone_are_one_unbounded_partition():
     updates, _ = make_run(n=30)
+    evens, odds = ref.columns_of(updates[::2], CODEC), ref.columns_of(updates[1::2], CODEC)
     for sources in (
         [MemScan(buffer_of(updates), 0, 10**6, query_ts=10**6)],
-        [updates[::2], updates[1::2]],
-        [MemScan(buffer_of(updates[::2]), 0, 10**6, query_ts=10**6), updates[1::2]],
+        [evens, odds],
+        [MemScan(buffer_of(updates[::2]), 0, 10**6, query_ts=10**6), odds],
     ):
-        merge = MergeUpdates(sources, SCHEMA, blocks_per_partition=1)
+        merge = MergeUpdates(sources, blocks_per_partition=1)
         (batch,) = merge.kernel_batches()
         assert batch.keys.tolist() == [u.key for u in updates]
         assert encoded(merge) == encoded(updates)
@@ -429,7 +428,7 @@ def test_memscan_hands_over_to_the_flushed_run_between_two_partitions():
         RunScan(run, 0, 10**6, query_ts=5000),
         MemScan(buffer, 0, 10**6, query_ts=5000, run_for_flush=flushed.get, flush_epoch=0),
     ]
-    batches = MergeUpdates(sources, SCHEMA, blocks_per_partition=1).kernel_batches()
+    batches = MergeUpdates(sources, blocks_per_partition=1).kernel_batches()
     first = next(batches)
     assert 0 < len(first) < 120
     flushed[1] = write_run(vol, "flushed", buffer.drain_sorted(), CODEC, block_size=256)
@@ -448,7 +447,8 @@ def test_merge_cpu_is_one_constant_per_update_whatever_the_source(source, chains
     per consumed update, and a same-key chain costs its members one
     ``KERNEL_COMBINE_CPU_PER_UPDATE`` each on top, under class ``combine`` —
     what keeps Figure 13's simulated CPU comparable across engines whose
-    updates reach the merge from runs, from memory or as objects."""
+    updates reach the merge from runs, from memory or from an object store
+    (a write set, a baseline) encoded into columns."""
     from repro.storage.iosched import KERNEL_COMBINE_CPU_PER_UPDATE, MERGE_CPU_PER_UPDATE
 
     first = [UpdateRecord(i + 1, 3 * i, UpdateType.INSERT, (3 * i, f"v{i}")) for i in range(90)]
@@ -461,15 +461,19 @@ def test_merge_cpu_is_one_constant_per_update_whatever_the_source(source, chains
     vol = StorageVolume(SimulatedSSD(capacity=16 * MB))
     if source == "runs":
         sources = [
-            RunScan(write_run(vol, f"cpu-{n}", part, CODEC, block_size=512), 0, 10**6)
+            RunScan(
+                write_run(vol, f"cpu-{n}", ref.columns_of(part, CODEC), CODEC, block_size=512),
+                0,
+                10**6,
+            )
             for n, part in enumerate((first, second))
         ]
     elif source == "buffer":
         sources = [MemScan(buffer_of(first + second), 0, 10**6, query_ts=10**6)]
     else:
-        sources = [first, second]
+        sources = [ref.columns_of(first, CODEC), ref.columns_of(second, CODEC)]
     cpu = CpuMeter()
-    merged = list(MergeUpdates(sources, SCHEMA, cpu=cpu, blocks_per_partition=2))
+    merged = list(MergeUpdates(sources, cpu=cpu, blocks_per_partition=2))
     assert len(merged) == 180 - members // 2
     combine = cpu.class_total("combine")
     assert combine == pytest.approx(members * KERNEL_COMBINE_CPU_PER_UPDATE, rel=1e-12)

@@ -11,19 +11,20 @@ from repro.txn.log import Checkpoint, LogRecordType, RedoLog
 from repro.util.units import MB
 
 SCHEMA = synthetic_schema()
+CODEC = UpdateCodec(SCHEMA)
 
 
 def make_log():
     vol = StorageVolume(SimulatedSSD(capacity=8 * MB))
     log = RedoLog(vol.create("redo", 4 * MB))
-    log.register_table("t", UpdateCodec(SCHEMA))
+    log.register_table("t", CODEC)
     return log
 
 
 def test_update_roundtrip():
     log = make_log()
     u = UpdateRecord(7, 42, UpdateType.MODIFY, {"payload": "x"})
-    log.log_update("t", u)
+    log.log_update("t", CODEC.encode(u))
     records = list(log.records())
     assert len(records) == 1
     assert records[0].type == LogRecordType.UPDATE
@@ -57,9 +58,9 @@ def test_mixed_sequence_order_preserved():
     log = make_log()
     u1 = UpdateRecord(1, 2, UpdateType.DELETE, None)
     u2 = UpdateRecord(2, 4, UpdateType.INSERT, (4, "z"))
-    log.log_update("t", u1)
+    log.log_update("t", CODEC.encode(u1))
     log.log_run_flush("t", "r", 1)
-    log.log_update("t", u2)
+    log.log_update("t", CODEC.encode(u2))
     types = [r.type for r in log.records()]
     assert types == [
         LogRecordType.UPDATE,
@@ -71,14 +72,14 @@ def test_mixed_sequence_order_preserved():
 def test_unregistered_table_rejected():
     log = make_log()
     with pytest.raises(RecoveryError):
-        log.log_update("nope", UpdateRecord(1, 2, UpdateType.DELETE, None))
+        log.log_update("nope", CODEC.encode(UpdateRecord(1, 2, UpdateType.DELETE, None)))
 
 
 def test_scan_mode_after_lost_cursor():
     """After a crash the append cursor is lost; records() must still replay."""
     log = make_log()
     u = UpdateRecord(3, 9, UpdateType.DELETE, None)
-    log.log_update("t", u)
+    log.log_update("t", CODEC.encode(u))
     log.log_migration_end(3)
     # Simulate losing the in-memory cursor.
     log.file._append_pos = 0
@@ -98,9 +99,9 @@ def test_scan_mode_skips_torn_tail():
         log = make_log()
         good = UpdateRecord(1, 5, UpdateType.MODIFY, {"payload": "keep"})
         torn = UpdateRecord(2, 6, UpdateType.MODIFY, {"payload": "torn"})
-        log.log_update("t", good)
+        log.log_update("t", CODEC.encode(good))
         start = log.file.append_pos
-        log.log_update("t", torn)
+        log.log_update("t", CODEC.encode(torn))
         # Tear the final record: keep only the frame header plus a few
         # payload bytes, as if the crash cut the append short (unwritten
         # space reads back as zeroes).
@@ -117,14 +118,14 @@ def test_scan_mode_skips_torn_tail():
         # The cursor now sits where the torn record began: appends reuse
         # that space instead of leaving garbage in the middle of the log.
         replacement = UpdateRecord(3, 7, UpdateType.DELETE, None)
-        log.log_update("t", replacement)
+        log.log_update("t", CODEC.encode(replacement))
         assert [r.update for r in log.records()] == [good, replacement]
 
 
 def test_cursored_mode_raises_on_corruption():
     """With a live append cursor a bad CRC is corruption, not a torn tail."""
     log = make_log()
-    log.log_update("t", UpdateRecord(1, 5, UpdateType.DELETE, None))
+    log.log_update("t", CODEC.encode(UpdateRecord(1, 5, UpdateType.DELETE, None)))
     log.file.write(8, b"\xff")  # flip a payload byte under the CRC
     with pytest.raises(RecoveryError, match="failed checksum"):
         list(log.records())
@@ -141,7 +142,7 @@ def test_log_writes_are_sequential():
     log = make_log()
     device = log.file.device
     for i in range(100):
-        log.log_update("t", UpdateRecord(i + 1, i, UpdateType.DELETE, None))
+        log.log_update("t", CODEC.encode(UpdateRecord(i + 1, i, UpdateType.DELETE, None)))
     assert device.stats.rand_writes <= 1
     assert log.records_written == 100
 
@@ -156,7 +157,7 @@ def test_truncate_decides_survival_from_the_payload_head():
         start = log.file.append_pos
         table = "other" if ts == 3 else "t"
         log.register_table(table, UpdateCodec(SCHEMA))
-        log.log_update(table, UpdateRecord(ts, ts * 2, UpdateType.INSERT, (ts * 2, f"p{ts}")))
+        log.log_update(table, CODEC.encode(UpdateRecord(ts, ts * 2, UpdateType.INSERT, (ts * 2, f"p{ts}"))))
         frames[ts] = log.file.peek(start, log.file.append_pos - start)
     log.log_run_flush("t", "run-0", 5)
     log.codecs.clear()  # a full decode of any UPDATE frame would now raise
@@ -165,7 +166,7 @@ def test_truncate_decides_survival_from_the_payload_head():
     assert (report.records_dropped, report.records_kept) == (5, 4)
     content = log.file.peek(0, log.file.append_pos)
     assert content.endswith(frames[3] + frames[6] + frames[7] + frames[8])
-    log.register_table("t", UpdateCodec(SCHEMA))
+    log.register_table("t", CODEC)
     log.register_table("other", UpdateCodec(SCHEMA))
     replayed = [(r.type, r.table, r.timestamp) for r in log.records()]
     assert replayed == [

@@ -16,6 +16,7 @@ overflow records.
 from __future__ import annotations
 
 import gc
+import random
 import itertools
 from contextlib import contextmanager
 
@@ -25,6 +26,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_operators as ref
+from repro.baselines.iu import IndexedUpdates
+from repro.baselines.lsm import LSMUpdateCache
+from repro.baselines.memdiff import InMemoryDifferential
 from repro.core import update as update_module
 from repro.core.blockcache import DecodedBlockCache
 from repro.core.masm import MaSM, MaSMConfig
@@ -37,11 +41,12 @@ from repro.core.update import (
     UpdateType,
     combine_chain,
 )
-from repro.engine.record import Schema
+from repro.engine.record import Schema, synthetic_schema
 from repro.engine.table import Table
 from repro.storage.disk import SimulatedDisk
 from repro.storage.file import StorageVolume
 from repro.storage.ssd import SimulatedSSD
+from repro.txn.log import RedoLog
 from repro.util.units import KB, MB
 
 INSERT, DELETE, MODIFY, REPLACE = UpdateType
@@ -163,7 +168,7 @@ def test_array_join_equals_reference_join(world, data):
     memory = dealt.pop() if len(dealt) > 1 else []
     block_size = data.draw(st.sampled_from([256, 512, 4 * KB]))
     runs = [
-        write_run(volume, f"run-{i}", source, codec, block_size=block_size)
+        write_run(volume, f"run-{i}", ref.columns_of(source, codec), codec, block_size=block_size)
         for i, source in enumerate(dealt)
         if source
     ]
@@ -198,8 +203,7 @@ def test_array_join_equals_reference_join(world, data):
     def kernel_updates(cache):
         return MergeUpdates(
             [RunScan(run, begin, end, query_ts, cache=cache) for run in runs]
-            + [in_memory],
-            schema,
+            + [ref.columns_of(in_memory, codec)],
             blocks_per_partition=data.draw(st.sampled_from([1, 3, 32])),
         )
 
@@ -278,8 +282,6 @@ class _Counting:
 
 
 def synthetic_engine(rows=400, updates=260, seed=3):
-    import random
-
     schema = Schema([("key", "u32"), ("payload", "s20"), ("n", "i64")])
     disk = StorageVolume(SimulatedDisk(capacity=16 * MB))
     ssd = StorageVolume(SimulatedSSD(capacity=4 * MB))
@@ -292,6 +294,7 @@ def synthetic_engine(rows=400, updates=260, seed=3):
             alpha=1.0, ssd_page_size=4 * KB, block_size=1 * KB, auto_migrate=False
         ),
     )
+    masm.attach_log(RedoLog(ssd.create("redo-log", 256 * KB)))
     rng = random.Random(seed)
     live = set(range(0, 2 * rows, 2))
     for i in range(updates):
@@ -329,11 +332,50 @@ def test_scans_build_no_update_records(monkeypatch):
     assert list(masm.range_scan(0, 2**32)) == reference  # cold
     assert list(masm.range_scan(0, 2**32)) == reference  # decoded blocks cached
     assert list(masm.range_scan(100, 300)) == [r for r in reference if 100 <= r[0] <= 300]
+    # A quarantined run is served from the redo log's bytes, as logged.
+    masm.runs[1].quarantine("test damage")
+    assert list(masm.range_scan(0, 2**32)) == reference
+    assert masm.stats.log_fallback_scans > 0
     assert _Counting.built == 0
     # Record-shaped consumers still get records, a read group at a time.
     run = masm.runs[0]
     assert len(list(run.scan(0, 2**32, cache=masm.block_cache))) == run.count
     assert _Counting.built >= run.count
+
+
+def test_baseline_scans_build_no_update_records(monkeypatch):
+    """The LSM, IU and in-memory differential baselines hand the merge the
+    bytes they hold — LSM's levels as run scans and C0, IU's fetched
+    entries, memdiff's B-tree — so their scans build no record either."""
+    schema = synthetic_schema()
+    expected = {i * 2: (i * 2, f"rec-{i}") for i in range(500)}
+    rng = random.Random(5)
+    stream = []
+    for i in range(400):  # same-key chains across levels and sources
+        key = rng.randrange(500) * 2
+        stream.append((key, f"m{i}"))
+        expected[key] = (key, f"m{i}")
+    engines = []
+    for make in (
+        lambda table, ssd: LSMUpdateCache(
+            table, ssd, memory_bytes=2 * KB, levels=2, block_size=4 * KB
+        ),
+        lambda table, ssd: IndexedUpdates(table, ssd),
+        lambda table, ssd: InMemoryDifferential(table, memory_bytes=64 * KB, auto_migrate=False),
+    ):
+        table = Table.create(StorageVolume(SimulatedDisk(capacity=64 * MB)), "t", schema, 500)
+        table.bulk_load((i * 2, f"rec-{i}") for i in range(500))
+        engine = make(table, StorageVolume(SimulatedSSD(capacity=8 * MB)))
+        for key, payload in stream:
+            engine.modify(key, {"payload": payload})
+        engines.append(engine)
+    assert any(engines[0].level_sizes()) and engines[0]._c0
+    monkeypatch.setattr(update_module, "UpdateRecord", _Counting)
+    _Counting.built = 0
+    scans = [list(engine.range_scan(0, 2**32)) for engine in engines]
+    assert _Counting.built == 0
+    for rows in scans:
+        assert rows == [expected[key] for key in sorted(expected)]
 
 
 # ------------------------------------------------------------- lazy records
@@ -502,7 +544,7 @@ def test_engine_scan_equals_reference_over_non_uniform_pages(data):
     scan = masm.range_scan(begin, end, query_ts=query_ts)
     # The scan registered (and settled run budget and buffer) just now.
     horizon = masm.oracle.current if query_ts is None else query_ts
-    buffered = [u for u in masm.buffer.updates(0, horizon) if begin <= u.key <= end]
+    buffered = ref.buffered_records(masm.buffer, begin, end, horizon)
     reference = outcome(
         ref.merge_data_updates(
             table.range_scan_pairs(begin, end),
@@ -520,7 +562,7 @@ def cached_updates_address(masm, key) -> bool:
     """True when a cached update addresses ``key``: deleting its base row in
     place would leave, say, a cached MODIFY without one — the engine's own
     migration never does that."""
-    return any(u.key == key for u in masm.buffer.updates(0, 2**63)) or any(
+    return bool(ref.buffered_records(masm.buffer, key, key, 2**63)) or any(
         any(True for _ in ref.scan_run(run, key, key)) for run in masm.runs
     )
 
@@ -530,8 +572,6 @@ def test_a_scan_without_any_run_is_the_same_array_join(monkeypatch):
     ``migrate()`` — take the same pipeline as a scan over runs: no
     ``UpdateRecord`` is built, no row goes through ``Schema.unpack``, and the
     rows are the reference join's."""
-    import random
-
     schema = Schema([("key", "u32"), ("payload", "s20"), ("n", "i64")])
     disk = StorageVolume(SimulatedDisk(capacity=16 * MB))
     ssd = StorageVolume(SimulatedSSD(capacity=4 * MB))
@@ -557,7 +597,9 @@ def test_a_scan_without_any_run_is_the_same_array_join(monkeypatch):
         buffer_some()
         assert not masm.runs and masm.buffer.count
         reference = ref.scan_rows(
-            table.range_scan_pairs(0, 2**32), [masm.buffer.updates(0, 2**62)], schema
+            table.range_scan_pairs(0, 2**32),
+            [ref.buffered_records(masm.buffer, 0, 2**32, 2**62)],
+            schema,
         )
         with monkeypatch.context() as patch:
             patch.setattr(update_module, "UpdateRecord", _Counting)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_codec as ref
+from reference_operators import columns_of
 from repro.core.masm import MaSM, MaSMConfig
 from repro.core.sortedrun import write_run
 from repro.core.update import ColumnarBlock, UpdateCodec, UpdateRecord, UpdateType
@@ -270,7 +271,7 @@ def test_golden_update_and_run_block_bytes():
     assert codec.encode_block(GOLDEN_UPDATES).hex() == GOLDEN_UPDATE_BLOCK
     assert codec.decode_block(bytes.fromhex(GOLDEN_UPDATE_BLOCK)) == GOLDEN_UPDATES
     volume = StorageVolume(SimulatedSSD(capacity=1 * MB))
-    run = write_run(volume, "golden-run", GOLDEN_UPDATES, codec, block_size=256)
+    run = write_run(volume, "golden-run", columns_of(GOLDEN_UPDATES, codec), codec, block_size=256)
     assert run.file.peek(0, 256).hex() == GOLDEN_RUN_BLOCK
     block = bytes.fromhex(GOLDEN_RUN_BLOCK)
     checksum.verify(block, context="golden run block")
@@ -282,7 +283,7 @@ def test_golden_wal_frame_bytes():
     codec = UpdateCodec(GOLDEN_SCHEMA)
     volume = StorageVolume(SimulatedSSD(capacity=1 * MB))
     log = RedoLog(volume.create("wal", 4096), {"t": codec})
-    log.log_update("t", GOLDEN_UPDATES[2])
+    log.log_update("t", codec.encode(GOLDEN_UPDATES[2]))
     assert log.file.peek(0, log.file.append_pos).hex() == GOLDEN_WAL_FRAME
     replay = RedoLog(volume.create("old-wal", 4096), {"t": codec})
     replay.file.append(bytes.fromhex(GOLDEN_WAL_FRAME))

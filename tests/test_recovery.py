@@ -106,13 +106,14 @@ def test_completed_migration_leftover_runs_deleted():
     # recreating the run file.
     codec = UpdateCodec(SCHEMA)
     if run_name not in ssd_vol:
+        from reference_operators import columns_of
         from repro.core.sortedrun import write_run
         from repro.core.update import UpdateRecord, UpdateType
 
         write_run(
             ssd_vol,
             run_name,
-            [UpdateRecord(2, 40, UpdateType.MODIFY, {"payload": "migrated"})],
+            columns_of([UpdateRecord(2, 40, UpdateType.MODIFY, {"payload": "migrated"})], codec),
             codec,
             block_size=4 * KB,
         )
