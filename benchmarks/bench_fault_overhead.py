@@ -31,7 +31,7 @@ from repro.bench.harness import FigureResult
 from repro.core.blockcache import DecodedBlockCache
 from repro.core.operators import MergeUpdates, RunScan
 from repro.core.sortedrun import write_run
-from repro.core.update import UpdateCodec, UpdateColumns, UpdateRecord, UpdateType
+from repro.core.update import UpdateCodec, UpdateRecord, UpdateType
 from repro.engine.record import synthetic_schema
 from repro.storage import checksum
 from repro.storage.file import StorageVolume
@@ -63,8 +63,7 @@ def build_runs(num_runs: int, per_run: int):
             )
             for i in range(per_run)
         ]
-        encoded = UpdateColumns.from_encoded(codec.encode_many(updates), codec)
-        runs.append(write_run(ssd, f"overhead-run-{r}", encoded, codec))
+        runs.append(write_run(ssd, f"overhead-run-{r}", codec.encode_columns(updates), codec))
     return schema, runs, ssd
 
 

@@ -74,7 +74,7 @@ def build_workload(num_runs: int, per_run: int, table_rows: int):
             )
             for i in range(per_run)
         ]
-        runs.append(write_run(ssd, f"hotpath-run-{r}", ref.columns_of(updates, codec), codec))
+        runs.append(write_run(ssd, f"hotpath-run-{r}", codec.encode_columns(updates), codec))
     disk = StorageVolume(SimulatedDisk(capacity=1 * GB))
     table = build_synthetic_table(disk, num_records=table_rows)
     return schema, runs, table

@@ -100,7 +100,8 @@ class LSMUpdateCache:
         existing entries is what inflates the write count.
         """
         if level == 0:
-            incoming = [self._c0_columns()] if self._c0 else []
+            c0 = UpdateColumns.from_encoded(self._c0, self.codec)
+            incoming = [c0.sorted()] if self._c0 else []
             self._c0 = []
             self._c0_bytes = 0
         else:
@@ -142,10 +143,6 @@ class LSMUpdateCache:
                 # data (what bounds Ch at its target in the steady state).
                 self.migrate()
 
-    def _c0_columns(self) -> UpdateColumns:
-        """C0 in (key, ts) order, over its bytes."""
-        return UpdateColumns.from_encoded(self._c0, self.codec).sorted()
-
     # ------------------------------------------------------------------ scans
     def range_scan(self, begin_key: int, end_key: int) -> Iterator[tuple]:
         """Fresh records: index range scans on every LSM level plus C0."""
@@ -155,11 +152,10 @@ class LSMUpdateCache:
             for run in self._runs
             if run is not None
         ]
-        c0 = self._c0_columns()
+        c0 = UpdateColumns.from_encoded(self._c0, self.codec)
         keys = c0.keys
-        sources.append(
-            c0.rows((keys >= begin_key) & (keys <= end_key) & (c0.timestamps <= query_ts))
-        )
+        visible = (keys >= begin_key) & (keys <= end_key) & (c0.timestamps <= query_ts)
+        sources.append(c0.rows(visible).sorted())
         updates = MergeUpdates(sources, cpu=self.table.cpu)
         return iter(
             MergeDataUpdates(

@@ -362,6 +362,11 @@ class UpdateCodec:
             append(head_pack(u.timestamp, u.key, u.type, len(body)) + body)
         return out
 
+    def encode_columns(self, updates: Sequence[UpdateRecord]) -> "UpdateColumns":
+        """Encode a batch of updates into the columns a merge source hands
+        over and a run writer takes, back to back in the order given."""
+        return UpdateColumns.from_encoded(self.encode_many(updates), self)
+
     def encode_block(self, updates: Sequence[UpdateRecord]) -> bytes:
         """Encode a whole block of updates: count header + packed records."""
         return BLOCK_HEADER.pack(len(updates)) + b"".join(self.encode_many(updates))

@@ -16,7 +16,7 @@ from typing import Iterator, Optional
 
 from repro.core.masm import MaSM
 from repro.core.operators import MergeDataUpdates, MergeUpdates
-from repro.core.update import UpdateColumns, UpdateRecord, UpdateType, combine
+from repro.core.update import UpdateRecord, UpdateType, combine
 from repro.errors import TransactionAborted, TransactionError
 from repro.sim.hooks import interleave as sim_interleave
 
@@ -112,8 +112,7 @@ class SnapshotTransaction:
             # irrelevant here because private writes are never migrated.
             for record in base:
                 yield record, 0
-        codec = self.manager.masm.codec
-        updates = MergeUpdates([UpdateColumns.from_encoded(codec.encode_many(own), codec)])
+        updates = MergeUpdates([self.manager.masm.codec.encode_columns(own)])
         return iter(MergeDataUpdates(pairs(), updates, self.schema))
 
     def get(self, key: int) -> Optional[tuple]:

@@ -16,7 +16,7 @@ from typing import Iterator, Optional
 
 from repro.core.masm import MaSM
 from repro.core.operators import MergeDataUpdates, MergeUpdates
-from repro.core.update import UpdateColumns, UpdateRecord, UpdateType, combine
+from repro.core.update import UpdateRecord, UpdateType, combine
 from repro.errors import TransactionError
 from repro.txn.locks import LockManager, LockMode
 
@@ -97,8 +97,7 @@ class LockingTransaction:
         if not own:
             return base
         pairs = ((record, 0) for record in base)
-        codec = self.manager.masm.codec
-        updates = MergeUpdates([UpdateColumns.from_encoded(codec.encode_many(own), codec)])
+        updates = MergeUpdates([self.manager.masm.codec.encode_columns(own)])
         return iter(MergeDataUpdates(pairs, updates, self.schema))
 
     # ---------------------------------------------------------------- finish

@@ -16,26 +16,18 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from repro.core import sortedrun
 from repro.core.sortedrun import MaterializedSortedRun
 from repro.core.update import (
     BLOCK_HEADER,
-    UpdateCodec,
-    UpdateColumns,
     UpdateRecord,
     apply_update,
     combine_chain,
 )
 from repro.engine.record import Schema
 from repro.storage import checksum
-
-
-def columns_of(records: Sequence[UpdateRecord], codec: UpdateCodec) -> UpdateColumns:
-    """Records as the columns a merge source hands over and a run writer
-    takes: each one encoded, back to back, in the order given."""
-    return UpdateColumns.from_encoded(codec.encode_many(records), codec)
 
 
 def buffered_records(buffer, begin_key: int, end_key: int, query_ts: int) -> list[UpdateRecord]:

@@ -23,7 +23,7 @@ def make_run(n=2000, name="r0", block_size=4 * KB, vol=None):
         UpdateRecord(i + 1, i * 2, UpdateType.INSERT, (i * 2, f"v{i}"))
         for i in range(n)
     ]
-    return write_run(vol, name, ref.columns_of(ups, CODEC), CODEC, block_size=block_size)
+    return write_run(vol, name, CODEC.encode_columns(ups), CODEC, block_size=block_size)
 
 
 # ------------------------------------------------------------------ LRU core

@@ -1,6 +1,5 @@
 """MaSM scan operators: RunScan, MemScan handover, merges, outer join."""
 
-from reference_operators import columns_of
 from repro.core.membuffer import InMemoryUpdateBuffer
 from repro.core.operators import MemScan, MergeDataUpdates, MergeUpdates, RunScan
 from repro.core.sortedrun import write_run
@@ -30,7 +29,7 @@ def mod(ts, key, payload):
 def make_run(updates, name="r0"):
     vol = StorageVolume(SimulatedSSD(capacity=16 * MB))
     items = sorted(updates, key=UpdateRecord.sort_key)
-    return write_run(vol, name, columns_of(items, CODEC), CODEC, block_size=4 * KB)
+    return write_run(vol, name, CODEC.encode_columns(items), CODEC, block_size=4 * KB)
 
 
 def test_run_scan_filters_range_and_ts():
@@ -99,7 +98,7 @@ def test_mem_scan_without_lookup_stops_on_flush():
 def test_merge_updates_combines_same_key_across_sources():
     a = [dele(1, 5)]
     b = [ins(2, 5, "new"), mod(3, 7, "x")]
-    combined = list(MergeUpdates([columns_of(a, CODEC), columns_of(b, CODEC)]))
+    combined = list(MergeUpdates([CODEC.encode_columns(a), CODEC.encode_columns(b)]))
     assert len(combined) == 2
     assert combined[0].key == 5
     assert combined[0].type == UpdateType.REPLACE
@@ -108,7 +107,7 @@ def test_merge_updates_combines_same_key_across_sources():
 
 def test_merge_updates_charges_cpu():
     cpu = CpuMeter()
-    list(MergeUpdates([columns_of([dele(1, 5)], CODEC), columns_of([dele(2, 6)], CODEC)], cpu=cpu))
+    list(MergeUpdates([CODEC.encode_columns([dele(1, 5)]), CODEC.encode_columns([dele(2, 6)])], cpu=cpu))
     assert cpu.total > 0
 
 
@@ -120,7 +119,7 @@ def test_merge_data_updates_outer_join():
         dele(3, 30),  # delete existing
         ins(4, 40, "after"),  # insert after the data
     ]
-    got = list(MergeDataUpdates(data, MergeUpdates([columns_of(updates, CODEC)]), SCHEMA))
+    got = list(MergeDataUpdates(data, MergeUpdates([CODEC.encode_columns(updates)]), SCHEMA))
     assert got == [(5, "before"), (10, "a"), (20, "patched"), (40, "after")]
 
 
@@ -128,14 +127,14 @@ def test_merge_data_updates_skips_already_applied():
     # The record's page timestamp says the update at ts=3 was migrated.
     data = [((10, "migrated"), 5)]
     updates = [mod(3, 10, "stale")]
-    got = list(MergeDataUpdates(data, MergeUpdates([columns_of(updates, CODEC)]), SCHEMA))
+    got = list(MergeDataUpdates(data, MergeUpdates([CODEC.encode_columns(updates)]), SCHEMA))
     assert got == [(10, "migrated")]
 
 
 def test_merge_data_updates_applies_newer_than_page():
     data = [((10, "old"), 5)]
     updates = [mod(7, 10, "fresh")]
-    got = list(MergeDataUpdates(data, MergeUpdates([columns_of(updates, CODEC)]), SCHEMA))
+    got = list(MergeDataUpdates(data, MergeUpdates([CODEC.encode_columns(updates)]), SCHEMA))
     assert got == [(10, "fresh")]
 
 
@@ -144,13 +143,13 @@ def test_merge_data_updates_floating_delete_is_noop():
     # the cached delete must not produce anything.
     data = [((10, "a"), 0)]
     updates = [dele(2, 99)]
-    got = list(MergeDataUpdates(data, MergeUpdates([columns_of(updates, CODEC)]), SCHEMA))
+    got = list(MergeDataUpdates(data, MergeUpdates([CODEC.encode_columns(updates)]), SCHEMA))
     assert got == [(10, "a")]
 
 
 def test_merge_data_updates_empty_data():
     updates = [ins(1, 5, "x")]
-    assert list(MergeDataUpdates([], MergeUpdates([columns_of(updates, CODEC)]), SCHEMA)) == [(5, "x")]
+    assert list(MergeDataUpdates([], MergeUpdates([CODEC.encode_columns(updates)]), SCHEMA)) == [(5, "x")]
 
 
 def test_merge_data_updates_empty_updates():

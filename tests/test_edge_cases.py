@@ -2,7 +2,6 @@
 
 import pytest
 
-from reference_operators import columns_of
 from repro.core.masm import MaSM, MaSMConfig
 from repro.core.sortedrun import load_run, write_run
 from repro.core.update import UpdateCodec, UpdateRecord, UpdateType
@@ -106,7 +105,7 @@ def test_load_run_roundtrip():
         UpdateRecord(i + 1, i * 2, UpdateType.MODIFY, {"payload": f"v{i}"})
         for i in range(500)
     ]
-    written = write_run(vol, "r", columns_of(updates, CODEC), CODEC, block_size=2 * KB)
+    written = write_run(vol, "r", CODEC.encode_columns(updates), CODEC, block_size=2 * KB)
     loaded = load_run(vol, "r", CODEC, block_size=2 * KB)
     assert loaded.count == written.count
     assert loaded.min_key == written.min_key
@@ -130,7 +129,7 @@ def test_load_run_rebuilds_what_write_run_knew():
             updates.append(UpdateRecord(ts, key, UpdateType.DELETE, None))
         else:
             updates.append(UpdateRecord(ts, key, UpdateType.MODIFY, {"payload": f"m{i}"}))
-    written = write_run(vol, "r", columns_of(updates, CODEC), CODEC, block_size=1 * KB)
+    written = write_run(vol, "r", CODEC.encode_columns(updates), CODEC, block_size=1 * KB)
     loaded = load_run(vol, "r", CODEC, block_size=1 * KB)
     assert loaded.index._keys == written.index._keys
     assert (loaded.num_blocks, loaded.count) == (written.num_blocks, written.count)
@@ -151,7 +150,7 @@ def test_load_run_rejects_damaged_blocks_as_before():
         UpdateRecord(i + 1, i * 2, UpdateType.INSERT, (i * 2, f"v{i}")) for i in range(300)
     ]
     block_size = 1 * KB
-    run = write_run(vol, "r", columns_of(updates, CODEC), CODEC, block_size=block_size)
+    run = write_run(vol, "r", CODEC.encode_columns(updates), CODEC, block_size=block_size)
     assert run.num_blocks > 3
     victim = 2 * block_size
     good = run.file.read(victim, block_size)

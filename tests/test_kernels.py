@@ -81,7 +81,7 @@ def build_runs(vol, updates, num_runs, seed, block_size):
     for u in updates:
         per_run[seed.randrange(num_runs)].append(u)
     return [
-        write_run(vol, f"kern-run-{i}", ref.columns_of(batch, CODEC), CODEC, block_size=block_size)
+        write_run(vol, f"kern-run-{i}", CODEC.encode_columns(batch), CODEC, block_size=block_size)
         for i, batch in enumerate(per_run)
         if batch  # write_run rejects empty streams: an empty deal = no run
     ]
@@ -139,7 +139,7 @@ def test_kernel_merge_with_non_columnar_sources(data, updates):
     for u in updates:
         per_source[seed.randrange(3)].append(u)
     runs = [
-        write_run(vol, f"mix-run-{i}", ref.columns_of(batch, CODEC), CODEC, block_size=512)
+        write_run(vol, f"mix-run-{i}", CODEC.encode_columns(batch), CODEC, block_size=512)
         for i, batch in enumerate(per_source[:2])
         if batch
     ]
@@ -155,7 +155,7 @@ def test_kernel_merge_with_non_columnar_sources(data, updates):
         )
     )
     sources = [RunScan(run, begin, end) for run in runs] + [
-        ref.columns_of([u for u in memory if begin <= u.key <= end], CODEC)
+        CODEC.encode_columns([u for u in memory if begin <= u.key <= end])
     ]
     fast = MergeUpdates(sources, blocks_per_partition=1)
     assert encoded(fast) == encoded(reference)
@@ -296,7 +296,7 @@ def test_merge_slices_matches_reference_combine(updates, seed):
     streams: list[list[UpdateRecord]] = [[], [], []]
     for u in updates:
         streams[seed.randrange(3)].append(u)
-    slices = [ref.columns_of(s, CODEC) for s in streams if s]
+    slices = [CODEC.encode_columns(s) for s in streams if s]
     cpu = CpuMeter()
     batch = kernels.merge_slices(slices, cpu)
     reference = list(ref.merge_updates(streams, SCHEMA))
@@ -317,7 +317,7 @@ def make_run(vol=None, n=40, name="deg-run", block_size=256, key_offset=0, ts_of
         )
         for i in range(n)
     ]
-    return updates, write_run(vol, name, ref.columns_of(updates, CODEC), CODEC, block_size=block_size)
+    return updates, write_run(vol, name, CODEC.encode_columns(updates), CODEC, block_size=block_size)
 
 
 def test_quarantined_run_streams_through_fallback():
@@ -329,7 +329,7 @@ def test_quarantined_run_streams_through_fallback():
     )
     run.quarantine("test damage")
     sources = [
-        RunScan(run, 0, 10**6, fallback=lambda after: ref.columns_of(updates, CODEC)),
+        RunScan(run, 0, 10**6, fallback=lambda after: CODEC.encode_columns(updates)),
         RunScan(healthy, 0, 10**6),
     ]
     merge = MergeUpdates(sources, blocks_per_partition=1)
@@ -344,7 +344,7 @@ def test_all_sources_quarantined_disables_kernel_path():
     partition by, the fallbacks feed one unbounded partition."""
     updates, run = make_run()
     run.quarantine("test damage")
-    sources = [RunScan(run, 0, 10**6, fallback=lambda after: ref.columns_of(updates, CODEC))]
+    sources = [RunScan(run, 0, 10**6, fallback=lambda after: CODEC.encode_columns(updates))]
     merge = MergeUpdates(sources, blocks_per_partition=1)
     batches = list(merge.kernel_batches())
     assert [len(batch) for batch in batches] == [len(updates)]
@@ -372,9 +372,9 @@ def test_mid_scan_corruption_degrades_to_fallback(monkeypatch):
 
     def fallback(after):
         if after is None:
-            return ref.columns_of(updates, CODEC)
+            return CODEC.encode_columns(updates)
         key, ts = after
-        return ref.columns_of([u for u in updates if (u.key, u.timestamp) > (key, ts)], CODEC)
+        return CODEC.encode_columns([u for u in updates if (u.key, u.timestamp) > (key, ts)])
 
     sources = [RunScan(run, 0, 10**6, fallback=fallback)]
     merge = MergeUpdates(sources, blocks_per_partition=1)
@@ -395,13 +395,13 @@ def test_a_merge_without_sources_joins_the_data_through():
     assert list(merge.kernel_batches()) == [] and list(merge) == []
     pairs = [((k, f"base-{k}"), 3) for k in range(0, 20, 2)]
     assert list(MergeDataUpdates(pairs, merge, SCHEMA)) == [record for record, _ in pairs]
-    empty = MergeUpdates([ref.columns_of([], CODEC)])
+    empty = MergeUpdates([CODEC.encode_columns([])])
     assert list(MergeDataUpdates([], empty, SCHEMA)) == []
 
 
 def test_buffer_and_object_sources_alone_are_one_unbounded_partition():
     updates, _ = make_run(n=30)
-    evens, odds = ref.columns_of(updates[::2], CODEC), ref.columns_of(updates[1::2], CODEC)
+    evens, odds = CODEC.encode_columns(updates[::2]), CODEC.encode_columns(updates[1::2])
     for sources in (
         [MemScan(buffer_of(updates), 0, 10**6, query_ts=10**6)],
         [evens, odds],
@@ -462,7 +462,7 @@ def test_merge_cpu_is_one_constant_per_update_whatever_the_source(source, chains
     if source == "runs":
         sources = [
             RunScan(
-                write_run(vol, f"cpu-{n}", ref.columns_of(part, CODEC), CODEC, block_size=512),
+                write_run(vol, f"cpu-{n}", CODEC.encode_columns(part), CODEC, block_size=512),
                 0,
                 10**6,
             )
@@ -471,7 +471,7 @@ def test_merge_cpu_is_one_constant_per_update_whatever_the_source(source, chains
     elif source == "buffer":
         sources = [MemScan(buffer_of(first + second), 0, 10**6, query_ts=10**6)]
     else:
-        sources = [ref.columns_of(first, CODEC), ref.columns_of(second, CODEC)]
+        sources = [CODEC.encode_columns(first), CODEC.encode_columns(second)]
     cpu = CpuMeter()
     merged = list(MergeUpdates(sources, cpu=cpu, blocks_per_partition=2))
     assert len(merged) == 180 - members // 2

@@ -168,7 +168,7 @@ def test_array_join_equals_reference_join(world, data):
     memory = dealt.pop() if len(dealt) > 1 else []
     block_size = data.draw(st.sampled_from([256, 512, 4 * KB]))
     runs = [
-        write_run(volume, f"run-{i}", ref.columns_of(source, codec), codec, block_size=block_size)
+        write_run(volume, f"run-{i}", codec.encode_columns(source), codec, block_size=block_size)
         for i, source in enumerate(dealt)
         if source
     ]
@@ -203,7 +203,7 @@ def test_array_join_equals_reference_join(world, data):
     def kernel_updates(cache):
         return MergeUpdates(
             [RunScan(run, begin, end, query_ts, cache=cache) for run in runs]
-            + [ref.columns_of(in_memory, codec)],
+            + [codec.encode_columns(in_memory)],
             blocks_per_partition=data.draw(st.sampled_from([1, 3, 32])),
         )
 

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_codec as ref
-from reference_operators import columns_of
 from repro.core.masm import MaSM, MaSMConfig
 from repro.core.sortedrun import write_run
 from repro.core.update import ColumnarBlock, UpdateCodec, UpdateRecord, UpdateType
@@ -271,7 +270,7 @@ def test_golden_update_and_run_block_bytes():
     assert codec.encode_block(GOLDEN_UPDATES).hex() == GOLDEN_UPDATE_BLOCK
     assert codec.decode_block(bytes.fromhex(GOLDEN_UPDATE_BLOCK)) == GOLDEN_UPDATES
     volume = StorageVolume(SimulatedSSD(capacity=1 * MB))
-    run = write_run(volume, "golden-run", columns_of(GOLDEN_UPDATES, codec), codec, block_size=256)
+    run = write_run(volume, "golden-run", codec.encode_columns(GOLDEN_UPDATES), codec, block_size=256)
     assert run.file.peek(0, 256).hex() == GOLDEN_RUN_BLOCK
     block = bytes.fromhex(GOLDEN_RUN_BLOCK)
     checksum.verify(block, context="golden run block")

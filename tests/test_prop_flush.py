@@ -29,7 +29,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_run_writer as ref
-from reference_operators import buffered_records, columns_of
+from reference_operators import buffered_records
 from test_prop_codec import record_strategy, schemas, value_strategy
 from repro.core.masm import MaSM, MaSMConfig
 from repro.core.membuffer import InMemoryUpdateBuffer
@@ -150,8 +150,8 @@ def test_write_run_matches_the_record_at_a_time_writer(case, slack, hinted, per_
     rng.shuffle(arrival)
     resorted = sorted(arrival, key=UpdateRecord.sort_key)  # stable, as the buffer's sort
     for records, source in (
-        (updates, columns_of(updates, codec)),
-        (resorted, columns_of(arrival, codec).sorted()),
+        (updates, codec.encode_columns(updates)),
+        (resorted, codec.encode_columns(arrival).sorted()),
     ):
         expected_volume = fresh_volume()
         expected = ref.reference_write_run(expected_volume, "run", iter(records), codec, **options)
@@ -214,7 +214,7 @@ def test_write_run_refuses_what_the_reference_refuses(case, swaps, shrink, empty
     outcomes = []
     for writer, source in (
         (ref.reference_write_run, iter(updates)),
-        (write_run, columns_of(updates, codec)),
+        (write_run, codec.encode_columns(updates)),
     ):
         volume = fresh_volume()
         try:

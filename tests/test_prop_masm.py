@@ -7,7 +7,6 @@ import string
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_operators import columns_of
 from repro.core.governor import GovernorConfig, OverloadPolicy
 from repro.core.masm import MaSM, MaSMConfig
 from repro.errors import BackpressureError
@@ -251,7 +250,7 @@ def test_run_scan_equals_filtered_list(pairs, lo, span):
         key=UpdateRecord.sort_key,
     )
     vol = StorageVolume(SimulatedSSD(capacity=8 * MB))
-    run = write_run(vol, "r", columns_of(updates, codec), codec, block_size=1024)
+    run = write_run(vol, "r", codec.encode_columns(updates), codec, block_size=1024)
     hi = lo + span
     got = list(run.scan(lo, hi))
     expected = [u for u in updates if lo <= u.key <= hi]
@@ -270,7 +269,7 @@ def test_run_scan_timestamp_visibility(pairs, query_ts):
         key=UpdateRecord.sort_key,
     )
     vol = StorageVolume(SimulatedSSD(capacity=8 * MB))
-    run = write_run(vol, "r", columns_of(updates, codec), codec, block_size=1024)
+    run = write_run(vol, "r", codec.encode_columns(updates), codec, block_size=1024)
     got = list(run.scan(0, 10**9, query_ts=query_ts))
     expected = [u for u in updates if u.timestamp <= query_ts]
     assert got == expected

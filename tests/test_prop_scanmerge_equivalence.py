@@ -98,7 +98,7 @@ def scan_params(draw, max_ts):
 @given(data=st.data(), updates=update_streams())
 def test_batch_scan_matches_reference_scan(data, updates):
     vol = StorageVolume(SimulatedSSD(capacity=16 * MB))
-    run = write_run(vol, "prop-run", ref.columns_of(updates, CODEC), CODEC, block_size=4 * KB)
+    run = write_run(vol, "prop-run", CODEC.encode_columns(updates), CODEC, block_size=4 * KB)
     max_ts = max(u.timestamp for u in updates)
     begin, end, query_ts, after, migrations = data.draw(scan_params(max_ts))
     for lo, width in migrations:
@@ -129,7 +129,7 @@ def test_fast_merge_matches_reference_merge(updates, num_streams, seed):
         streams[seed.randrange(num_streams)].append(u)
 
     reference = list(ref.merge_updates(streams, SCHEMA))
-    fast = list(MergeUpdates([ref.columns_of(s, CODEC) for s in streams]))
+    fast = list(MergeUpdates([CODEC.encode_columns(s) for s in streams]))
     assert encoded(fast) == encoded(reference)
 
 
@@ -140,7 +140,7 @@ def test_merge_stream_preserves_every_record(updates, num_streams, seed):
     for u in updates:
         streams[seed.randrange(num_streams)].append(u)
     # The structural-merge kernel: every update kept, ties by source position.
-    merged = kernels.merge_sorted([ref.columns_of(s, CODEC) for s in streams])
+    merged = kernels.merge_sorted([CODEC.encode_columns(s) for s in streams])
     assert encoded(merged.records) == encoded(updates)
 
 
@@ -155,7 +155,7 @@ def test_merged_runs_scan_equivalence(data, updates):
     for u in updates:
         per_run[seed.randrange(num_runs)].append(u)
     runs = [
-        write_run(vol, f"prop-run-{i}", ref.columns_of(batch, CODEC), CODEC, block_size=4 * KB)
+        write_run(vol, f"prop-run-{i}", CODEC.encode_columns(batch), CODEC, block_size=4 * KB)
         for i, batch in enumerate(per_run)
         if batch
     ]
@@ -173,7 +173,7 @@ def test_merged_runs_scan_equivalence(data, updates):
         fast = list(
             MergeUpdates(
                 [
-                    ref.columns_of(list(run.scan(begin, end, query_ts, cache=cache)), CODEC)
+                    CODEC.encode_columns(list(run.scan(begin, end, query_ts, cache=cache)))
                     for run in runs
                 ]
             )
@@ -216,8 +216,7 @@ def test_every_source_mix_joins_like_the_reference(mix, data, updates):
     flushes while the scan runs — rows, order and errors are the
     record-at-a-time operators'."""
     max_ts = max(u.timestamp for u in updates)
-    conflict = data.draw(st.booleans())
-    if conflict:
+    if data.draw(st.booleans()):
         # A chain that cannot combine: both sides must refuse it alike.
         key = data.draw(st.sampled_from(updates)).key
         updates = sorted(
@@ -251,7 +250,7 @@ def test_every_source_mix_joins_like_the_reference(mix, data, updates):
     vol = StorageVolume(SimulatedSSD(capacity=16 * MB))
     block_size = data.draw(st.sampled_from([256, 512, 4 * KB]))
     runs = [
-        write_run(vol, f"mix-run-{i}", ref.columns_of(part, CODEC), CODEC, block_size=block_size)
+        write_run(vol, f"mix-run-{i}", CODEC.encode_columns(part), CODEC, block_size=block_size)
         for i, part in enumerate(parts)
         if part
     ]
@@ -266,8 +265,8 @@ def test_every_source_mix_joins_like_the_reference(mix, data, updates):
     sources: list = []
     for run, records in zip(runs, run_records):
         def fallback(after, records=records):
-            return ref.columns_of(
-                [u for u in records if after is None or u.sort_key() > after], CODEC
+            return CODEC.encode_columns(
+                [u for u in records if after is None or u.sort_key() > after]
             )
 
         degraded = mix == "quarantined" or (mix == "mixed" and data.draw(st.booleans()))
@@ -282,8 +281,8 @@ def test_every_source_mix_joins_like_the_reference(mix, data, updates):
         flip_one_bit(runs[victim], data.draw(st.integers(0, runs[victim].num_blocks - 1)))
         unhealed = not data.draw(st.booleans())
         if not unhealed:
-            sources[victim].fallback = lambda after: ref.columns_of(
-                [u for u in run_records[victim] if after is None or u.sort_key() > after], CODEC
+            sources[victim].fallback = lambda after: CODEC.encode_columns(
+                [u for u in run_records[victim] if after is None or u.sort_key() > after]
             )
         else:
             # No log to fall back on: the damage surfaces, as the same error.
@@ -302,10 +301,23 @@ def test_every_source_mix_joins_like_the_reference(mix, data, updates):
         )
         reference_sources.append(visible(memory))
     elif mix != "none":
-        sources.append(ref.columns_of(visible(memory), CODEC))
+        sources.append(CODEC.encode_columns(visible(memory)))
         reference_sources.append(visible(memory))
 
-    expected = outcome(ref.merge_data_updates(pairs, ref.merge_updates(reference_sources, SCHEMA), SCHEMA))
+    def reference_outcome(sources):
+        return outcome(ref.merge_data_updates(pairs, ref.merge_updates(sources, SCHEMA), SCHEMA))
+
+    expected = reference_outcome(reference_sources)
+    allowed = [expected]
+    if unhealed:
+        # When the scan can meet both an uncombinable chain and the damaged
+        # block, which error comes first depends on the read grain: the
+        # reference streams block by block, the kernel slices a partition.
+        # Either error, exactly as the reference words it, is then right.
+        conflict = reference_outcome([*run_records, *reference_sources[len(runs):]])
+        damage = outcome(ref.scan_run(runs[victim], begin, end, query_ts))
+        if isinstance(conflict, str) and isinstance(damage, str):
+            allowed = [conflict, damage]
 
     merge = MergeUpdates(sources, blocks_per_partition=data.draw(st.sampled_from([1, 2, 32])))
     rows = iter(MergeDataUpdates(pairs, merge, SCHEMA))
@@ -324,13 +336,6 @@ def test_every_source_mix_joins_like_the_reference(mix, data, updates):
 
     got = outcome(drained())
     event(f"{mix}: {'rows' if isinstance(got, list) else got.split(':')[0]}")
-    if conflict and unhealed and isinstance(expected, str):
-        # Two errors are pending; which one a reader meets first depends on
-        # its read grain (a block stream or a partition slice), so either is
-        # the reference's answer.
-        assert isinstance(got, str)
-        assert {got.split(":")[0], expected.split(":")[0]} <= {"ChecksumError", "UpdateConflictError"}
-    else:
-        assert got == expected
+    assert got in allowed
     if mix == "none":
         assert expected == [record for record, _ in pairs]

@@ -106,14 +106,13 @@ def test_completed_migration_leftover_runs_deleted():
     # recreating the run file.
     codec = UpdateCodec(SCHEMA)
     if run_name not in ssd_vol:
-        from reference_operators import columns_of
         from repro.core.sortedrun import write_run
         from repro.core.update import UpdateRecord, UpdateType
 
         write_run(
             ssd_vol,
             run_name,
-            columns_of([UpdateRecord(2, 40, UpdateType.MODIFY, {"payload": "migrated"})], codec),
+            codec.encode_columns([UpdateRecord(2, 40, UpdateType.MODIFY, {"payload": "migrated"})]),
             codec,
             block_size=4 * KB,
         )

@@ -2,7 +2,6 @@
 
 import pytest
 
-from reference_operators import columns_of
 from repro.core.runindex import FINE_GRANULARITY
 from repro.core.sortedrun import write_run
 from repro.core.update import UpdateCodec, UpdateRecord, UpdateType
@@ -21,12 +20,11 @@ def make_volume(capacity=64 * MB):
 
 
 def updates(n, key_step=2, ts_start=1):
-    return columns_of(
+    return CODEC.encode_columns(
         [
             UpdateRecord(ts_start + i, i * key_step, UpdateType.INSERT, (i * key_step, "x"))
             for i in range(n)
-        ],
-        CODEC,
+        ]
     )
 
 
@@ -83,12 +81,12 @@ def test_unsorted_updates_rejected():
         UpdateRecord(2, 5, UpdateType.DELETE, None),
     ]
     with pytest.raises(StorageError):
-        write_run(vol, "bad", columns_of(items, CODEC), CODEC)
+        write_run(vol, "bad", CODEC.encode_columns(items), CODEC)
 
 
 def test_empty_run_rejected():
     with pytest.raises(StorageError):
-        write_run(make_volume(), "empty", columns_of([], CODEC), CODEC)
+        write_run(make_volume(), "empty", CODEC.encode_columns([]), CODEC)
 
 
 def test_run_writes_are_sequential_on_ssd():
@@ -138,7 +136,7 @@ def test_oversized_update_rejected():
     codec = UpdateCodec(big_schema)
     item = UpdateRecord(1, 0, UpdateType.INSERT, (0, "x"))
     with pytest.raises(StorageError):
-        write_run(vol, "big", columns_of([item], codec), codec, block_size=4 * KB)
+        write_run(vol, "big", codec.encode_columns([item]), codec, block_size=4 * KB)
 
 
 def test_fine_granularity_index():
