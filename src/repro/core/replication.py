@@ -67,7 +67,7 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple
 
 import dataclasses as _dc
@@ -98,10 +98,11 @@ from repro.util.units import KB, MB
 #: the replica's governor pacing fraction when foreground load is high).
 DEFAULT_SCRUB_SLICE = 256 * KB
 
-#: Rows between mid-scan fault-plan consultations: a node that crashes
-#: while a scan is draining fails the scan within one stride, not at the
-#: next scan.
-FAULT_CHECK_STRIDE = 64
+#: Rows a served scan moves per step.  The replica re-consults its fault
+#: plan, and the router its deadline and hedge delay, once per full stride:
+#: a node that crashes while a scan is draining fails the scan within one
+#: stride, not at the next scan.
+SCAN_STRIDE = 64
 
 
 class ReplicaState(enum.Enum):
@@ -379,12 +380,14 @@ class ReplicaSet:
     ) -> Iterator[tuple]:
         """Scan one replica (default: the primary) at a pinned snapshot ts.
 
-        The stream re-consults the replica's fault plan every
-        :data:`FAULT_CHECK_STRIDE` rows, so a node that crashes or wedges
-        *mid-drain* fails the scan with :class:`ReplicaUnavailableError`
-        promptly — which is what lets the fan-out executor fail the
-        partition over to another replica under the same ``query_ts`` and
-        still return byte-identical rows.
+        The stream re-consults the replica's fault plan after every full
+        :data:`SCAN_STRIDE` rows have been handed over, so a node that
+        crashes or wedges *mid-drain* fails the scan with
+        :class:`ReplicaUnavailableError` promptly — which is what lets the
+        fan-out executor fail the partition over to another replica under
+        the same ``query_ts`` and still return byte-identical rows.  Rows
+        move a stride-sized list at a time, so a consumer that drains with
+        ``islice``/``extend`` runs no Python frame per row.
         """
         replica = self.replicas[
             self.primary_id if replica_id is None else replica_id
@@ -392,15 +395,15 @@ class ReplicaSet:
         self._guard(replica)
         inner = replica.masm.range_scan(begin_key, end_key, query_ts=query_ts)
 
-        def stream() -> Iterator[tuple]:
-            emitted = 0
-            for row in inner:
-                yield row
-                emitted += 1
-                if emitted % FAULT_CHECK_STRIDE == 0:
-                    self._guard(replica)
+        def strides() -> Iterator[list]:
+            while True:
+                stride = list(islice(inner, SCAN_STRIDE))
+                yield stride
+                if len(stride) < SCAN_STRIDE:
+                    return
+                self._guard(replica)
 
-        return stream()
+        return chain.from_iterable(strides())
 
     # ------------------------------------------------------------- lifecycle
     def crash_replica(self, replica_id: int) -> None:
@@ -826,7 +829,7 @@ class ReplicatedWarehouse:
         for record in records:
             shares[self.route(self.schema.key(record))].append(record)
         for shard, share in zip(self.shards, shares):
-            share.sort(key=self.schema.key)
+            share.sort(key=self.schema.key_of)
             for replica in shard.replicas:
                 replica.table.bulk_load(share)
 
@@ -921,7 +924,7 @@ class ReplicatedWarehouse:
             streams = [
                 shard.scan(lo, hi, query_ts) for shard in self.shards
             ]
-            return heapq.merge(*streams, key=self.schema.key)
+            return heapq.merge(*streams, key=self.schema.key_of)
 
         return chain.from_iterable(
             scan_partition(lo, hi)

@@ -22,9 +22,9 @@ of the same protocol (``repro.sim.actors._EnvBackend``).
 
 Deadlines: a :class:`Deadline` is armed per request at dispatch and
 threaded through the fan-out; it is checked at every partition boundary
-and every :data:`DEADLINE_CHECK_STRIDE` rows inside a drain.  Under
-:attr:`DeadlineMode.STRICT` an overrun raises the typed, retryable
-:class:`~repro.errors.DeadlineExceededError`; under
+and after every full :data:`~repro.core.replication.SCAN_STRIDE` rows
+inside a drain.  Under :attr:`DeadlineMode.STRICT` an overrun raises the
+typed, retryable :class:`~repro.errors.DeadlineExceededError`; under
 :attr:`DeadlineMode.DEGRADED` the request returns the rows of every fully
 covered key range plus the exact uncovered ranges, so the client knows
 precisely what it did not see.
@@ -33,10 +33,11 @@ precisely what it did not see.
 from __future__ import annotations
 
 import enum
-import heapq
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Optional
 
+from repro.core.replication import SCAN_STRIDE
 from repro.errors import (
     DeadlineExceededError,
     NoHealthyReplicaError,
@@ -44,9 +45,6 @@ from repro.errors import (
     StorageError,
 )
 from repro.obs import get_registry
-
-#: Rows between deadline / hedge-delay re-checks inside one drain loop.
-DEADLINE_CHECK_STRIDE = 64
 
 
 @dataclass(frozen=True)
@@ -148,6 +146,18 @@ class Deadline:
                 budget=self.budget,
                 elapsed=elapsed,
             )
+
+
+def _full_strides(stream, rows: list):
+    """Drain ``stream`` into ``rows`` a stride at a time, pausing after each
+    full stride (the deadline and hedge checkpoint); a short stride means
+    the stream is exhausted and ends the drain without a checkpoint."""
+    while True:
+        drained = len(rows)
+        rows.extend(islice(stream, SCAN_STRIDE))
+        if len(rows) - drained < SCAN_STRIDE:
+            return
+        yield
 
 
 @dataclass
@@ -267,12 +277,18 @@ class ReplicatedBackend:
     def _scan_partition(
         self, lo: int, hi: int, query_ts: int, deadline, outcome: FanoutOutcome
     ) -> list:
-        """One partition: every shard's rows, merged key-ordered."""
+        """One partition: every shard's rows, merged key-ordered.
+
+        Each shard's list is one sorted run, so sorting their concatenation
+        is a Timsort merge of k runs on a C-level key.
+        """
         per_shard = [
             self._scan_shard(shard_id, lo, hi, query_ts, deadline, outcome)
             for shard_id in range(self.warehouse.num_shards)
         ]
-        return list(heapq.merge(*per_shard, key=self.warehouse.schema.key))
+        return sorted(
+            chain.from_iterable(per_shard), key=self.warehouse.schema.key_of
+        )
 
     def _scan_shard(
         self,
@@ -332,10 +348,7 @@ class ReplicatedBackend:
             stream = self.warehouse.scan_shard_partition(
                 shard_id, lo, hi, query_ts, replica_id=replica_id
             )
-            for row in stream:
-                rows.append(row)
-                if len(rows) % DEADLINE_CHECK_STRIDE:
-                    continue
+            for _ in _full_strides(stream, rows):
                 if deadline is not None:
                     deadline.check()
                 if (
@@ -397,9 +410,8 @@ class ReplicatedBackend:
             stream = self.warehouse.scan_shard_partition(
                 shard_id, lo, hi, query_ts, replica_id=backup_id
             )
-            for row in stream:
-                rows.append(row)
-                if deadline is not None and not len(rows) % DEADLINE_CHECK_STRIDE:
+            for _ in _full_strides(stream, rows):
+                if deadline is not None:
                     deadline.check()
         except (StorageError, ReplicationError):
             backup.failure()
