@@ -10,11 +10,7 @@ availability-under-chaos surface (:mod:`benchmarks.bench_availability` vs
 success-rate floor, bounded failover-window p99, chaos actually engaged)
 and the durability-under-churn surface (:mod:`benchmarks.bench_durability`
 vs ``BENCH_durability.json``: bounded WAL, zero wrong responses, snapshot
-bootstrap and anti-entropy repair actually engaged) and the compaction
-latency-stability surface (:mod:`benchmarks.bench_compaction` vs
-``BENCH_compaction.json``: cost-based p99.9 scan tail at or below the
-structural oracle, device-time non-regression, slices actually applied,
-deterministic double run).
+bootstrap and anti-entropy repair actually engaged).
 
 Absolute numbers are machine-dependent (the committed baseline and a CI
 runner differ in CPU and in workload size), so both gates compare
@@ -52,7 +48,6 @@ from bench_scan_merge_hotpath import (  # noqa: E402
 )
 
 import bench_availability  # noqa: E402
-import bench_compaction  # noqa: E402
 import bench_durability  # noqa: E402
 import bench_serving  # noqa: E402
 
@@ -64,8 +59,6 @@ AVAILABILITY_BASELINE_FILE = RESULTS_DIR / "BENCH_availability.json"
 AVAILABILITY_FRESH_RESULT_FILE = "BENCH_availability.fresh.json"
 DURABILITY_BASELINE_FILE = RESULTS_DIR / "BENCH_durability.json"
 DURABILITY_FRESH_RESULT_FILE = "BENCH_durability.fresh.json"
-COMPACTION_BASELINE_FILE = RESULTS_DIR / "BENCH_compaction.json"
-COMPACTION_FRESH_RESULT_FILE = "BENCH_compaction.fresh.json"
 
 #: The row whose cells normalize every other row (re-measured each run).
 REFERENCE_ROW = "reference"
@@ -123,17 +116,6 @@ DURABILITY_REQUIRED_CELLS = (
     ("all", "bootstraps"),
     ("all", "repairs"),
     ("all", "unrepaired"),
-)
-#: And for compaction: the gates are absolute (p99.9 tail vs structural,
-#: device-time non-regression, non-vacuous slices — see bench_compaction);
-#: the regression gate keeps the surface from silently vanishing.
-COMPACTION_REQUIRED_CELLS = (
-    ("structural", "p999_ms"),
-    ("structural", "device_s"),
-    ("cost", "p999_ms"),
-    ("cost", "device_s"),
-    ("cost", "slices"),
-    ("cost", "emergency"),
 )
 
 
@@ -334,12 +316,6 @@ def main(argv: list[str] | None = None) -> int:
         default=DURABILITY_BASELINE_FILE,
         help="committed durability baseline JSON to compare against",
     )
-    parser.add_argument(
-        "--compaction-baseline",
-        type=pathlib.Path,
-        default=COMPACTION_BASELINE_FILE,
-        help="committed compaction baseline JSON to compare against",
-    )
     args = parser.parse_args(argv)
 
     # Load the committed baselines BEFORE running anything: the fresh runs
@@ -378,17 +354,6 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"error: cannot load durability baseline "
             f"{args.durability_baseline}: {exc}",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        compaction_baseline = load_rows(
-            json.loads(args.compaction_baseline.read_text())
-        )
-    except (OSError, KeyError, ValueError) as exc:
-        print(
-            f"error: cannot load compaction baseline "
-            f"{args.compaction_baseline}: {exc}",
             file=sys.stderr,
         )
         return 2
@@ -490,44 +455,14 @@ def main(argv: list[str] | None = None) -> int:
         durability_result, full=not args.smoke
     )
 
-    # ---------------------------------------------------- compaction gate
-    compaction_kwargs = (
-        bench_compaction.SMOKE_KWARGS
-        if args.smoke
-        else bench_compaction.FULL_KWARGS
-    )
-    compaction_result = bench_compaction.run_compaction_bench(
-        **compaction_kwargs
-    )
-    print()
-    print(compaction_result.format())
-    compaction_path = bench_compaction.write_results(
-        compaction_result, COMPACTION_FRESH_RESULT_FILE
-    )
-    print(f"wrote fresh compaction results to {compaction_path}")
-    compaction_fresh = load_rows(compaction_result.to_dict())
-    for label, column in COMPACTION_REQUIRED_CELLS:
-        for origin, rows in (
-            ("baseline", compaction_baseline),
-            ("fresh", compaction_fresh),
-        ):
-            if rows.get(label, {}).get(column) is None:
-                failures.append(
-                    f"required cell {label}/{column} missing from "
-                    f"{origin} compaction results"
-                )
-    failures += bench_compaction.check_gates(
-        compaction_result, full=not args.smoke
-    )
-
     if failures:
         print("\nREGRESSION:", file=sys.stderr)
         for failure in failures:
             print(f"  {failure}", file=sys.stderr)
         return 1
     print(
-        "\nOK: no hot-path, serving, availability, durability or "
-        "compaction regression beyond tolerance"
+        "\nOK: no hot-path, serving, availability or durability "
+        "regression beyond tolerance"
     )
     return 0
 

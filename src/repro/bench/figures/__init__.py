@@ -63,7 +63,6 @@ ALL_DRIVERS = {
         "durability-under-churn": durability_churn.run,
         "hdd-cache": hdd_cache.run,
         "latency-stability": latency_stability.run,
-        "latency-stability-compaction": latency_stability.run_compaction,
         "lsm-write-amplification": lsm_write_amplification.run,
         "noisy-neighbor": noisy_neighbor.run,
         "serving-scale": serving_scale.run,

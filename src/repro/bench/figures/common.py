@@ -118,14 +118,14 @@ def safe_rate(count: float, elapsed: float) -> float:
     return count / max(elapsed, 1e-12)
 
 
-def clamped_alpha(cache_bytes: int, alpha: float, page: int = SSD_PAGE) -> float:
+def clamped_alpha(cache_bytes: int, alpha: float) -> float:
     """Raise alpha to its Section 3.4 lower bound when a scaled-down cache
     makes M too small for the requested value (alpha >= 2/cbrt(M))."""
     import math
 
     from repro.core.theory import alpha_lower_bound
 
-    M = max(2, math.isqrt(max(1, cache_bytes // page)))
+    M = max(2, math.isqrt(max(1, cache_bytes // SSD_PAGE)))
     return min(2.0, max(alpha, alpha_lower_bound(M) * 1.0001))
 
 

@@ -31,12 +31,10 @@ from repro.bench.figures.common import (
     safe_rate,
 )
 from repro.bench.harness import FigureResult
-from repro.core.compaction import CompactionConfig
 from repro.core.governor import GovernorConfig, OverloadPolicy
 from repro.core.masm import MaSM, MaSMConfig
 from repro.errors import BackpressureError
 from repro.storage.iosched import OverlapWindow
-from repro.util.units import KB
 from repro.workloads.synthetic import (
     FloodSchedule,
     SyntheticUpdateGenerator,
@@ -184,162 +182,5 @@ def run(
         f"sustainable rate {sustainable:.0f} upd/s; flood at "
         f"{flood_factor:g}x; governed engines bound each stall "
         "(paced migration slices) while only SHED drops updates"
-    )
-    return result
-
-
-# --------------------------------------------------- compaction comparison
-#: Engine geometry for the comparison: 1 KB pages over a 128 KB cache give
-#: M=11, a 6-page (6 KB) update buffer and query_pages=5, so the flood
-#: mints a fresh sorted run every couple hundred updates; with migration
-#: deferred to 95% of the cache, the run count repeatedly crosses the
-#: budget between scans — real pressure at bench-smoke scale.
-_COMPACTION_PAGE = 1 * KB
-_COMPACTION_CACHE = 128 * KB
-
-
-def _compaction_engine(rig, mode: str) -> MaSM:
-    """An engine sized so the flood outruns the run budget.
-
-    A small update buffer makes flushes (hence sorted runs) frequent, so
-    both engines repeatedly cross ``query_pages``: the structural engine
-    answers with a stop-the-world multi-run merge inside the next scan's
-    preamble, the cost engine with paced WAL-fenced slices charged to the
-    ingest timeline.  Everything except the ``compaction=`` knob is
-    identical — same budget trigger, same auto-migration policy.
-    """
-    config = MaSMConfig(
-        alpha=clamped_alpha(_COMPACTION_CACHE, 1.0, page=_COMPACTION_PAGE),
-        ssd_page_size=_COMPACTION_PAGE,
-        block_size=_COMPACTION_PAGE,
-        cache_bytes=_COMPACTION_CACHE,
-        auto_migrate=True,
-        migration_threshold=0.95,
-        compaction=mode,
-        # The cost scheduler's own tuning: plan one run above the
-        # structural budget and emit coarse slices.  Riding slightly higher
-        # trades marginally wider scans for strictly less re-merge work —
-        # which is the point of scoring benefit against device cost.
-        compaction_config=(
-            CompactionConfig(trigger_runs=6, min_slice_records=1024)
-            if mode == "cost"
-            else None
-        ),
-    )
-    return MaSM(rig.table, rig.ssd_volume, config=config, oracle=rig.oracle, cpu=rig.cpu)
-
-
-def _scan_flood(
-    scale: float,
-    seed: int,
-    mode: str,
-    rate: float,
-    count: int,
-    scan_every: int,
-) -> dict:
-    """Flood one engine at ``rate`` with interleaved scans; return metrics."""
-    rig = build_rig(scale=scale, seed=seed)
-    clock = rig.disk.clock
-    masm = _compaction_engine(rig, mode)
-    generator = SyntheticUpdateGenerator(
-        num_records=rig.table.row_count, seed=seed, oracle=rig.oracle
-    )
-    schedule = FloodSchedule.steady(rate, count)
-    # Narrow scans over the populated key domain (keys are 2*i for row i):
-    # the fixed base-table heap read must not drown the run-budget work the
-    # two modes schedule differently — the stall being compared is SSD-side
-    # (merge writes in the structural preamble vs paced slices on the
-    # ingest timeline).
-    key_lo, key_hi = 0, rig.table.row_count * 2
-    span = max(16, (key_hi - key_lo) // 128)
-    latencies: list[float] = []
-    peak_runs = 0
-    scans = 0
-    flood_start = clock.now
-    for index, (arrival, update) in enumerate(
-        flood_stream(generator, schedule, start=flood_start)
-    ):
-        if clock.now < arrival:
-            clock.advance_to(arrival)
-        masm.apply(update)
-        peak_runs = max(peak_runs, len(masm.runs))
-        if masm.compactor is not None:
-            # The sim has no threads; the ingest loop stands in for the
-            # background compaction thread.  maybe_step() is a no-op until
-            # the run count crosses the trigger, then pays one bounded
-            # slice here — on the ingest timeline, not inside a scan.
-            masm.compactor.maybe_step()
-        if (index + 1) % scan_every == 0:
-            lo = key_lo + (scans * span) % max(1, key_hi - key_lo - span)
-            started = clock.now
-            last = started
-            # Latency is time-to-last-result: the structural preamble merge
-            # delays the first row and is charged; post-delivery generator
-            # cleanup (the scan-end compaction hook) is background work and
-            # is not — though its device seconds still count below.
-            for _ in masm.range_scan(lo, lo + span):
-                last = clock.now
-            latencies.append(last - started)
-            scans += 1
-    latencies.sort()
-    device_seconds = rig.disk.stats.busy_time + rig.ssd.stats.busy_time
-    compactor = masm.compactor
-    report = compactor.report() if compactor is not None else {}
-    return {
-        "scans": float(scans),
-        "p99 scan (ms)": _percentile(latencies, 0.99) * 1e3,
-        "p99.9 scan (ms)": _percentile(latencies, 0.999) * 1e3,
-        "max scan (ms)": (latencies[-1] if latencies else 0.0) * 1e3,
-        "device (s)": device_seconds,
-        "peak runs": float(peak_runs),
-        "slices": float(report.get("slices_applied", 0)),
-        "emergency": float(report.get("emergency_merges", 0)),
-    }
-
-
-def run_compaction(
-    scale: float = 1.0,
-    seed: int = 7,
-    flood_factor: float = 2.0,
-    flood_updates: Optional[int] = None,
-    scan_every: int = 300,
-) -> FigureResult:
-    """Sustained-overload structural-vs-cost comparison on scan latency.
-
-    Both engines absorb the same update flood at ``flood_factor`` times the
-    sustainable rate with a scan every ``scan_every`` updates.  The claim
-    under test: cost-based incremental compaction trims the scan-latency
-    tail (p99.9) without spending more device time than the structural
-    oracle — same bytes merged, paid in bounded slices instead of stalls.
-    """
-    result = FigureResult(
-        figure="Latency stability (compaction)",
-        title="Scan-latency stability under a sustained "
-        f"{flood_factor:g}x flood: structural vs cost-based compaction",
-        row_label="engine",
-        columns=[
-            "scans",
-            "p99 scan (ms)",
-            "p99.9 scan (ms)",
-            "max scan (ms)",
-            "device (s)",
-            "peak runs",
-            "slices",
-            "emergency",
-        ],
-    )
-    sustainable, per_cycle = _calibrate(scale, seed)
-    count = flood_updates if flood_updates is not None else max(6000, 3 * per_cycle)
-    flood_rate = sustainable * flood_factor
-    for mode in ("structural", "cost"):
-        result.add_row(
-            mode, **_scan_flood(scale, seed, mode, flood_rate, count, scan_every)
-        )
-    structural_tail = result.cell("structural", "p99.9 scan (ms)")
-    cost_tail = result.cell("cost", "p99.9 scan (ms)")
-    result.note(
-        f"flood at {flood_factor:g}x sustainable ({flood_rate:.0f} upd/s), "
-        f"{count} updates, scan every {scan_every}; p99.9 scan "
-        f"{structural_tail:.2f} ms structural vs {cost_tail:.2f} ms cost"
     )
     return result

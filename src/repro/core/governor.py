@@ -509,19 +509,11 @@ class LoadGovernor:
 
     # ----------------------------------------------------------- scheduling
     def on_scan_end(self) -> None:
-        """Between-scans hook: paced migration, then a compaction slice.
-
-        The two background duties share the gap between scans under one
-        priority rule: migration (which frees cache space) runs first when
-        occupancy is high; compaction slices run whenever occupancy is below
-        CRITICAL — above that every device-second must go to making room.
-        """
+        """Between-scans hook: a paced migration slice when occupancy is
+        high (migration frees cache space)."""
         state = self.watermark_state()
         if self.config.migrate_between_scans and state >= STATE_HIGH:
             self.migrate_step()
-        compactor = self.masm.compactor
-        if compactor is not None and state < STATE_CRITICAL:
-            compactor.maybe_step()
 
     def on_full_migration(self) -> None:
         """A full/coordinated migration emptied the cache: reset the sweep."""

@@ -96,9 +96,8 @@ def _merge(slices: Sequence[UpdateColumns]):
 
 def merge_sorted(slices: Sequence[UpdateColumns]) -> Optional[UpdateColumns]:
     """Merge (key, ts)-sorted slices (in source order) into one, every
-    update kept — what a structural merge or a compaction slice writes: the
-    product must still answer timestamps between a key's versions.  None
-    when every slice is empty."""
+    update kept — what a run merge writes: the product must still answer
+    timestamps between a key's versions.  None when every slice is empty."""
     merged, order = _merge(slices)
     return merged if order is None else merged.rows(order)
 

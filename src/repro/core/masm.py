@@ -26,7 +26,6 @@ import numpy as np
 
 from repro.core import kernels
 from repro.core.blockcache import DEFAULT_CACHE_BLOCKS, DecodedBlockCache
-from repro.core.compaction import CompactionConfig, CompactionScheduler
 from repro.core.governor import GovernorConfig, LoadGovernor, OverloadPolicy
 from repro.core.membuffer import InMemoryUpdateBuffer
 from repro.obs import get_registry, trace
@@ -85,14 +84,6 @@ class MaSMConfig:
     #: ``UpdateCacheFullError`` behaviour are preserved exactly.
     overload_policy: Optional[OverloadPolicy] = None
     governor: Optional[GovernorConfig] = None
-    #: Merge scheduling policy: ``"structural"`` (the default and the
-    #: paper's oracle behaviour — victims picked by position, merges run to
-    #: completion in the scan preamble) or ``"cost"`` (benefit/cost-scored
-    #: victims executed as WAL-fenced incremental slices; see
-    #: :mod:`repro.core.compaction`).
-    compaction: str = "structural"
-    #: Tuning for the cost-based scheduler; None uses defaults.
-    compaction_config: Optional[CompactionConfig] = None
 
     def governor_config(self) -> Optional[GovernorConfig]:
         """The effective governor tuning, or None when ungoverned."""
@@ -405,17 +396,6 @@ class MaSM:
         self.governor: Optional[LoadGovernor] = (
             LoadGovernor(self, governor_config) if governor_config is not None else None
         )
-        if self.config.compaction not in ("structural", "cost"):
-            raise ValueError(
-                f"compaction must be 'structural' or 'cost', "
-                f"got {self.config.compaction!r}"
-            )
-        #: Cost-based incremental merge scheduling (None = structural).
-        self.compactor: Optional[CompactionScheduler] = (
-            CompactionScheduler(self, self.config.compaction_config)
-            if self.config.compaction == "cost"
-            else None
-        )
 
     def attach_snapshots(self, manager) -> None:
         """Make ``manager`` (a :class:`repro.txn.snapshot.SnapshotManager`)
@@ -685,30 +665,15 @@ class MaSM:
 
     # ----------------------------------------------------------- run merging
     def _ensure_run_budget(self) -> None:
-        """Merge earliest 1-pass runs until K1 + K2 <= query pages (Fig. 8).
-
-        With the cost-based scheduler attached, paced slices do the routine
-        merging between scans; this preamble only publishes safe pending
-        slices and enforces the emergency ceiling.
-        """
-        if self.compactor is not None:
-            self.compactor.ensure_budget()
-            return
+        """Merge earliest 1-pass runs until K1 + K2 <= query pages (Fig. 8)."""
         while len(self.runs) > self.params.query_pages:
             self._merge_earliest_runs(self.params.merge_fan_in)
 
-    def _merge_earliest_runs(
-        self, fan_in: int, exclude_compacting: bool = False
-    ) -> Optional[MaterializedSortedRun]:
+    def _merge_earliest_runs(self, fan_in: int) -> Optional[MaterializedSortedRun]:
         with self._lock:
-            eligible = (
-                [r for r in self.runs if not r.compacting]
-                if exclude_compacting
-                else self.runs
-            )
-            if len(eligible) < 2:
+            if len(self.runs) < 2:
                 return None
-            one_pass = [r for r in eligible if r.passes == 1]
+            one_pass = [r for r in self.runs if r.passes == 1]
             if len(one_pass) >= 2:
                 victims = one_pass[: max(2, min(fan_in, len(one_pass)))]
                 passes = 2
@@ -716,7 +681,7 @@ class MaSM:
                 # Degenerate fallback: merge the two earliest runs whatever
                 # their pass count (would be a 3-pass run; the alpha lower
                 # bound exists precisely to make this unnecessary).
-                victims = eligible[:2]
+                victims = self.runs[:2]
                 passes = max(r.passes for r in victims) + 1
             sim_interleave("masm.merge_runs")
             with trace("masm.merge_runs", fan_in=len(victims), passes=passes):
@@ -750,6 +715,9 @@ class MaSM:
                             max(r.covered_max_ts for r in victims),
                         ),
                     )
+                # Logged, product not written: recovery must keep serving
+                # the victims and forget the merge.
+                crash_point("masm.merge.logged")
                 # The victims are read here, after the log append, each one
                 # whole: every update is kept (the product must still answer
                 # timestamps between a key's versions).
@@ -767,6 +735,10 @@ class MaSM:
                 )
                 run.covered_min_ts = min(r.covered_min_ts for r in victims)
                 run.covered_max_ts = max(r.covered_max_ts for r in victims)
+                # Product durable, victims still on the SSD: recovery must
+                # serve the product and discard the victims, or every
+                # merged update is applied twice.
+                crash_point("masm.merge.product_written")
                 # An active scan may have captured the victims in its run
                 # list at registration (or reach one via the Mem_scan
                 # flush-epoch handover): deleting their files now would rip
@@ -818,8 +790,6 @@ class MaSM:
             self._scan_seq += 1
             self._active_scans[scan_id] = query_ts
             runs = list(self.runs)
-            if self.compactor is not None:
-                self.compactor.observe_scan(runs, begin_key, end_key)
             # The buffer generation this scan's snapshot belongs to: the
             # MemScan below is built lazily, so it must learn the epoch of
             # registration time, not of first-pull time.
@@ -867,10 +837,6 @@ class MaSM:
                     self._gc_graveyard()
                 if self.governor is not None:
                     self.governor.on_scan_end()
-                elif self.compactor is not None:
-                    # Ungoverned cost mode: the between-scans hook is the
-                    # only pacing site (the governor co-schedules otherwise).
-                    self.compactor.maybe_step()
 
         return ScanRows.over(joined())
 
@@ -938,8 +904,7 @@ class MaSM:
         updates the run's intact blocks would have delivered, as logged: the
         table's logged updates inside the run's covered timestamp range,
         (key, ts)-sorted, with the query's key range, timestamp visibility,
-        ``after`` resume position and the run's masked spans (migrated and
-        merged ranges) applied.
+        ``after`` resume position and the run's migrated ranges applied.
         """
         if run.quarantine("block failed verification during scan"):
             self.stats.quarantined_runs += 1
@@ -959,7 +924,8 @@ class MaSM:
             wanted &= timestamps <= query_ts
         if after is not None:
             wanted &= (keys > after[0]) | ((keys == after[0]) & (timestamps > after[1]))
-        for lo, hi in run.masked_spans():
+        # A snapshot: a concurrent migration coalesces the list in place.
+        for lo, hi in list(run.migrated_ranges):
             wanted &= (keys < lo) | (keys > hi)
         return replayed.rows(wanted)
 
@@ -1065,10 +1031,6 @@ class MaSM:
                 rebuilt.covered_min_ts = run.covered_min_ts
                 rebuilt.covered_max_ts = run.covered_max_ts
                 rebuilt.migrated_ranges = list(run.migrated_ranges)
-                rebuilt.merged_ranges = list(run.merged_ranges)
-                rebuilt.compacting = run.compacting
-                if self.compactor is not None:
-                    self.compactor.replace_run(run, rebuilt)
                 for i, existing in enumerate(self.runs):
                     if existing is run:
                         self.runs[i] = rebuilt
@@ -1113,9 +1075,10 @@ class MaSM:
 
         The donor side of peer repair when run names do not line up: the
         union of run contents (every block read and verified, unfiltered by
-        masked ranges) and the in-memory buffer, deduplicated by (key,
-        timestamp) — the first copy met wins — and (key, ts)-sorted.  Raises
-        on quarantined runs in range — a donor must be healthy.
+        migrated ranges) and the in-memory buffer, (key, ts)-sorted.  The
+        runs and the buffer are read under one lock, and flushes and merges
+        swap them under it, so no update is met twice.  Raises on
+        quarantined runs in range — a donor must be healthy.
         """
         with self._lock:
             runs = list(self.runs)
@@ -1135,11 +1098,7 @@ class MaSM:
             return UpdateColumns.from_encoded([], self.codec)
         stored = UpdateColumns.concat(pieces)
         timestamps = stored.timestamps
-        stored = stored.rows((timestamps >= min_ts) & (timestamps <= max_ts)).sorted()
-        keys, timestamps = stored.keys, stored.timestamps
-        first = np.ones(len(stored), dtype=bool)  # the first copy of each (key, ts)
-        first[1:] = (keys[1:] != keys[:-1]) | (timestamps[1:] != timestamps[:-1])
-        return stored.rows(first)
+        return stored.rows((timestamps >= min_ts) & (timestamps <= max_ts)).sorted()
 
     # ----------------------------------------------------------- checkpoints
     def _checkpoint_fence(self) -> int:
@@ -1179,12 +1138,9 @@ class MaSM:
 
         Returns None when no fence can safely be cut: no log attached,
         nothing durable yet, a quarantined run (its log-fallback needs the
-        prefix), graveyarded merge victims (truncating their RUN_MERGE
+        prefix), or graveyarded merge victims (truncating their RUN_MERGE
         record while the victim files survive would double-apply every
-        merged update on the next recovery), or an in-flight incremental
-        compaction (the manifest cannot carry merge masks, and truncating a
-        MERGE_SLICE record whose product is not in a manifest would orphan
-        it — slices are short, so the window closes quickly).
+        merged update on the next recovery).
         """
         with self._lock:
             if self.redo_log is None:
@@ -1192,10 +1148,6 @@ class MaSM:
             if self._graveyard:
                 return None
             if any(run.quarantined for run in self.runs):
-                return None
-            if self.compactor is not None and self.compactor.busy:
-                return None
-            if any(run.merged_ranges for run in self.runs):
                 return None
             fence = self._checkpoint_fence()
             if fence <= 0:
@@ -1241,16 +1193,6 @@ class MaSM:
                 raise StorageError(
                     f"{self.name}: cannot export snapshot with quarantined "
                     f"run(s) {quarantined}"
-                )
-            if (self.compactor is not None and self.compactor.busy) or any(
-                r.merged_ranges for r in self.runs
-            ):
-                # RunSnapshot (like the manifest) does not carry merge
-                # masks; exporting mid-compaction would double-apply the
-                # sliced ranges on the installing replica.
-                raise StorageError(
-                    f"{self.name}: cannot export snapshot during an "
-                    "in-flight incremental compaction; retry shortly"
                 )
             fence = self._checkpoint_fence()
             heap = self.table.heap
@@ -1418,11 +1360,6 @@ class MaSM:
 
         sim_interleave("masm.migrate")
         with self._lock:
-            if self.compactor is not None:
-                # A full migration wants the whole cache: release the plan's
-                # victim locks where safe (partially merged victims keep
-                # their masks and stay cached — the next plan resumes them).
-                self.compactor.abandon_plan()
             with trace("masm.migrate", runs=len(self.runs)):
                 if self._migrate_hook is not None:
                     self._migrate_hook(self)

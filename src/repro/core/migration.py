@@ -101,11 +101,7 @@ def _migrate_everything(
     (structured arrays, in key order) while the same pass writes them back;
     returns the :class:`MigrationStats`, or None when no run can migrate."""
     table = masm.table
-    # Victims locked by an open compaction plan must stay cached: their
-    # unmasked records are about to be re-homed into slice products, and
-    # migrating them here would apply those records twice after publication.
-    held = [run for run in masm.runs if run.compacting]
-    runs = [run for run in masm.runs if not run.compacting]
+    runs = list(masm.runs)
     if not runs:
         return None
     sim_interleave(f"migration.{kind}")
@@ -130,13 +126,7 @@ def _migrate_everything(
         masm.retire_runs(runs, barrier_ts=t)
         # Every durable (non-buffered) update with ts <= t is now applied in
         # place; the checkpoint fence caps below any still-buffered update.
-        # Held compaction victims are the exception — their span stays
-        # cached, so the fence must stop below it.
-        if held:
-            fence = min(run.covered_min_ts for run in held) - 1
-            masm.migrated_through = max(masm.migrated_through, min(t, fence))
-        else:
-            masm.migrated_through = max(masm.migrated_through, t)
+        masm.migrated_through = max(masm.migrated_through, t)
         stats.runs_retired = len(runs)
     stats.publish(kind)
     return stats
@@ -347,7 +337,6 @@ def migrate_range(
         if run.min_key <= end_key
         and run.max_key >= begin_key
         and (oldest_scan_ts is None or run.max_ts <= oldest_scan_ts)
-        and not run.compacting
     ]
     if not runs:
         return None

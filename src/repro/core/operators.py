@@ -88,10 +88,10 @@ class RunScan:
     def column_groups(self) -> Iterator[UpdateColumns]:
         """The scan as non-empty :class:`UpdateColumns` pieces in key order,
         one per read group of the run (one batched SSD read), each read only
-        when asked for — what structural merges and compaction slices write
-        runs from, and what :meth:`__iter__` decodes.  On a damaged group
-        (or a quarantined run) the rest of the scan is the ``fallback``
-        past the last piece delivered, in one piece."""
+        when asked for — what run merges write runs from, and what
+        :meth:`__iter__` decodes.  On a damaged group (or a quarantined run)
+        the rest of the scan is the ``fallback`` past the last piece
+        delivered, in one piece."""
         run = self.run
         after: Optional[tuple[int, int]] = None
         if not (run.quarantined and self.fallback is not None):

@@ -101,14 +101,6 @@ class MaterializedSortedRun:
         self.passes = passes
         #: Key ranges already migrated back to the main data (Section 3.5).
         self.migrated_ranges: list[tuple[int, int]] = []
-        #: Key ranges already merged into a slice product by the incremental
-        #: compaction scheduler; the product run is the durable home of these
-        #: records, so scans skip them here exactly like migrated ranges.
-        self.merged_ranges: list[tuple[int, int]] = []
-        #: Locked as a victim of an open compaction plan: structural merges
-        #: and migrations must leave the run alone until the plan releases
-        #: it, or recovery's ordered replay would double-apply its records.
-        self.compacting = False
         #: Set when a block failed checksum verification after retries; the
         #: run's SSD copy can no longer be trusted and scans must fall back
         #: to redo-log replay of its timestamp range.
@@ -287,7 +279,8 @@ class MaterializedSortedRun:
         if span is None:
             return None
         first_block, last_block = span
-        masked = self.masked_spans()
+        # A snapshot: a concurrent migration coalesces the list in place.
+        migrated = list(self.migrated_ranges)
         # Stretches of blocks that sit side by side in one read group's
         # columns: [group, first row, end row].
         stretches: list[list] = []
@@ -333,7 +326,7 @@ class MaterializedSortedRun:
             visible = columns.timestamps <= query_ts
             if not visible.all():
                 mask = visible if mask is None else (mask & visible)
-        for m_lo, m_hi in masked:
+        for m_lo, m_hi in migrated:
             inside = (keys >= m_lo) & (keys <= m_hi)
             if inside.any():
                 outside = ~inside
@@ -347,8 +340,8 @@ class MaterializedSortedRun:
     def stored_blocks(self) -> Iterator[UpdateColumns]:
         """Every update in the run, one block read at a time, as columns.
 
-        Unlike :meth:`scan`, nothing is filtered — not even migrated or
-        merged ranges: this is the donor side of peer repair, which must
+        Unlike :meth:`scan`, nothing is filtered — not even migrated
+        ranges: this is the donor side of peer repair, which must
         hand over the run's complete durable content (the receiver keeps its
         own masks).  Each block is checksum-verified, so a damaged donor run
         raises instead of spreading corruption.  Empty blocks yield nothing.
@@ -385,37 +378,9 @@ class MaterializedSortedRun:
         """
         _coalesce_into(self.migrated_ranges, begin_key, end_key)
 
-    def mark_merged(self, begin_key: int, end_key: int) -> None:
-        """Record that keys in [begin, end] moved into a merge-slice product.
-
-        Same coalesced bookkeeping as :meth:`mark_migrated`, kept as a
-        separate list because the two retirements answer different
-        questions: migrated data lives in the main table, merged data lives
-        in another run — migration accounting must not see merge masks.
-        """
-        _coalesce_into(self.merged_ranges, begin_key, end_key)
-
-    def masked_spans(self) -> list[tuple[int, int]]:
-        """The scan-invisible key ranges: migrated ∪ merged, coalesced."""
-        if not self.merged_ranges:
-            return list(self.migrated_ranges)
-        if not self.migrated_ranges:
-            return list(self.merged_ranges)
-        combined: list[tuple[int, int]] = []
-        for lo, hi in sorted(self.migrated_ranges + self.merged_ranges):
-            if combined and lo <= combined[-1][1] + 1:
-                combined[-1] = (combined[-1][0], max(combined[-1][1], hi))
-            else:
-                combined.append((lo, hi))
-        return combined
-
     def fully_migrated(self, table_min: int, table_max: int) -> bool:
         """True if the migrated ranges cover [table_min, table_max]."""
         return _covers(self.migrated_ranges, table_min, table_max)
-
-    def fully_merged(self, key_min: int, key_max: int) -> bool:
-        """True if the merge-slice masks cover [key_min, key_max]."""
-        return _covers(self.merged_ranges, key_min, key_max)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

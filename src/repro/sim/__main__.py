@@ -73,18 +73,16 @@ SCENARIOS = {
         replicators=1,
         replica_ops=30,
     ),
-    # Cost-based compaction stress: the engine runs in "cost" mode with a
-    # tiny run-count trigger, a dedicated actor paces WAL-fenced merge
-    # slices between updates/scans/flushes, and a crasher tears the whole
-    # process down mid-plan — recovery must resume the half-merged state
-    # and every scan stays model-checked throughout.
-    "compaction": lambda: replace(
+    # Run-merge stress: many flushes and no migration pile up more 1-pass
+    # runs than the scan preamble's run budget allows, so scans merge the
+    # earliest runs into 2-pass runs (the RUN_MERGE protocol) between
+    # updates and a crash+recover; the explorer sweeps the two
+    # ``masm.merge.*`` crash sites over this schedule.
+    "merge": lambda: replace(
         SimConfig.canonical(),
-        compaction="cost",
-        compactors=1,
-        compact_ops=10,
+        migrators=0,
+        flush_ops=12,
         update_ops=60,
-        flush_ops=6,
         crashers=1,
     ),
     # Durability churn: a 3-way replica set driven through checkpointed

@@ -124,36 +124,6 @@ def migrator(env, name: str, seed: int, ops: int):
         yield
 
 
-def compactor(env, name: str, seed: int, ops: int):
-    """Run ``ops`` cost-based compaction slices (engine in "cost" mode).
-
-    Each step is one ``maybe_step()``: score candidates, emit one WAL-fenced
-    merge slice (or publish pending products once no scan is active).  The
-    scheduler interleaves scans, updates, flushes and crashes between
-    slices, so every intermediate masked-victim state is read through and
-    recovered from.  A trailing drain finishes any open plan so the final
-    full-state validation also covers the retirement path.
-    """
-    del seed
-    del name
-    for _ in range(ops):
-        scheduler = env.masm.compactor
-        if scheduler is not None:
-            scheduler.maybe_step()
-        yield
-    # Drain: a plan left half-done would be legitimate (recovery resumes
-    # it) but finishing it here makes victim retirement part of every
-    # simulated run rather than a lucky schedule.
-    while True:
-        scheduler = env.masm.compactor
-        if scheduler is None or not scheduler.busy:
-            break
-        if not scheduler.maybe_step():
-            break
-        yield
-    yield
-
-
 def crasher(env, name: str, seed: int, idle_steps: int):
     """Idle for a while, then tear the engine down and recover it.
 

@@ -22,16 +22,16 @@ from repro.sim.harness import SimConfig, SimEnv, build_actor_factories, run_simu
 from repro.sim.scheduler import Schedule, SimScheduler
 from repro.storage.faults import FaultPlan, use_fault_plan
 
-#: The durability windows the storage stack instruments.  The two
-#: compaction sites bracket the MERGE_SLICE commit point (record logged /
-#: product written); they only fire under a scenario that runs the engine
-#: in "cost" compaction mode (``--scenario compaction``).
+#: The durability windows the storage stack instruments.  The two merge
+#: sites bracket the RUN_MERGE commit point (record logged / product
+#: written, victims not yet retired); ``--scenario merge`` runs enough
+#: merges for both to fire on every schedule it sweeps.
 DEFAULT_CRASH_SITES = (
     "masm.flush.run_written",
     "migration.emit",
     "wal.append",
-    "compaction.slice_emitted",
-    "compaction.slice_committed",
+    "masm.merge.logged",
+    "masm.merge.product_written",
 )
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional
 
-from repro.core.compaction import CompactionConfig
 from repro.core.governor import GovernorConfig
 from repro.core.masm import MaSM, MaSMConfig
 from repro.core.update import UpdateRecord
@@ -58,8 +57,6 @@ class SimConfig:
     #: bootstrap, bit-flip + anti-entropy (see
     #: :func:`repro.sim.actors.durability`).
     durability_actors: int = 0
-    #: Cost-based compaction drivers (see :func:`repro.sim.actors.compactor`).
-    compactors: int = 0
     update_ops: int = 40
     scans: int = 3
     scan_batch: int = 16
@@ -70,13 +67,6 @@ class SimConfig:
     serve_requests: int = 8
     replica_ops: int = 24
     durability_ops: int = 30
-    compact_ops: int = 8
-    #: Engine compaction mode ("structural" | "cost"); the ``compaction``
-    #: scenario switches to "cost" with a tiny run-count trigger so the
-    #: miniature workload actually plans, slices and retires victims.
-    compaction: str = "structural"
-    compact_trigger_runs: int = 1
-    compact_slice_records: int = 6
     #: Run-index blocks per kernel merge partition (None = library default).
     #: The ``kernels`` scenario sets this tiny so even the simulation's
     #: small runs split into several partitions, exercising the partition
@@ -140,15 +130,6 @@ class SimEnv:
             cache_bytes=config.cache_bytes,
             kernel_blocks_per_partition=config.kernel_partition_blocks,
             auto_migrate=False,
-            compaction=config.compaction,
-            compaction_config=(
-                CompactionConfig(
-                    min_slice_records=config.compact_slice_records,
-                    trigger_runs=config.compact_trigger_runs,
-                )
-                if config.compaction == "cost"
-                else None
-            ),
             # All migration happens through explicitly scheduled actor
             # steps (migrate_step / make_room): no hidden trickle work.
             governor=GovernorConfig(
@@ -314,11 +295,6 @@ def build_actor_factories(
         "durability",
         config.durability_actors,
         lambda n: actors.durability(env, n, seed, config.durability_ops),
-    )
-    add(
-        "compactor",
-        config.compactors,
-        lambda n: actors.compactor(env, n, seed, config.compact_ops),
     )
     return factories
 

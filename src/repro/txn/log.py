@@ -13,12 +13,6 @@ The log therefore carries these record kinds:
   ``run_name``; written *before* the product run is materialized, so the
   product file's intact existence is the merge's commit point and recovery
   can discard superseded victim files a crash left behind.
-* ``MERGE_SLICE``     — one key-range slice of an *incremental* merge: keys
-  in ``key_range`` of the victim runs ``run_names`` move into slice product
-  ``run_name``.  Same commit-point discipline as ``RUN_MERGE`` (record
-  first, product file's intact existence commits the slice); the victims
-  stay live with the slice's key range masked until committed slices cover
-  the whole key domain, at which point recovery retires them.
 * ``CHECKPOINT``      — a durability fence (:class:`Checkpoint`): every
   update with ``ts <= checkpoint_ts`` is durable in the manifest's runs or
   migrated in place, so the log prefix holding those records is dead weight
@@ -79,7 +73,6 @@ _U16 = struct.Struct("<H")
 _TS = struct.Struct("<Q")
 _MIGRATION_START = struct.Struct("<QqqH")  # ts, key lo, key hi, run count
 _RUN_MERGE = struct.Struct("<QQQH")  # ts, covered lo, covered hi, victim count
-_MERGE_SLICE = struct.Struct("<QQQqqH")  # ts, covered lo/hi, key lo/hi, victims
 _CHECKPOINT = struct.Struct("<QQ")  # checkpoint ts, migrated ts
 _MANIFEST_ENTRY = struct.Struct("<QQH")  # covered lo, covered hi, range count
 _KEY_SPAN = struct.Struct("<qq")
@@ -92,10 +85,21 @@ class LogRecordType(IntEnum):
     MIGRATION_END = 4
     RUN_MERGE = 5
     CHECKPOINT = 6
-    MERGE_SLICE = 7
 
 
 _UPDATE = int(LogRecordType.UPDATE)
+
+
+_RECORD_TYPES = {int(rtype): rtype for rtype in LogRecordType}
+
+
+def _record_type(rtype_raw: int) -> LogRecordType:
+    """The frame's record type; an unknown type byte under a good CRC is
+    corruption (or a record kind this format no longer has)."""
+    rtype = _RECORD_TYPES.get(rtype_raw)
+    if rtype is None:
+        raise RecoveryError(f"corrupt log record type {rtype_raw}")
+    return rtype
 
 
 @dataclass(frozen=True)
@@ -299,26 +303,6 @@ class RedoLog:
             payload += _pack_str(name)
         self._append(LogRecordType.RUN_MERGE, payload)
 
-    def log_merge_slice(
-        self,
-        timestamp: int,
-        product: str,
-        victims: list[str],
-        key_range: tuple[int, int],
-        covered_ts: tuple[int, int],
-    ) -> None:
-        payload = _MERGE_SLICE.pack(
-            timestamp,
-            covered_ts[0],
-            covered_ts[1],
-            key_range[0],
-            key_range[1],
-            len(victims),
-        ) + _pack_str(product)
-        for name in victims:
-            payload += _pack_str(name)
-        self._append(LogRecordType.MERGE_SLICE, payload)
-
     def log_checkpoint(self, checkpoint: Checkpoint) -> None:
         self._append(
             LogRecordType.CHECKPOINT, self._encode_checkpoint(checkpoint)
@@ -380,7 +364,7 @@ class RedoLog:
                         or peek_timestamp(buf, at + body) > fence
                     )
                 else:
-                    rtype = LogRecordType(rtype_raw)
+                    rtype = _record_type(rtype_raw)
                     record = self._decode(rtype, buf[at + head : at + size])
                     survives = self._survives(
                         rtype, record.table, record.timestamp, checkpoint
@@ -550,10 +534,7 @@ class RedoLog:
         parked = 0
         for offset, rtype_raw, buf, at, size in self._frames(end, scanning):
             parked = offset + size
-            try:
-                rtype = LogRecordType(rtype_raw)
-            except ValueError as exc:
-                raise RecoveryError(f"corrupt log record type {rtype_raw}") from exc
+            rtype = _record_type(rtype_raw)
             if rtype is LogRecordType.CHECKPOINT:
                 # A persisted checkpoint means the prefix below its fence
                 # was (or may legitimately have been) reclaimed.
@@ -644,23 +625,6 @@ class RedoLog:
                 run_name=product,
                 run_names=tuple(victims),
                 covered_ts=(lo, hi),
-            )
-        if rtype == LogRecordType.MERGE_SLICE:
-            timestamp, cov_lo, cov_hi, key_lo, key_hi, count = (
-                _MERGE_SLICE.unpack_from(payload, 0)
-            )
-            product, pos = _unpack_str(payload, _MERGE_SLICE.size)
-            victims = []
-            for _ in range(count):
-                name, pos = _unpack_str(payload, pos)
-                victims.append(name)
-            return LogRecord(
-                rtype,
-                timestamp,
-                run_name=product,
-                run_names=tuple(victims),
-                key_range=(key_lo, key_hi),
-                covered_ts=(cov_lo, cov_hi),
             )
         if rtype == LogRecordType.CHECKPOINT:
             checkpoint_ts, migrated_ts = _CHECKPOINT.unpack_from(payload, 0)

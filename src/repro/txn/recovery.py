@@ -134,19 +134,8 @@ def recover_masm(
     open_migrations: dict[int, tuple[str, ...]] = {}
     completed_full: list[tuple[str, ...]] = []
     completed_partial: list[tuple[tuple[str, ...], tuple[int, int]]] = []
-    # (kind, product, victims, covered-ts span, key range) in WAL order —
-    # ordering matters: a structural merge may consume a partially sliced
-    # victim, so its victims' slice masks must be applied before the merge
-    # event discards them.
-    merge_events: list[
-        tuple[
-            str,
-            str,
-            tuple[str, ...],
-            tuple[int, int],
-            Optional[tuple[int, int]],
-        ]
-    ] = []
+    # (product, victims, covered-ts span) of every RUN_MERGE record.
+    merges: list[tuple[str, tuple[str, ...], tuple[int, int]]] = []
     # run name -> RunManifestEntry from the newest CHECKPOINT record.
     manifest: dict = {}
     full_range = (0, 2**63 - 1)
@@ -181,24 +170,8 @@ def recover_masm(
                 else:
                     completed_partial.append((names, tuple(key_range)))
             elif record.type == LogRecordType.RUN_MERGE:
-                merge_events.append(
-                    (
-                        "merge",
-                        record.run_name,
-                        record.run_names or (),
-                        record.covered_ts,
-                        None,
-                    )
-                )
-            elif record.type == LogRecordType.MERGE_SLICE:
-                merge_events.append(
-                    (
-                        "slice",
-                        record.run_name,
-                        record.run_names or (),
-                        record.covered_ts,
-                        record.key_range,
-                    )
+                merges.append(
+                    (record.run_name, record.run_names or (), record.covered_ts)
                 )
             elif record.type == LogRecordType.CHECKPOINT:
                 cp = record.checkpoint
@@ -263,7 +236,7 @@ def recover_masm(
     # else listed at the fence but missing from the volume was lost and
     # must go through the same gap rebuild as a damaged file.
     retired_names: set = set()
-    for kind, product, victim_names, covered_ts, key_range in merge_events:
+    for product, victim_names, covered_ts in merges:
         match = pattern.match(product)
         if match:
             # Never reuse a logged product name, even if the crash hit
@@ -279,18 +252,6 @@ def recover_masm(
         # gap-rebuild paths see what this run is the durable home of.
         product_run.covered_min_ts = min(product_run.covered_min_ts, covered_ts[0])
         product_run.covered_max_ts = max(product_run.covered_max_ts, covered_ts[1])
-        if kind == "slice":
-            # A committed compaction slice supersedes only its key range:
-            # re-mask it on every surviving victim (the masks were
-            # volatile).  Victims retire below only once their masks cover
-            # the whole key space — until then they stay authoritative for
-            # the unsliced remainder.
-            assert key_range is not None
-            for run_name in victim_names:
-                victim = runs_by_name.get(run_name)
-                if victim is not None:
-                    victim.mark_merged(key_range[0], key_range[1])
-            continue
         retired_names.update(victim_names)
         for run_name in victim_names:
             if runs_by_name.pop(run_name, None) is not None:
@@ -300,19 +261,6 @@ def recover_masm(
                 damaged_names.remove(run_name)
                 ssd_volume.delete(run_name)
                 report.merge_victims_discarded += 1
-
-    # Victims whose slice masks now cover the whole key space were fully
-    # consumed by an incremental compaction that crashed before retiring
-    # them; every record they hold lives in the slice products, so serving
-    # them again would double-apply.
-    full_key_hi = 2**63 - 1
-    for run_name in list(runs_by_name):
-        run = runs_by_name[run_name]
-        if run.merged_ranges and run.fully_merged(0, full_key_hi):
-            del runs_by_name[run_name]
-            ssd_volume.delete(run_name)
-            retired_names.add(run_name)
-            report.merge_victims_discarded += 1
 
     # Runs of completed *full* migrations should be gone; delete leftovers
     # (the crash may have hit between the END record and the deletion).

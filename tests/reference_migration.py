@@ -212,8 +212,7 @@ def reference_bulk_load(heap, records, fill_factor=DEFAULT_FILL_FACTOR, timestam
 def reference_full_migration(masm):
     """``CoordinatedMigration`` over the record-at-a-time rewrite: flush the
     buffer, merge every run, rewrite, swap the index in, retire the runs.
-    Returns ``(yielded records, MigrationStats)``; no redo log, no held
-    compaction victims."""
+    Returns ``(yielded records, MigrationStats)``; no redo log."""
     from repro.core.migration import MigrationStats
     from repro.core.operators import MergeUpdates
 

@@ -38,9 +38,9 @@ def buffered_records(buffer, begin_key: int, end_key: int, query_ts: int) -> lis
 
 
 def is_masked(run: MaterializedSortedRun, key: int) -> bool:
-    """Does ``key`` lie in one of ``run``'s masked (migrated or merged)
-    spans?  One bisection over the coalesced span list."""
-    ranges = run.masked_spans()
+    """Does ``key`` lie in one of ``run``'s migrated ranges?  One bisection
+    over the coalesced range list."""
+    ranges = run.migrated_ranges
     i = bisect_right(ranges, (key, float("inf"))) - 1
     return i >= 0 and ranges[i][0] <= key <= ranges[i][1]
 
@@ -53,7 +53,7 @@ def scan_run(
     after: Optional[tuple[int, int]] = None,
 ) -> Iterator[UpdateRecord]:
     """``run``'s updates with keys in [begin, end] visible at ``query_ts``,
-    past position ``after`` and outside its masked spans — every block of
+    past position ``after`` and outside its migrated ranges — every block of
     the index's span read, verified and decoded one update at a time."""
     span = run.index.block_span(begin_key, end_key)
     if span is None:

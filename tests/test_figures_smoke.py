@@ -19,11 +19,6 @@ FAST = {
     "figure-14": {"scale": 0.2},
     "hdd-cache": {"scale": 0.2, "repeats": 1},
     "latency-stability": {"scale": 0.1, "flood_updates": 200},
-    "latency-stability-compaction": {
-        "scale": 0.1,
-        "flood_updates": 1500,
-        "scan_every": 300,
-    },
     "lsm-write-amplification": {"scale": 0.2},
     "theorem-writes": {"scale": 0.2},
     "ablation-materialization": {"scale": 0.2, "queries": 2},

@@ -180,8 +180,7 @@ def test_array_join_equals_reference_join(world, data):
     query_ts = data.draw(st.none() | st.integers(0, max_ts))
     for run in runs:
         for lo in data.draw(st.lists(st.integers(0, 60) | st.just(2**63 - 5), max_size=2)):
-            mark = data.draw(st.sampled_from([run.mark_migrated, run.mark_merged]))
-            mark(lo, lo + data.draw(st.integers(0, 12)))
+            run.mark_migrated(lo, lo + data.draw(st.integers(0, 12)))
     in_memory = [
         u
         for u in memory

@@ -104,7 +104,6 @@ OPS = st.one_of(
     st.tuples(st.just("flush"), tables, names),
     st.tuples(st.just("migration"), st.lists(names, max_size=3), st.none() | spans),
     st.tuples(st.just("merge"), names, st.lists(names, max_size=3)),
-    st.tuples(st.just("slice"), names, st.lists(names, max_size=3), spans),
     st.tuples(
         st.just("checkpoint"),
         tables,
@@ -134,8 +133,6 @@ def apply_ops(log: RedoLog, ops) -> None:
             log.log_migration_end(ts)
         elif kind == "merge":
             log.log_run_merge(ts, op[1], op[2], covered_ts=(1, ts))
-        elif kind == "slice":
-            log.log_merge_slice(ts, op[1], op[2], key_range=op[3], covered_ts=(1, ts))
         else:
             _, table, runs = op
             entries = tuple(
@@ -319,6 +316,25 @@ def test_frame_running_past_a_known_end_raises():
             list(log.records())
         with pytest.raises(RecoveryError, match="refusing to truncate"):
             log.truncate_through(Checkpoint("t", 1, 0))
+
+
+@pytest.mark.parametrize("rtype", [7, 255])
+def test_a_frame_of_an_unassigned_type_is_corruption(rtype):
+    """A frame whose CRC holds but whose type byte names no record kind
+    fails the replay (known end and post-crash scan) and truncation."""
+    log = make_log()
+    apply_ops(log, random_ops(random.Random(SEED + 5), 4))
+    at = log.file.append_pos
+    frame = RedoLog._frame(rtype, b"\x00" * 24)
+    log.file.write(at, frame)
+    log.file.seek_append(at + len(frame))
+    message = f"corrupt log record type {rtype}$"
+    with pytest.raises(RecoveryError, match=message):
+        list(log.records())
+    with pytest.raises(RecoveryError, match="refusing to truncate"):
+        log.truncate_through(Checkpoint("t", 1, 0))
+    with pytest.raises(RecoveryError, match=message):
+        list(reopen(log).records())
 
 
 # ----------------------------------------------------------------- truncation

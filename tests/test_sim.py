@@ -16,6 +16,7 @@ from dataclasses import replace
 import pytest
 
 from repro import obs
+from repro.sim.__main__ import SCENARIOS
 from repro.sim.explorer import DEFAULT_CRASH_SITES, explore_crash_schedules
 from repro.sim.harness import FULL_RANGE, SimConfig, SimEnv, run_simulation
 from repro.sim.hooks import active_context, interleave, simulation_active
@@ -344,6 +345,19 @@ def test_crash_explorer_fires_the_migration_emit_site():
     report = explore_crash_schedules(seed=11, sites=("migration.emit",))
     assert report.fired("migration.emit") > 0
     assert not report.failures
+
+
+def test_crash_explorer_fires_the_merge_sites():
+    """The ``merge`` scenario runs a RUN_MERGE on seed 2's schedule, so both
+    crash sites inside the protocol fire, and every torn state recovers to
+    the model."""
+    sites = ("masm.merge.logged", "masm.merge.product_written")
+    report = explore_crash_schedules(
+        SCENARIOS["merge"](), seed=2, sites=sites, prefix_stride=4
+    )
+    assert not report.failures
+    for site in sites:
+        assert report.fired(site) > 0
 
 
 # ------------------------------------------------------------------ the CLI
