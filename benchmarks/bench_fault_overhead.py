@@ -1,16 +1,32 @@
-"""Microbenchmark: what the fault-tolerance machinery costs on the hot path.
+"""Microbenchmark: what the fault-tolerance machinery costs on the hot paths.
 
-The robustness layer adds two things to every block on the warm scan/merge
-path: a CRC32C verification per freshly-read block, and a retry-policy
-wrapper around every file I/O.  Both must be cheap enough to leave on by
-default.  This benchmark measures records/second through
-``RunScan -> MergeUpdates`` with the machinery disabled (checksum
-verification off, retry policy off) and enabled, on cold and warm caches.
+The robustness layer adds two things to the storage stack: a CRC32C
+verification per freshly-read block, and a retry policy around every file
+I/O.  Both must be cheap enough to leave on by default.  This benchmark
+measures, with the machinery disabled (checksum verification off, retry
+policy off) and enabled:
+
+* records/second through ``RunScan -> MergeUpdates`` on cold and warm
+  caches (the read path);
+* redo-log appends/second through ``RedoLog.log_update`` (the write path
+  every update takes).
 
 The acceptance bar: the enabled path must stay within 20% of the disabled
-path (warm-cache merge rate).  Warm scans never re-verify — the decoded
-block cache only holds blocks that already passed — so the steady-state
-overhead is dominated by the retry wrapper's lambda indirection.
+path, both for the warm-cache merge rate and for the append rate.  Warm
+scans never re-verify — the decoded block cache only holds blocks that
+already passed — and a file I/O enters the retry policy only once an
+attempt has failed, so on a fault-free device both overheads should sit at
+zero, within timing noise.
+
+Method: five repetitions; each cell is the median of its five readings.
+In a repetition the two modes take turns going first.  A merge pass runs
+one mode at a time, after a full garbage collection: without it a pass
+paid for collecting the previous pass's cache, and whichever mode ran
+first read up to ~45% slower warm — the "negative overhead" this benchmark
+used to record.  The WAL appends of both modes go to two logs fed
+alternately, :data:`WAL_SLICE` appends at a time, switching the machinery
+before every slice; a mode's rate is its appends over the sum of its
+slices' times, so a burst of machine noise lands on both modes.
 
 Writes ``benchmarks/results/BENCH_fault_overhead.json``.
 
@@ -21,10 +37,12 @@ Under pytest:    pytest benchmarks/bench_fault_overhead.py -s
 
 from __future__ import annotations
 
-import json
+import gc
 import pathlib
+import statistics
 import sys
 import time
+from contextlib import contextmanager
 
 from repro import obs
 from repro.bench.harness import FigureResult
@@ -36,21 +54,27 @@ from repro.engine.record import synthetic_schema
 from repro.storage import checksum
 from repro.storage.file import StorageVolume
 from repro.storage.ssd import SimulatedSSD
+from repro.txn.log import RedoLog
 from repro.util.units import MB
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 RESULT_FILE = "BENCH_fault_overhead.json"
 
-#: The acceptance bar from the issue: checksums + retries on the hot path
-#: must cost no more than this fraction of the unprotected rate.
+#: The acceptance bar: checksums + retries must cost no more than this
+#: fraction of the unprotected rate, on the warm merge and on WAL appends.
 OVERHEAD_TOLERANCE = 0.20
+
+#: Repetitions; each cell is the median of its readings.
+REPETITIONS = 5
+
+#: WAL appends per timed slice; the modes alternate slice by slice.
+WAL_SLICE = 1_000
 
 FULL_KEY_RANGE = (0, 2**60)
 
 
 def build_runs(num_runs: int, per_run: int):
-    schema = synthetic_schema()
-    codec = UpdateCodec(schema)
+    codec = UpdateCodec(synthetic_schema())
     ssd = StorageVolume(SimulatedSSD(capacity=256 * MB))
     runs = []
     for r in range(num_runs):
@@ -64,67 +88,115 @@ def build_runs(num_runs: int, per_run: int):
             for i in range(per_run)
         ]
         runs.append(write_run(ssd, f"overhead-run-{r}", codec.encode_columns(updates), codec))
-    return schema, runs, ssd
+    return runs, ssd
 
 
-def measure_merge(schema, runs, cache) -> float:
+@contextmanager
+def machinery(volume, protected: bool):
+    """Checksum verification and ``volume``'s retry policy, both on or
+    both off (policy None) for the ``with`` block."""
+    previous_verify = checksum.set_verification(protected)
+    policy = volume.retry_policy
+    if not protected:
+        volume.retry_policy = None
+    try:
+        yield
+    finally:
+        checksum.set_verification(previous_verify)
+        volume.retry_policy = policy
+
+
+def measure_merge(runs, cache) -> float:
     start = time.perf_counter()
-    stream = MergeUpdates(
-        [RunScan(run, *FULL_KEY_RANGE, cache=cache) for run in runs]
-    )
+    stream = MergeUpdates([RunScan(run, *FULL_KEY_RANGE, cache=cache) for run in runs])
     produced = sum(1 for _ in stream)
     elapsed = time.perf_counter() - start
     assert produced == sum(run.count for run in runs)
     return produced / elapsed
 
 
-def measure_pair(schema, runs, volume, protected: bool) -> tuple[float, float]:
-    """(cold_rps, warm_rps) with the fault machinery on or off."""
-    previous_verify = checksum.set_verification(protected)
-    previous_policy = volume.retry_policy
-    if not protected:
-        volume.retry_policy = None
-    try:
-        total_blocks = sum(run.num_blocks for run in runs)
-        cache = DecodedBlockCache(total_blocks)
-        cold = measure_merge(schema, runs, cache)
-        warm = measure_merge(schema, runs, cache)
-        return cold, warm
-    finally:
-        checksum.set_verification(previous_verify)
-        volume.retry_policy = previous_policy
+def measure_merges(runs, volume, protected: bool) -> tuple[float, float]:
+    """(cold_rps, warm_rps) of one mode, over a fresh decoded-block cache."""
+    total_blocks = sum(run.num_blocks for run in runs)
+    cache = DecodedBlockCache(total_blocks)
+    gc.collect()
+    with machinery(volume, protected):
+        cold = measure_merge(runs, cache)
+        warm = measure_merge(runs, cache)
+    assert cache.misses == total_blocks  # the cold pass read every block once
+    return cold, warm
 
 
-def run_overhead_bench(num_runs: int = 4, per_run: int = 30_000) -> FigureResult:
+def measure_wal(volume, codec, encoded) -> dict[bool, float]:
+    """Redo-log appends/second of ``encoded`` with the machinery off (False)
+    and on (True): a fresh log per mode, the two fed :data:`WAL_SLICE`
+    appends at a time, taking turns going first."""
+    logs = {
+        protected: RedoLog(volume.create(f"wal-{protected}", 32 * MB), {"t": codec})
+        for protected in (False, True)
+    }
+    seconds = {False: 0.0, True: 0.0}
+    order = [False, True]
+    gc.collect()
+    for first in range(0, len(encoded), WAL_SLICE):
+        piece = encoded[first : first + WAL_SLICE]
+        order.reverse()
+        for protected in order:
+            log = logs[protected]
+            with machinery(volume, protected):
+                start = time.perf_counter()
+                for update in piece:
+                    log.log_update("t", update)
+                seconds[protected] += time.perf_counter() - start
+    for log in logs.values():
+        assert log.records_written == len(encoded)
+        volume.delete(log.file.name)
+    return {protected: len(encoded) / spent for protected, spent in seconds.items()}
+
+
+def run_overhead_bench(
+    num_runs: int = 4, per_run: int = 30_000, wal_appends: int = 50_000
+) -> FigureResult:
     with obs.use_registry() as registry, obs.use_tracer() as tracer:
-        result = _run_overhead_bench(num_runs, per_run)
+        result = _run_overhead_bench(num_runs, per_run, wal_appends)
     result.metrics = obs.report_dict(registry, tracer, experiment="bench-fault-overhead")
     return result
 
 
-def _run_overhead_bench(num_runs: int, per_run: int) -> FigureResult:
-    schema, runs, volume = build_runs(num_runs, per_run)
+def _run_overhead_bench(num_runs: int, per_run: int, wal_appends: int) -> FigureResult:
+    runs, volume = build_runs(num_runs, per_run)
+    codec = runs[0].codec
+    encoded = [
+        codec.encode(UpdateRecord(i + 1, i * 2, UpdateType.INSERT, (i * 2, f"wal-{i}")))
+        for i in range(wal_appends)
+    ]
     result = FigureResult(
         figure="BENCH fault overhead",
-        title="scan/merge records/sec, fault machinery disabled vs enabled",
+        title="scan/merge records/sec and WAL appends/sec, "
+        "fault machinery disabled vs enabled",
         row_label="mode",
-        columns=["cold_rps", "warm_rps"],
+        columns=["cold_rps", "warm_rps", "wal_appends_per_s"],
     )
-    # Interleave repetitions of both modes and keep the best of each, so a
-    # stray scheduling hiccup cannot land entirely on one side of the ratio.
-    best = {"disabled": (0.0, 0.0), "enabled": (0.0, 0.0)}
-    for _ in range(3):
-        for mode, protected in (("disabled", False), ("enabled", True)):
-            cold, warm = measure_pair(schema, runs, volume, protected)
-            best[mode] = (max(best[mode][0], cold), max(best[mode][1], warm))
-    for mode in ("disabled", "enabled"):
-        cold, warm = best[mode]
-        result.add_row(mode, cold_rps=cold, warm_rps=warm)
+    readings: dict[bool, list[tuple[float, float, float]]] = {False: [], True: []}
+    modes = [False, True]
+    for _ in range(REPETITIONS):
+        modes.reverse()  # each mode goes first in every other repetition
+        merges = {mode: measure_merges(runs, volume, mode) for mode in modes}
+        appends = measure_wal(volume, codec, encoded)
+        for mode in modes:
+            readings[mode].append((*merges[mode], appends[mode]))
+    for label, mode in (("disabled", False), ("enabled", True)):
+        cold, warm, appends = (
+            statistics.median(column) for column in zip(*readings[mode])
+        )
+        result.add_row(label, cold_rps=cold, warm_rps=warm, wal_appends_per_s=appends)
 
-    overhead = 1.0 - best["enabled"][1] / best["disabled"][1]
+    merge, wal = _overheads(result)
     result.note(
-        f"workload: {num_runs} runs x {per_run} updates; "
-        f"warm overhead {overhead * 100:.1f}% (tolerance {OVERHEAD_TOLERANCE * 100:.0f}%)"
+        f"workload: {num_runs} runs x {per_run} updates, {wal_appends} WAL appends; "
+        f"median of {REPETITIONS} alternating repetitions per mode; "
+        f"warm merge overhead {merge * 100:.1f}%, WAL append overhead "
+        f"{wal * 100:.1f}% (tolerance {OVERHEAD_TOLERANCE * 100:.0f}%)"
     )
     return result
 
@@ -132,19 +204,21 @@ def _run_overhead_bench(num_runs: int, per_run: int) -> FigureResult:
 def write_results(result: FigureResult, file_name: str = RESULT_FILE) -> pathlib.Path:
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / file_name
-    path.write_text(result.to_json(unit="records/sec"))
+    path.write_text(result.to_json(unit="records/sec; wal_appends_per_s in appends/sec"))
     result.write_metrics(path.with_name(path.stem + ".metrics.json"))
     return path
 
 
-def _overhead(result: FigureResult) -> float:
-    disabled = result.cell("disabled", "warm_rps")
-    enabled = result.cell("enabled", "warm_rps")
-    return 1.0 - enabled / disabled
+def _overheads(result: FigureResult) -> tuple[float, float]:
+    """(warm merge, WAL append) cost of the machinery, as rate fractions."""
+    return tuple(
+        1.0 - result.cell("enabled", column) / result.cell("disabled", column)
+        for column in ("warm_rps", "wal_appends_per_s")
+    )
 
 
 def test_fault_overhead(benchmark=None):
-    """Pytest entry: enabled warm rate within 20% of the disabled rate."""
+    """Pytest entry: enabled rates within 20% of the disabled rates."""
     if benchmark is not None:
         result = benchmark.pedantic(run_overhead_bench, rounds=1, iterations=1)
     else:
@@ -152,14 +226,14 @@ def test_fault_overhead(benchmark=None):
     print()
     print(result.format(precision=0))
     write_results(result)
-    overhead = _overhead(result)
-    assert overhead <= OVERHEAD_TOLERANCE, (
-        f"fault machinery costs {overhead * 100:.1f}% on the warm merge path "
-        f"(tolerance {OVERHEAD_TOLERANCE * 100:.0f}%)"
-    )
+    for path, overhead in zip(("warm merge", "WAL append"), _overheads(result)):
+        assert overhead <= OVERHEAD_TOLERANCE, (
+            f"fault machinery costs {overhead * 100:.1f}% on the {path} path "
+            f"(tolerance {OVERHEAD_TOLERANCE * 100:.0f}%)"
+        )
 
 
-SMOKE_KWARGS = dict(num_runs=3, per_run=4_000)
+SMOKE_KWARGS = dict(num_runs=3, per_run=4_000, wal_appends=10_000)
 SMOKE_RESULT_FILE = "BENCH_fault_overhead.smoke.json"
 
 
@@ -169,17 +243,19 @@ def main(argv: list[str]) -> int:
     print(result.format(precision=0))
     path = write_results(result, SMOKE_RESULT_FILE if smoke else RESULT_FILE)
     print(f"\nwrote {path}")
-    payload = json.loads(path.read_text())
-    rows = {r["label"]: r["values"] for r in payload["rows"]}
-    overhead = 1.0 - rows["enabled"]["warm_rps"] / rows["disabled"]["warm_rps"]
     # Smoke workloads are small enough that timing noise dominates; allow
     # extra slack there, the committed full run enforces the real bar.
     tolerance = 0.35 if smoke else OVERHEAD_TOLERANCE
-    if overhead > tolerance:
-        print(f"FAIL: fault machinery overhead {overhead * 100:.1f}% > {tolerance * 100:.0f}%")
-        return 1
-    print(f"OK: fault machinery overhead {overhead * 100:.1f}% (tolerance {tolerance * 100:.0f}%)")
-    return 0
+    status = 0
+    for path_name, overhead in zip(("warm merge", "WAL append"), _overheads(result)):
+        verdict = "FAIL" if overhead > tolerance else "OK"
+        print(
+            f"{verdict}: fault machinery overhead on the {path_name} path "
+            f"{overhead * 100:.1f}% (tolerance {tolerance * 100:.0f}%)"
+        )
+        if overhead > tolerance:
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

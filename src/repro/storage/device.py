@@ -30,6 +30,7 @@ from repro.util.units import GB, KB, MB, MS, US
 # Data is held in fixed-size blocks allocated lazily, so a "100 GB" device
 # only consumes host memory proportional to the bytes actually written.
 _BACKING_BLOCK = 256 * KB
+_ZERO_BLOCK = memoryview(bytes(_BACKING_BLOCK))  # never-written space reads as this
 
 
 @dataclass(frozen=True)
@@ -90,44 +91,65 @@ class BlockStore:
 
     Reads of never-written ranges return zero bytes, matching a freshly
     formatted device.  The store is thread-safe because MaSM exercises real
-    concurrent scans in tests.
+    concurrent scans in tests.  Every access is bounds-checked before any
+    byte moves.  A read is copied out of the backing blocks once, into the
+    ``bytes`` it returns, so it never aliases the store.
     """
 
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
-        self._blocks: dict[int, bytearray] = {}
+        #: block id -> a writable view of its ``bytearray``; slicing a view
+        #: copies nothing, so a read's only copy is the one it returns.
+        self._blocks: dict[int, memoryview] = {}
         self._lock = threading.Lock()
 
     def read(self, offset: int, size: int) -> bytes:
         self._check_range(offset, size)
-        out = bytearray(size)
+        block_id, at = divmod(offset, _BACKING_BLOCK)
         with self._lock:
-            pos = 0
-            while pos < size:
-                abs_off = offset + pos
-                block_id, block_off = divmod(abs_off, _BACKING_BLOCK)
-                chunk = min(size - pos, _BACKING_BLOCK - block_off)
-                block = self._blocks.get(block_id)
-                if block is not None:
-                    out[pos : pos + chunk] = block[block_off : block_off + chunk]
-                pos += chunk
-        return bytes(out)
-
-    def write(self, offset: int, data: bytes) -> None:
-        self._check_range(offset, len(data))
-        with self._lock:
-            pos = 0
-            size = len(data)
-            while pos < size:
-                abs_off = offset + pos
-                block_id, block_off = divmod(abs_off, _BACKING_BLOCK)
-                chunk = min(size - pos, _BACKING_BLOCK - block_off)
+            if at + size <= _BACKING_BLOCK:  # inside one backing block
                 block = self._blocks.get(block_id)
                 if block is None:
-                    block = bytearray(_BACKING_BLOCK)
-                    self._blocks[block_id] = block
-                block[block_off : block_off + chunk] = data[pos : pos + chunk]
+                    return bytes(size)
+                return block[at : at + size].tobytes()
+            pieces = []
+            pos = 0
+            while pos < size:
+                chunk = min(size - pos, _BACKING_BLOCK - at)
+                block = self._blocks.get(block_id)
+                if block is None:
+                    pieces.append(_ZERO_BLOCK[:chunk])
+                else:
+                    pieces.append(block[at : at + chunk])
                 pos += chunk
+                block_id += 1
+                at = 0
+            return b"".join(pieces)
+
+    def write(self, offset: int, data: bytes) -> None:
+        size = len(data)
+        self._check_range(offset, size)
+        if not size:
+            return
+        block_id, at = divmod(offset, _BACKING_BLOCK)
+        with self._lock:
+            if at + size <= _BACKING_BLOCK:  # inside one backing block
+                block = self._blocks.get(block_id)
+                if block is None:
+                    block = self._blocks[block_id] = memoryview(bytearray(_BACKING_BLOCK))
+                block[at : at + size] = data
+                return
+            source = memoryview(data)
+            pos = 0
+            while pos < size:
+                chunk = min(size - pos, _BACKING_BLOCK - at)
+                block = self._blocks.get(block_id)
+                if block is None:
+                    block = self._blocks[block_id] = memoryview(bytearray(_BACKING_BLOCK))
+                block[at : at + chunk] = source[pos : pos + chunk]
+                pos += chunk
+                block_id += 1
+                at = 0
 
     def discard(self, offset: int, size: int) -> None:
         """Drop whole backing blocks covered by the range (TRIM-like)."""
@@ -197,7 +219,12 @@ class Device:
         return self.profile.name
 
     def read(self, offset: int, size: int) -> bytes:
-        """Read ``size`` bytes at ``offset``, charging simulated service time."""
+        """Read ``size`` bytes at ``offset``, charging simulated service time.
+
+        The store is read first, so an access outside the device raises
+        :class:`~repro.errors.DeviceBoundsError` before anything is charged.
+        """
+        data = self.store.read(offset, size)
         with self._lock:
             service, reposition, sequential = self._read_time(offset, size)
             self.stats.reads += 1
@@ -210,10 +237,15 @@ class Device:
                 self.stats.rand_reads += 1
             self.clock.advance(service)
         self._obs_read_latency.observe(service)
-        return self.store.read(offset, size)
+        return data
 
     def write(self, offset: int, data: bytes) -> None:
-        """Write ``data`` at ``offset``, charging simulated service time."""
+        """Write ``data`` at ``offset``, charging simulated service time.
+
+        Like :meth:`read`, the store moves the bytes first, so an
+        out-of-range write is rejected before anything is charged.
+        """
+        self.store.write(offset, data)
         size = len(data)
         with self._lock:
             service, reposition, sequential = self._write_time(offset, size)
@@ -227,7 +259,6 @@ class Device:
                 self.stats.rand_writes += 1
             self.clock.advance(service)
         self._obs_write_latency.observe(service)
-        self.store.write(offset, data)
 
     def peek(self, offset: int, size: int) -> bytes:
         """Read data without charging any simulated time (debug/recovery)."""

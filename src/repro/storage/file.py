@@ -13,7 +13,12 @@ from __future__ import annotations
 import threading
 from typing import Iterator, Optional
 
-from repro.errors import DuplicateFileError, OutOfSpaceError, StorageError
+from repro.errors import (
+    DuplicateFileError,
+    OutOfSpaceError,
+    StorageError,
+    TransientIOError,
+)
 from repro.storage.device import Device
 from repro.storage.iosched import DEFAULT_RETRY_POLICY, RetryPolicy
 
@@ -55,26 +60,32 @@ class SimFile:
                 f"outside size {self.size}"
             )
 
-    def _retry(self, operation):
-        policy = self._volume.retry_policy
-        if policy is None:
-            return operation()
-        return policy.call(operation, clock=self.device.clock)
+    def _io(self, fn, *args):
+        """``fn(*args)`` — a method of the volume's device — under the
+        volume's retry policy, which is entered only once an attempt has
+        raised :class:`~repro.errors.TransientIOError`."""
+        try:
+            return fn(*args)
+        except TransientIOError as error:
+            policy = self._volume.retry_policy
+            if policy is None:
+                raise
+            return policy.retry(error, self._volume.device.clock, fn, *args)
 
     def read(self, offset: int, size: int) -> bytes:
         self._check(offset, size)
-        return self._retry(lambda: self.device.read(self.offset + offset, size))
+        return self._io(self._volume.device.read, self.offset + offset, size)
 
     def write(self, offset: int, data: bytes) -> None:
         self._check(offset, len(data))
-        self._retry(lambda: self.device.write(self.offset + offset, data))
+        self._io(self._volume.device.write, self.offset + offset, data)
         self._append_pos = max(self._append_pos, offset + len(data))
 
     def append(self, data: bytes) -> int:
         """Write at the append cursor; returns the file offset written at."""
         at = self._append_pos
         self._check(at, len(data))
-        self._retry(lambda: self.device.write(self.offset + at, data))
+        self._io(self._volume.device.write, self.offset + at, data)
         self._append_pos = at + len(data)
         return at
 
@@ -106,13 +117,15 @@ class SimFile:
         """
         self._check(offset, size)
         saved = self._append_pos
+        write = self._volume.device.write
+        zeroes = bytes(min(chunk, size))
         written = 0
         while written < size:
             step = min(chunk, size - written)
-            self._retry(
-                lambda o=offset + written, n=step: self.device.write(
-                    self.offset + o, bytes(n)
-                )
+            self._io(
+                write,
+                self.offset + offset + written,
+                zeroes if step == len(zeroes) else zeroes[:step],
             )
             written += step
         self._append_pos = saved
@@ -123,13 +136,11 @@ class SimFile:
         for offset, size in requests:
             self._check(offset, size)
         absolute = [(self.offset + offset, size) for offset, size in requests]
-        batch = getattr(self.device, "read_batch", None)
+        device = self._volume.device
+        batch = getattr(device, "read_batch", None)
         if batch is not None:
-            return self._retry(lambda: batch(absolute))
-        return [
-            self._retry(lambda o=offset, s=size: self.device.read(o, s))
-            for offset, size in absolute
-        ]
+            return self._io(batch, absolute)
+        return [self._io(device.read, offset, size) for offset, size in absolute]
 
     def peek(self, offset: int, size: int) -> bytes:
         """Read without charging simulated time (recovery inspection)."""

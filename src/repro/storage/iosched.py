@@ -115,21 +115,34 @@ class RetryPolicy:
         Re-raises the last :class:`TransientIOError` once ``max_attempts``
         are exhausted.  Every other exception propagates immediately.
         """
+        try:
+            return operation()
+        except TransientIOError as error:
+            return self.retry(error, clock, operation)
+
+    def retry(self, error: TransientIOError, clock: Optional[SimClock], fn, *args):
+        """Finish an operation whose first attempt, ``fn(*args)``, raised
+        ``error``: back off, then try again, up to ``max_attempts`` in all.
+
+        The caller makes the first attempt itself, so an I/O that succeeds
+        pays for no retry machinery at all.  Returns the first successful
+        result; re-raises the last :class:`TransientIOError` when every
+        attempt failed.  Every other exception propagates immediately.
+        """
+        registry = get_registry()
         backoff = self.base_backoff
-        for attempt in range(self.max_attempts):
+        for _ in range(1, self.max_attempts):
+            registry.counter("iosched.retries").add(1)
+            if clock is not None and backoff > 0:
+                registry.counter("iosched.backoff_seconds").add(backoff)
+                clock.advance(backoff)
+            backoff *= self.backoff_multiplier
             try:
-                return operation()
-            except TransientIOError:
-                registry = get_registry()
-                if attempt + 1 >= self.max_attempts:
-                    registry.counter("iosched.retries_exhausted").add(1)
-                    raise
-                registry.counter("iosched.retries").add(1)
-                if clock is not None and backoff > 0:
-                    registry.counter("iosched.backoff_seconds").add(backoff)
-                    clock.advance(backoff)
-                backoff *= self.backoff_multiplier
-        raise AssertionError("unreachable")  # pragma: no cover
+                return fn(*args)
+            except TransientIOError as exc:
+                error = exc
+        registry.counter("iosched.retries_exhausted").add(1)
+        raise error
 
 
 #: Policy used by every :class:`~repro.storage.file.StorageVolume` unless a

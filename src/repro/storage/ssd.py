@@ -89,6 +89,9 @@ class SimulatedSSD(Device):
         """
         if not requests:
             return []
+        # Read before charging: one out-of-range request rejects the batch
+        # with nothing charged.
+        data = [self.store.read(offset, size) for offset, size in requests]
         p = self.profile
         total = sum(size for _, size in requests)
         service = (
@@ -103,7 +106,7 @@ class SimulatedSSD(Device):
             self.clock.advance(service)
         self._obs_batch_width.observe(len(requests))
         self._obs_batch_latency.observe(service)
-        return [self.store.read(offset, size) for offset, size in requests]
+        return data
 
     def read_sync(self, offset: int, size: int) -> bytes:
         """Service one blocking read at queue depth 1.
@@ -112,6 +115,7 @@ class SimulatedSSD(Device):
         baselines whose access pattern is dependent (one read must complete
         before the next is known), such as Indexed Updates.
         """
+        data = self.store.read(offset, size)  # bounds first, like Device.read
         service = (
             self.profile.read_latency
             + SYNC_READ_OVERHEAD
@@ -124,7 +128,7 @@ class SimulatedSSD(Device):
             self.stats.rand_reads += 1
             self.clock.advance(service)
         self._obs_read_latency.observe(service)
-        return self.store.read(offset, size)
+        return data
 
     def trim(self, offset: int, size: int) -> None:
         """Discard a range (deleting a materialized run); free, like TRIM."""

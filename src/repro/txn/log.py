@@ -201,8 +201,10 @@ class RedoLog:
         #: paced slices; ``[start, end)`` in file offsets, None when clean.
         self._dirty_start = 0
         self._dirty_end = 0
-        #: table name -> its packed name, the head of every UPDATE payload.
-        self._prefixes: dict[str, bytes] = {}
+        #: table -> what every UPDATE frame of it starts with:
+        #: the frame header + packed name layout, the packed name, and the
+        #: CRC of the type byte and that name (the payload CRC's seed).
+        self._update_heads: dict[str, tuple[struct.Struct, bytes, int]] = {}
         registry = get_registry()
         self._obs_records = registry.counter("txn.log.records_written")
         self._obs_bytes = registry.counter("txn.log.bytes_written")
@@ -223,20 +225,17 @@ class RedoLog:
 
     # ---------------------------------------------------------------- writes
     @staticmethod
-    def _frame(rtype: LogRecordType, *parts: bytes) -> bytes:
-        """One framed record whose payload is ``parts`` back to back."""
-        crc = _CRC_SEEDS[rtype]
-        length = 0
-        for part in parts:
-            crc = checksum(part, crc)
-            length += len(part)
-        return b"".join((_FRAME.pack(length, rtype, crc), *parts))
+    def _frame(rtype: LogRecordType, payload: bytes) -> bytes:
+        """One framed record: header (length, type, CRC), then ``payload``."""
+        crc = checksum(payload, _CRC_SEEDS[rtype])
+        return _FRAME.pack(len(payload), rtype, crc) + payload
 
-    def _append(self, rtype: LogRecordType, *parts: bytes) -> None:
-        frame = self._frame(rtype, *parts)
+    def _append(self, frame: bytes) -> None:
         crash_point("wal.append")
-        self.file.append(frame)
-        self._zero_guard()
+        file = self.file
+        file.append(frame)
+        if self._dirty_end > file.append_pos:
+            self._zero_guard()
         self.records_written += 1
         self._obs_records.add(1)
         self._obs_bytes.add(len(frame))
@@ -258,21 +257,33 @@ class RedoLog:
 
     def log_update(self, table: str, encoded: bytes) -> None:
         """Log one update of ``table`` as its codec encoded it — the bytes
-        the engine also buffers, encoded once."""
+        the engine also buffers, encoded once.
+
+        The hot path of every ingest: the frame is the one ``_frame(UPDATE,
+        _pack_str(table) + encoded)`` builds, made from the table's memoized
+        head with one checksum over ``encoded`` and one concatenation.
+        """
         if table not in self.codecs:
             raise RecoveryError(f"no codec registered for table {table!r}")
-        self._append(LogRecordType.UPDATE, self._prefix(table), encoded)
-
-    def _prefix(self, table: str) -> bytes:
-        """``_pack_str(table)``, packed once per table."""
-        prefix = self._prefixes.get(table)
-        if prefix is None:
-            prefix = self._prefixes[table] = _pack_str(table)
-        return prefix
+        head = self._update_heads.get(table)
+        if head is None:
+            prefix = _pack_str(table)
+            head = self._update_heads[table] = (
+                struct.Struct(f"{_FRAME.format}{len(prefix)}s"),
+                prefix,
+                checksum(prefix, _CRC_SEEDS[_UPDATE]),
+            )
+        layout, prefix, seed = head
+        self._append(
+            layout.pack(
+                len(prefix) + len(encoded), _UPDATE, checksum(encoded, seed), prefix
+            )
+            + encoded
+        )
 
     def log_run_flush(self, table: str, run_name: str, max_ts: int) -> None:
         payload = _TS.pack(max_ts) + _pack_str(table) + _pack_str(run_name)
-        self._append(LogRecordType.RUN_FLUSH, payload)
+        self._append(self._frame(LogRecordType.RUN_FLUSH, payload))
 
     def log_migration_start(
         self,
@@ -284,10 +295,10 @@ class RedoLog:
         payload = _MIGRATION_START.pack(timestamp, lo, hi, len(run_names))
         for name in run_names:
             payload += _pack_str(name)
-        self._append(LogRecordType.MIGRATION_START, payload)
+        self._append(self._frame(LogRecordType.MIGRATION_START, payload))
 
     def log_migration_end(self, timestamp: int) -> None:
-        self._append(LogRecordType.MIGRATION_END, _TS.pack(timestamp))
+        self._append(self._frame(LogRecordType.MIGRATION_END, _TS.pack(timestamp)))
 
     def log_run_merge(
         self,
@@ -301,11 +312,11 @@ class RedoLog:
         ) + _pack_str(product)
         for name in victims:
             payload += _pack_str(name)
-        self._append(LogRecordType.RUN_MERGE, payload)
+        self._append(self._frame(LogRecordType.RUN_MERGE, payload))
 
     def log_checkpoint(self, checkpoint: Checkpoint) -> None:
         self._append(
-            LogRecordType.CHECKPOINT, self._encode_checkpoint(checkpoint)
+            self._frame(LogRecordType.CHECKPOINT, self._encode_checkpoint(checkpoint))
         )
         get_registry().counter("txn.log.checkpoints_written").add(1)
 
@@ -351,7 +362,7 @@ class RedoLog:
         run_start = run_end = 0
         head = _FRAME.size
         fence = checkpoint.checkpoint_ts
-        prefix = self._prefix(checkpoint.table)
+        prefix = _pack_str(checkpoint.table)
         body = head + len(prefix)  # where an update of the table starts
         peek_timestamp = UpdateCodec.peek_timestamp
         try:
@@ -573,7 +584,7 @@ class RedoLog:
         codec = self.codecs.get(table)
         if codec is None:
             raise RecoveryError(f"no codec registered for table {table!r}")
-        prefix = self._prefix(table)
+        prefix = _pack_str(table)
         body = _FRAME.size + len(prefix)
         for rtype, frame in self._replay():
             if rtype is LogRecordType.UPDATE and frame.startswith(prefix, _FRAME.size):

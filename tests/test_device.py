@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.errors import StorageError
+from repro.errors import DeviceBoundsError, StorageError
 from repro.storage.device import BARRACUDA_HDD, X25E_SSD, BlockStore
+from repro.storage.disk import SimulatedDisk
+from repro.storage.ssd import SimulatedSSD
 from repro.util.units import KB, MB
 
 
@@ -69,3 +71,37 @@ def test_profiles_match_paper_hardware():
     assert X25E_SSD.seq_read_bw == 250 * MB
     assert X25E_SSD.seq_write_bw == 170 * MB
     assert X25E_SSD.endurance_cycles == 100_000
+
+
+def _device_state(device):
+    """Everything an I/O may charge or move: stats, clock, model state, bytes."""
+    return (
+        device.stats.snapshot(),
+        device.clock.now,
+        getattr(device, "erase_count", None),
+        getattr(device, "_append_point", None),
+        getattr(device, "head_position", None),
+        device.store.resident_bytes,
+        device.peek(device.capacity - 64, 64),
+    )
+
+
+@pytest.mark.parametrize("make", [SimulatedSSD, SimulatedDisk], ids=["ssd", "hdd"])
+def test_out_of_range_io_is_rejected_before_anything_is_charged(make):
+    """An access past the device's end raises before the service time, the
+    statistics, the SSD's append point and wear or the HDD's head move."""
+    device = make(capacity=1 * MB)
+    device.write(1 * MB - 64, b"t" * 64)  # put the head / append point at the end
+    before = _device_state(device)
+    with pytest.raises(DeviceBoundsError):
+        device.write(1 * MB - 10, b"x" * 20)
+    with pytest.raises(DeviceBoundsError):
+        device.read(1 * MB - 10, 20)
+    with pytest.raises(DeviceBoundsError):
+        device.read(-1, 4)
+    if isinstance(device, SimulatedSSD):
+        with pytest.raises(DeviceBoundsError):
+            device.read_batch([(0, 4 * KB), (1 * MB - 10, 20)])
+        with pytest.raises(DeviceBoundsError):
+            device.read_sync(1 * MB, 1)
+    assert _device_state(device) == before

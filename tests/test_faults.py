@@ -204,6 +204,111 @@ def test_retry_policy_exhausts_and_reraises():
         assert get_registry().counter("iosched.retries_exhausted").value == 1
 
 
+_ORIGINAL = bytes(range(256)) * 32  # 8 KB already on the device
+_PAYLOAD = b"retried!" * 512  # 4 KB an op writes
+_MAX_ATTEMPTS = RetryPolicy().max_attempts
+
+
+def _fail_op(plan, op, failures):
+    """Schedule ``failures`` consecutive failed attempts of ``op``, starting
+    with the plan's next operation."""
+    if op == "read_batch":  # a batch consults the plan once per request
+        for attempt in range(failures):
+            plan.fail_read_at(plan.read_op_count + 2 * attempt)
+    elif op == "read":
+        for attempt in range(failures):
+            plan.fail_read_at(plan.read_op_count + attempt)
+    else:
+        for attempt in range(failures):
+            plan.fail_write_at(plan.write_op_count + attempt)
+
+
+def _run_op(file, op):
+    if op == "append":
+        return file.append(_PAYLOAD)
+    if op == "write":
+        return file.write(4 * KB, _PAYLOAD)
+    if op == "read":
+        return file.read(0, 8 * KB)
+    if op == "read_batch":
+        return file.read_batch([(0, 4 * KB), (4 * KB, 4 * KB)])
+    return file.zero_range(0, 4 * KB)
+
+
+#: What the file's first 12 KB hold once each op has succeeded.
+_AFTER_SUCCESS = {
+    "append": _ORIGINAL + _PAYLOAD,
+    "write": _ORIGINAL[: 4 * KB] + _PAYLOAD + bytes(4 * KB),
+    "read": _ORIGINAL + bytes(4 * KB),
+    "read_batch": _ORIGINAL + bytes(4 * KB),
+    "zero_range": bytes(4 * KB) + _ORIGINAL[4 * KB :] + bytes(4 * KB),
+}
+_RESULT = {
+    "append": 8 * KB,
+    "write": None,
+    "read": _ORIGINAL,
+    "read_batch": [_ORIGINAL[: 4 * KB], _ORIGINAL[4 * KB :]],
+    "zero_range": 4 * KB,
+}
+
+
+def _retry_volume(plan, policy):
+    """``(file, inner SSD)`` of a 64 KB file holding ``_ORIGINAL`` behind
+    ``plan``, then of its twin behind a plan that injects nothing."""
+    volumes = []
+    for device_plan in (plan, FaultPlan(seed=FAULT_SEED)):
+        inner = SimulatedSSD(capacity=1 * MB)
+        kwargs = {} if policy == "default" else {"retry_policy": None}
+        volume = StorageVolume(FaultyDevice(inner, device_plan), **kwargs)
+        file = volume.create("f", 64 * KB)
+        file.write(0, _ORIGINAL)
+        volumes.append((file, inner))
+    return volumes
+
+
+@pytest.mark.parametrize("policy", ["default", "none"])
+@pytest.mark.parametrize("failures", [1, _MAX_ATTEMPTS - 1, _MAX_ATTEMPTS])
+@pytest.mark.parametrize("op", ["append", "write", "read", "read_batch", "zero_range"])
+def test_every_file_op_retries_exactly_as_the_policy_says(op, failures, policy):
+    """Each SimFile op under ``failures`` scheduled transient errors: the
+    ``iosched.*`` counters, the backoff on the clock, the outcome and the
+    device bytes are what the policy prescribes — every failed attempt but
+    the last backs off, the first included."""
+    with use_registry(MetricsRegistry()):
+        plan = FaultPlan(seed=FAULT_SEED)
+        (file, inner), (twin, twin_inner) = _retry_volume(plan, policy)
+        start = inner.clock.now
+        twin_start = twin_inner.clock.now
+        assert _run_op(twin, op) == _RESULT[op]
+        service = twin_inner.clock.now - twin_start
+
+        _fail_op(plan, op, failures)
+        if policy == "none":
+            retries, succeeds = 0, False
+        else:
+            retries = min(failures, _MAX_ATTEMPTS - 1)
+            succeeds = failures < _MAX_ATTEMPTS
+        backoffs = [0.5e-3 * 2**attempt for attempt in range(retries)]
+        if succeeds:
+            assert _run_op(file, op) == _RESULT[op]
+        else:
+            with pytest.raises(TransientIOError):
+                _run_op(file, op)
+
+        registry = get_registry()
+        assert registry.counter("iosched.retries").value == retries
+        assert registry.counter("iosched.backoff_seconds").value == pytest.approx(
+            sum(backoffs), abs=1e-12
+        )
+        exhausted = int(policy == "default" and not succeeds)
+        assert registry.counter("iosched.retries_exhausted").value == exhausted
+        expected_now = start + sum(backoffs) + (service if succeeds else 0.0)
+        assert inner.clock.now == pytest.approx(expected_now, abs=1e-12)
+        stored = file.peek(0, 12 * KB)
+        assert stored == (_AFTER_SUCCESS[op] if succeeds else _ORIGINAL + bytes(4 * KB))
+        assert file.append_pos == (12 * KB if op == "append" and succeeds else 8 * KB)
+
+
 def test_corruption_is_never_retried():
     policy = RetryPolicy(max_attempts=5)
     attempts = []

@@ -7,7 +7,7 @@ from repro.engine.record import synthetic_schema
 from repro.errors import RecoveryError
 from repro.storage.file import StorageVolume
 from repro.storage.ssd import SimulatedSSD
-from repro.txn.log import Checkpoint, LogRecordType, RedoLog
+from repro.txn.log import _FRAME, Checkpoint, LogRecordType, RedoLog, _pack_str
 from repro.util.units import MB
 
 SCHEMA = synthetic_schema()
@@ -176,3 +176,43 @@ def test_truncate_decides_survival_from_the_payload_head():
         (LogRecordType.UPDATE, "t", 7),
         (LogRecordType.UPDATE, "t", 8),
     ]
+
+
+def test_update_frames_are_the_generic_frame_byte_for_byte():
+    """log_update's memoized frame head builds exactly the frame ``_frame``
+    builds, for two tables and for appends made while a truncation's dirty
+    region still trails the log end (when each append also zeroes the next
+    header's worth of stale bytes)."""
+    log = make_log()
+    log.register_table("orders", CODEC)
+
+    def logged(table, ts):
+        encoded = CODEC.encode(UpdateRecord(ts, ts * 2, UpdateType.INSERT, (ts * 2, f"p{ts}")))
+        start = log.file.append_pos
+        log.log_update(table, encoded)
+        frame = log.file.peek(start, log.file.append_pos - start)
+        assert frame == RedoLog._frame(LogRecordType.UPDATE, _pack_str(table) + encoded)
+        return frame
+
+    for ts in range(1, 41):
+        logged("t" if ts % 3 else "orders", ts)
+    log.truncate_through(Checkpoint("t", checkpoint_ts=40, migrated_ts=0))
+    assert log.dirty_bytes > 0
+    for ts in range(41, 47):
+        logged("orders" if ts % 2 else "t", ts)
+        assert log.dirty_bytes > 0
+        after = log.file.append_pos
+        assert log.file.peek(after, _FRAME.size) == bytes(_FRAME.size)
+    assert [r.timestamp for r in log.records() if r.type is LogRecordType.UPDATE] == [
+        ts for ts in range(1, 47) if ts % 3 == 0 or ts > 40
+    ]
+
+
+def test_unregistered_table_writes_nothing():
+    log = make_log()
+    log.log_update("t", CODEC.encode(UpdateRecord(1, 2, UpdateType.DELETE, None)))
+    device = log.file.device
+    before = (log.file.append_pos, device.stats.writes, log.records_written)
+    with pytest.raises(RecoveryError, match="no codec registered"):
+        log.log_update("nope", CODEC.encode(UpdateRecord(2, 4, UpdateType.DELETE, None)))
+    assert (log.file.append_pos, device.stats.writes, log.records_written) == before

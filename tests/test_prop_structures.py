@@ -2,13 +2,15 @@
 
 import string
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.btree import BPlusTree
 from repro.engine.page import SlottedPage
 from repro.engine.record import Schema
-from repro.errors import OutOfSpaceError, StorageError
+from repro.errors import DeviceBoundsError, OutOfSpaceError, StorageError
+from repro.storage.device import _BACKING_BLOCK, BlockStore
 from repro.storage.disk import SimulatedDisk
 from repro.storage.file import StorageVolume
 from repro.util.units import KB, MB
@@ -157,3 +159,83 @@ def test_allocator_never_overlaps_and_conserves_space(ops):
         # Invariant: used + free == capacity.
         used = sum(s for _, s in live.values())
         assert volume.free_bytes == capacity - used
+
+
+# ------------------------------------------------------------- BlockStore
+_STORE_BLOCKS = 4
+_STORE_CAPACITY = _STORE_BLOCKS * _BACKING_BLOCK
+#: Offsets worth landing on: backing-block edges and their neighbours.
+_EDGES = [
+    edge + delta
+    for edge in range(0, _STORE_CAPACITY + 1, _BACKING_BLOCK)
+    for delta in (-3, -1, 0, 1, 3)
+    if 0 <= edge + delta <= _STORE_CAPACITY
+]
+
+
+@st.composite
+def _store_span(draw):
+    """An in-range ``(offset, size)``: often starting or ending on (or next
+    to) a backing-block edge, sometimes empty, sometimes spanning blocks."""
+    if draw(st.booleans()):
+        start = draw(st.sampled_from(_EDGES))
+    else:
+        start = draw(st.integers(0, _STORE_CAPACITY))
+    room = _STORE_CAPACITY - start
+    size = draw(
+        st.one_of(
+            st.just(0),
+            st.integers(0, min(room, 64)),
+            st.integers(0, room),
+            # end exactly on the next backing-block edge
+            st.just(min(room, _BACKING_BLOCK - start % _BACKING_BLOCK)),
+        )
+    )
+    return start, size
+
+
+_store_ops = st.lists(
+    st.tuples(st.sampled_from(["write", "read"]), _store_span(), st.integers(0, 255)),
+    min_size=1,
+    max_size=25,
+)
+
+
+@given(ops=_store_ops)
+@settings(max_examples=80, deadline=None)
+def test_blockstore_matches_bytearray_model(ops):
+    """BlockStore reads back what a flat zero-initialised bytearray holds,
+    for accesses inside one backing block, across edges, ending exactly on
+    one, touching never-written space, and of zero length — and a read's
+    bytes are a copy: a later write does not change them."""
+    store = BlockStore(_STORE_CAPACITY)
+    model = bytearray(_STORE_CAPACITY)
+    reads = []
+    for op, (offset, size), fill in ops:
+        if op == "write":
+            pattern = bytes(range(fill, 256)) + bytes(range(fill))
+            data = (pattern * (size // 256 + 1))[:size]
+            store.write(offset, data)
+            model[offset : offset + size] = data
+        else:
+            got = store.read(offset, size)
+            assert isinstance(got, bytes)
+            assert got == bytes(model[offset : offset + size])
+            reads.append((got, bytes(got)))
+    assert store.read(0, _STORE_CAPACITY) == bytes(model)
+    store.write(0, b"\xa5" * _STORE_CAPACITY)  # overwrite everything
+    for got, copy in reads:
+        assert got == copy
+    assert store.resident_bytes == _STORE_CAPACITY
+
+
+@given(span=_store_span(), overshoot=st.integers(1, 3 * _BACKING_BLOCK))
+@settings(max_examples=40, deadline=None)
+def test_blockstore_rejects_out_of_range_before_writing(span, overshoot):
+    offset, _ = span
+    store = BlockStore(_STORE_CAPACITY)
+    size = _STORE_CAPACITY - offset + overshoot
+    with pytest.raises(DeviceBoundsError):
+        store.write(offset, b"\x01" * size)
+    assert store.resident_bytes == 0
+    assert store.read(0, _STORE_CAPACITY) == bytes(_STORE_CAPACITY)
