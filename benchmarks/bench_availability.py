@@ -14,6 +14,9 @@ brownout) and distills the robustness acceptance surface:
   the fault-free baseline p99 from the same run.
 * **non-vacuous chaos** — the run must actually record read failovers
   and hedge wins; a pass where the faults never engaged proves nothing.
+* **no hedges without a fault** — every window but the brownout may issue
+  at most ``HEALTHY_WINDOW_HEDGE_CEILING`` hedges: on a healthy replica a
+  synchronous backup can only add a whole scan.
 * **determinism** — the driver runs TWICE; the exported metrics reports
   must be byte-identical (virtual time, seeded chaos).
 
@@ -43,6 +46,11 @@ SMOKE_RESULT_FILE = "BENCH_availability.smoke.json"
 SUCCESS_RATE_FLOOR = 0.999
 #: Failover-window p99 over same-run fault-free baseline p99.
 FAILOVER_P99_BOUND = 2.0
+#: The window whose slow primary hedges are for.
+HEDGED_WINDOW = "brownout-window"
+#: Hedges any other window may issue.
+HEALTHY_WINDOW_HEDGE_CEILING = 1
+PHASES = ("baseline", "failover-window", HEDGED_WINDOW, "recovered")
 
 SMOKE_KWARGS = dict(scale=0.4)
 
@@ -74,7 +82,7 @@ def run_availability_bench(scale: float = 1.0) -> FigureResult:
             "hedge_wins",
         ],
     )
-    for phase in ("baseline", "failover-window", "brownout-window", "recovered"):
+    for phase in PHASES:
         result.add_row(
             phase,
             requests=first.cell(phase, "requests"),
@@ -85,6 +93,7 @@ def run_availability_bench(scale: float = 1.0) -> FigureResult:
             p99_ms=first.cell(phase, "p99 (ms)"),
             success_rate=first.cell(phase, "success_rate"),
             p99_vs_baseline=first.cell(phase, "p99_vs_baseline"),
+            hedges=first.cell(phase, "hedges"),
         )
     result.add_row(
         "all",
@@ -150,6 +159,14 @@ def check_gates(result: FigureResult, full: bool) -> list[str]:
             "no hedge wins recorded: the brownout never triggered hedged "
             "reads, so the hedging result is vacuous"
         )
+    for phase in PHASES:
+        hedges = result.cell(phase, "hedges")
+        if phase != HEDGED_WINDOW and hedges > HEALTHY_WINDOW_HEDGE_CEILING:
+            failures.append(
+                f"{phase} issued {hedges:.0f} hedges with no fault on any "
+                f"replica it read (ceiling {HEALTHY_WINDOW_HEDGE_CEILING}): "
+                "backups are doubling healthy scans"
+            )
     return failures
 
 
@@ -179,7 +196,7 @@ def main(argv: list[str]) -> int:
         return 1
     print(
         "OK: zero wrong answers, success rate holds, failover window "
-        "bounded, chaos engaged, deterministic"
+        "bounded, chaos engaged, no hedges without a fault, deterministic"
     )
     return 0
 

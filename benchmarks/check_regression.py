@@ -7,7 +7,8 @@ then does the same for the serving surface
 (:mod:`benchmarks.bench_serving` vs ``BENCH_serving.json``) and the
 availability-under-chaos surface (:mod:`benchmarks.bench_availability` vs
 ``BENCH_availability.json``, whose gates are absolute: zero wrong answers,
-success-rate floor, bounded failover-window p99, chaos actually engaged)
+success-rate floor, bounded failover-window p99, chaos actually engaged, no
+hedges in a window without a fault)
 and the durability-under-churn surface (:mod:`benchmarks.bench_durability`
 vs ``BENCH_durability.json``: bounded WAL, zero wrong responses, snapshot
 bootstrap and anti-entropy repair actually engaged).
@@ -96,7 +97,8 @@ SERVING_REQUIRED_CELLS = (
     ("scale-all", "shed_rate"),
 )
 #: The availability gates themselves are absolute (success-rate floor,
-#: wrong-answer zero, failover p99 bound — see bench_availability); the
+#: wrong-answer zero, failover p99 bound, healthy-window hedge ceiling —
+#: see bench_availability); the
 #: regression gate's job is to keep the surface from silently vanishing.
 AVAILABILITY_REQUIRED_CELLS = (
     ("all", "success_rate"),
@@ -104,6 +106,10 @@ AVAILABILITY_REQUIRED_CELLS = (
     ("all", "failovers"),
     ("all", "hedge_wins"),
     ("failover-window", "p99_vs_baseline"),
+    ("baseline", "hedges"),
+    ("failover-window", "hedges"),
+    ("brownout-window", "hedges"),
+    ("recovered", "hedges"),
 )
 #: Same deal for durability: the gates are absolute (bounded WAL, zero
 #: wrong responses, bootstrap + repair non-vacuity — see bench_durability);

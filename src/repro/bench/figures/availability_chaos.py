@@ -9,17 +9,20 @@ while chaos unfolds on the shared virtual timeline —
   the next operation that touches it); the set fails over and the router's
   circuit breaker routes around the corpse.  The victim later rejoins via
   recover + catch-up.
-* **brownout**: shard 1's primary is slow-degraded for a window; the
-  router's EWMA hedge delay fires backup reads at the same snapshot and
-  the backups win.
+* **brownout**: shard 1's primary is slow-degraded for a window; once a
+  scan on it runs past the router's break-even hedge delay (its own
+  predicted scan time plus the backup's plus k deviations), a backup read
+  at the same snapshot wins.
 
 Every response is byte-compared against a fault-free :class:`ModelTable`
 oracle at the request's pinned snapshot timestamp — failover and hedging
 may change *where* rows come from, never *what* they are.  The figure
 reports per-phase latency percentiles, the success rate, the wrong-answer
-count (must be zero) and the chaos counters.  Virtual time makes the whole
-run a pure function of ``(scale, seed)``; the benchmark suite runs it
-twice and asserts byte-identical metrics.
+count (must be zero), the hedges each phase issued (a window without a
+fault should issue none: there a backup can only add a whole scan) and the
+chaos counters.  Virtual time makes the whole run a pure function of
+``(scale, seed)``; the benchmark suite runs it twice and asserts
+byte-identical metrics.
 """
 
 from __future__ import annotations
@@ -55,6 +58,8 @@ CRASH_AT, REJOIN_AT = 0.25, 0.50
 SLOW_AT, SLOW_END = 0.65, 0.85
 #: Virtual seconds a browned-out node adds to every operation it serves.
 BROWNOUT_OP_SECONDS = 0.05
+#: One phase's outcome counts before its first request.
+EMPTY_TALLY = {"ok": 0, "failed": 0, "wrong": 0, "hedges": 0}
 
 
 def _phase(i: int, total: int) -> str:
@@ -130,6 +135,7 @@ def run(
 
     backend = ReplicatedBackend(warehouse, scope="availability")
     router = RequestRouter(backend, scope="availability", keep_records=True)
+    hedges = get_registry().counter("availability.hedges")
 
     latencies: dict[str, list] = {}
     counts: dict[str, dict] = {}
@@ -151,7 +157,7 @@ def run(
         lo = rng.randrange(universe)
         hi = lo + rng.randrange(150, 600)
         phase = _phase(i, total_requests)
-        tally = counts.setdefault(phase, {"ok": 0, "failed": 0, "wrong": 0})
+        tally = counts.setdefault(phase, dict(EMPTY_TALLY))
         request = QueryRequest(
             tenant="chaos",
             session=0,
@@ -160,11 +166,14 @@ def run(
             end_key=hi,
             arrival=clock.now,
         )
+        hedged_before = hedges.value
         try:
             result = router.execute(request)
         except ReproError:
             tally["failed"] += 1
             continue
+        finally:
+            tally["hedges"] += hedges.value - hedged_before
         expected = tuple(model.snapshot_records(result.query_ts, lo, hi))
         if result.records != expected:
             tally["wrong"] += 1
@@ -201,7 +210,7 @@ def run(
     )
     baseline_p99 = _p(latencies.get("baseline", []), 0.99)
     for phase in ("baseline", "failover-window", "brownout-window", "recovered"):
-        tally = counts.get(phase, {"ok": 0, "failed": 0, "wrong": 0})
+        tally = counts.get(phase, EMPTY_TALLY)
         samples = latencies.get(phase, [])
         attempts = tally["ok"] + tally["failed"] + tally["wrong"]
         p99 = _p(samples, 0.99)
@@ -216,6 +225,7 @@ def run(
                 "p99 (ms)": p99 * 1e3,
                 "success_rate": tally["ok"] / max(attempts, 1),
                 "p99_vs_baseline": p99 / baseline_p99 if baseline_p99 else 0.0,
+                "hedges": float(tally["hedges"]),
             },
         )
     all_ok = sum(t["ok"] for t in counts.values())

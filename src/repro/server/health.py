@@ -2,7 +2,7 @@
 
 Fan-out amplifies tails: one crashed, stuck, or pathologically slow replica
 lands in *every* request that routes through it.  This module supplies the
-two detectors the serving layer uses to route around trouble:
+detectors and the throttle the serving layer uses to route around trouble:
 
 * :class:`CircuitBreaker` — the classic three-state machine on simulated
   time.  CLOSED counts consecutive typed failures (errors or deadline
@@ -11,15 +11,23 @@ two detectors the serving layer uses to route around trouble:
   HALF_OPEN *probe* — its success re-CLOSEs the breaker, its failure
   re-OPENs it for another full window.
 * :class:`LatencyTracker` — EWMA mean + EWMA mean-absolute-deviation of
-  scan service times.  ``hedge_delay()`` returns mean + k·deviation — a
-  cheap online stand-in for ~p95 — and ``None`` until ``min_samples``
-  observations exist, so cold replicas are never hedged against noise.
+  scan service times.  ``hedge_delay()`` returns the break-even point of a
+  synchronous hedge: two means (the serving scan's and a backup's, priced
+  at the serving replica's) plus k·deviation.  The fan-out drains the
+  backup *after* the serving replica has already paid its seek, so a
+  backup issued any earlier can only add a whole scan; past this point it
+  can only save time.  It is ``None`` until ``min_samples`` observations
+  exist, so cold replicas are never hedged against noise.
+* :class:`HedgeBudget` — a token bucket that caps backups at a fixed share
+  of shard-scan attempts, so a replica that is slow on every scan cannot
+  double the fleet's work however often it trips the delay.
 
 :class:`FleetHealth` owns one (breaker, tracker) pair per replica of every
-shard, exports a per-replica health gauge (1.0 CLOSED / 0.5 HALF_OPEN /
-0.0 OPEN), and computes the route order the fan-out executor tries: the
-shard's primary first, then followers, breaker-blocked replicas last (a
-fully-open shard still gets one last-resort attempt rather than none).
+shard plus the fleet's hedge budget, exports a per-replica health gauge
+(1.0 CLOSED / 0.5 HALF_OPEN / 0.0 OPEN), and computes the route order the
+fan-out executor tries: the shard's primary first, then followers,
+breaker-blocked replicas last (a fully-open shard still gets one
+last-resort attempt rather than none).
 """
 
 from __future__ import annotations
@@ -125,9 +133,11 @@ class LatencyTracker:
     """EWMA latency estimator feeding the hedge-delay policy.
 
     Keeps an exponentially weighted mean and mean absolute deviation of
-    observed service times; ``mean + k * deviation`` tracks a high
-    percentile of a unimodal latency distribution closely enough to decide
-    *when a scan is taking suspiciously long*, which is all hedging needs.
+    observed service times.  The mean predicts what one more scan on this
+    replica costs; the deviation says how far a healthy scan strays from
+    it.  Together they decide *when a scan is late enough that a backup
+    scan run after it would still finish first*, which is all hedging
+    needs.
     """
 
     def __init__(self, alpha: float = 0.2, min_samples: int = 8) -> None:
@@ -150,10 +160,66 @@ class LatencyTracker:
         self.deviation += self.alpha * (abs(error) - self.deviation)
 
     def hedge_delay(self, multiplier: float, floor: float) -> float | None:
-        """Delay after which a backup read should be issued, or None."""
+        """Delay after which a backup read should be issued, or None.
+
+        The backup runs after this replica's drain so far, so it pays off
+        only once this scan is late by a whole backup scan: the delay is
+        two means (this scan's and a backup's, priced at this replica's)
+        plus ``multiplier`` deviations.
+        """
         if self.samples < self.min_samples:
             return None
-        return max(floor, self.mean + multiplier * self.deviation)
+        return max(floor, 2.0 * self.mean + multiplier * self.deviation)
+
+
+class HedgeBudget:
+    """Token bucket that caps hedged backups at a share of scan attempts.
+
+    Every shard-scan attempt earns ``ratio`` of a token and every backup
+    spends one.  The bucket starts full and holds ``burst`` tokens, or one
+    per shard scan of the widest request :meth:`cover` has seen if that is
+    more: a fault's onset is hedged in full on whichever request it lands
+    in, and after that backups run at most ``ratio`` times as often as
+    scans.
+    """
+
+    def __init__(self, scope: str, ratio: float, burst: float) -> None:
+        self.ratio = ratio
+        self.burst = burst
+        self.tokens = burst
+        registry = get_registry()
+        self._obs_granted = registry.counter(f"{scope}.hedge_granted")
+        self._obs_denied = registry.counter(f"{scope}.hedge_denied")
+
+    def cover(self, scans: int) -> None:
+        """Deepen the bucket to fund a backup for each of one request's
+        ``scans`` shard scans; the added depth starts full."""
+        if scans > self.burst:
+            self.tokens += scans - self.burst
+            self.burst = scans
+
+    def earn(self) -> None:
+        """Credit one shard-scan attempt."""
+        self.tokens = min(self.burst, self.tokens + self.ratio)
+
+    def spend(self) -> bool:
+        """Take one token for a backup; False (and counted) when empty."""
+        if self.tokens < 1.0:
+            self._obs_denied.add(1)
+            return False
+        self.tokens -= 1.0
+        self._obs_granted.add(1)
+        return True
+
+
+#: Share of shard-scan attempts the fleet may hedge.
+HEDGE_BUDGET_RATIO = 0.05
+#: Shard-scan attempts the budget's share is measured over: the bucket
+#: holds one window's share, so however few scans a request makes, a
+#: fault's first backups are granted back to back.
+HEDGE_BUDGET_WINDOW = 100
+#: Least depth of the hedge budget's bucket.
+HEDGE_BURST = HEDGE_BUDGET_RATIO * HEDGE_BUDGET_WINDOW
 
 
 @dataclass(frozen=True)
@@ -161,7 +227,8 @@ class HedgePolicy:
     """When the fan-out executor issues a backup read."""
 
     enabled: bool = True
-    #: k in ``mean + k * deviation`` (~p95 for well-behaved latencies).
+    #: k in ``2 * mean + k * deviation``: how far past the break-even
+    #: point a scan must run before it is hedged.
     deviation_multiplier: float = 3.0
     #: Never hedge before this many observed scans on the serving replica.
     min_samples: int = 8
@@ -220,6 +287,7 @@ class FleetHealth:
             failure_threshold=failure_threshold, reset_seconds=reset_seconds
         )
         self._tracker_kwargs = dict(min_samples=self.hedge.min_samples)
+        self.budget = HedgeBudget(scope, HEDGE_BUDGET_RATIO, HEDGE_BURST)
         self._replicas: Dict[Tuple[int, int], ReplicaHealth] = {}
 
     def for_replica(self, shard_id: int, replica_id: int) -> ReplicaHealth:

@@ -13,9 +13,10 @@ The backend protocol is ``clock`` + ``snapshot_ts()`` + ``fanout_scan()``,
 and :class:`ReplicatedBackend` is its one implementation: a
 :class:`~repro.core.replication.ReplicatedWarehouse` (``replication=1`` for
 an unreplicated cluster) scanned partition by partition, each shard's rows
-on one replica, with per-partition hedged reads (after an EWMA-p95 delay, a
-backup replica is scanned under the same snapshot; first success wins, the
-loser is cancelled and counted), circuit-breaker-routed failover, and
+on one replica, with per-partition hedged reads (once a scan is late by a
+whole predicted backup scan, a backup replica is scanned under the same
+snapshot; first success wins, the loser is cancelled and counted),
+circuit-breaker-routed failover, and
 deadline-budgeted execution with per-tenant strict/degraded partial-result
 policies.  The deterministic simulator serves through its own test double
 of the same protocol (``repro.sim.actors._EnvBackend``).
@@ -182,10 +183,19 @@ class ReplicatedBackend:
 
     * **fails over** on a typed replica error — the breaker records the
       failure and the next candidate is scanned under the same snapshot;
-    * **hedges** when the drain outlives the replica's EWMA-p95 delay — a
-      backup replica runs the same scan at the same ts; the first complete
-      result wins and the loser is cancelled (its partial drain is simply
-      abandoned; with one snapshot both answers were interchangeable);
+    * **hedges** when the drain outlives the break-even delay of
+      :meth:`~repro.server.health.FleetHealth.hedge_delay` — the serving
+      replica's predicted scan time plus a backup's (priced at the serving
+      replica's) plus k deviations.  The fan-out is synchronous: the
+      backup starts where the serving drain pauses, with that drain's time
+      already spent, so an earlier backup could only add a whole scan.
+      The fleet's :class:`~repro.server.health.HedgeBudget` (deep enough to
+      back up every shard scan of the widest request) must grant it; then
+      the backup replica runs the same scan at the same ts, the first
+      complete result wins and the loser is cancelled (its partial drain
+      is simply abandoned; with one snapshot both answers were
+      interchangeable).  A lost backup's time is not charged to the
+      serving replica's tracker;
     * **checks the deadline** at every partition boundary and drain stride.
     """
 
@@ -244,6 +254,7 @@ class ReplicatedBackend:
         partial, misleading slice of a key range).
         """
         bounds = self._bounds(begin_key, end_key)
+        self.health.budget.cover(len(bounds) * self.warehouse.num_shards)
         outcome = FanoutOutcome(records=[], uncovered=[])
         for index, (lo, hi) in enumerate(bounds):
             if deadline is not None and deadline.expired:
@@ -340,6 +351,7 @@ class ReplicatedBackend:
     ) -> Optional[list]:
         """Drain one replica; hedge if slow.  None = typed failure."""
         health = self.health.for_replica(shard_id, replica_id)
+        self.health.budget.earn()
         hedge_delay = self.health.hedge_delay(shard_id, replica_id)
         start = self.clock.now
         rows: list = []
@@ -357,6 +369,7 @@ class ReplicatedBackend:
                     and self.clock.now - start > hedge_delay
                 ):
                     hedged = True
+                    hedge_start = self.clock.now
                     backup_rows = self._hedge(
                         shard_id, replica_id, lo, hi, query_ts, deadline, outcome
                     )
@@ -371,6 +384,8 @@ class ReplicatedBackend:
                             self._schedule_repair(shard_id, "hedge-divergence")
                         self._obs_cancelled.add(1)
                         return backup_rows
+                    # The lost backup's time is its own, not this replica's.
+                    start += self.clock.now - hedge_start
         except (StorageError, ReplicationError):
             health.failure()
             self._schedule_repair(shard_id, "scan-failure")
@@ -393,9 +408,10 @@ class ReplicatedBackend:
         deadline,
         outcome: FanoutOutcome,
     ) -> Optional[list]:
-        """Issue the backup read; returns its rows, or None if it lost."""
+        """Issue the backup read; returns its rows, or None if it lost or
+        the hedge budget is spent."""
         backup_id = self._pick_backup(shard_id, serving_id)
-        if backup_id is None:
+        if backup_id is None or not self.health.budget.spend():
             return None
         outcome.hedges += 1
         self._obs_hedges.add(1)

@@ -61,6 +61,7 @@ class ReferenceBackend(ReplicatedBackend):
 
     def _attempt(self, shard_id, replica_id, lo, hi, query_ts, deadline, outcome):
         health = self.health.for_replica(shard_id, replica_id)
+        self.health.budget.earn()
         hedge_delay = self.health.hedge_delay(shard_id, replica_id)
         start = self.clock.now
         rows: list = []
@@ -79,6 +80,7 @@ class ReferenceBackend(ReplicatedBackend):
                     and self.clock.now - start > hedge_delay
                 ):
                     hedged = True
+                    hedge_start = self.clock.now
                     backup_rows = self._hedge(
                         shard_id, replica_id, lo, hi, query_ts, deadline, outcome
                     )
@@ -88,6 +90,7 @@ class ReferenceBackend(ReplicatedBackend):
                             self._schedule_repair(shard_id, "hedge-divergence")
                         self._obs_cancelled.add(1)
                         return backup_rows
+                    start += self.clock.now - hedge_start
         except (StorageError, ReplicationError):
             health.failure()
             self._schedule_repair(shard_id, "scan-failure")
@@ -100,7 +103,7 @@ class ReferenceBackend(ReplicatedBackend):
 
     def _hedge(self, shard_id, serving_id, lo, hi, query_ts, deadline, outcome):
         backup_id = self._pick_backup(shard_id, serving_id)
-        if backup_id is None:
+        if backup_id is None or not self.health.budget.spend():
             return None
         outcome.hedges += 1
         self._obs_hedges.add(1)

@@ -314,3 +314,31 @@ def test_abandoned_drains_release_their_scans(case):
         assert result["counters"][3] == 1
     else:
         assert result["error"] == "DeadlineExceededError"
+
+
+def test_a_lost_hedge_is_not_charged_to_the_serving_replica():
+    """The backup crashes mid-hedge and the primary finishes the scan: the
+    primary's tracker learns its own drain time, not the backup's too."""
+    plans, hedge, budget = SCENARIOS["hedge-loses"]
+    with use_registry():
+        world = World(ReplicatedBackend, 1, plans, hedge, budget)
+        world.health.for_replica(0, 0).tracker.alpha = 1.0  # mean = last sample
+        hedge_call = world.backend._hedge
+        in_hedge = []
+
+        def timed_hedge(*args):
+            began = world.clock.now
+            try:
+                return hedge_call(*args)
+            finally:
+                in_hedge.append(world.clock.now - began)
+
+        world.backend._hedge = timed_hedge
+        began = world.clock.now
+        result = world.serve(0, 999)
+        elapsed = world.clock.now - began
+    assert result["counters"] == (1, 0, 1, 0)
+    assert len(in_hedge) == 1 and in_hedge[0] > 0
+    assert result["health"]["0.0"]["latency_mean"] == pytest.approx(
+        elapsed - in_hedge[0], rel=1e-12
+    )

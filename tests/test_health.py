@@ -2,14 +2,22 @@
 
 import pytest
 
+from repro.core.replication import ReplicatedWarehouse
+from repro.engine.record import synthetic_schema
+from repro.obs import use_registry
+from repro.server import ReplicatedBackend
 from repro.server.health import (
+    HEDGE_BUDGET_RATIO,
+    HEDGE_BURST,
     BreakerState,
     CircuitBreaker,
     FleetHealth,
+    HedgeBudget,
     HedgePolicy,
     LatencyTracker,
 )
 from repro.storage.clock import SimClock
+from repro.storage.faults import NodeFaultPlan
 
 pytestmark = pytest.mark.chaos
 
@@ -91,8 +99,9 @@ def test_tracker_warms_up_before_hedging():
     tracker.observe(0.010)
     delay = tracker.hedge_delay(3.0, 1e-4)
     assert delay is not None
-    # Identical samples: deviation ~0, delay ~ the mean.
-    assert delay == pytest.approx(0.010, rel=0.05)
+    # Identical samples: deviation ~0, and the backup scan is priced at
+    # this replica's mean, so the delay is two means.
+    assert delay == pytest.approx(0.020, rel=0.05)
 
 
 def test_tracker_deviation_raises_delay():
@@ -109,6 +118,48 @@ def test_tracker_floor_guards_near_zero_ewma():
     for _ in range(8):
         tracker.observe(1e-9)
     assert tracker.hedge_delay(3.0, 1e-4) == 1e-4
+
+
+def test_delay_is_the_break_even_point_of_a_synchronous_hedge():
+    """This scan's predicted time, plus a backup scan's priced at this
+    replica's, plus k deviations."""
+    tracker = LatencyTracker(min_samples=4)
+    for i in range(20):
+        tracker.observe(0.010 if i % 2 else 0.030)
+    assert tracker.deviation > 0
+    assert tracker.hedge_delay(3.0, 1e-4) == pytest.approx(
+        tracker.mean + tracker.mean + 3.0 * tracker.deviation
+    )
+
+
+# --------------------------------------------------------------- hedge budget
+def test_budget_grants_the_burst_then_paces_by_attempts():
+    with use_registry() as registry:
+        budget = HedgeBudget("test.budget", ratio=0.25, burst=2.0)
+        assert [budget.spend() for _ in range(3)] == [True, True, False]
+        for _ in range(3):
+            budget.earn()
+        assert not budget.spend()  # 0.75 tokens: not yet a whole backup
+        budget.earn()
+        assert budget.spend()
+        for _ in range(100):
+            budget.earn()
+        assert budget.tokens == 2.0  # refill stops at the burst
+        assert registry.counter("test.budget.hedge_granted").value == 3
+        assert registry.counter("test.budget.hedge_denied").value == 2
+
+
+def test_budget_covers_the_widest_request_with_a_full_bucket():
+    with use_registry():
+        budget = HedgeBudget("test.cover", ratio=0.25, burst=2.0)
+        assert budget.spend()
+        budget.cover(2)  # no wider than the burst: nothing changes
+        assert (budget.burst, budget.tokens) == (2.0, 1.0)
+        budget.cover(6)  # the added depth arrives full
+        assert (budget.burst, budget.tokens) == (6, 5.0)
+        budget.cover(4)  # a narrower request never shrinks the bucket
+        assert budget.burst == 6
+        assert [budget.spend() for _ in range(6)] == [True] * 5 + [False]
 
 
 # --------------------------------------------------------------- fleet health
@@ -154,3 +205,49 @@ def test_fleet_report_shape():
     assert report["0.0"]["state"] == "closed"
     assert report["0.1"]["state"] == "open"
     assert report["0.0"]["samples"] == 1
+
+
+# ------------------------------------------------- hedge budget under a fleet
+def test_hedge_budget_caps_backups_of_an_always_slow_replica():
+    """While a slow primary's tracker still remembers it fast, every scan
+    on it wants a backup; the budget grants at most its burst plus its
+    share of attempts and counts the rest."""
+    with use_registry() as registry:
+        clock = SimClock()
+        slow = NodeFaultPlan(slow_op_seconds=0.05)
+        warehouse = ReplicatedWarehouse(
+            synthetic_schema(),
+            1,
+            clock,
+            replication=2,
+            records_per_node=2_000,
+            node_faults={(0, 0): slow},
+        )
+        warehouse.bulk_load((key, f"rec-{key}") for key in range(2_000))
+        policy = HedgePolicy(min_samples=1, min_delay_seconds=1e-6)
+        backend = ReplicatedBackend(
+            warehouse,
+            health=FleetHealth(clock, scope="test.budgeted", hedge=policy),
+            blocks_per_partition=1,
+            scope="test.budgeted",
+        )
+        attempts = []
+        attempt = backend._attempt
+
+        def counted(*args):
+            attempts.append(args[:2])
+            return attempt(*args)
+
+        backend._attempt = counted
+        backend.fanout_scan(0, 1_999, warehouse.oracle.next())  # warm, fast
+        slow.slow_at = clock.now
+        for _ in range(10):
+            outcome = backend.fanout_scan(0, 1_999, warehouse.oracle.next())
+            assert len(outcome.records) == 2_000
+        hedges = registry.counter("test.budgeted.hedges").value
+        denied = registry.counter("test.budgeted.hedge_denied").value
+        # No request here is wider than the burst, so it is the bucket.
+        assert backend.health.budget.burst == HEDGE_BURST
+        assert 0 < hedges <= HEDGE_BUDGET_RATIO * len(attempts) + HEDGE_BURST
+        assert denied > 0
+        assert registry.counter("test.budgeted.hedge_granted").value == hedges

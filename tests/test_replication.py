@@ -36,6 +36,7 @@ from repro.server import (
     ReplicatedBackend,
     RequestRouter,
 )
+from repro.server.health import HEDGE_BURST
 from repro.sim.model import ModelTable
 from repro.storage.clock import SimClock
 from repro.storage.faults import NodeFaultPlan
@@ -477,6 +478,128 @@ def test_hedged_read_same_snapshot_identical_rows():
         assert outcome.records == model.snapshot_records(
             warehouse.oracle.current, 0, hi
         )
+
+
+#: Keys in the 2 x 2 fleet the hedge-policy tests serve.
+FLEET_ROWS = 4_000
+
+
+def build_fleet(node_faults=None):
+    """A 2-shard x 2-replica warehouse of dense keys with cached updates
+    on every replica, and the model that shadows it."""
+    clock = SimClock()
+    warehouse = ReplicatedWarehouse(
+        SCHEMA,
+        2,
+        clock,
+        replication=2,
+        records_per_node=FLEET_ROWS,
+        node_faults=node_faults,
+    )
+    base = [(key, f"rec-{key}") for key in range(FLEET_ROWS)]
+    warehouse.bulk_load(base)
+    return warehouse, ModelTable(SCHEMA, base), clock
+
+
+def modify_some(warehouse, model, rng, count, tag):
+    for i in range(count):
+        key = rng.randrange(FLEET_ROWS)
+        update = UpdateRecord(
+            warehouse.oracle.next(), key, UpdateType.MODIFY,
+            {"payload": f"{tag}-{i}"},
+        )
+        warehouse.shards[warehouse.route(key)].apply(update)
+        model.record(update)
+
+
+def serve_ranges(router, warehouse, model, clock, rng, count, tag):
+    """``count`` requests of 40-1000 records, each checked against the
+    model at its pinned ts, with updates applied between them."""
+    for seq in range(count):
+        modify_some(warehouse, model, rng, 3, f"{tag}{seq}")
+        length = rng.randrange(40, 1_001)
+        lo = rng.randrange(FLEET_ROWS - length)
+        result = router.execute(
+            QueryRequest("t", 0, seq, lo, lo + length - 1, arrival=clock.now)
+        )
+        assert result.records == tuple(
+            model.snapshot_records(result.query_ts, lo, lo + length - 1)
+        ), f"{tag} request {seq} diverged"
+
+
+def test_healthy_fleet_makes_no_hedges():
+    """On a healthy fleet a scan's latency spread is seek distance, never a
+    whole extra scan, so the break-even delay is never reached."""
+    with use_registry() as registry:
+        warehouse, model, clock = build_fleet()
+        rng = random.Random(f"{SEED}:healthy")
+        modify_some(warehouse, model, rng, 300, "warm")
+        warehouse.flush_all()
+        router = RequestRouter(
+            ReplicatedBackend(warehouse, scope="test.healthy"),
+            scope="test.healthy",
+            keep_records=True,
+        )
+        serve_ranges(router, warehouse, model, clock, rng, 300, "healthy")
+        assert registry.counter("test.healthy.requests").value == 300
+        assert registry.counter("test.healthy.hedges").value == 0
+        assert registry.counter("test.healthy.hedge_denied").value == 0
+
+
+def test_brownout_after_warm_up_still_hedges_and_every_backup_wins():
+    with use_registry() as registry:
+        slow = NodeFaultPlan(slow_op_seconds=0.05)
+        warehouse, model, clock = build_fleet(node_faults={(0, 0): slow})
+        rng = random.Random(f"{SEED}:brownout")
+        modify_some(warehouse, model, rng, 300, "warm")
+        warehouse.flush_all()
+        router = RequestRouter(
+            ReplicatedBackend(warehouse, scope="test.brownout"),
+            scope="test.brownout",
+            keep_records=True,
+        )
+        serve_ranges(router, warehouse, model, clock, rng, 40, "before")
+        hedges = registry.counter("test.brownout.hedges")
+        assert hedges.value == 0
+        slow.slow_at = clock.now  # shard 0's primary browns out
+        serve_ranges(router, warehouse, model, clock, rng, 20, "during")
+        assert hedges.value > 0
+        assert registry.counter("test.brownout.hedge_wins").value == hedges.value
+        assert registry.counter("test.brownout.hedge_losses").value == 0
+
+
+def test_a_brownout_on_a_wide_request_is_hedged_in_full_at_onset():
+    """A request with more shard scans than ``HEDGE_BURST`` meets a
+    brownout: the budget's bucket is as deep as that request's fan-out, so
+    every slow partition gets its backup and none is denied."""
+    with use_registry() as registry:
+        slow = NodeFaultPlan(slow_op_seconds=0.05)
+        warehouse, model, clock = build_fleet(node_faults={(0, 0): slow})
+        rng = random.Random(f"{SEED}:wide-brownout")
+        modify_some(warehouse, model, rng, 8_000, "warm")
+        warehouse.flush_all()
+        backend = ReplicatedBackend(
+            warehouse, blocks_per_partition=1, scope="test.wide"
+        )
+        router = RequestRouter(backend, scope="test.wide", keep_records=True)
+        hi = FLEET_ROWS - 1
+        assert len(backend._bounds(0, hi)) > HEDGE_BURST
+        hedges = registry.counter("test.wide.hedges")
+        for seq in range(12):
+            if seq == 10:
+                slow.slow_at = clock.now  # shard 0's primary browns out
+            result = router.execute(
+                QueryRequest("t", 0, seq, 0, hi, arrival=clock.now)
+            )
+            assert result.records == tuple(
+                model.snapshot_records(result.query_ts, 0, hi)
+            ), f"request {seq} diverged"
+            if seq == 9:
+                assert hedges.value == 0
+            if seq == 10:
+                assert hedges.value > HEDGE_BURST
+        assert registry.counter("test.wide.hedge_denied").value == 0
+        assert registry.counter("test.wide.hedge_wins").value == hedges.value
 
 
 #: The deadline contract holds for an unreplicated cluster too.
