@@ -88,7 +88,6 @@ from repro.errors import (
 from repro.obs import get_registry, trace
 from repro.storage.clock import SimClock
 from repro.storage.faults import NodeFaultPlan
-from repro.storage.iosched import OverlapWindow, TimeBreakdown
 from repro.txn.log import RedoLog
 from repro.txn.recovery import recover_masm
 from repro.txn.timestamps import TimestampOracle
@@ -757,18 +756,25 @@ class ReplicaSet:
         return {"repaired": repaired, "unrepaired": unrepaired}
 
 
+def _drain(shard: ReplicaSet, lo: int, hi: int, query_ts: int) -> list:
+    """One primary's rows for one partition (a fan-out branch)."""
+    return list(shard.scan(lo, hi, query_ts))
+
+
 class ReplicatedWarehouse:
     """N shards of ``replication`` MaSM nodes each, behind one router.
 
     The routing API (``bulk_load`` / ``insert`` / ``delete`` / ``modify`` /
-    ``partitioned_range_scan`` / ``measure_scan`` / ``migrate_all``), plus
+    ``partitioned_range_scan`` / ``migrate_all``), plus
     the per-replica scan entry points (:meth:`scan_shard_partition`,
     :meth:`shard_route_ids`) the hedged fan-out executor schedules over,
     and the chaos levers (:meth:`crash_replica` / :meth:`rejoin_replica`)
     the availability driver pulls.  ``replication=1`` is the unreplicated
     cluster.  A shared clock is mandatory: failover, hedging and serving
     latency are decisions *about time*, so every node lives on one
-    timeline.
+    timeline.  The nodes share no device, so a fan-out forks that timeline
+    per shard (:meth:`~repro.storage.clock.SimClock.concurrently`): a
+    partition's scan costs its slowest shard, not the sum of its shards.
     """
 
     def __init__(
@@ -914,17 +920,20 @@ class ReplicatedWarehouse:
         """Primary-only partitioned fan-out (no hedging, no failover).
 
         The plain path for clients that do not run through the serving
-        router; each partition merges the primaries key-ordered.
-        ``query_ts`` pins the whole fan-out to a caller-drawn snapshot.
+        router.  Partitions run one after another; within one, the
+        primaries drain concurrently on the simulated timeline (they share
+        no device, so a partition costs its slowest shard) and their rows
+        merge key-ordered.  ``query_ts`` pins the whole fan-out to a
+        caller-drawn snapshot.
         """
         if query_ts is None:
             query_ts = self.oracle.next()
 
         def scan_partition(lo: int, hi: int) -> Iterator[tuple]:
-            streams = [
-                shard.scan(lo, hi, query_ts) for shard in self.shards
-            ]
-            return heapq.merge(*streams, key=self.schema.key_of)
+            per_shard = self.clock.concurrently(
+                _drain, self.shards, lo, hi, query_ts
+            )
+            return heapq.merge(*per_shard, key=self.schema.key_of)
 
         return chain.from_iterable(
             scan_partition(lo, hi)
@@ -932,23 +941,6 @@ class ReplicatedWarehouse:
                 begin_key, end_key, blocks_per_partition
             )
         )
-
-    def measure_scan(self, begin_key: int, end_key: int) -> TimeBreakdown:
-        """Run a fan-out scan and return the cross-node critical path.
-
-        Busy time is charged per device, so on the shared clock the elapsed
-        time is still the busiest primary device, not the serial sum.
-        """
-        devices = {}
-        for shard in self.shards:
-            node = shard.primary.node
-            devices[f"disk-{shard.shard_id}"] = node.disk
-            devices[f"ssd-{shard.shard_id}"] = node.ssd
-        window = OverlapWindow(devices)
-        with window:
-            for _ in self.partitioned_range_scan(begin_key, end_key):
-                pass
-        return window.result
 
     # ----------------------------------------------------------------- chaos
     def crash_replica(self, shard_id: int, replica_id: int) -> None:

@@ -13,8 +13,10 @@ The backend protocol is ``clock`` + ``snapshot_ts()`` + ``fanout_scan()``,
 and :class:`ReplicatedBackend` is its one implementation: a
 :class:`~repro.core.replication.ReplicatedWarehouse` (``replication=1`` for
 an unreplicated cluster) scanned partition by partition, each shard's rows
-on one replica, with per-partition hedged reads (once a scan is late by a
-whole predicted backup scan, a backup replica is scanned under the same
+on one replica, a partition's shards concurrently on the simulated timeline
+(the nodes share no device, so a partition costs its slowest shard), with
+per-partition hedged reads (once a scan is late by a whole predicted backup
+scan, a backup replica is scanned under the same
 snapshot; first success wins, the loser is cancelled and counted),
 circuit-breaker-routed failover, and
 deadline-budgeted execution with per-tenant strict/degraded partial-result
@@ -176,19 +178,25 @@ class FanoutOutcome:
 class ReplicatedBackend:
     """Hedged, failover-routed fan-out over a :class:`ReplicatedWarehouse`.
 
-    Scheduling unit: one (partition, shard) scan on one replica.  For each
-    the executor asks :class:`~repro.server.health.FleetHealth` for the
-    route order (primary first, open breakers last), drains the chosen
-    replica, and
+    Scheduling unit: one (partition, shard) scan on one replica.
+    Partitions run one after another, so deadline checks at partition
+    boundaries and DEGRADED's all-or-nothing partitions keep their meaning;
+    a partition's shards run concurrently on the simulated timeline, each
+    branch starting at the partition's start, so the partition costs its
+    slowest shard.  Within a shard everything below is synchronous.  For
+    each scan the executor asks :class:`~repro.server.health.FleetHealth`
+    for the route order (primary first, open breakers last), drains the
+    chosen replica, and
 
     * **fails over** on a typed replica error — the breaker records the
       failure and the next candidate is scanned under the same snapshot;
     * **hedges** when the drain outlives the break-even delay of
       :meth:`~repro.server.health.FleetHealth.hedge_delay` — the serving
       replica's predicted scan time plus a backup's (priced at the serving
-      replica's) plus k deviations.  The fan-out is synchronous: the
-      backup starts where the serving drain pauses, with that drain's time
-      already spent, so an earlier backup could only add a whole scan.
+      replica's) plus k deviations.  Within a shard the fan-out is
+      synchronous: the backup starts where the serving drain pauses, with
+      that drain's time already spent, so an earlier backup could only add
+      a whole scan.
       The fleet's :class:`~repro.server.health.HedgeBudget` (deep enough to
       back up every shard scan of the widest request) must grant it; then
       the backup replica runs the same scan at the same ts, the first
@@ -290,13 +298,21 @@ class ReplicatedBackend:
     ) -> list:
         """One partition: every shard's rows, merged key-ordered.
 
-        Each shard's list is one sorted run, so sorting their concatenation
-        is a Timsort merge of k runs on a C-level key.
+        The shards share no device, so their scans run concurrently on the
+        simulated timeline (:meth:`~repro.storage.clock.SimClock.concurrently`):
+        each starts at the partition's start and the partition costs its
+        slowest shard.  Each shard's list is one sorted run, so sorting
+        their concatenation is a Timsort merge of k runs on a C-level key.
         """
-        per_shard = [
-            self._scan_shard(shard_id, lo, hi, query_ts, deadline, outcome)
-            for shard_id in range(self.warehouse.num_shards)
-        ]
+        per_shard = self.clock.concurrently(
+            self._scan_shard,
+            range(self.warehouse.num_shards),
+            lo,
+            hi,
+            query_ts,
+            deadline,
+            outcome,
+        )
         return sorted(
             chain.from_iterable(per_shard), key=self.warehouse.schema.key_of
         )

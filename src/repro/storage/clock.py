@@ -13,8 +13,10 @@ from __future__ import annotations
 class SimClock:
     """A monotonically advancing simulated clock, in seconds.
 
-    The clock never moves backwards; :meth:`advance` with a negative delta is
-    rejected because it always indicates an accounting bug in a device model.
+    The clock never moves backwards, with one scoped exception:
+    :meth:`concurrently` rewinds to its fork instant before each branch, and
+    never below it.  :meth:`advance` with a negative delta is rejected
+    because it always indicates an accounting bug in a device model.
     """
 
     __slots__ = ("_now",)
@@ -39,6 +41,35 @@ class SimClock:
         if when > self._now:
             self._now = when
         return self._now
+
+    def concurrently(self, fn, items, *args) -> list:
+        """Run ``fn(item, *args)`` for each item as concurrent branches.
+
+        Every branch starts at the same origin instant (the clock steps back
+        to it before each branch after the first: the only place the clock
+        moves backwards, and never below the origin), and after the last
+        branch the clock stands at the latest finish: the fork costs its
+        slowest branch, not the sum.  Results come back in item order.  If
+        a branch raises, the clock stands at the furthest instant any branch
+        reached and the error propagates; later branches do not run.
+
+        Only work that shares no timed resource may fork: each branch must
+        see exactly the timeline it would see alone (device service times
+        never read the clock; per-node breakers, trackers and fault plans
+        are each touched by one branch only).
+        """
+        origin = finish = self._now
+        results = []
+        try:
+            for item in items:
+                self._now = origin
+                results.append(fn(item, *args))
+                if self._now > finish:
+                    finish = self._now
+        finally:
+            if finish > self._now:
+                self._now = finish
+        return results
 
     def reset(self) -> None:
         """Restart the timeline at zero (used between benchmark repetitions)."""

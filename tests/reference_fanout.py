@@ -50,10 +50,15 @@ class ReferenceBackend(ReplicatedBackend):
     """:class:`ReplicatedBackend` with the per-row drains and merge."""
 
     def _scan_partition(self, lo, hi, query_ts, deadline, outcome) -> list:
-        per_shard = [
-            self._scan_shard(shard_id, lo, hi, query_ts, deadline, outcome)
-            for shard_id in range(self.warehouse.num_shards)
-        ]
+        per_shard = self.clock.concurrently(
+            self._scan_shard,
+            range(self.warehouse.num_shards),
+            lo,
+            hi,
+            query_ts,
+            deadline,
+            outcome,
+        )
         return list(heapq.merge(*per_shard, key=self.warehouse.schema.key))
 
     def _stream(self, shard_id, lo, hi, query_ts, replica_id):

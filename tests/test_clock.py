@@ -1,4 +1,4 @@
-"""SimClock invariants: monotonicity and reset semantics."""
+"""SimClock invariants: monotonicity, reset and fork/join semantics."""
 
 import pytest
 
@@ -36,3 +36,93 @@ def test_reset():
     clock.advance(1.0)
     clock.reset()
     assert clock.now == 0.0
+
+
+def _branch(clock, starts):
+    def run(delta):
+        starts.append(clock.now)
+        clock.advance(delta)
+        return delta * 10
+
+    return run
+
+
+def test_concurrently_forks_at_the_origin_and_joins_at_the_latest_finish():
+    clock = SimClock(start=1.0)
+    starts = []
+    results = clock.concurrently(_branch(clock, starts), [0.5, 2.0, 0.25])
+    assert starts == [1.0, 1.0, 1.0]
+    assert clock.now == 3.0
+    assert results == [5.0, 20.0, 2.5]  # in item order
+
+
+def test_concurrently_passes_extra_arguments_to_every_branch():
+    clock = SimClock()
+    calls = []
+
+    def run(item, lo, hi):
+        calls.append((item, lo, hi, clock.now))
+        clock.advance(item)
+
+    clock.concurrently(run, [1.0, 2.0], "a", "b")
+    assert calls == [(1.0, "a", "b", 0.0), (2.0, "a", "b", 0.0)]
+    assert clock.now == 2.0
+
+
+def test_concurrently_with_no_items_leaves_the_clock_alone():
+    clock = SimClock(start=4.0)
+    assert clock.concurrently(_branch(clock, []), []) == []
+    assert clock.now == 4.0
+
+
+@pytest.mark.parametrize(
+    "deltas, raising, expected",
+    [
+        # The raising branch got furthest.
+        ([1.0, 3.0], 1, 5.0),
+        # An earlier branch got further than the raising one.
+        ([3.0, 1.0], 1, 5.0),
+        # The first branch raises at once: the clock stays at the origin.
+        ([0.0, 9.0], 0, 2.0),
+    ],
+)
+def test_a_raising_branch_leaves_the_clock_at_the_furthest_instant(
+    deltas, raising, expected
+):
+    clock = SimClock(start=2.0)
+    ran = []
+
+    def run(index):
+        ran.append(index)
+        clock.advance(deltas[index])
+        if index == raising:
+            raise RuntimeError("branch failed")
+
+    with pytest.raises(RuntimeError, match="branch failed"):
+        clock.concurrently(run, range(len(deltas)))
+    assert clock.now == expected
+    assert clock.now >= 2.0
+    assert ran == list(range(raising + 1))  # later branches never run
+
+
+def test_nested_forks_join_at_the_critical_path():
+    clock = SimClock()
+    starts = []
+
+    def outer(deltas):
+        starts.append(("outer", clock.now))
+        clock.advance(1.0)
+        clock.concurrently(_branch(clock, starts), deltas)
+
+    clock.concurrently(outer, [[0.5, 4.0], [2.0]])
+    # Branch 0: 1 + max(0.5, 4) = 5; branch 1: 1 + 2 = 3.
+    assert clock.now == 5.0
+    assert starts == [
+        ("outer", 0.0),
+        1.0,
+        1.0,
+        ("outer", 0.0),
+        1.0,
+    ]
+    clock.advance(1.0)
+    assert clock.now == 6.0

@@ -127,13 +127,27 @@ def test_migrate_all_clears_every_cache():
     assert got[0] == (0, "v0")
 
 
-def test_measure_scan_reports_parallel_critical_path():
+def test_partitioned_scan_costs_the_slowest_shard():
+    """The primaries share no device, so they drain concurrently: a
+    one-partition scan takes the busiest primary's disk + SSD time on the
+    shared clock, not the sum over primaries."""
     wh = make(3, 600)
-    breakdown = wh.measure_scan(0, 10**9)
-    busiest = max(breakdown.device_busy.values())
-    total = sum(breakdown.device_busy.values())
-    assert breakdown.elapsed == pytest.approx(busiest)
-    assert breakdown.elapsed < total  # parallel, not serial
+    for i in range(150):
+        wh.insert((i * 8 + 1, f"new-{i}"))
+    wh.flush_all()
+    devices = [(node.node.disk, node.node.ssd) for node in nodes(wh)]
+
+    def busy():
+        return [disk.stats.busy_time + ssd.stats.busy_time for disk, ssd in devices]
+
+    before, began = busy(), wh.clock.now
+    rows = list(wh.partitioned_range_scan(0, 10**9, blocks_per_partition=10**6))
+    elapsed = wh.clock.now - began
+    per_shard = [after - prior for after, prior in zip(busy(), before)]
+    assert len(rows) == 750
+    assert all(delta > 0 for delta in per_shard)
+    assert elapsed == pytest.approx(max(per_shard), rel=1e-12)
+    assert elapsed < sum(per_shard)  # concurrent, not serial
 
 
 # --------------------------------------------------- fan-out scans under faults
