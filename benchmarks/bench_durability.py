@@ -9,45 +9,24 @@ distills the durability acceptance surface:
   fault-free model oracle at its pinned snapshot timestamp; truncation,
   bootstrap and repair may move bytes, never change an answer.
 * **bounded WAL** — the peak live WAL across primaries must stay under
-  ``WAL_BOUND_RATIO`` of the bytes ever appended: checkpointing makes the
+  35 % of the bytes ever appended: checkpointing makes the
   log flat where an untruncated log is linear.
 * **non-vacuous churn** — the run must actually record checkpoints, a
   snapshot bootstrap, and at least one completed repair (scheduled via
   the router's read-repair queue); a pass where the machinery never
   engaged proves nothing.
 * **nothing left broken** — the final fleet-wide anti-entropy pass must
-  find zero unrepaired runs, and the success-rate floor holds.
-* **determinism** — the driver runs TWICE; the exported metrics reports
-  must be byte-identical (virtual time, seeded churn).
+  find zero unrepaired runs, and the success rate stays >= 0.999.
+* **determinism** — the gate runner runs this benchmark TWICE; the two
+  results must be byte-identical (virtual time, seeded churn).
 
-Writes ``benchmarks/results/BENCH_durability.json`` so the durability
-surface is tracked across PRs (``check_regression.py`` gates on it).
-
-Run standalone:  PYTHONPATH=src python benchmarks/bench_durability.py
-Smoke (CI):      ... bench_durability.py --smoke
-Under pytest:    pytest benchmarks/bench_durability.py -s
+Gated by ``benchmarks/gates.py durability`` (``BENCH_durability.json``).
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-import sys
-import time
-
 from repro.bench.figures import ALL_DRIVERS
 from repro.bench.harness import FigureResult
-
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-RESULT_FILE = "BENCH_durability.json"
-SMOKE_RESULT_FILE = "BENCH_durability.smoke.json"
-
-#: Churn may slow requests, not lose them.
-SUCCESS_RATE_FLOOR = 0.999
-#: Peak live WAL over cumulative appended bytes: flat, not linear.
-WAL_BOUND_RATIO = 0.35
-
-SMOKE_KWARGS = dict(scale=0.4)
 
 PHASES = (
     "baseline",
@@ -58,14 +37,9 @@ PHASES = (
 )
 
 
-def run_durability_bench(scale: float = 1.0) -> FigureResult:
-    """Run the churn driver twice; distill the acceptance surface."""
-    driver = ALL_DRIVERS["durability-under-churn"]
-    first = driver(scale=scale)
-    second = driver(scale=scale)
-    deterministic = json.dumps(first.metrics, sort_keys=True) == json.dumps(
-        second.metrics, sort_keys=True
-    )
+def run(scale: float = 1.0) -> FigureResult:
+    """Run the churn driver; distill the acceptance surface."""
+    first = ALL_DRIVERS["durability-under-churn"](scale=scale)
 
     result = FigureResult(
         figure="BENCH durability",
@@ -121,98 +95,8 @@ def run_durability_bench(scale: float = 1.0) -> FigureResult:
     )
     for note in first.notes:
         result.note(note)
-    result.note(f"double run byte-identical: {deterministic}")
     result.metrics = first.metrics
-    result._deterministic = deterministic  # type: ignore[attr-defined]
     return result
 
 
-def write_results(result: FigureResult, file_name: str = RESULT_FILE) -> pathlib.Path:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / file_name
-    path.write_text(result.to_json(unit="milliseconds (latency), counts, KB"))
-    result.write_metrics(path.with_name(path.stem + ".metrics.json"))
-    return path
-
-
-def check_gates(result: FigureResult, full: bool) -> list[str]:
-    """The durability acceptance gates; returns failures (empty = ok)."""
-    del full  # every gate applies at smoke size too
-    failures: list[str] = []
-    if not getattr(result, "_deterministic", False):
-        failures.append(
-            "durability metrics differ between two runs at the same "
-            "seed: the churn run is not deterministic"
-        )
-    wrong = result.cell("all", "wrong")
-    if wrong > 0:
-        failures.append(
-            f"{wrong:.0f} responses diverged from the fault-free oracle: "
-            "checkpoint/bootstrap/repair changed an answer"
-        )
-    rate = result.cell("all", "success_rate")
-    if rate < SUCCESS_RATE_FLOOR:
-        failures.append(
-            f"success rate {rate:.4f} under churn is below the "
-            f"{SUCCESS_RATE_FLOOR} floor"
-        )
-    ratio = result.cell("all", "wal_bound_ratio")
-    if ratio > WAL_BOUND_RATIO:
-        failures.append(
-            f"peak live WAL is {ratio:.0%} of bytes ever appended "
-            f"(bound {WAL_BOUND_RATIO:.0%}): checkpointing is not "
-            "keeping the log flat"
-        )
-    if result.cell("all", "checkpoints") <= 0:
-        failures.append("no checkpoints recorded: truncation never engaged")
-    if result.cell("all", "bootstraps") <= 0:
-        failures.append(
-            "no snapshot bootstrap recorded: the wiped replica was never "
-            "rebuilt, so the bootstrap result is vacuous"
-        )
-    if result.cell("all", "repairs") <= 0:
-        failures.append(
-            "no repairs recorded: the injected bit-flip was never "
-            "repaired, so the anti-entropy result is vacuous"
-        )
-    if result.cell("all", "unrepaired") > 0:
-        failures.append(
-            f"{result.cell('all', 'unrepaired'):.0f} runs still "
-            "quarantined after the final anti-entropy pass"
-        )
-    return failures
-
-
-def test_durability_bench():
-    """Pytest entry: smoke-sized churn run must pass every gate."""
-    result = run_durability_bench(**SMOKE_KWARGS)
-    print()
-    print(result.format())
-    failures = check_gates(result, full=False)
-    assert not failures, "; ".join(failures)
-
-
-def main(argv: list[str]) -> int:
-    smoke = "--smoke" in argv
-    started = time.perf_counter()
-    result = run_durability_bench(**(SMOKE_KWARGS if smoke else {}))
-    elapsed = time.perf_counter() - started
-    print(result.format())
-    print(f"[finished in {elapsed:.1f}s wall time]")
-    path = write_results(result, SMOKE_RESULT_FILE if smoke else RESULT_FILE)
-    print(f"wrote {path}")
-    failures = check_gates(result, full=not smoke)
-    if failures:
-        print("\nFAILED durability gates:", file=sys.stderr)
-        for failure in failures:
-            print(f"  {failure}", file=sys.stderr)
-        return 1
-    print(
-        "OK: zero wrong answers, WAL stays flat, bootstrap and repair "
-        "both engaged, nothing left broken, deterministic"
-    )
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+SMOKE = dict(scale=0.4)

@@ -18,33 +18,22 @@ already passed — and a file I/O enters the retry policy only once an
 attempt has failed, so on a fault-free device both overheads should sit at
 zero, within timing noise.
 
-Method: five repetitions; each cell is the median of its five readings.
-In a repetition the two modes take turns going first.  A merge pass runs
-one mode at a time, after a full garbage collection: without it a pass
-paid for collecting the previous pass's cache, and whichever mode ran
-first read up to ~45% slower warm — the "negative overhead" this benchmark
-used to record.  The WAL appends of both modes go to two logs fed
-alternately, :data:`WAL_SLICE` appends at a time, switching the machinery
-before every slice; a mode's rate is its appends over the sum of its
-slices' times, so a burst of machine noise lands on both modes.
+Method (``gates.paired``): five alternating pairs of merge passes, each
+after a full garbage collection; a cell is the median of its passes.  The
+WAL appends of both modes go to two logs fed alternately, :data:`WAL_SLICE`
+appends at a time, switching the machinery before every slice; a mode's
+rate is the median of its slices', so a burst of machine noise lands on
+both modes.
 
-Writes ``benchmarks/results/BENCH_fault_overhead.json``.
-
-Run standalone:  PYTHONPATH=src python benchmarks/bench_fault_overhead.py
-Smoke (CI):      ... bench_fault_overhead.py --smoke
-Under pytest:    pytest benchmarks/bench_fault_overhead.py -s
+Gated by ``benchmarks/gates.py fault_overhead`` (``BENCH_fault_overhead.json``).
 """
 
 from __future__ import annotations
 
-import gc
-import pathlib
-import statistics
-import sys
 import time
 from contextlib import contextmanager
 
-from repro import obs
+from gates import paired
 from repro.bench.harness import FigureResult
 from repro.core.blockcache import DecodedBlockCache
 from repro.core.operators import MergeUpdates, RunScan
@@ -57,15 +46,8 @@ from repro.storage.ssd import SimulatedSSD
 from repro.txn.log import RedoLog
 from repro.util.units import MB
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-RESULT_FILE = "BENCH_fault_overhead.json"
-
-#: The acceptance bar: checksums + retries must cost no more than this
-#: fraction of the unprotected rate, on the warm merge and on WAL appends.
-OVERHEAD_TOLERANCE = 0.20
-
-#: Repetitions; each cell is the median of its readings.
-REPETITIONS = 5
+#: Alternating merge passes per mode; a cell is the median of its passes.
+PAIRS = 5
 
 #: WAL appends per timed slice; the modes alternate slice by slice.
 WAL_SLICE = 1_000
@@ -119,7 +101,6 @@ def measure_merges(runs, volume, protected: bool) -> tuple[float, float]:
     """(cold_rps, warm_rps) of one mode, over a fresh decoded-block cache."""
     total_blocks = sum(run.num_blocks for run in runs)
     cache = DecodedBlockCache(total_blocks)
-    gc.collect()
     with machinery(volume, protected):
         cold = measure_merge(runs, cache)
         warm = measure_merge(runs, cache)
@@ -128,42 +109,33 @@ def measure_merges(runs, volume, protected: bool) -> tuple[float, float]:
 
 
 def measure_wal(volume, codec, encoded) -> dict[bool, float]:
-    """Redo-log appends/second of ``encoded`` with the machinery off (False)
-    and on (True): a fresh log per mode, the two fed :data:`WAL_SLICE`
-    appends at a time, taking turns going first."""
+    """Median redo-log appends/second of a :data:`WAL_SLICE`-append slice
+    of ``encoded``, machinery off (False) and on (True): a fresh log per
+    mode, the two fed slice by slice, taking turns going first."""
     logs = {
         protected: RedoLog(volume.create(f"wal-{protected}", 32 * MB), {"t": codec})
         for protected in (False, True)
     }
-    seconds = {False: 0.0, True: 0.0}
-    order = [False, True]
-    gc.collect()
-    for first in range(0, len(encoded), WAL_SLICE):
-        piece = encoded[first : first + WAL_SLICE]
-        order.reverse()
-        for protected in order:
-            log = logs[protected]
-            with machinery(volume, protected):
-                start = time.perf_counter()
-                for update in piece:
-                    log.log_update("t", update)
-                seconds[protected] += time.perf_counter() - start
+    starts = range(0, len(encoded), WAL_SLICE)
+    pending = {protected: iter(starts) for protected in logs}
+
+    def append_slice(protected: bool) -> float:
+        first = next(pending[protected])
+        piece, log = encoded[first : first + WAL_SLICE], logs[protected]
+        with machinery(volume, protected):
+            start = time.perf_counter()
+            for update in piece:
+                log.log_update("t", update)
+            return len(piece) / (time.perf_counter() - start)
+
+    rates = paired(append_slice, (False, True), len(starts))
     for log in logs.values():
         assert log.records_written == len(encoded)
         volume.delete(log.file.name)
-    return {protected: len(encoded) / spent for protected, spent in seconds.items()}
+    return rates
 
 
-def run_overhead_bench(
-    num_runs: int = 4, per_run: int = 30_000, wal_appends: int = 50_000
-) -> FigureResult:
-    with obs.use_registry() as registry, obs.use_tracer() as tracer:
-        result = _run_overhead_bench(num_runs, per_run, wal_appends)
-    result.metrics = obs.report_dict(registry, tracer, experiment="bench-fault-overhead")
-    return result
-
-
-def _run_overhead_bench(num_runs: int, per_run: int, wal_appends: int) -> FigureResult:
+def run(num_runs: int = 4, per_run: int = 30_000, wal_appends: int = 50_000) -> FigureResult:
     runs, volume = build_runs(num_runs, per_run)
     codec = runs[0].codec
     encoded = [
@@ -177,86 +149,22 @@ def _run_overhead_bench(num_runs: int, per_run: int, wal_appends: int) -> Figure
         row_label="mode",
         columns=["cold_rps", "warm_rps", "wal_appends_per_s"],
     )
-    readings: dict[bool, list[tuple[float, float, float]]] = {False: [], True: []}
-    modes = [False, True]
-    for _ in range(REPETITIONS):
-        modes.reverse()  # each mode goes first in every other repetition
-        merges = {mode: measure_merges(runs, volume, mode) for mode in modes}
-        appends = measure_wal(volume, codec, encoded)
-        for mode in modes:
-            readings[mode].append((*merges[mode], appends[mode]))
+    merges = paired(lambda protected: measure_merges(runs, volume, protected), (False, True), PAIRS)
+    appends = measure_wal(volume, codec, encoded)
     for label, mode in (("disabled", False), ("enabled", True)):
-        cold, warm, appends = (
-            statistics.median(column) for column in zip(*readings[mode])
-        )
-        result.add_row(label, cold_rps=cold, warm_rps=warm, wal_appends_per_s=appends)
-
-    merge, wal = _overheads(result)
+        cold, warm = merges[mode]
+        result.add_row(label, cold_rps=cold, warm_rps=warm, wal_appends_per_s=appends[mode])
+    merge, wal = (
+        1.0 - result.cell("enabled", column) / result.cell("disabled", column)
+        for column in ("warm_rps", "wal_appends_per_s")
+    )
     result.note(
         f"workload: {num_runs} runs x {per_run} updates, {wal_appends} WAL appends; "
-        f"median of {REPETITIONS} alternating repetitions per mode; "
-        f"warm merge overhead {merge * 100:.1f}%, WAL append overhead "
-        f"{wal * 100:.1f}% (tolerance {OVERHEAD_TOLERANCE * 100:.0f}%)"
+        f"median of {PAIRS} alternating merge pairs and of "
+        f"{len(range(0, wal_appends, WAL_SLICE))} alternating WAL slice pairs; warm merge overhead "
+        f"{merge * 100:.1f}%, WAL append overhead {wal * 100:.1f}%"
     )
     return result
 
 
-def write_results(result: FigureResult, file_name: str = RESULT_FILE) -> pathlib.Path:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / file_name
-    path.write_text(result.to_json(unit="records/sec; wal_appends_per_s in appends/sec"))
-    result.write_metrics(path.with_name(path.stem + ".metrics.json"))
-    return path
-
-
-def _overheads(result: FigureResult) -> tuple[float, float]:
-    """(warm merge, WAL append) cost of the machinery, as rate fractions."""
-    return tuple(
-        1.0 - result.cell("enabled", column) / result.cell("disabled", column)
-        for column in ("warm_rps", "wal_appends_per_s")
-    )
-
-
-def test_fault_overhead(benchmark=None):
-    """Pytest entry: enabled rates within 20% of the disabled rates."""
-    if benchmark is not None:
-        result = benchmark.pedantic(run_overhead_bench, rounds=1, iterations=1)
-    else:
-        result = run_overhead_bench()
-    print()
-    print(result.format(precision=0))
-    write_results(result)
-    for path, overhead in zip(("warm merge", "WAL append"), _overheads(result)):
-        assert overhead <= OVERHEAD_TOLERANCE, (
-            f"fault machinery costs {overhead * 100:.1f}% on the {path} path "
-            f"(tolerance {OVERHEAD_TOLERANCE * 100:.0f}%)"
-        )
-
-
-SMOKE_KWARGS = dict(num_runs=3, per_run=4_000, wal_appends=10_000)
-SMOKE_RESULT_FILE = "BENCH_fault_overhead.smoke.json"
-
-
-def main(argv: list[str]) -> int:
-    smoke = "--smoke" in argv
-    result = run_overhead_bench(**SMOKE_KWARGS) if smoke else run_overhead_bench()
-    print(result.format(precision=0))
-    path = write_results(result, SMOKE_RESULT_FILE if smoke else RESULT_FILE)
-    print(f"\nwrote {path}")
-    # Smoke workloads are small enough that timing noise dominates; allow
-    # extra slack there, the committed full run enforces the real bar.
-    tolerance = 0.35 if smoke else OVERHEAD_TOLERANCE
-    status = 0
-    for path_name, overhead in zip(("warm merge", "WAL append"), _overheads(result)):
-        verdict = "FAIL" if overhead > tolerance else "OK"
-        print(
-            f"{verdict}: fault machinery overhead on the {path_name} path "
-            f"{overhead * 100:.1f}% (tolerance {tolerance * 100:.0f}%)"
-        )
-        if overhead > tolerance:
-            status = 1
-    return status
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+SMOKE = dict(num_runs=3, per_run=4_000, wal_appends=10_000)

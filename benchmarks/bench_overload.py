@@ -12,21 +12,14 @@ time, buffer flushes included) through an ungoverned engine and a governed
 engine whose cache never leaves the normal band.  The acceptance bar: the
 governed idle path must stay within 10% of the ungoverned rate.
 
-Writes ``benchmarks/results/BENCH_overload.json``.
-
-Run standalone:  PYTHONPATH=src python benchmarks/bench_overload.py
-Smoke (CI):      ... bench_overload.py --smoke
-Under pytest:    pytest benchmarks/bench_overload.py -s
+Gated by ``benchmarks/gates.py overload`` (``BENCH_overload.json``).
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-import sys
 import time
 
-from repro import obs
+from gates import paired
 from repro.bench.harness import FigureResult
 from repro.core.governor import OverloadPolicy
 from repro.core.masm import MaSM, MaSMConfig
@@ -37,12 +30,8 @@ from repro.storage.file import StorageVolume
 from repro.storage.ssd import SimulatedSSD
 from repro.util.units import KB, MB
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-RESULT_FILE = "BENCH_overload.json"
-
-#: The acceptance bar from the issue: an idle governor must cost no more
-#: than this fraction of ungoverned apply throughput.
-OVERHEAD_TOLERANCE = 0.10
+#: Alternating passes per mode; a cell is the median of its passes.
+PAIRS = 6
 
 SCHEMA = synthetic_schema()
 
@@ -84,90 +73,21 @@ def measure_applies(governed: bool, n: int, updates: int) -> float:
     return updates / elapsed
 
 
-def run_overload_bench(n: int = 2_000, updates: int = 30_000) -> FigureResult:
-    with obs.use_registry() as registry, obs.use_tracer() as tracer:
-        result = _run_overload_bench(n, updates)
-    result.metrics = obs.report_dict(registry, tracer, experiment="bench-overload")
-    return result
-
-
-def _run_overload_bench(n: int, updates: int) -> FigureResult:
+def run(n: int = 2_000, updates: int = 30_000) -> FigureResult:
     result = FigureResult(
         figure="BENCH overload",
         title="apply updates/sec, ungoverned vs governed with an idle governor",
         row_label="mode",
         columns=["apply_ups"],
     )
-    # Interleave repetitions of both modes and keep the best of each, so a
-    # stray scheduling hiccup cannot land entirely on one side of the ratio.
-    best = {"ungoverned": 0.0, "governed": 0.0}
-    for _ in range(3):
-        for mode, governed in (("ungoverned", False), ("governed", True)):
-            best[mode] = max(best[mode], measure_applies(governed, n, updates))
-    for mode in ("ungoverned", "governed"):
-        result.add_row(mode, apply_ups=best[mode])
-
-    overhead = 1.0 - best["governed"] / best["ungoverned"]
+    rates = paired(lambda governed: measure_applies(governed, n, updates), (False, True), PAIRS)
+    result.add_row("ungoverned", apply_ups=rates[False])
+    result.add_row("governed", apply_ups=rates[True])
     result.note(
-        f"workload: {updates} modifies over {n} rows; "
-        f"idle-governor overhead {overhead * 100:.1f}% "
-        f"(tolerance {OVERHEAD_TOLERANCE * 100:.0f}%)"
+        f"workload: {updates} modifies over {n} rows; median of {PAIRS} alternating "
+        f"pairs; idle-governor overhead {(1 - rates[True] / rates[False]) * 100:.1f}%"
     )
     return result
 
 
-def write_results(result: FigureResult, file_name: str = RESULT_FILE) -> pathlib.Path:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / file_name
-    path.write_text(result.to_json(unit="updates/sec"))
-    result.write_metrics(path.with_name(path.stem + ".metrics.json"))
-    return path
-
-
-def _overhead(result: FigureResult) -> float:
-    ungoverned = result.cell("ungoverned", "apply_ups")
-    governed = result.cell("governed", "apply_ups")
-    return 1.0 - governed / ungoverned
-
-
-def test_overload_idle_overhead(benchmark=None):
-    """Pytest entry: governed idle apply rate within 10% of ungoverned."""
-    if benchmark is not None:
-        result = benchmark.pedantic(run_overload_bench, rounds=1, iterations=1)
-    else:
-        result = run_overload_bench()
-    print()
-    print(result.format(precision=0))
-    write_results(result)
-    overhead = _overhead(result)
-    assert overhead <= OVERHEAD_TOLERANCE, (
-        f"idle governor costs {overhead * 100:.1f}% of apply throughput "
-        f"(tolerance {OVERHEAD_TOLERANCE * 100:.0f}%)"
-    )
-
-
-SMOKE_KWARGS = dict(n=1_000, updates=6_000)
-SMOKE_RESULT_FILE = "BENCH_overload.smoke.json"
-
-
-def main(argv: list[str]) -> int:
-    smoke = "--smoke" in argv
-    result = run_overload_bench(**SMOKE_KWARGS) if smoke else run_overload_bench()
-    print(result.format(precision=0))
-    path = write_results(result, SMOKE_RESULT_FILE if smoke else RESULT_FILE)
-    print(f"\nwrote {path}")
-    payload = json.loads(path.read_text())
-    rows = {r["label"]: r["values"] for r in payload["rows"]}
-    overhead = 1.0 - rows["governed"]["apply_ups"] / rows["ungoverned"]["apply_ups"]
-    # Smoke workloads are small enough that timing noise dominates; allow
-    # extra slack there, the committed full run enforces the real bar.
-    tolerance = 0.30 if smoke else OVERHEAD_TOLERANCE
-    if overhead > tolerance:
-        print(f"FAIL: idle-governor overhead {overhead * 100:.1f}% > {tolerance * 100:.0f}%")
-        return 1
-    print(f"OK: idle-governor overhead {overhead * 100:.1f}% (tolerance {tolerance * 100:.0f}%)")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+SMOKE = dict(n=1_000, updates=6_000)

@@ -19,12 +19,8 @@ The shipping rows count what the pipeline produces — batch and joined-array
 lengths — and build no tuples, as the benchmark's ``scan_large`` does not
 until ``Schema.unpack_many`` at the API edge.
 
-Writes ``benchmarks/results/BENCH_scan_merge.json`` so the performance
-trajectory is tracked across PRs.
-
-Run standalone:  PYTHONPATH=src python benchmarks/bench_scan_merge_hotpath.py
-Smoke (CI):      ... bench_scan_merge_hotpath.py --smoke
-Under pytest:    pytest benchmarks/bench_scan_merge_hotpath.py -s
+Gated by ``benchmarks/gates.py scan_merge`` (``BENCH_scan_merge.json``, the
+performance trajectory tracked across PRs).
 """
 
 from __future__ import annotations
@@ -35,11 +31,9 @@ import statistics
 import sys
 import time
 
-HERE = pathlib.Path(__file__).parent
-sys.path.insert(0, str(HERE.parent / "tests"))
+sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "tests"))
 
 import reference_operators as ref  # noqa: E402
-from repro import obs  # noqa: E402
 from repro.bench.harness import FigureResult  # noqa: E402
 from repro.core.blockcache import DecodedBlockCache  # noqa: E402
 from repro.core.operators import MergeUpdates, RunScan, join_batches  # noqa: E402
@@ -51,9 +45,6 @@ from repro.storage.file import StorageVolume  # noqa: E402
 from repro.storage.ssd import SimulatedSSD  # noqa: E402
 from repro.util.units import GB, MB  # noqa: E402
 from repro.workloads.synthetic import build_synthetic_table  # noqa: E402
-
-RESULTS_DIR = HERE / "results"
-RESULT_FILE = "BENCH_scan_merge.json"
 
 FULL_KEY_RANGE = (0, 2**60)
 
@@ -139,18 +130,9 @@ def measure_pipeline(schema, runs, table, cache=None, reference: bool = False) -
     return rows / elapsed
 
 
-def run_hotpath_bench(
+def run(
     num_runs: int = 4, per_run: int = 30_000, table_rows: int = 20_000, rounds: int = 7
 ) -> FigureResult:
-    """Run the hot-path measurement under a fresh metrics registry/tracer;
-    the observability report is attached on ``result.metrics``."""
-    with obs.use_registry() as registry, obs.use_tracer() as tracer:
-        result = _run_hotpath_bench(num_runs, per_run, table_rows, rounds)
-    result.metrics = obs.report_dict(registry, tracer, experiment="bench-scan-merge")
-    return result
-
-
-def _run_hotpath_bench(num_runs: int, per_run: int, table_rows: int, rounds: int) -> FigureResult:
     schema, runs, table = build_workload(num_runs, per_run, table_rows)
     result = FigureResult(
         figure="BENCH scan/merge",
@@ -194,66 +176,13 @@ def _run_hotpath_bench(num_runs: int, per_run: int, table_rows: int, rounds: int
         f"workload: {num_runs} runs x {per_run} updates, {table_rows}-row table, "
         f"64 KB blocks; median of {rounds} rounds"
     )
+    speedup = result.cell("shipping-warm", "merge_rps") / result.cell("reference", "merge_rps")
     result.note(
-        f"warm merge speedup vs reference: {warm_speedup(result):.1f}x; "
-        f"cache hit rate {warm.hit_rate:.2f}"
+        f"warm merge speedup vs reference: {speedup:.1f}x; cache hit rate {warm.hit_rate:.2f}"
     )
     return result
 
 
-def write_results(result: FigureResult, file_name: str = RESULT_FILE) -> pathlib.Path:
-    """Write the result table (and its obs metrics report) under results/.
-
-    Full runs overwrite the committed trajectory file; smoke/regression runs
-    pass a different ``file_name`` so the baseline is never clobbered.
-    """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / file_name
-    path.write_text(result.to_json(unit="per second"))
-    result.write_metrics(path.with_name(path.stem + ".metrics.json"))
-    return path
-
-
-def warm_speedup(result: FigureResult) -> float:
-    return result.cell("shipping-warm", "merge_rps") / result.cell("reference", "merge_rps")
-
-
-def test_scan_merge_hotpath(benchmark=None):
-    """Pytest entry: the warm-cache merge must beat the reference by >= 2x."""
-    if benchmark is not None:
-        result = benchmark.pedantic(run_hotpath_bench, rounds=1, iterations=1)
-    else:
-        result = run_hotpath_bench()
-    print()
-    print(result.format(precision=0))
-    write_results(result)
-    assert warm_speedup(result) >= 2.0, (
-        f"warm-cache merge only {warm_speedup(result):.2f}x the reference rate"
-    )
-
-
 #: A smoke run is the same workload over fewer rounds: the ratios the gate
 #: compares depend on the workload's size, and a round takes about a second.
-SMOKE_KWARGS = dict(rounds=3)
-SMOKE_RESULT_FILE = "BENCH_scan_merge.smoke.json"
-
-
-def main(argv: list[str]) -> int:
-    smoke = "--smoke" in argv
-    result = run_hotpath_bench(**SMOKE_KWARGS) if smoke else run_hotpath_bench()
-    print(result.format(precision=0))
-    # Smoke runs go to a separate file: only full runs update the committed
-    # trajectory baseline.
-    path = write_results(result, SMOKE_RESULT_FILE if smoke else RESULT_FILE)
-    print(f"\nwrote {path}")
-    speedup = warm_speedup(result)
-    floor = 1.5 if smoke else 2.0
-    if speedup < floor:
-        print(f"FAIL: warm merge speedup {speedup:.2f}x < {floor}x")
-        return 1
-    print(f"OK: warm merge speedup {speedup:.2f}x (floor {floor}x)")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+SMOKE = dict(rounds=3)

@@ -5,48 +5,24 @@ surface into one result table:
 
 * ``serving-scale`` — the multi-tenant front door under thousands of
   concurrent sessions (2,400 at full scale; the acceptance floor is
-  2,000).  The driver runs on virtual time, so this benchmark runs it
-  TWICE and asserts the exported metrics reports are byte-identical —
-  the serving stack must be a pure function of ``(scale, seed)``.
+  2,000).  The driver runs on virtual time, so the gate runner runs this
+  benchmark TWICE and requires byte-identical results — the serving stack
+  must be a pure function of ``(scale, seed)``.
 * ``noisy-neighbor`` — the victim tenant's p99 with a flooding tenant
-  present must stay within ``ISOLATION_P99_BOUND`` (2x) of its solo
-  baseline while the flooder's quota actually sheds.
+  present must stay within 2x of its solo baseline while the flooder's
+  quota actually sheds.
 
-Writes ``benchmarks/results/BENCH_serving.json`` so the serving latency
-surface is tracked across PRs (``check_regression.py`` gates on it).
-
-Run standalone:  PYTHONPATH=src python benchmarks/bench_serving.py
-Smoke (CI):      ... bench_serving.py --smoke
-Under pytest:    pytest benchmarks/bench_serving.py -s
+Gated by ``benchmarks/gates.py serving`` (``BENCH_serving.json``, the
+serving latency surface tracked across PRs).
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-import sys
-import time
-
 from repro.bench.figures import ALL_DRIVERS
 from repro.bench.harness import FigureResult
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-RESULT_FILE = "BENCH_serving.json"
-SMOKE_RESULT_FILE = "BENCH_serving.smoke.json"
 
-#: Acceptance: victim p99 with the flooder present, over victim p99 solo.
-ISOLATION_P99_BOUND = 2.0
-#: Acceptance floor on concurrent sessions for the full-size run.
-MIN_SESSIONS = 2_000
-
-SMOKE_KWARGS = dict(scale=0.05)
-
-
-def _driver_rows(result) -> dict[str, dict[str, float]]:
-    return {label: dict(values) for label, values in result.rows}
-
-
-def run_serving_bench(scale: float = 1.0) -> FigureResult:
+def run(scale: float = 1.0) -> FigureResult:
     """Run both serving drivers; distill the acceptance surface."""
     result = FigureResult(
         figure="BENCH serving",
@@ -64,16 +40,8 @@ def run_serving_bench(scale: float = 1.0) -> FigureResult:
         ],
     )
 
-    # --- serving-scale, run twice: virtual time means the two exported
-    # metrics reports (histograms, counters, every latency sample) must
-    # be byte-identical.
-    scale_driver = ALL_DRIVERS["serving-scale"]
-    first = scale_driver(scale=scale)
-    second = scale_driver(scale=scale)
-    first_bytes = json.dumps(first.metrics, sort_keys=True)
-    second_bytes = json.dumps(second.metrics, sort_keys=True)
-    deterministic = first_bytes == second_bytes
-    rows = _driver_rows(first)
+    scale_run = ALL_DRIVERS["serving-scale"](scale=scale)
+    rows = dict(scale_run.rows)
     for tenant in ("standard", "batch", "gold"):
         surface = rows[tenant]
         arrivals = surface["requests"] + surface["shed"]
@@ -99,7 +67,7 @@ def run_serving_bench(scale: float = 1.0) -> FigureResult:
 
     # --- noisy-neighbor: the isolation surface, normalized against the
     # victim's solo baseline measured in the same run.
-    nn = _driver_rows(ALL_DRIVERS["noisy-neighbor"](scale=scale))
+    nn = dict(ALL_DRIVERS["noisy-neighbor"](scale=scale).rows)
     for label in ("victim-solo", "victim-shared", "flooder"):
         surface = nn[label]
         arrivals = surface["requests"] + surface["shed"]
@@ -115,86 +83,12 @@ def run_serving_bench(scale: float = 1.0) -> FigureResult:
         )
 
     result.note(
-        f"serving-scale double run byte-identical: {deterministic} "
-        f"({totals['sessions']:.0f} sessions)"
+        f"serving-scale: {totals['sessions']:.0f} sessions; victim p99 with "
+        f"flooder present: {nn['victim-shared']['p99 vs solo']:.2f}x solo; "
+        f"flooder shed {nn['flooder']['shed']:.0f}"
     )
-    result.note(
-        f"victim p99 with flooder present: "
-        f"{nn['victim-shared']['p99 vs solo']:.2f}x solo "
-        f"(bound {ISOLATION_P99_BOUND:g}x); flooder shed "
-        f"{nn['flooder']['shed']:.0f}"
-    )
-    result.metrics = first.metrics
-    # Stash machine-checkable facts for the gates below.
-    result._deterministic = deterministic  # type: ignore[attr-defined]
+    result.metrics = scale_run.metrics
     return result
 
 
-def write_results(result: FigureResult, file_name: str = RESULT_FILE) -> pathlib.Path:
-    """Write the result table under results/ (full runs overwrite the
-    committed trajectory file; smoke runs use their own name)."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / file_name
-    path.write_text(result.to_json(unit="milliseconds (latency), counts"))
-    result.write_metrics(path.with_name(path.stem + ".metrics.json"))
-    return path
-
-
-def check_gates(result: FigureResult, full: bool) -> list[str]:
-    """The serving acceptance gates; returns failure messages (empty = ok)."""
-    failures: list[str] = []
-    if not getattr(result, "_deterministic", False):
-        failures.append(
-            "serving-scale metrics differ between two runs at the same "
-            "seed: the serving stack is not deterministic"
-        )
-    sessions = result.cell("scale-all", "sessions")
-    if full and sessions < MIN_SESSIONS:
-        failures.append(
-            f"serving-scale ran {sessions:.0f} concurrent sessions; "
-            f"the acceptance floor is {MIN_SESSIONS}"
-        )
-    ratio = result.cell("victim-shared", "p99_vs_solo")
-    if ratio > ISOLATION_P99_BOUND:
-        failures.append(
-            f"victim p99 with flooder is {ratio:.2f}x solo "
-            f"(bound {ISOLATION_P99_BOUND:g}x): quota isolation failed"
-        )
-    if result.cell("flooder", "shed") <= 0:
-        failures.append(
-            "flooder was never shed: the noisy-neighbor quota never "
-            "engaged, so the isolation result is vacuous"
-        )
-    return failures
-
-
-def test_serving_bench():
-    """Pytest entry: smoke-sized serving run must pass every gate."""
-    result = run_serving_bench(**SMOKE_KWARGS)
-    print()
-    print(result.format())
-    failures = check_gates(result, full=False)
-    assert not failures, "; ".join(failures)
-
-
-def main(argv: list[str]) -> int:
-    smoke = "--smoke" in argv
-    started = time.perf_counter()
-    result = run_serving_bench(**(SMOKE_KWARGS if smoke else {}))
-    elapsed = time.perf_counter() - started
-    print(result.format())
-    print(f"[finished in {elapsed:.1f}s wall time]")
-    path = write_results(result, SMOKE_RESULT_FILE if smoke else RESULT_FILE)
-    print(f"wrote {path}")
-    failures = check_gates(result, full=not smoke)
-    if failures:
-        print("\nFAILED serving gates:", file=sys.stderr)
-        for failure in failures:
-            print(f"  {failure}", file=sys.stderr)
-        return 1
-    print("OK: deterministic at scale, quota isolation holds")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+SMOKE = dict(scale=0.05)

@@ -15,24 +15,18 @@ Two measurements:
   the analytic bound on what the hook can possibly cost per operation.
 
 The acceptance bar: the shipped path must stay within 5% of the no-op
-path (apply rate, best-of-N to shed scheduler noise).
+path (apply rate, median of alternating pairs).
 
-Writes ``benchmarks/results/BENCH_sim_overhead.json``.
-
-Run standalone:  PYTHONPATH=src python benchmarks/bench_sim_overhead.py
-Smoke (CI):      ... bench_sim_overhead.py --smoke
-Under pytest:    pytest benchmarks/bench_sim_overhead.py -s
+Gated by ``benchmarks/gates.py sim_overhead`` (``BENCH_sim_overhead.json``).
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
+import importlib
 import random
-import sys
 import time
 
-from repro import obs
+from gates import paired
 from repro.bench.harness import FigureResult
 from repro.core.masm import MaSM, MaSMConfig
 from repro.engine.record import synthetic_schema
@@ -43,12 +37,8 @@ from repro.storage.file import StorageVolume
 from repro.storage.ssd import SimulatedSSD
 from repro.util.units import KB, MB
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-RESULT_FILE = "BENCH_sim_overhead.json"
-
-#: The acceptance bar from the issue: inactive interleave hooks must cost
-#: no more than this fraction of the hook-free hot-path rate.
-OVERHEAD_TOLERANCE = 0.05
+#: Alternating passes per mode; a cell is the median of its passes.
+PAIRS = 5
 
 #: Every module that binds ``interleave`` at import time; the no-op mode
 #: rebinds these, not the hooks module, because ``from ... import`` copies.
@@ -62,24 +52,6 @@ _CONSUMERS = (
 
 def _noop(site):
     return None
-
-
-def _rebind(fn):
-    import importlib
-
-    previous = {}
-    for mod_name in _CONSUMERS:
-        mod = importlib.import_module(mod_name)
-        previous[mod_name] = mod.sim_interleave
-        mod.sim_interleave = fn
-    return previous
-
-
-def _restore(previous):
-    import importlib
-
-    for mod_name, fn in previous.items():
-        importlib.import_module(mod_name).sim_interleave = fn
 
 
 def build_engine(rows: int):
@@ -127,105 +99,44 @@ def measure_hook_call_cost(calls: int = 200_000) -> float:
     return (time.perf_counter() - start) / calls
 
 
-def run_overhead_bench(
-    rows: int = 4_000, applies: int = 30_000, scans: int = 6
-) -> FigureResult:
-    with obs.use_registry() as registry, obs.use_tracer() as tracer:
-        result = _run_overhead_bench(rows, applies, scans)
-    result.metrics = obs.report_dict(registry, tracer, experiment="bench-sim-overhead")
-    return result
+def measure_mode(mode: str, rows: int, applies: int, scans: int) -> tuple[float, float]:
+    """:func:`measure_hot_path` with the hooks as shipped or, for mode
+    ``"noop"``, every consumer's ``sim_interleave`` rebound to a no-op."""
+    consumers = [importlib.import_module(name) for name in _CONSUMERS]
+    shipped = [module.sim_interleave for module in consumers]
+    if mode == "noop":
+        for module in consumers:
+            module.sim_interleave = _noop
+    try:
+        return measure_hot_path(rows, applies, scans)
+    finally:
+        for module, fn in zip(consumers, shipped):
+            module.sim_interleave = fn
 
 
-def _run_overhead_bench(rows: int, applies: int, scans: int) -> FigureResult:
+def run(rows: int = 4_000, applies: int = 30_000, scans: int = 6) -> FigureResult:
     result = FigureResult(
         figure="BENCH sim overhead",
         title="ungoverned hot path, interleave hooks shipped vs no-op",
         row_label="mode",
         columns=["apply_rate", "scan_rps"],
     )
-    # Interleave repetitions of both modes and keep the best of each, so a
-    # stray scheduling hiccup cannot land entirely on one side of the ratio.
-    best = {"noop": (0.0, 0.0), "shipped": (0.0, 0.0)}
-    for _ in range(5):
-        for mode in ("noop", "shipped"):
-            previous = _rebind(_noop) if mode == "noop" else None
-            try:
-                rates = measure_hot_path(rows, applies, scans)
-            finally:
-                if previous is not None:
-                    _restore(previous)
-            best[mode] = tuple(
-                max(b, r) for b, r in zip(best[mode], rates)
-            )
-    for mode in ("noop", "shipped"):
-        apply_rate, scan_rps = best[mode]
+    rates = paired(
+        lambda mode: measure_mode(mode, rows, applies, scans), ("noop", "shipped"), PAIRS
+    )
+    for mode, (apply_rate, scan_rps) in rates.items():
         result.add_row(mode, apply_rate=apply_rate, scan_rps=scan_rps)
 
     per_call = measure_hook_call_cost()
-    per_apply = 1.0 / best["shipped"][0]
-    overhead = 1.0 - best["shipped"][0] / best["noop"][0]
+    per_apply = 1.0 / rates["shipped"][0]
+    overhead = 1.0 - rates["shipped"][0] / rates["noop"][0]
     result.note(
-        f"workload: {rows} rows, {applies} applies, {scans} scans; "
-        f"apply-path overhead {overhead * 100:.2f}% "
-        f"(tolerance {OVERHEAD_TOLERANCE * 100:.0f}%); "
+        f"workload: {rows} rows, {applies} applies, {scans} scans; median of "
+        f"{PAIRS} alternating pairs; apply-path overhead {overhead * 100:.2f}%; "
         f"inactive hook {per_call * 1e9:.0f} ns/call = "
         f"{per_call / per_apply * 100:.2f}% of one apply"
     )
     return result
 
 
-def write_results(result: FigureResult, file_name: str = RESULT_FILE) -> pathlib.Path:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / file_name
-    path.write_text(result.to_json(unit="ops/sec"))
-    result.write_metrics(path.with_name(path.stem + ".metrics.json"))
-    return path
-
-
-def _overhead(result: FigureResult) -> float:
-    noop = result.cell("noop", "apply_rate")
-    shipped = result.cell("shipped", "apply_rate")
-    return 1.0 - shipped / noop
-
-
-def test_sim_overhead(benchmark=None):
-    """Pytest entry: shipped apply rate within 5% of the no-op rate."""
-    if benchmark is not None:
-        result = benchmark.pedantic(run_overhead_bench, rounds=1, iterations=1)
-    else:
-        result = run_overhead_bench()
-    print()
-    print(result.format(precision=0))
-    write_results(result)
-    overhead = _overhead(result)
-    assert overhead <= OVERHEAD_TOLERANCE, (
-        f"inactive interleave hooks cost {overhead * 100:.1f}% on the apply "
-        f"path (tolerance {OVERHEAD_TOLERANCE * 100:.0f}%)"
-    )
-
-
-SMOKE_KWARGS = dict(rows=1_000, applies=6_000, scans=3)
-SMOKE_RESULT_FILE = "BENCH_sim_overhead.smoke.json"
-
-
-def main(argv: list[str]) -> int:
-    smoke = "--smoke" in argv
-    result = run_overhead_bench(**SMOKE_KWARGS) if smoke else run_overhead_bench()
-    print(result.format(precision=0))
-    path = write_results(result, SMOKE_RESULT_FILE if smoke else RESULT_FILE)
-    print(f"\nwrote {path}")
-    payload = json.loads(path.read_text())
-    rows = {r["label"]: r["values"] for r in payload["rows"]}
-    overhead = 1.0 - rows["shipped"]["apply_rate"] / rows["noop"]["apply_rate"]
-    # Smoke workloads are small enough that timing noise dominates; allow
-    # extra slack there, the committed full run enforces the real bar.
-    tolerance = 0.15 if smoke else OVERHEAD_TOLERANCE
-    if overhead > tolerance:
-        print(f"FAIL: interleave hook overhead {overhead * 100:.1f}% > {tolerance * 100:.0f}%")
-        return 1
-    print(f"OK: interleave hook overhead {overhead * 100:.1f}% (tolerance {tolerance * 100:.0f}%)")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+SMOKE = dict(rows=1_000, applies=6_000, scans=3)

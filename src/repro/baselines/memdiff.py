@@ -80,10 +80,6 @@ class InMemoryDifferential:
     def used_bytes(self) -> int:
         return self._bytes
 
-    @property
-    def is_full(self) -> bool:
-        return self._bytes >= self.memory_bytes
-
     # ------------------------------------------------------------------ scans
     def _updates(self, begin_key: int, end_key: int, query_ts: int) -> UpdateColumns:
         """The cached updates of keys in [begin, end] visible at

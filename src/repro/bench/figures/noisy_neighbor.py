@@ -9,10 +9,10 @@ Two phases over identical warehouses (same seed, same warmup):
   (or delayed) at the admission door *before* it can occupy the router, so
   the victim's latency surface should stay close to its solo baseline.
 
-The acceptance bound (enforced by ``benchmarks/bench_serving.py`` and the
-regression gate): victim p99 with the flooder present stays within 2x the
-solo baseline, while the flooder shows a non-trivial shed count — i.e. the
-quota did real work, it didn't just never trigger.
+The acceptance bound (enforced by ``benchmarks/gates.py serving``): victim
+p99 with the flooder present stays within 2x the solo baseline, while the
+flooder shows a non-trivial shed count — i.e. the quota did real work, it
+didn't just never trigger.
 """
 
 from __future__ import annotations

@@ -50,16 +50,15 @@ def page_records(page: SlottedPage, schema: Schema) -> list[tuple]:
 def page_array(page: SlottedPage, schema: Schema):
     """A page's live records as a key-sorted structured array of the
     schema's dtype, without decoding them — :func:`page_records` for the
-    chunked scan's array form.  A live slot that is not one whole record
-    raises what ``Schema.unpack`` raises for it."""
+    chunked scan's array form.  A page with a live slot that is not one
+    whole record raises what :func:`page_records` raises for it: the first
+    slot, in slot order, that ``Schema.unpack`` rejects."""
     data = page.contiguous_record_bytes(schema.record_size)
     if data is None:
         slots = [d for _, d in page.records()]
-        for d in slots:
-            if len(d) != schema.record_size:
-                raise SchemaError(
-                    f"expected {schema.record_size} bytes, got {len(d)}"
-                )
+        if any(len(d) != schema.record_size for d in slots):
+            for d in slots:
+                schema.unpack(d)
         data = b"".join(slots)
     rows = np.frombuffer(data, dtype=schema.dtype)
     keys = rows[schema.dtype.names[schema.key_pos]]
@@ -151,7 +150,14 @@ def decode_chunk(
                 error = exc
                 num_pages = page_no
                 break
-            parts.append(page_array(page, schema))
+            try:
+                parts.append(page_array(page, schema))
+            except SchemaError:
+                # Page by page, undecodable text on an earlier page fails
+                # first: raise that before this page's malformed slot.
+                for part in parts:
+                    schema.unpack_many(part)
+                raise
             counts[page_no] = len(parts[-1])
     if len(parts) == 1:
         rows = parts[0]

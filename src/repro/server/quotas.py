@@ -119,10 +119,6 @@ class TenantAdmission:
             self.scope, tenant, quota, self.clock.now
         )
 
-    def quota_for(self, tenant: str) -> Optional[TenantQuota]:
-        state = self._tenants.get(tenant)
-        return state.quota if state is not None else None
-
     def decide(self, tenant: str, waited: float = 0.0) -> float:
         """Admit, reschedule, or shed one request for ``tenant``.
 

@@ -9,7 +9,7 @@ calling :func:`interleave` with a stable site name::
 
 Outside a simulation the call is a cheap no-op (one module-global read and
 a ``None`` check — gated at <=5% of the ungoverned hot path by
-``benchmarks/bench_sim_overhead.py``).  Inside a simulation the active
+``benchmarks/gates.py sim_overhead``).  Inside a simulation the active
 :class:`repro.sim.scheduler.SimScheduler` records every site reached during
 the current actor step, which is what makes a printed schedule trace an
 exact, replayable account of the run.

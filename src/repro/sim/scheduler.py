@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 import traceback
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, Iterable, List, Optional
+from typing import Dict, Generator, List, Optional
 
 from repro.storage.faults import SimulatedCrash
 
@@ -194,28 +194,3 @@ class SimScheduler:
                 actor="<scheduler>",
             )
         return self.steps
-
-    def trace_text(self) -> str:
-        return "\n".join(s.to_text() for s in self.steps)
-
-
-def run_actors(
-    factories: Dict[str, Callable[[], Actor]],
-    *,
-    seed: int = 0,
-    schedule: Optional[Schedule] = None,
-    max_steps: int = 100_000,
-) -> SimScheduler:
-    """Build actors from factories and run them to completion."""
-    sched = SimScheduler(
-        {name: factories[name]() for name in sorted(factories)},
-        seed=seed,
-        schedule=schedule,
-    )
-    sched.run(max_steps=max_steps)
-    return sched
-
-
-def interleavings_of(names: Iterable[str]) -> List[str]:
-    """Sorted unique actor names — convenience for reports."""
-    return sorted(set(names))

@@ -55,10 +55,6 @@ def checksum(data, seed: int = 0) -> int:
     return _crc(data, seed) & 0xFFFFFFFF
 
 
-def verification_enabled() -> bool:
-    return _verification_enabled
-
-
 def set_verification(enabled: bool) -> bool:
     """Globally enable/disable read-side verification; returns the old value.
 

@@ -264,10 +264,6 @@ class Device:
         """Read data without charging any simulated time (debug/recovery)."""
         return self.store.read(offset, size)
 
-    def poke(self, offset: int, data: bytes) -> None:
-        """Write data without charging simulated time (test setup only)."""
-        self.store.write(offset, data)
-
     def snapshot(self) -> IOStats:
         """Snapshot cumulative stats for later :meth:`IOStats.delta`."""
         with self._lock:

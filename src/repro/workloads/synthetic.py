@@ -228,10 +228,6 @@ class FloodSchedule:
         return cls(phases)
 
     @property
-    def total_updates(self) -> int:
-        return sum(phase.count for phase in self.phases)
-
-    @property
     def duration(self) -> float:
         return sum(phase.duration for phase in self.phases)
 

@@ -132,6 +132,24 @@ def test_chunk_decode_matches_per_page_decode(case):
     ]
 
 
+
+@pytest.mark.parametrize("same_page", [False, True])
+def test_bad_text_before_a_malformed_slot_is_the_error_reported(same_page):
+    """Page by page, undecodable text on an earlier page, or in an earlier
+    slot of the same page, fails before a later slot that is not a whole
+    record: the chunk must raise that same error, not the later one."""
+    schema, _ = SCHEMAS["u64"]
+    pages = [SlottedPage(PAGE_SIZE, timestamp=ts) for ts in (1, 2)]
+    pages[0].insert(b"v\x80\x00\x00" + (7).to_bytes(8, "little"))
+    pages[1].insert(schema.pack(("v1", 9)))
+    pages[1 if not same_page else 0].insert(b"odd")
+    raw_pages = [page.to_bytes() for page in pages]
+    _, failure = decode_per_page(schema, raw_pages)
+    assert isinstance(failure, UnicodeDecodeError)
+    with pytest.raises(UnicodeDecodeError) as caught:
+        decode_chunk(b"".join(raw_pages), PAGE_SIZE, schema).records()
+    assert str(caught.value) == str(failure)
+
 def test_chunk_scan_raises_the_page_error_and_yields_nothing_from_the_chunk():
     schema = synthetic_schema()
     table = Table.create(StorageVolume(SimulatedDisk(capacity=16 * MB)), "t", schema, 500)
