@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from repro.core.migration import MigrationStats
+from repro.core.migration import MigrationStats, drain, rewrite_heap
 from repro.core.operators import MergeDataUpdates, MergeUpdates
 from repro.core.update import UpdateCodec, UpdateColumns, UpdateRecord, UpdateType
 from repro.engine.btree import BPlusTree
@@ -114,7 +114,7 @@ class InMemoryDifferential:
         if len(self._tree) == 0:
             return None
         t = self.oracle.next()
-        updates = iter(MergeUpdates([self._updates(0, 2**63 - 1, t)], cpu=self.table.cpu))
+        merge = MergeUpdates([self._updates(0, 2**63 - 1, t)], cpu=self.table.cpu)
         heap = self.table.heap
         copy_name = f"{self.table.name}-copy-{self._copy_seq}"
         self._copy_seq += 1
@@ -124,10 +124,11 @@ class InMemoryDifferential:
         )
         stats = MigrationStats(timestamp=t)
 
-        # Reuse the streaming rewrite, but read from the old heap and write
-        # to the copy: read/write frontiers never conflict across files.
-        rows, entries, out_pages = _copy_rewrite(heap, new_heap, self.table.schema, updates, stats)
-        new_heap.num_pages = out_pages
+        # The full migration's streaming rewrite, reading the old heap and
+        # writing the copy.
+        rows, entries, _ = drain(
+            rewrite_heap(heap, self.table.schema, merge.kernel_batches(), stats, new_heap)
+        )
         old_name = heap.file.name
         self.table.heap = new_heap
         self.table.replace_contents(entries, rows)
@@ -137,88 +138,3 @@ class InMemoryDifferential:
         self.migrations += 1
         stats.rows_after = rows
         return stats
-
-
-def _copy_rewrite(src: HeapFile, dst: HeapFile, schema, updates, stats) -> tuple:
-    """Stream src pages + updates into dst (migration to a new copy)."""
-    from repro.core.update import apply_update
-    from repro.engine.heapfile import DEFAULT_FILL_FACTOR
-    from repro.engine.page import SlottedPage
-
-    budget = int((dst.page_size - 24) * DEFAULT_FILL_FACTOR)
-    out: list[SlottedPage] = []
-    entries: list[tuple[int, int]] = []
-    rows = 0
-    written = 0
-    current = SlottedPage(dst.page_size)
-    used = 0
-    first_key = None
-
-    def close_page() -> None:
-        nonlocal current, used, first_key, written
-        entries.append((first_key if first_key is not None else 0, written + len(out)))
-        out.append(current)
-        current = SlottedPage(dst.page_size)
-        used = 0
-        first_key = None
-        if len(out) >= dst.pages_per_chunk:
-            flush()
-
-    def flush() -> None:
-        nonlocal written
-        if not out:
-            return
-        dst.write_pages_sequential(written, b"".join(page.to_bytes() for page in out))
-        written += len(out)
-        stats.pages_written += len(out)
-        out.clear()
-
-    def emit(record: tuple, ts: int) -> None:
-        nonlocal used, first_key, rows
-        data = schema.pack(record)
-        cost = len(data) + 8
-        if used + cost > budget or not current.fits(len(data)):
-            close_page()
-        current.insert(data)
-        current.timestamp = max(current.timestamp, ts)
-        used += cost
-        if first_key is None:
-            first_key = schema.key(record)
-        rows += 1
-
-    update = next(updates, None)
-    for _page_no, page in src.scan_pages():
-        stats.pages_read += 1
-        page_ts = page.timestamp
-        records = sorted(
-            (schema.unpack(d) for _, d in page.records()), key=schema.key
-        )
-        for record in records:
-            key = schema.key(record)
-            while update is not None and update.key < key:
-                produced = apply_update(None, update, schema)
-                if produced is not None:
-                    emit(produced, update.timestamp)
-                stats.updates_applied += 1
-                update = next(updates, None)
-            if update is not None and update.key == key:
-                if update.timestamp > page_ts:
-                    produced = apply_update(record, update, schema)
-                    if produced is not None:
-                        emit(produced, max(page_ts, update.timestamp))
-                else:
-                    emit(record, page_ts)
-                stats.updates_applied += 1
-                update = next(updates, None)
-            else:
-                emit(record, page_ts)
-    while update is not None:
-        produced = apply_update(None, update, schema)
-        if produced is not None:
-            emit(produced, update.timestamp)
-        stats.updates_applied += 1
-        update = next(updates, None)
-    if current.slot_count or not entries:
-        close_page()
-    flush()
-    return rows, entries, written

@@ -66,10 +66,6 @@ class MaSMConfig:
     #: and concurrent scans hit instead of re-reading/re-decoding the SSD.
     #: 0 disables the cache.
     decoded_cache_blocks: int = DEFAULT_CACHE_BLOCKS
-    #: Optional byte ceiling for the decoded-block cache on top of the block
-    #: count, enforced against byte-accurate per-entry accounting (lazy
-    #: record materialization included).  None bounds by blocks only.
-    decoded_cache_bytes: Optional[int] = None
     #: Target run-index blocks per merge partition of a scan.
     #: None uses :data:`repro.core.kernels.DEFAULT_BLOCKS_PER_PARTITION`;
     #: small values force multi-partition merges on small runs (used by the
@@ -364,11 +360,7 @@ class MaSM:
         #: The one counter every update moves.
         self.count_ingested = self.stats.counter("updates_ingested").add
         self.block_cache: Optional[DecodedBlockCache] = (
-            DecodedBlockCache(
-                self.config.decoded_cache_blocks,
-                stats=self.stats,
-                capacity_bytes=self.config.decoded_cache_bytes,
-            )
+            DecodedBlockCache(self.config.decoded_cache_blocks, stats=self.stats)
             if self.config.decoded_cache_blocks > 0
             else None
         )
@@ -1366,10 +1358,12 @@ class MaSM:
                 elif self._active_scans:
                     # The full rewrite moves records across pages, which an
                     # in-flight lazy scan (reading pages as it goes) would
-                    # see double or not at all.  Degrade to the page-RMW
-                    # range path over the whole key space: pages stay put,
-                    # the page-timestamp rule keeps concurrent scans exact,
-                    # and runs too new for the oldest scan stay cached.
+                    # see double or not at all.  Degrade to the range path
+                    # over the whole key space: it rewrites each page in
+                    # place, one single-page write at a time, so pages stay
+                    # put, the page-timestamp rule keeps concurrent scans
+                    # exact, and runs too new for the oldest scan stay
+                    # cached.
                     migrate_range(
                         self, 0, 2**63 - 1, redo_log=self.redo_log
                     )

@@ -15,9 +15,11 @@ is packed in one pass (:func:`repro.engine.heapfile.encode_chunk`).  No row
 becomes a tuple unless a query rides along (:class:`CoordinatedMigration`).
 
 Partial migration (Section 3.5's "migrate a portion of updates at a time")
-applies a key range with page-granular read-modify-writes, marking migrated
-ranges on each run; a page that cannot absorb its insertions is skipped
-whole (all-or-nothing per page) so the timestamp rule stays exact.
+applies a key range one page at a time, through the same array join and the
+same page encoder: each page holding updates is read with a single-page I/O,
+joined with its share of the merged batches and written back packed,
+marking migrated ranges on each run; a page whose rows no longer fit is
+skipped whole (all-or-nothing per page) so the timestamp rule stays exact.
 """
 
 from __future__ import annotations
@@ -28,20 +30,14 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 import numpy as np
 
 from repro.core.operators import MergeUpdates, join_batches
-from repro.core.update import (
-    UpdateColumns,
-    UpdateRecord,
-    UpdateType,
-    apply_update,
-)
+from repro.core.update import UpdateColumns, UpdateType
 from repro.engine.heapfile import (
     DEFAULT_FILL_FACTOR,
     encode_chunk,
-    page_records,
+    page_array,
     rows_per_page,
 )
-from repro.engine.page import SlottedPage
-from repro.errors import StorageError
+from repro.engine.page import HEADER, SLOT
 from repro.obs import get_registry, trace
 from repro.storage.faults import crash_point
 from repro.sim.hooks import interleave as sim_interleave
@@ -133,9 +129,10 @@ def _migrate_everything(
 
 
 def rewrite_heap(
-    heap, schema, batches: Iterable[UpdateColumns], stats: MigrationStats
+    heap, schema, batches: Iterable[UpdateColumns], stats: MigrationStats, out_heap=None
 ):
-    """Stream-rewrite the heap applying ``batches``; in-place write-behind.
+    """Stream-rewrite the heap applying ``batches``; in-place write-behind,
+    or into ``out_heap`` when given (a copy migration).
 
     A generator yielding every output row, one structured array per join
     step — what makes the "combine the migration with a table scan query"
@@ -148,15 +145,16 @@ def rewrite_heap(
     a time, never past the read frontier, and the rule is evaluated just
     before the next heap chunk is read — so writes land in the same gap
     between two reads, in the same order and sizes, as when pages were
-    closed one record at a time.
+    closed one record at a time.  Writes to another heap need no such hold.
     """
-    out = _WriteBehind(heap, schema, stats)
+    in_place = out_heap is None
+    out = _WriteBehind(heap if in_place else out_heap, schema, stats)
 
     def data_chunks() -> Iterator[tuple]:
         scan = heap.scan_chunks(0, heap.num_pages - 1)
         read_frontier = 0  # input pages consumed
         while True:
-            out.flush(read_frontier)
+            out.flush(read_frontier if in_place else float("inf"))
             chunk = next(scan, None)
             if chunk is None:
                 return
@@ -303,18 +301,24 @@ class CoordinatedMigration:
         self.stats = stats
 
 
+#: The op codes a deferred page counts as inserts left cached.
+_INSERTS = (int(UpdateType.INSERT), int(UpdateType.REPLACE))
+
+
 def migrate_range(
     masm: "MaSM", begin_key: int, end_key: int, redo_log=None
 ) -> Optional[MigrationStats]:
     """Migrate only updates with keys in [begin, end] (Section 3.5).
 
-    Pages are updated with read-modify-writes in page order.  A page whose
-    insertions do not fit is left untouched (its updates stay cached), so
-    page timestamps never claim an unapplied update.  Runs whose whole key
-    range has been migrated are retired.
+    Each page holding updates is read with one single-page I/O, joined with
+    its share of the merged update batches as arrays — the full migration's
+    join (:func:`join_batches`) — and written back packed
+    (:func:`encode_chunk`), in page order.  A page whose rows no longer fit
+    is left untouched (its updates stay cached), so page timestamps never
+    claim an unapplied update.  Runs whose whole key range has been migrated
+    are retired.
     """
     table = masm.table
-    schema = table.schema
     if table.index.is_empty:
         return None
     # The timestamp rule is page-granular: a page's timestamp asserts that
@@ -346,68 +350,30 @@ def migrate_range(
         redo_log.log_migration_start(
             t, [run.name for run in runs], key_range=(begin_key, end_key)
         )
-    updates = iter(
-        MergeUpdates(
-            masm.run_update_sources(runs, begin_key, end_key, query_ts=t),
-            cpu=masm.cpu,
-        )
+    merge = MergeUpdates(
+        masm.run_update_sources(runs, begin_key, end_key, query_ts=t),
+        cpu=masm.cpu,
     )
     stats = MigrationStats(timestamp=t)
     failed_spans: list[tuple[int, int]] = []
     with trace("migration.range", runs=len(runs)):
-        update = next(updates, None)
-        heap = table.heap
-        index = table.index
         row_delta = 0
-        while update is not None:
-            page_no = index.locate_page(update.key)
-            page_span = _page_key_span(table, page_no, end_key)
-            page_updates = []
-            while update is not None and update.key <= page_span[1]:
-                page_updates.append(update)
-                update = next(updates, None)
-            page = heap.read_page(page_no)
-            stats.pages_read += 1
-            sim_interleave("migration.page")
-            # Same crash-point site as the full rewrite's ``emit``: fires
-            # once per page about to be rewritten, so a plan can kill a
-            # paced migration slice mid-flight (START logged, END not).
-            crash_point("migration.emit")
-            applied, delta = _apply_to_page(page, page_updates, schema)
-            if (
-                applied is None
-                and page_no == heap.num_pages - 1
-                and not masm._active_scans
-            ):
-                # The physically-last page owns the open-ended tail of the
-                # key space, so append-heavy floods concentrate there and
-                # can never fit in place.  Because it is physically last it
-                # can be split into appended pages without breaking the
-                # page-order == key-order clustering invariant.
-                split = _split_tail_page(table, page_no, page, page_updates)
-                if split is not None:
-                    written, delta = split
-                    stats.pages_written += written
-                    stats.updates_applied += len(page_updates)
-                    row_delta += delta
-                    continue
-            if applied is None:
-                failed_spans.append(page_span)
+        for page_no, span, updates in _pages_of(
+            table.index, merge.kernel_batches(), end_key
+        ):
+            delta = _migrate_page(masm, page_no, updates, stats)
+            if delta is None:
+                failed_spans.append(span)
                 stats.inserts_deferred += sum(
-                    1
-                    for u in page_updates
-                    if u.type in (UpdateType.INSERT, UpdateType.REPLACE)
+                    int(np.isin(part.ops, _INSERTS).sum()) for part in updates
                 )
                 continue
-            heap.write_page(page_no, applied)
-            stats.pages_written += 1
-            stats.updates_applied += len(page_updates)
+            stats.updates_applied += sum(map(len, updates))
             row_delta += delta
         table.row_count += row_delta
         stats.rows_after = table.row_count
         migrated = _subtract_spans((begin_key, end_key), failed_spans)
         fully_retired = []
-        lo, hi = table.full_key_range()
         for run in runs:
             for span in migrated:
                 run.mark_migrated(*span)
@@ -422,79 +388,116 @@ def migrate_range(
     return stats
 
 
-def _split_tail_page(
-    table, page_no: int, page: SlottedPage, updates: list[UpdateRecord]
-) -> Optional[tuple[int, int]]:
-    """Split the last heap page so its updates fit; (pages_written, delta).
+def _pages_of(
+    index, batches: Iterable[UpdateColumns], end_key: int
+) -> Iterator[tuple[int, tuple[int, int], list[UpdateColumns]]]:
+    """Split merged update batches by heap page: ``(page_no, key span,
+    the page's pieces of the batches)`` per page holding updates, in key
+    order.
 
-    Merges the page's records with ``updates`` and repacks the result into
-    one or more pages starting at ``page_no``.  Appended pages extend the
-    heap at its end, so clustering (physical page order == key order) is
-    preserved — this is only valid for the physically-last page.  Each new
-    page's timestamp is the newest update applied to it (carried-over
-    records keep the old page's timestamp), so the page-span rule stays
-    exact.  Returns None when the file extent cannot hold the split; the
-    caller then defers the page as usual.
+    A page is handed out as soon as an update beyond it is known, so its
+    I/O happens before the merge produces the next batch — or, for the last
+    page, after the merge ends.  Page 0 also owns the keys below its first
+    key, the last page every key above its own.
     """
+    entries = index.entries()
+    first_keys = np.array([key for key, _ in entries], dtype=np.uint64)
+    page_no = None
+    pieces: list[UpdateColumns] = []
+    for batch in batches:
+        positions = first_keys.searchsorted(batch.keys, side="right")
+        np.maximum(positions, 1, out=positions)
+        cuts = (np.flatnonzero(positions[1:] != positions[:-1]) + 1).tolist()
+        for lo, hi in zip([0, *cuts], [*cuts, len(batch)]):
+            position = int(positions[lo]) - 1
+            if entries[position][1] != page_no:
+                if pieces:
+                    yield page_no, span, pieces
+                page_no, pieces = entries[position][1], []
+                span = (
+                    entries[position][0] if position else 0,
+                    entries[position + 1][0] - 1
+                    if position + 1 < len(entries)
+                    else end_key,
+                )
+            pieces.append(batch.rows(slice(lo, hi)))
+    if pieces:
+        yield page_no, span, pieces
+
+
+def _migrate_page(
+    masm: "MaSM", page_no: int, updates: list[UpdateColumns], stats: MigrationStats
+) -> Optional[int]:
+    """Apply one page's updates with a read-modify-write; the change in its
+    row count, or None when the page is deferred.
+
+    Updates at or before the page timestamp were applied by an earlier
+    (partial) migration and are skipped, matched or not; the page is
+    stamped with the newest update applied, deletions included.  Rows that
+    no longer fit the page defer it whole — except on the physically-last
+    page with no scan in flight, which is split into appended half-full
+    pages instead.
+    """
+    table = masm.table
     heap = table.heap
     schema = table.schema
-    base_ts = page.timestamp
-    merged: dict[int, tuple[tuple, int]] = {}
-    for record in page_records(page, schema):
-        merged[schema.key(record)] = (record, base_ts)
-    delta = 0
-    for update in updates:
-        if update.timestamp <= base_ts:
-            continue  # already applied by an earlier (partial) migration
-        old = merged.get(update.key)
-        result = apply_update(None if old is None else old[0], update, schema)
-        if result is None:
-            if old is not None:
-                del merged[update.key]
-                delta -= 1
-        else:
-            if old is None:
-                delta += 1
-            merged[update.key] = (result, update.timestamp)
-    # Pack split pages half full: the tail is exactly where the next flood
-    # of appends lands, so leaving slack keeps later slices in place.
-    budget = (heap.page_size - 24) // 2
-    pages: list[tuple[int, SlottedPage]] = []
-    current = SlottedPage(heap.page_size)
-    used = 0
-    first_key: Optional[int] = None
-    for key in sorted(merged):
-        record, ts = merged[key]
-        data = schema.pack(record)
-        cost = len(data) + 8
-        if used > 0 and (used + cost > budget or not current.fits(len(data))):
-            pages.append((first_key if first_key is not None else 0, current))
-            current = SlottedPage(heap.page_size)
-            used = 0
-            first_key = None
-        current.insert(data)
-        current.timestamp = max(current.timestamp, ts)
-        used += cost
-        if first_key is None:
-            first_key = key
-    if used > 0 or not pages:
-        # An emptied tail page keeps its old first_key so the rebuilt index
-        # stays key-ordered.
-        empty_key = table.index.first_key_of(page_no)
-        pages.append((first_key if first_key is not None else empty_key, current))
-    if page_no + len(pages) > heap.capacity_pages:
+    page = heap.read_page(page_no)
+    stats.pages_read += 1
+    sim_interleave("migration.page")
+    # Same crash-point site as the full rewrite's ``emit``: fires once per
+    # page about to be rewritten, so a plan can kill a paced migration slice
+    # mid-flight (START logged, END not).
+    crash_point("migration.emit")
+    page_ts = page.timestamp
+    rows = page_array(page, schema)
+    keys = rows[schema.dtype.names[schema.key_pos]].astype(np.uint64)
+    row_ts = np.full(len(rows), page_ts, dtype=np.uint64)
+    newer = [part.rows(part.timestamps > page_ts) for part in updates]
+    newer = [part for part in newer if len(part)]
+    steps = list(join_batches(newer, [(rows, keys, row_ts)] if len(rows) else [], schema))
+    joined = np.concatenate([rows[:0], *(step[0] for step in steps)])
+    timestamps = np.concatenate([row_ts[:0], *(step[1] for step in steps)])
+    capacity = (heap.page_size - HEADER.size) // (schema.record_size + SLOT.size)
+    if len(joined) <= capacity:
+        stamp = max([page_ts, *(int(part.timestamps.max()) for part in newer)])
+        heap.write_pages_sequential(
+            page_no,
+            encode_chunk(
+                joined, np.array([stamp], dtype=np.uint64), max(1, len(joined)),
+                heap.page_size,
+            ),
+        )
+        stats.pages_written += 1
+        return len(joined) - len(rows)
+    if page_no != heap.num_pages - 1 or masm._active_scans:
         return None
+    # The physically-last page owns the open-ended tail of the key space, so
+    # append-heavy floods concentrate there and can never fit in place.
+    # Because it is physically last it can be split into appended pages
+    # without breaking the page-order == key-order clustering invariant.
+    # Split pages are packed half full: the tail is exactly where the next
+    # flood of appends lands, so leaving slack keeps later slices in place.
+    # Each takes the newest timestamp among its rows.
+    per_page = max(1, rows_per_page(heap.page_size, schema.record_size, 0.5))
+    starts = np.arange(0, len(joined), per_page)
+    if page_no + len(starts) > heap.capacity_pages:
+        return None
+    pages = encode_chunk(
+        joined, np.maximum.reduceat(timestamps, starts), per_page, heap.page_size
+    )
     # Write the appended pages before overwriting the head page, and refresh
     # the index only after every page is durable.
-    for offset in range(1, len(pages)):
-        heap.write_page(page_no + offset, pages[offset][1])
-    heap.write_page(page_no, pages[0][1])
+    size = heap.page_size
+    for offset in [*range(1, len(starts)), 0]:
+        heap.write_pages_sequential(
+            page_no + offset, pages[offset * size : (offset + 1) * size]
+        )
     entries = [e for e in table.index.entries() if e[1] != page_no]
-    entries.extend(
-        (key, page_no + offset) for offset, (key, _) in enumerate(pages)
-    )
+    first_keys = joined[schema.dtype.names[schema.key_pos]][::per_page].tolist()
+    entries.extend(zip(first_keys, range(page_no, page_no + len(starts))))
     table.index.rebuild(entries)
-    return len(pages), delta
+    stats.pages_written += len(starts)
+    return len(joined) - len(rows)
 
 
 def _align_to_page_spans(
@@ -519,64 +522,6 @@ def _align_to_page_spans(
     else:
         end_aligned = 2**63 - 1
     return begin_aligned, end_aligned
-
-
-def _page_key_span(table, page_no: int, end_key: int) -> tuple[int, int]:
-    """Key interval [first_key, last] a page is responsible for."""
-    entries = table.index.entries()
-    for i, (first_key, number) in enumerate(entries):
-        if number == page_no:
-            if i + 1 < len(entries):
-                return first_key, min(entries[i + 1][0] - 1, end_key)
-            return first_key, end_key
-    raise StorageError(f"page {page_no} not in sparse index")
-
-
-def _apply_to_page(
-    page: SlottedPage, updates: list[UpdateRecord], schema
-) -> tuple[Optional[SlottedPage], int]:
-    """Apply updates to a copy of ``page``; None if an insert can't fit.
-
-    Returns (new_page_or_None, row_count_delta).
-    """
-    working = SlottedPage.from_bytes(page.to_bytes())
-    delta = 0
-    max_ts = working.timestamp
-    for update in updates:
-        if update.timestamp <= page.timestamp:
-            continue  # already applied by an earlier (partial) migration
-        slot = _find_slot(working, schema, update.key)
-        result = apply_update(
-            None if slot is None else schema.unpack(working.get(slot)),
-            update,
-            schema,
-        )
-        if result is None:
-            if slot is not None:
-                working.delete(slot)
-                delta -= 1
-            # Deleting an absent record is a no-op (already migrated).
-        else:
-            data = schema.pack(result)
-            if slot is not None:
-                working.replace(slot, data)
-            else:
-                if not working.fits(len(data)):
-                    working.compact()
-                if not working.fits(len(data)):
-                    return None, 0  # all-or-nothing per page
-                working.insert(data)
-                delta += 1
-        max_ts = max(max_ts, update.timestamp)
-    working.timestamp = max_ts
-    return working, delta
-
-
-def _find_slot(page: SlottedPage, schema, key: int) -> Optional[int]:
-    for slot, data in page.records():
-        if schema.key(schema.unpack(data)) == key:
-            return slot
-    return None
 
 
 def _subtract_spans(

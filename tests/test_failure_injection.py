@@ -6,6 +6,7 @@ heap — and verify that log-driven redo plus page-timestamp idempotence
 restore a consistent, fresh view.
 """
 
+import os
 import random
 
 import pytest
@@ -176,19 +177,21 @@ def test_plan_driven_crash_between_run_write_and_log():
     assert got == shadow
 
 
-@pytest.mark.parametrize("occurrence", [1, 3])
-def test_paced_migration_crash_recovers_admitted_updates(occurrence):
-    """A governed paced slice killed at the ``migration.emit`` crash point
-    recovers like any torn migration: the open MIGRATION_START is redone
-    idempotently, so no admitted update is lost and none applies twice."""
+FAULT_SEED = int(os.environ.get("MASM_FAULT_SEED", "11"))
+
+#: ``migration.emit`` occurrences of the paced sweep below: one per page a
+#: slice reads; the last is the tail page, which the slice splits.
+PACED_SWEEP_EMITS = 83
+
+
+def paced_system():
+    """A governed engine with 500 admitted updates in runs, over half-full
+    pages (extent slack lets in-place slices absorb inserts)."""
     from repro.core.governor import GovernorConfig, OverloadPolicy
-    from repro.errors import SimulatedCrash
-    from repro.storage.faults import FaultPlan, use_fault_plan
 
     n = 1500
     disk_vol = StorageVolume(SimulatedDisk(capacity=128 * MB))
     ssd_vol = StorageVolume(SimulatedSSD(capacity=8 * MB))
-    # Half-full pages + extent slack so in-place slices can absorb inserts.
     table = Table.create(disk_vol, "t", SCHEMA, n, slack=2.0)
     table.bulk_load(((i * 2, f"rec-{i}") for i in range(n)), fill_factor=0.5)
     config = MaSMConfig(
@@ -209,12 +212,49 @@ def test_paced_migration_crash_recovers_admitted_updates(occurrence):
     workload(masm, shadow, 500, seed=31)
     masm.flush_buffer()
     assert masm.runs
+    return masm, table, ssd_vol, log, config, shadow
 
-    plan = FaultPlan(seed=31).crash_at("migration.emit", occurrence=occurrence)
+
+def paced_sweep(masm) -> None:
+    while masm.runs:
+        masm.governor.migrate_step(min_fraction=0.25)
+
+
+def test_the_paced_sweep_ends_with_a_tail_split():
+    """The crash sweep below covers every page the sweep reads; its last
+    page is the tail, split into appended pages."""
+    from repro.storage.faults import FaultPlan, use_fault_plan
+
+    masm, table, *_ = paced_system()
+    pages_before = table.heap.num_pages
+    plan = FaultPlan(seed=FAULT_SEED).crash_at("migration.emit", occurrence=10**9)
+    grew_at = []
+    with use_fault_plan(plan):
+        while masm.runs:
+            pages = table.heap.num_pages
+            masm.governor.migrate_step(min_fraction=0.25)
+            if table.heap.num_pages > pages:
+                grew_at.append(plan._crash_hits["migration.emit"])
+    assert plan._crash_hits["migration.emit"] == PACED_SWEEP_EMITS
+    assert grew_at == [PACED_SWEEP_EMITS]
+    assert table.heap.num_pages > pages_before
+
+
+@pytest.mark.faults
+@pytest.mark.parametrize("occurrence", range(1, PACED_SWEEP_EMITS + 1))
+def test_paced_migration_crash_recovers_admitted_updates(occurrence):
+    """A governed paced slice killed at the ``migration.emit`` crash point —
+    at every page of the sweep, the tail split included — recovers like any
+    torn migration: the open MIGRATION_START is redone idempotently, so no
+    admitted update is lost and none applies twice."""
+    from repro.errors import SimulatedCrash
+    from repro.storage.faults import FaultPlan, use_fault_plan
+
+    masm, table, ssd_vol, log, config, shadow = paced_system()
+    plan = FaultPlan(seed=FAULT_SEED).crash_at("migration.emit", occurrence=occurrence)
     with use_fault_plan(plan):
         with pytest.raises(SimulatedCrash):
-            while masm.runs:
-                masm.governor.migrate_step(min_fraction=0.25)
+            paced_sweep(masm)
             raise AssertionError("sweep finished without hitting the crash point")
 
     recovered, report = crash_recover(table, ssd_vol, log, config)

@@ -223,9 +223,93 @@ def test_partial_migration_defers_unfitting_inserts():
     masm.flush_buffer()
     stats = migrate_range(masm, 100, 160)
     assert stats is not None
+    # The keys fall on two pages, each holding 33 bulk-loaded rows of the 37
+    # that fit: both pages are deferred whole.
+    assert stats.inserts_deferred == len(keys)
+    assert stats.pages_written == 0
     view = scan_dict(masm, 100, 160)
     for k in keys:
         assert view[k] == (k, "squeeze")
-    if stats.inserts_deferred:
-        # Deferred inserts stay cached: the run is not fully migrated.
-        assert len(masm.runs) == 1
+    # Deferred inserts stay cached: the run is not fully migrated.
+    assert len(masm.runs) == 1
+
+
+def test_partial_migration_does_not_leak_slots_to_deletes():
+    """A page keeps its capacity under churn: each round deletes its largest
+    key and inserts a smaller one (so the insert comes first in key order),
+    then migrates the page.  Editing the page slot by slot left one
+    tombstoned slot entry per round and deferred the insert of round 51."""
+    masm = make_masm(n_records=1000)
+    entries = masm.table.index.entries()
+    lo, hi = entries[1][0], entries[2][0] - 1
+    live = [key for key in range(lo, hi + 1, 2)]
+    free = [key for key in range(lo + 1, hi, 2)]
+    assert len(live) == 33
+    for round_ in range(64):
+        victim = live.pop()
+        free.sort()
+        key = free.pop(0)
+        free.append(victim)
+        masm.delete(victim)
+        masm.insert((key, f"round-{round_}"))
+        live = sorted([*live, key])
+        masm.flush_buffer()
+        stats = migrate_range(masm, lo, hi)
+        assert stats.inserts_deferred == 0, f"round {round_}"
+        assert stats.pages_written == 1
+        assert masm.runs == []
+        assert masm.table.heap.read_page(1).live_count == 33
+    assert masm.table.heap.read_page(1).slot_count == 33
+    assert sorted(table_dict(masm.table))[lo // 2 : lo // 2 + 33] == live
+
+
+def test_a_deferred_first_page_keeps_the_keys_below_its_first_key():
+    """Page 0 also owns the keys below its first key: when it is deferred,
+    those updates stay cached instead of being marked migrated."""
+    disk_vol = StorageVolume(SimulatedDisk(capacity=128 * MB))
+    ssd_vol = StorageVolume(SimulatedSSD(capacity=8 * MB))
+    table = Table.create(disk_vol, "t", SCHEMA, 1000)
+    table.bulk_load((1000 + i * 2, f"rec-{i}") for i in range(1000))
+    config = MaSMConfig(
+        alpha=1.0, ssd_page_size=16 * KB, block_size=4 * KB, auto_migrate=False
+    )
+    masm = MaSM(table, ssd_vol, config=config)
+    low = list(range(1, 21, 2))
+    for key in low:
+        masm.insert((key, "low"))
+    masm.flush_buffer()
+    stats = migrate_range(masm, 0, 999)
+    assert stats.inserts_deferred == len(low)
+    assert len(masm.runs) == 1
+    view = scan_dict(masm)
+    assert all(view[key] == (key, "low") for key in low)
+
+
+def test_a_page_fills_to_its_physical_capacity_in_place():
+    """A page takes rows up to ``(page_size - header) // (record + slot)``
+    — 97 rows of 34 bytes in a 4 KB page (the page's whole room, not the
+    fill budget) — and defers the page whole at one more."""
+    schema = synthetic_schema(34)
+    disk_vol = StorageVolume(SimulatedDisk(capacity=128 * MB))
+    ssd_vol = StorageVolume(SimulatedSSD(capacity=8 * MB))
+    table = Table.create(disk_vol, "t", schema, 1000)
+    table.bulk_load((i * 4, "x") for i in range(1000))
+    config = MaSMConfig(
+        alpha=1.0, ssd_page_size=16 * KB, block_size=4 * KB, auto_migrate=False
+    )
+    masm = MaSM(table, ssd_vol, config=config)
+    entries = table.index.entries()
+    lo, hi = entries[1][0], entries[2][0] - 1
+    rows = len(range(lo, hi + 1, 4))
+    keys = [key for key in range(lo + 1, hi + 1) if key % 4][: 97 - rows + 1]
+    for key in keys[:-1]:
+        masm.insert((key, "fill"))
+    masm.flush_buffer()
+    stats = migrate_range(masm, lo, hi)
+    assert (stats.inserts_deferred, stats.pages_written) == (0, 1)
+    assert table.heap.read_page(1).live_count == 97
+    masm.insert((keys[-1], "one more"))
+    masm.flush_buffer()
+    stats = migrate_range(masm, lo, hi)
+    assert (stats.inserts_deferred, stats.pages_written) == (1, 0)
+    assert {schema.key(r) for r in masm.range_scan(lo, hi)} >= set(keys)

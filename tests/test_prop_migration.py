@@ -22,7 +22,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import reference_migration as ref
@@ -78,6 +78,7 @@ class System:
         if with_log:
             self.masm.attach_log(RedoLog(self.ssd.create("wal", 1 * MB)))
         self.ops: list[tuple] = []
+        self.stamped = 0  # pages stamped ahead of updates cached for them
 
     def trace(self) -> None:
         for name, volume in (("disk", self.disk), ("ssd", self.ssd)):
@@ -161,7 +162,8 @@ def drive(system: System, seed: int, rows: int, steps: int, mix: str, flushes: i
 
     # Partly migrated pages: a page timestamp ahead of updates cached for it.
     heap = table.heap
-    for _ in range(rng.randrange(4)):
+    system.stamped = rng.randrange(4)
+    for _ in range(system.stamped):
         page_no = rng.randrange(heap.num_pages)
         page = heap.read_page(page_no)
         page.timestamp = max(page.timestamp, rng.randrange(1, masm.oracle.next() + 1))
@@ -270,6 +272,267 @@ def test_migrate_all_counts_one_emit_per_output_page():
         stats = migrate_all(new.masm)
     assert plan._crash_hits["migration.emit"] == stats.pages_written
     assert stats.pages_written == new.table.heap.num_pages
+
+
+# --------------------------------------------------------- partial migration
+def page_timestamps(system: System) -> list[int]:
+    heap = system.table.heap
+    data = heap.file.peek(0, heap.num_pages * heap.page_size)
+    return np.ndarray(heap.num_pages, "<u8", data, 0, (heap.page_size,)).tolist()
+
+
+def fresh_rows(system: System) -> list:
+    return list(system.masm.range_scan(*system.table.full_key_range()))
+
+
+def migrate_twins(new: System, old: System, run_new, run_old) -> bool:
+    """Run one migration on each twin and compare what they leave.
+
+    The two agree exactly — stats, table rows, index, page timestamps, each
+    device's operations, the runs left cached, the fresh view — unless the
+    reference found a page full that the change did not (full only for
+    tombstoned slot entries, or because it inserted before it deleted) and
+    deferred it, or split it if it was the tail: the fresh view must still
+    agree, and False tells the caller the twins have parted.  A page stamped ahead of inserts it does not hold (a state
+    only :func:`drive` makes) is the exception: the migration skips those
+    inserts as already applied, where the reference left them cached."""
+    new.ops.clear()
+    old.ops.clear()
+    got, expected = run_new(), run_old()
+    if got is None or expected is None:
+        assert got == expected
+    else:
+        assert got.inserts_deferred <= expected.inserts_deferred
+        assert new.table.heap.num_pages <= old.table.heap.num_pages
+        if (
+            got.inserts_deferred < expected.inserts_deferred
+            or new.table.heap.num_pages < old.table.heap.num_pages
+        ):
+            if not new.stamped:
+                assert fresh_rows(new) == fresh_rows(old)
+            return False
+        assert got == expected
+    for device in ("disk", "ssd"):
+        assert new.device_ops(device) == old.device_ops(device)
+    assert new.table.index.entries() == old.table.index.entries()
+    assert (new.table.row_count, new.table.heap.num_pages) == (
+        old.table.row_count, old.table.heap.num_pages,
+    )
+    assert page_timestamps(new) == page_timestamps(old)
+    assert [run.name for run in new.masm.runs] == [run.name for run in old.masm.runs]
+    full = new.table.full_key_range()
+    assert list(new.table.range_scan(*full)) == list(old.table.range_scan(*full))
+    assert fresh_rows(new) == fresh_rows(old)
+    return True
+
+
+def range_twins(new: System, old: System, lo: int, hi: int) -> bool:
+    return migrate_twins(
+        new, old,
+        lambda: migrate_range(new.masm, lo, hi),
+        lambda: ref.migrate_range(old.masm, lo, hi),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**20),
+    rows=st.integers(20, 400),
+    steps=st.integers(1, 150),
+    mix=st.sampled_from(["grow", "shrink", "mixed"]),
+    flushes=st.integers(1, 3),
+    page_size=st.sampled_from([512, 1024, 2048, 4096]),
+    chunk_pages=st.sampled_from([1, 2, 8]),
+    partition_blocks=st.sampled_from([2, 6, 32]),
+    data=st.data(),
+)
+def test_partial_migration_equals_the_page_rmw_reference(
+    seed, rows, steps, mix, flushes, page_size, chunk_pages, partition_blocks, data
+):
+    """Random ranges, one after another, until the twins part or the runs
+    are gone."""
+    new, old = twins(seed, rows, steps, mix, flushes, page_size, chunk_pages, partition_blocks)
+    new.masm.flush_buffer()
+    old.masm.flush_buffer()
+    for _ in range(data.draw(st.integers(1, 4))):
+        lo = data.draw(st.integers(0, 2 * rows + rows // 2))
+        hi = lo + data.draw(st.integers(0, 2 * rows)) if data.draw(st.booleans()) else 2**40
+        if not range_twins(new, old, lo, hi):
+            event("parted")
+            break
+        event("exact")
+
+
+def flood_tail(system: System, rows: int, count: int) -> None:
+    """Appends past the last key plus deletes and modifies on the last
+    page: the physically-last page owns all of them."""
+    masm = system.masm
+    for i in range(count):
+        masm.insert(record(4 * rows + 2 * i + 1, i))
+    masm.delete(2 * rows - 2)
+    masm.modify(2 * rows - 4, {"qty": -1})
+    masm.flush_buffer()
+
+
+@pytest.mark.parametrize("page_size", [512, 1024, 4096])
+@pytest.mark.parametrize("count", [3, 40, 200])
+def test_the_tail_split_equals_the_reference(page_size, count):
+    """The last page absorbs an append flood in place, or splits into
+    appended half-full pages — the same pages, timestamps, index entries and
+    single-page writes (appended pages first, the head page last) as the
+    reference."""
+    rows = 200
+    new, old = twins(0, rows, 1, "mixed", 1, page_size, 2, 6)
+    for system in (new, old):
+        flood_tail(system, rows, count)
+    pages_before = new.table.heap.num_pages
+    assert range_twins(new, old, 2 * rows - 10, 2**40)
+    if count == 200:
+        split = new.table.heap.num_pages - pages_before
+        assert split > 1
+        writes = [op for op in new.device_ops("disk") if op[0] == "w"]
+        assert [offset // page_size for _, offset, _ in writes][-split - 1:] == [
+            *range(pages_before, pages_before + split), pages_before - 1,
+        ]
+        assert {size for _, _, size in writes} == {page_size}
+
+
+def test_the_tail_split_defers_when_the_extent_is_full():
+    rows = 200
+    new, old = twins(0, rows, 1, "mixed", 1, 512, 2, 6)
+    for system in (new, old):
+        flood_tail(system, rows, 3000)
+    stats_before = new.table.heap.num_pages
+    assert range_twins(new, old, 2 * rows - 10, 2**40)
+    assert new.table.heap.num_pages == stats_before
+    assert new.masm.runs
+
+
+@pytest.mark.parametrize("mix", ["grow", "shrink", "mixed"])
+def test_masm_migrate_under_an_open_scan_equals_the_reference(mix, monkeypatch):
+    """``MaSM.migrate`` with a scan in flight takes the range path over the
+    whole key space: runs newer than the scan stay cached, the tail is not
+    split, and the scan still returns its snapshot — the reference's."""
+    import repro.core.migration as migration
+
+    new, old = twins(11, 300, 120, mix, 2, 1024, 2, 6)
+    scans = []
+    for system in (new, old):
+        system.masm.flush_buffer()
+        scans.append(system.masm.range_scan(0, 2**31))
+        for i in range(40):
+            system.masm.insert(record(4 * 300 + 2 * i + 1, i))
+        system.masm.modify(4, {"qty": 0})
+        system.masm.flush_buffer()
+    def migrate(system, migrate_range):
+        """``system.masm.migrate()`` with ``migrate_range`` as its range
+        path; what that returned."""
+        returned = []
+
+        def spy(*args, **kwargs):
+            returned.append(migrate_range(*args, **kwargs))
+            return returned[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(migration, "migrate_range", spy)
+            system.masm.migrate()
+        (stats,) = returned
+        return stats
+
+    exact = migrate_twins(
+        new, old,
+        lambda: migrate(new, migration.migrate_range),
+        lambda: migrate(old, ref.migrate_range),
+    )
+    # Growth fills pages the in-place edits left tombstoned: the reference
+    # defers some of them, the change applies them (the fresh view agrees).
+    assert exact or mix == "grow"
+    assert new.masm.runs  # the runs newer than the scan
+    assert list(scans[0]) == list(scans[1])
+
+
+# ------------------------------------------------------------ copy migration
+def copy_twin(rows, page_size, chunk_pages, seed, steps, mix):
+    """An in-memory differential engine over a small table, ``steps``
+    seeded updates buffered, its disk recording every operation."""
+    from repro.baselines.memdiff import InMemoryDifferential
+
+    disk = StorageVolume(SimulatedDisk(capacity=32 * MB))
+    table = Table.create(
+        disk, "t", SCHEMA, rows, page_size=page_size, io_chunk=chunk_pages * page_size,
+        slack=2.0,
+    )
+    table.bulk_load(record(2 * i, 0) for i in range(rows))
+    engine = InMemoryDifferential(table, memory_bytes=1 << 30, auto_migrate=False)
+    rng = random.Random(seed)
+    live = set(range(0, 2 * rows, 2))
+    insert_share = {"grow": 0.7, "shrink": 0.1, "mixed": 0.35}[mix]
+    for step in range(steps):
+        roll = rng.random()
+        key = rng.randrange(rows + rows // 2) * 2 + 1
+        if roll < insert_share and key not in live:
+            engine.insert(record(key, step))
+            live.add(key)
+        elif roll < (1 + insert_share) / 2 and live:
+            key = rng.choice(sorted(live))
+            engine.delete(key)
+            live.discard(key)
+        elif live:
+            engine.modify(rng.choice(sorted(live)), {"qty": -step, "name": f"m{step}"})
+    ops = []
+    store = disk.device.store
+
+    def read(offset, size, _read=store.read):
+        ops.append(("r", offset, size))
+        return _read(offset, size)
+
+    def write(offset, data, _write=store.write):
+        ops.append(("w", offset, len(data)))
+        return _write(offset, data)
+
+    store.read, store.write = read, write
+    return engine, ops
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    rows=st.integers(1, 600),
+    page_size=st.sampled_from([512, 1024, 2048, 4096]),
+    chunk_pages=st.sampled_from([1, 2, 8]),
+    seed=st.integers(0, 2**20),
+    steps=st.integers(1, 400),
+    mix=st.sampled_from(["grow", "shrink", "mixed"]),
+)
+def test_copy_migration_equals_the_per_record_copy(rows, page_size, chunk_pages, seed, steps, mix):
+    """``InMemoryDifferential.migrate`` through ``rewrite_heap`` writes the
+    copy the per-record loop wrote: the same bytes, index, stats and disk
+    operations."""
+    assert_same_copy(rows, page_size, chunk_pages, seed, steps, mix)
+
+
+@pytest.mark.parametrize("mix", ["grow", "shrink"])
+def test_a_growing_copy_is_written_ahead_of_the_reads(mix):
+    """The copy is another file: its writes never wait for the read
+    frontier, so growth writes each chunk as soon as it closes."""
+    assert_same_copy(600, 512, 1, 5, 400, mix)
+
+
+def assert_same_copy(rows, page_size, chunk_pages, seed, steps, mix):
+    (new, new_ops), (old, old_ops) = (
+        copy_twin(rows, page_size, chunk_pages, seed, steps, mix) for _ in range(2)
+    )
+    got = new.migrate()
+    expected = ref.reference_copy_migrate(old)
+    assert got == expected
+    assert new_ops == old_ops
+    for engine in (new, old):
+        assert engine.table.heap.file.name == "t-copy-0"
+    heaps = [engine.table.heap for engine in (new, old)]
+    assert heaps[0].num_pages == heaps[1].num_pages
+    assert heaps[0].file.peek(0, heaps[0].file.size) == heaps[1].file.peek(0, heaps[1].file.size)
+    assert new.table.index.entries() == old.table.index.entries()
+    assert new.table.row_count == old.table.row_count
+    assert list(new.range_scan(0, 2**31)) == list(old.range_scan(0, 2**31))
 
 
 # ------------------------------------------------------------- chunk encoder
