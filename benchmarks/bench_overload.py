@@ -21,7 +21,7 @@ import time
 
 from gates import paired
 from repro.bench.harness import FigureResult
-from repro.core.governor import OverloadPolicy
+from repro.core.governor import GovernorConfig, OverloadPolicy
 from repro.core.masm import MaSM, MaSMConfig
 from repro.engine.record import synthetic_schema
 from repro.engine.table import Table
@@ -49,7 +49,9 @@ def build_engine(governed: bool, n: int) -> MaSM:
         # normal band, so the governed engine pays only the admission check.
         cache_bytes=16 * MB,
         auto_migrate=False,
-        overload_policy=OverloadPolicy.DELAY if governed else None,
+        governor=(
+            GovernorConfig(overload_policy=OverloadPolicy.DELAY) if governed else None
+        ),
     )
     return MaSM(table, ssd_vol, config=config)
 

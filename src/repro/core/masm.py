@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.core import kernels
 from repro.core.blockcache import DEFAULT_CACHE_BLOCKS, DecodedBlockCache
-from repro.core.governor import GovernorConfig, LoadGovernor, OverloadPolicy
+from repro.core.governor import GovernorConfig, LoadGovernor
 from repro.core.membuffer import InMemoryUpdateBuffer
 from repro.obs import get_registry, trace
 from repro.core.operators import MemScan, MergeDataUpdates, MergeUpdates, RunScan
@@ -72,31 +72,11 @@ class MaSMConfig:
     #: simulation's ``kernels`` scenario to stress partition boundaries).
     kernel_blocks_per_partition: Optional[int] = None
     #: Overload governance (admission control + paced incremental migration,
-    #: see :mod:`repro.core.governor`).  Setting either field attaches a
-    #: :class:`LoadGovernor` to the engine; ``overload_policy`` alone uses
-    #: default watermarks/pacing, ``governor`` carries the full tuning.
-    #: ``None``/``None`` (the default) leaves the engine ungoverned: the
-    #: legacy stop-the-world flush-time migration and
-    #: ``UpdateCacheFullError`` behaviour are preserved exactly.
-    overload_policy: Optional[OverloadPolicy] = None
+    #: see :mod:`repro.core.governor`).  A :class:`GovernorConfig` attaches
+    #: a :class:`LoadGovernor` to the engine; ``None`` (the default) leaves
+    #: the engine ungoverned: the legacy stop-the-world flush-time migration
+    #: and ``UpdateCacheFullError`` behaviour are preserved exactly.
     governor: Optional[GovernorConfig] = None
-
-    def governor_config(self) -> Optional[GovernorConfig]:
-        """The effective governor tuning, or None when ungoverned."""
-        if self.governor is not None:
-            if (
-                self.overload_policy is not None
-                and self.governor.overload_policy is not self.overload_policy
-            ):
-                import dataclasses
-
-                return dataclasses.replace(
-                    self.governor, overload_policy=self.overload_policy
-                )
-            return self.governor
-        if self.overload_policy is not None:
-            return GovernorConfig(overload_policy=self.overload_policy)
-        return None
 
 
 @dataclass
@@ -260,44 +240,29 @@ class ScrubReport:
 
 @dataclass(frozen=True)
 class RunSnapshot:
-    """One run's verbatim content inside an :class:`EngineSnapshot`."""
+    """One run file's verbatim bytes inside an :class:`EngineSnapshot`."""
 
     name: str
     payload: bytes
     crc: int
-    count: int
-    passes: int
-    min_ts: int
-    max_ts: int
-    covered_min_ts: int
-    covered_max_ts: int
-    migrated_ranges: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
 class EngineSnapshot:
-    """A consistent, CRC-verified export of one engine's durable state.
+    """A consistent, CRC-stamped copy of one engine's durable state.
 
     Everything a brand-new (or wiped) replica needs to serve reads up to
-    ``snapshot_ts``: the heap pages (main data), the materialized runs with
-    their durability metadata, and the checkpoint manifest that seeds the
-    installing replica's fresh WAL.  Updates with ``ts > snapshot_ts`` are
-    deliberately absent — the installer catches them up from the primary's
-    (now finite) WAL.
+    the checkpoint's fence: the heap pages (main data), the run files, and
+    the checkpoint whose manifest carries the runs' durability metadata.
+    Updates above the fence are deliberately absent — the replica
+    catches them up from the primary's (now finite) WAL.  A replica takes
+    it through :func:`repro.txn.recovery.lay_down_snapshot`, then restarts.
     """
 
-    table: str
-    snapshot_ts: int
-    migrated_ts: int
-    heap_pages: int
     heap_payload: bytes
     heap_crc: int
     runs: tuple[RunSnapshot, ...]
     checkpoint: "object"  # repro.txn.log.Checkpoint (lazy import cycle)
-
-    @property
-    def size_bytes(self) -> int:
-        return len(self.heap_payload) + sum(len(r.payload) for r in self.runs)
 
 
 class ScanRows(chain):
@@ -384,9 +349,10 @@ class MaSM:
         #: Fence of the newest checkpoint cut by :meth:`checkpoint`.
         self.last_checkpoint_ts = 0
         #: Overload governance (None = ungoverned legacy behaviour).
-        governor_config = self.config.governor_config()
         self.governor: Optional[LoadGovernor] = (
-            LoadGovernor(self, governor_config) if governor_config is not None else None
+            LoadGovernor(self, self.config.governor)
+            if self.config.governor is not None
+            else None
         )
 
     def attach_snapshots(self, manager) -> None:
@@ -1120,6 +1086,7 @@ class MaSM:
                     covered_min_ts=run.covered_min_ts,
                     covered_max_ts=run.covered_max_ts,
                     migrated_ranges=tuple(run.migrated_ranges),
+                    passes=run.passes,
                 )
                 for run in self.runs
             ),
@@ -1173,9 +1140,9 @@ class MaSM:
 
         The fence is the same one :meth:`checkpoint` would cut: the heap
         plus the runs hold every update with ``ts <= fence``, so a replica
-        that installs this snapshot only needs ``ts > fence`` from the
-        primary's WAL to catch up.  Raises when a run is quarantined — an
-        unhealthy replica must not donate.
+        that lays this snapshot down and restarts only needs ``ts > fence``
+        from the primary's WAL to catch up.  Raises when a run is
+        quarantined — an unhealthy replica must not donate.
         """
         from repro.storage.checksum import checksum as _crc
 
@@ -1186,7 +1153,6 @@ class MaSM:
                     f"{self.name}: cannot export snapshot with quarantined "
                     f"run(s) {quarantined}"
                 )
-            fence = self._checkpoint_fence()
             heap = self.table.heap
             heap_bytes = heap.num_pages * heap.page_size
             heap_payload = (
@@ -1195,128 +1161,15 @@ class MaSM:
             run_snaps = []
             for run in self.runs:
                 payload = run.file.read(0, run.num_blocks * run.block_size)
-                run_snaps.append(
-                    RunSnapshot(
-                        name=run.name,
-                        payload=payload,
-                        crc=_crc(payload),
-                        count=run.count,
-                        passes=run.passes,
-                        min_ts=run.min_ts,
-                        max_ts=run.max_ts,
-                        covered_min_ts=run.covered_min_ts,
-                        covered_max_ts=run.covered_max_ts,
-                        migrated_ranges=tuple(run.migrated_ranges),
-                    )
-                )
+                run_snaps.append(RunSnapshot(run.name, payload, _crc(payload)))
             snapshot = EngineSnapshot(
-                table=self.table.name,
-                snapshot_ts=fence,
-                migrated_ts=min(self.migrated_through, fence),
-                heap_pages=heap.num_pages,
                 heap_payload=heap_payload,
                 heap_crc=_crc(heap_payload),
                 runs=tuple(run_snaps),
-                checkpoint=self._manifest(fence),
+                checkpoint=self._manifest(self._checkpoint_fence()),
             )
         get_registry().counter("masm.snapshots.exported").add(1)
         return snapshot
-
-    @classmethod
-    def install_snapshot(
-        cls,
-        snapshot: EngineSnapshot,
-        table: Table,
-        ssd_volume: StorageVolume,
-        config: Optional[MaSMConfig] = None,
-        oracle: Optional[TimestampOracle] = None,
-        name: Optional[str] = None,
-    ):
-        """Install an exported snapshot into a brand-new engine.
-
-        ``table`` wraps an empty heap file of sufficient capacity;
-        ``ssd_volume`` must not hold conflicting run files.  Every payload
-        is CRC-verified before anything is written, run files are
-        re-verified block-by-block after landing, and the runs keep their
-        *source sequence numbers* under this engine's name so replicas of
-        one shard stay name-aligned (anti-entropy compares runs by name).
-
-        Returns ``(masm, checkpoint)`` — the checkpoint carries the
-        translated run names and seeds the installing replica's fresh WAL.
-        """
-        import re as _re
-
-        from repro.core.sortedrun import load_run
-        from repro.errors import ChecksumError
-        from repro.storage.checksum import checksum as _crc
-        from repro.txn.log import Checkpoint, RunManifestEntry
-
-        if _crc(snapshot.heap_payload) != snapshot.heap_crc:
-            raise ChecksumError("snapshot heap payload failed CRC verification")
-        for run_snap in snapshot.runs:
-            if _crc(run_snap.payload) != run_snap.crc:
-                raise ChecksumError(
-                    f"snapshot run {run_snap.name!r} failed CRC verification"
-                )
-
-        masm = cls(table, ssd_volume, config=config, oracle=oracle, name=name)
-        heap = table.heap
-        if snapshot.heap_payload:
-            heap.file.write(0, snapshot.heap_payload)
-        heap.num_pages = snapshot.heap_pages
-        # A wiped device may hold stale bytes past the installed prefix;
-        # zero the next page so the post-crash index rebuild (which scans
-        # until the first unparseable page) stops where the data does.
-        if heap.capacity_pages > snapshot.heap_pages:
-            heap.file.zero_range(
-                snapshot.heap_pages * heap.page_size, heap.page_size
-            )
-        from repro.txn.recovery import rebuild_table_index
-
-        rebuild_table_index(table)
-
-        seq_pattern = _re.compile(r"-run-(\d+)$")
-        entries = []
-        for run_snap in snapshot.runs:
-            match = seq_pattern.search(run_snap.name)
-            seq = int(match.group(1)) if match else masm._run_seq
-            new_name = f"{masm.name}-run-{seq:05d}"
-            masm._run_seq = max(masm._run_seq, seq + 1)
-            file = ssd_volume.create(new_name, len(run_snap.payload))
-            file.append(run_snap.payload)
-            run = load_run(
-                ssd_volume,
-                new_name,
-                masm.codec,
-                block_size=masm.config.block_size,
-                passes=run_snap.passes,
-            )
-            run.covered_min_ts = run_snap.covered_min_ts
-            run.covered_max_ts = run_snap.covered_max_ts
-            run.migrated_ranges = [tuple(r) for r in run_snap.migrated_ranges]
-            masm.runs.append(run)
-            entries.append(
-                RunManifestEntry(
-                    name=new_name,
-                    covered_min_ts=run_snap.covered_min_ts,
-                    covered_max_ts=run_snap.covered_max_ts,
-                    migrated_ranges=tuple(run_snap.migrated_ranges),
-                )
-            )
-        masm.runs_version += 1
-        masm.flushed_through = snapshot.snapshot_ts
-        masm.migrated_through = snapshot.migrated_ts
-        masm.last_update_ts = snapshot.snapshot_ts
-        masm.last_checkpoint_ts = snapshot.snapshot_ts
-        masm.oracle.advance_past(snapshot.snapshot_ts)
-        translated = Checkpoint(
-            table=table.name,
-            checkpoint_ts=snapshot.snapshot_ts,
-            migrated_ts=snapshot.migrated_ts,
-            runs=tuple(entries),
-        )
-        get_registry().counter("masm.snapshots.installed").add(1)
-        return masm, translated
 
     def _delete_run(self, run: MaterializedSortedRun) -> None:
         """Delete a run's SSD file and drop its decoded blocks.

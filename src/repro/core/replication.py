@@ -21,8 +21,8 @@ explicit :meth:`crash_replica` calls):
 * a follower that fails a ship is marked CRASHED immediately: a replica
   that missed even one update may no longer serve reads.
 * **rejoin** is a two-step path: :meth:`recover_replica` rebuilds the
-  engine from the surviving durable state (the standard
-  :func:`~repro.txn.recovery.recover_masm` crash-recovery path), then
+  engine from the surviving durable state (the standard crash restart,
+  :func:`~repro.txn.recovery.restart_masm`), then
   :meth:`catch_up` replays, from the *current primary's* redo log, exactly
   the UPDATE records newer than the rejoiner's recovered watermark.
 
@@ -35,9 +35,13 @@ zeroing the reclaimed tail in governor-paced slices.  That makes redo logs
 replica whose recovered watermark predates the primary's truncation fence
 (or whose durable state was wiped entirely) raises
 :class:`~repro.errors.BootstrapRequiredError` and is instead rebuilt
-wholesale by :meth:`ReplicaSet.bootstrap_replica` — a CRC-verified engine
-snapshot (heap + runs + checkpoint manifest) exported from a healthy peer,
-installed over a fresh WAL, then caught up ``ts > snapshot_ts`` as usual.
+wholesale by :meth:`ReplicaSet.bootstrap_replica`: a CRC-verified engine
+snapshot (heap + runs + checkpoint) exported from a healthy peer is laid
+down as the replica's durable state (:func:`~repro.txn.recovery.lay_down_snapshot`:
+heap bytes, run files, a fresh WAL whose first frame is the checkpoint),
+the replica restarts through the same crash recovery a rejoin runs
+(:func:`~repro.txn.recovery.restart_masm`), then catches up ``ts >
+fence`` as usual.
 
 Anti-entropy (:meth:`ReplicaSet.anti_entropy`) closes the silent-corruption
 gap: each ONLINE replica checksum-verifies its runs; a damaged run is
@@ -81,6 +85,7 @@ from repro.engine.table import Table
 from repro.errors import (
     BootstrapRequiredError,
     NoHealthyReplicaError,
+    RecoveryError,
     ReplicaUnavailableError,
     ReplicationError,
     ReproError,
@@ -89,7 +94,7 @@ from repro.obs import get_registry, trace
 from repro.storage.clock import SimClock
 from repro.storage.faults import NodeFaultPlan
 from repro.txn.log import RedoLog
-from repro.txn.recovery import recover_masm
+from repro.txn.recovery import RecoveryReport, lay_down_snapshot, restart_masm
 from repro.txn.timestamps import TimestampOracle
 from repro.util.units import KB, MB
 
@@ -108,7 +113,7 @@ class ReplicaState(enum.Enum):
     ONLINE = "online"
     CRASHED = "crashed"
     CATCHING_UP = "catching_up"
-    #: A snapshot install is in flight: the replica's durable state was lost
+    #: A snapshot bootstrap is in flight: the replica's durable state was lost
     #: (or predates the primary's WAL truncation fence) and is being rebuilt
     #: wholesale from a healthy peer's export.
     BOOTSTRAPPING = "bootstrapping"
@@ -216,7 +221,7 @@ class ReplicaSet:
                 else MaSMConfig(alpha=1.2, auto_migrate=False)
             )
             if replica_id > 0:
-                config = _dc.replace(config, overload_policy=None, governor=None)
+                config = _dc.replace(config, governor=None)
             node = build_shard_node(
                 shard_id,
                 schema,
@@ -433,18 +438,7 @@ class ReplicaSet:
             raise ReplicationError(
                 f"replica {replica.name} has no redo log to recover from"
             )
-        bare = Table(old.table.name, old.table.schema, old.table.heap)
-        bare.heap.num_pages = old.table.heap.capacity_pages
-        fresh_log = RedoLog(old.redo_log.file)
-        fresh_log.file._append_pos = 0  # the append cursor died with the node
-        recovered, report = recover_masm(
-            bare,
-            old.ssd,
-            fresh_log,
-            config=replica.config,
-            oracle=self.oracle,
-            name=old.name,
-        )
+        recovered, report = self._restart(replica, old.redo_log.file)
         if report.unrecoverable_gaps:
             # Damaged runs whose content predates the checkpoint fence: the
             # truncated log cannot rebuild them, so the local state is
@@ -456,21 +450,41 @@ class ReplicaSet:
                 f"checkpoint fence {report.checkpoint_ts}; local rebuild is "
                 "impossible — bootstrap from a healthy peer"
             )
+        self._swap_in(replica, recovered, report)
+        return replica
+
+    def _restart(self, replica: Replica, wal_file) -> tuple[MaSM, RecoveryReport]:
+        """Crash-restart ``replica``'s engine over its durable state."""
+        old = replica.masm
+        return restart_masm(
+            old.table,
+            old.ssd,
+            wal_file,
+            config=replica.config,
+            oracle=self.oracle,
+            name=old.name,
+        )
+
+    def _swap_in(
+        self, replica: Replica, engine: MaSM, report: RecoveryReport
+    ) -> None:
+        """Make a restarted ``engine`` the replica's; it comes back
+        CATCHING_UP."""
         # Everything the replica durably ingested has ts <= this watermark;
         # everything it missed while down is strictly newer (one shared,
         # monotonic oracle).  catch_up() replays exactly ts > watermark.
-        recovered.last_update_ts = max(
-            report.max_timestamp_seen, recovered.flushed_through
+        engine.last_update_ts = max(
+            report.max_timestamp_seen, engine.flushed_through
         )
         node = replica.node
         replica.node = ShardNode(
-            node.node_id, node.disk, node.ssd, bare, recovered, node.cpu
+            node.node_id, node.disk, node.ssd, engine.table, engine, node.cpu
         )
+        replica.wiped = False
         if replica.faults is not None:
             replica.faults.recover()
         self._set_state(replica, ReplicaState.CATCHING_UP)
         self._obs_recoveries.add(1)
-        return replica
 
     def catch_up(self, replica_id: int) -> int:
         """Replay missed updates from the current primary's redo log.
@@ -576,12 +590,13 @@ class ReplicaSet:
     ) -> int:
         """Rebuild a replica wholesale from a healthy peer's snapshot.
 
-        Exports a consistent engine snapshot (heap + runs + checkpoint
-        manifest, CRC-verified end to end) from ``source_id`` (default: the
-        primary), installs it into the target over a fresh WAL seeded with
-        the translated checkpoint, then catches up ``ts > snapshot_ts``
-        from the primary's (finite) WAL.  Returns the number of catch-up
-        updates applied.
+        Exports a consistent engine snapshot (heap + runs + checkpoint,
+        CRC-verified end to end) from ``source_id`` (default: the primary),
+        lays it down as the target's durable state, restarts the target
+        through the same crash recovery :meth:`recover_replica` runs — which
+        must come back at the snapshot's fence with every run — then
+        catches up ``ts > fence`` from the primary's (finite) WAL.  Returns
+        the number of catch-up updates applied.
         """
         replica = self.replicas[replica_id]
         if replica.state not in (ReplicaState.CRASHED, ReplicaState.ONLINE):
@@ -613,44 +628,23 @@ class ReplicaSet:
         ):
             snapshot = source.masm.export_snapshot()
             old = replica.masm
-            wal_name = (
-                old.redo_log.file.name
-                if old.redo_log is not None
-                else f"wal-{self.shard_id}r{replica_id}"
+            wal_file = lay_down_snapshot(
+                snapshot, old.table, old.ssd, old.name, old.redo_log.file.name
             )
-            ssd_volume = old.ssd
-            for file_name in list(ssd_volume):
-                ssd_volume.delete(file_name)
-            bare = Table(old.table.name, old.table.schema, old.table.heap)
-            fresh_log = RedoLog(
-                ssd_volume.create(
-                    wal_name, ssd_volume.device.capacity // 4
+            engine, report = self._restart(replica, wal_file)
+            fence = snapshot.checkpoint.checkpoint_ts
+            if (
+                report.checkpoint_ts != fence
+                or report.runs_reloaded != len(snapshot.runs)
+            ):
+                raise RecoveryError(
+                    f"replica {replica.name}: the laid-down snapshot restarted "
+                    f"at fence {report.checkpoint_ts} with "
+                    f"{report.runs_reloaded} run(s), not at {fence} with "
+                    f"{len(snapshot.runs)}"
                 )
-            )
-            installed, translated = MaSM.install_snapshot(
-                snapshot,
-                bare,
-                ssd_volume,
-                config=replica.config,
-                oracle=self.oracle,
-                name=old.name,
-            )
-            installed.attach_log(fresh_log)
-            fresh_log.log_checkpoint(translated)
-            # The fresh WAL genuinely lacks everything below the snapshot
-            # fence — mark it so log-fallback/coverage checks stay honest.
-            fresh_log.truncated_through = snapshot.snapshot_ts
-            installed.last_checkpoint_ts = snapshot.snapshot_ts
-            node = replica.node
-            replica.node = ShardNode(
-                node.node_id, node.disk, node.ssd, bare, installed, node.cpu
-            )
-            replica.wiped = False
-            if replica.faults is not None:
-                replica.faults.recover()
-            self._set_state(replica, ReplicaState.CATCHING_UP)
+            self._swap_in(replica, engine, report)
             self._obs_bootstraps.add(1)
-            self._obs_recoveries.add(1)
         return self.catch_up(replica_id)
 
     # ---------------------------------------------------------- housekeeping

@@ -26,7 +26,7 @@ from repro.storage.disk import SimulatedDisk
 from repro.storage.file import StorageVolume
 from repro.storage.ssd import SimulatedSSD
 from repro.txn.log import RedoLog
-from repro.txn.recovery import recover_masm
+from repro.txn.recovery import restart_masm
 from repro.txn.snapshot import SnapshotManager
 from repro.util.units import KB, MB
 
@@ -174,18 +174,14 @@ class SimEnv:
         model adopts whichever branch the engine durably took.
         """
         old = self.masm
-        bare = Table(old.table.name, old.table.schema, old.table.heap)
-        bare.heap.num_pages = old.table.heap.capacity_pages
-        fresh_log = RedoLog(self.log.file)
-        fresh_log.file._append_pos = 0
-        recovered, _report = recover_masm(
-            bare, self.ssd_vol, fresh_log, config=self.masm_config
+        recovered, _report = restart_masm(
+            old.table, self.ssd_vol, self.log.file, config=self.masm_config
         )
         # Timestamps must stay monotonic across the crash even when the
         # newest issued timestamps never reached the log.
         recovered.oracle.advance_past(old.oracle.current)
         self.masm = recovered
-        self.log = fresh_log
+        self.log = recovered.redo_log
         self.snapshots = SnapshotManager(recovered)
         self.epoch += 1
         self._settle_in_doubt()

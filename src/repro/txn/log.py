@@ -17,8 +17,9 @@ The log therefore carries these record kinds:
   update with ``ts <= checkpoint_ts`` is durable in the manifest's runs or
   migrated in place, so the log prefix holding those records is dead weight
   and :meth:`RedoLog.truncate_through` may reclaim it.  Recovery seeds its
-  flushed/migrated watermarks and the manifest runs' covered-ts spans from
-  the newest CHECKPOINT instead of from the (now absent) prefix records.
+  flushed/migrated watermarks and the manifest runs' covered-ts spans and
+  pass counts from the newest CHECKPOINT instead of from the (now absent)
+  prefix records.
 
 Records are length-prefixed, CRC-protected and appended sequentially; the
 log is itself a file on a simulated device, so logging I/O is accounted like
@@ -74,7 +75,7 @@ _TS = struct.Struct("<Q")
 _MIGRATION_START = struct.Struct("<QqqH")  # ts, key lo, key hi, run count
 _RUN_MERGE = struct.Struct("<QQQH")  # ts, covered lo, covered hi, victim count
 _CHECKPOINT = struct.Struct("<QQ")  # checkpoint ts, migrated ts
-_MANIFEST_ENTRY = struct.Struct("<QQH")  # covered lo, covered hi, range count
+_MANIFEST_ENTRY = struct.Struct("<QQBH")  # covered lo, covered hi, passes, range count
 _KEY_SPAN = struct.Struct("<qq")
 
 
@@ -110,13 +111,16 @@ class RunManifestEntry:
     home of (content-derived spans may be narrower after duplicate
     combining); the migrated ranges are the key spans already applied in
     place, which are volatile and must survive truncation of the
-    MIGRATION records that created them.
+    MIGRATION records that created them; ``passes`` is how many times the
+    run's updates were written to the SSD, which the RUN_MERGE records
+    that established it no longer prove once truncated.
     """
 
     name: str
     covered_min_ts: int
     covered_max_ts: int
     migrated_ranges: tuple[tuple[int, int], ...] = ()
+    passes: int = 1
 
 
 @dataclass(frozen=True)
@@ -331,6 +335,7 @@ class RedoLog:
             payload += _MANIFEST_ENTRY.pack(
                 entry.covered_min_ts,
                 entry.covered_max_ts,
+                entry.passes,
                 len(entry.migrated_ranges),
             )
             for lo, hi in entry.migrated_ranges:
@@ -645,7 +650,9 @@ class RedoLog:
             entries = []
             for _ in range(count):
                 name, pos = _unpack_str(payload, pos)
-                cov_min, cov_max, ranges = _MANIFEST_ENTRY.unpack_from(payload, pos)
+                cov_min, cov_max, passes, ranges = _MANIFEST_ENTRY.unpack_from(
+                    payload, pos
+                )
                 pos += _MANIFEST_ENTRY.size
                 spans = []
                 for _ in range(ranges):
@@ -658,6 +665,7 @@ class RedoLog:
                         covered_min_ts=cov_min,
                         covered_max_ts=cov_max,
                         migrated_ranges=tuple(spans),
+                        passes=passes,
                     )
                 )
             cp = Checkpoint(

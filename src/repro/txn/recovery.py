@@ -16,10 +16,17 @@ Recovery therefore
    deletes leftover run files of migrations that did complete;
 4. rebuilds the table's sparse index with one sequential scan;
 5. advances the timestamp oracle past everything it saw.
+
+:func:`restart_masm` is the one way durable state becomes an engine: it
+forgets what a crash forgets (the heap's logical length, the WAL's append
+cursor) and runs :func:`recover_masm`.  A replica bootstrapped from a
+peer's snapshot takes the same path: :func:`lay_down_snapshot` makes its
+durable state equal the snapshot, then it restarts.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -30,9 +37,10 @@ from repro.core.masm import MaSM, MaSMConfig
 from repro.core.sortedrun import load_run
 from repro.core.update import UpdateColumns
 from repro.engine.table import Table
-from repro.errors import RecoveryError, StorageError
+from repro.errors import ChecksumError, RecoveryError, StorageError
 from repro.obs import get_registry, trace
-from repro.storage.file import StorageVolume
+from repro.storage.checksum import checksum
+from repro.storage.file import SimFile, StorageVolume
 from repro.txn.log import LogRecordType, RedoLog
 from repro.txn.timestamps import TimestampOracle
 
@@ -101,6 +109,82 @@ def rebuild_table_index(table: Table) -> None:
     table.replace_contents(entries, rows)
 
 
+def restart_masm(
+    table: Table,
+    ssd_volume: StorageVolume,
+    wal_file: SimFile,
+    config: Optional[MaSMConfig] = None,
+    oracle: Optional[TimestampOracle] = None,
+    name: Optional[str] = None,
+) -> tuple[MaSM, RecoveryReport]:
+    """Restart an engine from what survives on disk: the heap under
+    ``table``, the run files on ``ssd_volume`` and the WAL in ``wal_file``.
+
+    The volatile parts die as they would in a crash — a bare table over
+    the same heap whose logical length is unknown, a log whose append
+    cursor is lost — and :func:`recover_masm` rebuilds the rest.
+    """
+    bare = Table(table.name, table.schema, table.heap)
+    bare.heap.num_pages = bare.heap.capacity_pages
+    wal_file.seek_append(0)
+    return recover_masm(
+        bare, ssd_volume, RedoLog(wal_file), config=config, oracle=oracle, name=name
+    )
+
+
+def lay_down_snapshot(
+    snapshot, table: Table, ssd_volume: StorageVolume, name: str, wal_name: str
+) -> SimFile:
+    """Make a node's durable state equal ``snapshot`` (an
+    :class:`~repro.core.masm.EngineSnapshot`); returns the fresh WAL file.
+
+    Every CRC is checked before anything is written.  Then the volume's
+    files are deleted, the heap bytes land at offset 0 with the page after
+    them zeroed (a reused heap may hold stale pages past the snapshot's,
+    and the restart's index rebuild stops at the first unformatted page),
+    each run file is written under engine ``name`` with the donor's
+    sequence number (replicas of one shard stay name-aligned), and a fresh
+    WAL ``wal_name`` gets the checkpoint, with the translated run names, as
+    its first frame.  :func:`restart_masm` over the result rebuilds the
+    donor's engine at the checkpoint's fence.
+    """
+    if checksum(snapshot.heap_payload) != snapshot.heap_crc:
+        raise ChecksumError("snapshot heap payload failed CRC verification")
+    for run in snapshot.runs:
+        if checksum(run.payload) != run.crc:
+            raise ChecksumError(f"snapshot run {run.name!r} failed CRC verification")
+
+    def translated(run_name: str) -> str:
+        _, sep, seq = run_name.rpartition("-run-")
+        if not sep:
+            raise RecoveryError(f"snapshot run {run_name!r} has no run sequence")
+        return f"{name}-run-{seq}"
+
+    run_files = [(translated(run.name), run.payload) for run in snapshot.runs]
+    checkpoint = dataclasses.replace(
+        snapshot.checkpoint,
+        table=table.name,
+        runs=tuple(
+            dataclasses.replace(entry, name=translated(entry.name))
+            for entry in snapshot.checkpoint.runs
+        ),
+    )
+
+    for file_name in list(ssd_volume):
+        ssd_volume.delete(file_name)
+    wal_file = ssd_volume.create(wal_name, ssd_volume.device.capacity // 4)
+    heap = table.heap
+    if snapshot.heap_payload:
+        heap.file.write(0, snapshot.heap_payload)
+    end = len(snapshot.heap_payload)
+    if end + heap.page_size <= heap.file.size:
+        heap.file.zero_range(end, heap.page_size)
+    for file_name, payload in run_files:
+        ssd_volume.create(file_name, len(payload)).append(payload)
+    RedoLog(wal_file).log_checkpoint(checkpoint)
+    return wal_file
+
+
 def recover_masm(
     table: Table,
     ssd_volume: StorageVolume,
@@ -138,6 +222,8 @@ def recover_masm(
     merges: list[tuple[str, tuple[str, ...], tuple[int, int]]] = []
     # run name -> RunManifestEntry from the newest CHECKPOINT record.
     manifest: dict = {}
+    # run name -> passes: the manifest's, then each RUN_MERGE's product.
+    passes: dict[str, int] = {}
     full_range = (0, 2**63 - 1)
     with trace("txn.recover.replay"):
         for record in redo_log.records():
@@ -170,8 +256,12 @@ def recover_masm(
                 else:
                     completed_partial.append((names, tuple(key_range)))
             elif record.type == LogRecordType.RUN_MERGE:
-                merges.append(
-                    (record.run_name, record.run_names or (), record.covered_ts)
+                victims = record.run_names or ()
+                merges.append((record.run_name, victims, record.covered_ts))
+                # _merge_earliest_runs' rule: one pass more than the
+                # most-written victim.
+                passes[record.run_name] = 1 + max(
+                    (passes.get(name, 1) for name in victims), default=1
                 )
             elif record.type == LogRecordType.CHECKPOINT:
                 cp = record.checkpoint
@@ -182,6 +272,7 @@ def recover_masm(
                     flushed_through = max(flushed_through, cp.checkpoint_ts)
                     migrated_ts = max(migrated_ts, cp.migrated_ts)
                     manifest = {entry.name: entry for entry in cp.runs}
+                    passes.update((entry.name, entry.passes) for entry in cp.runs)
                     report.checkpoint_ts = max(
                         report.checkpoint_ts, cp.checkpoint_ts
                     )
@@ -200,7 +291,11 @@ def recover_masm(
         masm._run_seq = max(masm._run_seq, seq + 1)
         try:
             run = load_run(
-                ssd_volume, file_name, masm.codec, block_size=masm.config.block_size
+                ssd_volume,
+                file_name,
+                masm.codec,
+                block_size=masm.config.block_size,
+                passes=passes.get(file_name, 1),
             )
         except (RecoveryError, StorageError):
             # ChecksumError (bit rot, torn run write) or undecodable

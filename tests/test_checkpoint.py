@@ -7,6 +7,8 @@ crashing, recovering, snapshotting or repairing — can never change what
 any scan at any timestamp answers.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.masm import MaSM, MaSMConfig
@@ -19,7 +21,7 @@ from repro.storage.disk import SimulatedDisk
 from repro.storage.file import StorageVolume
 from repro.storage.ssd import SimulatedSSD
 from repro.txn.log import LogRecordType, RedoLog
-from repro.txn.recovery import recover_masm
+from repro.txn.recovery import lay_down_snapshot, restart_masm
 from repro.util.units import KB, MB
 
 SCHEMA = synthetic_schema()
@@ -40,11 +42,7 @@ def build_system(n=1000, log_bytes=2 * MB):
 
 
 def crash_and_recover(masm, table, ssd_vol, log, config):
-    bare_table = Table(table.name, table.schema, table.heap)
-    bare_table.heap.num_pages = table.heap.capacity_pages
-    fresh_log = RedoLog(log.file)
-    fresh_log.file._append_pos = 0  # cursor lost with the crash
-    return recover_masm(bare_table, ssd_vol, fresh_log, config=config)
+    return restart_masm(table, ssd_vol, log.file, config=config)
 
 
 def scan_dict(masm):
@@ -246,6 +244,15 @@ def test_peer_repair_rebuilds_run_by_span():
 
 
 # --------------------------------------------------------------- snapshots
+def install(snapshot, config):
+    """Lay ``snapshot`` down on a fresh node and restart an engine there."""
+    disk_vol = StorageVolume(SimulatedDisk(capacity=128 * MB))
+    ssd_vol = StorageVolume(SimulatedSSD(capacity=8 * MB))
+    target = Table.create(disk_vol, "t", SCHEMA, 1000)
+    wal = lay_down_snapshot(snapshot, target, ssd_vol, "masm-t", "redo-log")
+    return restart_masm(target, ssd_vol, wal, config=config)
+
+
 def test_snapshot_export_install_roundtrip():
     masm, table, ssd_vol, log, config = build_system()
     for i in range(40):
@@ -254,14 +261,9 @@ def test_snapshot_export_install_roundtrip():
     for i in range(5):
         masm.modify(i * 2 + 100, {"payload": f"late{i}"})
     snapshot = masm.export_snapshot()
-    assert snapshot.snapshot_ts == masm.flushed_through
+    assert snapshot.checkpoint.checkpoint_ts == masm.flushed_through
 
-    disk_vol2 = StorageVolume(SimulatedDisk(capacity=128 * MB))
-    ssd_vol2 = StorageVolume(SimulatedSSD(capacity=8 * MB))
-    target = Table.create(disk_vol2, "t", SCHEMA, 1000)
-    installed, manifest = MaSM.install_snapshot(
-        snapshot, target, ssd_vol2, config=config
-    )
+    installed, report = install(snapshot, config)
     # The install carries everything at or below the fence; the 5 late
     # buffered updates are exactly what catch-up would replay.
     late = {i * 2 + 100 for i in range(5)}
@@ -271,8 +273,9 @@ def test_snapshot_export_install_roundtrip():
     assert {
         k: v for k, v in scan_dict(installed).items() if k not in late
     } == expected
-    assert manifest.checkpoint_ts == snapshot.snapshot_ts
-    assert installed.flushed_through == snapshot.snapshot_ts
+    assert report.checkpoint_ts == snapshot.checkpoint.checkpoint_ts
+    assert installed.flushed_through == snapshot.checkpoint.checkpoint_ts
+    assert installed.redo_log.truncated_through == report.checkpoint_ts
     # Run metadata survives translation: covered spans intact.
     assert sorted(
         (r.covered_min_ts, r.covered_max_ts) for r in installed.runs
@@ -285,21 +288,11 @@ def test_snapshot_install_verifies_crcs():
         masm.modify(i * 2, {"payload": f"v{i}"})
     masm.flush_buffer()
     snapshot = masm.export_snapshot()
-    tampered = snapshot.__class__(
-        table=snapshot.table,
-        snapshot_ts=snapshot.snapshot_ts,
-        migrated_ts=snapshot.migrated_ts,
-        heap_pages=snapshot.heap_pages,
-        heap_payload=b"\x00" * len(snapshot.heap_payload),
-        heap_crc=snapshot.heap_crc,
-        runs=snapshot.runs,
-        checkpoint=snapshot.checkpoint,
+    tampered = dataclasses.replace(
+        snapshot, heap_payload=b"\x00" * len(snapshot.heap_payload)
     )
-    disk_vol2 = StorageVolume(SimulatedDisk(capacity=128 * MB))
-    ssd_vol2 = StorageVolume(SimulatedSSD(capacity=8 * MB))
-    target = Table.create(disk_vol2, "t", SCHEMA, 1000)
     with pytest.raises(ChecksumError):
-        MaSM.install_snapshot(tampered, target, ssd_vol2, config=config)
+        install(tampered, config)
 
 
 def test_snapshot_export_refused_with_quarantined_run():

@@ -13,7 +13,7 @@ from repro.storage.faults import FaultPlan, use_fault_plan
 from repro.storage.file import StorageVolume
 from repro.storage.ssd import SimulatedSSD
 from repro.txn.log import RedoLog
-from repro.txn.recovery import recover_masm
+from repro.txn.recovery import restart_masm
 from repro.util.units import KB, MB
 
 SCHEMA = synthetic_schema()
@@ -36,11 +36,7 @@ def build_system(n=1000):
 
 
 def crash_and_recover(masm, table, ssd_vol, log, config):
-    bare_table = Table(table.name, table.schema, table.heap)
-    bare_table.heap.num_pages = table.heap.capacity_pages
-    fresh_log = RedoLog(log.file)
-    fresh_log.file._append_pos = 0
-    return recover_masm(bare_table, ssd_vol, fresh_log, config=config)
+    return restart_masm(table, ssd_vol, log.file, config=config)
 
 
 def churn(masm, rounds, per_round=60, seed_base=0):

@@ -19,7 +19,7 @@ from repro.storage.disk import SimulatedDisk
 from repro.storage.file import StorageVolume
 from repro.storage.ssd import SimulatedSSD
 from repro.txn.log import RedoLog
-from repro.txn.recovery import recover_masm
+from repro.txn.recovery import restart_masm
 from repro.util.units import KB, MB
 
 SCHEMA = synthetic_schema()
@@ -60,11 +60,7 @@ def workload(masm, shadow, steps, seed):
 
 
 def crash_recover(table, ssd_vol, log, config):
-    bare = Table(table.name, table.schema, table.heap)
-    bare.heap.num_pages = table.heap.capacity_pages
-    fresh_log = RedoLog(log.file)
-    fresh_log.file._append_pos = 0
-    return recover_masm(bare, ssd_vol, fresh_log, config=config)
+    return restart_masm(table, ssd_vol, log.file, config=config)
 
 
 @pytest.mark.parametrize("consume_fraction", [0.0, 0.3, 0.9])

@@ -23,7 +23,7 @@ from repro.core.governor import (
     TokenBucket,
 )
 from repro.core.masm import MaSM, MaSMConfig
-from repro.core.replication import ReplicatedWarehouse
+from repro.core.replication import ReplicaSet, ReplicatedWarehouse
 from repro.engine.record import synthetic_schema
 from repro.engine.table import Table
 from repro.errors import BackpressureError, UpdateCacheFullError
@@ -32,6 +32,7 @@ from repro.storage.clock import SimClock
 from repro.storage.disk import SimulatedDisk
 from repro.storage.file import StorageVolume
 from repro.storage.ssd import SimulatedSSD
+from repro.txn.timestamps import TimestampOracle
 from repro.util.units import KB, MB
 
 SCHEMA = synthetic_schema()
@@ -137,20 +138,27 @@ class TestGovernorConfig:
         with pytest.raises(ValueError):
             GovernorConfig(max_steps_per_room=0)
 
-    def test_masm_config_resolution(self):
-        assert MaSMConfig().governor_config() is None
-        only_policy = MaSMConfig(overload_policy=OverloadPolicy.SHED)
-        assert only_policy.governor_config().overload_policy is OverloadPolicy.SHED
-        tuned = GovernorConfig(admit_rate=100.0)
-        full = MaSMConfig(governor=tuned)
-        assert full.governor_config() is tuned
-        overridden = MaSMConfig(
-            overload_policy=OverloadPolicy.SYNC_MIGRATE, governor=tuned
-        )
-        effective = overridden.governor_config()
-        assert effective.overload_policy is OverloadPolicy.SYNC_MIGRATE
-        assert effective.admit_rate == 100.0
-        assert tuned.overload_policy is OverloadPolicy.DELAY  # original intact
+    def test_only_the_primary_of_a_replica_set_is_governed(self):
+        """The primary's admission decision is the set's: a follower that
+        shed a shipped update would silently diverge, so ``ReplicaSet.build``
+        strips the governor from every follower's config."""
+        with use_registry():
+            tuned = GovernorConfig(overload_policy=OverloadPolicy.SHED)
+            rset = ReplicaSet.build(
+                0,
+                SCHEMA,
+                TimestampOracle(),
+                SimClock(),
+                replication=3,
+                records_per_node=400,
+                masm_config=MaSMConfig(alpha=1.2, auto_migrate=False, governor=tuned),
+            )
+            primary, *followers = rset.replicas
+            assert primary.config.governor is tuned
+            assert primary.masm.governor.config.overload_policy is OverloadPolicy.SHED
+            for follower in followers:
+                assert follower.config.governor is None
+                assert follower.masm.governor is None
 
 
 # -------------------------------------------------------------- test rig
@@ -449,8 +457,9 @@ class TestShardedGovernance:
                 block_size=2 * KB,
                 cache_bytes=96 * KB,
                 auto_migrate=False,
-                overload_policy=OverloadPolicy.DELAY,
-                governor=GovernorConfig(admit_rate=None),
+                governor=GovernorConfig(
+                    overload_policy=OverloadPolicy.DELAY, admit_rate=None
+                ),
             )
             warehouse = ReplicatedWarehouse(
                 SCHEMA,

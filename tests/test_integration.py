@@ -16,7 +16,7 @@ from repro.storage.file import StorageVolume
 from repro.storage.iosched import CpuMeter, OverlapWindow
 from repro.storage.ssd import SimulatedSSD
 from repro.txn.log import RedoLog
-from repro.txn.recovery import recover_masm
+from repro.txn.recovery import restart_masm
 from repro.txn.snapshot import SnapshotManager
 from repro.util.units import KB, MB
 from repro.workloads.synthetic import SyntheticUpdateGenerator
@@ -86,11 +86,7 @@ def test_crash_recovery_preserves_the_full_view():
     expected = {SCHEMA.key(r): r for r in masm.range_scan(0, 2**62)}
 
     # Crash: all volatile state gone; devices and log survive.
-    bare = Table(table.name, table.schema, table.heap)
-    bare.heap.num_pages = table.heap.capacity_pages
-    fresh_log = RedoLog(log.file)
-    fresh_log.file._append_pos = 0
-    recovered, report = recover_masm(bare, ssd_vol, fresh_log, config=config)
+    recovered, report = restart_masm(table, ssd_vol, log.file, config=config)
     got = {SCHEMA.key(r): r for r in recovered.range_scan(0, 2**62)}
     assert got == expected
     assert report.runs_reloaded + report.buffer_updates_replayed > 0

@@ -21,7 +21,7 @@ from repro.storage.faults import FaultPlan, use_fault_plan
 from repro.storage.file import StorageVolume
 from repro.storage.ssd import SimulatedSSD
 from repro.txn.log import RedoLog
-from repro.txn.recovery import recover_masm
+from repro.txn.recovery import restart_masm
 from repro.util.units import KB, MB
 
 SCHEMA = synthetic_schema()
@@ -80,18 +80,14 @@ class System:
 
     def crash_and_recover(self) -> None:
         old_oracle_ts = self.masm.oracle.current
-        bare = Table(self.table.name, self.table.schema, self.table.heap)
-        bare.heap.num_pages = self.table.heap.capacity_pages
-        fresh_log = RedoLog(self.log.file)
-        fresh_log.file._append_pos = 0
-        recovered, _report = recover_masm(
-            bare, self.ssd_vol, fresh_log, config=self.config
+        recovered, _report = restart_masm(
+            self.table, self.ssd_vol, self.log.file, config=self.config
         )
         # Timestamps handed to scans never hit the WAL; the recovered
         # oracle must not re-issue them or the model's history would shift.
         recovered.oracle.advance_past(old_oracle_ts)
         self.masm = recovered
-        self.log = fresh_log
+        self.log = recovered.redo_log
 
 
 def run_ops(system: System, ops) -> None:

@@ -13,8 +13,8 @@ from repro.sim.model import ModelTable
 from repro.storage.disk import SimulatedDisk
 from repro.storage.file import StorageVolume
 from repro.storage.ssd import SimulatedSSD
-from repro.txn.log import RedoLog
-from repro.txn.recovery import rebuild_table_index, recover_masm
+from repro.txn.log import LogRecordType, RedoLog
+from repro.txn.recovery import rebuild_table_index, restart_masm
 from repro.util.units import KB, MB
 
 SCHEMA = synthetic_schema()
@@ -40,11 +40,7 @@ def crash_and_recover(masm, table, ssd_vol, log, config):
     The devices (disk, SSD, log file) survive; a fresh Table object wraps
     the surviving heap file with an empty (lost) sparse index.
     """
-    bare_table = Table(table.name, table.schema, table.heap)
-    bare_table.heap.num_pages = table.heap.capacity_pages  # length unknown
-    fresh_log = RedoLog(log.file)
-    fresh_log.file._append_pos = 0  # cursor lost with the crash
-    return recover_masm(bare_table, ssd_vol, fresh_log, config=config)
+    return restart_masm(table, ssd_vol, log.file, config=config)
 
 
 def scan_dict(masm):
@@ -326,6 +322,43 @@ def test_uncommitted_merge_keeps_victims_on_recovery():
     recovered.modify(46, {"payload": "post-recovery"})
     recovered.flush_buffer()
     assert product not in ssd_vol, "logged product name must not be reused"
+
+
+@pytest.mark.parametrize("truncated", [False, True], ids=["logged", "truncated"])
+def test_recovery_keeps_every_runs_pass_count(truncated):
+    """A merged run comes back with the passes it was written with.
+
+    Passes decide which runs the next merge takes (1-pass runs first), so
+    a recovered 2-pass run read back as 1-pass could be merged again as a
+    fresh victim and its updates written to the SSD a third time.  The
+    RUN_MERGE records prove the counts while they are in the log (one pass
+    more than the most-written victim, products of products included);
+    after ``checkpoint_and_truncate`` dropped them, the CHECKPOINT's
+    manifest carries them.
+    """
+    masm, table, ssd_vol, log, config = build_system()
+    for flush in range(6):
+        for i in range(30):
+            masm.modify(((flush * 30 + i) * 7 % 1000) * 2, {"payload": f"v{flush}"})
+        masm.flush_buffer()
+    masm._merge_earliest_runs(3)  # 1 1 1 2
+    masm._merge_earliest_runs(2)  # 1 2 2
+    masm._merge_earliest_runs(2)  # no two 1-pass runs left: 2 3
+    masm.modify(4, {"payload": "last"})
+    masm.flush_buffer()
+    passes = [(r.name, r.passes) for r in masm.runs]
+    assert [p for _, p in passes] == [2, 3, 1]
+    expected = scan_dict(masm)
+    if truncated:
+        assert masm.checkpoint_and_truncate() is not None
+        assert not any(
+            record.type is LogRecordType.RUN_MERGE for record in log.records()
+        )
+
+    recovered, report = crash_and_recover(masm, table, ssd_vol, log, config)
+    assert report.checkpoint_ts == (masm.flushed_through if truncated else 0)
+    assert [(r.name, r.passes) for r in recovered.runs] == passes
+    assert scan_dict(recovered) == expected
 
 
 def test_recovery_after_heap_shrinking_migration():

@@ -360,6 +360,27 @@ def test_crash_explorer_fires_the_merge_sites():
         assert report.fired(site) > 0
 
 
+@pytest.mark.parametrize("seed", [2, 3, 11])
+def test_durability_scenario_bootstraps_and_validates(seed, monkeypatch):
+    """The one scenario that wipes replicas and revives them by snapshot
+    bootstrap: every read is model-checked and the final state validated,
+    and at least one bootstrap must run, or the test proves nothing about
+    the lay-down-and-restart path."""
+    from repro.core.replication import ReplicaSet
+
+    bootstraps = []
+    bootstrap = ReplicaSet.bootstrap_replica
+
+    def counted(self, replica_id, source_id=None):
+        bootstraps.append(replica_id)
+        return bootstrap(self, replica_id, source_id=source_id)
+
+    monkeypatch.setattr(ReplicaSet, "bootstrap_replica", counted)
+    run = run_simulation(SCENARIOS["durability"](), seed=seed)
+    assert run.report.verdict == "ok"
+    assert bootstraps
+
+
 # ------------------------------------------------------------------ the CLI
 def test_cli_sweep_covers_the_pinned_txn_vs_plain_seeds(capsys):
     """``--sweep`` runs a seed range of one scenario and fails on any
