@@ -35,7 +35,8 @@ from typing import Optional, Sequence
 
 import numpy as _np
 
-from repro.core.update import UpdateColumns, UpdateType
+from repro.core.update import UpdateColumns, UpdateType, combine_chain
+from repro.errors import ReproError
 from repro.storage.iosched import (
     KERNEL_COMBINE_CPU_PER_UPDATE,
     KERNEL_MERGE_CPU_PER_UPDATE,
@@ -131,9 +132,9 @@ def fold_chains(
     most keep one member's payload as it is, the rest get a freshly spliced
     payload appended to the batch's buffer.  The combined update takes the
     chain's first position, its last member's timestamp and the folded op
-    code — in the columns; the header bytes under a chain's row stay a
-    member's (:meth:`UpdateColumns.contiguous` rebuilds them).  Unflagged
-    rows pass through untouched, and nothing becomes an object.
+    code, all in the columns.  Unflagged rows pass through untouched, and
+    nothing becomes an object.  A chain that cannot be combined raises
+    :func:`~repro.core.update.combine_chain`'s error for its records.
     """
     dup = follows[1:]
     if not dup.any():
@@ -144,19 +145,22 @@ def fold_chains(
     if order is not None:
         member_rows = order[member_rows]
     codec = merged.codec
-    head = codec.header_size
     data = merged.data
     ops = merged.ops[member_rows].tolist()
-    bodies = (merged.offsets[member_rows] + head).tolist()
+    bodies = merged.offsets[member_rows].tolist()
     lengths = merged.lengths[member_rows].tolist()
     # Chain c owns members[starts[c] : starts[c + 1]].
     starts = (~follows[member]).nonzero()[0].tolist()
     starts.append(len(ops))
     folded_ops = []
-    kept = []  # per chain: the member whose payload (or header slot) it keeps
+    kept = []  # per chain: the member whose payload (or row) it keeps
     fresh = []  # (chain, new payload bytes)
     for chain, (lo, hi) in enumerate(zip(starts, starts[1:])):
-        op, payload = codec.fold_chain(data, ops[lo:hi], bodies[lo:hi], lengths[lo:hi])
+        folded = codec.fold_chain(data, ops[lo:hi], bodies[lo:hi], lengths[lo:hi])
+        if folded is None:
+            combine_chain(merged.rows(member_rows[lo:hi]).records, codec.schema)
+            raise ReproError("illegal update chain combined")  # pragma: no cover
+        op, payload = folded
         folded_ops.append(op)
         if isinstance(payload, int):
             kept.append(lo + payload)
@@ -174,17 +178,16 @@ def fold_chains(
     out.ops[chains] = folded_ops
     out.timestamps[chains] = merged.timestamps[member_rows[_np.array(starts[1:]) - 1]]
     if fresh:
-        # The batch's bytes, then the new payloads, each behind a header.
+        # The batch's payload bytes, then the new payloads.
         first, end = merged.byte_span()
         pieces = [memoryview(data)[first:end]]
         out.offsets -= first
         at = end - first
-        blank = bytes(head)
         for chain, payload in fresh:
-            pieces += (blank, payload)
+            pieces.append(payload)
             out.offsets[chains[chain]] = at
             out.lengths[chains[chain]] = len(payload)
-            at += head + len(payload)
+            at += len(payload)
         out.data = b"".join(pieces)
     return out
 

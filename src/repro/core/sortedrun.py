@@ -1,9 +1,11 @@
 """Materialized sorted runs of cached updates on the SSD (Section 3.1).
 
 A run is an immutable, key-sorted sequence of update records packed into
-fixed-size blocks.  Blocks never split a record; each block starts with a
-record count.  The run index (one first-key per block) is built while the
-run is written and kept in memory.
+fixed-size blocks.  Blocks never split a record, and each holds its updates
+column-major in the layout :class:`~repro.core.update.UpdateCodec` owns
+(count, keys, timestamps, types, payload lengths, payloads), sealed with a
+checksum trailer.  The run index (one first-key per block) is built while
+the run is written and kept in memory.
 
 Runs are written with large sequential SSD I/Os (no random SSD writes —
 design goal 2) and scanned with batched block reads narrowed by the run
@@ -20,21 +22,13 @@ import numpy as _np
 
 from repro.core.blockcache import DecodedBlockCache
 from repro.core.runindex import COARSE_GRANULARITY, RunIndex
-from repro.core.update import (
-    BLOCK_HEADER,
-    ColumnarBlock,
-    UpdateCodec,
-    UpdateColumns,
-    UpdateRecord,
-)
+from repro.core.update import ColumnarBlock, UpdateCodec, UpdateColumns, UpdateRecord
 from repro.errors import ChecksumError, StorageError
 from repro.obs.registry import get_registry
 from repro.storage import checksum as _checksum
 from repro.storage.file import SimFile, StorageVolume
 from repro.util.search import key_position
 from repro.util.units import MB, ceil_div
-
-_BLOCK_HEADER = BLOCK_HEADER  # record count (framing owned by the codec)
 
 #: Blocks are grouped into write I/Os of this size when materializing a run.
 DEFAULT_WRITE_CHUNK = 1 * MB
@@ -420,7 +414,7 @@ def load_run(
                 data[base : base + block_size],
                 context=f"run {name!r} block {(offset + base) // block_size}",
             )
-        # One header walk per read: first keys, counts and the key and
+        # One decode per read: first keys, counts and the key and
         # timestamp extremes all come off the columns.
         keys, timestamps, _, _, _, bounds = codec.block_columns(
             data, 0, chunk // block_size, block_size
@@ -467,9 +461,9 @@ def write_run(
     """Materialize (key, ts)-sorted updates as a run on ``volume``.
 
     ``updates`` are encoded updates in columnar form (a flushed buffer, a
-    merge's output, a log replay), whose bytes go into the blocks as they
-    are.  Blocks are packed from the length column, greedily, never
-    splitting an update.
+    merge's output, a log replay).  Blocks are packed from the length
+    column, greedily, never splitting an update, and each block's bytes come
+    from the codec (:meth:`UpdateCodec.block_bytes`).
 
     ``size_hint`` pre-allocates the file and writes it ``write_chunk`` bytes
     at a time (merges), shrinking the extent to the written size afterwards;
@@ -482,8 +476,8 @@ def write_run(
         raise StorageError(f"refusing to materialize empty run {name!r}")
     keys, timestamps = updates.keys, updates.timestamps
     sizes = updates.lengths + codec.header_size
-    # Each block's budget leaves room for its count and checksum trailer.
-    budget = block_size - _checksum.TRAILER_SIZE - _BLOCK_HEADER.size
+    # Each block's budget leaves room for its checksum trailer.
+    budget = codec.block_budget(block_size - _checksum.TRAILER_SIZE)
     misplaced = (keys[1:] < keys[:-1]) | (
         (keys[1:] == keys[:-1]) & (timestamps[1:] < timestamps[:-1])
     )
@@ -499,25 +493,15 @@ def write_run(
         )
 
     updates = updates.contiguous()
-    ends = _np.cumsum(sizes)  # update i is data[ends[i] - sizes[i] : ends[i]]
-    bounds = [0]  # block b holds updates bounds[b]:bounds[b + 1] ...
-    cuts = [0]  # ... which are data[cuts[b]:cuts[b + 1]]
+    ends = _np.cumsum(sizes)  # encoded bytes of updates 0..i
+    bounds = [0]  # block b holds updates bounds[b]:bounds[b + 1]
     while bounds[-1] < count:
-        bounds.append(int(ends.searchsorted(cuts[-1] + budget, "right")))
-        cuts.append(int(ends[bounds[-1] - 1]))
-    data = memoryview(updates.data)
-    pack_count = _BLOCK_HEADER.pack
+        used = int(ends[bounds[-1] - 1]) if bounds[-1] else 0
+        bounds.append(int(ends.searchsorted(used + budget, "right")))
 
     def blocks(first: int, last: int) -> bytes:
-        return b"".join(
-            [
-                _checksum.seal(
-                    pack_count(bounds[b + 1] - bounds[b]) + data[cuts[b] : cuts[b + 1]],
-                    block_size,
-                )
-                for b in range(first, last)
-            ]
-        )
+        bodies = codec.block_bytes(updates, bounds[first : last + 1])
+        return b"".join([_checksum.seal(body, block_size) for body in bodies])
 
     num_blocks = len(bounds) - 1
     if size_hint is None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
-from itertools import starmap
+from itertools import accumulate, starmap
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as _np
@@ -151,21 +151,20 @@ def apply_update(
     return schema.apply_modification(record, dict(update.content))
 
 
-#: Framing for a block of update records: leading record count.
+#: The count that opens an encoded block of update records.
 BLOCK_HEADER = struct.Struct("<I")
 
-#: The payload-length field of an update header (the last member of
-#: ``UpdateCodec._HEAD``, 17 bytes in): all the header walk has to read.
-_PAYLOAD_LEN = struct.Struct("<I")
+#: A block's four header columns in the order they follow its count:
+#: (wire type, bytes per update) of keys, timestamps, op codes and payload
+#: lengths.
+_BLOCK_COLUMNS = (("<u8", 8), ("<u8", 8), ("u1", 1), ("<u4", 4))
 
 #: Decode-time lookup avoiding an ``UpdateType(...)`` enum call per record:
 #: indexing it with a block's op-code column maps the whole block at once.
 _TYPE_ARRAY = _np.array(list(UpdateType), dtype=object)
 
-#: The op codes as plain ints (array compares and byte tests in the block
-#: decoder), and the two whose payload is one whole packed record.
+#: The op codes as plain ints (array compares in the block decoder).
 _INSERT, _DELETE, _MODIFY, _REPLACE = map(int, UpdateType)
-_WHOLE_RECORD = (_INSERT, _REPLACE)
 
 
 def _windows(data: bytes, width: int):
@@ -176,14 +175,14 @@ def _windows(data: bytes, width: int):
 
 
 class BlockColumns(NamedTuple):
-    """Header columns of one or more encoded blocks, from one header walk.
+    """Columns of one or more encoded blocks, from one decode.
 
     One entry per update, blocks back to back: ``keys`` and ``timestamps``
-    (uint64, the wire type), ``ops`` (uint8), each header's position in the
-    buffer (``offsets``, int64) and its payload length (``lengths``, int64),
-    so update ``i``'s payload spans ``[offsets[i] + header, offsets[i] +
-    header + lengths[i])``.  ``bounds`` has one more entry than there are
-    blocks: block ``b`` owns rows ``bounds[b]:bounds[b + 1]``.
+    (uint64, the wire type), ``ops`` (uint8), each payload's position in the
+    buffer (``offsets``, int64) and its length (``lengths``, int64), so
+    update ``i``'s payload spans ``[offsets[i], offsets[i] + lengths[i])``.
+    ``bounds`` has one more entry than there are blocks: block ``b`` owns
+    rows ``bounds[b]:bounds[b + 1]``.
     """
 
     keys: object
@@ -197,18 +196,29 @@ class BlockColumns(NamedTuple):
 class UpdateCodec:
     """Fixed-schema binary codec for update records.
 
-    Wire format::
+    One update on its own (a WAL frame's payload, a memory-buffer entry) is
+    a row::
 
         timestamp u64 | key u64 | type u8 | payload_len u32 | payload
+
+    A block of ``n`` updates (what a run's blocks hold) is column-major::
+
+        count u32 | keys u64[n] | timestamps u64[n] | types u8[n]
+                  | payload_len u32[n] | payloads, back to back
+
+    so a block's headers decode as four array views and its payload
+    positions as one cumulative sum, whatever its mix of update types.
+    Either way an update costs :attr:`header_size` bytes plus its payload.
 
     Payload: packed record for INSERT/REPLACE; empty for DELETE; for MODIFY a
     sequence of (field_index u16, packed field value) pairs.
 
     Besides the record-at-a-time :meth:`encode`/:meth:`decode` pair, the
-    codec offers a batch API (:meth:`encode_block`, :meth:`decode_block`,
-    :meth:`encode_many`) that processes a whole block in one pass — the
-    read/write hot path.  Everything is driven by the layout the
-    :class:`~repro.engine.record.Schema` compiled at construction.
+    codec offers a batch API (:meth:`encode_many`, :meth:`block_bytes`,
+    :meth:`block_columns`, :meth:`decode_block`) that processes a whole
+    block in one pass — the read/write hot path.  Everything is driven by
+    the layout the :class:`~repro.engine.record.Schema` compiled at
+    construction.
     """
 
     _HEAD = struct.Struct("<QQBI")
@@ -368,19 +378,57 @@ class UpdateCodec:
         return UpdateColumns.from_encoded(self.encode_many(updates), self)
 
     def encode_block(self, updates: Sequence[UpdateRecord]) -> bytes:
-        """Encode a whole block of updates: count header + packed records."""
-        return BLOCK_HEADER.pack(len(updates)) + b"".join(self.encode_many(updates))
+        """Encode a whole block of updates (see the class docstring)."""
+        columns = self.encode_columns(updates).contiguous()
+        return self.block_bytes(columns, [0, len(columns)])[0]
+
+    def block_bytes(self, columns: "UpdateColumns", bounds: Sequence[int]) -> list[bytes]:
+        """The encoded blocks of ``columns``' rows ``bounds[b]:bounds[b +
+        1]``, one per ``b``; the rows' payloads must lie back to back
+        (:meth:`UpdateColumns.contiguous`).  Each header column is turned
+        into bytes once, and a block is its count, one slice of each and
+        one slice of payloads."""
+        lo, hi = bounds[0], bounds[-1]
+        views = [
+            (memoryview(column[lo:hi].astype(dtype).tobytes()), width)
+            for column, (dtype, width) in zip(
+                (columns.keys, columns.timestamps, columns.ops, columns.lengths),
+                _BLOCK_COLUMNS,
+            )
+        ]
+        first = int(columns.offsets[lo]) if hi > lo else 0
+        running = _np.concatenate(([first], first + _np.cumsum(columns.lengths[lo:hi])))
+        cuts = running[_np.asarray(bounds) - lo].tolist()  # payloads at block edges
+        heap = memoryview(columns.data)
+        blocks = []
+        for b in range(len(bounds) - 1):
+            start, end = bounds[b] - lo, bounds[b + 1] - lo
+            blocks.append(
+                b"".join(
+                    [
+                        BLOCK_HEADER.pack(end - start),
+                        *[view[width * start : width * end] for view, width in views],
+                        heap[cuts[b] : cuts[b + 1]],
+                    ]
+                )
+            )
+        return blocks
+
+    def block_budget(self, body_size: int) -> int:
+        """How many encoded update bytes (:attr:`header_size` plus payload
+        each) a block of ``body_size`` bytes holds besides its count."""
+        return body_size - BLOCK_HEADER.size
 
     def decode_block(
         self, data: bytes, offset: int = 0, columns=None
     ) -> list[UpdateRecord]:
         """Materialise the :class:`UpdateRecord` of every update in the block
-        at ``offset`` (as written by :meth:`encode_block`), or of every row of
+        at ``offset`` (as written by :meth:`block_bytes`), or of every row of
         ``columns``.
 
         ``columns`` is a :meth:`block_columns` result over ``data`` (one
         block's, or a whole read group's) or any :class:`UpdateColumns`
-        row selection of it; the headers are never walked twice —
+        row selection of it; the headers are never decoded twice —
         timestamps, keys and op codes come from the columns, and only
         payloads are decoded here, a column at a time: one
         :meth:`Schema.rows` call for all INSERT/REPLACE records, one value
@@ -392,7 +440,7 @@ class UpdateCodec:
         ops = columns.ops
         if not len(ops):
             return []
-        bodies = columns.offsets + self._HEAD.size
+        bodies = columns.offsets
         whole = _np.flatnonzero((ops == _INSERT) | (ops == _REPLACE))
         rows: list = []
         if len(whole):
@@ -461,102 +509,73 @@ class UpdateCodec:
     def block_columns(
         self, data: bytes, offset: int = 0, blocks: int = 1, stride: int = 0
     ) -> BlockColumns:
-        """Header columns of ``blocks`` encoded blocks laid out ``stride``
-        bytes apart from ``offset`` — one header walk for all of them, no
-        payload decode.  A block ends where the next begins (the last at the
-        end of ``data``); a record running past that, or an INSERT/REPLACE
-        payload that is not exactly one packed record, raises.
+        """Columns of ``blocks`` encoded blocks laid out ``stride`` bytes
+        apart from ``offset`` — no payload decoded.  Each block's four header
+        columns are ``np.frombuffer`` views where they lie, and one
+        cumulative sum over the payload lengths places every payload.
 
-        A block written from an INSERT/REPLACE-only stream has a uniform
-        record stride (header + packed record), so when its first and last
-        headers look the part its positions are laid down by arithmetic and
-        validated afterwards, vectorised: record 0's position is true by
-        framing, and each record whose op code is INSERT/REPLACE and whose
-        payload length is the record size fixes the next record's position —
-        if all of them check out the layout *is* uniform by induction.  If
-        not, the walk is redone header by header.
+        A block ends where the next begins (the last at the end of
+        ``data``).  A count or payloads running past that, an unknown update
+        type, or an INSERT/REPLACE payload that is not exactly one packed
+        record raises :class:`ReproError`.
         """
-        columns = self._walk(data, offset, blocks, stride, guess=True)
-        if columns is None:
-            columns = self._walk(data, offset, blocks, stride, guess=False)
-        return columns
-
-    def _walk(
-        self, data: bytes, offset: int, blocks: int, stride: int, guess: bool
-    ) -> Optional[BlockColumns]:
-        head_size = self._HEAD.size
-        rec_size = self._record_size
-        step = head_size + rec_size
-        length_at = _PAYLOAD_LEN.unpack_from
-        pieces: list = []  # header positions, block by block
-        bounds = [0]
-        guessed: list[tuple[int, int]] = []  # row spans laid down by stride
-        try:
-            for block in range(blocks):
-                base = offset + block * stride
-                limit = base + stride if block < blocks - 1 else len(data)
-                (count,) = BLOCK_HEADER.unpack_from(data, base)
-                pos = base + BLOCK_HEADER.size
-                if pos + count * head_size > limit:
-                    raise ReproError("truncated update record")
-                bounds.append(bounds[-1] + count)
-                if not count:
-                    continue
-                end = pos + count * step
-                if (
-                    guess
-                    and end <= limit
-                    and data[pos + 16] in _WHOLE_RECORD
-                    and data[end - step + 16] in _WHOLE_RECORD
-                ):
-                    guessed.append((bounds[-2], bounds[-1]))
-                    pieces.append(_np.arange(pos, end, step))
-                    continue
-                positions = []
-                append = positions.append
-                for _ in range(count):
-                    append(pos)
-                    pos += head_size + length_at(data, pos + 17)[0]
-                if pos > limit:
-                    raise ReproError("truncated update record")
-                pieces.append(positions)
-        except struct.error:  # a header past the end of ``data``
-            raise ReproError("truncated update record") from None
-        if not pieces:
-            none = _np.empty(0, dtype=_np.uint64)
-            empty = _np.empty(0, dtype=_np.int64)
-            return BlockColumns(
-                none, none, _np.empty(0, dtype=_np.uint8), empty, empty, bounds
-            )
-        offsets = _np.concatenate(pieces)
-        keys, timestamps, ops, lengths = self.header_columns(data, offsets)
-        sized = lengths == rec_size
+        counts: list[int] = []
+        heaps: list[int] = []  # where each block's payloads start ...
+        limits: list[int] = []  # ... and the byte they must end by
+        parts: tuple[list, ...] = ([], [], [], [])
+        start = BLOCK_HEADER.size
+        for block in range(blocks):
+            base = offset + block * stride
+            limit = base + stride if block < blocks - 1 else len(data)
+            if base + start > limit:
+                raise ReproError("truncated update record")
+            (count,) = BLOCK_HEADER.unpack_from(data, base)
+            at = base + start
+            if at + count * self._HEAD.size > limit:
+                raise ReproError("truncated update record")
+            for part, (dtype, width) in zip(parts, _BLOCK_COLUMNS):
+                part.append(_np.frombuffer(data, dtype, count, at))
+                at += count * width
+            counts.append(count)
+            heaps.append(at)
+            limits.append(limit)
+        keys, timestamps, ops, lengths = (_np.concatenate(part) for part in parts)
+        lengths = lengths.astype(_np.int64)
+        bounds = [0, *accumulate(counts)]
+        # ``before[b]``: the payload bytes of the blocks ahead of block b.
+        running = _np.concatenate(([0], _np.cumsum(lengths)))
+        before = running[bounds[:-1]]
+        heaps = _np.array(heaps)
+        if (heaps + running[bounds[1:]] - before > limits).any():
+            raise ReproError("truncated update record")
+        offsets = running[:-1] + _np.repeat(heaps - before, counts)
+        if len(ops) and ops.max() > _REPLACE:
+            raise ReproError("unknown update type in block")
         whole = (ops == _INSERT) | (ops == _REPLACE)
-        for first, last in guessed:
-            if not (whole[first:last] & sized[first:last]).all():
-                return None
-        if not sized[whole].all():
+        if (lengths[whole] != self._record_size).any():
             raise ReproError(
-                f"record payload in block does not match schema size {rec_size}"
+                f"record payload in block does not match schema size {self._record_size}"
             )
         return BlockColumns(keys, timestamps, ops, offsets, lengths, bounds)
 
-    def header_columns(self, data, offsets):
-        """``(keys, timestamps, ops, payload lengths)`` of the encoded updates
-        whose headers start at ``offsets`` in ``data``: one gather, no
-        payload touched."""
-        heads = _windows(data, self._HEAD.size)[offsets].view(self._head_dtype)[:, 0]
+    def row_columns(self, data, starts):
+        """``(keys, timestamps, ops, payload offsets, payload lengths)`` of
+        the encoded rows that start at ``starts`` in ``data`` (the
+        :meth:`encode` format): one gather of their headers, no payload
+        touched."""
+        heads = _windows(data, self._HEAD.size)[starts].view(self._head_dtype)[:, 0]
         return (
             _np.ascontiguousarray(heads["key"]),
             _np.ascontiguousarray(heads["timestamp"]),
             _np.ascontiguousarray(heads["op"]),
+            starts + self._HEAD.size,
             heads["payload_len"].astype(_np.int64),
         )
 
     def decode_blocks(self, blocks: Sequence[bytes]) -> list["ColumnarBlock"]:
         """Decode equal-sized encoded blocks (one read group) in one pass.
 
-        One :meth:`block_columns` walk serves the whole group; the returned
+        One :meth:`block_columns` decode serves the whole group; the returned
         :class:`ColumnarBlock` s share the group's bytes and header columns
         (each owns a row range of them), and no :class:`UpdateRecord` is
         built until one of them is asked for its records.
@@ -628,8 +647,9 @@ class UpdateCodec:
         result's as it stands (the last DELETE; the last INSERT/REPLACE with
         nothing after it), otherwise new payload bytes (the last
         INSERT/REPLACE record with the later MODIFYs' values spliced in, or
-        the MODIFYs merged into one).  An illegal chain is decoded and handed
-        to :func:`combine_chain`, which raises its
+        the MODIFYs merged into one).  Returns None for a chain
+        :func:`combine_chain` rejects (a MODIFY of a deleted record, an
+        INSERT of a live one): its caller decodes the members for the
         :class:`UpdateConflictError`.
         """
         state = ops[0]
@@ -641,13 +661,10 @@ class UpdateCodec:
                 state, modifies = op, []
             elif op == _MODIFY and state != _DELETE:
                 modifies.append(i)
-            elif op == _REPLACE or (op == _INSERT and state not in _WHOLE_RECORD):
+            elif op == _REPLACE or (op == _INSERT and state in (_DELETE, _MODIFY)):
                 state, base, modifies = _REPLACE, i, []
             else:  # MODIFY of a deleted record, INSERT of a live one
-                head = self._HEAD.size
-                records = [self.decode(data, body - head)[0] for body in bodies]
-                combine_chain(records, self.schema)
-                raise ReproError("illegal update chain combined")  # pragma: no cover
+                return None
         if state == _DELETE:
             return state, len(ops) - 1
         if not modifies:
@@ -693,12 +710,14 @@ class UpdateColumns:
     the memory buffer) through the merge into the join.
 
     ``keys`` / ``timestamps`` (uint64), ``ops`` (uint8), and for each update
-    its header's position in ``data`` (``offsets``) and its payload length
-    (``lengths``), as in :class:`BlockColumns`.  Rows are in (key, ts) order
-    when the object is a source's slice, and strictly increasing in key when
-    it is a merged batch.  Payload bytes are touched only by whoever needs
-    them: :attr:`records` (record-shaped consumers), chain folds and the
-    join's row gather / column patches.
+    its payload's position in ``data`` (``offsets``) and length
+    (``lengths``), as in :class:`BlockColumns`.  The buffer may be encoded
+    rows (the memory buffer, WAL frames) or column blocks (a run's read
+    group): only payloads are ever read from it.  Rows are in (key, ts)
+    order when the object is a source's slice, and strictly increasing in
+    key when it is a merged batch.  Payload bytes are touched only by
+    whoever needs them: :attr:`records` (record-shaped consumers), chain
+    folds and the join's row gather / column patches.
     """
 
     __slots__ = ("data", "codec", "keys", "timestamps", "ops", "offsets", "lengths")
@@ -722,14 +741,12 @@ class UpdateColumns:
         order given, over their bytes back to back."""
         data = b"".join(pieces)
         sizes = _np.fromiter(map(len, pieces), dtype=_np.int64, count=len(pieces))
-        offsets = _np.cumsum(sizes) - sizes
-        keys, timestamps, ops, lengths = codec.header_columns(data, offsets)
-        return cls(data, codec, keys, timestamps, ops, offsets, lengths)
+        return cls(data, codec, *codec.row_columns(data, _np.cumsum(sizes) - sizes))
 
     def sorted(self) -> "UpdateColumns":
         """The rows in (key, ts) order — equal positions keep their order —
-        over a buffer that holds them back to back (:meth:`contiguous`): the
-        form every update source hands the merge."""
+        with their payloads back to back (:meth:`contiguous`): the form
+        every update source hands the merge."""
         if not len(self):
             return self
         return self.rows(_np.lexsort((self.timestamps, self.keys))).contiguous()
@@ -740,28 +757,21 @@ class UpdateColumns:
         return int(self.lengths.sum()) + len(self) * self.codec.header_size
 
     def contiguous(self) -> "UpdateColumns":
-        """The same rows (at least one) over a buffer that holds exactly
-        their encodings, back to back in row order — what a block writer
-        slices.  ``self`` when it already is one; otherwise the rows' bytes
-        are copied out in order and their headers packed from the columns (a
-        folded chain's columns carry its timestamp and op code, the bytes
-        under it a member's)."""
-        codec = self.codec
-        sizes = self.lengths + codec.header_size
-        ends = _np.cumsum(sizes)
-        starts = ends - sizes
-        if len(self.data) == ends[-1] and (self.offsets == starts).all():
+        """The same rows with their payloads back to back in row order —
+        what a block's payloads are cut from.  ``self`` when they already
+        are; otherwise the payloads are copied out in order, one gather and
+        one scatter per distinct payload length."""
+        offsets, lengths = self.offsets, self.lengths
+        if (offsets[1:] == (offsets + lengths)[:-1]).all():
             return self
-        view = memoryview(self.data)
-        out = bytearray().join(
-            [view[at : at + size] for at, size in zip(self.offsets.tolist(), sizes.tolist())]
-        )
-        heads = _np.empty(len(sizes), dtype=codec._head_dtype)
-        heads["timestamp"], heads["key"] = self.timestamps, self.keys
-        heads["op"], heads["payload_len"] = self.ops, self.lengths
-        _windows(out, codec.header_size)[starts] = heads.view(_np.uint8).reshape(len(sizes), -1)
+        starts = _np.cumsum(lengths) - lengths
+        out = _np.empty(int(lengths.sum()), dtype=_np.uint8)
+        for length in _np.unique(lengths).tolist():
+            if length:
+                rows = (lengths == length).nonzero()[0]
+                _windows(out, length)[starts[rows]] = _windows(self.data, length)[offsets[rows]]
         return UpdateColumns(
-            bytes(out), codec, self.keys, self.timestamps, self.ops, starts, self.lengths
+            out.tobytes(), self.codec, self.keys, self.timestamps, self.ops, starts, lengths
         )
 
     def rows(self, index) -> "UpdateColumns":
@@ -778,10 +788,9 @@ class UpdateColumns:
         )
 
     def byte_span(self) -> tuple[int, int]:
-        """The byte range of ``data`` the rows occupy (non-empty, rows in
-        buffer order: first header to last payload)."""
-        end = int(self.offsets[-1]) + self.codec.header_size + int(self.lengths[-1])
-        return int(self.offsets[0]), end
+        """The byte range of ``data`` the rows' payloads occupy (non-empty,
+        rows in buffer order: first payload to last)."""
+        return int(self.offsets[0]), int(self.offsets[-1] + self.lengths[-1])
 
     @staticmethod
     def concat(parts: Sequence["UpdateColumns"]) -> "UpdateColumns":
@@ -817,23 +826,17 @@ class UpdateColumns:
     def packed_records(self, index):
         """The packed records of the INSERT/REPLACE rows ``index`` selects,
         as a structured array of the schema's dtype."""
-        codec = self.codec
-        return codec.packed_records(self.data, self.offsets[index] + codec.header_size)
+        return self.codec.packed_records(self.data, self.offsets[index])
 
     def apply_modifies(self, index, rows, targets) -> None:
         """Patch ``rows[targets]`` with the MODIFY rows ``index`` selects."""
-        codec = self.codec
-        codec.apply_modifies(
-            self.data,
-            self.offsets[index] + codec.header_size,
-            self.lengths[index],
-            rows,
-            targets,
+        self.codec.apply_modifies(
+            self.data, self.offsets[index], self.lengths[index], rows, targets
         )
 
 
 class BlockGroup:
-    """One read group's verified bytes and header columns, shared by the
+    """One read group's verified bytes and columns, shared by the
     :class:`ColumnarBlock` s decoded from it."""
 
     __slots__ = ("data", "codec", "columns", "stride")

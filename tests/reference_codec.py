@@ -21,7 +21,7 @@ _NUMERIC = {"u32": "<I", "u64": "<Q", "i64": "<q", "f64": "<d"}
 INSERT, DELETE, MODIFY, REPLACE = range(4)
 
 UPDATE_HEAD = struct.Struct("<QQBI")  # timestamp, key, type, payload length
-BLOCK_HEAD = struct.Struct("<I")  # record count
+BLOCK_HEAD = struct.Struct("<I")  # record count, then the block's columns
 
 PAGE_HEAD = struct.Struct("<QIII")  # timestamp, slot_count, free_start, free_end
 SLOT = struct.Struct("<II")  # record offset, record length
@@ -65,19 +65,37 @@ def unpack_record(fields, data: bytes, offset: int = 0) -> tuple:
 
 
 # ------------------------------------------------------------------- updates
-def encode_update(fields, update) -> bytes:
-    timestamp, key, utype, content = update
+def encode_payload(fields, update) -> bytes:
+    _, _, utype, content = update
     if utype in (INSERT, REPLACE):
-        payload = pack_record(fields, content)
-    elif utype == DELETE:
-        payload = b""
-    else:
-        names = [name for name, _ in fields]
-        payload = b"".join(
-            struct.pack("<H", names.index(name))
-            + pack_field(fields[names.index(name)][1], value)
-            for name, value in sorted(content.items())
-        )
+        return pack_record(fields, content)
+    if utype == DELETE:
+        return b""
+    names = [name for name, _ in fields]
+    return b"".join(
+        struct.pack("<H", names.index(name))
+        + pack_field(fields[names.index(name)][1], value)
+        for name, value in sorted(content.items())
+    )
+
+
+def decode_payload(fields, utype: int, data: bytes, body: int, length: int):
+    if utype in (INSERT, REPLACE):
+        return unpack_record(fields, data, body)
+    if utype == DELETE:
+        return None
+    content = {}
+    pos = body
+    while pos < body + length:
+        (idx,) = struct.unpack_from("<H", data, pos)
+        name, code = fields[idx]
+        content[name], pos = unpack_field(code, data, pos + 2)
+    return content
+
+
+def encode_update(fields, update) -> bytes:
+    timestamp, key, utype, _ = update
+    payload = encode_payload(fields, update)
     return UPDATE_HEAD.pack(timestamp, key, utype, len(payload)) + payload
 
 
@@ -85,33 +103,42 @@ def decode_update(fields, data: bytes, offset: int):
     """(update tuple, next offset) of the update at ``offset``."""
     timestamp, key, utype, length = UPDATE_HEAD.unpack_from(data, offset)
     body = offset + UPDATE_HEAD.size
-    if utype in (INSERT, REPLACE):
-        content = unpack_record(fields, data, body)
-    elif utype == DELETE:
-        content = None
-    else:
-        content = {}
-        pos = body
-        while pos < body + length:
-            (idx,) = struct.unpack_from("<H", data, pos)
-            name, code = fields[idx]
-            content[name], pos = unpack_field(code, data, pos + 2)
+    content = decode_payload(fields, utype, data, body, length)
     return (timestamp, key, utype, content), body + length
 
 
 def encode_block(fields, updates) -> bytes:
-    return BLOCK_HEAD.pack(len(updates)) + b"".join(
-        encode_update(fields, u) for u in updates
-    )
+    """A column-major block, one update and one field at a time: the count,
+    every key, every timestamp, every type, every payload length, then the
+    payloads."""
+    payloads = [encode_payload(fields, u) for u in updates]
+    out = [BLOCK_HEAD.pack(len(updates))]
+    out += [struct.pack("<Q", key) for _, key, _, _ in updates]
+    out += [struct.pack("<Q", timestamp) for timestamp, _, _, _ in updates]
+    out += [struct.pack("<B", utype) for _, _, utype, _ in updates]
+    out += [struct.pack("<I", len(payload)) for payload in payloads]
+    return b"".join(out + payloads)
 
 
 def decode_block(fields, data: bytes, offset: int = 0) -> list:
+    """The updates of the column-major block at ``offset``, one at a time:
+    update ``i``'s header fields read from each column's slot ``i``, its
+    payload from where the payloads before it end."""
     (count,) = BLOCK_HEAD.unpack_from(data, offset)
-    pos = offset + BLOCK_HEAD.size
+    keys = offset + BLOCK_HEAD.size
+    timestamps = keys + 8 * count
+    types = timestamps + 8 * count
+    lengths = types + count
+    body = lengths + 4 * count
     updates = []
-    for _ in range(count):
-        update, pos = decode_update(fields, data, pos)
-        updates.append(update)
+    for i in range(count):
+        (key,) = struct.unpack_from("<Q", data, keys + 8 * i)
+        (timestamp,) = struct.unpack_from("<Q", data, timestamps + 8 * i)
+        (utype,) = struct.unpack_from("<B", data, types + i)
+        (length,) = struct.unpack_from("<I", data, lengths + 4 * i)
+        content = decode_payload(fields, utype, data, body, length)
+        updates.append((timestamp, key, utype, content))
+        body += length
     return updates
 
 

@@ -4,10 +4,11 @@ tests.
 ``repro.core.operators`` moves updates as columns: runs and the memory
 buffer hand over key partitions as ``UpdateColumns``, a kernel merges and
 combines them, and the join works on arrays.  These are the literal
-operators that pipeline must agree with: a run read block by block with one
-``decode`` per update, a ``heapq`` merge keyed on ``UpdateRecord.sort_key``
-with ``combine_chain`` per key, and the outer join one ``apply_update`` per
-record under the page-timestamp rule.  Same rows, same order, same errors,
+operators that pipeline must agree with: a run read block by block and
+decoded one update at a time by the per-field reference codec, a ``heapq``
+merge keyed on ``UpdateRecord.sort_key`` with ``combine_chain`` per key,
+and the outer join one ``apply_update`` per record under the page-timestamp
+rule.  Same rows, same order, same errors,
 so a test can hand one input to both and compare everything.  Production
 code does not import this module.
 """
@@ -18,14 +19,10 @@ import heapq
 from bisect import bisect_right
 from typing import Iterable, Iterator, Optional
 
+import reference_codec
 from repro.core import sortedrun
 from repro.core.sortedrun import MaterializedSortedRun
-from repro.core.update import (
-    BLOCK_HEADER,
-    UpdateRecord,
-    apply_update,
-    combine_chain,
-)
+from repro.core.update import UpdateRecord, UpdateType, apply_update, combine_chain
 from repro.engine.record import Schema
 from repro.storage import checksum
 
@@ -59,15 +56,14 @@ def scan_run(
     if span is None:
         return
     block, last_block = span
+    fields = [(field.name, field.type_code) for field in run.codec.schema.fields]
     while block <= last_block:
         group = range(block, min(block + sortedrun.READ_BATCH_BLOCKS, last_block + 1))
         requests = [(b * run.block_size, run.block_size) for b in group]
         for b, data in zip(group, run.file.read_batch(requests)):
             checksum.verify(data, context=f"run {run.name!r} block {b}")
-            (count,) = BLOCK_HEADER.unpack_from(data, 0)
-            offset = BLOCK_HEADER.size
-            for _ in range(count):
-                update, offset = run.codec.decode(data, offset)
+            for timestamp, key, utype, content in reference_codec.decode_block(fields, data):
+                update = UpdateRecord(timestamp, key, UpdateType(utype), content)
                 if update.key < begin_key:
                     continue
                 if update.key > end_key:

@@ -4,8 +4,9 @@ the flush tests.
 ``sortedrun.write_run`` packs blocks from the length column of encoded
 updates and ``MaSM._merge_duplicates`` folds chains on their encoded form.
 These are the loops they replaced: every :class:`UpdateRecord` encoded as it
-is met, the order check, block packing and min/max kept per record, chunks
-written as they fill; duplicates combined pairwise through :func:`combine`.
+is met, the order check, block packing and min/max kept per record, each
+block laid out by the per-field reference codec, chunks written as they
+fill; duplicates combined pairwise through :func:`combine`.
 Same files, same run metadata, same errors, so a test can hand one input to
 both and compare everything.  Production code does not import this module.
 """
@@ -14,15 +15,10 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
+import reference_codec
 from repro.core.runindex import COARSE_GRANULARITY, RunIndex
 from repro.core.sortedrun import DEFAULT_WRITE_CHUNK, MaterializedSortedRun
-from repro.core.update import (
-    BLOCK_HEADER as _BLOCK_HEADER,
-    UpdateCodec,
-    UpdateConflictError,
-    UpdateRecord,
-    combine,
-)
+from repro.core.update import UpdateCodec, UpdateConflictError, UpdateRecord, combine
 from repro.errors import StorageError
 from repro.storage import checksum as _checksum
 from repro.storage.file import SimFile, StorageVolume
@@ -42,10 +38,11 @@ def reference_write_run(
     if write_chunk % block_size != 0:
         write_chunk = block_size * max(1, write_chunk // block_size)
 
+    fields = [(field.name, field.type_code) for field in codec.schema.fields]
     first_keys: list[int] = []
     blocks_in_chunk: list[bytes] = []
-    block_records: list[bytes] = []
-    block_bytes = _BLOCK_HEADER.size
+    block_records: list[tuple] = []
+    block_bytes = reference_codec.BLOCK_HEAD.size
     block_first_key: Optional[int] = None
 
     stats = {
@@ -84,11 +81,11 @@ def reference_write_run(
         nonlocal block_records, block_bytes, block_first_key
         if not block_records:
             return
-        body = _BLOCK_HEADER.pack(len(block_records)) + b"".join(block_records)
+        body = reference_codec.encode_block(fields, block_records)
         blocks_in_chunk.append(_checksum.seal(body, block_size))
         first_keys.append(block_first_key)
         block_records = []
-        block_bytes = _BLOCK_HEADER.size
+        block_bytes = reference_codec.BLOCK_HEAD.size
         block_first_key = None
         # Without a size hint the file cannot be allocated yet; buffer all
         # blocks and write once at the end (1-pass runs fit in memory by
@@ -107,7 +104,7 @@ def reference_write_run(
         # Each block's payload budget leaves room for the checksum
         # trailer stamped by close_block.
         payload_budget = block_size - _checksum.TRAILER_SIZE
-        if _BLOCK_HEADER.size + len(encoded) > payload_budget:
+        if reference_codec.BLOCK_HEAD.size + len(encoded) > payload_budget:
             raise StorageError(
                 f"update of {len(encoded)} bytes exceeds block size {block_size}"
             )
@@ -115,7 +112,7 @@ def reference_write_run(
             close_block()
         if block_first_key is None:
             block_first_key = update.key
-        block_records.append(encoded)
+        block_records.append((update.timestamp, update.key, int(update.type), update.content))
         block_bytes += len(encoded)
         stats["count"] += 1
         if stats["min_key"] is None:

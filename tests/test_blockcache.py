@@ -4,10 +4,11 @@ back the block-granular read pipeline."""
 
 import pytest
 
+import reference_codec
 import reference_operators as ref
 from repro.core.blockcache import DecodedBlockCache
 from repro.core.sortedrun import write_run
-from repro.core.update import BLOCK_HEADER, UpdateCodec, UpdateRecord, UpdateType
+from repro.core.update import UpdateCodec, UpdateRecord, UpdateType
 from repro.engine.record import synthetic_schema
 from repro.storage.file import StorageVolume
 from repro.storage.ssd import SimulatedSSD
@@ -15,6 +16,7 @@ from repro.util.units import KB, MB
 
 SCHEMA = synthetic_schema()
 CODEC = UpdateCodec(SCHEMA)
+FIELDS = [(field.name, field.type_code) for field in SCHEMA.fields]
 
 
 def make_run(n=2000, name="r0", block_size=4 * KB, vol=None):
@@ -248,23 +250,20 @@ def test_encode_block_decode_block_round_trip():
     ]
     block = CODEC.encode_block(updates)
     assert CODEC.decode_block(block) == updates
-    # Per-record encoding agrees byte for byte with the batch encoder.
-    (count,) = BLOCK_HEADER.unpack_from(block, 0)
-    assert count == len(updates)
-    assert block[BLOCK_HEADER.size :] == b"".join(CODEC.encode(u) for u in updates)
+    # The batch encoder agrees byte for byte with the per-field reference.
+    assert block == reference_codec.encode_block(FIELDS, [_plain(u) for u in updates])
 
 
 def test_decode_block_matches_record_decoder():
     run = make_run(n=300)
     data = run.file.read(0, run.block_size)
     batch = CODEC.decode_block(data)
-    (count,) = BLOCK_HEADER.unpack_from(data, 0)
-    offset = BLOCK_HEADER.size
-    singles = []
-    for _ in range(count):
-        u, offset = CODEC.decode(data, offset)
-        singles.append(u)
-    assert batch == singles
+    singles = reference_codec.decode_block(FIELDS, data)
+    assert [_plain(u) for u in batch] == singles
+
+
+def _plain(update):
+    return (update.timestamp, update.key, int(update.type), update.content)
 
 
 # ------------------------------------------------- migrated-range coalescing

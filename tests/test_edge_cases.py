@@ -15,6 +15,7 @@ from repro.errors import (
 )
 from repro.storage.disk import SimulatedDisk
 from repro.storage.file import StorageVolume
+from repro.storage import checksum
 from repro.storage.ssd import SimulatedSSD
 from repro.util.units import KB, MB
 
@@ -116,7 +117,7 @@ def test_load_run_roundtrip():
 
 
 def test_load_run_rebuilds_what_write_run_knew():
-    """One header walk per read: index, counts and extremes off the columns,
+    """One decode per read: index, counts and extremes off the columns,
     over mixed update types and timestamps that are not in key order."""
     vol = StorageVolume(SimulatedSSD(capacity=8 * MB))
     updates = []
@@ -169,6 +170,62 @@ def test_load_run_rejects_damaged_blocks_as_before():
 
     run.file.write(victim, good)
     assert load_run(vol, "r", CODEC, block_size=block_size).count == 300
+
+
+#: A block of every update type: INSERT, MODIFY, DELETE, REPLACE.
+MIXED = [
+    UpdateRecord(1, 2, UpdateType.INSERT, (2, "v2")),
+    UpdateRecord(2, 4, UpdateType.MODIFY, {"payload": "m4"}),
+    UpdateRecord(3, 6, UpdateType.DELETE, None),
+    UpdateRecord(4, 8, UpdateType.REPLACE, (8, "r8")),
+]
+
+
+def _with_length(block: bytes, row: int, length: int) -> bytes:
+    """``block`` with the payload length of update ``row`` overwritten."""
+    at = 4 + 17 * len(MIXED) + 4 * row  # past the count, keys, timestamps, types
+    return block[:at] + length.to_bytes(4, "little") + block[at + 4 :]
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        # A count whose header columns alone run past the block.
+        (lambda b: (10**6).to_bytes(4, "little") + b[4:], "truncated update record"),
+        # Payload lengths that sum past the block.
+        (lambda b: _with_length(b, 1, 1 * KB), "truncated update record"),
+        (lambda b: _with_length(b, 2, 2**32 - 1), "truncated update record"),
+        # An INSERT or REPLACE payload that is not one packed record.
+        (lambda b: _with_length(b, 0, SCHEMA.record_size - 1), "does not match schema size"),
+        (lambda b: _with_length(b, 3, SCHEMA.record_size + 1), "does not match schema size"),
+        # An op code no update type has, on the MODIFY (types follow the
+        # keys and timestamps).
+        (lambda b: b[:69] + bytes([7]) + b[70:], "unknown update type"),
+    ],
+    ids=["count", "modify-length", "delete-length", "insert-length", "replace-length", "type"],
+)
+def test_blocks_that_verify_but_do_not_parse_raise_typed_errors(corrupt, message):
+    """A block whose checksum holds but whose columns contradict it ends in
+    the :class:`ReproError` a truncated or mis-sized record raises, on
+    every path that decodes blocks."""
+    block = CODEC.encode_block(MIXED)
+    assert CODEC.decode_block(block) == MIXED
+    bad = corrupt(block)
+    block_size = 1 * KB
+    padded = bad.ljust(block_size - checksum.TRAILER_SIZE, b"\x00")
+    with pytest.raises(ReproError, match=message):
+        CODEC.decode_block(padded)
+    good = CODEC.encode_block(MIXED).ljust(block_size, b"\x00")
+    with pytest.raises(ReproError, match=message):
+        CODEC.decode_blocks([good, padded.ljust(block_size, b"\x00"), good])
+
+    vol = StorageVolume(SimulatedSSD(capacity=1 * MB))
+    run = write_run(vol, "r", CODEC.encode_columns(MIXED), CODEC, block_size=block_size)
+    run.file.write(0, checksum.seal(padded, block_size))
+    with pytest.raises(ReproError, match=message):
+        load_run(vol, "r", CODEC, block_size=block_size)
+    with pytest.raises(ReproError, match=message):
+        list(run.scan(0, 100))
 
 
 def test_load_run_missing_file():

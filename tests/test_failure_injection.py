@@ -152,6 +152,67 @@ def test_plan_driven_crash_mid_migration(emit_count):
     assert got == shadow
 
 
+def grow(masm, shadow, steps, seed):
+    """Inserts only, at odd keys below 1,200 (between the even base keys)."""
+    rng = random.Random(seed)
+    for step in range(steps):
+        key = rng.randrange(600) * 2 + 1
+        if key not in shadow:
+            masm.insert((key, f"i{step}"))
+            shadow[key] = (key, f"i{step}")
+
+
+def shrink(masm, shadow, steps, seed):
+    """Deletes only."""
+    rng = random.Random(seed)
+    for _ in range(steps):
+        key = rng.choice(sorted(shadow))
+        masm.delete(key)
+        del shadow[key]
+
+
+MULTI_CHUNK_STREAMS = {
+    "mixed": (lambda masm, shadow: workload(masm, shadow, 500, seed=11), (10, 18, 30, 44)),
+    "grow": (lambda masm, shadow: grow(masm, shadow, 400, seed=3), (5, 21, 33)),
+    "shrink": (lambda masm, shadow: shrink(masm, shadow, 500, seed=5), (5, 21)),
+}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=(AssertionError, ValueError),
+    reason="a full migration over a heap of several I/O chunks is not restartable "
+    "once its first chunk is written (ROADMAP, chunk-grain migration item)",
+)
+@pytest.mark.parametrize(
+    "stream, occurrence",
+    [(name, n) for name, (_, ns) in MULTI_CHUNK_STREAMS.items() for n in ns],
+)
+def test_multi_chunk_migration_crash_recovers(stream, occurrence):
+    """A crash at a ``migration.emit`` past the first chunk write of a
+    16 KB-chunk heap.  Pinned failures: the mixed stream brings a deleted
+    row back or raises from the index rebuild, pure growth loses base rows
+    whose input pages an output chunk overwrote while they were only in
+    memory, and the shrink stream raises from the index rebuild."""
+    from repro.errors import SimulatedCrash
+    from repro.storage.faults import FaultPlan, use_fault_plan
+
+    masm, table, ssd_vol, log, config = build()
+    table.heap.io_chunk = 16 * KB
+    shadow = {i * 2: (i * 2, f"rec-{i}") for i in range(1500)}
+    MULTI_CHUNK_STREAMS[stream][0](masm, shadow)
+
+    plan = FaultPlan(seed=11).crash_at("migration.emit", occurrence=occurrence)
+    with use_fault_plan(plan):
+        with pytest.raises(SimulatedCrash):
+            for _ in CoordinatedMigration(masm, redo_log=log):
+                pass
+
+    recovered, _ = crash_recover(table, ssd_vol, log, config)
+    got = {SCHEMA.key(r): r for r in recovered.range_scan(0, 2**62)}
+    assert got == shadow
+
+
 def test_plan_driven_crash_between_run_write_and_log():
     """Crash exactly between the run write and its RUN_FLUSH record: the
     orphan run must be discarded or its updates would apply twice."""

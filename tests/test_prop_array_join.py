@@ -29,12 +29,14 @@ import reference_operators as ref
 from repro.baselines.iu import IndexedUpdates
 from repro.baselines.lsm import LSMUpdateCache
 from repro.baselines.memdiff import InMemoryDifferential
+from repro.core import kernels
 from repro.core import update as update_module
 from repro.core.blockcache import DecodedBlockCache
 from repro.core.masm import MaSM, MaSMConfig
 from repro.core.operators import MergeDataUpdates, MergeUpdates, RunScan
 from repro.core.sortedrun import write_run
 from repro.core.update import (
+    ColumnarBlock,
     UpdateCodec,
     UpdateConflictError,
     UpdateRecord,
@@ -246,22 +248,23 @@ def chains(draw):
 @given(chains())
 def test_encoded_fold_is_combine_chain(case):
     """``fold_chain`` on the bytes is ``combine_chain`` on the records — the
-    same combined update, or the same conflict."""
+    same combined update, or a refusal that the chain-folding kernel turns
+    into the same conflict."""
     schema, chain = case
     codec = UpdateCodec(schema)
     block = codec.encode_block(chain)
     columns = codec.block_columns(block)
-    bodies = (columns.offsets + codec.header_size).tolist()
+    bodies = columns.offsets.tolist()
+    folded = codec.fold_chain(block, columns.ops.tolist(), bodies, columns.lengths.tolist())
     try:
         expected = combine_chain(codec.decode_block(block), schema)
     except UpdateConflictError as exc:
+        assert folded is None
         with pytest.raises(UpdateConflictError) as caught:
-            codec.fold_chain(block, columns.ops.tolist(), bodies, columns.lengths.tolist())
+            kernels.merge_slices([ColumnarBlock(block, codec).update_columns()])
         assert str(caught.value) == str(exc)
         return
-    op, payload = codec.fold_chain(
-        block, columns.ops.tolist(), bodies, columns.lengths.tolist()
-    )
+    op, payload = folded
     if isinstance(payload, int):  # a member's payload, as it stands
         payload = block[bodies[payload] : bodies[payload] + int(columns.lengths[payload])]
     head = codec._HEAD.pack(expected.timestamp, expected.key, op, len(payload))

@@ -252,18 +252,21 @@ def test_truncated_blocks_are_rejected_alike(blocks, data):
             CODEC.decode_blocks([group[victim][:cut]])
 
 
-def test_stride_guess_that_does_not_hold_falls_back_to_the_header_walk():
-    """INSERT, DELETE, INSERT: the first header is an INSERT and the byte
-    where a third whole record's op code would sit is a zero inside the last
-    record's payload (0 = INSERT), so the uniform-stride guess is taken — and
-    must be dropped when the second guessed header turns out a DELETE."""
+def test_mixed_block_decodes_in_one_pass():
+    """INSERT, DELETE, INSERT — a mix that no uniform record stride
+    describes.  The header columns sit where the count puts them and each
+    payload where the lengths before it end."""
     updates = [
         UpdateRecord(1, 7, UpdateType.INSERT, (7, "a", 1)),
         UpdateRecord(2, 9, UpdateType.DELETE, None),
         UpdateRecord(3, 11, UpdateType.INSERT, (11, "b", 1)),
     ]
     raw = CODEC.encode_block(updates).ljust(1024, b"\x00")
-    assert CODEC._walk(raw, 0, 1, 0, guess=True) is None
+    columns = CODEC.block_columns(raw)
+    heap = 4 + 3 * CODEC.header_size
+    size = CODEC.schema.record_size
+    assert columns.offsets.tolist() == [heap, heap + size, heap + size]
+    assert columns.lengths.tolist() == [size, 0, size]
     assert CODEC.decode_block(raw) == updates
     (entry,) = CODEC.decode_blocks([raw])
     assert entry.update_columns().records == updates and entry.ops.tolist() == [0, 1, 0]

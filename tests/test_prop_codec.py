@@ -3,13 +3,12 @@
 ``Schema``, ``SlottedPage`` and ``UpdateCodec`` read one layout compiled at
 schema construction; ``reference_codec`` writes the same formats one field,
 slot and header at a time.  The properties below hold the two together over
-random schemas, the golden bytes pin the formats to what the pre-compilation
-code wrote, and the page fuzz test shows the one-compare directory check
+random schemas, the golden bytes pin the formats, and the page fuzz test shows the one-compare directory check
 never accepts a page the slot-at-a-time parser rejected.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_codec as ref
@@ -121,8 +120,38 @@ def test_pack_unpack_match_reference(case):
 
 
 # -------------------------------------------------------------------- updates
+PINNED = [("c0", "u64"), ("c1", "s5"), ("c2", "i64")]
+
+
+def pinned(*updates):
+    return PINNED, "c0", [UpdateRecord(*u) for u in updates]
+
+
+I, D, M, R = UpdateType.INSERT, UpdateType.DELETE, UpdateType.MODIFY, UpdateType.REPLACE
+
+
 @settings(max_examples=150, deadline=None)
 @given(schema_and_updates())
+# An empty block: a count and nothing else.
+@example(pinned())
+# Only DELETEs: every payload is empty, so the block ends at its columns.
+@example(pinned((5, 2, D, None), (6, 3, D, None), (7, 2**64 - 1, D, None)))
+# Only INSERT/REPLACE: one record size apart, the layout a stride describes.
+@example(pinned((1, 4, I, (4, "ab", -1)), (2, 9, R, (9, "", 0)), (3, 1, I, (1, "xyzzy", 7))))
+# Exactly a block's budget: every case below writes its run with blocks of
+# exactly the encoded size plus the checksum trailer.
+@example(pinned((9, 2**63, I, (2**63, "é", 2**62)), (10, 2**63, M, {"c2": 1})))
+# MODIFYs of every length from no field to all three, between the others.
+@example(
+    pinned(
+        (1, 8, M, {}),
+        (2, 8, I, (8, "a", 1)),
+        (3, 8, M, {"c1": "bb"}),
+        (4, 9, D, None),
+        (5, 9, M, {"c0": 9, "c1": "ccc", "c2": -5}),
+        (6, 9, M, {"c2": 3, "c1": "d"}),
+    )
+)
 def test_update_codec_matches_reference(case):
     fields, key, updates = case
     codec = UpdateCodec(Schema(fields, key=key))
@@ -142,19 +171,31 @@ def test_update_codec_matches_reference(case):
     assert keys.tolist() == [u.key for u in updates]  # the u64 wire values
     assert timestamps.tolist() == [u.timestamp for u in updates]
     assert ops.tolist() == [int(u.type) for u in updates]
-    position = ref.BLOCK_HEAD.size
-    expected_offsets = [position]
-    for data in encoded:
-        position += len(data)
-        expected_offsets.append(position)
-    assert offsets.tolist() == expected_offsets[:-1]
-    assert (offsets + codec.header_size + lengths).tolist() == expected_offsets[1:]
+    head = codec.header_size
+    assert lengths.tolist() == [len(data) - head for data in encoded]
+    # Payloads follow the columns, back to back, byte for byte the rows'.
+    assert offsets.tolist() == [
+        ref.BLOCK_HEAD.size + head * len(updates) + sum(len(d) - head for d in encoded[:i])
+        for i in range(len(updates))
+    ]
+    payloads = [block[at : at + n] for at, n in zip(offsets.tolist(), lengths.tolist())]
+    assert payloads == [data[head:] for data in encoded]
     assert bounds == [0, len(updates)]
 
     # The cached form: records decoded from already-built columns.
     entry = ColumnarBlock(block, codec)
     entry.columns()
     assert entry.update_columns().records == updates
+
+    if updates:
+        # A run whose one block is filled to exactly its budget.
+        ordered = sorted(updates, key=UpdateRecord.sort_key)
+        size = len(block) + checksum.TRAILER_SIZE
+        volume = StorageVolume(SimulatedSSD(capacity=1 * MB))
+        run = write_run(volume, "r", codec.encode_columns(ordered), codec, block_size=size)
+        assert run.num_blocks == 1
+        assert run.file.peek(0, size)[: len(block)] == codec.encode_block(ordered)
+        assert list(run.scan(0, 2**64 - 1)) == ordered
 
 
 # ---------------------------------------------------------------------- pages
@@ -220,9 +261,12 @@ def test_from_bytes_accepts_exactly_what_the_per_slot_parser_accepts(data):
 
 
 # --------------------------------------------------------------- golden bytes
-# Written by the commit before the layout was compiled (3dc85dc): these four
-# strings are the on-disk, on-SSD and in-WAL formats.  If one changes, every
-# existing heap file, run and log stops being readable.
+# The on-disk, on-SSD and in-WAL formats.  The page and WAL-frame hex were
+# written by the commit before the layout was compiled (3dc85dc).  The update
+# and run block hex were re-pinned when blocks became column-major (the
+# count, then keys, timestamps, types and payload lengths, then payloads);
+# the updates in them and their sizes are unchanged.  If one changes, every
+# existing heap file, run or log stops being readable.
 GOLDEN_SCHEMA = Schema(
     [("name", "s6"), ("id", "u64"), ("score", "f64"), ("delta", "i64"), ("n", "u32")],
     key="id",
@@ -241,13 +285,13 @@ GOLDEN_PAGE = (
     "1400000022000000"
 )
 GOLDEN_UPDATE_BLOCK = (
-    "040000000b00000000000000040000000000000000220000006e6577000000040000000000000000"
-    "000000000000400000000000000000010000000c0000000000000007000000000000000100000000"
-    "0d000000000000000900000000000000021200000000006d6f64000000020000000000008023400e"
-    "000000000000000900000000000000032200000072657000000009000000000000000000000000000000"
-    "ffffffffffffffff00000000"
+    "0400000004000000000000000700000000000000090000000000000009000000000000000b000000"
+    "000000000c000000000000000d000000000000000e00000000000000000102032200000000000000"
+    "12000000220000006e65770000000400000000000000000000000000004000000000000000000100"
+    "000000006d6f64000000020000000000008023407265700000000900000000000000000000000000"
+    "0000ffffffffffffffff00000000"
 )
-GOLDEN_RUN_BLOCK = GOLDEN_UPDATE_BLOCK + "00" * 74 + "4d53523176179eaa"
+GOLDEN_RUN_BLOCK = GOLDEN_UPDATE_BLOCK + "00" * 74 + "4d535231ab2bc685"
 GOLDEN_WAL_FRAME = (
     "2a00000001aaa593560100740d000000000000000900000000000000021200000000006d6f640000"
     "0002000000000000802340"
