@@ -7,10 +7,9 @@ timeline —
 
 * **checkpointed WAL truncation**: every ``MAINT_EVERY`` requests each
   ONLINE replica flushes, cuts a checkpoint and compacts its WAL behind
-  the fence, then zeroes one paced slice of the reclaimed tail.  The
-  figure tracks the primary's live WAL bytes against the cumulative bytes
-  ever appended — bounded (flat) versus linear is the whole point of
-  checkpointing.
+  the fence into the log's next generation.  The figure tracks the
+  primary's live WAL bytes against the cumulative bytes ever appended —
+  bounded (flat) versus linear is the whole point of checkpointing.
 * **wipe + snapshot bootstrap**: one follower's durable state (runs, WAL,
   heap) is destroyed mid-run; serving continues on the survivors, and the
   node is later revived wholesale from a healthy peer's CRC-verified
@@ -58,7 +57,7 @@ BASE_REQUESTS = 240
 WARMUP_UPDATES = 300
 #: Updates interleaved between consecutive requests during serving.
 UPDATES_PER_REQUEST = 2
-#: Requests between checkpoint/truncate/zeroing maintenance ticks.
+#: Requests between checkpoint/truncate maintenance ticks.
 MAINT_EVERY = 10
 
 #: Lifecycle schedule as fractions of the request stream.

@@ -1117,8 +1117,8 @@ class MaSM:
         """Cut a checkpoint and reclaim the WAL prefix it fences off.
 
         Returns ``(checkpoint, truncation_report)`` or None when no safe
-        fence exists.  The reclaimed region is zeroed lazily — callers pace
-        :meth:`~repro.txn.log.RedoLog.scrub_dirty` in the background.
+        fence exists.  The reclaimed region is left as it is: no stale frame
+        validates under the truncated log's new generation.
         """
         with self._lock:
             cp = self.checkpoint()

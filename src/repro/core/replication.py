@@ -96,11 +96,7 @@ from repro.storage.faults import NodeFaultPlan
 from repro.txn.log import RedoLog
 from repro.txn.recovery import RecoveryReport, lay_down_snapshot, restart_masm
 from repro.txn.timestamps import TimestampOracle
-from repro.util.units import KB, MB
-
-#: Default background-zeroing slice for reclaimed WAL space (scaled down by
-#: the replica's governor pacing fraction when foreground load is high).
-DEFAULT_SCRUB_SLICE = 256 * KB
+from repro.util.units import MB
 
 #: Rows a served scan moves per step.  The replica re-consults its fault
 #: plan, and the router its deadline and hedge delay, once per full stride:
@@ -651,18 +647,14 @@ class ReplicaSet:
     def maintenance(
         self,
         wal_budget_bytes: Optional[int] = None,
-        scrub_slice: int = DEFAULT_SCRUB_SLICE,
         force_checkpoint: bool = False,
     ) -> dict:
         """One background housekeeping tick per ONLINE replica.
 
         Cuts a checkpoint (and truncates the WAL behind it) on any replica
         whose live WAL exceeds ``wal_budget_bytes`` (default: half the WAL
-        file), zeroes one paced slice of previously reclaimed space, and
-        refreshes the per-replica gauges (``replication.shard.S.rR.*``).
-        The zeroing slice is scaled by the replica's governor pacing
-        fraction, so reclaim I/O backs off exactly like migration I/O does
-        when foreground latency climbs.
+        file), and refreshes the per-replica gauges
+        (``replication.shard.S.rR.*``).
         """
         registry = get_registry()
         report: dict = {}
@@ -670,29 +662,16 @@ class ReplicaSet:
             wal = replica.wal
             entry = {"state": replica.state.value}
             if wal is not None and not replica.wiped:
-                if (
-                    replica.state is ReplicaState.ONLINE
+                budget = wal.file.size // 2 if wal_budget_bytes is None else wal_budget_bytes
+                if replica.state is ReplicaState.ONLINE and (
+                    force_checkpoint or wal.live_bytes >= budget
                 ):
-                    budget = (
-                        wal_budget_bytes
-                        if wal_budget_bytes is not None
-                        else wal.file.size // 2
-                    )
-                    if force_checkpoint or wal.live_bytes >= budget:
-                        result = replica.masm.checkpoint_and_truncate()
-                        if result is not None:
-                            cp, trunc = result
-                            entry["checkpoint_ts"] = cp.checkpoint_ts
-                            entry["reclaimed_bytes"] = trunc.reclaimed_bytes
-                            self._obs_checkpoints.add(1)
-                    slice_bytes = scrub_slice
-                    governor = replica.masm.governor
-                    if governor is not None:
-                        slice_bytes = max(
-                            4 * KB,
-                            int(scrub_slice * governor.pacer.fraction),
-                        )
-                    entry["zeroed_bytes"] = wal.scrub_dirty(slice_bytes)
+                    result = replica.masm.checkpoint_and_truncate()
+                    if result is not None:
+                        cp, trunc = result
+                        entry["checkpoint_ts"] = cp.checkpoint_ts
+                        entry["reclaimed_bytes"] = trunc.reclaimed_bytes
+                        self._obs_checkpoints.add(1)
                 entry["wal_bytes"] = wal.live_bytes
                 entry["checkpoint_age"] = max(
                     0,

@@ -480,8 +480,7 @@ def durability(env, name: str, seed: int, ops: int, replication: int = 3):
             crashed.append(victim)
         elif roll < 0.76:
             # Checkpoint + WAL truncation on every ONLINE replica (flush
-            # first so the fence can advance past recent updates), plus
-            # one paced slice of background zeroing.
+            # first so the fence can advance past recent updates).
             for replica in rset.replicas:
                 if replica.state is ReplicaState.ONLINE:
                     replica.masm.flush_buffer()

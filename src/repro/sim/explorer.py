@@ -30,6 +30,7 @@ DEFAULT_CRASH_SITES = (
     "masm.flush.run_written",
     "migration.emit",
     "wal.append",
+    "wal.truncate",
     "masm.merge.logged",
     "masm.merge.product_written",
 )

@@ -103,17 +103,10 @@ class SimFile:
         self._append_pos = pos
 
     def zero_range(self, offset: int, size: int, chunk: int = 256 * 1024) -> int:
-        """Overwrite ``[offset, offset + size)`` with zeroes; returns ``size``.
-
-        The reclaim primitive behind WAL prefix truncation: a log that
-        compacted its live tail to the front of the file zeroes the stale
-        remainder so a post-crash scan (which reads until the first invalid
-        frame) cannot resurrect pre-truncation records.  Writes are chunked
-        so callers can account (and pace) the reclaim like any other I/O.
-
-        Does **not** move the append cursor: the caller decides where the
-        live content now ends (:meth:`seek_append`), and zeroing stale space
-        beyond it must not push the cursor back out.
+        """Overwrite ``[offset, offset + size)`` with zeroes, ``chunk`` bytes
+        per write; returns ``size``.  A heap that shrinks zeroes its released
+        pages, so a scan for the first unformatted page finds its end.  Does
+        **not** move the append cursor.
         """
         self._check(offset, size)
         saved = self._append_pos

@@ -36,11 +36,13 @@ two per frame.
 
 Truncation is compaction: the surviving suffix (records newer than the
 fence) is rewritten to the front of the file behind a fresh CHECKPOINT
-record, the append cursor drops back, and the stale remainder is zeroed
-*lazily* in paced slices (:meth:`RedoLog.scrub_dirty`) so reclaiming a
-large prefix never stalls a foreground update.  Until a stale byte is
-zeroed it can only hold pre-fence frames, which post-truncation recovery
-filters by timestamp anyway — laziness trades no correctness.
+record, the append cursor drops back, and the stale remainder stays.  It
+cannot replay: each frame's CRC seed is XORed with the log's *generation*
+(0 until the first truncation, so such a log is byte-for-byte unstamped),
+each truncation moves to the next generation and re-stamps the survivors,
+and a post-crash scan takes the generation from the CHECKPOINT at offset 0
+and stops at the first frame that does not validate under it — a stale
+frame ends the log exactly as zeroes would.
 """
 
 from __future__ import annotations
@@ -67,6 +69,8 @@ READ_CHUNK = 256 * KB
 
 #: A frame's CRC covers the record-type byte, then the payload: seeding the
 #: payload's checksum with the type byte's spares concatenating the two.
+#: These are the seeds at generation 0; generation ``g`` XORs ``g`` into
+#: each, so the same payload gets a different CRC in every generation.
 _CRC_SEEDS = tuple(checksum(bytes([rtype])) for rtype in range(256))
 
 # Fixed-width heads of the record payloads (names follow in _pack_str form).
@@ -77,6 +81,8 @@ _RUN_MERGE = struct.Struct("<QQQH")  # ts, covered lo, covered hi, victim count
 _CHECKPOINT = struct.Struct("<QQ")  # checkpoint ts, migrated ts
 _MANIFEST_ENTRY = struct.Struct("<QQBH")  # covered lo, covered hi, passes, range count
 _KEY_SPAN = struct.Struct("<qq")
+#: The generation a CHECKPOINT payload written after a truncation ends with.
+_GENERATION = struct.Struct("<I")
 
 
 class LogRecordType(IntEnum):
@@ -89,6 +95,7 @@ class LogRecordType(IntEnum):
 
 
 _UPDATE = int(LogRecordType.UPDATE)
+_CHECKPOINT_TYPE = int(LogRecordType.CHECKPOINT)
 
 
 _RECORD_TYPES = {int(rtype): rtype for rtype in LogRecordType}
@@ -101,6 +108,18 @@ def _record_type(rtype_raw: int) -> LogRecordType:
     if rtype is None:
         raise RecoveryError(f"corrupt log record type {rtype_raw}")
     return rtype
+
+
+def _claimed_generation(rtype_raw: int, payload, stored_crc: int) -> int:
+    """The generation a log's first frame stamps the whole log with: ``g``
+    for a CHECKPOINT whose payload ends in ``g > 0`` and whose CRC holds
+    under ``g`` (a truncated log's first frame), else 0."""
+    if rtype_raw == _CHECKPOINT_TYPE and len(payload) >= _GENERATION.size:
+        (generation,) = _GENERATION.unpack_from(payload, len(payload) - _GENERATION.size)
+        seed = _CRC_SEEDS[rtype_raw] ^ generation
+        if generation and checksum(payload, seed) == stored_crc:
+            return generation
+    return 0
 
 
 @dataclass(frozen=True)
@@ -148,7 +167,6 @@ class TruncationReport:
     records_dropped: int
     records_kept: int
     live_bytes: int
-    dirty_bytes: int
 
 
 @dataclass(frozen=True)
@@ -201,14 +219,11 @@ class RedoLog:
         #: replays a timestamp range from this log (log-fallback scans,
         #: catch-up) must first check its range starts *above* this.
         self.truncated_through = 0
-        #: Stale byte span left behind by truncation, zeroed lazily in
-        #: paced slices; ``[start, end)`` in file offsets, None when clean.
-        self._dirty_start = 0
-        self._dirty_end = 0
         #: table -> what every UPDATE frame of it starts with:
         #: the frame header + packed name layout, the packed name, and the
         #: CRC of the type byte and that name (the payload CRC's seed).
         self._update_heads: dict[str, tuple[struct.Struct, bytes, int]] = {}
+        self.generation = 0
         registry = get_registry()
         self._obs_records = registry.counter("txn.log.records_written")
         self._obs_bytes = registry.counter("txn.log.bytes_written")
@@ -219,45 +234,42 @@ class RedoLog:
         return self.file.append_pos
 
     @property
-    def dirty_bytes(self) -> int:
-        """Stale post-truncation bytes not yet zeroed by :meth:`scrub_dirty`."""
-        start = max(self._dirty_start, self.file.append_pos)
-        return max(0, self._dirty_end - start)
+    def generation(self) -> int:
+        """The generation this log's frames are stamped with: 0 until the
+        first truncation, one more after each.  Volatile, like the append
+        cursor: a scanning replay reads it back off the first frame."""
+        return self._generation
+
+    @generation.setter
+    def generation(self, value: int) -> None:
+        self._generation = value
+        self._seeds = tuple(seed ^ value for seed in _CRC_SEEDS)
+        self._update_heads.clear()
+
+    @staticmethod
+    def generation_of(file: SimFile) -> int:
+        """The generation of the log in ``file``, read off its first frame
+        as a scan reads it (0 when the file holds no truncated log)."""
+        length, rtype_raw, stored_crc = _FRAME.unpack(file.read(0, _FRAME.size))
+        payload = file.read(_FRAME.size, min(length, file.size - _FRAME.size))
+        return _claimed_generation(rtype_raw, payload, stored_crc)
 
     def register_table(self, name: str, codec: UpdateCodec) -> None:
         self.codecs[name] = codec
 
     # ---------------------------------------------------------------- writes
-    @staticmethod
-    def _frame(rtype: LogRecordType, payload: bytes) -> bytes:
-        """One framed record: header (length, type, CRC), then ``payload``."""
-        crc = checksum(payload, _CRC_SEEDS[rtype])
+    def _frame(self, rtype: LogRecordType, payload: bytes) -> bytes:
+        """One framed record of this generation: header (length, type,
+        CRC), then ``payload``."""
+        crc = checksum(payload, self._seeds[rtype])
         return _FRAME.pack(len(payload), rtype, crc) + payload
 
     def _append(self, frame: bytes) -> None:
         crash_point("wal.append")
-        file = self.file
-        file.append(frame)
-        if self._dirty_end > file.append_pos:
-            self._zero_guard()
+        self.file.append(frame)
         self.records_written += 1
         self._obs_records.add(1)
         self._obs_bytes.add(len(frame))
-
-    def _zero_guard(self) -> None:
-        """Zero one frame header's worth of stale bytes after the log end.
-
-        While a lazily-zeroed dirty region trails the live content, the
-        bytes right after the append cursor are remnants of pre-truncation
-        frames.  A post-crash scan stops at the first invalid frame — but a
-        stale frame that happens to start exactly at the cursor would parse
-        as valid and resurrect a dropped (or worse, duplicate a surviving)
-        record.  Keeping the next header zeroed makes the scan's stopping
-        point deterministic.
-        """
-        pos = self.file.append_pos
-        if self._dirty_end > pos:
-            self.file.zero_range(pos, min(_FRAME.size, self._dirty_end - pos))
 
     def log_update(self, table: str, encoded: bytes) -> None:
         """Log one update of ``table`` as its codec encoded it — the bytes
@@ -275,7 +287,7 @@ class RedoLog:
             head = self._update_heads[table] = (
                 struct.Struct(f"{_FRAME.format}{len(prefix)}s"),
                 prefix,
-                checksum(prefix, _CRC_SEEDS[_UPDATE]),
+                checksum(prefix, self._seeds[_UPDATE]),
             )
         layout, prefix, seed = head
         self._append(
@@ -320,12 +332,17 @@ class RedoLog:
 
     def log_checkpoint(self, checkpoint: Checkpoint) -> None:
         self._append(
-            self._frame(LogRecordType.CHECKPOINT, self._encode_checkpoint(checkpoint))
+            self._frame(
+                LogRecordType.CHECKPOINT,
+                self._encode_checkpoint(checkpoint, self.generation),
+            )
         )
         get_registry().counter("txn.log.checkpoints_written").add(1)
 
     @staticmethod
-    def _encode_checkpoint(checkpoint: Checkpoint) -> bytes:
+    def _encode_checkpoint(checkpoint: Checkpoint, generation: int) -> bytes:
+        """The CHECKPOINT payload; past generation 0 it ends in the
+        generation, which is how a scan of a truncated log learns it."""
         payload = _CHECKPOINT.pack(
             checkpoint.checkpoint_ts, checkpoint.migrated_ts
         ) + _pack_str(checkpoint.table)
@@ -340,6 +357,8 @@ class RedoLog:
             )
             for lo, hi in entry.migrated_ranges:
                 payload += _KEY_SPAN.pack(lo, hi)
+        if generation:
+            payload += _GENERATION.pack(generation)
         return payload
 
     # ----------------------------------------------------------- truncation
@@ -349,19 +368,20 @@ class RedoLog:
         Compacts in place: records newer than ``checkpoint.checkpoint_ts``
         (plus records of other tables) are rewritten to the front of the
         file behind a fresh CHECKPOINT record, and the append cursor drops
-        back to the end of the compacted content.  The stale remainder is
-        *not* zeroed here — it becomes the dirty region that
-        :meth:`scrub_dirty` reclaims in paced slices — so the synchronous
-        cost of truncation is proportional to the small live suffix, not
-        to the (potentially huge) reclaimed prefix.
-
-        Correctness of the lazy zeroing: a crash before the dirty region
-        is clean can only resurrect whole pre-fence frames, and recovery
-        reads the CHECKPOINT first, so every such record is filtered by
-        its timestamp exactly as if it had survived legitimately.
+        back to the end of the compacted content.  The compacted log is the
+        next :attr:`generation`: each survivor, verified under the old one
+        by the walk, is re-stamped under the new one.  The stale remainder
+        is not touched — none of its frames validates under the new
+        generation — so the cost of truncation is proportional to the live
+        suffix, not to the reclaimed prefix.
         """
         end = self.file.append_pos
-        pieces: list[bytes] = []  # the survivors, adjacent ones in one piece
+        generation = self.generation + 1
+        payload = self._encode_checkpoint(checkpoint, generation)
+        crc = checksum(payload, _CRC_SEEDS[_CHECKPOINT_TYPE] ^ generation)
+        fresh = _FRAME.pack(len(payload), _CHECKPOINT_TYPE, crc) + payload
+        # The fresh CHECKPOINT, then the survivors, adjacent ones in one piece.
+        pieces: list[bytes] = [fresh]
         kept = dropped = 0
         run_buf = b""  # the open piece is run_buf[run_start:run_end]
         run_start = run_end = 0
@@ -397,20 +417,33 @@ class RedoLog:
         except RecoveryError as exc:
             raise RecoveryError(f"live {exc}; refusing to truncate") from exc
         pieces.append(run_buf[run_start:run_end])
-        fresh = self._frame(LogRecordType.CHECKPOINT, self._encode_checkpoint(checkpoint))
-        content = b"".join((fresh, *pieces))
+        content = bytearray(b"".join(pieces))
         if len(content) > self.file.size:
             raise RecoveryError(
                 f"compacted log ({len(content)} bytes) exceeds the log file "
                 f"({self.file.size} bytes)"
             )
+        # A CRC is affine in its seed: moving an n-byte payload's seed by
+        # ``flip`` moves its CRC by checksum(n zero bytes, flip) ^
+        # checksum(n zero bytes), whatever the payload and its type.  So a
+        # survivor the walk verified is re-stamped by one XOR with a value
+        # computed once per payload length.
+        flip = self.generation ^ generation
+        deltas: dict[int, int] = {}
+        at = len(fresh)
+        while at < len(content):
+            length, rtype_raw, crc = _FRAME.unpack_from(content, at)
+            delta = deltas.get(length)
+            if delta is None:
+                zeros = bytes(length)
+                delta = deltas[length] = checksum(zeros, flip) ^ checksum(zeros)
+            _FRAME.pack_into(content, at, length, rtype_raw, crc ^ delta)
+            at += head + length
         crash_point("wal.truncate")
         self.file.write(0, content)
         new_end = len(content)
-        self._dirty_start = new_end
-        self._dirty_end = max(self._dirty_end, end)
         self.file.seek_append(new_end)
-        self._zero_guard()
+        self.generation = generation
         self.truncated_through = max(
             self.truncated_through, checkpoint.checkpoint_ts
         )
@@ -424,7 +457,6 @@ class RedoLog:
             records_dropped=dropped,
             records_kept=kept,
             live_bytes=new_end,
-            dirty_bytes=self.dirty_bytes,
         )
 
     @staticmethod
@@ -445,23 +477,8 @@ class RedoLog:
         return timestamp > checkpoint.checkpoint_ts
 
     def scrub_dirty(self, max_bytes: Optional[int] = None) -> int:
-        """Zero up to ``max_bytes`` of the stale post-truncation region.
-
-        Returns the bytes zeroed (0 = clean).  Called in paced slices by
-        background maintenance; appends that advanced over stale bytes
-        shrink the region for free (a fresh frame is as good as zeroes).
-        """
-        start = max(self._dirty_start, self.file.append_pos)
-        pending = self._dirty_end - start
-        if pending <= 0:
-            self._dirty_start = self._dirty_end = 0
-            return 0
-        step = pending if max_bytes is None else max(1, min(max_bytes, pending))
-        self.file.zero_range(start, step)
-        self._dirty_start = start + step
-        if self._dirty_start >= self._dirty_end:
-            self._dirty_start = self._dirty_end = 0
-        return step
+        """Nothing to zero: stale frames fail their generation's CRC."""
+        return 0
 
     # ----------------------------------------------------------------- reads
     def _frames(
@@ -480,9 +497,11 @@ class RedoLog:
         ``end`` is either the known end of the log, where a frame that runs
         past it or fails its CRC is corruption and raises, or (``scanning``)
         the file size, where the walk stops at the first frame that is not
-        one: unwritten space (zeroes, which no valid frame starts with), or
-        a *torn tail* — the final record partially persisted because a crash
-        interrupted the append — which is counted and skipped.
+        one: unwritten space (zeroes, which no valid frame starts with), a
+        *torn tail* — the final record partially persisted because a crash
+        interrupted the append — or a stale frame of an earlier generation
+        that truncation left behind; the last two are counted and skipped.
+        A scan also re-learns :attr:`generation` from the first frame.
         """
         read = self.file.read
         unpack = _FRAME.unpack_from
@@ -491,6 +510,9 @@ class RedoLog:
         view = memoryview(buf)
         base = 0
         offset = 0
+        if scanning:
+            self.generation = 0  # unless the first frame says otherwise
+        seeds = self._seeds
 
         def fill(need: int) -> None:
             """Make the buffer hold file bytes ``[offset, offset + need)``
@@ -526,7 +548,11 @@ class RedoLog:
             if offset - base + size > len(buf):
                 fill(size)
             at = offset - base
-            if checksum(view[at + head : at + size], _CRC_SEEDS[rtype_raw]) != stored_crc:
+            payload = view[at + head : at + size]
+            if scanning and not offset:
+                self.generation = _claimed_generation(rtype_raw, payload, stored_crc)
+                seeds = self._seeds
+            if checksum(payload, seeds[rtype_raw]) != stored_crc:
                 if scanning:
                     self._torn_tail(offset, "checksum mismatch")
                     return
@@ -539,11 +565,12 @@ class RedoLog:
         the walk :meth:`records` and :meth:`encoded_updates` read.
 
         When the in-memory append cursor was lost with a crash the log is
-        scanned to its first invalid frame (see :meth:`_frames`): a torn
-        tail is skipped with the ``txn.log.torn_tail_skipped`` counter — the
-        update it carried was never acknowledged, so dropping it is correct
-        — and the cursor is parked after the surviving records.  A CRC
-        mismatch *before* a known end of log is real corruption and raises.
+        scanned, under the generation its first frame names, to its first
+        invalid frame (see :meth:`_frames`): a torn tail is skipped with the
+        ``txn.log.torn_tail_skipped`` counter — the update it carried was
+        never acknowledged, so dropping it is correct — and the cursor is
+        parked after the surviving records.  A CRC mismatch *before* a known
+        end of log is real corruption and raises.
         """
         end = self.file.append_pos or self.file.size
         scanning = self.file.append_pos == 0
@@ -561,14 +588,6 @@ class RedoLog:
             # The append cursor was lost with the crash; park it after the
             # surviving records so fresh appends do not overwrite them.
             self.file.seek_append(parked)
-            if self.truncated_through > 0 and parked < self.file.size:
-                # The dirty-region extent was volatile too.  A checkpoint in
-                # the log means a lazily-zeroed stale region may trail the
-                # live content; treat everything after it as dirty so the
-                # append-time guard and background scrubbing stay armed.
-                self._dirty_start = parked
-                self._dirty_end = self.file.size
-                self._zero_guard()
 
     def records(self) -> Iterator[LogRecord]:
         """Replay the log from the beginning (recovery path): every record,
@@ -598,10 +617,12 @@ class RedoLog:
                     yield frame[body:]
 
     def _torn_tail(self, offset: int, reason: str) -> None:
-        """Count a torn tail record found while scanning after a crash.
+        """Count the invalid frame a scan after a crash stopped at.
 
         Replay stops here: a record torn mid-append was never acknowledged
-        to any client, so skipping it loses nothing that was promised.
+        to any client, so skipping it loses nothing that was promised.  A
+        stale frame of an earlier generation looks the same to the scan
+        (nothing but its CRC tells them apart) and is counted alike.
         """
         get_registry().counter("txn.log.torn_tail_skipped").add(1)
 

@@ -146,7 +146,10 @@ def lay_down_snapshot(
     sequence number (replicas of one shard stay name-aligned), and a fresh
     WAL ``wal_name`` gets the checkpoint, with the translated run names, as
     its first frame.  :func:`restart_masm` over the result rebuilds the
-    donor's engine at the checkpoint's fence.
+    donor's engine at the checkpoint's fence.  The fresh WAL reuses the
+    old one's extent, where a delete drops only whole backing blocks, so it
+    starts one generation past the old log's and no frame left there
+    validates.  (A wiped node has no old log: it starts at generation 1.)
     """
     if checksum(snapshot.heap_payload) != snapshot.heap_crc:
         raise ChecksumError("snapshot heap payload failed CRC verification")
@@ -170,6 +173,7 @@ def lay_down_snapshot(
         ),
     )
 
+    stale = RedoLog.generation_of(ssd_volume.open(wal_name)) if wal_name in ssd_volume else 0
     for file_name in list(ssd_volume):
         ssd_volume.delete(file_name)
     wal_file = ssd_volume.create(wal_name, ssd_volume.device.capacity // 4)
@@ -181,7 +185,9 @@ def lay_down_snapshot(
         heap.file.zero_range(end, heap.page_size)
     for file_name, payload in run_files:
         ssd_volume.create(file_name, len(payload)).append(payload)
-    RedoLog(wal_file).log_checkpoint(checkpoint)
+    wal = RedoLog(wal_file)
+    wal.generation = stale + 1
+    wal.log_checkpoint(checkpoint)
     return wal_file
 
 

@@ -4,10 +4,14 @@
 lies in the buffer (``RedoLog._frames``).  These are the passes it replaced,
 ported to functions over a ``RedoLog``: two device reads per frame (header,
 then payload), the type byte concatenated in front of the payload for the
-CRC, every UPDATE decoded.  They have the same side effects on the log
-(cursor parking, ``truncated_through``, the dirty region, the file itself),
-so a test can run one log through ``RedoLog`` and an identical one through
-here and compare everything.  Production code does not import this module.
+CRC, every UPDATE decoded.  Frames carry the log's generation the way the
+format defines it: the checksum of the type byte, XOR the generation, seeds
+the checksum of the payload; a truncation writes the next generation, and a
+truncated log's first frame is a CHECKPOINT whose payload ends in it.  The
+walks have the same side effects on the log (cursor parking,
+``truncated_through``, the generation, the file itself), so a test can run
+one log through ``RedoLog`` and an identical one through here and compare
+everything.  Production code does not import this module.
 """
 
 from __future__ import annotations
@@ -29,11 +33,26 @@ from repro.txn.log import (
 )
 
 
+def frame_crc(rtype_raw: int, payload: bytes, generation: int) -> int:
+    """The CRC a frame of this type and payload carries in ``generation``."""
+    return checksum(payload, checksum(bytes([rtype_raw & 0xFF])) ^ generation)
+
+
+def first_frame_generation(rtype_raw: int, payload: bytes, stored_crc: int) -> int:
+    """The generation a log whose first frame this is was written in."""
+    if rtype_raw == LogRecordType.CHECKPOINT and len(payload) >= 4:
+        generation = int.from_bytes(payload[-4:], "little")
+        if generation and frame_crc(rtype_raw, payload, generation) == stored_crc:
+            return generation
+    return 0
+
+
 def reference_records(log: RedoLog) -> Iterator[LogRecord]:
     """``RedoLog.records()``, one frame (two reads) at a time."""
     file = log.file
     end = file.append_pos or file.size
     scanning = file.append_pos == 0
+    generation = 0 if scanning else log.generation
     offset = 0
     while offset < end:
         if offset + _FRAME.size > end:
@@ -51,7 +70,9 @@ def reference_records(log: RedoLog) -> Iterator[LogRecord]:
                 break
             raise RecoveryError("truncated log record payload")
         payload = file.read(offset + _FRAME.size, length)
-        if checksum(bytes([rtype_raw & 0xFF]) + payload) != stored_crc:
+        if scanning and offset == 0:
+            generation = first_frame_generation(rtype_raw, payload, stored_crc)
+        if frame_crc(rtype_raw, payload, generation) != stored_crc:
             if scanning:
                 log._torn_tail(offset, "checksum mismatch")
                 break
@@ -67,16 +88,14 @@ def reference_records(log: RedoLog) -> Iterator[LogRecord]:
         yield record
     if scanning:
         file.seek_append(offset)
-        if log.truncated_through > 0 and offset < file.size:
-            log._dirty_start = offset
-            log._dirty_end = file.size
-            log._zero_guard()
+        log.generation = generation
 
 
 def reference_truncate_through(log: RedoLog, checkpoint: Checkpoint) -> TruncationReport:
     """``RedoLog.truncate_through()``, one frame (two reads) at a time."""
     file = log.file
     end = file.append_pos
+    generation = log.generation + 1
     survivors: list[bytes] = []
     dropped = 0
     offset = 0
@@ -84,7 +103,7 @@ def reference_truncate_through(log: RedoLog, checkpoint: Checkpoint) -> Truncati
         header = file.read(offset, _FRAME.size)
         length, rtype_raw, stored_crc = _FRAME.unpack(header)
         payload = file.read(offset + _FRAME.size, length)
-        if checksum(bytes([rtype_raw & 0xFF]) + payload) != stored_crc:
+        if frame_crc(rtype_raw, payload, log.generation) != stored_crc:
             raise RecoveryError(
                 f"live log record at offset {offset} failed checksum; "
                 "refusing to truncate"
@@ -98,14 +117,14 @@ def reference_truncate_through(log: RedoLog, checkpoint: Checkpoint) -> Truncati
             record = log._decode(rtype, payload)
             table, timestamp = record.table, record.timestamp
         if log._survives(rtype, table, timestamp, checkpoint):
-            survivors.append(header + payload)
+            crc = frame_crc(rtype_raw, payload, generation)
+            survivors.append(_FRAME.pack(length, rtype_raw, crc) + payload)
         else:
             dropped += 1
-    cp_payload = log._encode_checkpoint(checkpoint)
-    cp_crc = checksum(bytes([int(LogRecordType.CHECKPOINT)]) + cp_payload)
-    frames = [
-        _FRAME.pack(len(cp_payload), int(LogRecordType.CHECKPOINT), cp_crc) + cp_payload
-    ] + survivors
+    cp_type = int(LogRecordType.CHECKPOINT)
+    cp_payload = log._encode_checkpoint(checkpoint, 0) + generation.to_bytes(4, "little")
+    cp_crc = frame_crc(cp_type, cp_payload, generation)
+    frames = [_FRAME.pack(len(cp_payload), cp_type, cp_crc) + cp_payload] + survivors
     content = b"".join(frames)
     if len(content) > file.size:
         raise RecoveryError(
@@ -114,10 +133,8 @@ def reference_truncate_through(log: RedoLog, checkpoint: Checkpoint) -> Truncati
         )
     file.write(0, content)
     new_end = len(content)
-    log._dirty_start = new_end
-    log._dirty_end = max(log._dirty_end, end)
     file.seek_append(new_end)
-    log._zero_guard()
+    log.generation = generation
     log.truncated_through = max(log.truncated_through, checkpoint.checkpoint_ts)
     reclaimed = max(0, end - new_end)
     registry = get_registry()
@@ -129,5 +146,4 @@ def reference_truncate_through(log: RedoLog, checkpoint: Checkpoint) -> Truncati
         records_dropped=dropped,
         records_kept=len(survivors),
         live_bytes=new_end,
-        dirty_bytes=log.dirty_bytes,
     )

@@ -110,20 +110,66 @@ def test_checkpoint_refused_while_a_run_is_quarantined():
     assert masm.checkpoint() is None
 
 
-def test_scrub_dirty_zeroes_in_paced_slices():
+def logged_writes(engine, count, first_key=0):
+    """SSD device writes each of ``count`` fresh ``log_update`` calls cost."""
+    stats = engine.redo_log.file.device.stats
+    costs = []
+    for i in range(count):
+        ts = engine.oracle.next()
+        encoded = engine.codec.encode(
+            UpdateRecord(ts, first_key + i * 2, UpdateType.MODIFY, {"payload": f"w{i}"})
+        )
+        before = stats.writes
+        engine.redo_log.log_update(engine.table.name, encoded)
+        costs.append(stats.writes - before)
+    return costs
+
+
+def test_a_log_update_is_one_ssd_write_after_a_restart_past_a_checkpoint():
     masm, table, ssd_vol, log, config = build_system()
     for i in range(60):
         masm.modify(i * 2, {"payload": f"v{i}"})
     masm.flush_buffer()
     masm.checkpoint_and_truncate()
-    assert log.dirty_bytes > 0
-    total = log.dirty_bytes
-    zeroed = log.scrub_dirty(512)
-    assert zeroed <= 512
-    while log.dirty_bytes:
-        zeroed += log.scrub_dirty(512)
-    assert zeroed == total
-    assert log.scrub_dirty() == 0
+    for i in range(5):
+        masm.modify(i * 2 + 200, {"payload": f"late{i}"})
+    cursor = log.file.append_pos
+    # Truncation left the reclaimed tail as it was: stale frames lie right
+    # behind the cursor when the restart has to find the log's end.
+    assert any(log.file.peek(cursor, 4 * KB))
+    engine, report = crash_and_recover(masm, table, ssd_vol, log, config)
+    assert report.buffer_updates_replayed == 5
+    assert engine.redo_log.file.append_pos == cursor
+    assert engine.redo_log.generation == log.generation == 1
+    assert logged_writes(engine, 20) == [1] * 20
+    # A second restart replays exactly the live records, none of the stale.
+    again, report = restart_masm(table, ssd_vol, log.file, config=config)
+    assert report.buffer_updates_replayed == 25
+
+
+def test_a_log_update_is_one_ssd_write_after_a_bootstrap_and_restart():
+    donor, *_ = build_system()
+    for i in range(40):
+        donor.modify(i * 2, {"payload": f"v{i}"})
+    donor.flush_buffer()
+    snapshot = donor.export_snapshot()
+    # The target's own WAL was truncated twice: the WAL laid down over its
+    # extent starts one generation past it.
+    masm, table, ssd_vol, log, config = build_system()
+    for round_ in range(2):
+        for i in range(60):
+            masm.modify(i * 2, {"payload": f"old{round_}.{i}"})
+        masm.flush_buffer()
+        masm.checkpoint_and_truncate()
+    assert log.generation == 2
+    wal = lay_down_snapshot(snapshot, table, ssd_vol, "masm-t", log.file.name)
+    assert wal.offset == log.file.offset
+    engine, report = restart_masm(table, ssd_vol, wal, config=config)
+    assert report.checkpoint_ts == snapshot.checkpoint.checkpoint_ts
+    assert engine.redo_log.generation == 3
+    assert logged_writes(engine, 20, first_key=1) == [1] * 20
+    again, report = restart_masm(table, ssd_vol, wal, config=config)
+    assert report.buffer_updates_replayed == 20
 
 
 def test_crash_recovery_after_truncation_is_byte_identical():

@@ -5,6 +5,7 @@ import pytest
 from repro.core.update import UpdateCodec, UpdateRecord, UpdateType
 from repro.engine.record import synthetic_schema
 from repro.errors import RecoveryError
+from repro.storage.checksum import checksum
 from repro.storage.file import StorageVolume
 from repro.storage.ssd import SimulatedSSD
 from repro.txn.log import _FRAME, Checkpoint, LogRecordType, RedoLog, _pack_str
@@ -147,10 +148,19 @@ def test_log_writes_are_sequential():
     assert log.records_written == 100
 
 
+def stamped(frame: bytes, generation: int) -> bytes:
+    """``frame`` as written in ``generation``: the same bytes but the CRC,
+    whose seed (the type byte's checksum) has the generation XORed in."""
+    length, rtype, _ = _FRAME.unpack_from(frame)
+    crc = checksum(frame[_FRAME.size :], checksum(bytes([rtype])) ^ generation)
+    return _FRAME.pack(length, rtype, crc) + frame[_FRAME.size :]
+
+
 def test_truncate_decides_survival_from_the_payload_head():
     """Truncation needs only (table, timestamp) of an UPDATE frame: it reads
     them off the payload head, so it works without the table's codec — and
-    the survivors come through byte for byte."""
+    the survivors come through byte for byte, bar the CRC that stamps them
+    with the log's next generation."""
     log = make_log()
     frames = {}
     for ts in range(1, 9):
@@ -165,7 +175,8 @@ def test_truncate_decides_survival_from_the_payload_head():
     # ts 1..5 of "t" and the RUN_FLUSH at 5 go; ts 3 of "other" and 6..8 stay.
     assert (report.records_dropped, report.records_kept) == (5, 4)
     content = log.file.peek(0, log.file.append_pos)
-    assert content.endswith(frames[3] + frames[6] + frames[7] + frames[8])
+    assert log.generation == 1
+    assert content.endswith(b"".join(stamped(frames[ts], 1) for ts in (3, 6, 7, 8)))
     log.register_table("t", CODEC)
     log.register_table("other", UpdateCodec(SCHEMA))
     replayed = [(r.type, r.table, r.timestamp) for r in log.records()]
@@ -180,9 +191,8 @@ def test_truncate_decides_survival_from_the_payload_head():
 
 def test_update_frames_are_the_generic_frame_byte_for_byte():
     """log_update's memoized frame head builds exactly the frame ``_frame``
-    builds, for two tables and for appends made while a truncation's dirty
-    region still trails the log end (when each append also zeroes the next
-    header's worth of stale bytes)."""
+    builds, for two tables, before a truncation and after it, when both
+    stamp the log's next generation."""
     log = make_log()
     log.register_table("orders", CODEC)
 
@@ -191,18 +201,21 @@ def test_update_frames_are_the_generic_frame_byte_for_byte():
         start = log.file.append_pos
         log.log_update(table, encoded)
         frame = log.file.peek(start, log.file.append_pos - start)
-        assert frame == RedoLog._frame(LogRecordType.UPDATE, _pack_str(table) + encoded)
+        generic = stamped(
+            _FRAME.pack(len(table) + 2 + len(encoded), LogRecordType.UPDATE, 0)
+            + _pack_str(table)
+            + encoded,
+            log.generation,
+        )
+        assert frame == log._frame(LogRecordType.UPDATE, _pack_str(table) + encoded) == generic
         return frame
 
     for ts in range(1, 41):
         logged("t" if ts % 3 else "orders", ts)
     log.truncate_through(Checkpoint("t", checkpoint_ts=40, migrated_ts=0))
-    assert log.dirty_bytes > 0
+    assert log.generation == 1
     for ts in range(41, 47):
         logged("orders" if ts % 2 else "t", ts)
-        assert log.dirty_bytes > 0
-        after = log.file.append_pos
-        assert log.file.peek(after, _FRAME.size) == bytes(_FRAME.size)
     assert [r.timestamp for r in log.records() if r.type is LogRecordType.UPDATE] == [
         ts for ts in range(1, 47) if ts % 3 == 0 or ts > 40
     ]

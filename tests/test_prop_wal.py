@@ -6,13 +6,17 @@ random record mixes and every chunk size it must be indistinguishable, from
 the outside, from the two-reads-per-frame passes in ``reference_wal``:
 
 * the same records, errors and side effects (parked cursor, truncation
-  fence, dirty region) with frames straddling every read-chunk boundary, in
+  fence, generation) with frames straddling every read-chunk boundary, in
   known-end and in post-crash scanning mode;
 * a torn tail cut at every byte of the last frame stops the scan, is counted
-  and leaves the cursor where the torn frame began;
+  and leaves the cursor where the torn frame began, over unwritten space and
+  over the stale bytes a truncation leaves behind;
+* after one to three truncations, stale frames behind the cursor — dropped
+  records, earlier-generation copies of survivors, torn pieces of either —
+  never replay: a post-crash scan ends exactly where the live log ends;
 * a flipped bit mid-log raises ``RecoveryError`` from ``records()`` (known
   end) and from ``truncate_through`` ("refusing to truncate");
-* ``truncate_through`` leaves the same file bytes, cursor, dirty region and
+* ``truncate_through`` leaves the same file bytes, cursor, generation and
   ``TruncationReport``;
 * and a pass costs at most ``ceil(live bytes / chunk) + 1`` device reads.
 
@@ -27,7 +31,7 @@ import random
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_wal as ref
@@ -86,8 +90,7 @@ def state(log: RedoLog) -> tuple:
     return (
         log.file.append_pos,
         log.truncated_through,
-        log._dirty_start,
-        log._dirty_end,
+        log.generation,
         log.file.peek(0, log.file.size),
     )
 
@@ -112,9 +115,9 @@ OPS = st.one_of(
 )
 
 
-def apply_ops(log: RedoLog, ops) -> None:
-    """Append one record per op; op ``i`` carries timestamp ``i``."""
-    for ts, op in enumerate(ops, start=1):
+def apply_ops(log: RedoLog, ops, first_ts: int = 1) -> None:
+    """Append one record per op; op ``i`` carries timestamp ``first_ts + i``."""
+    for ts, op in enumerate(ops, start=first_ts):
         kind = op[0]
         if kind == "insert":
             _, table, key, text = op
@@ -231,46 +234,146 @@ def test_updates_reads_only_the_asked_table_and_span():
 
 # ----------------------------------------------------------------- torn tail
 def test_torn_tail_cut_at_every_byte_of_the_last_frame():
+    """Behind the cut lies unwritten space (zeroes), and then the longer
+    log a truncation compacted (stale bytes of the previous generation)."""
+    for behind in ("unwritten", "stale"):
+        torn_tail_cut_at_every_byte(behind)
+
+
+def torn_tail_cut_at_every_byte(behind: str) -> None:
+    rng = random.Random(SEED + 2)
+    whole = make_log()
+    background = b""
+    if behind == "stale":
+        apply_ops(whole, random_ops(rng, 40))
+        background = whole.file.peek(0, whole.live_bytes)
+        whole.truncate_through(Checkpoint("t", 40, 0))
     # The last frame ends in a non-zero byte: cutting trailing zeroes off a
     # frame would leave it whole (unwritten space reads as zeroes).
-    ops = random_ops(random.Random(SEED + 2), 9) + [("insert", "t", 77, "twelve-bytes")]
-    whole = make_log()
-    apply_ops(whole, ops)
+    ops = random_ops(rng, 9) + [("insert", "t", 77, "twelve-bytes")]
+    apply_ops(whole, ops, first_ts=41)
     image = whole.file.peek(0, whole.live_bytes)
-    start = len(image) - len(_last_frame(image))
+    start = len(image) - len(frames_of(image)[-1])
+    assert len(background) > len(image) or behind == "unwritten"
     expected = list(whole.records())[:-1]
     for cut in range(len(image) - start):
         for chunk in (5, 64, 256 * KB):
             with use_registry(MetricsRegistry()), read_chunk(chunk):
                 torn = make_log()
+                torn.file.write(0, background)
                 torn.file.write(0, image[: start + cut])
                 torn = reopen(torn)
                 assert list(torn.records()) == expected
                 skipped = get_registry().counter("txn.log.torn_tail_skipped").value
             with use_registry(MetricsRegistry()):
                 twin = make_log()
+                twin.file.write(0, background)
                 twin.file.write(0, image[: start + cut])
                 twin = reopen(twin)
                 assert list(ref.reference_records(twin)) == expected
                 assert skipped == get_registry().counter("txn.log.torn_tail_skipped").value
-            # Zero bytes are unwritten space, not a tear: the tail counts as
-            # torn once the frame's type byte made it to the device.
-            assert skipped == (1 if cut > 4 else 0)
+            if behind == "unwritten":
+                # Zero bytes are unwritten space, not a tear: the tail counts
+                # as torn once the frame's type byte made it to the device.
+                assert skipped == (1 if cut > 4 else 0)
+            else:
+                # Stale bytes end the scan like a tear, or like unwritten
+                # space where a zero lands on the type byte.
+                assert skipped <= 1
             assert torn.file.append_pos == start
+            assert torn.generation == whole.generation
             assert state(torn) == state(twin)
             # The next append reuses the torn frame's space.
             torn.log_update("t", CODEC.encode(UpdateRecord(999, 1, UpdateType.DELETE, None)))
             assert len(list(torn.records())) == len(expected) + 1
 
 
-def _last_frame(image: bytes) -> bytes:
+def frames_of(image: bytes) -> list[bytes]:
+    """The frames laid end to end in a log image."""
+    frames = []
     offset = 0
-    while True:
-        length = _FRAME.unpack_from(image, offset)[0]
-        end = offset + _FRAME.size + length
-        if end == len(image):
-            return image[offset:]
-        offset = end
+    while offset < len(image):
+        size = _FRAME.size + _FRAME.unpack_from(image, offset)[0]
+        frames.append(image[offset : offset + size])
+        offset += size
+    return frames
+
+
+# --------------------------------------------------------------- stale frames
+_PINNED_OPS = [("insert", "t", 1, "a"), ("insert", "t", 2, "b"), ("insert", "t", 3, "c")]
+_PINNED_ROUNDS = [(0.5, "t", [("insert", "t", 4, "d")])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ops=st.lists(OPS, min_size=1, max_size=30),
+    rounds=st.lists(
+        st.tuples(st.floats(0, 1.2), tables, st.lists(OPS, max_size=8)),
+        min_size=1,
+        max_size=3,
+    ),
+    fill=st.lists(
+        st.tuples(
+            st.sampled_from(["dropped", "survivor"]),
+            st.integers(0, 999),
+            st.none() | st.floats(0, 1, exclude_min=True, exclude_max=True),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    chunk=st.integers(1, 400),
+)
+# A whole dropped frame, an older copy of a survivor, and a torn piece of a
+# dropped frame ahead of a whole survivor copy, each right at the cursor.
+@example(ops=_PINNED_OPS, rounds=_PINNED_ROUNDS, fill=[("dropped", 0, None)], chunk=64)
+@example(ops=_PINNED_OPS, rounds=_PINNED_ROUNDS, fill=[("survivor", 1, None)], chunk=64)
+@example(
+    ops=_PINNED_OPS,
+    rounds=_PINNED_ROUNDS * 2,
+    fill=[("dropped", 0, 0.5), ("survivor", 0, None)],
+    chunk=5,
+)
+def test_stale_frames_behind_the_cursor_never_replay(ops, rounds, fill, chunk):
+    """After one to three truncations, fill the bytes behind the cursor with
+    frames of earlier generations — records truncation dropped, older
+    copies of the survivors, torn prefixes of either — and lose the cursor:
+    the scan must replay exactly the live log and park at its end."""
+    log, twin = twin_logs(ops)
+    stale: list[bytes] = []
+    last_ts = len(ops)
+    for fence, table, more in rounds:
+        stale += frames_of(log.file.peek(0, log.live_bytes))
+        checkpoint = Checkpoint(table, int(fence * last_ts), 0)
+        assert log.truncate_through(checkpoint) == ref.reference_truncate_through(
+            twin, checkpoint
+        )
+        apply_ops(log, more, first_ts=last_ts + 1)
+        apply_ops(twin, more, first_ts=last_ts + 1)
+        last_ts += len(more)
+    assert state(log) == state(twin)
+    assert log.generation == len(rounds)
+    live = log.live_bytes
+    payloads = {frame[_FRAME.size :] for frame in frames_of(log.file.peek(0, live))}
+    pools = {
+        "survivor": [frame for frame in stale if frame[_FRAME.size :] in payloads],
+        "dropped": [frame for frame in stale if frame[_FRAME.size :] not in payloads],
+    }
+    junk = b""
+    for kind, pick, cut in fill:
+        pool = pools[kind] or pools["dropped"] or pools["survivor"]
+        frame = pool[pick % len(pool)]
+        junk += frame if cut is None else frame[: max(1, int(cut * len(frame)))]
+    junk = junk[: log.file.size - live]
+    expected = list(log.records())
+    for each in (log, twin):
+        each.file.write(live, junk)
+    with read_chunk(chunk):
+        log, twin = reopen(log), reopen(twin)
+        assert list(log.records()) == expected
+        assert list(ref.reference_records(twin)) == expected
+        assert state(log) == state(twin)
+        assert log.file.append_pos == live
+        assert log.generation == len(rounds)
 
 
 # ----------------------------------------------------------------- corruption
@@ -310,7 +413,7 @@ def test_frame_running_past_a_known_end_raises():
     end = log.live_bytes
     for chop, message in ((3, "truncated log frame header"), (12, "truncated log record payload")):
         # A short cursor strands the start of a frame before the known end.
-        last = end - len(_last_frame(log.file.peek(0, end)))
+        last = end - len(frames_of(log.file.peek(0, end))[-1])
         log.file.seek_append(last + chop)
         with pytest.raises(RecoveryError, match=message):
             list(log.records())
@@ -325,7 +428,7 @@ def test_a_frame_of_an_unassigned_type_is_corruption(rtype):
     log = make_log()
     apply_ops(log, random_ops(random.Random(SEED + 5), 4))
     at = log.file.append_pos
-    frame = RedoLog._frame(rtype, b"\x00" * 24)
+    frame = log._frame(rtype, b"\x00" * 24)
     log.file.write(at, frame)
     log.file.seek_append(at + len(frame))
     message = f"corrupt log record type {rtype}$"
