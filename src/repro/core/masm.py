@@ -458,20 +458,33 @@ class MaSM:
         logged), or admitted after the caller pays a migration slice —
         depending on the configured :class:`OverloadPolicy`.  An update
         that passes admission is never dropped.
+        A replica set calls :meth:`admit` and :meth:`ingest` apart.
         """
-        sim_interleave("masm.apply")
         if encoded is None:
             encoded = self.codec.encode(update)
+        self.admit(update)
+        self.ingest(update, encoded)
+
+    def admit(self, update: UpdateRecord) -> None:
+        """The admission step of :meth:`apply`: the governor's decision."""
+        sim_interleave("masm.apply")
         if self.governor is not None:
             self.governor.admit(update)
+
+    def ingest(self, update: UpdateRecord, encoded: bytes) -> None:
+        """The ingest step of :meth:`apply`, for an admitted update: log,
+        buffer (flushing a full buffer first)."""
         with self._lock:
             if self.redo_log is not None:
                 self.redo_log.log_update(self.table.name, encoded)
-            if self.buffer.would_overflow(len(encoded)):
+            try:
+                self.buffer.append(encoded)
+            except UpdateCacheFullError:
                 self._handle_full_buffer()
-            self.buffer.append(encoded)
+                self.buffer.append(encoded)
             self.count_ingested(1)
-            self.last_update_ts = max(self.last_update_ts, update.timestamp)
+            if update.timestamp > self.last_update_ts:
+                self.last_update_ts = update.timestamp
             if self.snapshots is not None:
                 self.snapshots.note_write(update.timestamp, update.key)
 

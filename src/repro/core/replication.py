@@ -3,10 +3,11 @@
 A :class:`ReplicaSet` runs the same key range on N independent nodes (each
 built by the exact :func:`~repro.core.sharding.build_shard_node` recipe an
 unreplicated shard uses).  Replication is deterministic
-*primary-applies-then-ships*: the primary ingests an update — which logs it
-to the primary's redo log before buffering — and then ships the **same**
-:class:`UpdateRecord` (same timestamp, same payload) to every ONLINE
-follower.  Because MaSM visibility is a pure function of the update stream
+*primary-admits-then-ships*: the primary admits an update, then it and
+every ONLINE follower ingest the **same** :class:`UpdateRecord` (same
+timestamp, same payload), each logging it to its own redo log before
+buffering, side by side on the simulated timeline.
+Because MaSM visibility is a pure function of the update stream
 and the query timestamp, two replicas that ingested the same stream return
 byte-identical rows for any scan at the same snapshot ts, regardless of how
 differently their buffers flushed or their runs merged.
@@ -30,7 +31,7 @@ Checkpointing bounds the WAL (:meth:`ReplicaSet.maintenance`): each ONLINE
 replica periodically cuts a :class:`~repro.txn.log.Checkpoint` — a fence
 ``checkpoint_ts`` below which its flushed runs and migrated ranges are the
 durable home of every update — and compacts away the WAL prefix it covers,
-zeroing the reclaimed tail in governor-paced slices.  That makes redo logs
+leaving the stale tail to its generation stamp.  That makes redo logs
 *finite*, which introduces the one case incremental rejoin cannot handle: a
 replica whose recovered watermark predates the primary's truncation fence
 (or whose durable state was wiped entirely) raises
@@ -306,16 +307,22 @@ class ReplicaSet:
         # next apply/scan raises NoHealthyReplicaError.
 
     def apply(self, update: UpdateRecord) -> None:
-        """Primary applies, then ships the same record to ONLINE followers.
+        """Primary admits, then every ONLINE replica ingests the same record.
 
         The update is encoded once, first: an ill-formed one is rejected
         before any replica sees it, and every replica logs and buffers the
-        same bytes.
+        same bytes.  The primary's admission (delay, shed or a migration
+        slice) is the set's and precedes any ship; from the instant it ends,
+        the primary's ingest and each ship are concurrent branches of the
+        simulated timeline (no shared device: an update costs its slowest
+        replica).  Python still runs them primary first, so all but the
+        clock is what a serial ship would do.
 
         A primary that fails mid-apply is marked CRASHED and the apply is
-        retried on the promoted follower — the client sees one successful
-        ingest, not a failure plus a retry.  Followers that fail their
-        ship are dropped (CRASHED) and must rejoin via recover + catch-up.
+        retried on the promoted follower, from the instant the failure was
+        detected — the client sees one successful ingest, not a failure
+        plus a retry.  Followers that fail their ship are dropped (CRASHED)
+        and must rejoin via recover + catch-up.
         """
         encoded = self.codec.encode(update)
         while True:
@@ -327,7 +334,10 @@ class ReplicaSet:
                 )
             try:
                 self._guard(primary)
-                primary.masm.apply(update, encoded)
+                masm = primary.masm
+                masm.admit(update)
+                admitted = self.clock.now
+                masm.ingest(update, encoded)
                 break
             except ReplicaUnavailableError:
                 self._mark_crashed(primary)
@@ -336,7 +346,7 @@ class ReplicaSet:
                         f"shard {self.shard_id}: every replica is down"
                     ) from None
                 continue
-        for follower in self.replicas:
+        for follower in self.clock.branches(self.replicas, origin=admitted):
             if (
                 follower.replica_id == self.primary_id
                 or follower.state is not ReplicaState.ONLINE
@@ -344,7 +354,9 @@ class ReplicaSet:
                 continue
             try:
                 self._guard(follower)
-                follower.masm.apply(update, encoded)
+                masm = follower.masm
+                masm.admit(update)
+                masm.ingest(update, encoded)
                 self._obs_ships.add(1)
             except ReproError:
                 # Any failed ship (node fault, storage error, shed) leaves
@@ -654,11 +666,12 @@ class ReplicaSet:
         Cuts a checkpoint (and truncates the WAL behind it) on any replica
         whose live WAL exceeds ``wal_budget_bytes`` (default: half the WAL
         file), and refreshes the per-replica gauges
-        (``replication.shard.S.rR.*``).
+        (``replication.shard.S.rR.*``).  The replicas' ticks are
+        concurrent branches of the simulated timeline.
         """
         registry = get_registry()
         report: dict = {}
-        for replica in self.replicas:
+        for replica in self.clock.branches(self.replicas):
             wal = replica.wal
             entry = {"state": replica.state.value}
             if wal is not None and not replica.wiped:
@@ -745,9 +758,12 @@ class ReplicatedWarehouse:
     the availability driver pulls.  ``replication=1`` is the unreplicated
     cluster.  A shared clock is mandatory: failover, hedging and serving
     latency are decisions *about time*, so every node lives on one
-    timeline.  The nodes share no device, so a fan-out forks that timeline
-    per shard (:meth:`~repro.storage.clock.SimClock.concurrently`): a
-    partition's scan costs its slowest shard, not the sum of its shards.
+    timeline.  The nodes share no device, so work on several of them forks
+    that timeline (:meth:`~repro.storage.clock.SimClock.branches`): a
+    fan-out forks per shard, so a partition's scan costs its slowest shard;
+    a write forks per replica at the primary's admission instant
+    (:meth:`ReplicaSet.apply`), so an update costs its slowest replica;
+    maintenance forks per shard and per replica.
     """
 
     def __init__(
@@ -937,9 +953,10 @@ class ReplicatedWarehouse:
 
     # ----------------------------------------------------------- background
     def maintenance(self, **kwargs) -> Dict[str, dict]:
-        """One checkpoint/truncate/zeroing tick across every shard."""
+        """One checkpoint/truncate tick across every shard, the shards (and
+        within each, its replicas) concurrent on the simulated timeline."""
         report: Dict[str, dict] = {}
-        for shard in self.shards:
+        for shard in self.clock.branches(self.shards):
             report.update(shard.maintenance(**kwargs))
         return report
 

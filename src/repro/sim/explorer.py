@@ -1,23 +1,27 @@
 """Crash-schedule explorer: every crash point x every schedule prefix.
 
 The existing fault tests crash once at a hand-picked moment.  The explorer
-makes that systematic: first a clean reference run records its schedule,
-then for every prefix ``p`` of that schedule and every named crash point,
-it replays the same schedule, arms ``FaultPlan().crash_at(site, 1)`` after
-``p`` steps and lets the run crash wherever the site is next reached.  The
-torn state is recovered with the real recovery path and validated against
-the model oracle (with the in-doubt disjunction for the one update that may
-have been mid-apply) — so "migration/recovery never lose or double-apply an
-update" is checked at every point of the schedule, not one.
+makes that systematic: first a clean reference run records its schedule
+and the last step at which each named crash point is reached, then for
+every prefix ``p`` of that schedule and every crash point some step from
+``p`` on still reaches, it replays the same schedule, arms
+``FaultPlan().crash_at(site, 1)`` after ``p`` steps and lets the run crash
+wherever the site is next reached (a probe that cannot fire is counted as
+skipped, not run).  The torn state is recovered with the real recovery
+path and validated against the model oracle (with the in-doubt disjunction
+for the one update that may have been mid-apply) — so "migration/recovery
+never lose or double-apply an update" is checked at every point of the
+schedule, not one.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.obs import use_registry, use_tracer
+from repro.sim import hooks
 from repro.sim.harness import SimConfig, SimEnv, build_actor_factories, run_simulation
 from repro.sim.scheduler import Schedule, SimScheduler
 from repro.storage.faults import FaultPlan, use_fault_plan
@@ -54,6 +58,8 @@ class ExplorationReport:
     schedule: Schedule
     sites: Sequence[str]
     probes: List[Probe] = field(default_factory=list)
+    #: site -> prefixes not probed: no step from there on reaches the site.
+    skipped: Dict[str, int] = field(default_factory=dict)
 
     @property
     def attempted(self) -> int:
@@ -83,6 +89,7 @@ class ExplorationReport:
                 site: {
                     "fired": self.fired(site),
                     "validated": self.validated(site),
+                    "skipped": self.skipped.get(site, 0),
                 }
                 for site in self.sites
             },
@@ -108,7 +115,8 @@ class ExplorationReport:
         for site in self.sites:
             parts.append(
                 f"  {site}: fired {self.fired(site)}, "
-                f"validated {self.validated(site)}"
+                f"validated {self.validated(site)}, "
+                f"skipped {self.skipped.get(site, 0)}"
             )
         if self.failures:
             parts.append(f"  FAILURES: {len(self.failures)}")
@@ -172,16 +180,38 @@ def explore_crash_schedules(
 ) -> ExplorationReport:
     """Sweep every crash site across every schedule prefix of a clean run.
 
-    ``prefix_stride`` > 1 samples every Nth prefix (for quick smoke runs);
-    the CI explorer job and the acceptance criterion use stride 1.
+    A probe armed after ``p`` steps fires at the first step from ``p`` on
+    that reaches its site; the replay is the reference run until then, so a
+    prefix past the last step that reaches the site cannot fire and is
+    skipped.  ``prefix_stride`` > 1 samples every Nth prefix (for quick
+    smoke runs); the CI explorer job and the acceptance criterion use
+    stride 1.
     """
     config = config or SimConfig.canonical()
-    reference = run_simulation(config, seed)
+    reach = _LastReach()
+    with use_fault_plan(reach):
+        reference = run_simulation(config, seed)
     schedule = Schedule(list(reference.report.schedule.choices))
     report = ExplorationReport(seed=seed, schedule=schedule, sites=sites)
     for prefix in range(0, len(schedule.choices) + 1, prefix_stride):
         for site in sites:
+            if reach.last.get(site, -1) < prefix:
+                report.skipped[site] = report.skipped.get(site, 0) + 1
+                continue
             report.probes.append(
                 run_crash_probe(config, seed, schedule, prefix, site)
             )
     return report
+
+
+class _LastReach:
+    """A crash-point observer (it never crashes) for the reference run:
+    the index of the last schedule step in which each site was reached."""
+
+    def __init__(self) -> None:
+        self.last: Dict[str, int] = {}
+
+    def check_crash_point(self, site: str) -> None:
+        scheduler = hooks.active_context()
+        if isinstance(scheduler, SimScheduler):
+            self.last[site] = len(scheduler.steps)

@@ -9,14 +9,17 @@ as simulated work completes.
 
 from __future__ import annotations
 
+from typing import Iterator, Optional
+
 
 class SimClock:
     """A monotonically advancing simulated clock, in seconds.
 
-    The clock never moves backwards, with one scoped exception:
-    :meth:`concurrently` rewinds to its fork instant before each branch, and
-    never below it.  :meth:`advance` with a negative delta is rejected
-    because it always indicates an accounting bug in a device model.
+    The clock never moves backwards, with one scoped exception: a fork
+    (:meth:`branches`, :meth:`concurrently`) rewinds to its origin before
+    each branch, and never below it.  :meth:`advance` with a negative delta
+    is rejected because it always indicates an accounting bug in a device
+    model.
     """
 
     __slots__ = ("_now",)
@@ -42,34 +45,50 @@ class SimClock:
             self._now = when
         return self._now
 
-    def concurrently(self, fn, items, *args) -> list:
-        """Run ``fn(item, *args)`` for each item as concurrent branches.
+    def branches(self, items, origin: Optional[float] = None) -> Iterator:
+        """Yield each item as the start of a concurrent branch: the loop
+        body is the branch, so a fork pays no call per branch.
 
         Every branch starts at the same origin instant (the clock steps back
         to it before each branch after the first: the only place the clock
-        moves backwards, and never below the origin), and after the last
-        branch the clock stands at the latest finish: the fork costs its
-        slowest branch, not the sum.  Results come back in item order.  If
-        a branch raises, the clock stands at the furthest instant any branch
-        reached and the error propagates; later branches do not run.
+        moves backwards, and never below the origin), and once the loop is
+        done the clock stands at the latest finish: the fork costs its
+        slowest branch, not the sum.  The origin is now unless ``origin``
+        names an earlier instant: then the work done since is one more
+        branch, already run.  A loop left early (``break``, or a branch
+        that raises) closes the generator, and the clock stands at the
+        furthest instant any branch reached.
 
         Only work that shares no timed resource may fork: each branch must
         see exactly the timeline it would see alone (device service times
         never read the clock; per-node breakers, trackers and fault plans
         are each touched by one branch only).
         """
-        origin = finish = self._now
-        results = []
+        finish = self._now
+        if origin is None:
+            origin = finish
+        elif origin > finish:
+            raise ValueError(f"fork origin {origin} is in the future")
         try:
             for item in items:
                 self._now = origin
-                results.append(fn(item, *args))
+                yield item
                 if self._now > finish:
                     finish = self._now
         finally:
             if finish > self._now:
                 self._now = finish
-        return results
+
+    def concurrently(self, fn, items, *args) -> list:
+        """Run ``fn(item, *args)`` for each item as a concurrent branch
+        (see :meth:`branches`); results come back in item order.  If a
+        branch raises, the error propagates and later branches do not run.
+        """
+        forks = self.branches(items)
+        try:
+            return [fn(item, *args) for item in forks]
+        finally:
+            forks.close()
 
     def reset(self) -> None:
         """Restart the timeline at zero (used between benchmark repetitions)."""

@@ -227,14 +227,15 @@ class Device:
         data = self.store.read(offset, size)
         with self._lock:
             service, reposition, sequential = self._read_time(offset, size)
-            self.stats.reads += 1
-            self.stats.bytes_read += size
-            self.stats.busy_time += service
-            self.stats.seek_time += reposition
+            stats = self.stats
+            stats.reads += 1
+            stats.bytes_read += size
+            stats.busy_time += service
+            stats.seek_time += reposition
             if sequential:
-                self.stats.seq_reads += 1
+                stats.seq_reads += 1
             else:
-                self.stats.rand_reads += 1
+                stats.rand_reads += 1
             self.clock.advance(service)
         self._obs_read_latency.observe(service)
         return data
@@ -249,14 +250,15 @@ class Device:
         size = len(data)
         with self._lock:
             service, reposition, sequential = self._write_time(offset, size)
-            self.stats.writes += 1
-            self.stats.bytes_written += size
-            self.stats.busy_time += service
-            self.stats.seek_time += reposition
+            stats = self.stats
+            stats.writes += 1
+            stats.bytes_written += size
+            stats.busy_time += service
+            stats.seek_time += reposition
             if sequential:
-                self.stats.seq_writes += 1
+                stats.seq_writes += 1
             else:
-                self.stats.rand_writes += 1
+                stats.rand_writes += 1
             self.clock.advance(service)
         self._obs_write_latency.observe(service)
 

@@ -76,7 +76,7 @@ class SimulatedSSD(Device):
             penalty = p.random_write_penalty
             service += penalty
         self._append_point = offset + size
-        self.erase_count += ceil_div(size, p.erase_block)
+        self.erase_count += -(-size // p.erase_block)
         return service, penalty, sequential
 
     # ------------------------------------------------------------- batch API

@@ -279,10 +279,10 @@ class RedoLog:
         _pack_str(table) + encoded)`` builds, made from the table's memoized
         head with one checksum over ``encoded`` and one concatenation.
         """
-        if table not in self.codecs:
-            raise RecoveryError(f"no codec registered for table {table!r}")
         head = self._update_heads.get(table)
         if head is None:
+            if table not in self.codecs:
+                raise RecoveryError(f"no codec registered for table {table!r}")
             prefix = _pack_str(table)
             head = self._update_heads[table] = (
                 struct.Struct(f"{_FRAME.format}{len(prefix)}s"),
@@ -499,8 +499,8 @@ class RedoLog:
         the file size, where the walk stops at the first frame that is not
         one: unwritten space (zeroes, which no valid frame starts with), a
         *torn tail* — the final record partially persisted because a crash
-        interrupted the append — or a stale frame of an earlier generation
-        that truncation left behind; the last two are counted and skipped.
+        interrupted the append, counted and skipped — or a stale frame that
+        truncation left behind, whole under an earlier generation.
         A scan also re-learns :attr:`generation` from the first frame.
         """
         read = self.file.read
@@ -552,9 +552,11 @@ class RedoLog:
             if scanning and not offset:
                 self.generation = _claimed_generation(rtype_raw, payload, stored_crc)
                 seeds = self._seeds
-            if checksum(payload, seeds[rtype_raw]) != stored_crc:
+            crc = checksum(payload, seeds[rtype_raw])
+            if crc != stored_crc:
                 if scanning:
-                    self._torn_tail(offset, "checksum mismatch")
+                    if not self._stamped_earlier(length, crc ^ stored_crc):
+                        self._torn_tail(offset, "checksum mismatch")
                     return
                 raise RecoveryError(f"log record at offset {offset} failed checksum")
             yield offset, rtype_raw, buf, at, size
@@ -620,11 +622,22 @@ class RedoLog:
         """Count the invalid frame a scan after a crash stopped at.
 
         Replay stops here: a record torn mid-append was never acknowledged
-        to any client, so skipping it loses nothing that was promised.  A
-        stale frame of an earlier generation looks the same to the scan
-        (nothing but its CRC tells them apart) and is counted alike.
+        to any client, so skipping it loses nothing that was promised.
         """
         get_registry().counter("txn.log.torn_tail_skipped").add(1)
+
+    def _stamped_earlier(self, length: int, diff: int) -> bool:
+        """Is a frame whose CRC under :attr:`generation` is off by ``diff``
+        whole under an earlier one (a stale frame, not a tear)?  The CRC is
+        affine in its seed, as :meth:`truncate_through` uses, so a candidate
+        costs a CRC over zero bytes, not over the payload."""
+        generation = self.generation
+        zeros = bytes(length)
+        base = checksum(zeros)
+        return any(
+            checksum(zeros, generation ^ earlier) ^ base == diff
+            for earlier in range(generation)
+        )
 
     def _decode(self, rtype: LogRecordType, payload: bytes) -> LogRecord:
         if rtype == LogRecordType.UPDATE:

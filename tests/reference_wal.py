@@ -74,7 +74,12 @@ def reference_records(log: RedoLog) -> Iterator[LogRecord]:
             generation = first_frame_generation(rtype_raw, payload, stored_crc)
         if frame_crc(rtype_raw, payload, generation) != stored_crc:
             if scanning:
-                log._torn_tail(offset, "checksum mismatch")
+                # A frame whole under an earlier generation is stale, not torn.
+                if not any(
+                    frame_crc(rtype_raw, payload, earlier) == stored_crc
+                    for earlier in range(generation)
+                ):
+                    log._torn_tail(offset, "checksum mismatch")
                 break
             raise RecoveryError(f"log record at offset {offset} failed checksum")
         offset += _FRAME.size + length

@@ -1,5 +1,7 @@
 """SimClock invariants: monotonicity, reset and fork/join semantics."""
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro.storage.clock import SimClock
@@ -126,3 +128,48 @@ def test_nested_forks_join_at_the_critical_path():
     ]
     clock.advance(1.0)
     assert clock.now == 6.0
+
+
+def test_branches_start_at_the_origin_and_join_at_the_latest_finish():
+    clock = SimClock(start=1.0)
+    starts = []
+    for delta in clock.branches([0.5, 2.0, 0.25]):
+        starts.append(clock.now)
+        clock.advance(delta)
+    assert starts == [1.0, 1.0, 1.0]
+    assert clock.now == 3.0
+
+
+def test_an_earlier_origin_counts_the_work_since_it_as_a_branch():
+    clock = SimClock(start=1.0)
+    clock.advance(0.75)  # the branch that already ran, from 1.0
+    starts = []
+    for delta in clock.branches([0.5, 0.25], origin=1.0):
+        starts.append(clock.now)
+        clock.advance(delta)
+    assert starts == [1.0, 1.0]
+    assert clock.now == 1.75  # the branch already run is the slowest
+    for delta in clock.branches([2.0], origin=1.0):
+        clock.advance(delta)
+    assert clock.now == 3.0
+
+
+def test_an_origin_in_the_future_is_rejected():
+    clock = SimClock(start=1.0)
+    with pytest.raises(ValueError, match="in the future"):
+        for _ in clock.branches([1], origin=1.5):
+            pass
+    assert clock.now == 1.0
+
+
+@pytest.mark.parametrize("leave", ["break", "raise"])
+def test_a_loop_left_early_leaves_the_clock_at_the_furthest_instant(leave):
+    clock = SimClock(start=2.0)
+    with pytest.raises(RuntimeError) if leave == "raise" else nullcontext():
+        for delta in clock.branches([3.0, 1.0, 9.0]):
+            clock.advance(delta)
+            if delta == 1.0:
+                if leave == "break":
+                    break
+                raise RuntimeError("branch failed")
+    assert clock.now == 5.0

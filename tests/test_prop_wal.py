@@ -13,7 +13,8 @@ the outside, from the two-reads-per-frame passes in ``reference_wal``:
   over the stale bytes a truncation leaves behind;
 * after one to three truncations, stale frames behind the cursor — dropped
   records, earlier-generation copies of survivors, torn pieces of either —
-  never replay: a post-crash scan ends exactly where the live log ends;
+  never replay: a post-crash scan ends exactly where the live log ends, and
+  a whole stale frame there is not counted as a torn tail;
 * a flipped bit mid-log raises ``RecoveryError`` from ``records()`` (known
   end) and from ``truncate_through`` ("refusing to truncate");
 * ``truncate_through`` leaves the same file bytes, cursor, generation and
@@ -276,9 +277,14 @@ def torn_tail_cut_at_every_byte(behind: str) -> None:
                 # Zero bytes are unwritten space, not a tear: the tail counts
                 # as torn once the frame's type byte made it to the device.
                 assert skipped == (1 if cut > 4 else 0)
+            elif cut > 4:
+                # A torn append over stale bytes is a tear, whatever the
+                # bytes behind its cut were.
+                assert skipped == 1
             else:
-                # Stale bytes end the scan like a tear, or like unwritten
-                # space where a zero lands on the type byte.
+                # Before the type byte lands the scan meets stale bytes: a
+                # frame whole under the previous generation, unwritten
+                # space where a zero sits on the type byte, or a tear.
                 assert skipped <= 1
             assert torn.file.append_pos == start
             assert torn.generation == whole.generation
@@ -358,22 +364,34 @@ def test_stale_frames_behind_the_cursor_never_replay(ops, rounds, fill, chunk):
         "survivor": [frame for frame in stale if frame[_FRAME.size :] in payloads],
         "dropped": [frame for frame in stale if frame[_FRAME.size :] not in payloads],
     }
-    junk = b""
+    pieces = []
     for kind, pick, cut in fill:
         pool = pools[kind] or pools["dropped"] or pools["survivor"]
         frame = pool[pick % len(pool)]
-        junk += frame if cut is None else frame[: max(1, int(cut * len(frame)))]
-    junk = junk[: log.file.size - live]
+        pieces.append(frame if cut is None else frame[: max(1, int(cut * len(frame)))])
+    junk = b"".join(pieces)[: log.file.size - live]
+    # A whole frame of an earlier generation right at the cursor.
+    stale_at_cursor = fill[0][2] is None and len(junk) >= len(pieces[0])
     expected = list(log.records())
     for each in (log, twin):
         each.file.write(live, junk)
     with read_chunk(chunk):
-        log, twin = reopen(log), reopen(twin)
-        assert list(log.records()) == expected
-        assert list(ref.reference_records(twin)) == expected
+        with use_registry(MetricsRegistry()):
+            log = reopen(log)
+            assert list(log.records()) == expected
+            skipped = get_registry().counter("txn.log.torn_tail_skipped").value
+        with use_registry(MetricsRegistry()):
+            twin = reopen(twin)
+            assert list(ref.reference_records(twin)) == expected
+            assert get_registry().counter("txn.log.torn_tail_skipped").value == skipped
         assert state(log) == state(twin)
         assert log.file.append_pos == live
         assert log.generation == len(rounds)
+    if stale_at_cursor:
+        # A stale frame ends the scan, but it is no torn tail.
+        assert skipped == 0
+    else:
+        assert skipped <= 1
 
 
 # ----------------------------------------------------------------- corruption

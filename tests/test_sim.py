@@ -17,7 +17,11 @@ import pytest
 
 from repro import obs
 from repro.sim.__main__ import SCENARIOS
-from repro.sim.explorer import DEFAULT_CRASH_SITES, explore_crash_schedules
+from repro.sim.explorer import (
+    DEFAULT_CRASH_SITES,
+    explore_crash_schedules,
+    run_crash_probe,
+)
 from repro.sim.harness import FULL_RANGE, SimConfig, SimEnv, run_simulation
 from repro.sim.hooks import active_context, interleave, simulation_active
 from repro.sim.model import ModelTable
@@ -336,6 +340,33 @@ def test_crash_explorer_validates_every_probe():
     # The WAL-append crash point sits on every logged update, so a sweep
     # that never fires it is not actually crashing anything.
     assert report.fired("wal.append") > 0
+
+
+def test_crash_explorer_skips_only_probes_that_cannot_fire():
+    """The sweep skips a (prefix, site) probe only when no step from that
+    prefix on reaches the site: running every probe anyway fires exactly
+    the ones the explorer ran, and fails none it skipped."""
+    config = replace(
+        SimConfig.canonical(), update_ops=10, scans=1, flush_ops=2,
+        migrate_ops=2,
+    )
+    report = explore_crash_schedules(config, seed=1, prefix_stride=3)
+    ran = {(probe.prefix, probe.site) for probe in report.probes}
+    everything = [
+        run_crash_probe(config, 1, report.schedule, prefix, site)
+        for prefix in range(0, len(report.schedule.choices) + 1, 3)
+        for site in DEFAULT_CRASH_SITES
+    ]
+    assert report.attempted + sum(report.skipped.values()) == len(everything)
+    assert sum(report.skipped.values()) > 0
+    for probe in everything:
+        if (probe.prefix, probe.site) not in ran:
+            assert not probe.fired and probe.validated, probe
+    for site in DEFAULT_CRASH_SITES:
+        assert report.fired(site) == sum(
+            1 for probe in everything if probe.fired and probe.site == site
+        )
+        assert report.to_dict()["per_site"][site]["skipped"] == report.skipped.get(site, 0)
 
 
 def test_crash_explorer_fires_the_migration_emit_site():
