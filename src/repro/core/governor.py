@@ -285,8 +285,9 @@ class LoadGovernor:
         self._cursor: Optional[int] = None  # next key the sweep migrates
         self._admit_lock = threading.Lock()
         # Per-apply fast path: cache the run-bytes total keyed on the
-        # engine's runs_version, and precompute the trickle threshold in
-        # bytes, so admission costs no lock/sum/divide per update.
+        # engine's run-manifest version, and precompute the trickle
+        # threshold in bytes, so admission costs no lock/sum/divide per
+        # update.
         self._runs_version = -1
         self._runs_bytes = 0
         self._trickle_threshold = int(
@@ -368,7 +369,7 @@ class LoadGovernor:
         """Cached ``masm.cached_run_bytes`` (exact: refreshed whenever the
         run list changes), cheap enough for the per-update admit path."""
         masm = self.masm
-        version = masm.runs_version
+        version = masm.manifest.version
         if version != self._runs_version:
             self._runs_bytes = masm.cached_run_bytes
             self._runs_version = version

@@ -27,6 +27,14 @@ import numpy as np
 from repro.core import kernels
 from repro.core.blockcache import DEFAULT_CACHE_BLOCKS, DecodedBlockCache
 from repro.core.governor import GovernorConfig, LoadGovernor
+from repro.core.manifest import (
+    MigrationEnded,
+    RunFlushed,
+    RunManifest,
+    RunReplaced,
+    RunsMerged,
+    merged_passes,
+)
 from repro.core.membuffer import InMemoryUpdateBuffer
 from repro.obs import get_registry, trace
 from repro.core.operators import MemScan, MergeDataUpdates, MergeUpdates, RunScan
@@ -315,11 +323,8 @@ class MaSM:
         self.buffer = InMemoryUpdateBuffer(
             table.schema, capacity_bytes=self.params.update_pages * page
         )
-        self.runs: list[MaterializedSortedRun] = []  # creation order
-        #: Bumped on every mutation of ``runs`` so hot paths (the governor's
-        #: per-apply admission check) can cache the run-bytes total instead
-        #: of re-summing under the lock on every update.
-        self.runs_version = 0
+        #: The one owner of the run set, its metadata and the watermarks.
+        self.manifest = RunManifest(table.name)
         self._runs_by_flush_epoch: dict[int, MaterializedSortedRun] = {}
         self.stats = MaSMStats(scope=self.name)
         #: The one counter every update moves.
@@ -333,19 +338,12 @@ class MaSM:
         self._active_scans: dict[int, int] = {}  # scan id -> query timestamp
         self._scan_seq = 0
         self._lock = threading.RLock()
-        self._migrate_hook = None  # installed by attach_migrator()
         self._graveyard: list[tuple[MaterializedSortedRun, int]] = []
         self.redo_log = None  # installed by attach_log()
         self.snapshots = None  # installed by attach_snapshots()
         #: Commit timestamp of the newest ingested update (freshness marker
         #: for lazily maintained views, Section 5).
         self.last_update_ts = 0
-        #: Every logged update with ``ts <= flushed_through`` is durable in a
-        #: materialized run (advanced at flush time from the raw span).
-        self.flushed_through = 0
-        #: Every update with ``ts <= migrated_through`` was migrated in place
-        #: (advanced only when a *full* migration retires all runs).
-        self.migrated_through = 0
         #: Fence of the newest checkpoint cut by :meth:`checkpoint`.
         self.last_checkpoint_ts = 0
         #: Overload governance (None = ungoverned legacy behaviour).
@@ -371,6 +369,12 @@ class MaSM:
         """
         redo_log.register_table(self.table.name, self.codec)
         self.redo_log = redo_log
+
+    # ------------------------------- read-only views of the run manifest
+    runs = property(lambda self: self.manifest.runs)
+    runs_version = property(lambda self: self.manifest.version)
+    flushed_through = property(lambda self: self.manifest.flushed_through)
+    migrated_through = property(lambda self: self.manifest.migrated_through)
 
     # --------------------------------------------------------------- sizing
     @property
@@ -477,16 +481,20 @@ class MaSM:
         with self._lock:
             if self.redo_log is not None:
                 self.redo_log.log_update(self.table.name, encoded)
-            try:
-                self.buffer.append(encoded)
-            except UpdateCacheFullError:
-                self._handle_full_buffer()
-                self.buffer.append(encoded)
-            self.count_ingested(1)
+            self._buffer_update(encoded)
             if update.timestamp > self.last_update_ts:
                 self.last_update_ts = update.timestamp
             if self.snapshots is not None:
                 self.snapshots.note_write(update.timestamp, update.key)
+
+    def _buffer_update(self, encoded: bytes) -> None:
+        """Buffer one (already logged) update, flushing a full buffer first."""
+        try:
+            self.buffer.append(encoded)
+        except UpdateCacheFullError:
+            self._handle_full_buffer()
+            self.buffer.append(encoded)
+        self.count_ingested(1)
 
     def _handle_full_buffer(self) -> None:
         page = self.ssd_page_size
@@ -537,9 +545,9 @@ class MaSM:
                     if projected >= self.config.migration_threshold * self.cache_bytes:
                         self.migrate()
                 run = self._write_run(updates, passes=1)
-                run.covered_min_ts = raw_min_ts
-                run.covered_max_ts = raw_max_ts
-                self.flushed_through = max(self.flushed_through, raw_max_ts)
+                self.manifest.apply(
+                    RunFlushed(run, raw_max_ts, covered=(raw_min_ts, raw_max_ts))
+                )
                 sim_interleave("masm.flush.run_written")
                 # The window a crash test cares most about: the run is
                 # durable on the SSD but its RUN_FLUSH record is not logged
@@ -598,7 +606,7 @@ class MaSM:
         replacing_bytes: int = 0,
         name: Optional[str] = None,
     ) -> MaterializedSortedRun:
-        """Materialize ``updates`` as a run, enforcing the cache quota.
+        """Materialize ``updates`` as a (not yet live) run, enforcing the quota.
 
         ``replacing_bytes`` credits the size of runs this write supersedes
         (a 2-pass merge deletes its inputs right after), so merging near a
@@ -628,8 +636,6 @@ class MaSM:
             )
         except OutOfSpaceError as exc:
             raise UpdateCacheFullError(str(exc)) from exc
-        self.runs.append(run)
-        self.runs_version += 1
         self.stats.runs_created += 1
         self.stats.updates_written_to_ssd += run.count
         return run
@@ -647,13 +653,12 @@ class MaSM:
             one_pass = [r for r in self.runs if r.passes == 1]
             if len(one_pass) >= 2:
                 victims = one_pass[: max(2, min(fan_in, len(one_pass)))]
-                passes = 2
             else:
                 # Degenerate fallback: merge the two earliest runs whatever
                 # their pass count (would be a 3-pass run; the alpha lower
                 # bound exists precisely to make this unnecessary).
                 victims = self.runs[:2]
-                passes = max(r.passes for r in victims) + 1
+            passes = merged_passes(victims)
             sim_interleave("masm.merge_runs")
             with trace("masm.merge_runs", fan_in=len(victims), passes=passes):
                 # Fallback-aware sources: merging a quarantined victim
@@ -666,25 +671,20 @@ class MaSM:
                 size_hint = (
                     sum(r.file.size for r in victims) + self.config.block_size
                 )
-                # Log the merge *before* writing the product, under the
-                # product's pre-allocated name: after a crash the product
-                # file's intact existence tells recovery whether the merge
-                # committed.  Any earlier crash leaves the victims — still
-                # on the SSD — as the authoritative copies; any later crash
-                # leaves victim files (e.g. parked in the graveyard for an
-                # active scan) that recovery must discard, because serving
-                # them alongside the product would apply every merged
-                # update twice.
+                # Log the merge *before* writing the product, under its
+                # pre-allocated name: after a crash, the product file's
+                # intact existence tells recovery whether it committed.
                 name = self._next_run_name()
+                covered = (
+                    min(r.covered_min_ts for r in victims),
+                    max(r.covered_max_ts for r in victims),
+                )
                 if self.redo_log is not None:
                     self.redo_log.log_run_merge(
                         self.oracle.current,
                         name,
                         [v.name for v in victims],
-                        covered_ts=(
-                            min(r.covered_min_ts for r in victims),
-                            max(r.covered_max_ts for r in victims),
-                        ),
+                        covered_ts=covered,
                     )
                 # Logged, product not written: recovery must keep serving
                 # the victims and forget the merge.
@@ -704,27 +704,16 @@ class MaSM:
                     replacing_bytes=sum(r.size_bytes for r in victims),
                     name=name,
                 )
-                run.covered_min_ts = min(r.covered_min_ts for r in victims)
-                run.covered_max_ts = max(r.covered_max_ts for r in victims)
                 # Product durable, victims still on the SSD: recovery must
                 # serve the product and discard the victims, or every
                 # merged update is applied twice.
                 crash_point("masm.merge.product_written")
-                # An active scan may have captured the victims in its run
-                # list at registration (or reach one via the Mem_scan
-                # flush-epoch handover): deleting their files now would rip
-                # pages out from under it.  Park them in the graveyard until
-                # every scan older than the merge has finished; without
-                # scans, delete immediately as before.
-                barrier_ts = self.oracle.current + 1
-                oldest = self.oldest_active_query_ts()
-                for victim in victims:
-                    self.runs.remove(victim)
-                    if oldest is not None and oldest < barrier_ts:
-                        self._graveyard.append((victim, barrier_ts))
-                    else:
-                        self._delete_run(victim)
-                self.runs_version += 1
+                # An older scan may still read the victims (from its run
+                # list or a Mem_scan flush-epoch handover): they wait.
+                self._retire(
+                    self.manifest.apply(RunsMerged(run, tuple(victims), covered)),
+                    barrier_ts=self.oracle.current + 1,
+                )
                 self.stats.runs_merged += len(victims)
                 return run
 
@@ -847,13 +836,11 @@ class MaSM:
         ]
 
     def _fallback_for(self, run, begin_key, end_key, query_ts):
-        if self.redo_log is None:
-            return None
         # A truncated log no longer holds the run's covered range: replay
         # would silently return a partial stream.  Leave the scan without a
         # fallback so damage surfaces as a typed ChecksumError — the router
         # fails over to a healthy replica and schedules anti-entropy repair.
-        if self.redo_log.truncated_through >= run.covered_min_ts:
+        if not self._log_covers(run):
             return None
 
         def fallback(after):
@@ -999,18 +986,11 @@ class MaSM:
                     block_size=self.config.block_size,
                     passes=run.passes,
                 )
-                rebuilt.covered_min_ts = run.covered_min_ts
-                rebuilt.covered_max_ts = run.covered_max_ts
-                rebuilt.migrated_ranges = list(run.migrated_ranges)
-                for i, existing in enumerate(self.runs):
-                    if existing is run:
-                        self.runs[i] = rebuilt
-                        break
+                self.manifest.apply(RunReplaced(run, rebuilt))
                 self._runs_by_flush_epoch = {
                     epoch: (rebuilt if kept is run else kept)
                     for epoch, kept in self._runs_by_flush_epoch.items()
                 }
-                self.runs_version += 1
                 self.stats.runs_repaired += 1
                 if source == "peer":
                     self.stats.peer_repairs += 1
@@ -1086,25 +1066,6 @@ class MaSM:
             fence = min(fence, buffer_min - 1)
         return max(0, fence)
 
-    def _manifest(self, fence: int):
-        from repro.txn.log import Checkpoint, RunManifestEntry
-
-        return Checkpoint(
-            table=self.table.name,
-            checkpoint_ts=fence,
-            migrated_ts=min(self.migrated_through, fence),
-            runs=tuple(
-                RunManifestEntry(
-                    name=run.name,
-                    covered_min_ts=run.covered_min_ts,
-                    covered_max_ts=run.covered_max_ts,
-                    migrated_ranges=tuple(run.migrated_ranges),
-                    passes=run.passes,
-                )
-                for run in self.runs
-            ),
-        )
-
     def checkpoint(self):
         """Cut a :class:`~repro.txn.log.Checkpoint` fence, or None.
 
@@ -1124,7 +1085,7 @@ class MaSM:
             fence = self._checkpoint_fence()
             if fence <= 0:
                 return None
-            return self._manifest(fence)
+            return self.manifest.snapshot(fence)
 
     def checkpoint_and_truncate(self):
         """Cut a checkpoint and reclaim the WAL prefix it fences off.
@@ -1179,7 +1140,7 @@ class MaSM:
                 heap_payload=heap_payload,
                 heap_crc=_crc(heap_payload),
                 runs=tuple(run_snaps),
-                checkpoint=self._manifest(self._checkpoint_fence()),
+                checkpoint=self.manifest.snapshot(self._checkpoint_fence()),
             )
         get_registry().counter("masm.snapshots.exported").add(1)
         return snapshot
@@ -1208,10 +1169,6 @@ class MaSM:
         }
 
     # -------------------------------------------------------------- migration
-    def attach_migrator(self, migrate_fn) -> None:
-        """Install the migration strategy (see repro.core.migration)."""
-        self._migrate_hook = migrate_fn
-
     def migrate(self) -> None:
         """Migrate all cached updates back into the main data in place."""
         from repro.core.migration import migrate_all, migrate_range
@@ -1219,9 +1176,7 @@ class MaSM:
         sim_interleave("masm.migrate")
         with self._lock:
             with trace("masm.migrate", runs=len(self.runs)):
-                if self._migrate_hook is not None:
-                    self._migrate_hook(self)
-                elif self._active_scans:
+                if self._active_scans:
                     # The full rewrite moves records across pages, which an
                     # in-flight lazy scan (reading pages as it goes) would
                     # see double or not at all.  Degrade to the range path
@@ -1239,24 +1194,30 @@ class MaSM:
             if self.governor is not None:
                 self.governor.on_full_migration()
 
-    def retire_runs(
-        self, runs: list[MaterializedSortedRun], barrier_ts: Optional[int] = None
-    ) -> None:
-        """Remove migrated runs; delete their SSD space when safe.
-
-        A run stays in a graveyard while any in-flight scan started before
-        ``barrier_ts`` might still read it (the migration thread's "wait for
-        ongoing queries earlier than t" of Section 3.2).
-        """
-        sim_interleave("masm.retire_runs")
+    def end_migration(
+        self,
+        timestamp: int,
+        runs: list[MaterializedSortedRun],
+        spans: Optional[list[tuple[int, int]]] = None,
+    ) -> list[MaterializedSortedRun]:
+        """Apply a migration's logged end (:class:`MigrationEnded`: a full
+        migration when ``spans`` is None) and retire the runs it retired;
+        returns them."""
         with self._lock:
+            retired = self.manifest.apply(MigrationEnded(timestamp, tuple(runs), spans))
+            if retired:
+                sim_interleave("masm.retire_runs")
+                self._retire(retired, barrier_ts=timestamp)
+            return retired
+
+    def _retire(self, runs: list[MaterializedSortedRun], barrier_ts: int) -> None:
+        """Delete retired runs' files; one a scan older than ``barrier_ts``
+        may still read waits in the graveyard (Section 3.2's "wait for
+        ongoing queries earlier than t")."""
+        with self._lock:
+            oldest = self.oldest_active_query_ts()
             for run in runs:
-                if run not in self.runs:
-                    continue
-                self.runs.remove(run)
-                self.runs_version += 1
-                oldest = self.oldest_active_query_ts()
-                if barrier_ts is not None and oldest is not None and oldest < barrier_ts:
+                if oldest is not None and oldest < barrier_ts:
                     self._graveyard.append((run, barrier_ts))
                 else:
                     self._delete_run(run)
@@ -1264,14 +1225,9 @@ class MaSM:
     def _gc_graveyard(self) -> None:
         """Delete retired runs once no scan older than their barrier remains."""
         with self._lock:
-            oldest = self.oldest_active_query_ts()
-            survivors: list[tuple[MaterializedSortedRun, int]] = []
-            for run, barrier_ts in self._graveyard:
-                if oldest is not None and oldest < barrier_ts:
-                    survivors.append((run, barrier_ts))
-                else:
-                    self._delete_run(run)
-            self._graveyard = survivors
+            parked, self._graveyard = self._graveyard, []
+            for run, barrier_ts in parked:
+                self._retire([run], barrier_ts)
 
     # --------------------------------------------------------- constructors
     @classmethod

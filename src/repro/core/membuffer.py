@@ -63,10 +63,6 @@ class InMemoryUpdateBuffer:
         """Whole pages the buffered updates occupy (ceiling)."""
         return -(-self._bytes // page_size) if self._bytes else 0
 
-    def would_overflow(self, size: int) -> bool:
-        """Would an update of ``size`` encoded bytes exceed the capacity?"""
-        return self._bytes + size > self.capacity_bytes
-
     # ------------------------------------------------------------------ writes
     def append(self, encoded: bytes) -> None:
         """Add an incoming update (arrival order), as the engine encoded it —

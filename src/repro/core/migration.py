@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 import numpy as np
 
 from repro.core.operators import MergeUpdates, join_batches
+from repro.core.sortedrun import subtract_spans
 from repro.core.update import UpdateColumns, UpdateType
 from repro.engine.heapfile import (
     DEFAULT_FILL_FACTOR,
@@ -119,10 +120,9 @@ def _migrate_everything(
         table.replace_contents(entries, stats.rows_after)
         if redo_log is not None:
             redo_log.log_migration_end(t)
-        masm.retire_runs(runs, barrier_ts=t)
         # Every durable (non-buffered) update with ts <= t is now applied in
         # place; the checkpoint fence caps below any still-buffered update.
-        masm.migrated_through = max(masm.migrated_through, t)
+        masm.end_migration(t, runs)
         stats.runs_retired = len(runs)
     stats.publish(kind)
     return stats
@@ -372,18 +372,10 @@ def migrate_range(
             row_delta += delta
         table.row_count += row_delta
         stats.rows_after = table.row_count
-        migrated = _subtract_spans((begin_key, end_key), failed_spans)
-        fully_retired = []
-        for run in runs:
-            for span in migrated:
-                run.mark_migrated(*span)
-            if run.fully_migrated(run.min_key, run.max_key):
-                fully_retired.append(run)
         if redo_log is not None:
             redo_log.log_migration_end(t)
-        if fully_retired:
-            masm.retire_runs(fully_retired, barrier_ts=t)
-        stats.runs_retired = len(fully_retired)
+        migrated = subtract_spans(begin_key, end_key, failed_spans)
+        stats.runs_retired = len(masm.end_migration(t, runs, spans=migrated))
     stats.publish("range")
     return stats
 
@@ -523,19 +515,3 @@ def _align_to_page_spans(
         end_aligned = 2**63 - 1
     return begin_aligned, end_aligned
 
-
-def _subtract_spans(
-    whole: tuple[int, int], holes: list[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    """The parts of ``whole`` not covered by ``holes`` (for migrated marks)."""
-    spans = []
-    cursor = whole[0]
-    for lo, hi in sorted(holes):
-        if lo > cursor:
-            spans.append((cursor, min(lo - 1, whole[1])))
-        cursor = max(cursor, hi + 1)
-        if cursor > whole[1]:
-            break
-    if cursor <= whole[1]:
-        spans.append((cursor, whole[1]))
-    return spans

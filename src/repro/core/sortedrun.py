@@ -64,6 +64,24 @@ def _covers(ranges: list[tuple[int, int]], lo: int, hi: int) -> bool:
     return covered > hi
 
 
+def subtract_spans(
+    lo: int, hi: int, holes: list[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """The sub-intervals of ``[lo, hi]`` no hole covers, in order; none
+    for an empty range (``lo > hi``)."""
+    spans: list[tuple[int, int]] = []
+    cursor = lo
+    for h_lo, h_hi in sorted(holes):
+        if cursor > hi:
+            break
+        if h_lo > cursor:
+            spans.append((cursor, min(h_lo - 1, hi)))
+        cursor = max(cursor, h_hi + 1)
+    if cursor <= hi:
+        spans.append((cursor, hi))
+    return spans
+
+
 class MaterializedSortedRun:
     """One immutable sorted run plus its in-memory run index."""
 

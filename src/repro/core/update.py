@@ -879,7 +879,7 @@ class ColumnarBlock:
     group of one.
 
     Instances are what :class:`repro.core.blockcache.DecodedBlockCache`
-    stores; :attr:`nbytes` is what its byte accounting charges an entry.
+    stores; :attr:`nbytes` is the decoded footprint its gauge reports.
     """
 
     __slots__ = ("group", "index", "offset")
@@ -936,11 +936,6 @@ class ColumnarBlock:
     def update_columns(self) -> UpdateColumns:
         """The block's updates as :class:`UpdateColumns`."""
         return self.group.update_columns(*self.span)
-
-    @property
-    def encoded_size(self) -> int:
-        """The on-SSD footprint this entry replaces (the old accounting)."""
-        return self.group.stride
 
     @property
     def nbytes(self) -> int:

@@ -306,6 +306,7 @@ def replicator(env, name: str, seed: int, ops: int, replication: int = 3):
         records_per_node=rows * 4,
         masm_config=env.masm_config,
     )
+    env.replica_sets.append(rset)
     base = [(i * stride, f"{name}-base{i}") for i in range(rows)]
     for replica in rset.replicas:
         replica.table.bulk_load(base)
@@ -412,6 +413,7 @@ def durability(env, name: str, seed: int, ops: int, replication: int = 3):
         records_per_node=rows * 4,
         masm_config=env.masm_config,
     )
+    env.replica_sets.append(rset)
     base = [(i * stride, f"{name}-base{i}") for i in range(rows)]
     for replica in rset.replicas:
         replica.table.bulk_load(base)

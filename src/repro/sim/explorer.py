@@ -139,6 +139,7 @@ def run_crash_probe(
             {name: factories[name]() for name in sorted(factories)},
             seed=seed,
             schedule=schedule,
+            monitor=env.check_invariants,
         )
         for _ in range(prefix):
             if sched.step() is None:

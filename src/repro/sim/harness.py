@@ -10,6 +10,7 @@ trace byte-for-byte, which CI asserts.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional
 
@@ -152,6 +153,11 @@ class SimEnv:
         #: The single update currently inside ``masm.apply`` — in-doubt if
         #: a crash unwinds the call (see :meth:`crash_and_recover`).
         self.in_flight: Optional[UpdateRecord] = None
+        #: Replica sets actors drive beside the main engine; their engines
+        #: are under the invariant monitor too.
+        self.replica_sets: list = []
+        #: Each run manifest's state at the last check, by manifest.
+        self._manifests = weakref.WeakKeyDictionary()
 
     # ------------------------------------------------------------- updates
     def issue_update(self, update: UpdateRecord) -> None:
@@ -184,7 +190,32 @@ class SimEnv:
         self.log = recovered.redo_log
         self.snapshots = SnapshotManager(recovered)
         self.epoch += 1
+        live = {run.name for run in recovered.runs}
+        prefix = f"{recovered.name}-run-"
+        stray = [n for n in self.ssd_vol if n.startswith(prefix) and n not in live]
+        if stray:
+            raise AssertionError(f"run files no live run owns after recovery: {stray}")
         self._settle_in_doubt()
+
+    # ------------------------------------------------------------ invariants
+    def check_invariants(self) -> None:
+        """The run-manifest invariants of every engine in the world, read
+        only: live run names unique and in sequence order, and no change to
+        a manifest without a version increase."""
+        replicas = [r.masm for rset in self.replica_sets for r in rset.replicas]
+        for masm in [self.masm, *replicas]:
+            manifest = masm.manifest
+            seqs = [int(run.name.rpartition("-run-")[2]) for run in manifest.runs]
+            if seqs != sorted(set(seqs)):
+                raise AssertionError(f"{masm.name}: live runs out of sequence: {seqs}")
+            state = (manifest.flushed_through, manifest.migrated_through) + tuple(
+                (r.name, r.passes, r.covered_min_ts, r.covered_max_ts, tuple(r.migrated_ranges))
+                for r in manifest.runs
+            )
+            version, before = self._manifests.get(manifest, (manifest.version, state))
+            if manifest.version < version or (manifest.version == version and state != before):
+                raise AssertionError(f"{masm.name}: manifest changed at version {version}")
+            self._manifests[manifest] = (manifest.version, state)
 
     def _settle_in_doubt(self) -> None:
         update = self.in_flight
@@ -320,6 +351,7 @@ def run_simulation(
             {name: factories[name]() for name in sorted(factories)},
             seed=seed,
             schedule=schedule,
+            monitor=env.check_invariants,
         )
         sched.run(max_steps=max_steps)
         if validate and not sched.crashed:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 import traceback
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional
+from typing import Callable, Dict, Generator, List, Optional
 
 from repro.storage.faults import SimulatedCrash
 
@@ -107,8 +107,12 @@ class SimScheduler:
         *,
         seed: int = 0,
         schedule: Optional[Schedule] = None,
+        monitor: Optional[Callable[[], None]] = None,
     ) -> None:
         self.actors = dict(actors)
+        #: Invariant check run after every step; an AssertionError it
+        #: raises fails the run like an actor's would.
+        self.monitor = monitor
         self.seed = seed
         self.rng = random.Random(f"sched:{seed}")
         self.replay = schedule
@@ -174,6 +178,18 @@ class SimScheduler:
             hooks.deactivate(self)
         step = Step(len(self.steps), name, op, tuple(self._sites))
         self.steps.append(step)
+        if self.monitor is not None:
+            try:
+                self.monitor()
+            except AssertionError as exc:
+                raise SimFailure(
+                    f"invariant broken after step {step.index}: {exc}",
+                    seed=self.seed,
+                    schedule=self.recorded,
+                    steps=self.steps,
+                    actor=name,
+                    cause=exc,
+                ) from exc
         if op == "crash":
             # A simulated crash tears down the whole process: every actor
             # is dead, not just the one that tripped the crash point.

@@ -22,7 +22,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.engine.btree import BPlusTree
-from repro.core.migration import MigrationStats, _align_to_page_spans, _subtract_spans
+from repro.core.migration import MigrationStats, _align_to_page_spans
+from repro.core.sortedrun import subtract_spans
 from repro.core.operators import MergeUpdates
 from repro.core.update import UpdateRecord, UpdateType, apply_update
 from repro.engine.heapfile import DEFAULT_FILL_FACTOR, HeapFile, page_records
@@ -252,8 +253,7 @@ def reference_full_migration(masm):
             break
     table.heap.truncate(out_pages)
     table.replace_contents(entries, stats.rows_after)
-    masm.retire_runs(runs, barrier_ts=t)
-    masm.migrated_through = max(masm.migrated_through, t)
+    masm.end_migration(t, runs)
     stats.runs_retired = len(runs)
     return records, stats
 
@@ -361,19 +361,10 @@ def migrate_range(
             row_delta += delta
         table.row_count += row_delta
         stats.rows_after = table.row_count
-        migrated = _subtract_spans((begin_key, end_key), failed_spans)
-        fully_retired = []
-        lo, hi = table.full_key_range()
-        for run in runs:
-            for span in migrated:
-                run.mark_migrated(*span)
-            if run.fully_migrated(run.min_key, run.max_key):
-                fully_retired.append(run)
+        migrated = subtract_spans(begin_key, end_key, failed_spans)
         if redo_log is not None:
             redo_log.log_migration_end(t)
-        if fully_retired:
-            masm.retire_runs(fully_retired, barrier_ts=t)
-        stats.runs_retired = len(fully_retired)
+        stats.runs_retired = len(masm.end_migration(t, runs, spans=migrated))
     stats.publish("range")
     return stats
 

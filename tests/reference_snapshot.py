@@ -119,7 +119,7 @@ def export_snapshot(self) -> EngineSnapshot:
             heap_payload=heap_payload,
             heap_crc=_crc(heap_payload),
             runs=tuple(run_snaps),
-            checkpoint=self._manifest(fence),
+            checkpoint=self.manifest.snapshot(fence),
         )
     get_registry().counter("masm.snapshots.exported").add(1)
     return snapshot
@@ -147,6 +147,7 @@ def install_snapshot(
     """
     import re as _re
 
+    from repro.core.manifest import Checkpointed, Recovered
     from repro.core.sortedrun import load_run
     from repro.errors import ChecksumError
     from repro.storage.checksum import checksum as _crc
@@ -178,6 +179,7 @@ def install_snapshot(
 
     seq_pattern = _re.compile(r"-run-(\d+)$")
     entries = []
+    runs = []
     for run_snap in snapshot.runs:
         match = seq_pattern.search(run_snap.name)
         seq = int(match.group(1)) if match else masm._run_seq
@@ -195,7 +197,7 @@ def install_snapshot(
         run.covered_min_ts = run_snap.covered_min_ts
         run.covered_max_ts = run_snap.covered_max_ts
         run.migrated_ranges = [tuple(r) for r in run_snap.migrated_ranges]
-        masm.runs.append(run)
+        runs.append(run)
         entries.append(
             RunManifestEntry(
                 name=new_name,
@@ -204,9 +206,12 @@ def install_snapshot(
                 migrated_ranges=tuple(run_snap.migrated_ranges),
             )
         )
-    masm.runs_version += 1
-    masm.flushed_through = snapshot.snapshot_ts
-    masm.migrated_through = snapshot.migrated_ts
+    masm.manifest.apply(Recovered(tuple(runs)))
+    masm.manifest.apply(
+        Checkpointed(
+            Checkpoint(table.name, snapshot.snapshot_ts, snapshot.migrated_ts), runs=()
+        )
+    )
     masm.last_update_ts = snapshot.snapshot_ts
     masm.last_checkpoint_ts = snapshot.snapshot_ts
     masm.oracle.advance_past(snapshot.snapshot_ts)

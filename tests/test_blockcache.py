@@ -28,14 +28,25 @@ def make_run(n=2000, name="r0", block_size=4 * KB, vol=None):
     return write_run(vol, name, CODEC.encode_columns(ups), CODEC, block_size=block_size)
 
 
+def _columnar_entry(n=50):
+    ups = [
+        UpdateRecord(i + 1, i * 2, UpdateType.INSERT, (i * 2, f"v{i}"))
+        for i in range(n)
+    ]
+    from repro.core.update import ColumnarBlock
+
+    return ColumnarBlock(CODEC.encode_block(ups), CODEC)
+
+
 # ------------------------------------------------------------------ LRU core
 def test_cache_hit_miss_eviction_counters():
     cache = DecodedBlockCache(2)
     assert cache.get("r", 0) is None
-    cache.put("r", 0, ([1], ["a"]))
-    cache.put("r", 1, ([2], ["b"]))
-    assert cache.get("r", 0) == ([1], ["a"])
-    cache.put("r", 2, ([3], ["c"]))  # evicts block 1 (LRU; 0 was touched)
+    first = _columnar_entry(1)
+    cache.put("r", 0, first)
+    cache.put("r", 1, _columnar_entry(1))
+    assert cache.get("r", 0) is first
+    cache.put("r", 2, _columnar_entry(1))  # evicts block 1 (LRU; 0 was touched)
     assert cache.get("r", 1) is None
     assert cache.get("r", 0) is not None
     assert (cache.hits, cache.misses, cache.evictions) == (2, 2, 1)
@@ -44,9 +55,9 @@ def test_cache_hit_miss_eviction_counters():
 
 def test_cache_invalidate_run_drops_only_that_run():
     cache = DecodedBlockCache(8)
-    cache.put("a", 0, ([], []))
-    cache.put("a", 1, ([], []))
-    cache.put("b", 0, ([], []))
+    cache.put("a", 0, _columnar_entry(1))
+    cache.put("a", 1, _columnar_entry(1))
+    cache.put("b", 0, _columnar_entry(1))
     assert cache.invalidate_run("a") == 2
     assert len(cache) == 1
     assert cache.get("b", 0) is not None
@@ -54,7 +65,7 @@ def test_cache_invalidate_run_drops_only_that_run():
 
 def test_cache_zero_capacity_disables_storage():
     cache = DecodedBlockCache(0)
-    cache.put("r", 0, ([], []))
+    cache.put("r", 0, _columnar_entry(1))
     assert len(cache) == 0
 
 
@@ -67,9 +78,9 @@ def test_stats_sink_receives_counts():
     sink = Sink()
     cache = DecodedBlockCache(1, stats=sink)
     cache.get("r", 0)
-    cache.put("r", 0, ([], []))
+    cache.put("r", 0, _columnar_entry(1))
     cache.get("r", 0)
-    cache.put("r", 1, ([], []))
+    cache.put("r", 1, _columnar_entry(1))
     assert (sink.block_cache_hits, sink.block_cache_misses) == (1, 1)
     assert sink.block_cache_evictions == 1
 
@@ -102,16 +113,15 @@ def test_group_calls_match_per_block_calls():
             per_block.put(run, b, entry)
         grouped.put_many(run, fresh)
         assert list(grouped._entries) == list(per_block._entries)  # LRU order
-        assert grouped._charged == per_block._charged
-    for attr in ("hits", "misses", "evictions", "resident_bytes", "approx_bytes"):
+    for attr in ("hits", "misses", "evictions", "resident_bytes"):
         assert getattr(grouped, attr) == getattr(per_block, attr)
     assert vars(sinks[0]) == vars(sinks[1])
     assert per_block.evictions > 50 and per_block.hits > 50
 
 
 def test_run_scan_publishes_gauges_once_per_read_group(monkeypatch):
-    """One gauge publish per insert group, none for hits that change no
-    charge (a hit moves neither the block count nor the byte totals)."""
+    """One gauge publish per insert group, none for hits (a hit moves
+    neither the block count nor the resident bytes)."""
     run = make_run(n=1500, block_size=1 * KB)
     cache = DecodedBlockCache(512)
     publishes = []
@@ -128,86 +138,18 @@ def test_run_scan_publishes_gauges_once_per_read_group(monkeypatch):
 
 
 # ------------------------------------------------------- byte accounting
-def _columnar_entry(n=50):
-    ups = [
-        UpdateRecord(i + 1, i * 2, UpdateType.INSERT, (i * 2, f"v{i}"))
-        for i in range(n)
-    ]
-    from repro.core.update import ColumnarBlock
-
-    return ColumnarBlock(CODEC.encode_block(ups), CODEC)
-
-
 def test_resident_bytes_track_lazy_materialization():
-    pytest.importorskip("numpy")
     cache = DecodedBlockCache(8)
     entry = _columnar_entry()
     cache.put("r", 0, entry)
-    charged_at_insert = cache.resident_bytes
-    assert charged_at_insert == entry.nbytes
-    assert charged_at_insert > entry.encoded_size  # bytes + header columns
+    assert cache.resident_bytes == entry.nbytes
     # Decoding a block's records builds nothing the block keeps.
     assert len(entry.update_columns().records) == entry.count
-    assert entry.nbytes == charged_at_insert
-    # An entry that does grow after insertion is re-read on its next hit.
-
-    class Growing:
-        nbytes = 100
-
-    grown = Growing()
-    cache.put("r", 1, grown)
-    grown.nbytes = 250
-    assert cache.get("r", 1) is grown
-    assert cache.resident_bytes == entry.nbytes + 250
-
-
-def test_capacity_bytes_evicts_on_decoded_footprint():
-    pytest.importorskip("numpy")
-    one = _columnar_entry()
-    # A byte ceiling below two decoded entries: inserting the second must
-    # evict the first even though the block count (8) has room.
-    cache = DecodedBlockCache(8, capacity_bytes=int(one.nbytes * 1.5))
-    cache.put("r", 0, one)
-    cache.put("r", 1, _columnar_entry())
-    assert len(cache) == 1
-    assert cache.evictions == 1
-    assert cache.get("r", 0) is None  # the LRU entry went
-
-
-def test_capacity_bytes_always_keeps_newest_entry():
-    pytest.importorskip("numpy")
-    entry = _columnar_entry()
-    cache = DecodedBlockCache(8, capacity_bytes=1)  # absurdly small
-    cache.put("r", 0, entry)
-    # One oversized entry stays resident (the scan needs it); it is evicted
-    # when the next block arrives.
-    assert len(cache) == 1
-    cache.put("r", 1, _columnar_entry())
-    assert len(cache) == 1
-    assert cache.get("r", 1) is not None
-
-
-def test_accounting_delta_gauge_published():
-    pytest.importorskip("numpy")
-    from repro import obs
-
-    with obs.use_registry() as registry:
-        cache = DecodedBlockCache(8)
-        entry = _columnar_entry()
-        cache.put("r", 0, entry)
-        cache.get("r", 0)
-        gauges = {
-            g.name: g.value for g in [
-                registry.gauge("blockcache.resident_bytes"),
-                registry.gauge("blockcache.accounting_delta_bytes"),
-            ]
-        }
-        assert gauges["blockcache.resident_bytes"] == entry.nbytes
-        # Decoded footprint exceeds the old encoded-size approximation.
-        assert gauges["blockcache.accounting_delta_bytes"] == (
-            entry.nbytes - entry.encoded_size
-        )
-        assert gauges["blockcache.accounting_delta_bytes"] > 0
+    assert cache.get("r", 0) is entry
+    assert cache.resident_bytes == entry.nbytes
+    cache.put("r", 1, _columnar_entry(3))
+    assert cache.invalidate_run("r") == 2
+    assert cache.resident_bytes == 0
 
 
 # -------------------------------------------------------- cached run scans

@@ -76,7 +76,7 @@ def test_degenerate_fallback_uses_first_two_runs():
     assert [run.passes for run in masm.runs] == [2, 2, 2]
     third = masm.runs[2]
     product = masm._merge_earliest_runs(2)
-    assert masm.runs == [third, product]
+    assert masm.runs == (third, product)
     assert product.passes == 3
     assert scan_values(masm) == {**BASE, **expect}
 

@@ -55,7 +55,7 @@ def test_yields_fresh_records_and_migrates():
     # The combined pass returned the same fresh view a range scan would.
     assert got == shadow
     # ... and the migration completed: cache empty, main data fresh.
-    assert masm.runs == []
+    assert masm.runs == ()
     assert combined.stats is not None
     assert combined.stats.runs_retired >= 1
     table_view = {

@@ -55,7 +55,6 @@ def test_capacity_enforced():
     buf.append(upd(1, 1))
     with pytest.raises(UpdateCacheFullError):
         buf.append(upd(2, 2))
-    assert buf.would_overflow(21)
 
 
 def test_pages_used():

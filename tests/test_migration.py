@@ -65,7 +65,7 @@ def test_full_migration_moves_updates_into_table():
     # Updates are now IN the main data: the raw table matches the shadow.
     assert table_dict(masm.table) == shadow
     # The cache is empty and the scan still agrees.
-    assert masm.runs == []
+    assert masm.runs == ()
     assert scan_dict(masm) == shadow
     assert masm.table.row_count == len(shadow)
 
@@ -197,7 +197,7 @@ def test_partial_migration_retires_fully_covered_runs():
     masm.modify(200, {"payload": "b"})
     masm.flush_buffer()
     migrate_range(masm, 0, 1000)
-    assert masm.runs == []
+    assert masm.runs == ()
 
 
 def test_partial_migration_is_idempotent():
@@ -257,7 +257,7 @@ def test_partial_migration_does_not_leak_slots_to_deletes():
         stats = migrate_range(masm, lo, hi)
         assert stats.inserts_deferred == 0, f"round {round_}"
         assert stats.pages_written == 1
-        assert masm.runs == []
+        assert masm.runs == ()
         assert masm.table.heap.read_page(1).live_count == 33
     assert masm.table.heap.read_page(1).slot_count == 33
     assert sorted(table_dict(masm.table))[lo // 2 : lo // 2 + 33] == live

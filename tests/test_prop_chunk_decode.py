@@ -219,7 +219,7 @@ def test_group_decode_matches_per_block_decode_and_reference(blocks):
             (u.timestamp, u.key, int(u.type), u.content) for u in updates
         ]
         assert entry.data[entry.offset : entry.offset + len(raw)] == raw
-        assert entry.count == len(updates) and entry.encoded_size == len(raw)
+        assert entry.count == len(updates) and entry.group.stride == len(raw)
         assert entry.keys.tolist() == [u.key for u in updates]
         assert entry.timestamps.tolist() == [u.timestamp for u in updates]
         assert entry.ops.tolist() == [int(u.type) for u in updates]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.sortedrun import subtract_spans
 from repro.engine.btree import BPlusTree
 from repro.engine.page import SlottedPage
 from repro.engine.record import Schema
@@ -239,3 +240,26 @@ def test_blockstore_rejects_out_of_range_before_writing(span, overshoot):
         store.write(offset, b"\x01" * size)
     assert store.resident_bytes == 0
     assert store.read(0, _STORE_CAPACITY) == bytes(_STORE_CAPACITY)
+
+
+@given(
+    lo=st.integers(0, 60),
+    hi=st.integers(-5, 60),
+    holes=st.lists(
+        st.tuples(st.integers(-5, 70), st.integers(0, 20)).map(
+            lambda hole: (hole[0], hole[0] + hole[1])
+        ),
+        max_size=6,
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_subtract_spans_is_a_set_difference(lo, hi, holes):
+    """The spans are exactly [lo, hi] minus every hole, maximal, disjoint
+    and in order — none for an empty range."""
+    spans = subtract_spans(lo, hi, holes)
+    missing = set(range(lo, hi + 1)).difference(
+        *(range(h_lo, h_hi + 1) for h_lo, h_hi in holes)
+    )
+    assert [k for s_lo, s_hi in spans for k in range(s_lo, s_hi + 1)] == sorted(missing)
+    assert all(s_lo <= s_hi for s_lo, s_hi in spans)
+    assert all(a[1] + 1 < b[0] for a, b in zip(spans, spans[1:]))

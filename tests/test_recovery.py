@@ -114,7 +114,7 @@ def test_completed_migration_leftover_runs_deleted():
         )
     recovered, report = crash_and_recover(masm, table, ssd_vol, log, config)
     assert report.leftover_runs_deleted == 1
-    assert recovered.runs == []
+    assert recovered.runs == ()
     assert scan_dict(recovered)[40] == (40, "migrated")
 
 
@@ -126,7 +126,7 @@ def test_interrupted_migration_redone():
     log.log_migration_start(masm.oracle.next(), [masm.runs[0].name])
     recovered, report = crash_and_recover(masm, table, ssd_vol, log, config)
     assert report.migrations_redone == 1
-    assert recovered.runs == []  # migration completed during recovery
+    assert recovered.runs == ()  # migration completed during recovery
     # The update is now in the main data.
     assert {SCHEMA.key(r): r for r in recovered.table.range_scan(38, 42)}[40] == (
         40,
@@ -389,4 +389,24 @@ def test_recovery_after_heap_shrinking_migration():
 
     recovered, _ = crash_and_recover(masm, table, ssd_vol, log, config)
     assert recovered.table.heap.num_pages == table.heap.num_pages
+    assert scan_dict(recovered) == expected
+
+
+def test_a_restart_never_reuses_a_logged_run_name():
+    """A full migration retired every run, so no run file is left: the
+    restart must still not hand out the retired names again, or the next
+    recovery deletes the new run as that migration's leftover."""
+    masm, table, ssd_vol, log, config = build_system()
+    masm.modify(40, {"payload": "migrated"})
+    masm.flush_buffer()
+    retired = masm.runs[0].name
+    masm.migrate()
+    restarted, _ = crash_and_recover(masm, table, ssd_vol, log, config)
+    restarted.modify(44, {"payload": "flushed after the restart"})
+    assert restarted.flush_buffer().name != retired
+    expected = scan_dict(restarted)
+    recovered, report = crash_and_recover(
+        restarted, table, ssd_vol, restarted.redo_log, config
+    )
+    assert report.leftover_runs_deleted == 0
     assert scan_dict(recovered) == expected
