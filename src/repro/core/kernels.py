@@ -74,7 +74,7 @@ def _gallop_two_source_order(a: UpdateColumns, b: UpdateColumns):
     return order
 
 
-def _merge(slices: Sequence[UpdateColumns]):
+def merge_order(slices: Sequence[UpdateColumns]):
     """``(rows, order)``: the non-empty slices back to back and the
     permutation that puts them in (key, ts) order (None: as they stand);
     ``(None, None)`` when every slice is empty.
@@ -97,9 +97,8 @@ def _merge(slices: Sequence[UpdateColumns]):
 
 def merge_sorted(slices: Sequence[UpdateColumns]) -> Optional[UpdateColumns]:
     """Merge (key, ts)-sorted slices (in source order) into one, every
-    update kept — what a run merge writes: the product must still answer
-    timestamps between a key's versions.  None when every slice is empty."""
-    merged, order = _merge(slices)
+    update kept.  None when every slice is empty."""
+    merged, order = merge_order(slices)
     return merged if order is None else merged.rows(order)
 
 
@@ -109,7 +108,7 @@ def merge_slices(
     """Merge (key, ts)-sorted slices (in source order) and combine same-key
     chains into one batch, strictly increasing in key; None when every slice
     is empty."""
-    merged, order = _merge(slices)
+    merged, order = merge_order(slices)
     if merged is None:
         return None
     if cpu is not None:
@@ -178,8 +177,10 @@ def fold_chains(
     out.ops[chains] = folded_ops
     out.timestamps[chains] = merged.timestamps[member_rows[_np.array(starts[1:]) - 1]]
     if fresh:
-        # The batch's payload bytes, then the new payloads.
-        first, end = merged.byte_span()
+        # The batch's payload bytes, then the new payloads (rows in any
+        # order: the span runs from the lowest payload to the highest).
+        first = int(merged.offsets.min())
+        end = int((merged.offsets + merged.lengths).max())
         pieces = [memoryview(data)[first:end]]
         out.offsets -= first
         at = end - first

@@ -133,6 +133,9 @@ MASM_STAT_FIELDS = (
     "updates_written_to_ssd",  # counts re-writes during run merges
     "runs_created",
     "runs_merged",
+    # Merges that wrote a 3-pass (or deeper) run: fewer than two 1-pass runs
+    # were left and a migration could not stand in.
+    "multi_pass_merges",
     "flushes",
     "migrations",
     "page_steals",
@@ -426,6 +429,22 @@ class MaSM:
         with self._lock:
             return min(self._active_scans.values(), default=None)
 
+    def pin(self, ts: int) -> int:
+        """Keep every read at ``ts`` answerable until :meth:`unpin`: ``ts``
+        joins the active scans' timestamps, so folds leave the versions it
+        sees apart and migrations keep what it must not see cached.  A
+        snapshot transaction pins its start ts.  Returns the pin's id."""
+        with self._lock:
+            pin_id = self._scan_seq
+            self._scan_seq += 1
+            self._active_scans[pin_id] = ts
+            return pin_id
+
+    def unpin(self, pin_id: int) -> None:
+        with self._lock:
+            self._active_scans.pop(pin_id, None)
+            self._gc_graveyard()
+
     # --------------------------------------------------------------- updates
     def insert(self, record: tuple) -> int:
         """Cache an insertion of ``record``; returns its commit timestamp."""
@@ -561,23 +580,36 @@ class MaSM:
                     )
                 return run
 
-    def _merge_duplicates(self, updates: UpdateColumns) -> UpdateColumns:
-        """Combine same-key duplicates when no concurrent scan forbids it.
+    def _merge_duplicates(
+        self,
+        updates: UpdateColumns,
+        order=None,
+        query_ts: Optional[int] = None,
+    ) -> UpdateColumns:
+        """Combine same-key duplicates when no reader forbids it.
 
-        Section 3.5: updates at t1 < t2 may merge only if no concurrent scan
-        has a timestamp t with t1 < t <= t2.  ``updates`` are (key, ts)
-        sorted; each chain of neighbours that may merge is folded on its
-        encoded form.  A pair that cannot combine (an INSERT of a live
-        record, a MODIFY of a deleted one) stays two records: the later one
-        starts the next chain.
+        Section 3.5: updates at t1 < t2 may merge only if no reader sees one
+        and not the other, i.e. none reads at a timestamp t with
+        t1 <= t < t2.  The readers are the active scans and pins, plus
+        ``query_ts``: the scan whose preamble runs this, not registered yet.
+        ``updates`` in ``order`` (None: as they stand) are (key, ts) sorted;
+        each chain of neighbours that may merge is folded on its encoded
+        form.  A pair that cannot combine (an INSERT of a live record, a
+        MODIFY of a deleted one) stays two records: the later one starts
+        the next chain.
         """
         with self._lock:
-            scans = np.array(sorted(self._active_scans.values()), dtype=np.uint64)
-        keys = updates.keys
-        seen = scans.searchsorted(updates.timestamps, "right")  # scans at or before
-        follows = np.zeros(len(updates), dtype=bool)  # folds into the row before
-        follows[1:] = (keys[1:] == keys[:-1]) & (seen[1:] == seen[:-1])
-        ops = updates.ops.tolist()
+            readers = list(self._active_scans.values())
+        if query_ts is not None:
+            readers.append(query_ts)
+        readers = np.array(sorted(readers), dtype=np.uint64)
+        keys, stamps, ops = updates.keys, updates.timestamps, updates.ops
+        if order is not None:
+            keys, stamps, ops = keys[order], stamps[order], ops[order]
+        before = readers.searchsorted(stamps, "left")  # readers before each
+        follows = np.zeros(len(keys), dtype=bool)  # folds into the row before
+        follows[1:] = (keys[1:] == keys[:-1]) & (before[1:] == before[:-1])
+        ops = ops.tolist()
         insert, delete, modify, replace = map(int, UpdateType)
         state = None  # op code of the chain so far
         for i in follows.nonzero()[0].tolist():
@@ -591,7 +623,7 @@ class MaSM:
             elif op != modify:
                 state = delete if op == delete else replace
         self.stats.duplicates_merged += int(follows.sum())
-        return kernels.fold_chains(updates, None, follows)
+        return kernels.fold_chains(updates, order, follows)
 
     def _next_run_name(self) -> str:
         name = f"{self.name}-run-{self._run_seq:05d}"
@@ -641,12 +673,41 @@ class MaSM:
         return run
 
     # ----------------------------------------------------------- run merging
-    def _ensure_run_budget(self) -> None:
-        """Merge earliest 1-pass runs until K1 + K2 <= query pages (Fig. 8)."""
-        while len(self.runs) > self.params.query_pages:
-            self._merge_earliest_runs(self.params.merge_fan_in)
+    def _ensure_run_budget(self, query_ts: Optional[int] = None) -> None:
+        """Merge earliest 1-pass runs until K1 + K2 <= query pages (Fig. 8).
 
-    def _merge_earliest_runs(self, fan_in: int) -> Optional[MaterializedSortedRun]:
+        With fewer than two 1-pass runs left, the only merge would write a
+        3-pass run, past Theorem 3.3's two writes per update; a migration
+        empties the cache instead whenever no reader (``query_ts``: the scan
+        whose preamble this is) could see updates it must not.
+        """
+        while len(self.runs) > self.params.query_pages:
+            if self.one_pass_runs < 2 and self._may_migrate_for(query_ts):
+                self.migrate()
+                continue
+            self._merge_earliest_runs(self.params.merge_fan_in, query_ts)
+
+    def _may_migrate_for(self, query_ts: Optional[int]) -> bool:
+        """Can a scan at ``query_ts`` start right after a full migration?
+
+        Only on an ungoverned engine that migrates on its own (a governed
+        one paces its migrations), with no scan or pin open and every run
+        visible at ``query_ts`` (None: the scan reads at a fresh ts)."""
+        return (
+            self.governor is None
+            and self.config.auto_migrate
+            and not self._active_scans
+            and (query_ts is None or all(r.max_ts <= query_ts for r in self.runs))
+        )
+
+    def _merge_earliest_runs(
+        self, fan_in: int, query_ts: Optional[int] = None
+    ) -> Optional[MaterializedSortedRun]:
+        """Merge the earliest 1-pass runs (at most ``fan_in``) into one run,
+        folding its duplicates by the Section 3.5 rule (``query_ts``: a
+        reader not registered yet).  With fewer than two 1-pass runs it
+        merges the two earliest runs, whatever their passes: a 3-pass (or
+        deeper) product, counted in ``multi_pass_merges``."""
         with self._lock:
             if len(self.runs) < 2:
                 return None
@@ -654,9 +715,6 @@ class MaSM:
             if len(one_pass) >= 2:
                 victims = one_pass[: max(2, min(fan_in, len(one_pass)))]
             else:
-                # Degenerate fallback: merge the two earliest runs whatever
-                # their pass count (would be a 3-pass run; the alpha lower
-                # bound exists precisely to make this unnecessary).
                 victims = self.runs[:2]
             passes = merged_passes(victims)
             sim_interleave("masm.merge_runs")
@@ -690,13 +748,15 @@ class MaSM:
                 # the victims and forget the merge.
                 crash_point("masm.merge.logged")
                 # The victims are read here, after the log append, each one
-                # whole: every update is kept (the product must still answer
-                # timestamps between a key's versions).
-                merged = kernels.merge_sorted(
+                # whole; a key's versions fold where no reader tells them
+                # apart.
+                merged, order = kernels.merge_order(
                     [group for source in sources for group in source.column_groups()]
                 )
                 if merged is None:  # every victim fully migrated: refused below
                     merged = UpdateColumns.from_encoded([], self.codec)
+                else:
+                    merged = self._merge_duplicates(merged, order, query_ts)
                 run = self._write_run(
                     merged,
                     passes=passes,
@@ -715,6 +775,8 @@ class MaSM:
                     barrier_ts=self.oracle.current + 1,
                 )
                 self.stats.runs_merged += len(victims)
+                if passes > 2:
+                    self.stats.multi_pass_merges += 1
                 return run
 
     # ------------------------------------------------------------------ scans
@@ -743,7 +805,7 @@ class MaSM:
                 self.buffer.shrink_capacity(
                     self.params.update_pages * self.ssd_page_size
                 )
-            self._ensure_run_budget()
+            self._ensure_run_budget(query_ts)
             if query_ts is None:
                 query_ts = self.oracle.next()
             scan_id = self._scan_seq
@@ -1029,7 +1091,11 @@ class MaSM:
         migrated ranges) and the in-memory buffer, (key, ts)-sorted.  The
         runs and the buffer are read under one lock, and flushes and merges
         swap them under it, so no update is met twice.  Raises on
-        quarantined runs in range — a donor must be healthy.
+        quarantined runs in range — a donor must be healthy — and on a span
+        whose edge cuts through a run that may hold folded chains (a merge
+        product, or any run when flushes fold): a chain folded across the
+        edge is stored at its last member's ts, so the span would hold a
+        member it lacks, or lack one it holds.
         """
         with self._lock:
             runs = list(self.runs)
@@ -1041,6 +1107,13 @@ class MaSM:
             if run.quarantined:
                 raise StorageError(
                     f"{self.name}: donor run {run.name!r} is quarantined"
+                )
+            if (run.passes > 1 or self.config.merge_duplicates_on_flush) and (
+                run.covered_min_ts < min_ts or run.covered_max_ts > max_ts
+            ):
+                raise StorageError(
+                    f"{self.name}: ts span [{min_ts}, {max_ts}] cuts through "
+                    f"folded run {run.name!r}"
                 )
             pieces.extend(run.stored_blocks())
         if buffered is not None:

@@ -77,9 +77,11 @@ SCENARIOS = {
     # runs than the scan preamble's run budget allows, so scans merge the
     # earliest runs into 2-pass runs (the RUN_MERGE protocol) between
     # updates and a crash+recover; the explorer sweeps the two
-    # ``masm.merge.*`` crash sites over this schedule.
+    # ``masm.merge.*`` crash sites over this schedule.  Eight rows keep the
+    # key space small enough that keys collect versions for merges to fold.
     "merge": lambda: replace(
         SimConfig.canonical(),
+        rows=8,
         migrators=0,
         flush_ops=12,
         update_ops=60,
@@ -193,6 +195,7 @@ def main(argv=None) -> int:
                     "verdict": run.report.verdict,
                     "updates_acknowledged": run.report.updates_acknowledged,
                     "final_records": run.report.final_records,
+                    "chains_folded": run.report.chains_folded,
                     "schedule": run.report.schedule.to_text(),
                 },
                 fh,

@@ -19,7 +19,7 @@ from repro.core.masm import MaSM, MaSMConfig
 from repro.core.update import UpdateRecord
 from repro.engine.record import synthetic_schema
 from repro.engine.table import Table
-from repro.obs import use_registry, use_tracer
+from repro.obs import get_registry, use_registry, use_tracer
 from repro.sim import actors
 from repro.sim.model import ModelTable, diff_states
 from repro.sim.scheduler import Schedule, SimFailure, SimScheduler, Step
@@ -97,6 +97,8 @@ class SimReport:
     schedule: Schedule
     updates_acknowledged: int
     final_records: int
+    #: Same-key chains the run's engines folded (flushes and merges).
+    chains_folded: int = 0
 
     def to_text(self) -> str:
         lines = [
@@ -335,6 +337,17 @@ class SimRun:
     report: SimReport
 
 
+def _chains_folded(registry) -> int:
+    """The ``duplicates_merged`` counters of every engine in ``registry``."""
+    return int(
+        sum(
+            registry.get(name).value
+            for name in registry.names()
+            if name.endswith(".duplicates_merged")
+        )
+    )
+
+
 def run_simulation(
     config: Optional[SimConfig] = None,
     seed: int = 0,
@@ -376,5 +389,6 @@ def run_simulation(
             final_records=(
                 0 if sched.crashed else len(env.model.snapshot(2**62))
             ),
+            chains_folded=_chains_folded(get_registry()),
         )
         return SimRun(env=env, scheduler=sched, report=report)

@@ -38,8 +38,12 @@ class SnapshotManager:
         masm.attach_snapshots(self)
 
     def begin(self) -> "SnapshotTransaction":
+        """A transaction reading at a fresh start ts, pinned in the engine
+        until it commits or aborts: no fold or migration takes its snapshot
+        away."""
         sim_interleave("txn.begin")
-        return SnapshotTransaction(self, self.oracle.next())
+        start_ts = self.oracle.next()
+        return SnapshotTransaction(self, start_ts, self.masm.pin(start_ts))
 
     # ------------------------------------------------------------- internals
     def _conflicts(self, start_ts: int, keys: frozenset) -> bool:
@@ -61,9 +65,10 @@ class SnapshotManager:
 class SnapshotTransaction:
     """One snapshot-isolated transaction with a private update buffer."""
 
-    def __init__(self, manager: SnapshotManager, start_ts: int) -> None:
+    def __init__(self, manager: SnapshotManager, start_ts: int, pin_id: int) -> None:
         self.manager = manager
         self.start_ts = start_ts
+        self._pin_id: Optional[int] = pin_id  # None once released
         self.schema = manager.masm.table.schema
         self._writes: dict[int, UpdateRecord] = {}  # key -> combined update
         self._done = False
@@ -126,7 +131,7 @@ class SnapshotTransaction:
         if self._done:
             raise TransactionError("transaction already finished")
         sim_interleave("txn.commit")
-        self._done = True
+        self._finish()
         if not self._writes:
             return self.start_ts
         keys = frozenset(self._writes)
@@ -143,8 +148,15 @@ class SnapshotTransaction:
         return commit_ts
 
     def abort(self) -> None:
-        self._done = True
+        self._finish()
         self._writes.clear()
+
+    def _finish(self) -> None:
+        """Mark the transaction done and release its snapshot pin."""
+        self._done = True
+        if self._pin_id is not None:
+            self.manager.masm.unpin(self._pin_id)
+            self._pin_id = None
 
     @property
     def is_finished(self) -> bool:

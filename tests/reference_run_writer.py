@@ -163,11 +163,12 @@ def reference_merge_duplicates(
     updates: list[UpdateRecord], scan_timestamps: list[int], schema
 ) -> list[UpdateRecord]:
     """``MaSM._merge_duplicates`` on (key, ts)-sorted records: same-key
-    neighbours at t1 < t2 combine unless an active scan's timestamp t has
-    t1 < t <= t2 or the pair cannot be combined."""
+    neighbours at t1 < t2 combine unless a reader's timestamp t sees the
+    first and not the second (t1 <= t < t2) or the pair cannot be
+    combined."""
 
     def may_merge(t1: int, t2: int) -> bool:
-        return not any(t1 < t <= t2 for t in scan_timestamps)
+        return not any(t1 <= t < t2 for t in scan_timestamps)
 
     merged: list[UpdateRecord] = []
     for update in updates:

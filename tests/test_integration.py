@@ -48,10 +48,12 @@ def build_stack(n=2000):
 
 def test_full_lifecycle_with_wal_and_auto_migration():
     """Stream enough updates to force flushes and auto-migrations, with
-    queries interleaved, WAL on, and a final consistency check."""
-    masm, table, disk, ssd, ssd_vol, log, config = build_stack()
-    shadow = {i * 2: (i * 2, f"rec-{i}") for i in range(2000)}
-    gen = SyntheticUpdateGenerator(2000, seed=5, oracle=masm.oracle)
+    queries interleaved, WAL on, and a final consistency check.  The keys
+    are spread over 4,000 rows: merges fold a key's versions, so a stream
+    over fewer keys would leave the cache below the threshold."""
+    masm, table, disk, ssd, ssd_vol, log, config = build_stack(4000)
+    shadow = {i * 2: (i * 2, f"rec-{i}") for i in range(4000)}
+    gen = SyntheticUpdateGenerator(4000, seed=5, oracle=masm.oracle)
     rng = random.Random(5)
     from repro.core.update import UpdateType
 

@@ -12,7 +12,7 @@ mixes and block sizes:
   words, before writing anything;
 * a flush with ``merge_duplicates_on_flush`` folds exactly the chains the
   pairwise reference combines under the active scans' timestamps, to the
-  same bytes;
+  same bytes, and a run merge's fold of rows in merge order does too;
 * ``InMemoryUpdateBuffer`` behaves like a plain sorted list through random
   interleavings of appends (stragglers included), batched reads, sorts,
   drains and capacity changes, its epochs included, and a scan that began
@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 import reference_run_writer as ref
 from reference_operators import buffered_records
 from test_prop_codec import record_strategy, schemas, value_strategy
+from repro.core import kernels
 from repro.core.masm import MaSM, MaSMConfig
 from repro.core.membuffer import InMemoryUpdateBuffer
 from repro.core.operators import MemScan
@@ -299,6 +300,38 @@ def test_flush_folds_the_chains_the_pairwise_merge_combines(steps):
         fresh_volume(), run.name, expected, masm.codec, block_size=1 * KB
     )
     assert run.file.peek(0, run.file.size) == rewritten.file.peek(0, rewritten.file.size)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fold_steps(), st.lists(st.integers(0, 45), max_size=4), st.integers(1, 4))
+def test_a_merge_folds_permuted_rows_like_the_pairwise_merge(steps, readers, sources):
+    """A run merge folds rows that are not in buffer order: the k-way
+    merge's ``(rows, order)`` pair, or the permuted rows themselves.  Both
+    fold exactly like the reference, under readers pinned at any ts — an
+    update's own included."""
+    updates = [step for step in steps if step != "scan"]
+    applied = [
+        UpdateRecord(ts, key, utype, content)
+        for ts, (key, utype, content) in enumerate(updates, start=1)
+    ]
+    if not applied:
+        return
+    masm = small_engine()
+    for ts in readers:
+        masm.pin(ts)
+    size = -(-len(applied) // sources)
+    parts = [
+        masm.codec.encode_columns(
+            sorted(applied[lo : lo + size], key=UpdateRecord.sort_key)
+        )
+        for lo in range(0, len(applied), size)
+    ]
+    expected = ref.reference_merge_duplicates(
+        sorted(applied, key=UpdateRecord.sort_key), readers, FOLD_SCHEMA
+    )
+    assert masm._merge_duplicates(kernels.merge_sorted(parts)).records == expected
+    assert masm._merge_duplicates(*kernels.merge_order(parts)).records == expected
+    assert masm.stats.duplicates_merged == 2 * (len(applied) - len(expected))
 
 
 # ---------------------------------------------------------- the buffer model

@@ -4,7 +4,10 @@ The invariant: any interleaving of updates, flushes, merges of the earliest
 runs, scans, clean crashes and crashes torn inside the RUN_MERGE protocol
 (at ``masm.merge.logged`` and ``masm.merge.product_written``) answers
 exactly what :class:`repro.sim.model.ModelTable` says at every snapshot
-timestamp — including timestamps taken before the merges ran.
+timestamp — including timestamps taken before the merges ran.  Each of those
+timestamps is pinned (:meth:`MaSM.pin`, again after every restart): a merge
+folds the versions of a key that no reader tells apart (Section 3.5), so
+only a pinned past timestamp is owed its exact answer.
 """
 
 from hypothesis import given, settings
@@ -71,6 +74,7 @@ class System:
     def apply(self, kind: UpdateType, key: int, content) -> None:
         update = UpdateRecord(self.masm.oracle.next(), key, kind, content)
         self.masm.apply(update)
+        self.masm.pin(update.timestamp)
         self.model.record(update)
 
     def check(self, query_ts: int, lo: int = 0, hi: int = KEY_MAX) -> None:
@@ -88,6 +92,8 @@ class System:
         recovered.oracle.advance_past(old_oracle_ts)
         self.masm = recovered
         self.log = recovered.redo_log
+        for update in self.model.history:
+            recovered.pin(update.timestamp)
 
 
 def run_ops(system: System, ops) -> None:

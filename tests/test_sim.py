@@ -391,6 +391,14 @@ def test_crash_explorer_fires_the_merge_sites():
         assert report.fired(site) > 0
 
 
+def test_merge_scenario_folds_a_chain():
+    """Seed 2's ``merge`` schedule folds a key's versions in a merge, so the
+    explorer's sweep of the merge sites covers a folded product."""
+    run = run_simulation(SCENARIOS["merge"](), seed=2)
+    assert run.report.verdict == "ok"
+    assert run.report.chains_folded > 0
+
+
 @pytest.mark.parametrize("seed", [2, 3, 11])
 def test_durability_scenario_bootstraps_and_validates(seed, monkeypatch):
     """The one scenario that wipes replicas and revives them by snapshot

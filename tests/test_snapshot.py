@@ -157,3 +157,47 @@ def test_read_only_commit_keeps_start_ts():
     txn = mgr.begin()
     txn.get(40)
     assert txn.commit() == txn.start_ts
+
+
+def test_open_transaction_keeps_its_snapshot_through_a_full_migration():
+    """A transaction pins its start ts: the migration under it takes the
+    range path and leaves the later update cached, out of its sight."""
+    mgr = make_manager()
+    masm = mgr.masm
+    txn = mgr.begin()
+    masm.modify(40, {"payload": "later"})
+    masm.flush_buffer()
+    masm.migrate()
+    assert txn.get(40) == (40, "rec-20")
+    txn.commit()
+    masm.migrate()  # nothing pinned now: a full migration empties the cache
+    assert not masm.runs
+    assert {SCHEMA.key(r): r for r in masm.range_scan(40, 40)}[40] == (40, "later")
+
+
+def test_open_transaction_keeps_its_snapshot_through_a_folding_merge():
+    """A merge may fold INSERT@t1 + MODIFY@t2 into one update at t2 only
+    when no reader sits in between: the open transaction's start ts does."""
+    mgr = make_manager()
+    masm = mgr.masm
+    masm.insert((41, "v1"))
+    masm.flush_buffer()
+    txn = mgr.begin()
+    masm.modify(41, {"payload": "v2"})
+    masm.flush_buffer()
+    for i in range(14):
+        masm.modify(100 + 2 * i, {"payload": f"x{i}"})
+        masm.flush_buffer()
+    runs = len(masm.runs)
+    list(masm.range_scan(0, 10))  # its preamble merges the earliest runs
+    assert len(masm.runs) < runs
+    assert masm.stats.duplicates_merged == 0
+    assert txn.get(41) == (41, "v1")
+    txn.abort()
+    # Released: the next merge folds the two versions of key 41.
+    for i in range(14):
+        masm.modify(41, {"payload": f"y{i}"})
+        masm.flush_buffer()
+    list(masm.range_scan(0, 10))
+    assert masm.stats.duplicates_merged > 0
+    assert {SCHEMA.key(r): r for r in masm.range_scan(41, 41)}[41] == (41, "y13")
