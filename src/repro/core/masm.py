@@ -673,19 +673,21 @@ class MaSM:
         return run
 
     # ----------------------------------------------------------- run merging
-    def _ensure_run_budget(self, query_ts: Optional[int] = None) -> None:
-        """Merge earliest 1-pass runs until K1 + K2 <= query pages (Fig. 8).
+    def ensure_run_budget(self, query_ts: Optional[int] = None) -> None:
+        """Merge earliest 1-pass runs until K1 + K2 <= query pages (Fig. 8):
+        a scan's preamble, or a follower keeping pace with its primary's.
 
         With fewer than two 1-pass runs left, the only merge would write a
         3-pass run, past Theorem 3.3's two writes per update; a migration
         empties the cache instead whenever no reader (``query_ts``: the scan
         whose preamble this is) could see updates it must not.
         """
-        while len(self.runs) > self.params.query_pages:
-            if self.one_pass_runs < 2 and self._may_migrate_for(query_ts):
-                self.migrate()
-                continue
-            self._merge_earliest_runs(self.params.merge_fan_in, query_ts)
+        with self._lock:
+            while len(self.runs) > self.params.query_pages:
+                if self.one_pass_runs < 2 and self._may_migrate_for(query_ts):
+                    self.migrate()
+                    continue
+                self._merge_earliest_runs(self.params.merge_fan_in, query_ts)
 
     def _may_migrate_for(self, query_ts: Optional[int]) -> bool:
         """Can a scan at ``query_ts`` start right after a full migration?
@@ -790,8 +792,14 @@ class MaSM:
         timestamp (snapshot-isolation reads at a transaction's start time);
         by default the query gets the next timestamp and sees all earlier
         updates.
+
+        The scan is one overlap scope on the simulated clock, from its
+        preamble (a flush, merge or migration) through its lazy drain: the
+        SSD and disk work it issues run side by side (Section 3.7), while
+        work done between two pulls of the stream stays outside it.
         """
-        with self._lock:
+        scope = self.ssd.device.clock.overlap()
+        with self._lock, scope:
             # Flush a too-full buffer before the scan pins query pages.
             if self.buffer.pages_used(self.ssd_page_size) >= self.params.update_pages:
                 self.flush_buffer()
@@ -805,7 +813,7 @@ class MaSM:
                 self.buffer.shrink_capacity(
                     self.params.update_pages * self.ssd_page_size
                 )
-            self._ensure_run_budget(query_ts)
+            self.ensure_run_budget(query_ts)
             if query_ts is None:
                 query_ts = self.oracle.next()
             scan_id = self._scan_seq
@@ -843,14 +851,16 @@ class MaSM:
                 )
                 with span:
                     # One iterable, itself a chain over the join's
-                    # per-partition row lists: draining the scan never
-                    # resumes this frame per row.
+                    # per-partition row lists, each one built inside the
+                    # scan's scope: draining the scan never resumes this
+                    # frame per row.
                     yield MergeDataUpdates(
                         None,
                         updates,
                         self.table.schema,
                         cpu=self.cpu,
                         data_chunks=self.table.range_scan_pair_chunks(begin_key, end_key),
+                        scope=scope,
                     )
             finally:
                 sim_interleave("masm.scan.end")

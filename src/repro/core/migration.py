@@ -87,8 +87,10 @@ def drain(generator):
 
 
 def migrate_all(masm: "MaSM", redo_log=None) -> Optional[MigrationStats]:
-    """Migrate every cached run into the table, rewriting it in place."""
-    return drain(_migrate_everything(masm, redo_log, "full"))
+    """Migrate every cached run into the table, rewriting it in place: one
+    overlap scope, so the run reads on the SSD overlap the heap's I/O."""
+    with masm.ssd.device.clock.overlap():
+        return drain(_migrate_everything(masm, redo_log, "full"))
 
 
 def _migrate_everything(
@@ -279,17 +281,22 @@ class CoordinatedMigration:
 
     def __iter__(self):
         masm = self.masm
-        # Flush the in-memory buffer first so the combined scan is fully
-        # fresh (it merges exactly the materialized runs being migrated).
-        masm.flush_buffer()
+        # One overlap scope, like a scan's: active while this stream's own
+        # work runs, not while its consumer holds it.
+        scope = masm.ssd.device.clock.overlap()
+        with scope:
+            # Flush the in-memory buffer first so the combined scan is fully
+            # fresh (it merges exactly the materialized runs being migrated).
+            masm.flush_buffer()
         unpack = masm.table.schema.unpack_many
         migration = _migrate_everything(masm, self.redo_log, "coordinated")
         while True:
-            try:
-                rows = next(migration)
-            except StopIteration as stop:
-                stats = stop.value
-                break
+            with scope:
+                try:
+                    rows = next(migration)
+                except StopIteration as stop:
+                    stats = stop.value
+                    break
             yield from unpack(rows)
         if stats is None:
             # Nothing cached: degrade to a plain fresh scan.
@@ -316,8 +323,17 @@ def migrate_range(
     (:func:`encode_chunk`), in page order.  A page whose rows no longer fit
     is left untouched (its updates stay cached), so page timestamps never
     claim an unapplied update.  Runs whose whole key range has been migrated
-    are retired.
+    are retired.  The migration is one overlap scope: its run reads on the
+    SSD overlap its page reads and writes on the disk.
     """
+    with masm.ssd.device.clock.overlap():
+        return _migrate_range(masm, begin_key, end_key, redo_log)
+
+
+def _migrate_range(
+    masm: "MaSM", begin_key: int, end_key: int, redo_log
+) -> Optional[MigrationStats]:
+    """:func:`migrate_range`'s body, run inside its overlap scope."""
     table = masm.table
     if table.index.is_empty:
         return None

@@ -387,7 +387,9 @@ class MergeDataUpdates:
     array of the schema's dtype plus the aligned uint64 key and
     page-timestamp arrays), what ``Table.range_scan_pair_chunks`` yields —
     or ``data_pairs``, ``(record, page_ts)`` tuples, which are packed into
-    such chunks first.
+    such chunks first.  With a ``scope`` (an
+    :class:`~repro.storage.clock.OverlapScope`), each join step's I/O runs
+    inside it.
     """
 
     def __init__(
@@ -397,6 +399,7 @@ class MergeDataUpdates:
         schema: Schema,
         cpu: Optional[CpuMeter] = None,
         data_chunks: Optional[Iterable[tuple[object, object, object]]] = None,
+        scope=None,
     ) -> None:
         self.updates = updates
         self.schema = schema
@@ -404,9 +407,13 @@ class MergeDataUpdates:
         self.data_chunks = (
             data_chunks if data_chunks is not None else pair_chunks(data_pairs, schema)
         )
+        self.scope = scope
 
     def __iter__(self) -> Iterator[tuple]:
         schema = self.schema
         joined = join_batches(self.updates.kernel_batches(), self.data_chunks, schema)
         # The row tuples of each join step, built once, from its array.
-        return _chain.from_iterable(schema.unpack_many(rows) for rows, _ in joined)
+        steps = (schema.unpack_many(rows) for rows, _ in joined)
+        if self.scope is not None:
+            steps = self.scope.steps(steps)
+        return _chain.from_iterable(steps)

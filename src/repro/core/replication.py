@@ -168,6 +168,8 @@ class ReplicaSet:
         self.clock = clock
         self.replicas = replicas
         self.primary_id = replicas[0].replica_id
+        #: (primary id, its ``runs_merged``) at the last maintenance tick.
+        self._merges_seen = (self.primary_id, 0)
         registry = get_registry()
         self._obs_ships = registry.counter("replication.ships")
         self._obs_failovers = registry.counter("replication.failovers")
@@ -666,14 +668,26 @@ class ReplicaSet:
         Cuts a checkpoint (and truncates the WAL behind it) on any replica
         whose live WAL exceeds ``wal_budget_bytes`` (default: half the WAL
         file), and refreshes the per-replica gauges
-        (``replication.shard.S.rR.*``).  The replicas' ticks are
-        concurrent branches of the simulated timeline.
+        (``replication.shard.S.rR.*``).  If the primary's scans merged runs
+        since the last tick, every ONLINE follower brings its own run set
+        within the query budget (:meth:`MaSM.ensure_run_budget`): a
+        follower's runs are otherwise merged only by the hedges and
+        failovers that happen to scan it, in their own preambles.  The
+        replicas' ticks are concurrent branches of the simulated timeline.
         """
         registry = get_registry()
         report: dict = {}
+        merges = (self.primary_id, self.primary.masm.stats.runs_merged)
+        follow, self._merges_seen = merges != self._merges_seen, merges
         for replica in self.clock.branches(self.replicas):
             wal = replica.wal
             entry = {"state": replica.state.value}
+            if (
+                follow
+                and replica.state is ReplicaState.ONLINE
+                and replica.replica_id != self.primary_id
+            ):
+                replica.masm.ensure_run_budget()
             if wal is not None and not replica.wiped:
                 budget = wal.file.size // 2 if wal_budget_bytes is None else wal_budget_bytes
                 if replica.state is ReplicaState.ONLINE and (

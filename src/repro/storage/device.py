@@ -180,7 +180,8 @@ class Device:
     Subclasses implement :meth:`_read_time` and :meth:`_write_time`; this
     class handles data movement, statistics and clock accounting.  All service
     time lands in ``stats.busy_time`` so the overlap model can compute query
-    critical paths.
+    critical paths, and is charged to the clock with this device as the
+    lane (:meth:`SimClock.charge`).
     """
 
     def __init__(self, profile: DeviceProfile, clock: Optional[SimClock] = None):
@@ -236,7 +237,7 @@ class Device:
                 stats.seq_reads += 1
             else:
                 stats.rand_reads += 1
-            self.clock.advance(service)
+            self.clock.charge(self, service)
         self._obs_read_latency.observe(service)
         return data
 
@@ -259,8 +260,13 @@ class Device:
                 stats.seq_writes += 1
             else:
                 stats.rand_writes += 1
-            self.clock.advance(service)
+            self.clock.charge(self, service)
         self._obs_write_latency.observe(service)
+
+    def barrier(self) -> None:
+        """The next operation here commits every earlier one: inside an
+        overlap scope it waits for every device (:meth:`SimClock.barrier`)."""
+        self.clock.barrier(self)
 
     def peek(self, offset: int, size: int) -> bytes:
         """Read data without charging any simulated time (debug/recovery)."""

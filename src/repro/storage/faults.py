@@ -245,7 +245,7 @@ class FaultyDevice:
         inner = self.inner
         with inner._lock:
             inner.stats.busy_time += extra
-            inner.clock.advance(extra)
+            inner.clock.charge(inner, extra)
 
     def _flip_stored_bit(self, offset: int, size: int) -> None:
         _count_fault("bit_flip")

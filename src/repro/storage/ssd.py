@@ -103,7 +103,7 @@ class SimulatedSSD(Device):
             self.stats.bytes_read += total
             self.stats.busy_time += service
             self.stats.rand_reads += len(requests)
-            self.clock.advance(service)
+            self.clock.charge(self, service)
         self._obs_batch_width.observe(len(requests))
         self._obs_batch_latency.observe(service)
         return data
@@ -126,7 +126,7 @@ class SimulatedSSD(Device):
             self.stats.bytes_read += size
             self.stats.busy_time += service
             self.stats.rand_reads += 1
-            self.clock.advance(service)
+            self.clock.charge(self, service)
         self._obs_read_latency.observe(service)
         return data
 

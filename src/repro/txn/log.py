@@ -271,6 +271,15 @@ class RedoLog:
         self._obs_records.add(1)
         self._obs_bytes.add(len(frame))
 
+    def _commit(self, rtype: LogRecordType, payload: bytes) -> None:
+        """Append a record that commits a run-set or heap edit
+        (``RUN_FLUSH``, ``RUN_MERGE``, ``MIGRATION_END``, ``CHECKPOINT``):
+        inside an overlap scope it starts only once every write before it
+        has finished on every device, so the log's durability order holds
+        in time as well as in bytes."""
+        self.file.device.barrier()
+        self._append(self._frame(rtype, payload))
+
     def log_update(self, table: str, encoded: bytes) -> None:
         """Log one update of ``table`` as its codec encoded it — the bytes
         the engine also buffers, encoded once.
@@ -299,7 +308,7 @@ class RedoLog:
 
     def log_run_flush(self, table: str, run_name: str, max_ts: int) -> None:
         payload = _TS.pack(max_ts) + _pack_str(table) + _pack_str(run_name)
-        self._append(self._frame(LogRecordType.RUN_FLUSH, payload))
+        self._commit(LogRecordType.RUN_FLUSH, payload)
 
     def log_migration_start(
         self,
@@ -314,7 +323,7 @@ class RedoLog:
         self._append(self._frame(LogRecordType.MIGRATION_START, payload))
 
     def log_migration_end(self, timestamp: int) -> None:
-        self._append(self._frame(LogRecordType.MIGRATION_END, _TS.pack(timestamp)))
+        self._commit(LogRecordType.MIGRATION_END, _TS.pack(timestamp))
 
     def log_run_merge(
         self,
@@ -328,14 +337,12 @@ class RedoLog:
         ) + _pack_str(product)
         for name in victims:
             payload += _pack_str(name)
-        self._append(self._frame(LogRecordType.RUN_MERGE, payload))
+        self._commit(LogRecordType.RUN_MERGE, payload)
 
     def log_checkpoint(self, checkpoint: Checkpoint) -> None:
-        self._append(
-            self._frame(
-                LogRecordType.CHECKPOINT,
-                self._encode_checkpoint(checkpoint, self.generation),
-            )
+        self._commit(
+            LogRecordType.CHECKPOINT,
+            self._encode_checkpoint(checkpoint, self.generation),
         )
         get_registry().counter("txn.log.checkpoints_written").add(1)
 

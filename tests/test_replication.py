@@ -737,3 +737,30 @@ def test_retry_after_jitter_spreads_the_herd():
             replay.append(excinfo.value.retry_after)
             clock2.advance(1e-3)
         assert replay == retry_afters
+
+
+def test_followers_keep_pace_with_their_primarys_run_merges():
+    """A follower's runs are merged in maintenance once its primary's scans
+    merged (not only when a hedge or failover happens to scan it)."""
+    with use_registry():
+        rset, model = build_set()
+        budget = rset.primary.masm.params.query_pages
+        tag = 0
+        while len(rset.replica(1).masm.runs) <= budget:
+            apply_mixed(rset, model, 6, f"run-{tag}")
+            for replica in rset.replicas:
+                replica.masm.flush_buffer()
+            tag += 1
+        follower_runs = [len(r.masm.runs) for r in rset.replicas[1:]]
+        rset.maintenance()  # the primary merged nothing: followers untouched
+        assert [len(r.masm.runs) for r in rset.replicas[1:]] == follower_runs
+        query_ts = rset.oracle.next()
+        expected = model.snapshot_records(query_ts, 0, 4 * ROWS)
+        assert list(rset.scan(0, 4 * ROWS, query_ts)) == expected
+        assert rset.primary.masm.stats.runs_merged > 0  # the scan's preamble
+        rset.maintenance()
+        assert all(len(r.masm.runs) <= budget for r in rset.replicas)
+        assert_replicas_identical(rset, model, "followers merged in maintenance")
+        merged = [r.masm.stats.runs_merged for r in rset.replicas[1:]]
+        rset.maintenance()  # nothing new on the primary: no further merges
+        assert [r.masm.stats.runs_merged for r in rset.replicas[1:]] == merged
