@@ -113,9 +113,11 @@ def measure_wal(volume, codec, encoded) -> dict[bool, float]:
     of ``encoded``, machinery off (False) and on (True): a fresh log per
     mode, the two fed slice by slice, taking turns going first."""
     logs = {
-        protected: RedoLog(volume.create(f"wal-{protected}", 32 * MB), {"t": codec})
+        protected: RedoLog(volume.create(f"wal-{protected}", 32 * MB))
         for protected in (False, True)
     }
+    for log in logs.values():
+        log.register_table("t", codec)
     starts = range(0, len(encoded), WAL_SLICE)
     pending = {protected: iter(starts) for protected in logs}
 

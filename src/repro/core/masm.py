@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from typing import Iterable, Iterator, Optional
 
@@ -28,6 +28,7 @@ from repro.core import kernels
 from repro.core.blockcache import DEFAULT_CACHE_BLOCKS, DecodedBlockCache
 from repro.core.governor import GovernorConfig, LoadGovernor
 from repro.core.manifest import (
+    Checkpoint,
     MigrationEnded,
     RunFlushed,
     RunManifest,
@@ -273,7 +274,7 @@ class EngineSnapshot:
     heap_payload: bytes
     heap_crc: int
     runs: tuple[RunSnapshot, ...]
-    checkpoint: "object"  # repro.txn.log.Checkpoint (lazy import cycle)
+    checkpoint: Checkpoint
 
 
 class ScanRows(chain):
@@ -564,9 +565,8 @@ class MaSM:
                     if projected >= self.config.migration_threshold * self.cache_bytes:
                         self.migrate()
                 run = self._write_run(updates, passes=1)
-                self.manifest.apply(
-                    RunFlushed(run, raw_max_ts, covered=(raw_min_ts, raw_max_ts))
-                )
+                flushed = RunFlushed(run, raw_max_ts, (raw_min_ts, raw_max_ts))
+                self.manifest.apply(flushed)
                 sim_interleave("masm.flush.run_written")
                 # The window a crash test cares most about: the run is
                 # durable on the SSD but its RUN_FLUSH record is not logged
@@ -575,9 +575,7 @@ class MaSM:
                 self._runs_by_flush_epoch[flush_epoch] = run
                 self.stats.flushes += 1
                 if self.redo_log is not None:
-                    self.redo_log.log_run_flush(
-                        self.table.name, run.name, run.max_ts
-                    )
+                    self.redo_log.log_run_flush(self.table.name, flushed)
                 return run
 
     def _merge_duplicates(
@@ -739,13 +737,9 @@ class MaSM:
                     min(r.covered_min_ts for r in victims),
                     max(r.covered_max_ts for r in victims),
                 )
+                merge = RunsMerged(self.oracle.current, name, tuple(victims), covered)
                 if self.redo_log is not None:
-                    self.redo_log.log_run_merge(
-                        self.oracle.current,
-                        name,
-                        [v.name for v in victims],
-                        covered_ts=covered,
-                    )
+                    self.redo_log.log_edit(self.table.name, merge)
                 # Logged, product not written: recovery must keep serving
                 # the victims and forget the merge.
                 crash_point("masm.merge.logged")
@@ -773,7 +767,7 @@ class MaSM:
                 # An older scan may still read the victims (from its run
                 # list or a Mem_scan flush-epoch handover): they wait.
                 self._retire(
-                    self.manifest.apply(RunsMerged(run, tuple(victims), covered)),
+                    self.manifest.apply(replace(merge, product=run)),
                     barrier_ts=self.oracle.current + 1,
                 )
                 self.stats.runs_merged += len(victims)
@@ -1150,7 +1144,7 @@ class MaSM:
         return max(0, fence)
 
     def checkpoint(self):
-        """Cut a :class:`~repro.txn.log.Checkpoint` fence, or None.
+        """Cut a :class:`~repro.core.manifest.Checkpoint` fence, or None.
 
         Returns None when no fence can safely be cut: no log attached,
         nothing durable yet, a quarantined run (its log-fallback needs the
@@ -1277,20 +1271,14 @@ class MaSM:
             if self.governor is not None:
                 self.governor.on_full_migration()
 
-    def end_migration(
-        self,
-        timestamp: int,
-        runs: list[MaterializedSortedRun],
-        spans: Optional[list[tuple[int, int]]] = None,
-    ) -> list[MaterializedSortedRun]:
-        """Apply a migration's logged end (:class:`MigrationEnded`: a full
-        migration when ``spans`` is None) and retire the runs it retired;
+    def end_migration(self, ended: MigrationEnded) -> list[MaterializedSortedRun]:
+        """Apply a migration's logged end and retire the runs it retired;
         returns them."""
         with self._lock:
-            retired = self.manifest.apply(MigrationEnded(timestamp, tuple(runs), spans))
+            retired = self.manifest.apply(ended)
             if retired:
                 sim_interleave("masm.retire_runs")
-                self._retire(retired, barrier_ts=timestamp)
+                self._retire(retired, barrier_ts=ended.timestamp)
             return retired
 
     def _retire(self, runs: list[MaterializedSortedRun], barrier_ts: int) -> None:

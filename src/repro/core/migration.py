@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 import numpy as np
 
+from repro.core.manifest import MigrationEnded, MigrationStarted
 from repro.core.operators import MergeUpdates, join_batches
 from repro.core.sortedrun import subtract_spans
 from repro.core.update import UpdateColumns, UpdateType
@@ -106,7 +107,7 @@ def _migrate_everything(
     sim_interleave(f"migration.{kind}")
     t = masm.oracle.next()
     if redo_log is not None:
-        redo_log.log_migration_start(t, [run.name for run in runs])
+        redo_log.log_edit(table.name, MigrationStarted(t))
 
     full = (0, 2**63 - 1)
     merge = MergeUpdates(
@@ -120,11 +121,12 @@ def _migrate_everything(
         )
         table.heap.truncate(out_pages)
         table.replace_contents(entries, stats.rows_after)
+        ended = MigrationEnded(t, tuple(runs))
         if redo_log is not None:
-            redo_log.log_migration_end(t)
+            redo_log.log_edit(table.name, ended)
         # Every durable (non-buffered) update with ts <= t is now applied in
         # place; the checkpoint fence caps below any still-buffered update.
-        masm.end_migration(t, runs)
+        masm.end_migration(ended)
         stats.runs_retired = len(runs)
     stats.publish(kind)
     return stats
@@ -363,9 +365,7 @@ def _migrate_range(
     sim_interleave("migration.slice")
     t = masm.oracle.next()
     if redo_log is not None:
-        redo_log.log_migration_start(
-            t, [run.name for run in runs], key_range=(begin_key, end_key)
-        )
+        redo_log.log_edit(table.name, MigrationStarted(t))
     merge = MergeUpdates(
         masm.run_update_sources(runs, begin_key, end_key, query_ts=t),
         cpu=masm.cpu,
@@ -388,10 +388,13 @@ def _migrate_range(
             row_delta += delta
         table.row_count += row_delta
         stats.rows_after = table.row_count
+        # The spans applied: a deferred page's updates stay cached, and the
+        # logged end says so.
+        migrated = tuple(subtract_spans(begin_key, end_key, failed_spans))
+        ended = MigrationEnded(t, tuple(runs), migrated)
         if redo_log is not None:
-            redo_log.log_migration_end(t)
-        migrated = subtract_spans(begin_key, end_key, failed_spans)
-        stats.runs_retired = len(masm.end_migration(t, runs, spans=migrated))
+            redo_log.log_edit(table.name, ended)
+        stats.runs_retired = len(masm.end_migration(ended))
     stats.publish("range")
     return stats
 

@@ -28,7 +28,7 @@ explicit :meth:`crash_replica` calls):
   the UPDATE records newer than the rejoiner's recovered watermark.
 
 Checkpointing bounds the WAL (:meth:`ReplicaSet.maintenance`): each ONLINE
-replica periodically cuts a :class:`~repro.txn.log.Checkpoint` — a fence
+replica periodically cuts a :class:`~repro.core.manifest.Checkpoint` — a fence
 ``checkpoint_ts`` below which its flushed runs and migrated ranges are the
 durable home of every update — and compacts away the WAL prefix it covers,
 leaving the stale tail to its generation stamp.  That makes redo logs

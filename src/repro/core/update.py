@@ -484,8 +484,13 @@ class UpdateCodec:
         decoded with its field's whole value column; the rest one at a time."""
         out = _np.empty(len(bodies), dtype=object)
         # An empty payload has no index to read: whatever is read in its
-        # place cannot pass the length test below.
-        indexes = _windows(data, 2)[_np.minimum(bodies, len(data) - 2)].view("<u2")[:, 0]
+        # place cannot pass the length test below (and with under two bytes
+        # of data no payload has one).
+        indexes = (
+            _windows(data, 2)[_np.minimum(bodies, len(data) - 2)].view("<u2")[:, 0]
+            if len(data) >= 2
+            else _np.zeros(0, _np.uint16)
+        )
         rest = _np.ones(len(bodies), dtype=bool)
         for idx in set(indexes.tolist()):
             if idx >= len(self._fields):

@@ -3,23 +3,14 @@
 MaSM only needs to recover the *in-memory* update buffer after a crash:
 materialized runs live on the (non-volatile) SSD, and migrations are
 idempotent thanks to page timestamps, so data-page changes are never logged.
-The log therefore carries these record kinds:
-
-* ``UPDATE``          — one well-formed update (timestamp, table, payload);
-* ``RUN_FLUSH``       — the buffer up to a timestamp became run ``name``;
-* ``MIGRATION_START`` / ``MIGRATION_END`` — bracketing records that let
-  recovery redo an interrupted migration;
-* ``RUN_MERGE``       — runs ``run_names`` are being merged into run
-  ``run_name``; written *before* the product run is materialized, so the
-  product file's intact existence is the merge's commit point and recovery
-  can discard superseded victim files a crash left behind.
-* ``CHECKPOINT``      — a durability fence (:class:`Checkpoint`): every
-  update with ``ts <= checkpoint_ts`` is durable in the manifest's runs or
-  migrated in place, so the log prefix holding those records is dead weight
-  and :meth:`RedoLog.truncate_through` may reclaim it.  Recovery seeds its
-  flushed/migrated watermarks and the manifest runs' covered-ts spans and
-  pass counts from the newest CHECKPOINT instead of from the (now absent)
-  prefix records.
+The log therefore carries two kinds of record: ``UPDATE`` (the table's
+name, then one well-formed update as its codec encoded it) and the run-set
+records — ``RUN_FLUSH``, ``RUN_MERGE``, ``MIGRATION_END`` and
+``CHECKPOINT`` (a fence whose prefix :meth:`RedoLog.truncate_through` may
+reclaim), each the :mod:`~repro.core.manifest` edit the live engine applied,
+plus ``MIGRATION_START``, the intent recovery redoes when no END follows.
+That module encodes and decodes their payloads behind a ``(ts, table)``
+head; this one frames them and reads only the head.
 
 Records are length-prefixed, CRC-protected and appended sequentially; the
 log is itself a file on a simulated device, so logging I/O is accounted like
@@ -52,6 +43,17 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterator, Optional
 
+from repro.core import manifest
+from repro.core.manifest import (
+    Checkpoint,
+    Checkpointed,
+    RunFlushed,
+    decode_edit,
+    edit_head,
+    encode_edit,
+    pack_str,
+    unpack_str,
+)
 from repro.core.update import UpdateCodec, UpdateRecord
 from repro.errors import RecoveryError
 from repro.obs import get_registry
@@ -73,25 +75,17 @@ READ_CHUNK = 256 * KB
 #: each, so the same payload gets a different CRC in every generation.
 _CRC_SEEDS = tuple(checksum(bytes([rtype])) for rtype in range(256))
 
-# Fixed-width heads of the record payloads (names follow in _pack_str form).
-_U16 = struct.Struct("<H")
-_TS = struct.Struct("<Q")
-_MIGRATION_START = struct.Struct("<QqqH")  # ts, key lo, key hi, run count
-_RUN_MERGE = struct.Struct("<QQQH")  # ts, covered lo, covered hi, victim count
-_CHECKPOINT = struct.Struct("<QQ")  # checkpoint ts, migrated ts
-_MANIFEST_ENTRY = struct.Struct("<QQBH")  # covered lo, covered hi, passes, range count
-_KEY_SPAN = struct.Struct("<qq")
 #: The generation a CHECKPOINT payload written after a truncation ends with.
 _GENERATION = struct.Struct("<I")
 
 
 class LogRecordType(IntEnum):
     UPDATE = 1
-    RUN_FLUSH = 2
-    MIGRATION_START = 3
-    MIGRATION_END = 4
-    RUN_MERGE = 5
-    CHECKPOINT = 6
+    RUN_FLUSH = manifest.RUN_FLUSH
+    MIGRATION_START = manifest.MIGRATION_START
+    MIGRATION_END = manifest.MIGRATION_END
+    RUN_MERGE = manifest.RUN_MERGE
+    CHECKPOINT = manifest.CHECKPOINT
 
 
 _UPDATE = int(LogRecordType.UPDATE)
@@ -123,43 +117,6 @@ def _claimed_generation(rtype_raw: int, payload, stored_crc: int) -> int:
 
 
 @dataclass(frozen=True)
-class RunManifestEntry:
-    """One run's durability metadata inside a :class:`Checkpoint`.
-
-    The covered timestamp span is the *raw* span the run is the durable
-    home of (content-derived spans may be narrower after duplicate
-    combining); the migrated ranges are the key spans already applied in
-    place, which are volatile and must survive truncation of the
-    MIGRATION records that created them; ``passes`` is how many times the
-    run's updates were written to the SSD, which the RUN_MERGE records
-    that established it no longer prove once truncated.
-    """
-
-    name: str
-    covered_min_ts: int
-    covered_max_ts: int
-    migrated_ranges: tuple[tuple[int, int], ...] = ()
-    passes: int = 1
-
-
-@dataclass(frozen=True)
-class Checkpoint:
-    """An engine-state fence: proof that a WAL prefix is reclaimable.
-
-    Every update of ``table`` with ``ts <= checkpoint_ts`` is durable in
-    one of the manifest's runs or was migrated in place (``ts <=
-    migrated_ts``).  Log records at or below the fence therefore carry no
-    information recovery still needs — *provided* this record survives to
-    seed the watermarks those records used to establish.
-    """
-
-    table: str
-    checkpoint_ts: int
-    migrated_ts: int
-    runs: tuple[RunManifestEntry, ...] = ()
-
-
-@dataclass(frozen=True)
 class TruncationReport:
     """What one :meth:`RedoLog.truncate_through` call did."""
 
@@ -171,48 +128,31 @@ class TruncationReport:
 
 @dataclass(frozen=True)
 class LogRecord:
-    """One decoded log record; unused fields are None."""
+    """One decoded log record: its head, then the update or the edit."""
 
     type: LogRecordType
     timestamp: int
-    table: Optional[str] = None
+    table: str
     #: UPDATE only: the update as logged (its encoding) — what recovery puts
     #: back into the buffer — and the codec :attr:`update` decodes it with.
     encoded: Optional[bytes] = None
     codec: Optional[UpdateCodec] = field(default=None, compare=False, repr=False)
-    run_name: Optional[str] = None
-    run_names: Optional[tuple[str, ...]] = None
-    key_range: Optional[tuple[int, int]] = None
-    #: RUN_MERGE only: the product's covered timestamp span (union of the
-    #: victims' spans).  Restored on recovery because the reloaded span is
-    #: derived from content, which combine may have narrowed.
-    covered_ts: Optional[tuple[int, int]] = None
-    #: CHECKPOINT only: the full decoded fence + run manifest.
-    checkpoint: Optional[Checkpoint] = None
+    #: Run-set records only: the logged edit, run names in place of runs
+    #: (:func:`~repro.core.manifest.decode_edit`).
+    edit: Optional[object] = None
 
     @property
     def update(self) -> Optional[UpdateRecord]:
         return self.codec.decode(self.encoded)[0] if self.codec else None
 
 
-def _pack_str(text: str) -> bytes:
-    raw = text.encode("utf-8")
-    return _U16.pack(len(raw)) + raw
-
-
-def _unpack_str(data: bytes, offset: int) -> tuple[str, int]:
-    (length,) = _U16.unpack_from(data, offset)
-    start = offset + 2
-    return data[start : start + length].decode("utf-8"), start + length
-
-
 class RedoLog:
     """Append-only redo log over a simulated file."""
 
-    def __init__(self, file: SimFile, codecs: Optional[dict[str, UpdateCodec]] = None):
+    def __init__(self, file: SimFile):
         self.file = file
         #: table name -> codec, needed to decode UPDATE payloads on replay.
-        self.codecs = dict(codecs or {})
+        self.codecs: dict[str, UpdateCodec] = {}
         self.records_written = 0
         #: Newest checkpoint fence this log was truncated through: records
         #: with ``ts <= truncated_through`` are gone, so any path that
@@ -271,28 +211,39 @@ class RedoLog:
         self._obs_records.add(1)
         self._obs_bytes.add(len(frame))
 
-    def _commit(self, rtype: LogRecordType, payload: bytes) -> None:
-        """Append a record that commits a run-set or heap edit
-        (``RUN_FLUSH``, ``RUN_MERGE``, ``MIGRATION_END``, ``CHECKPOINT``):
-        inside an overlap scope it starts only once every write before it
-        has finished on every device, so the log's durability order holds
-        in time as well as in bytes."""
-        self.file.device.barrier()
-        self._append(self._frame(rtype, payload))
+    def _edit_frame(self, table: str, edit, generation: int) -> bytes:
+        """The frame of a run-set record in ``generation``: past generation
+        0 a CHECKPOINT's payload ends in it, which is how a scan of a
+        truncated log learns it."""
+        payload = encode_edit(table, edit)
+        if edit.tag == _CHECKPOINT_TYPE and generation:
+            payload += _GENERATION.pack(generation)
+        crc = checksum(payload, _CRC_SEEDS[edit.tag] ^ generation)
+        return _FRAME.pack(len(payload), edit.tag, crc) + payload
+
+    def log_edit(self, table: str, edit) -> None:
+        """Log a run-set edit of ``table``.  Each but a MIGRATION_START (an
+        intent) commits a run-set or heap edit: inside an overlap scope it
+        starts only once every write before it has finished on every
+        device, so the log's durability order holds in time as well as in
+        bytes."""
+        if edit.tag != LogRecordType.MIGRATION_START:
+            self.file.device.barrier()
+        self._append(self._edit_frame(table, edit, self.generation))
 
     def log_update(self, table: str, encoded: bytes) -> None:
         """Log one update of ``table`` as its codec encoded it — the bytes
         the engine also buffers, encoded once.
 
         The hot path of every ingest: the frame is the one ``_frame(UPDATE,
-        _pack_str(table) + encoded)`` builds, made from the table's memoized
+        pack_str(table) + encoded)`` builds, made from the table's memoized
         head with one checksum over ``encoded`` and one concatenation.
         """
         head = self._update_heads.get(table)
         if head is None:
             if table not in self.codecs:
                 raise RecoveryError(f"no codec registered for table {table!r}")
-            prefix = _pack_str(table)
+            prefix = pack_str(table)
             head = self._update_heads[table] = (
                 struct.Struct(f"{_FRAME.format}{len(prefix)}s"),
                 prefix,
@@ -306,67 +257,13 @@ class RedoLog:
             + encoded
         )
 
-    def log_run_flush(self, table: str, run_name: str, max_ts: int) -> None:
-        payload = _TS.pack(max_ts) + _pack_str(table) + _pack_str(run_name)
-        self._commit(LogRecordType.RUN_FLUSH, payload)
-
-    def log_migration_start(
-        self,
-        timestamp: int,
-        run_names: list[str],
-        key_range: Optional[tuple[int, int]] = None,
-    ) -> None:
-        lo, hi = key_range if key_range is not None else (0, 2**63 - 1)
-        payload = _MIGRATION_START.pack(timestamp, lo, hi, len(run_names))
-        for name in run_names:
-            payload += _pack_str(name)
-        self._append(self._frame(LogRecordType.MIGRATION_START, payload))
-
-    def log_migration_end(self, timestamp: int) -> None:
-        self._commit(LogRecordType.MIGRATION_END, _TS.pack(timestamp))
-
-    def log_run_merge(
-        self,
-        timestamp: int,
-        product: str,
-        victims: list[str],
-        covered_ts: tuple[int, int],
-    ) -> None:
-        payload = _RUN_MERGE.pack(
-            timestamp, covered_ts[0], covered_ts[1], len(victims)
-        ) + _pack_str(product)
-        for name in victims:
-            payload += _pack_str(name)
-        self._commit(LogRecordType.RUN_MERGE, payload)
+    def log_run_flush(self, table: str, flushed: RunFlushed) -> None:
+        """:meth:`log_edit` under its own name, which the e2e trace times."""
+        self.log_edit(table, flushed)
 
     def log_checkpoint(self, checkpoint: Checkpoint) -> None:
-        self._commit(
-            LogRecordType.CHECKPOINT,
-            self._encode_checkpoint(checkpoint, self.generation),
-        )
+        self.log_edit(checkpoint.table, Checkpointed(checkpoint))
         get_registry().counter("txn.log.checkpoints_written").add(1)
-
-    @staticmethod
-    def _encode_checkpoint(checkpoint: Checkpoint, generation: int) -> bytes:
-        """The CHECKPOINT payload; past generation 0 it ends in the
-        generation, which is how a scan of a truncated log learns it."""
-        payload = _CHECKPOINT.pack(
-            checkpoint.checkpoint_ts, checkpoint.migrated_ts
-        ) + _pack_str(checkpoint.table)
-        payload += _U16.pack(len(checkpoint.runs))
-        for entry in checkpoint.runs:
-            payload += _pack_str(entry.name)
-            payload += _MANIFEST_ENTRY.pack(
-                entry.covered_min_ts,
-                entry.covered_max_ts,
-                entry.passes,
-                len(entry.migrated_ranges),
-            )
-            for lo, hi in entry.migrated_ranges:
-                payload += _KEY_SPAN.pack(lo, hi)
-        if generation:
-            payload += _GENERATION.pack(generation)
-        return payload
 
     # ----------------------------------------------------------- truncation
     def truncate_through(self, checkpoint: Checkpoint) -> TruncationReport:
@@ -384,9 +281,7 @@ class RedoLog:
         """
         end = self.file.append_pos
         generation = self.generation + 1
-        payload = self._encode_checkpoint(checkpoint, generation)
-        crc = checksum(payload, _CRC_SEEDS[_CHECKPOINT_TYPE] ^ generation)
-        fresh = _FRAME.pack(len(payload), _CHECKPOINT_TYPE, crc) + payload
+        fresh = self._edit_frame(checkpoint.table, Checkpointed(checkpoint), generation)
         # The fresh CHECKPOINT, then the survivors, adjacent ones in one piece.
         pieces: list[bytes] = [fresh]
         kept = dropped = 0
@@ -394,23 +289,25 @@ class RedoLog:
         run_start = run_end = 0
         head = _FRAME.size
         fence = checkpoint.checkpoint_ts
-        prefix = _pack_str(checkpoint.table)
+        prefix = pack_str(checkpoint.table)
         body = head + len(prefix)  # where an update of the table starts
         peek_timestamp = UpdateCodec.peek_timestamp
         try:
             for _, rtype_raw, buf, at, size in self._frames(end, scanning=False):
+                # Only (table, timestamp) decide survival, read off the
+                # payload's head where it lies; a superseded CHECKPOINT of
+                # the table goes whatever its fence.
                 if rtype_raw == _UPDATE:
-                    # Only (table, timestamp) decide survival: compare the
-                    # payload's head where it lies instead of decoding it.
                     survives = (
                         not buf.startswith(prefix, at + head)
                         or peek_timestamp(buf, at + body) > fence
                     )
                 else:
-                    rtype = _record_type(rtype_raw)
-                    record = self._decode(rtype, buf[at + head : at + size])
-                    survives = self._survives(
-                        rtype, record.table, record.timestamp, checkpoint
+                    timestamp, table = edit_head(
+                        _record_type(rtype_raw), buf, at + head
+                    )
+                    survives = table != checkpoint.table or (
+                        rtype_raw != _CHECKPOINT_TYPE and timestamp > fence
                     )
                 if not survives:
                     dropped += 1
@@ -465,23 +362,6 @@ class RedoLog:
             records_kept=kept,
             live_bytes=new_end,
         )
-
-    @staticmethod
-    def _survives(
-        rtype: LogRecordType,
-        table: Optional[str],
-        timestamp: int,
-        checkpoint: Checkpoint,
-    ) -> bool:
-        """Does a record of this type/table/timestamp still carry
-        information past the fence?"""
-        if rtype is LogRecordType.CHECKPOINT:
-            # Superseded by the fresh checkpoint (same table only).
-            return table != checkpoint.table
-        if rtype in (LogRecordType.UPDATE, LogRecordType.RUN_FLUSH):
-            if table != checkpoint.table:
-                return True
-        return timestamp > checkpoint.checkpoint_ts
 
     def scrub_dirty(self, max_bytes: Optional[int] = None) -> int:
         """Nothing to zero: stale frames fail their generation's CRC."""
@@ -590,7 +470,7 @@ class RedoLog:
             if rtype is LogRecordType.CHECKPOINT:
                 # A persisted checkpoint means the prefix below its fence
                 # was (or may legitimately have been) reclaimed.
-                (fence, _) = _CHECKPOINT.unpack_from(buf, at + _FRAME.size)
+                fence, _ = edit_head(rtype, buf, at + _FRAME.size)
                 self.truncated_through = max(self.truncated_through, fence)
             yield rtype, buf[at : at + size]
         if scanning:
@@ -617,7 +497,7 @@ class RedoLog:
         codec = self.codecs.get(table)
         if codec is None:
             raise RecoveryError(f"no codec registered for table {table!r}")
-        prefix = _pack_str(table)
+        prefix = pack_str(table)
         body = _FRAME.size + len(prefix)
         for rtype, frame in self._replay():
             if rtype is LogRecordType.UPDATE and frame.startswith(prefix, _FRAME.size):
@@ -647,74 +527,12 @@ class RedoLog:
         )
 
     def _decode(self, rtype: LogRecordType, payload: bytes) -> LogRecord:
-        if rtype == LogRecordType.UPDATE:
-            table, pos = _unpack_str(payload, 0)
-            codec = self.codecs.get(table)
-            if codec is None:
-                raise RecoveryError(f"no codec registered for table {table!r}")
-            timestamp = codec.peek_timestamp(payload, pos)
-            return LogRecord(rtype, timestamp, table=table, encoded=payload[pos:], codec=codec)
-        if rtype == LogRecordType.RUN_FLUSH:
-            (max_ts,) = _TS.unpack_from(payload, 0)
-            table, pos = _unpack_str(payload, _TS.size)
-            run_name, _ = _unpack_str(payload, pos)
-            return LogRecord(rtype, max_ts, table=table, run_name=run_name)
-        if rtype == LogRecordType.MIGRATION_START:
-            timestamp, lo, hi, count = _MIGRATION_START.unpack_from(payload, 0)
-            pos = _MIGRATION_START.size
-            names = []
-            for _ in range(count):
-                name, pos = _unpack_str(payload, pos)
-                names.append(name)
-            return LogRecord(
-                rtype, timestamp, run_names=tuple(names), key_range=(lo, hi)
-            )
-        if rtype == LogRecordType.RUN_MERGE:
-            timestamp, lo, hi, count = _RUN_MERGE.unpack_from(payload, 0)
-            product, pos = _unpack_str(payload, _RUN_MERGE.size)
-            victims = []
-            for _ in range(count):
-                name, pos = _unpack_str(payload, pos)
-                victims.append(name)
-            return LogRecord(
-                rtype,
-                timestamp,
-                run_name=product,
-                run_names=tuple(victims),
-                covered_ts=(lo, hi),
-            )
-        if rtype == LogRecordType.CHECKPOINT:
-            checkpoint_ts, migrated_ts = _CHECKPOINT.unpack_from(payload, 0)
-            table, pos = _unpack_str(payload, _CHECKPOINT.size)
-            (count,) = _U16.unpack_from(payload, pos)
-            pos += _U16.size
-            entries = []
-            for _ in range(count):
-                name, pos = _unpack_str(payload, pos)
-                cov_min, cov_max, passes, ranges = _MANIFEST_ENTRY.unpack_from(
-                    payload, pos
-                )
-                pos += _MANIFEST_ENTRY.size
-                spans = []
-                for _ in range(ranges):
-                    lo, hi = _KEY_SPAN.unpack_from(payload, pos)
-                    pos += _KEY_SPAN.size
-                    spans.append((lo, hi))
-                entries.append(
-                    RunManifestEntry(
-                        name=name,
-                        covered_min_ts=cov_min,
-                        covered_max_ts=cov_max,
-                        migrated_ranges=tuple(spans),
-                        passes=passes,
-                    )
-                )
-            cp = Checkpoint(
-                table=table,
-                checkpoint_ts=checkpoint_ts,
-                migrated_ts=migrated_ts,
-                runs=tuple(entries),
-            )
-            return LogRecord(rtype, checkpoint_ts, table=table, checkpoint=cp)
-        (timestamp,) = _TS.unpack_from(payload, 0)
-        return LogRecord(rtype, timestamp)
+        if rtype is not LogRecordType.UPDATE:
+            edit = decode_edit(rtype, payload)
+            return LogRecord(rtype, *edit_head(rtype, payload), edit=edit)
+        table, pos = unpack_str(payload, 0)
+        codec = self.codecs.get(table)
+        if codec is None:
+            raise RecoveryError(f"no codec registered for table {table!r}")
+        timestamp = codec.peek_timestamp(payload, pos)
+        return LogRecord(rtype, timestamp, table, encoded=payload[pos:], codec=codec)

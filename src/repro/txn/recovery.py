@@ -8,17 +8,19 @@ sparse index.
 :func:`recover_masm` therefore
 
 1. rebuilds the table's sparse index with one sequential scan;
-2. reads the redo log: updates, run-set records, open migrations;
+2. reads the redo log: the updates, the logged edits (each run-set record
+   decodes to the :mod:`~repro.core.manifest` edit the live engine
+   applied) and the migrations whose MIGRATION_START no END closed;
 3. loads and CRC-checks the run files on the SSD;
-4. replays the run-set records onto the files found, each as the
-   :mod:`~repro.core.manifest` edit the live engine applied;
+4. applies each logged edit, its run names resolved to the files found,
+   in log order;
 5. reconciles the files with the result in one pass (deleting what the
-   replay retired, damaged files and orphans) and rebuilds from the log
+   edits retired, damaged files and orphans) and rebuilds from the log
    the spans of runs lost or damaged;
 6. refills the buffer with the updates newer than the last flushed
    timestamp ("use update timestamps to distinguish updates in memory and
-   updates on SSDs") and redoes any migration whose START record has no
-   END — safe because migration is idempotent under the page-ts rule.
+   updates on SSDs") and redoes each open migration — safe because
+   migration is idempotent under the page-ts rule.
 
 :func:`restart_masm` is the one way durable state becomes an engine: it
 forgets what a crash forgets (the heap's logical length, the WAL's append
@@ -40,9 +42,7 @@ from repro.core.manifest import (
     Checkpointed,
     GapRebuilt,
     LostRun,
-    MigrationEnded,
     Recovered,
-    RunFlushed,
     RunsMerged,
 )
 from repro.core.masm import MaSM, MaSMConfig
@@ -68,15 +68,15 @@ class RecoveryReport:
     max_timestamp_seen: int = 0
     #: Run files that failed checksum verification and were discarded.
     corrupt_runs_discarded: int = 0
-    #: Intact run files with no covering RUN_FLUSH record (the crash hit
-    #: between the SSD write and the log append); their updates were
-    #: replayed into the buffer instead, so keeping the file would apply
-    #: them twice.
+    #: Intact run files newer than every logged :class:`RunFlushed` (the
+    #: crash hit between the SSD write and the log append); their updates
+    #: were replayed into the buffer instead, so keeping the file would
+    #: apply them twice.
     orphan_runs_discarded: int = 0
     #: Fresh runs rebuilt from the redo log to replace discarded ones.
     runs_rebuilt: int = 0
-    #: Victim files of committed merges (RUN_MERGE record + intact product)
-    #: still on the SSD at the crash — e.g. parked in the graveyard for an
+    #: Victim files of committed merges (a logged :class:`RunsMerged`, an
+    #: intact product) still on the SSD at the crash — e.g. parked in the graveyard for an
     #: active scan; serving them alongside the product would apply every
     #: merged update twice.
     merge_victims_discarded: int = 0
@@ -210,7 +210,6 @@ def recover_masm(
     config: Optional[MaSMConfig] = None,
     oracle: Optional[TimestampOracle] = None,
     name: Optional[str] = None,
-    rebuild_index: bool = True,
 ) -> tuple[MaSM, RecoveryReport]:
     """Reconstruct a MaSM instance after a crash.
 
@@ -223,29 +222,25 @@ def recover_masm(
     redo_log.register_table(table.name, masm.codec)
     masm.redo_log = redo_log
     manifest = masm.manifest
-    if rebuild_index:
-        rebuild_table_index(table)
+    rebuild_table_index(table)
 
     # 2. Read the log before trusting any file: it says which should exist.
     pending: list[tuple[int, bytes]] = []  # (timestamp, the update as logged)
-    logged: list = []  # run-set records, a MIGRATION_END with its START
-    started: dict = {}  # open migrations: timestamp -> MIGRATION_START
+    logged: list = []  # the table's edits, run names unresolved
+    started: set = set()  # open migrations' timestamps
     with trace("txn.recover.replay"):
         for record in redo_log.records():
             report.max_timestamp_seen = max(report.max_timestamp_seen, record.timestamp)
+            if record.table != table.name:
+                continue
             if record.type == LogRecordType.UPDATE:
-                if record.table == table.name:
-                    pending.append((record.timestamp, record.encoded))
+                pending.append((record.timestamp, record.encoded))
             elif record.type == LogRecordType.MIGRATION_START:
-                started[record.timestamp] = record
-            elif record.type == LogRecordType.MIGRATION_END:
-                if record.timestamp not in started:
-                    raise RecoveryError(
-                        f"migration end {record.timestamp} without a start record"
-                    )
-                logged.append((record, started.pop(record.timestamp)))
-            elif record.type == LogRecordType.RUN_MERGE or record.table == table.name:
-                logged.append((record, None))  # RUN_FLUSH, CHECKPOINT
+                started.add(record.timestamp)
+            else:
+                if record.type == LogRecordType.MIGRATION_END:
+                    started.discard(record.timestamp)
+                logged.append(record.edit)
 
     # 3. Load and CRC-check the run files; a damaged one is a LostRun.
     pattern = re.compile(re.escape(masm.name) + r"-run-(\d+)$")
@@ -271,19 +266,19 @@ def recover_masm(
             return found[run_name]
         return gone.setdefault(run_name, LostRun(run_name, damaged=False))
 
-    # 4. Replay the run-set records onto the files found.
+    # 4. Apply the logged edits to the files found.
     manifest.apply(Recovered(tuple(map(resolve, found))))
     retired: dict = {}  # run name -> the report field its deletion counts in
-    for record, start in logged:
-        edit = _replayed(record, start, resolve)
+    for edit in logged:
+        edit = edit.resolved(resolve)
         for retiree in manifest.apply(edit):
             retired.setdefault(retiree.name, "leftover_runs_deleted")
         if isinstance(edit, RunsMerged) and edit.committed:
-            # A victim counts as one even if a range migration's logged
-            # range (wider than the pages it rewrote) retired it first.
+            # Whatever retired a committed merge's victim, its file counts
+            # as one.
             retired.update((v.name, "merge_victims_discarded") for v in edit.victims)
         if isinstance(edit, Checkpointed):
-            report.checkpoint_ts = max(report.checkpoint_ts, record.timestamp)
+            report.checkpoint_ts = max(report.checkpoint_ts, edit.checkpoint.checkpoint_ts)
 
     # 5. Reconcile the files with the replayed manifest.
     flushed_through = manifest.flushed_through
@@ -294,24 +289,28 @@ def recover_masm(
         elif isinstance(loaded, LostRun):
             field_name = "corrupt_runs_discarded"
         elif loaded.min_ts > flushed_through:
-            # Written, but the crash hit before its RUN_FLUSH record: its
-            # updates replay into the buffer below.
+            # Written, but the crash hit before its RunFlushed was logged:
+            # its updates replay into the buffer below.
             field_name = "orphan_runs_discarded"
         else:
             kept.append(loaded)
             continue
         ssd_volume.delete(file_name)
         setattr(report, field_name, getattr(report, field_name) + 1)
-    lost = any(isinstance(listed, LostRun) for listed in manifest.runs)
+    lost = [listed for listed in manifest.runs if isinstance(listed, LostRun)]
     manifest.apply(Recovered(tuple(kept)))
     report.runs_reloaded = len(kept)
 
-    # Every logged update with migrated_through < ts <= flushed_through
-    # belongs in some run: the spans no kept run covers are what the lost
-    # runs held.  Re-materialize each from the log, unless the checkpoint
-    # fence reclaimed it (then only a snapshot bootstrap from a peer heals).
+    # Every logged update with migrated_through < ts <= flushed_through, or
+    # in a damaged run's logged span (a full migration's watermark passes
+    # the buffered updates, which may flush below it), belongs in some run:
+    # the spans no kept run covers are what the lost runs held.  Rebuild
+    # each from the log, unless the checkpoint fence reclaimed it (then
+    # only a snapshot bootstrap from a peer heals).
+    damaged = [(r.covered_min_ts, r.covered_max_ts) for r in lost if r.damaged]
+    migrated = subtract_spans(1, manifest.migrated_through, damaged)
     covered = [(run.covered_min_ts, run.covered_max_ts) for run in kept]
-    gaps = subtract_spans(manifest.migrated_through + 1, flushed_through, covered)
+    gaps = subtract_spans(1, flushed_through, covered + migrated)
     for gap_lo, gap_hi in gaps if lost else ():
         if gap_lo <= redo_log.truncated_through:
             report.unrecoverable_gaps += 1
@@ -346,22 +345,3 @@ def recover_masm(
 
     return masm, report
 
-
-def _replayed(record, start, resolve):
-    """The manifest edit a run-set record stands for, its names resolved
-    by ``resolve``."""
-    if record.type == LogRecordType.RUN_FLUSH:
-        return RunFlushed(resolve(record.run_name), record.timestamp)
-    if record.type == LogRecordType.CHECKPOINT:
-        cp = record.checkpoint
-        return Checkpointed(cp, tuple(resolve(entry.name) for entry in cp.runs))
-    if record.type == LogRecordType.RUN_MERGE:
-        product = resolve(record.run_name)
-        victims = tuple(map(resolve, record.run_names or ()))
-        return RunsMerged(product, victims, record.covered_ts, not isinstance(product, LostRun))
-    runs, key_range = tuple(map(resolve, start.run_names or ())), start.key_range
-    if key_range is None or tuple(key_range) == (0, 2**63 - 1):  # a full one
-        return MigrationEnded(record.timestamp, runs)
-    # Deferred pages are not logged, so the whole range is marked: their
-    # updates count as migrated (lost until the record carries the spans).
-    return MigrationEnded(record.timestamp, runs, (tuple(key_range),))

@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.engine.btree import BPlusTree
+from repro.core.manifest import MigrationEnded, MigrationStarted
 from repro.core.migration import MigrationStats, _align_to_page_spans
 from repro.core.sortedrun import subtract_spans
 from repro.core.operators import MergeUpdates
@@ -253,7 +254,7 @@ def reference_full_migration(masm):
             break
     table.heap.truncate(out_pages)
     table.replace_contents(entries, stats.rows_after)
-    masm.end_migration(t, runs)
+    masm.end_migration(MigrationEnded(t, tuple(runs)))
     stats.runs_retired = len(runs)
     return records, stats
 
@@ -299,9 +300,7 @@ def migrate_range(
     sim_interleave("migration.slice")
     t = masm.oracle.next()
     if redo_log is not None:
-        redo_log.log_migration_start(
-            t, [run.name for run in runs], key_range=(begin_key, end_key)
-        )
+        redo_log.log_edit(masm.table.name, MigrationStarted(t))
     updates = iter(
         MergeUpdates(
             masm.run_update_sources(runs, begin_key, end_key, query_ts=t),
@@ -361,10 +360,11 @@ def migrate_range(
             row_delta += delta
         table.row_count += row_delta
         stats.rows_after = table.row_count
-        migrated = subtract_spans(begin_key, end_key, failed_spans)
+        migrated = tuple(subtract_spans(begin_key, end_key, failed_spans))
+        ended = MigrationEnded(t, tuple(runs), migrated)
         if redo_log is not None:
-            redo_log.log_migration_end(t)
-        stats.runs_retired = len(masm.end_migration(t, runs, spans=migrated))
+            redo_log.log_edit(masm.table.name, ended)
+        stats.runs_retired = len(masm.end_migration(ended))
     stats.publish("range")
     return stats
 

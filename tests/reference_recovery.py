@@ -13,6 +13,12 @@ refills the buffer through the engine's helper.  One fix rides along: it never r
 holds (it used to guard only merge products, so a run flushed after a
 restart that followed a full migration could take a retired run's name,
 and the next recovery deleted it as that migration's leftover).
+
+It reads the log's run-set records as the edits they now are (run names
+in place of runs): a MIGRATION_END carries the migration's runs and, for a
+range migration, the key spans its loop applied, so a completed range
+migration marks those spans (it used to mark the whole range its START
+named, and to read a whole-key-space range as a full migration).
 Production code does not import this module.
 """
 
@@ -21,7 +27,7 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from repro.core.manifest import Checkpointed, GapRebuilt, Recovered
+from repro.core.manifest import Checkpoint, Checkpointed, GapRebuilt, Recovered
 from repro.core.masm import MaSM, MaSMConfig
 from repro.core.sortedrun import load_run
 from repro.core.update import UpdateColumns
@@ -29,7 +35,7 @@ from repro.engine.table import Table
 from repro.errors import RecoveryError, StorageError
 from repro.obs import get_registry, trace
 from repro.storage.file import StorageVolume
-from repro.txn.log import Checkpoint, LogRecordType, RedoLog
+from repro.txn.log import LogRecordType, RedoLog
 from repro.txn.recovery import RecoveryReport, rebuild_table_index
 from repro.txn.timestamps import TimestampOracle
 
@@ -41,7 +47,6 @@ def recover_masm(
     config: Optional[MaSMConfig] = None,
     oracle: Optional[TimestampOracle] = None,
     name: Optional[str] = None,
-    rebuild_index: bool = True,
 ) -> tuple[MaSM, RecoveryReport]:
     """Reconstruct a MaSM instance after a crash.
 
@@ -54,8 +59,7 @@ def recover_masm(
     redo_log.register_table(table.name, masm.codec)
     masm.redo_log = redo_log
 
-    if rebuild_index:
-        rebuild_table_index(table)
+    rebuild_table_index(table)
 
     # ---- 2/3. scan the log first -------------------------------------------
     # The log is the source of truth about which run files *should* exist:
@@ -64,9 +68,9 @@ def recover_masm(
     flushed_through = 0  # max update ts known to be in a logged run
     migrated_ts = 0  # max ts applied in place by a completed full migration
     pending: list[tuple[int, bytes]] = []  # (timestamp, the update as logged)
-    open_migrations: dict[int, tuple[str, ...]] = {}
+    open_migrations: set[int] = set()
     completed_full: list[tuple[str, ...]] = []
-    completed_partial: list[tuple[tuple[str, ...], tuple[int, int]]] = []
+    completed_partial: list[tuple[tuple[str, ...], tuple[tuple[int, int], ...]]] = []
     # (product, victims, covered-ts span) of every RUN_MERGE record.
     merges: list[tuple[str, tuple[str, ...], tuple[int, int]]] = []
     # run name -> RunManifestEntry from the newest CHECKPOINT record.
@@ -75,7 +79,8 @@ def recover_masm(
     passes: dict[str, int] = {}
     # Every run name a replayed record holds (no restart reuses one).
     named: set = set()
-    full_range = (0, 2**63 - 1)
+    # run name -> the covered-ts span its RUN_FLUSH or checkpoint entry logged.
+    logged_spans: dict[str, tuple[int, int]] = {}
     with trace("txn.recover.replay"):
         for record in redo_log.records():
             report.max_timestamp_seen = max(
@@ -87,39 +92,38 @@ def recover_masm(
             elif record.type == LogRecordType.RUN_FLUSH:
                 if record.table == table.name:
                     flushed_through = max(flushed_through, record.timestamp)
-                    named.add(record.run_name)
+                    named.add(record.edit.run)
+                    logged_spans[record.edit.run] = record.edit.covered
             elif record.type == LogRecordType.MIGRATION_START:
-                open_migrations[record.timestamp] = (
-                    record.run_names or (),
-                    record.key_range,
-                )
+                open_migrations.add(record.timestamp)
             elif record.type == LogRecordType.MIGRATION_END:
-                entry = open_migrations.pop(record.timestamp, None)
-                if entry is None:
+                if record.timestamp not in open_migrations:
                     raise RecoveryError(
                         f"migration end {record.timestamp} without a start record"
                     )
-                names, key_range = entry
+                open_migrations.discard(record.timestamp)
+                names, spans = record.edit.runs, record.edit.spans
                 named.update(names)
-                if key_range is None or tuple(key_range) == full_range:
+                if spans is None:
                     completed_full.append(names)
                     # A completed full migration applied every cached update
                     # with ts <= its timestamp in place.
                     migrated_ts = max(migrated_ts, record.timestamp)
                 else:
-                    completed_partial.append((names, tuple(key_range)))
+                    completed_partial.append((names, spans))
             elif record.type == LogRecordType.RUN_MERGE:
-                victims = record.run_names or ()
+                merge = record.edit
+                victims = merge.victims
                 named.update(victims)
-                merges.append((record.run_name, victims, record.covered_ts))
+                merges.append((merge.product, victims, merge.covered))
                 # _merge_earliest_runs' rule: one pass more than the
                 # most-written victim.
-                passes[record.run_name] = 1 + max(
+                passes[merge.product] = 1 + max(
                     (passes.get(name, 1) for name in victims), default=1
                 )
             elif record.type == LogRecordType.CHECKPOINT:
-                cp = record.checkpoint
-                if cp is not None and cp.table == table.name:
+                cp = record.edit.checkpoint
+                if cp.table == table.name:
                     # The checkpoint stands in for the truncated prefix: it
                     # seeds the watermarks and the run manifest the dropped
                     # RUN_FLUSH / MIGRATION / RUN_MERGE records established.
@@ -127,6 +131,10 @@ def recover_masm(
                     migrated_ts = max(migrated_ts, cp.migrated_ts)
                     manifest = {entry.name: entry for entry in cp.runs}
                     named.update(manifest)
+                    for entry in cp.runs:
+                        logged_spans.setdefault(
+                            entry.name, (entry.covered_min_ts, entry.covered_max_ts)
+                        )
                     passes.update((entry.name, entry.passes) for entry in cp.runs)
                     report.checkpoint_ts = max(
                         report.checkpoint_ts, cp.checkpoint_ts
@@ -229,21 +237,22 @@ def recover_masm(
                 ssd_volume.delete(run_name)
                 report.leftover_runs_deleted += 1
 
-    # Completed *partial* migrations (governor-paced slices) applied only a
-    # key range in place; the named runs still hold unmigrated keys and must
-    # survive.  Re-mark the migrated ranges (they were volatile) and delete
+    # Completed *partial* migrations (governor-paced slices) applied only
+    # their logged key spans in place; the named runs still hold unmigrated
+    # keys and must survive.  Re-mark the spans (they were volatile) and delete
     # a run only when its slices cumulatively cover its whole key span —
     # the same rule the engine uses to retire runs after a slice.  Damaged
     # runs are left to the rebuild path: its log replay re-materializes all
     # their updates, and re-serving already-migrated ones is harmless under
     # the page-timestamp rule.
-    for names, (range_lo, range_hi) in completed_partial:
+    for names, spans in completed_partial:
         retired_names.update(names)
         for run_name in names:
             run = runs_by_name.get(run_name)
             if run is None:
                 continue
-            run.mark_migrated(range_lo, range_hi)
+            for span_lo, span_hi in spans:
+                run.mark_migrated(span_lo, span_hi)
     for run_name, run in list(runs_by_name.items()):
         if run.migrated_ranges and run.fully_migrated(run.min_key, run.max_key):
             del runs_by_name[run_name]
@@ -272,7 +281,10 @@ def recover_masm(
 
     # ---- 1b. rebuild discarded logged content from the redo log ------------
     # Every logged update with migrated_ts < ts <= flushed_through belongs
-    # in some run.  The intervals not covered by the intact runs are exactly
+    # in some run, and so does every update in the covered span a damaged
+    # run's RUN_FLUSH or checkpoint entry logged (a full migration's
+    # watermark passes the updates it left in the buffer, which may flush
+    # below it).  The intervals not covered by the intact runs are exactly
     # what the damaged runs held; re-materialize each gap as a fresh run.
     # (A damaged *orphan* needs no rebuild: its ts range is past
     # flushed_through and replays into the buffer like any unflushed update.)
@@ -285,7 +297,9 @@ def recover_masm(
         covered = sorted(
             (run.covered_min_ts, run.covered_max_ts) for run in masm.runs
         )
-        gaps = _uncovered_intervals(migrated_ts + 1, flushed_through, covered)
+        damaged = sorted(logged_spans[name] for name in damaged_names if name in logged_spans)
+        in_place = _uncovered_intervals(1, migrated_ts, damaged)
+        gaps = _uncovered_intervals(1, flushed_through, sorted(covered + in_place))
         log_floor = redo_log.truncated_through
         for gap_lo, gap_hi in gaps:
             if gap_lo <= log_floor:

@@ -147,11 +147,10 @@ def install_snapshot(
     """
     import re as _re
 
-    from repro.core.manifest import Checkpointed, Recovered
+    from repro.core.manifest import Checkpoint, Checkpointed, Recovered, RunManifestEntry
     from repro.core.sortedrun import load_run
     from repro.errors import ChecksumError
     from repro.storage.checksum import checksum as _crc
-    from repro.txn.log import Checkpoint, RunManifestEntry
 
     if _crc(snapshot.heap_payload) != snapshot.heap_crc:
         raise ChecksumError("snapshot heap payload failed CRC verification")

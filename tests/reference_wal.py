@@ -18,19 +18,12 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from repro.core.manifest import Checkpoint, Checkpointed, encode_edit, unpack_str
 from repro.core.update import UpdateCodec
 from repro.errors import RecoveryError
 from repro.obs import get_registry
 from repro.storage.checksum import checksum
-from repro.txn.log import (
-    _FRAME,
-    Checkpoint,
-    LogRecord,
-    LogRecordType,
-    RedoLog,
-    TruncationReport,
-    _unpack_str,
-)
+from repro.txn.log import _FRAME, LogRecord, LogRecordType, RedoLog, TruncationReport
 
 
 def frame_crc(rtype_raw: int, payload: bytes, generation: int) -> int:
@@ -116,18 +109,24 @@ def reference_truncate_through(log: RedoLog, checkpoint: Checkpoint) -> Truncati
         offset += _FRAME.size + length
         rtype = LogRecordType(rtype_raw)
         if rtype is LogRecordType.UPDATE:
-            table, pos = _unpack_str(payload, 0)
+            table, pos = unpack_str(payload, 0)
             timestamp = UpdateCodec.peek_timestamp(payload, pos)
         else:
             record = log._decode(rtype, payload)
             table, timestamp = record.table, record.timestamp
-        if log._survives(rtype, table, timestamp, checkpoint):
+        # Another table's record survives; the table's CHECKPOINT is
+        # superseded by the fresh one, any other record outlives the fence.
+        if table != checkpoint.table or (
+            rtype is not LogRecordType.CHECKPOINT
+            and timestamp > checkpoint.checkpoint_ts
+        ):
             crc = frame_crc(rtype_raw, payload, generation)
             survivors.append(_FRAME.pack(length, rtype_raw, crc) + payload)
         else:
             dropped += 1
     cp_type = int(LogRecordType.CHECKPOINT)
-    cp_payload = log._encode_checkpoint(checkpoint, 0) + generation.to_bytes(4, "little")
+    cp_payload = encode_edit(checkpoint.table, Checkpointed(checkpoint))
+    cp_payload += generation.to_bytes(4, "little")
     cp_crc = frame_crc(cp_type, cp_payload, generation)
     frames = [_FRAME.pack(len(cp_payload), cp_type, cp_crc) + cp_payload] + survivors
     content = b"".join(frames)

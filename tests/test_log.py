@@ -8,7 +8,14 @@ from repro.errors import RecoveryError
 from repro.storage.checksum import checksum
 from repro.storage.file import StorageVolume
 from repro.storage.ssd import SimulatedSSD
-from repro.txn.log import _FRAME, Checkpoint, LogRecordType, RedoLog, _pack_str
+from repro.core.manifest import (
+    Checkpoint,
+    MigrationEnded,
+    MigrationStarted,
+    RunFlushed,
+    pack_str,
+)
+from repro.txn.log import _FRAME, LogRecordType, RedoLog
 from repro.util.units import MB
 
 SCHEMA = synthetic_schema()
@@ -35,23 +42,24 @@ def test_update_roundtrip():
 
 def test_run_flush_roundtrip():
     log = make_log()
-    log.log_run_flush("t", "masm-t-run-00003", max_ts=99)
+    log.log_run_flush("t", RunFlushed("masm-t-run-00003", 99, (90, 99)))
     rec = next(log.records())
     assert rec.type == LogRecordType.RUN_FLUSH
-    assert rec.run_name == "masm-t-run-00003"
+    assert rec.edit == RunFlushed("masm-t-run-00003", 99, (90, 99))
     assert rec.timestamp == 99
     assert rec.table == "t"
 
 
 def test_migration_bracket_roundtrip():
     log = make_log()
-    log.log_migration_start(55, ["r1", "r2"], key_range=(10, 500))
-    log.log_migration_end(55)
+    log.log_edit("t", MigrationStarted(55))
+    log.log_edit("t", MigrationEnded(55, ("r1", "r2"), ((10, 500),)))
     start, end = list(log.records())
     assert start.type == LogRecordType.MIGRATION_START
-    assert start.run_names == ("r1", "r2")
-    assert start.key_range == (10, 500)
+    assert (start.timestamp, start.table, start.edit) == (55, "t", MigrationStarted(55))
     assert end.type == LogRecordType.MIGRATION_END
+    assert end.edit.runs == ("r1", "r2")
+    assert end.edit.spans == ((10, 500),)
     assert end.timestamp == 55
 
 
@@ -60,7 +68,7 @@ def test_mixed_sequence_order_preserved():
     u1 = UpdateRecord(1, 2, UpdateType.DELETE, None)
     u2 = UpdateRecord(2, 4, UpdateType.INSERT, (4, "z"))
     log.log_update("t", CODEC.encode(u1))
-    log.log_run_flush("t", "r", 1)
+    log.log_run_flush("t", RunFlushed("r", 1, (1, 1)))
     log.log_update("t", CODEC.encode(u2))
     types = [r.type for r in log.records()]
     assert types == [
@@ -81,7 +89,7 @@ def test_scan_mode_after_lost_cursor():
     log = make_log()
     u = UpdateRecord(3, 9, UpdateType.DELETE, None)
     log.log_update("t", CODEC.encode(u))
-    log.log_migration_end(3)
+    log.log_edit("t", MigrationEnded(3, ()))
     # Simulate losing the in-memory cursor.
     log.file._append_pos = 0
     records = list(log.records())
@@ -169,7 +177,7 @@ def test_truncate_decides_survival_from_the_payload_head():
         log.register_table(table, UpdateCodec(SCHEMA))
         log.log_update(table, CODEC.encode(UpdateRecord(ts, ts * 2, UpdateType.INSERT, (ts * 2, f"p{ts}"))))
         frames[ts] = log.file.peek(start, log.file.append_pos - start)
-    log.log_run_flush("t", "run-0", 5)
+    log.log_run_flush("t", RunFlushed("run-0", 5, (1, 5)))
     log.codecs.clear()  # a full decode of any UPDATE frame would now raise
     report = log.truncate_through(Checkpoint("t", checkpoint_ts=5, migrated_ts=0))
     # ts 1..5 of "t" and the RUN_FLUSH at 5 go; ts 3 of "other" and 6..8 stay.
@@ -203,11 +211,11 @@ def test_update_frames_are_the_generic_frame_byte_for_byte():
         frame = log.file.peek(start, log.file.append_pos - start)
         generic = stamped(
             _FRAME.pack(len(table) + 2 + len(encoded), LogRecordType.UPDATE, 0)
-            + _pack_str(table)
+            + pack_str(table)
             + encoded,
             log.generation,
         )
-        assert frame == log._frame(LogRecordType.UPDATE, _pack_str(table) + encoded) == generic
+        assert frame == log._frame(LogRecordType.UPDATE, pack_str(table) + encoded) == generic
         return frame
 
     for ts in range(1, 41):

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.manifest import MigrationEnded
 from repro.core.masm import MaSM, MaSMConfig
 from repro.core.migration import migrate_all
 from repro.core.update import UpdateRecord, UpdateType
@@ -212,13 +213,14 @@ def test_migration_end_is_logged_after_the_last_heap_write():
     masm.flush_buffer()
     log = masm.redo_log
     marks = {}
-    log_end = log.log_migration_end
+    log_edit = log.log_edit
 
-    def log_migration_end(timestamp):
-        marks["end"] = len(clock.ops)
-        log_end(timestamp)
+    def log_migration_end(table, edit):
+        if isinstance(edit, MigrationEnded):
+            marks["end"] = len(clock.ops)
+        log_edit(table, edit)
 
-    log.log_migration_end = log_migration_end
+    log.log_edit = log_migration_end
     clock.ops.clear()
     migrate_all(masm, redo_log=log)
     lane, start, _ = clock.ops[marks["end"]]

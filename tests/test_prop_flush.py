@@ -304,6 +304,10 @@ def test_flush_folds_the_chains_the_pairwise_merge_combines(steps):
 
 @settings(max_examples=150, deadline=None)
 @given(fold_steps(), st.lists(st.integers(0, 45), max_size=4), st.integers(1, 4))
+# A fold that leaves one empty MODIFY in a block of no payload bytes.
+@example(
+    steps=[(0, UpdateType.DELETE, None), (0, UpdateType.MODIFY, {})], readers=[], sources=2
+)
 def test_a_merge_folds_permuted_rows_like_the_pairwise_merge(steps, readers, sources):
     """A run merge folds rows that are not in buffer order: the k-way
     merge's ``(rows, order)`` pair, or the permuted rows themselves.  Both

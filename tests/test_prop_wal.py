@@ -43,7 +43,15 @@ from repro.obs import MetricsRegistry, get_registry, use_registry
 from repro.storage.file import StorageVolume
 from repro.storage.ssd import SimulatedSSD
 from repro.txn import log as log_module
-from repro.txn.log import _FRAME, Checkpoint, RedoLog, RunManifestEntry
+from repro.core.manifest import (
+    Checkpoint,
+    MigrationEnded,
+    MigrationStarted,
+    RunFlushed,
+    RunManifestEntry,
+    RunsMerged,
+)
+from repro.txn.log import _FRAME, RedoLog
 from repro.util.units import KB, MB, ceil_div
 
 pytestmark = [pytest.mark.faults, pytest.mark.chaos]
@@ -61,7 +69,10 @@ LOG_BYTES = 64 * KB
 # ------------------------------------------------------------------ fixtures
 def make_log(size: int = LOG_BYTES) -> RedoLog:
     volume = StorageVolume(SimulatedSSD(capacity=1 * MB))
-    return RedoLog(volume.create("wal", size), {name: CODEC for name in TABLES})
+    log = RedoLog(volume.create("wal", size))
+    for name in TABLES:
+        log.register_table(name, CODEC)
+    return log
 
 
 def logged(log: RedoLog, table: str, min_ts: int = 0, max_ts=None) -> list[UpdateRecord]:
@@ -73,7 +84,10 @@ def logged(log: RedoLog, table: str, min_ts: int = 0, max_ts=None) -> list[Updat
 def reopen(log: RedoLog) -> RedoLog:
     """The log as a restarted process finds it: bytes kept, cursor lost."""
     log.file._append_pos = 0
-    return RedoLog(log.file, log.codecs)
+    restarted = RedoLog(log.file)
+    for name, codec in log.codecs.items():
+        restarted.register_table(name, codec)
+    return restarted
 
 
 @contextmanager
@@ -106,8 +120,13 @@ OPS = st.one_of(
     st.tuples(st.just("delete"), tables, keys),
     st.tuples(st.just("modify"), tables, keys, texts),
     st.tuples(st.just("flush"), tables, names),
-    st.tuples(st.just("migration"), st.lists(names, max_size=3), st.none() | spans),
-    st.tuples(st.just("merge"), names, st.lists(names, max_size=3)),
+    st.tuples(
+        st.just("migration"),
+        tables,
+        st.lists(names, max_size=3),
+        st.none() | st.lists(spans, max_size=3).map(tuple),
+    ),
+    st.tuples(st.just("merge"), tables, names, st.lists(names, max_size=3)),
     st.tuples(
         st.just("checkpoint"),
         tables,
@@ -131,12 +150,14 @@ def apply_ops(log: RedoLog, ops, first_ts: int = 1) -> None:
                 table, CODEC.encode(UpdateRecord(ts, key, UpdateType.MODIFY, {"payload": text}))
             )
         elif kind == "flush":
-            log.log_run_flush(op[1], op[2], max_ts=ts)
+            log.log_run_flush(op[1], RunFlushed(op[2], ts, (1, ts)))
         elif kind == "migration":
-            log.log_migration_start(ts, op[1], key_range=op[2])
-            log.log_migration_end(ts)
+            _, table, runs, spans = op
+            log.log_edit(table, MigrationStarted(ts))
+            log.log_edit(table, MigrationEnded(ts, tuple(runs), spans))
         elif kind == "merge":
-            log.log_run_merge(ts, op[1], op[2], covered_ts=(1, ts))
+            _, table, product, victims = op
+            log.log_edit(table, RunsMerged(ts, product, tuple(victims), (1, ts)))
         else:
             _, table, runs = op
             entries = tuple(
@@ -158,9 +179,9 @@ def random_ops(rng: random.Random, count: int) -> list:
         elif roll < 0.7:
             ops.append(("flush", table, "run-%d" % rng.randrange(99)))
         elif roll < 0.8:
-            ops.append(("migration", ["r%d" % i for i in range(rng.randrange(4))], None))
+            ops.append(("migration", table, ["r%d" % i for i in range(rng.randrange(4))], None))
         elif roll < 0.9:
-            ops.append(("merge", "product", ["v%d" % i for i in range(rng.randrange(4))]))
+            ops.append(("merge", table, "product", ["v%d" % i for i in range(rng.randrange(4))]))
         else:
             ops.append(("checkpoint", table, [("run-a", [(0, 5)]), ("run-b", [])]))
     return ops

@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.core.manifest import MigrationStarted, RunsMerged
 from repro.core.masm import MaSM, MaSMConfig
 from repro.core.migration import migrate_all
-from repro.core.sortedrun import load_run
 from repro.core.update import UpdateCodec, UpdateRecord, UpdateType
 from repro.engine.record import synthetic_schema
 from repro.engine.heapfile import page_records
@@ -123,7 +123,7 @@ def test_interrupted_migration_redone():
     masm.modify(40, {"payload": "mid-flight"})
     masm.flush_buffer()
     # Write only the START record (the crash hit mid-migration).
-    log.log_migration_start(masm.oracle.next(), [masm.runs[0].name])
+    log.log_edit("t", MigrationStarted(masm.oracle.next()))
     recovered, report = crash_and_recover(masm, table, ssd_vol, log, config)
     assert report.migrations_redone == 1
     assert recovered.runs == ()  # migration completed during recovery
@@ -138,9 +138,8 @@ def test_migration_redo_is_idempotent_when_partially_applied():
     masm, table, ssd_vol, log, config = build_system()
     masm.modify(40, {"payload": "applied"})
     masm.flush_buffer()
-    run_name = masm.runs[0].name
     t = masm.oracle.next()
-    log.log_migration_start(t, [run_name])
+    log.log_edit("t", MigrationStarted(t))
     # Apply the update in place (simulating the migration partially done),
     # stamping the page with the update's timestamp.
     table.modify_in_place(40, {"payload": "applied"}, timestamp=2)
@@ -305,15 +304,11 @@ def test_uncommitted_merge_keeps_victims_on_recovery():
     expected = scan_dict(masm)
 
     product = f"{masm.name}-run-{masm._run_seq:05d}"
-    log.log_run_merge(
-        masm.oracle.current,
-        product,
-        victims,
-        covered_ts=(
-            min(r.covered_min_ts for r in masm.runs),
-            max(r.covered_max_ts for r in masm.runs),
-        ),
+    covered = (
+        min(r.covered_min_ts for r in masm.runs),
+        max(r.covered_max_ts for r in masm.runs),
     )
+    log.log_edit("t", RunsMerged(masm.oracle.current, product, tuple(victims), covered))
 
     recovered, report = crash_and_recover(masm, table, ssd_vol, log, config)
     assert report.merge_victims_discarded == 0
@@ -412,18 +407,10 @@ def test_a_restart_never_reuses_a_logged_run_name():
     assert scan_dict(recovered) == expected
 
 
-# ROADMAP finding (f): a range migration that leaves a page untouched (its
-# rows no longer fit) keeps that page's updates cached, but MIGRATION_END
-# does not say which pages it deferred, so replay marks the whole logged
-# range migrated and deletes the run that still holds them.
-DEFERRED_PAGE_LOSS = pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="a range migration that defers a page loses its updates at restart "
-    "(ROADMAP, 'A range migration survives a restart: log the spans it applied')",
-)
-
-
+# A range migration that leaves a page untouched (its rows no longer fit)
+# keeps that page's updates cached: its logged MigrationEnded carries only
+# the spans it applied, so the restart keeps the run that still holds them
+# (and a whole-key-space range migration under a scan is no full one).
 def _deferring_setup():
     """400 base rows on full pages, then 100 odd-key inserts below key 200
     flushed as one run: a range migration over them defers their pages."""
@@ -439,7 +426,6 @@ def _deferring_setup():
     return masm, table, ssd_vol, log, config, model
 
 
-@DEFERRED_PAGE_LOSS
 def test_deferred_range_migration_survives_a_restart():
     from repro.core.migration import migrate_range
 
@@ -452,7 +438,6 @@ def test_deferred_range_migration_survives_a_restart():
     assert scan_dict(recovered) == expected
 
 
-@DEFERRED_PAGE_LOSS
 def test_migration_under_an_open_scan_survives_a_restart():
     masm, table, ssd_vol, log, config, model = _deferring_setup()
     scan = masm.range_scan(0, 2**62)  # registered: migrate() takes the range path

@@ -4,14 +4,18 @@
 its own rules.  Two identical engines (each with a healthy peer that takes
 the same updates, the donor of peer repairs) are driven through the same
 drawn history — updates, flushes, scans whose run budget merges runs, full,
-whole-key-space and paced range migrations, checkpoints that truncate the
-WAL, a flipped run block found by a scrub, peer repairs — and both crash at
-the same drawn occurrence of one crash site.  One restarts with
-:func:`repro.txn.recovery.restart_masm`, the other with the reference; both
-then take more of the history, die again and restart again the same way.
-After each restart the two must agree on the recovery report, every piece
-of run-set state, the buffer, every SSD file's bytes, the heap, each
-device's operation sequence and a full scan — or both raise the same error.
+whole-key-space and paced range migrations, a range migration over pages
+crowded with fresh inserts (it defers the pages they no longer fit),
+checkpoints that truncate the WAL, a flipped run block found by a scrub,
+peer repairs — and both crash at the same drawn occurrence of one crash
+site.  One restarts with :func:`repro.txn.recovery.restart_masm`, the other
+with the reference; both then take more of the history, die again and
+restart again the same way.  After each restart the two must agree on the
+recovery report, every piece of run-set state, the buffer, every SSD file's
+bytes, the heap, each device's operation sequence and a full scan — or both
+raise the same error — and the scan must answer what
+:class:`~repro.sim.model.ModelTable` says the acknowledged updates (and
+perhaps the one in flight at the crash) left.
 """
 
 import os
@@ -29,6 +33,7 @@ from repro.core.update import UpdateRecord, UpdateType
 from repro.engine.record import synthetic_schema
 from repro.engine.table import Table
 from repro.obs import use_registry
+from repro.sim.model import ModelTable
 from repro.storage.disk import SimulatedDisk
 from repro.storage.faults import FaultPlan, SimulatedCrash, use_fault_plan
 from repro.storage.file import StorageVolume
@@ -84,6 +89,9 @@ class Twin:
             StorageVolume(SimulatedSSD(capacity=8 * MB)),
             config=MaSMConfig(auto_migrate=False),
         )
+        #: The updates whose apply returned, and the one in flight.
+        self.acked: list[UpdateRecord] = []
+        self.in_flight = None
 
     def _recorded(self, device):
         ops = self.ops
@@ -165,12 +173,40 @@ def reference_restart(table, ssd_volume, wal_file, config=None):
 
 
 class History:
-    """Turns drawn steps into the same concrete operations for both twins."""
+    """Turns drawn steps into the same concrete operations for both twins,
+    and keeps the model of what their acknowledged updates left."""
 
     def __init__(self, rng):
         self.rng = rng
         self.live = {i * 2 for i in range(ROWS)}
         self.fresh = iter(range(1, 10**9, 2))
+        self.model = ModelTable(SCHEMA, ((i * 2, f"base-{i}") for i in range(ROWS)))
+        #: The update that was in flight when the twins crashed, if any.
+        self.in_doubt = None
+        #: A restart found a lost run older than its log (an unrecoverable
+        #: gap): the replica is incomplete by design from then on, until a
+        #: snapshot from a peer heals it.
+        self.incomplete = False
+
+    def check(self, report, scan):
+        """A restarted twin's full scan against the model, with or without
+        the update in doubt (then adopted as the scan answered)."""
+        self.incomplete |= report.unrecoverable_gaps > 0
+        if self.incomplete:
+            return
+        assert scan[0] == "ok", scan
+        doubt, self.in_doubt = self.in_doubt, None
+        if doubt is not None and scan[1] == self.model.snapshot_records(
+            KEY_MAX, extra=doubt
+        ):
+            self.model.record(doubt)
+        assert scan[1] == self.model.snapshot_records(KEY_MAX)
+
+    def fresh_key(self):
+        key = next(self.fresh)
+        while key in self.live:
+            key = next(self.fresh)
+        return key
 
     def resync(self, scan):
         """Adopt what a restart kept (an update in flight at the crash may
@@ -186,7 +222,7 @@ class History:
             for _ in range(arg):
                 roll = rng.random()
                 if roll < 0.35 or len(self.live) < 10:
-                    key = next(self.fresh)
+                    key = self.fresh_key()
                     self.live.add(key)
                     updates.append((key, UpdateType.INSERT, (key, f"i{key}")))
                 elif roll < 0.55:
@@ -200,19 +236,38 @@ class History:
         if kind == "slice":
             lo = rng.randrange(0, 2 * ROWS)
             return ("slice", (lo, lo + rng.randrange(1, ROWS)))
+        if kind == "crowd":
+            # Odd keys between the base rows of one stretch of pages: more
+            # than those pages have room for, so the slice defers some.
+            lo = rng.randrange(0, 2 * ROWS - 200)
+            keys = [key for key in range(lo | 1, lo + 200, 2) if key not in self.live]
+            self.live.update(keys)
+            return ("crowd", ([(k, UpdateType.INSERT, (k, f"c{k}")) for k in keys], (lo, lo + 199)))
         if kind in ("flip", "scrub", "peer_repair"):
             return (kind, (rng.random(), rng.random(), rng.randrange(8)))
         return (kind, None)
+
+
+def ingest(twin, updates):
+    masm = twin.masm
+    for key, op, content in updates:
+        update = twin.in_flight = UpdateRecord(masm.oracle.next(), key, op, content)
+        masm.apply(update)
+        twin.donor.apply(update)
+        twin.acked.append(update)
+    twin.in_flight = None
 
 
 def perform(twin, action):
     kind, arg = action
     masm = twin.masm
     if kind == "updates":
-        for key, op, content in arg:
-            update = UpdateRecord(masm.oracle.next(), key, op, content)
-            masm.apply(update)
-            twin.donor.apply(update)
+        ingest(twin, arg)
+    elif kind == "crowd":
+        updates, span = arg
+        ingest(twin, updates)
+        masm.flush_buffer()
+        migrate_range(masm, *span, redo_log=masm.redo_log)
     elif kind == "flush":
         masm.flush_buffer()
     elif kind == "scan":
@@ -252,7 +307,8 @@ STEP = st.tuples(
         ["flush"] * 6
         + ["scan"] * 3
         + ["merge", "checkpoint"] * 2
-        + ["migrate", "migrate_whole", "slice", "flip", "scrub", "peer_repair", "none"]
+        + ["migrate", "migrate_whole", "slice", "crowd", "flip", "scrub", "peer_repair"]
+        + ["none"]
     ),
 )
 
@@ -278,14 +334,19 @@ def drive(twins, history, steps, plans):
             except SimulatedCrash:
                 results.append("crash")
         assert results == results[:1] * len(twins), f"twins diverged at {action[0]}"
+        for update in twins[0].acked:
+            history.model.record(update)
+        for twin in twins:
+            twin.acked.clear()
         if results[0] == "crash":
+            history.in_doubt = twins[0].in_flight
             return
 
 
-def restart_both(twins):
+def restart_both(twins, history):
     """Restart twin 0 with the manifest replay, twin 1 with the reference;
-    they must agree, or fail alike.  The restarted state (None if both
-    raised)."""
+    they must agree, or fail alike, and answer what the model says.  The
+    restarted state (None if both raised)."""
     reports = [
         outcome(lambda: twin.restart(recover))
         for twin, recover in zip(twins, (restart_masm, reference_restart))
@@ -295,6 +356,7 @@ def restart_both(twins):
         return None
     states = [twin.state() for twin in twins]
     assert states[0] == states[1]
+    history.check(reports[0][1], states[0]["scan"])
     return states[0]
 
 
@@ -323,9 +385,9 @@ def test_manifest_replay_recovers_what_the_reference_recovers(
         twins = [Twin(), Twin()]
         history = History(random.Random(history_seed))
         drive(twins, history, before, [FaultPlan().crash_at(site, occurrence) for _ in twins])
-        state = restart_both(twins)
+        state = restart_both(twins, history)
         if state is None:
             return
         history.resync(state["scan"])
         drive(twins, history, between, [FaultPlan(), FaultPlan()])
-        restart_both(twins)
+        restart_both(twins, history)
